@@ -32,9 +32,9 @@ All of the paper's algorithmic knobs are exposed:
 from __future__ import annotations
 
 import pickle
-from typing import Any, Dict, List, NamedTuple, Optional, Tuple
+from typing import Any, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
-from repro.core.estimate import JoinEstimator, make_join_estimator
+from repro.core.estimate import JoinEstimator
 from repro.core.pairs import (
     NODE,
     OBJ,
@@ -131,6 +131,9 @@ class IncrementalDistanceJoin:
     #: cannot run descending; see :meth:`JoinSpec.validate`.
     _spec_semi_join = False
 
+    #: The maximum-distance estimator variant for ``max_pairs`` joins.
+    _estimator_class = JoinEstimator
+
     def __init__(
         self,
         tree1: RTreeBase,
@@ -186,11 +189,13 @@ class IncrementalDistanceJoin:
         self._hooks_default = (
             type(self)._skip_child is IncrementalDistanceJoin._skip_child
         )
-        # Bulk enqueueing is only sound while per-push side effects are
-        # the stock ones; a subclass overriding _push (e.g. the tracing
-        # mixin recording push events) keeps the per-pair loop.
-        self._bulk_push_ok = (
+        # Block enqueueing is only sound while per-push side effects
+        # are the stock ones; a subclass overriding _push (e.g. the
+        # tracing mixin recording push events) and the consistency
+        # checker keep the per-pair loop.
+        self._block_push = (
             type(self)._push is IncrementalDistanceJoin._push
+            and not check_consistency
         )
         # Child items are immutable, so the vectorized expansion may
         # cache a node's child-Item list on its SoA and reuse it across
@@ -238,7 +243,7 @@ class IncrementalDistanceJoin:
     def _make_estimator(self) -> Optional[JoinEstimator]:
         if not self.estimate or self.max_pairs is None:
             return None
-        return make_join_estimator(
+        return self._estimator_class(
             self.max_pairs,
             self.min_distance,
             self.max_distance,
@@ -369,7 +374,9 @@ class IncrementalDistanceJoin:
             if self._skip_result(resolved):
                 return None
             return self._report(resolved)
-        self._push_resolved(resolved)
+        # Re-enqueued with its exact distance, the resolved pair
+        # participates in estimation like any other.
+        self._push(resolved)
         return None
 
     def _report(self, pair: Pair) -> Optional[JoinResult]:
@@ -418,7 +425,8 @@ class IncrementalDistanceJoin:
         self, pair: Pair, side: int,
         candidates: List[Tuple[Pair, float]],
     ) -> List[Tuple[Pair, float]]:
-        """Post-filter candidate child pairs (semi-join d_max hooks)."""
+        """Drop candidate child pairs, keeping the order of the rest
+        (semi-join d_max hooks)."""
         return candidates
 
     # ------------------------------------------------------------------
@@ -473,11 +481,14 @@ class IncrementalDistanceJoin:
         eff_dmax = self._effective_dmax()
 
         candidates: Optional[List[Tuple[Pair, float]]] = None
+        uppers: Optional[List[float]] = None
         if self._kern is not None:
-            candidates = self._expand_vector(node, other, side, eff_dmax)
+            candidates, uppers = self._expand_vector(
+                node, other, side, eff_dmax
+            )
         if candidates is None:
             candidates = self._expand_scalar(node, other, side, eff_dmax)
-        self._push_candidates(pair, side, candidates)
+        self._push_candidates(pair, side, candidates, uppers)
 
     def _expand_scalar(
         self, node: Any, other: Item, side: int, eff_dmax: float
@@ -510,26 +521,27 @@ class IncrementalDistanceJoin:
 
     def _expand_vector(
         self, node: Any, other: Item, side: int, eff_dmax: float
-    ) -> Optional[List[Tuple[Pair, float]]]:
+    ) -> Tuple[Optional[List[Tuple[Pair, float]]], Optional[List[float]]]:
         """Batch-kernel expansion of one node against ``other``.
 
         Returns the candidate list -- identical, element for element,
         to what :meth:`_expand_scalar` would build, with identical
-        counter charges -- or ``None`` to fall back to the scalar path
-        (foreign node type, or object payloads the point kernel cannot
-        serve).  Stage order replicates the scalar loop exactly:
-        seen-set hook, MINDIST + range test, pair filter.
+        counter charges -- and the candidates' estimation d_max values
+        (:meth:`_uppers_batch`), or ``(None, None)`` to fall back to
+        the scalar path (foreign node type, or object payloads the
+        point kernel cannot serve).  Stage order replicates the scalar
+        loop exactly: seen-set hook, MINDIST + range test, pair filter.
         """
         soa_of = getattr(node, "entries_soa", None)
         if soa_of is None:
-            return None
+            return None, None
         soa = soa_of()
         if soa is None:
-            return None
+            return None, None
         entries = node.entries
         level = node.level
         if soa.n == 0:
-            return []
+            return [], None
         # Object/object pairs take the exact-distance path; everything
         # else is a rectangle bound.  Mixed outcomes cannot occur: the
         # child kind is uniform across one node's entries.
@@ -540,7 +552,7 @@ class IncrementalDistanceJoin:
             soa.pts is None or not isinstance(other.obj, Point)
         ):
             # Non-point payloads (exact shapes) stay scalar.
-            return None
+            return None, None
 
         kern = self._kern
         dist = self.distance
@@ -571,7 +583,7 @@ class IncrementalDistanceJoin:
                 taken.append(i)
             m = len(children)
             if m == 0:
-                return []
+                return [], None
             kept_entries = [entries[i] for i in taken]
             lo = soa.lo[taken]
             hi = soa.hi[taken]
@@ -593,6 +605,10 @@ class IncrementalDistanceJoin:
             lo, hi, other, side,
         )
 
+        uppers = self._uppers_batch(
+            kern, alive, object_path,
+            level == 0 and other.kind != NODE, lo, hi, other, side,
+        )
         pair_filter = self.pair_filter
         d_list = d.tolist()
         source = children if children is not None else children_all
@@ -601,14 +617,14 @@ class IncrementalDistanceJoin:
             if alive is None:
                 if side == 1:
                     return [(Pair(c, other, di), di)
-                            for c, di in zip(source, d_list)]
+                            for c, di in zip(source, d_list)], uppers
                 return [(Pair(other, c, di), di)
-                        for c, di in zip(source, d_list)]
+                        for c, di in zip(source, d_list)], uppers
             if side == 1:
                 return [(Pair(source[i], other, d_list[i]), d_list[i])
-                        for i in alive.tolist()]
+                        for i in alive.tolist()], uppers
             return [(Pair(other, source[i], d_list[i]), d_list[i])
-                    for i in alive.tolist()]
+                    for i in alive.tolist()], uppers
         candidates: List[Tuple[Pair, float]] = []
         indices = range(m) if alive is None else alive.tolist()
         for i in indices:
@@ -625,7 +641,7 @@ class IncrementalDistanceJoin:
                 self.counters.add("pruned_filter")
                 continue
             candidates.append((child_pair, di))
-        return candidates
+        return candidates, uppers
 
     def _node_children(
         self, soa: Any, entries: Any, level: int
@@ -735,15 +751,16 @@ class IncrementalDistanceJoin:
         eff_dmax = self._effective_dmax()
 
         candidates: Optional[List[Tuple[Pair, float]]] = None
+        uppers: Optional[List[float]] = None
         if self._kern is not None:
-            candidates = self._expand_both_vector(
+            candidates, uppers = self._expand_both_vector(
                 node1, node2, pair, eff_dmax
             )
         if candidates is None:
             candidates = self._expand_both_scalar(
                 node1, node2, pair, eff_dmax
             )
-        self._push_candidates(pair, 0, candidates)
+        self._push_candidates(pair, 0, candidates, uppers)
 
     def _expand_both_scalar(
         self, node1: Any, node2: Any, pair: Pair, eff_dmax: float
@@ -779,7 +796,7 @@ class IncrementalDistanceJoin:
 
     def _expand_both_vector(
         self, node1: Any, node2: Any, pair: Pair, eff_dmax: float
-    ) -> Optional[List[Tuple[Pair, float]]]:
+    ) -> Tuple[Optional[List[Tuple[Pair, float]]], Optional[List[float]]]:
         """Batch-kernel simultaneous expansion (restriction + sweep).
 
         The search-space restriction becomes one MINDIST kernel call
@@ -787,22 +804,24 @@ class IncrementalDistanceJoin:
         scalar yield order (:func:`sweep_index_pairs`), and the
         per-sweep-pair MINDIST becomes one gathered pairwise kernel
         call.  Counter charges match the scalar path element for
-        element; ``None`` falls back to scalar.
+        element.  Returns the candidates and their estimation d_max
+        values like :meth:`_expand_vector`; ``(None, None)`` falls
+        back to scalar.
         """
         soa_of1 = getattr(node1, "entries_soa", None)
         soa_of2 = getattr(node2, "entries_soa", None)
         if soa_of1 is None or soa_of2 is None:
-            return None
+            return None, None
         s1 = soa_of1()
         s2 = soa_of2()
         if s1 is None or s2 is None:
-            return None
+            return None, None
         object_path = (
             node1.level == 0 and node2.level == 0
             and self.leaf_mode == DIRECT
         )
         if object_path and (s1.pts is None or s2.pts is None):
-            return None
+            return None, None
 
         kern = self._kern
         np = kern.np
@@ -826,7 +845,7 @@ class IncrementalDistanceJoin:
             idx2 = np.flatnonzero(np.less_equal(dm, eff_dmax)).tolist()
         self.counters.add("bound_calcs", n1 + n2)
         if not idx1 or not idx2:
-            return []
+            return [], None
 
         # Plane sweep in index space, exactly the scalar yield order.
         lo1x = s1.lo[idx1, 0].tolist()
@@ -856,7 +875,7 @@ class IncrementalDistanceJoin:
             ii.append(a)
             jj.append(b)
         if not ii:
-            return []
+            return [], None
 
         m = len(ii)
         g1 = np.asarray(idx1, dtype=np.intp)[ii]
@@ -902,57 +921,99 @@ class IncrementalDistanceJoin:
                 self.counters.add("pruned_filter")
                 continue
             candidates.append((child_pair, di))
-        return candidates
+        return candidates, self._uppers_batch(
+            kern, alive, object_path, level1 == 0 and level2 == 0,
+            glo1, ghi1, None, 0, lo2=glo2, hi2=ghi2,
+        )
+
+    def _uppers_batch(
+        self, kern, alive, object_path: bool, minimal: bool,
+        lo, hi, other: Optional[Item], side: int,
+        lo2=None, hi2=None,
+    ) -> Optional[List[float]]:
+        """Estimation d_max (Section 2.2.4) of one expansion's admitted
+        rows -- ``alive`` and the corner arrays are what
+        :meth:`_range_admits_batch` returned and took -- for the block
+        enqueue.
+
+        One MAXDIST kernel call (MINMAXDIST when both sides are
+        ``minimal`` bounding rectangles) serves the block, bit-identical
+        to the scalar :meth:`PairDistance.estimation_maxdist`.  Only
+        enqueued pairs cost a ``bound_calcs`` unit, so
+        :meth:`_push_candidates` charges, not this.  ``None`` when the
+        values would go unused: no estimator, the per-pair loop, exact
+        object distances (their own d_max), a pair filter still to thin
+        the rows out, or no row admitted.
+        """
+        if (
+            self._estimator is None or not self._block_push
+            or object_path or self.pair_filter is not None
+            or (alive is not None and not alive.size)
+        ):
+            return None
+        if alive is not None:
+            lo, hi = lo[alive], hi[alive]
+            if other is None:
+                lo2, hi2 = lo2[alive], hi2[alive]
+        if other is not None:
+            lo2, hi2 = other.rect.lo, other.rect.hi
+            if side == 2:
+                lo, hi, lo2, hi2 = lo2, hi2, lo, hi
+        bound = kern.minmaxdist if minimal else kern.maxdist
+        return bound(lo, hi, lo2, hi2).tolist()
 
     def _push_candidates(
         self, pair: Pair, side: int,
         candidates: List[Tuple[Pair, float]],
+        uppers: Optional[List[float]] = None,
     ) -> None:
-        """Run the d_max hooks over the candidates, then enqueue them.
+        """Run the d_max hooks over the candidates, then enqueue them
+        and offer them to the estimator, as one block.
 
-        When neither the estimator nor the consistency checker needs a
-        per-pair callback, the push is bulk: keys are produced in
-        candidate order (fixing the identical tie-break sequence) and
-        handed to the queue's ``push_many``, with the insert counter
-        charged in one add and the queue-size peak observed once at the
-        final (maximal) size -- totals and peaks equal the scalar
-        per-push accounting exactly.
+        Keys are produced in candidate order (fixing the identical
+        tie-break sequence) and handed to the queue's ``push_many``,
+        with the insert counter charged in one add and the queue-size
+        peak observed once at the final (maximal) size; the estimator
+        then takes the block in one ``offer``.  No queue push reads
+        what the estimator writes, so totals, peaks and the trim
+        trajectory equal the per-pair accounting exactly.  ``uppers``
+        are the d_max values of :meth:`_uppers_batch`, if it ran.
         """
         filtered = self._filter_candidates(pair, side, candidates)
         if not filtered:
             return
-        if (
-            not self._bulk_push_ok
-            or self._estimator is not None
-            or self.distance.check_consistency
-        ):
+        if not self._block_push:
             for child_pair, d in filtered:
                 self.distance.check_child(pair, d)
                 self._push(child_pair)
             return
-        keys = self._keys
-        if type(keys) is KeyMaker:
-            # One expansion's candidates share kind/level structure, so
-            # the key's discrete components are computed once for the
-            # whole batch (bit-identical to per-pair key() calls).
-            if self.descending:
-                dists = [self._key_distance(cp) for cp, _d in filtered]
-            else:
-                dists = [cp.distance for cp, _d in filtered]
-            batch_keys = keys.key_batch(filtered[0][0], dists)
-            items = [
-                (k, cp)
-                for k, (cp, _d) in zip(batch_keys, filtered)
-            ]
+        # One expansion's candidates share kind/level structure, so the
+        # key's discrete components are computed once for the whole
+        # batch (bit-identical to per-pair key() calls).
+        if self.descending:
+            dists = [self._key_distance(cp) for cp, _d in filtered]
         else:
-            items = [
-                (keys.key(child_pair, self._key_distance(child_pair)),
-                 child_pair)
-                for child_pair, _d in filtered
-            ]
+            dists = [cp.distance for cp, _d in filtered]
+        batch_keys = self._keys.key_batch(filtered[0][0], dists)
+        items = [(k, cp) for k, (cp, _d) in zip(batch_keys, filtered)]
         self._queue.push_many(items)
         self._c_queue_inserts.add(len(items))
         self._c_queue_size.observe(len(self._queue))
+        if self._estimator is not None:
+            first = filtered[0][0]
+            if first.is_result:
+                # An exact distance is its own d_max (and the estimator
+                # never runs descending: dists are the distances).
+                uppers = dists
+            elif uppers is None or len(uppers) != len(filtered):
+                # Scalar expansion, or the semi-join's d_max hooks
+                # dropped candidates the batch was computed over.
+                uppers = self._estimation_uppers(filtered)
+            else:
+                self.distance._bound_calcs.add(len(filtered))
+            self._estimator.offer(
+                filtered, uppers, self._estimator_count(first)
+            )
 
     def _range_admits(self, child_pair: Pair, d: float,
                       eff_dmax: float) -> bool:
@@ -994,19 +1055,18 @@ class IncrementalDistanceJoin:
             return max(1, int(tree.avg_subtree_count(item.level)))
         return tree.min_subtree_count(item.level)
 
-    def _offer_estimator(self, pair: Pair, d: float) -> None:
-        if self._estimator is None:
-            return
-        # For resolved object/object pairs the exact distance is its
-        # own d_max; no second distance computation is needed.
-        if pair.is_result:
-            est_dmax = pair.distance
-        else:
-            est_dmax = self.distance.estimation_maxdist(
-                pair.item1, pair.item2
-            )
-        count = self._estimator_count(pair)
-        self._estimator.offer(pair, d, est_dmax, count)
+    def _estimation_uppers(
+        self, candidates: Sequence[Tuple[Pair, float]]
+    ) -> List[float]:
+        """Scalar d_max of each candidate: for resolved object/object
+        pairs the exact distance is its own d_max (no second distance
+        computation); every other pair costs one bound."""
+        bound = self.distance.estimation_maxdist
+        return [
+            d if child_pair.is_result
+            else bound(child_pair.item1, child_pair.item2)
+            for child_pair, d in candidates
+        ]
 
     def _estimator_count(self, pair: Pair) -> int:
         return (
@@ -1019,12 +1079,12 @@ class IncrementalDistanceJoin:
         self._queue.push(self._keys.key(pair, key_distance), pair)
         self._c_queue_inserts.add()
         self._c_queue_size.observe(len(self._queue))
-        self._offer_estimator(pair, pair.distance)
-
-    def _push_resolved(self, pair: Pair) -> None:
-        # A resolved object/object pair re-enqueued with its exact
-        # distance; it participates in estimation like any other pair.
-        self._push(pair)
+        if self._estimator is not None:
+            block = ((pair, pair.distance),)
+            self._estimator.offer(
+                block, self._estimation_uppers(block),
+                self._estimator_count(pair),
+            )
 
     # ------------------------------------------------------------------
     # restart path for the aggressive estimator

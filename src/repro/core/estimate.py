@@ -35,7 +35,7 @@ signalled via :class:`repro.errors.RestartRequired`).
 
 from __future__ import annotations
 
-from typing import Optional, Tuple
+from typing import Sequence, Tuple
 
 from repro.core.heap import AddressableMaxQueue
 from repro.core.pairs import Pair
@@ -69,29 +69,24 @@ class _EstimatorBase:
         """The current (possibly estimator-reduced) maximum distance."""
         return self.dmax
 
-    def _eligible(self, mindist: float, est_dmax: float) -> bool:
-        # All object pairs generated from an eligible pair are certain
-        # to land inside [dmin, current dmax].
-        return mindist >= self.dmin and est_dmax <= self.dmax
-
-    @staticmethod
-    def _count_of(value) -> int:
-        """Extract the generation count from a stored M value."""
-        return value
+    #: Extracts the generation count from a stored M value (None: the
+    #: value is the count).
+    _count_of = None
 
     def _trim(self) -> None:
         # Evict largest-d_max entries while the remainder still covers
         # the k pairs we owe; D_max drops to the last evicted d_max.
-        while self._m:
-            __, est_dmax, value = self._m.peek_max()
-            count = self._count_of(value)
-            if self._total - count < self.k:
-                break
-            self._m.pop_max()
-            self._total -= count
+        # ``total < k`` leaves nothing to evict whatever the largest
+        # entry's count is, so that case exits without touching Q_M.
+        if self._total < self.k:
+            return
+        self._total, evicted, est_dmax = self._m.trim(
+            self._total, self.k, self._count_of
+        )
+        if evicted:
             self.dmax = est_dmax
             self.trimmed = True
-            self.counters.add("estimator_trims")
+            self.counters.add("estimator_trims", evicted)
 
     def on_report(self) -> None:
         """One result pair was reported: one fewer still owed."""
@@ -151,22 +146,34 @@ class JoinEstimator(_EstimatorBase):
     """Maximum-distance estimation for the distance join."""
 
     def offer(
-        self, pair: Pair, mindist: float, est_dmax: float, count: int
+        self,
+        candidates: Sequence[Tuple[Pair, float]],
+        uppers: Sequence[float],
+        count: int,
     ) -> None:
-        """Consider a pair just inserted into the main queue.
+        """Consider a block of pairs just inserted into the main queue.
 
-        ``count`` is the lower bound on the number of object pairs the
-        pair can generate (product of the two subtree bounds).
+        ``candidates[i]`` is ``(pair, MINDIST)`` and ``uppers[i]`` its
+        d_max.  The block is one node expansion's worth (or a single
+        pair), so child kind and level are uniform and ``count`` -- the
+        lower bound on the object pairs each can generate (product of
+        the two subtree bounds) -- is one value.  Semantics are
+        sequential: every element is tested against the ``dmax`` the
+        elements before it left behind, and trimmed after, exactly as
+        if offered one at a time.
         """
-        if not self._eligible(mindist, est_dmax):
-            return
-        key = pair.identity()
-        existing = self._m.get(key)
-        if existing is not None:
-            self._total -= existing[1]
-        self._m.insert(key, est_dmax, count)
-        self._total += count
-        self._trim()
+        dmin = self.dmin
+        insert = self._m.insert
+        for (pair, mindist), est_dmax in zip(candidates, uppers):
+            # All object pairs generated from an eligible pair are
+            # certain to land inside [dmin, current dmax].
+            if not (mindist >= dmin and est_dmax <= self.dmax):
+                continue
+            existing = insert(pair.identity(), est_dmax, count)
+            if existing is not None:
+                self._total -= existing[1]
+            self._total += count
+            self._trim()
 
     def on_dequeue(self, pair: Pair) -> None:
         """The pair left the main queue; its children will re-offer."""
@@ -204,24 +211,32 @@ class SemiJoinEstimator(_EstimatorBase):
         return value[0]
 
     def offer(
-        self, pair: Pair, mindist: float, est_dmax: float, count: int
+        self,
+        candidates: Sequence[Tuple[Pair, float]],
+        uppers: Sequence[float],
+        count: int,
     ) -> None:
-        """Consider a pair; ``count`` bounds the objects under item1."""
-        if not self._eligible(mindist, est_dmax):
-            return
-        first = pair.item1.identity()
-        if pair.item1.is_node and first in self._processed_first:
-            # The node was expanded before: its descendants may already
-            # be represented in M, and re-adding it would double-count.
-            return
-        existing = self._m.get(first)
-        if existing is not None:
-            if existing[0] <= est_dmax:
-                return  # keep the tighter existing entry
-            self._total -= existing[1][0]
-        self._m.insert(first, est_dmax, (count, pair.item2.identity()))
-        self._total += count
-        self._trim()
+        """Consider a block of pairs (the :meth:`JoinEstimator.offer`
+        contract); ``count`` bounds the objects under each item1."""
+        dmin = self.dmin
+        m = self._m
+        for (pair, mindist), est_dmax in zip(candidates, uppers):
+            if not (mindist >= dmin and est_dmax <= self.dmax):
+                continue
+            first = pair.item1.identity()
+            if pair.item1.is_node and first in self._processed_first:
+                # The node was expanded before: its descendants may
+                # already be represented in M, and re-adding it would
+                # double-count.
+                continue
+            existing = m.get(first)
+            if existing is not None:
+                if existing[0] <= est_dmax:
+                    continue  # keep the tighter existing entry
+                self._total -= existing[1][0]
+            m.insert(first, est_dmax, (count, pair.item2.identity()))
+            self._total += count
+            self._trim()
 
     def on_dequeue(self, pair: Pair) -> None:
         """Remove the exact pair from M when it leaves the main queue."""
@@ -249,29 +264,3 @@ class SemiJoinEstimator(_EstimatorBase):
             self._m.delete(first_identity)
             self._total -= existing[1][0]
         self.on_report()
-
-
-def make_join_estimator(
-    k: Optional[int],
-    dmin: float,
-    dmax: float,
-    counters: CounterRegistry,
-    aggressive: bool = False,
-) -> Optional[JoinEstimator]:
-    """A :class:`JoinEstimator`, or None when no pair bound is given."""
-    if k is None:
-        return None
-    return JoinEstimator(k, dmin, dmax, counters, aggressive=aggressive)
-
-
-def make_semijoin_estimator(
-    k: Optional[int],
-    dmin: float,
-    dmax: float,
-    counters: CounterRegistry,
-    aggressive: bool = False,
-) -> Optional[SemiJoinEstimator]:
-    """A :class:`SemiJoinEstimator`, or None when no bound is given."""
-    if k is None:
-        return None
-    return SemiJoinEstimator(k, dmin, dmax, counters, aggressive=aggressive)

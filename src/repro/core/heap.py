@@ -14,6 +14,7 @@ from __future__ import annotations
 import heapq
 from typing import (
     Any,
+    Callable,
     Dict,
     Generic,
     Hashable,
@@ -259,11 +260,16 @@ class AddressableMaxQueue(Generic[V]):
         """The (priority, value) stored under ``key``, or None."""
         return self._live.get(key)
 
-    def insert(self, key: Hashable, priority: float, value: V) -> None:
-        """Insert or replace the entry stored under ``key``."""
+    def insert(
+        self, key: Hashable, priority: float, value: V
+    ) -> Optional[Tuple[float, V]]:
+        """Insert or replace the entry stored under ``key``; returns
+        the (priority, value) it displaced, or None."""
+        previous = self._live.get(key)
         self._live[key] = (priority, value)
         self._counter += 1
         heapq.heappush(self._heap, (-priority, self._counter, key))
+        return previous
 
     def delete(self, key: Hashable) -> bool:
         """Delete the entry under ``key``; True if it existed."""
@@ -293,6 +299,40 @@ class AddressableMaxQueue(Generic[V]):
         heapq.heappop(self._heap)
         del self._live[key]
         return key, priority, value
+
+    def trim(
+        self,
+        total: int,
+        floor: int,
+        weight: Optional[Callable[[V], int]] = None,
+    ) -> Tuple[int, int, Optional[float]]:
+        """Evict largest-priority entries while the rest still weigh
+        ``floor`` (the trim of Section 2.2.4, in one call).
+
+        ``total`` is the caller's sum of ``weight(value)`` over the
+        live entries (``weight=None``: the values are the weights).
+        Returns the remaining total, the number of entries evicted and
+        the priority of the last one (None if there was none).
+        """
+        heap, live = self._heap, self._live
+        evicted = 0
+        last = None
+        while heap:
+            neg_priority, __, key = heap[0]
+            entry = live.get(key)
+            if entry is None or entry[0] != -neg_priority:
+                heapq.heappop(heap)  # stale: deleted or replaced
+                continue
+            priority, value = entry
+            count = value if weight is None else weight(value)
+            if total - count < floor:
+                break
+            heapq.heappop(heap)
+            del live[key]
+            total -= count
+            last = priority
+            evicted += 1
+        return total, evicted, last
 
     def items(self):
         """Iterate over live (key, (priority, value)) entries."""

@@ -41,7 +41,7 @@ from typing import Dict, List, Tuple
 from typing import Optional
 
 from repro.core.distance_join import IncrementalDistanceJoin
-from repro.core.estimate import make_semijoin_estimator
+from repro.core.estimate import SemiJoinEstimator
 from repro.core.pairs import NODE, Item, Pair
 from repro.core.spec import (  # noqa: F401  (re-exported for back-compat)
     DMAX_GLOBAL_ALL,
@@ -81,6 +81,7 @@ class IncrementalDistanceSemiJoin(IncrementalDistanceJoin):
     """
 
     _spec_semi_join = True
+    _estimator_class = SemiJoinEstimator
 
     def __init__(
         self,
@@ -104,17 +105,6 @@ class IncrementalDistanceSemiJoin(IncrementalDistanceJoin):
         self._seen = Bitset(max(1, len(self.tree1)))
         self._bounds = {}
         super()._init_state()
-
-    def _make_estimator(self):
-        if not self.estimate or self.max_pairs is None:
-            return None
-        return make_semijoin_estimator(
-            self.max_pairs,
-            self.min_distance,
-            self.max_distance,
-            self.counters,
-            aggressive=self.aggressive,
-        )
 
     def _estimator_count(self, pair: Pair) -> int:
         # Each outer object contributes at most one semi-join result,

@@ -168,7 +168,14 @@ class JoinSpec:
         require(self.max_distance >= self.min_distance,
                 "max_distance must be >= min_distance")
         if self.max_pairs is not None:
-            require(self.max_pairs >= 1, "max_pairs must be at least 1")
+            # bool is an int and 2.5 >= 1: either would seed the
+            # estimator with a k that is not a pair count.
+            require(
+                isinstance(self.max_pairs, int)
+                and not isinstance(self.max_pairs, bool)
+                and self.max_pairs >= 1,
+                "max_pairs must be an integer, at least 1",
+            )
         require(self.queue in QUEUE_KINDS,
                 'queue must be "memory", "hybrid", or "adaptive"')
         if self.queue == HYBRID_QUEUE:

@@ -284,13 +284,25 @@ class JoinService:
         if not isinstance(oid, int) or isinstance(oid, bool):
             return 400, {"error": "'oid' must be an integer"}
         coords = body.get("point")
+        # json accepts the bare tokens NaN/Infinity, bool is an int and
+        # ints outgrow floats: none may reach an ancestor rectangle.
         if (
             not isinstance(coords, (list, tuple))
             or not coords
-            or not all(isinstance(c, (int, float)) for c in coords)
+            or not all(
+                isinstance(c, (int, float)) and not isinstance(c, bool)
+                and abs(c) <= sys.float_info.max  # false for NaN too
+                for c in coords
+            )
         ):
-            return 400, {"error": "'point' must be a coordinate list"}
+            return 400, {
+                "error": "'point' must be a list of finite numbers"
+            }
         tree = self.db.relation(relation)
+        if len(coords) != tree.dim:
+            return 400, {
+                "error": f"'point' must have {tree.dim} coordinates"
+            }
         obj = Point(coords)
         rect = RTreeBase._rect_of(obj)
 

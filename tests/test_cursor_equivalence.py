@@ -6,6 +6,7 @@ run of the same spec."""
 
 import pickle
 
+import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.core.distance_join import IncrementalDistanceJoin
@@ -147,3 +148,49 @@ def test_stop_after_crosses_many_quanta():
     assert [(r.distance, r.oid1, r.oid2) for r in got] == \
         [(r.distance, r.oid1, r.oid2) for r in reference]
     assert len(got) == 50
+
+
+#: The deterministic join-level counters (buffer traffic depends on how
+#: warm the reference run left the pool).
+JOIN_COUNTERS = (
+    "queue_inserts", "queue_size", "bound_calcs", "dist_calcs",
+    "pruned_range", "estimator_trims", "pairs_reported",
+)
+
+
+@pytest.mark.parametrize("kernel", ["scalar", "auto"])
+@pytest.mark.parametrize("operator_cls,knobs", [
+    (IncrementalDistanceJoin, dict(max_pairs=80)),
+    (IncrementalDistanceJoin,
+     dict(max_pairs=80, node_policy="simultaneous")),
+    (IncrementalDistanceJoin, dict(max_pairs=80, leaf_mode="obr")),
+    (IncrementalDistanceSemiJoin, dict(max_pairs=30)),
+])
+def test_estimator_join_suspended_between_every_two_nexts(
+    operator_cls, knobs, kernel
+):
+    """With ``max_pairs`` the estimator's M (Q_M heap, insertion
+    counter, running total) is part of the cursor: a pickled round
+    trip after *every* ``next()`` resumes to the same rows, counter
+    values and peaks as the uninterrupted run."""
+    t1 = make_tree(make_points(60, seed=71), max_entries=4)
+    t2 = make_tree(make_points(80, seed=72), max_entries=4)
+    spec = JoinSpec(kernel=kernel, **knobs)
+
+    reference_counters = CounterRegistry()
+    reference = list(operator_cls(
+        t1, t2, spec, counters=reference_counters
+    ))
+    got, got_counters = run_interrupted(
+        operator_cls, t1, t2, spec,
+        boundaries=range(1, knobs["max_pairs"]),
+    )
+
+    assert [(r.distance, r.oid1, r.oid2) for r in got] == \
+        [(r.distance, r.oid1, r.oid2) for r in reference]
+    assert reference_counters.value("estimator_trims") > 0
+    for name in JOIN_COUNTERS:
+        want, have = (
+            reference_counters.counter(name), got_counters.counter(name)
+        )
+        assert (have.value, have.peak) == (want.value, want.peak), name

@@ -7,15 +7,20 @@ join down to row order, tie-break sequence, and every counter value
 and peak.  See docs/KERNELS.md for why that is achievable.
 """
 
+import functools
 import math
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core.distance_join import IncrementalDistanceJoin
+from repro.core.knn_join import KNearestNeighborJoin
+from repro.core.pairs import OBJ
 from repro.core.semi_join import IncrementalDistanceSemiJoin
 from repro.core.spec import JoinSpec
 from repro.core.tiebreak import KeyMaker
+from repro.core.trace import traced_join
+from repro.datasets.tiger_like import roads_segments, water_segments
 from repro.errors import KernelError
 from repro.geometry.metrics import (
     CHESSBOARD,
@@ -25,6 +30,7 @@ from repro.geometry.metrics import (
 )
 from repro.geometry.point import Point
 from repro.geometry.rectangle import Rect
+from repro.rtree.bulk import bulk_load_str
 from repro.kernels import (
     DISABLE_ENV,
     kernels_available,
@@ -271,15 +277,25 @@ class TestEntrySoA:
 # ----------------------------------------------------------------------
 
 
-def _run(operator, knobs, kernel, limit=400):
+def _run(operator, knobs, kernel, limit=400, check_consistency=False,
+         sizes=(60, 80), seeds=(11, 22), max_entries=8, segments=False):
     # Fresh trees per run: a shared tree's buffer pool would hand the
     # second run warm node reads and skew node_io.
     counters = CounterRegistry()
-    tree_a = make_tree(make_points(60, seed=11), counters=counters)
-    tree_b = make_tree(make_points(80, seed=22), counters=counters)
+    if segments:
+        # Objects with extent: MINMAXDIST < MAXDIST on their rectangles.
+        tree_a = bulk_load_str(water_segments(sizes[0]),
+                               max_entries=max_entries, counters=counters)
+        tree_b = bulk_load_str(roads_segments(sizes[1]),
+                               max_entries=max_entries, counters=counters)
+    else:
+        tree_a = make_tree(make_points(sizes[0], seed=seeds[0]),
+                           max_entries=max_entries, counters=counters)
+        tree_b = make_tree(make_points(sizes[1], seed=seeds[1]),
+                           max_entries=max_entries, counters=counters)
     join = operator(
         tree_a, tree_b, JoinSpec(kernel=kernel, **knobs),
-        counters=counters,
+        counters=counters, check_consistency=check_consistency,
     )
     rows = []
     for r in join:
@@ -289,6 +305,57 @@ def _run(operator, knobs, kernel, limit=400):
     snap = counters.full_snapshot()
     return rows, dict(snap.values), dict(snap.peaks)
 
+
+def _odd_oid_sum(pair):
+    """A pair filter that thins object pairs out (and keeps the rest)."""
+    if pair.item1.kind == OBJ and pair.item2.kind == OBJ:
+        return (pair.item1.oid + pair.item2.oid) % 2 == 1
+    return True
+
+
+#: Joins with ``max_pairs``: the estimator runs, so expansions enqueue
+#: and offer one block each (``check_consistency=True`` keeps the
+#: per-pair loop, the reference of TestBlockEqualsPerPair).
+ESTIMATED_CONFIGS = [
+    ("estimated", IncrementalDistanceJoin,
+     dict(max_pairs=150, estimate=True)),
+    ("estimated_simultaneous", IncrementalDistanceJoin,
+     dict(max_pairs=150, node_policy="simultaneous")),
+    ("estimated_ranged", IncrementalDistanceJoin,
+     dict(max_pairs=150, min_distance=5.0, max_distance=40.0)),
+    ("estimated_obr", IncrementalDistanceJoin,
+     dict(max_pairs=150, leaf_mode="obr")),
+    ("estimated_obr_simultaneous", IncrementalDistanceJoin,
+     dict(max_pairs=150, leaf_mode="obr", node_policy="simultaneous")),
+    ("estimated_segments", IncrementalDistanceJoin,
+     dict(max_pairs=150, leaf_mode="obr")),
+    ("estimated_segments_simultaneous", IncrementalDistanceJoin,
+     dict(max_pairs=150, leaf_mode="obr", node_policy="simultaneous")),
+    ("estimated_filtered", IncrementalDistanceJoin,
+     dict(max_pairs=150, pair_filter=_odd_oid_sum)),
+    ("estimated_restart", IncrementalDistanceJoin,
+     dict(max_pairs=30 * 40, aggressive=True)),
+    ("estimated_semi", IncrementalDistanceSemiJoin,
+     dict(max_pairs=40)),
+    ("estimated_semi_global", IncrementalDistanceSemiJoin,
+     dict(max_pairs=40, dmax_strategy="global_all")),
+    ("estimated_knn", functools.partial(KNearestNeighborJoin, k=2),
+     dict(max_pairs=90)),
+    ("estimated_all_pairs", IncrementalDistanceJoin,
+     dict(max_pairs=60 * 80 + 10)),
+]
+
+#: ``_run`` arguments of the configs that need other than the defaults.
+RUN_OPTIONS = {
+    # Average occupancy overestimates these small trees: the queue
+    # empties one pair short of K and the join restarts.
+    "estimated_restart": dict(
+        limit=10_000, sizes=(30, 40), seeds=(0, 50), max_entries=4
+    ),
+    "estimated_all_pairs": dict(limit=10_000),
+    "estimated_segments": dict(segments=True),
+    "estimated_segments_simultaneous": dict(segments=True),
+}
 
 JOIN_CONFIGS = [
     ("even_depth", IncrementalDistanceJoin,
@@ -301,8 +368,6 @@ JOIN_CONFIGS = [
      dict(node_policy="simultaneous")),
     ("ranged", IncrementalDistanceJoin,
      dict(min_distance=5.0, max_distance=40.0)),
-    ("estimated", IncrementalDistanceJoin,
-     dict(max_pairs=150, estimate=True)),
     ("manhattan", IncrementalDistanceJoin,
      dict(metric=MANHATTAN)),
     ("chessboard_sim", IncrementalDistanceJoin,
@@ -311,7 +376,7 @@ JOIN_CONFIGS = [
      dict(dmax_strategy="local")),
     ("semi_global", IncrementalDistanceSemiJoin,
      dict(dmax_strategy="global_all")),
-]
+] + ESTIMATED_CONFIGS
 
 
 @requires_numpy
@@ -322,8 +387,9 @@ class TestJoinBitIdentity:
         ids=[c[0] for c in JOIN_CONFIGS],
     )
     def test_vector_equals_scalar(self, name, operator, knobs):
-        scalar = _run(operator, knobs, "scalar")
-        vector = _run(operator, knobs, "vector")
+        options = RUN_OPTIONS.get(name, {})
+        scalar = _run(operator, knobs, "scalar", **options)
+        vector = _run(operator, knobs, "vector", **options)
         assert vector[0] == scalar[0]  # rows, order included
         assert vector[1] == scalar[1]  # counter values
         assert vector[2] == scalar[2]  # counter peaks
@@ -337,6 +403,60 @@ class TestJoinBitIdentity:
                       limit=10_000)[0]
         assert len(rows_s) == 60 * 80
         assert rows_v == rows_s
+
+
+class TestBlockEqualsPerPair:
+    """One block enqueue + one estimator ``offer`` per expansion leaves
+    the rows, every counter value and every peak of the per-pair loop
+    (kept by ``check_consistency=True``, with scalar d_max bounds)."""
+
+    @pytest.mark.parametrize(
+        "kernel",
+        ["scalar", pytest.param("vector", marks=requires_numpy)],
+    )
+    @pytest.mark.parametrize(
+        "name,operator,knobs",
+        ESTIMATED_CONFIGS,
+        ids=[c[0] for c in ESTIMATED_CONFIGS],
+    )
+    def test_block_equals_per_pair(self, name, operator, knobs, kernel):
+        options = RUN_OPTIONS.get(name, {})
+        block = _run(operator, knobs, kernel, **options)
+        per_pair = _run(operator, knobs, kernel,
+                        check_consistency=True, **options)
+        if knobs.get("aggressive"):
+            # The aggressive count reads the root node for its average
+            # occupancy -- once per block here, once per pair there:
+            # buffer traffic (always a hit), not algorithm work.
+            for counts in block[1:] + per_pair[1:]:
+                del counts["node_reads"], counts["buffer_hits"]
+        assert block == per_pair
+        # Every config but the never-full one does trim.
+        assert block[1].get("estimator_trims", 0) > 0 or \
+            name == "estimated_all_pairs"
+
+    def test_restart_config_restarts(self):
+        name, operator, knobs = next(
+            c for c in ESTIMATED_CONFIGS if c[0] == "estimated_restart"
+        )
+        values = _run(operator, knobs, "scalar", **RUN_OPTIONS[name])[1]
+        assert values["restarts"] == 1
+
+    def test_traced_join_records_one_push_per_candidate(self):
+        """The JoinTrace mixin overrides ``_push``: a K-bounded join
+        still goes through it once per enqueued pair."""
+        counters = CounterRegistry()
+        tree_a = make_tree(make_points(60, seed=11), counters=counters)
+        tree_b = make_tree(make_points(80, seed=22), counters=counters)
+        join, trace = traced_join(
+            IncrementalDistanceJoin, tree_a, tree_b,
+            JoinSpec(max_pairs=150), counters=counters,
+        )
+        rows = [(r.distance, r.oid1, r.oid2) for r in join]
+        assert rows == _run(IncrementalDistanceJoin,
+                            dict(max_pairs=150), "auto")[0]
+        assert trace.pushes == counters.value("queue_inserts") > 150
+        assert counters.value("estimator_trims") > 0
 
 
 # ----------------------------------------------------------------------

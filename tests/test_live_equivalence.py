@@ -195,7 +195,10 @@ def test_soa_cache_survives_delete_then_reinsert():
     """Regression: a node emptied by deletes and refilled by inserts
     must rebuild its columnar mirror (invalidate_soa on write), so a
     vector-kernel join after churn equals brute force."""
-    pytest.importorskip("numpy")
+    from repro.kernels import kernels_available
+
+    if not kernels_available():  # numpy missing or REPRO_NO_NUMPY set
+        pytest.skip("batch kernels unavailable")
     from repro.core.distance_join import IncrementalDistanceJoin
     from tests.conftest import brute_force_pairs
 

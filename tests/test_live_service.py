@@ -303,6 +303,43 @@ class TestHttpSubscription:
         with pytest.raises(ServiceError, match="400"):
             client._request("POST", "/update", body)
 
+    @pytest.mark.parametrize("point", [
+        [float("nan"), 5.0],
+        [float("inf"), 5.0],
+        [5.0, float("-inf")],
+        [True, False],
+        [10 ** 400, 5.0],
+        [5.0],
+        [5.0, 5.0, 5.0],
+    ])
+    @pytest.mark.parametrize("op", ["insert", "delete"])
+    def test_unusable_point_rejected_before_any_effect(
+        self, served, op, point
+    ):
+        """Non-finite, boolean and wrong-dimension coordinates are a
+        400 decided before watchers are resumed or the tree is touched:
+        an evicted subscription stays evicted, the tree keeps its size
+        and mutation counter, and no delta is published."""
+        service, client, db = served
+        sid = client.watch(WATCH_SQL)
+        held = apply_deltas({}, client.deltas(sid, k=16))
+        assert sid in service.scheduler.evict_idle(0.0)
+        tree = db.relation("a")
+        size, mutations = len(tree), tree._mutations
+        with pytest.raises(ServiceError, match="400"):
+            client._request("POST", "/update", {
+                "relation": "a", "op": op, "oid": 9500, "point": point,
+            })
+        assert service.scheduler.session(sid).evicted
+        assert (len(tree), tree._mutations) == (size, mutations)
+        assert client.deltas(sid, k=16) == []
+        # Every ancestor rectangle is still finite: a later valid
+        # update repairs to exactly the recomputed result.
+        client.insert("a", 9501, [1.0, 1.5])
+        apply_deltas(held, client.deltas(sid, k=64))
+        assert held == recompute(db)
+        client.delete(sid)
+
     def test_duplicate_watch_oid_insert_rejected(self, served):
         """A duplicate insert / missing delete is rejected *before*
         the tree mutates: no second entry lands, no watcher observes

@@ -84,6 +84,9 @@ class TestSingleValidationPoint:
         {"filter_strategy": "outside9"},
         {"dmax_strategy": "galactic"},
         {"dmax_strategy": "local", "filter_strategy": "outside"},
+        {"max_pairs": 2.5},  # would seed the estimator with k = 2.5
+        {"max_pairs": 3.0},
+        {"max_pairs": True},  # isinstance(True, int) holds
     ])
     def test_rejected_everywhere(self, trees, operator, bad):
         with pytest.raises(ValueError):
