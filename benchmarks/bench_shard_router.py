@@ -63,7 +63,6 @@ def _fresh_router(load, shards: int, pairs: Optional[int]):
     return ShardRouterJoin(
         load.tree1, load.tree2, shards=shards, max_pairs=pairs,
         counters=load.counters, catalog_cache=False,
-        result_cache=False,
     )
 
 

@@ -149,7 +149,7 @@ class BenchCase:
             clear_caches()
             return ShardRouterJoin(
                 load.tree1, load.tree2, spec, **common,
-                catalog_cache=False, result_cache=False,
+                catalog_cache=False,
                 **dict(self.engine),
             )
         if self.operator == "live":

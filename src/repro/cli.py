@@ -245,13 +245,14 @@ def _cmd_query_paged(args: argparse.Namespace) -> int:
     if args.resume:
         with open(args.resume, "rb") as handle:
             state = service_cursor.loads(handle.read())
-        if args.sql and args.sql != state["sql"]:
+        # load() adopts the query text and strategy the cursor pins.
+        source = QuerySource(db, args.sql or "")
+        source.load(state)
+        if args.sql and args.sql != source.sql:
             raise SystemExit(
                 "error: the cursor was saved for a different query; "
                 "omit the SQL argument when resuming"
             )
-        source = QuerySource(db, state["sql"], strategy=state["strategy"])
-        source.load(state)
         rows = source.open()
     else:
         if not args.sql:

@@ -31,9 +31,9 @@ All of the paper's algorithmic knobs are exposed:
 
 from __future__ import annotations
 
-import pickle
 from typing import Any, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
+from repro.core import cursor
 from repro.core.estimate import JoinEstimator
 from repro.core.pairs import (
     NODE,
@@ -78,10 +78,6 @@ from repro.util.obs import NULL_OBSERVER, Observer
 
 _INF = float("inf")
 
-#: Identifier and version of the suspended-join cursor format.
-CURSOR_FORMAT = "repro-join-cursor"
-CURSOR_VERSION = 1
-
 
 class JoinResult(NamedTuple):
     """One reported pair of the distance (semi-)join."""
@@ -93,7 +89,7 @@ class JoinResult(NamedTuple):
     obj2: Any
 
 
-class IncrementalDistanceJoin:
+class IncrementalDistanceJoin(cursor.SuspendableOperator):
     """Incremental distance join of two R-trees (see module docstring).
 
     Parameters
@@ -134,6 +130,8 @@ class IncrementalDistanceJoin:
     #: The maximum-distance estimator variant for ``max_pairs`` joins.
     _estimator_class = JoinEstimator
 
+    _cursor_kind = "join"
+
     def __init__(
         self,
         tree1: RTreeBase,
@@ -143,6 +141,7 @@ class IncrementalDistanceJoin:
         counters: Optional[CounterRegistry] = None,
         observer: Optional[Observer] = None,
         check_consistency: bool = False,
+        _resume: Optional[Dict[str, Any]] = None,
         **knobs: Any,
     ) -> None:
         spec = JoinSpec.coalesce(spec, knobs)
@@ -151,6 +150,8 @@ class IncrementalDistanceJoin:
             raise JoinError(
                 f"cannot join trees of dimension {tree1.dim} and {tree2.dim}"
             )
+        if _resume is not None:
+            check_consistency = _resume["check_consistency"]
 
         self.spec = spec
         self.tree1 = tree1
@@ -213,9 +214,10 @@ class IncrementalDistanceJoin:
 
         self._produced = 0
         self._to_skip = 0
-        if getattr(self, "_suspended_init", False):
-            # :meth:`load` finishes construction by restoring a cursor
-            # instead of seeding the queue with the root pair.
+        if _resume is not None:
+            # :meth:`load`: put a cursor body back instead of seeding
+            # the queue with the root pair.
+            self._restore_state(_resume)
             return
         with self.obs.span("join.init"):
             self._init_state()
@@ -1158,50 +1160,16 @@ class IncrementalDistanceJoin:
         }
 
     # ------------------------------------------------------------------
-    # suspendable cursor: save / load
+    # suspendable cursor (save / load: cursor.SuspendableOperator)
     # ------------------------------------------------------------------
 
-    @staticmethod
-    def _tree_fingerprint(tree: RTreeBase) -> Tuple:
-        """Identity of an input tree, checked at :meth:`load` time.
-
-        Node ids are assigned deterministically by the builders, so the
-        (class, dim, size, root id) quadruple pins the cursor to the
-        exact tree shape its queued node ids refer to.
-        """
-        return (type(tree).__name__, tree.dim, len(tree), tree.root_id)
-
-    def save(self) -> dict:
-        """Snapshot the complete execution state as a picklable cursor.
-
-        The join's entire state is its priority queue (the paper's
-        defining property), so the cursor is the queue snapshot plus a
-        handful of scalars: the spec, the tie-break sequence position,
-        restart bookkeeping, the estimator's ``M`` structure, and a
-        full counter snapshot.  Only valid between ``next()`` calls.
-
-        A ``pair_filter`` that does not pickle (e.g. a closure composed
-        by the query planner) is stripped from the saved spec and
-        flagged; :meth:`load` then requires it re-supplied.
-        """
-        spec = self.spec
-        has_filter = spec.pair_filter is not None
-        if has_filter:
-            try:
-                pickle.dumps(spec.pair_filter, pickle.HIGHEST_PROTOCOL)
-            except Exception:
-                spec = spec.evolve(pair_filter=None)
+    def _cursor_body(self) -> Dict[str, Any]:
+        """The join's entire state is its priority queue (the paper's
+        defining property), so the cursor body is the queue snapshot
+        plus a handful of scalars: the tie-break sequence position,
+        restart bookkeeping and the estimator's ``M`` structure."""
         return {
-            "format": CURSOR_FORMAT,
-            "version": CURSOR_VERSION,
-            "class": type(self).__name__,
-            "spec": spec,
-            "has_pair_filter": has_filter,
             "check_consistency": self.distance.check_consistency,
-            "trees": (
-                self._tree_fingerprint(self.tree1),
-                self._tree_fingerprint(self.tree2),
-            ),
             "estimate": self.estimate,
             "max_pairs": self.max_pairs,
             "produced": self._produced,
@@ -1212,94 +1180,11 @@ class IncrementalDistanceJoin:
                 self._estimator.state()
                 if self._estimator is not None else None
             ),
-            "counters": self.counters.full_snapshot(),
             "extra": self._state_extra(),
         }
 
-    @classmethod
-    def load(
-        cls,
-        state: dict,
-        tree1: RTreeBase,
-        tree2: RTreeBase,
-        *,
-        counters: Optional[CounterRegistry] = None,
-        observer: Optional[Observer] = None,
-        pair_filter: Optional[Any] = None,
-    ) -> "IncrementalDistanceJoin":
-        """Rebuild a suspended join from a :meth:`save` cursor.
-
-        ``tree1``/``tree2`` must be the trees the cursor was taken
-        against (same class, dimensionality, size, and root id) --
-        queued node ids are meaningless otherwise.
-
-        With ``counters`` supplied (e.g. the registry the suspended
-        run charged), the resumed run continues those totals exactly:
-        restoring is counter-silent.  Without it a fresh registry is
-        created and primed with the cursor's counter snapshot, so the
-        final totals still match an uninterrupted run.
-
-        ``pair_filter`` re-supplies a filter that could not be
-        serialized; :class:`~repro.errors.CursorError` is raised when
-        the cursor needs one and none is given.
-        """
-        if not isinstance(state, dict) or state.get("format") != \
-                CURSOR_FORMAT:
-            raise CursorError("not a join cursor")
-        if state.get("version") != CURSOR_VERSION:
-            raise CursorError(
-                f"unsupported cursor version {state.get('version')!r} "
-                f"(this build reads version {CURSOR_VERSION})"
-            )
-        if state.get("class") != cls.__name__:
-            raise CursorError(
-                f"cursor was saved by {state.get('class')!r}; "
-                f"load it with that class, not {cls.__name__}"
-            )
-        expected = (
-            cls._tree_fingerprint(tree1), cls._tree_fingerprint(tree2)
-        )
-        if tuple(map(tuple, state["trees"])) != expected:
-            raise CursorError(
-                "cursor does not match the supplied trees: saved "
-                f"{state['trees']!r}, got {expected!r}"
-            )
-        spec = state["spec"]
-        if pair_filter is not None:
-            spec = spec.evolve(pair_filter=pair_filter)
-        elif state["has_pair_filter"] and spec.pair_filter is None:
-            raise CursorError(
-                "the cursor's pair filter was not serializable; "
-                "re-supply it via pair_filter="
-            )
-        registry = counters if counters is not None else CounterRegistry()
-        join = cls.__new__(cls)
-        join._suspended_init = True
-        try:
-            join.__init__(
-                tree1, tree2, spec,
-                counters=registry,
-                observer=observer,
-                check_consistency=state["check_consistency"],
-            )
-        finally:
-            join.__dict__.pop("_suspended_init", None)
-        join._restore_state(state)
-        if counters is None:
-            # Prime the fresh registry with the suspended run's totals
-            # and peaks so the resumed run's final numbers equal an
-            # uninterrupted run's.
-            snap = state["counters"]
-            for name, value in snap.values.items():
-                registry.counter(name).value = value
-            for name, peak in snap.peaks.items():
-                counter = registry.counter(name)
-                if peak > counter.peak:
-                    counter.peak = peak
-        return join
-
     def _restore_state(self, state: dict) -> None:
-        """Overwrite execution state with a :meth:`save` snapshot."""
+        """Put a :meth:`_cursor_body` back (constructor resume path)."""
         self.estimate = state["estimate"]
         self.max_pairs = state["max_pairs"]
         self._produced = state["produced"]

@@ -13,19 +13,12 @@ service subscription protocol.
 from repro.live.delta import ADD, REMOVE, Delta, pair_key
 from repro.live.frontier import ResultStore
 from repro.live.probe import ProbeResult, probe_partner
-from repro.live.standing import (
-    LIVE_CURSOR_FORMAT,
-    LIVE_CURSOR_VERSION,
-    StandingJoin,
-    validate_live_spec,
-)
+from repro.live.standing import StandingJoin, validate_live_spec
 
 __all__ = [
     "ADD",
     "REMOVE",
     "Delta",
-    "LIVE_CURSOR_FORMAT",
-    "LIVE_CURSOR_VERSION",
     "ProbeResult",
     "ResultStore",
     "StandingJoin",

@@ -33,10 +33,10 @@ always complete, so they never refill.
 
 from __future__ import annotations
 
-import pickle
 from collections import deque
 from typing import Any, Deque, Dict, List, Optional, Tuple
 
+from repro.core import cursor
 from repro.core.distance_join import (
     IncrementalDistanceJoin,
     JoinResult,
@@ -53,14 +53,9 @@ from repro.util.counters import CounterRegistry
 from repro.util.obs import NULL_OBSERVER, Observer
 
 __all__ = [
-    "LIVE_CURSOR_FORMAT",
-    "LIVE_CURSOR_VERSION",
     "StandingJoin",
     "validate_live_spec",
 ]
-
-LIVE_CURSOR_FORMAT = "repro-live-cursor"
-LIVE_CURSOR_VERSION = 1
 
 _INF = float("inf")
 
@@ -104,7 +99,7 @@ def validate_live_spec(spec: JoinSpec) -> JoinSpec:
     return spec
 
 
-class StandingJoin:
+class StandingJoin(cursor.SuspendableOperator):
     """One standing distance-join query over two mutable trees.
 
     Parameters
@@ -128,6 +123,11 @@ class StandingJoin:
         probes) and ``live_refills`` (frontier-exhausted rescans).
     """
 
+    _cursor_kind = "live"
+    #: A standing cursor is only valid against the exact tree
+    #: *version* its store was maintained for.
+    _cursor_versioned = True
+
     def __init__(
         self,
         tree1: RTreeBase,
@@ -137,6 +137,7 @@ class StandingJoin:
         counters: Optional[CounterRegistry] = None,
         observer: Optional[Observer] = None,
         frontier: Optional[int] = None,
+        _resume: Optional[Dict[str, Any]] = None,
         **knobs: Any,
     ) -> None:
         spec = JoinSpec.coalesce(spec, knobs)
@@ -152,6 +153,8 @@ class StandingJoin:
                     "standing joins need mutation-versioned trees "
                     f"(no _mutations on {type(tree).__name__})"
                 )
+        if _resume is not None:
+            frontier = _resume["frontier"] or None
         if frontier is not None and frontier < 1:
             raise LiveError("frontier must be at least 1")
         self.tree1 = tree1
@@ -180,9 +183,12 @@ class StandingJoin:
         self._seq = 0
         self._updates = 0
         self._expected = [tree1._mutations, tree2._mutations]
-        if getattr(self, "_suspended_init", False):
-            return
         self._load_objects()
+        if _resume is not None:
+            # :meth:`load`: put a cursor body back instead of
+            # enumerating and publishing the initial result.
+            self._restore(_resume)
+            return
         self._rescan()
         # The registration itself publishes the initial result: a
         # subscriber pages these ADD deltas first, then the repairs.
@@ -490,113 +496,30 @@ class StandingJoin:
                 objects[entry.oid] = (entry.obj, entry.rect)
 
     # ------------------------------------------------------------------
-    # suspendable cursor: save / load
+    # suspendable cursor (save / load: cursor.SuspendableOperator)
     # ------------------------------------------------------------------
 
-    @staticmethod
-    def _tree_fingerprint(tree: RTreeBase) -> Tuple:
-        """Like the join cursor's fingerprint, plus the mutation
-        counter: a standing cursor is only valid against the exact
-        tree *version* its store was maintained for."""
-        return (
-            type(tree).__name__, tree.dim, len(tree), tree.root_id,
-            tree._mutations,
-        )
-
-    def save(self) -> dict:
-        """Snapshot the standing state as a picklable cursor.
-
-        Stores pair keys, not payloads -- :meth:`load` reattaches the
+    def _cursor_body(self) -> Dict[str, Any]:
+        """Pair keys, not payloads -- :meth:`load` reattaches the
         objects from the (fingerprint-checked) trees, so the cursor
-        stays small and never duplicates the relations.  Only valid
-        between updates.
-        """
-        pickle.dumps(self.spec, pickle.HIGHEST_PROTOCOL)
+        stays small and never duplicates the relations."""
         return {
-            "format": LIVE_CURSOR_FORMAT,
-            "version": LIVE_CURSOR_VERSION,
-            "class": type(self).__name__,
-            "spec": self.spec,
             "frontier": self._frontier,
-            "trees": (
-                self._tree_fingerprint(self.tree1),
-                self._tree_fingerprint(self.tree2),
-            ),
             "store": self._store.state(),
             "outbox": [tuple(d) for d in self._outbox],
             "seq": self._seq,
             "updates": self._updates,
-            "counters": self.counters.full_snapshot(),
         }
 
-    @classmethod
-    def load(
-        cls,
-        state: dict,
-        tree1: RTreeBase,
-        tree2: RTreeBase,
-        *,
-        counters: Optional[CounterRegistry] = None,
-        observer: Optional[Observer] = None,
-    ) -> "StandingJoin":
-        """Rebuild a standing join from a :meth:`save` cursor.
-
-        The trees must be at the exact version the cursor was taken
-        against (class, dim, size, root id, *and* mutation counter).
-        With ``counters`` omitted a fresh registry is primed with the
-        cursor's totals, so resumed counter trajectories equal an
-        uninterrupted run's.
-        """
-        if not isinstance(state, dict) or state.get("format") != \
-                LIVE_CURSOR_FORMAT:
-            raise CursorError("not a standing-join cursor")
-        if state.get("version") != LIVE_CURSOR_VERSION:
-            raise CursorError(
-                f"unsupported cursor version {state.get('version')!r} "
-                f"(this build reads version {LIVE_CURSOR_VERSION})"
-            )
-        expected = (
-            cls._tree_fingerprint(tree1), cls._tree_fingerprint(tree2)
-        )
-        if tuple(map(tuple, state["trees"])) != expected:
-            raise CursorError(
-                "cursor does not match the supplied trees: saved "
-                f"{state['trees']!r}, got {expected!r}"
-            )
-        registry = (
-            counters if counters is not None else CounterRegistry()
-        )
-        join = cls.__new__(cls)
-        join._suspended_init = True
-        try:
-            join.__init__(
-                tree1, tree2, state["spec"],
-                counters=registry,
-                observer=observer,
-                frontier=state["frontier"] or None,
-            )
-        finally:
-            join.__dict__.pop("_suspended_init", None)
-        join._load_objects()
+    def _restore(self, body: dict) -> None:
+        """Put a :meth:`_cursor_body` back (constructor resume path)."""
         entries = [
-            join._reattach(tuple(key)) for key in state["store"]["keys"]
+            self._reattach(tuple(key)) for key in body["store"]["keys"]
         ]
-        join._store = ResultStore.from_state(state["store"], entries)
-        join._outbox = deque(
-            Delta(*delta) for delta in state["outbox"]
-        )
-        join._seq = state["seq"]
-        join._updates = state["updates"]
-        join._expected = [tree1._mutations, tree2._mutations]
-        if counters is None:
-            snap = state["counters"]
-            for name, value in snap.values.items():
-                registry.counter(name).value = value
-            for name, peak in snap.peaks.items():
-                counter = registry.counter(name)
-                if peak > counter.peak:
-                    counter.peak = peak
-        return join
+        self._store = ResultStore.from_state(body["store"], entries)
+        self._outbox = deque(Delta(*delta) for delta in body["outbox"])
+        self._seq = body["seq"]
+        self._updates = body["updates"]
 
     def _reattach(self, key: Tuple[float, int, int]) -> JoinResult:
         d, oid1, oid2 = key

@@ -41,6 +41,7 @@ from typing import (
     Tuple,
 )
 
+from repro.core import cursor
 from repro.core.distance_join import IncrementalDistanceJoin, JoinResult
 from repro.core.pairs import NODE, Pair
 from repro.core.reverse import ReverseDistanceJoin, ReverseDistanceSemiJoin
@@ -294,12 +295,15 @@ class PhysicalNode:
             children=tuple(child.save() for child in self.children()),
         )
 
+    @cursor.restoring("plan")
     def load(self, state: OperatorState) -> None:
         """Restore a :meth:`save` cursor into this operator subtree.
 
         Call on a freshly built plan of the same shape (same query,
         same strategy); children restore bottom-up so a parent's
-        payload can rely on its restored inputs.
+        payload can rely on its restored inputs.  Like every cursor
+        load (:mod:`repro.core.cursor`), it fails with
+        :class:`~repro.errors.CursorError` only.
         """
         if state.operator != type(self).__name__:
             raise CursorError(
@@ -542,8 +546,8 @@ class DistanceJoinOp(PhysicalNode):
                 f"{payload['strategy']!r}; rebuild the plan with that "
                 f"strategy (got {self.strategy!r})"
             )
-        cursor = payload["join"]
-        if cursor is None:
+        join_cursor = payload["join"]
+        if join_cursor is None:
             # Suspended before the join was ever opened: a fresh open
             # is exactly equivalent.
             return
@@ -566,7 +570,7 @@ class DistanceJoinOp(PhysicalNode):
                 "pair_filter"
             ) or _compose_pair_filter(left.matcher, right.matcher)
             self._join = loader(
-                cursor, left.tree, right.tree,
+                join_cursor, left.tree, right.tree,
                 counters=self.kwargs.get("counters"),
                 observer=obs,
                 pair_filter=pair_filter,

@@ -8,8 +8,8 @@ a serving layer (the ``next()``/``save()``/``load()`` preemptable-
 iterator design popularized by sage-engine's Web-preemptable query
 engine):
 
-- :mod:`repro.service.cursor` -- versioned cursor blobs and the
-  on-disk spool used for idle-session eviction;
+- :mod:`repro.service.cursor` -- the on-disk cursor spool used for
+  idle-session eviction (blobs: :mod:`repro.core.cursor`);
 - :mod:`repro.service.session` -- rebuildable query sources and the
   per-client session state;
 - :mod:`repro.service.live` -- standing ``WATCH`` subscription

@@ -1,68 +1,24 @@
-"""Cursor blobs: the service's serialized suspended-execution format.
+"""The cursor spool: idle-session eviction to files.
 
-A cursor blob is a pickled envelope ``{"format", "version", "state"}``
-around whatever picklable state a component produced --
-:meth:`repro.core.distance_join.IncrementalDistanceJoin.save` for a
-bare join, :meth:`repro.query.physical.PhysicalNode.save` for a whole
-plan, or :meth:`repro.service.session.QuerySource.save` for a service
-session.  The envelope is what gets versioned here; the inner states
-carry their own format markers where they need them.
-
-:class:`CursorStore` spools blobs to files for idle-session eviction,
-accounting the traffic in the same simulated-page currency as the rest
-of the storage layer (``cursor_spool_writes`` / ``cursor_spool_reads``
-pages of the configured page size).
+:class:`CursorStore` spools cursor blobs to files, accounting the
+traffic in the same simulated-page currency as the rest of the storage
+layer (``cursor_spool_writes`` / ``cursor_spool_reads`` pages of the
+configured page size).  The blob functions :func:`dumps` / :func:`loads`
+live in :mod:`repro.core.cursor` and are re-exported here; see "Cursor
+format" in ``docs/SERVICE.md``.
 """
 
 from __future__ import annotations
 
 import os
-import pickle
 from typing import Any, Iterator, Optional
 
+from repro.core.cursor import dumps, loads
 from repro.errors import CursorError
 from repro.storage.pager import DEFAULT_PAGE_SIZE
 from repro.util.counters import CounterRegistry
 
-#: Identifier and version of the service cursor envelope.
-CURSOR_FORMAT = "repro-service-cursor"
-CURSOR_VERSION = 1
-
-
-def dumps(state: Any) -> bytes:
-    """Wrap ``state`` in the versioned envelope and pickle it."""
-    try:
-        return pickle.dumps(
-            {
-                "format": CURSOR_FORMAT,
-                "version": CURSOR_VERSION,
-                "state": state,
-            },
-            pickle.HIGHEST_PROTOCOL,
-        )
-    except Exception as exc:
-        raise CursorError(
-            f"cursor state is not serializable: {exc}"
-        ) from exc
-
-
-def loads(blob: bytes) -> Any:
-    """Unpickle a :func:`dumps` blob, checking the envelope."""
-    try:
-        envelope = pickle.loads(blob)
-    except Exception as exc:
-        raise CursorError(f"corrupt cursor blob: {exc}") from exc
-    if (
-        not isinstance(envelope, dict)
-        or envelope.get("format") != CURSOR_FORMAT
-    ):
-        raise CursorError("not a service cursor blob")
-    if envelope.get("version") != CURSOR_VERSION:
-        raise CursorError(
-            f"unsupported cursor version {envelope.get('version')!r} "
-            f"(this build reads version {CURSOR_VERSION})"
-        )
-    return envelope["state"]
+__all__ = ["CursorStore", "dumps", "loads"]
 
 
 class CursorStore:

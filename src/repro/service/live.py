@@ -7,34 +7,25 @@ whose delta outbox the scheduler pages into the session buffer
 (``GET /next`` returns delta events, not rows).  A subscription never
 exhausts -- an empty page just means no repairs are pending.
 
-Suspension works through the same pickled-cursor protocol as query
-sessions: :meth:`LiveSource.save` wraps the standing cursor
-(``repro-live-cursor``) in a source envelope, :meth:`LiveSource.load`
-re-registers it against the database's trees, and the cursor's tree
-fingerprints (which include the mutation counters) guarantee a spooled
-subscription can only resume against the exact tree versions it was
-maintaining -- the service resumes evicted subscriptions *before*
-applying updates for exactly this reason.
+Suspension works through the same cursor protocol as query sessions
+(the ``live-source`` kind around a ``live`` cursor; see "Cursor
+format" in ``docs/SERVICE.md``): the standing cursor's tree
+fingerprints include the mutation counters, so a spooled subscription
+can only resume against the exact tree versions it was maintaining --
+the service resumes evicted subscriptions *before* applying updates
+for exactly this reason.
 """
 
 from __future__ import annotations
 
 from typing import Any, Dict, List, Optional
 
-from repro.errors import CursorError
+from repro.core import cursor
 from repro.live.delta import Delta
 from repro.live.standing import StandingJoin
 from repro.query.parser import parse
 
-#: Envelope marker for saved live sources.
-LIVE_SOURCE_FORMAT = "repro-live-session"
-LIVE_SOURCE_VERSION = 1
-
-__all__ = [
-    "LIVE_SOURCE_FORMAT",
-    "LIVE_SOURCE_VERSION",
-    "LiveSource",
-]
+__all__ = ["LiveSource"]
 
 
 class LiveSource:
@@ -111,12 +102,10 @@ class LiveSource:
 
     def save(self) -> Dict[str, Any]:
         """Snapshot the subscription as a picklable cursor state."""
-        return {
-            "format": LIVE_SOURCE_FORMAT,
-            "version": LIVE_SOURCE_VERSION,
+        return cursor.pack("live-source", self, {
             "sql": self.sql,
             "standing": self.open().save(),
-        }
+        })
 
     def load(self, state: Dict[str, Any]) -> None:
         """Restore a :meth:`save` snapshot in place.
@@ -126,26 +115,19 @@ class LiveSource:
         :meth:`~repro.live.StandingJoin.load`: a subscription spooled
         before an unobserved tree mutation refuses to resume.
         """
-        if (
-            not isinstance(state, dict)
-            or state.get("format") != LIVE_SOURCE_FORMAT
-        ):
-            raise CursorError("not a live-source cursor")
-        if state.get("version") != LIVE_SOURCE_VERSION:
-            raise CursorError(
-                f"unsupported live cursor version "
-                f"{state.get('version')!r} (this build reads "
-                f"{LIVE_SOURCE_VERSION})"
+        body = cursor.unpack(state, "live-source", type(self))
+        with cursor.restoring("live-source"):
+            sql = body["sql"]
+            query = parse(sql)
+            standing = StandingJoin.load(
+                body["standing"],
+                self.db.relation(query.relation1),
+                self.db.relation(query.relation2),
+                counters=self.join_kwargs.get(
+                    "counters", self.db.counters
+                ),
+                observer=self.join_kwargs.get("observer"),
             )
-        self.sql = state["sql"]
-        self._query = None
-        query = self.query
-        tree1 = self.db.relation(query.relation1)
-        tree2 = self.db.relation(query.relation2)
-        self._standing = StandingJoin.load(
-            state["standing"], tree1, tree2,
-            counters=self.join_kwargs.get(
-                "counters", self.db.counters
-            ),
-            observer=self.join_kwargs.get("observer"),
-        )
+        self.sql = sql
+        self._query = query
+        self._standing = standing

@@ -16,8 +16,10 @@ leaves that to the caller).
 Sessions idle past a threshold are *evicted to disk*: the plan cursor
 is spooled through a :class:`~repro.service.cursor.CursorStore` and
 the in-memory plan dropped; the next quantum resumes from the spooled
-cursor.  Parallel-join sessions suspend in memory only (their worker
-pools cannot serialize) and are simply skipped by eviction.
+cursor.  A spooled cursor that cannot be restored fails its own
+session only (:meth:`JoinScheduler.resume`).  Parallel-join sessions
+suspend in memory only (their worker pools cannot serialize) and are
+simply skipped by eviction.
 
 Per-session observers record ``service.quantum`` / ``service.suspend``
 / ``service.resume`` spans and the ``service.quantum_pairs`` gauge;
@@ -186,11 +188,7 @@ class JoinScheduler:
         Closes the underlying operator when it has a lifecycle (the
         parallel join's worker pool) and drops any spooled cursor.
         """
-        session = self.session(session_id)
-        plan = session.source.plan
-        join = getattr(plan, "join_op", None) if plan is not None \
-            else None
-        live = getattr(join, "_join", None) if join is not None else None
+        live = self._live_join(self.session(session_id))
         if live is not None and hasattr(live, "close"):
             live.close()
         if self.store is not None:
@@ -216,17 +214,23 @@ class JoinScheduler:
         The quantum ends at the first of: the pair budget, the time
         budget, the session's demand being met, a parallel worker
         batch arriving (the TaskBatch-aware preemption point), or the
-        stream ending.
+        stream ending.  An evicted session whose cursor cannot be
+        restored ends here too (0 rows; see :meth:`resume`).
         """
         if session.done:
             return 0
+        if session.evicted:
+            try:
+                self.resume(session)
+            except CursorError:
+                # resume() dropped the session and left the error on
+                # it for its own client; the round goes on.
+                return 0
         if hasattr(session.source, "poll"):
             # A standing WATCH subscription: its "rows" are repair
             # deltas paged from the StandingJoin outbox, and it never
             # exhausts.
             return self._run_live_quantum(session)
-        if session.evicted:
-            self.resume(session)
         produced = 0
         deadline = time.monotonic() + self.quantum_seconds
         rows = session.rows()
@@ -280,8 +284,6 @@ class JoinScheduler:
         no repairs are pending -- the session is never marked done
         (subscriptions end only by ``DELETE /session``).
         """
-        if session.evicted:
-            self.resume(session)
         budget = min(
             self.quantum_pairs,
             max(0, session.demand - len(session.buffer)),
@@ -338,11 +340,12 @@ class JoinScheduler:
 
         Other pending sessions advance too -- every round is fair.
         """
-        self.request(session_id, k)
-        session = self.session(session_id)
+        session = self.request(session_id, k)
         while session.pending:
             if self.run_round() == 0 and session.pending:
                 break
+        if session.error is not None:
+            raise session.error
         return self.take(session_id, k)
 
     # ------------------------------------------------------------------
@@ -387,15 +390,27 @@ class JoinScheduler:
         Quantum execution resumes lazily, but callers that are about
         to invalidate a spooled cursor (the update path mutating a
         watched tree) must resume the session first.
+
+        A cursor that cannot be restored costs exactly this session:
+        it is removed (slot freed, spool file deleted), marked done
+        with the :class:`~repro.errors.CursorError` on
+        :attr:`Session.error` for the client waiting on it, and the
+        error is raised.
         """
         if self.store is None:
             raise ServiceError(
                 f"session {session.id!r} was evicted but the "
                 "scheduler has no cursor store"
             )
-        with session.obs.span("service.resume"):
-            state = self.store.load(session.id)
-            session.resume_from_state(state)
+        try:
+            with session.obs.span("service.resume"):
+                state = self.store.load(session.id)
+                session.resume_from_state(state)
+        except CursorError as exc:
+            session.error = exc
+            session.done = True
+            self.remove(session.id)
+            raise
         self.store.delete(session.id)
         self.counters.add("service_resumes")
 

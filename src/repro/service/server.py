@@ -30,7 +30,9 @@ request is also logged as one structured JSON line carrying the trace
 id.
 
 A background task periodically evicts idle sessions to the cursor
-spool; the next ``/next`` transparently resumes them.  Everything is
+spool; the next ``/next`` transparently resumes them (a spooled cursor
+that cannot be restored costs that one session: its client gets a 500
+with the reason, then 404 like any unknown session).  Everything is
 ``asyncio`` + ``json`` + manual HTTP/1.1 parsing -- no dependencies
 beyond the standard library, one request per connection.
 """
@@ -44,7 +46,13 @@ import time
 from typing import Any, Dict, Optional, Tuple
 from urllib.parse import parse_qs, urlsplit
 
-from repro.errors import LiveError, QueryError, ReproError, ServiceError
+from repro.errors import (
+    CursorError,
+    LiveError,
+    QueryError,
+    ReproError,
+    ServiceError,
+)
 from repro.geometry.point import Point
 from repro.query.parser import parse
 from repro.query.physical import STRATEGIES
@@ -234,6 +242,10 @@ class JoinService:
             await asyncio.sleep(0)
             if produced == 0 and session.pending:
                 break
+        if session.error is not None:
+            # The scheduler dropped the session: its spooled cursor
+            # could not be restored.  Only this client is told.
+            raise session.error
         rows, exhausted = self.scheduler.take(session_id, k)
         if hasattr(session.source, "poll"):
             # A subscription page is best-effort: leftover demand must
@@ -270,7 +282,8 @@ class JoinService:
         a 409 (``RTreeBase.insert`` would happily store a duplicate,
         which no oid-addressed watcher could maintain), and deleting
         an oid/point pair the tree does not hold is a 404.  Should a
-        watcher still fail to observe an applied mutation, its
+        watcher still fail to observe an applied mutation -- or an
+        evicted one fail to resume from its spooled cursor -- its
         subscription is permanently desynced and is removed rather
         than left silently stale (reported under ``"invalidated"``).
         """
@@ -308,7 +321,13 @@ class JoinService:
 
         # Watching subscriptions, with the side(s) on which they see
         # this relation (a self-join-like WATCH may see both).
+        # Evicted ones are resumed before the tree is touched: a
+        # spooled live cursor pins the tree's mutation counter and
+        # would refuse to load after an unobserved update.  One whose
+        # cursor cannot be restored is gone (the scheduler removed
+        # it); the update still applies for everyone else.
         watchers = []
+        invalidated = []
         for session in self.scheduler.sessions():
             source = session.source
             if not hasattr(source, "poll"):
@@ -319,14 +338,17 @@ class JoinService:
                 ((1, query.relation1), (2, query.relation2))
                 if rel == relation
             ]
-            if sides:
-                watchers.append((session, sides))
-        # Resume evicted watchers before touching the tree: a spooled
-        # live cursor pins the tree's mutation counter and would
-        # refuse to load after an unobserved update.
-        for session, __ in watchers:
+            if not sides:
+                continue
             if session.evicted:
-                self.scheduler.resume(session)
+                try:
+                    self.scheduler.resume(session)
+                except CursorError as exc:
+                    invalidated.append(
+                        {"session": session.id, "error": str(exc)}
+                    )
+                    continue
+            watchers.append((session, sides))
 
         if op == "insert":
             # Validate oid freshness BEFORE mutating: the tree itself
@@ -354,7 +376,6 @@ class JoinService:
                              f"{oid} at the given point"
                 }
         deltas = 0
-        invalidated = []
         for session, sides in watchers:
             try:
                 for side in sides:

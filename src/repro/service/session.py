@@ -3,10 +3,10 @@
 A :class:`QuerySource` is a *rebuildable* row stream: the SQL text,
 the strategy, and the join kwargs needed to lower it into a physical
 plan against a :class:`~repro.query.executor.Database`.  Saving one
-captures the plan's operator cursor
-(:meth:`repro.query.physical.PhysicalNode.save`); loading rebuilds the
-plan from the same text and restores the cursor into it, so a resumed
-stream continues bit-identically.
+captures the plan's operator cursor; loading rebuilds the plan from
+the same text and restores the cursor into it, so a resumed stream
+continues bit-identically (the ``query-source`` cursor kind; see
+"Cursor format" in ``docs/SERVICE.md``).
 
 A :class:`Session` wraps a source with the per-client state the
 scheduler needs: a result buffer, outstanding demand, quantum
@@ -20,6 +20,7 @@ import time
 from collections import deque
 from typing import Any, Deque, Dict, Iterator, Optional
 
+from repro.core import cursor
 from repro.errors import CursorError
 from repro.query.physical import PhysicalPlan, Row
 from repro.util.obs import Observer
@@ -28,10 +29,6 @@ from repro.util.telemetry import (
     ProgressEstimator,
     RequestTelemetry,
 )
-
-#: Envelope marker for saved query sources.
-SOURCE_FORMAT = "repro-service-session"
-SOURCE_VERSION = 1
 
 
 class QuerySource:
@@ -90,13 +87,11 @@ class QuerySource:
         Raises :class:`~repro.errors.CursorError` when the underlying
         operator cannot serialize (the multiprocessing parallel join).
         """
-        return {
-            "format": SOURCE_FORMAT,
-            "version": SOURCE_VERSION,
+        return cursor.pack("query-source", self, {
             "sql": self.sql,
             "strategy": self.strategy,
             "plan": self._plan.save() if self._plan is not None else None,
-        }
+        })
 
     def load(self, state: Dict[str, Any]) -> None:
         """Restore a :meth:`save` snapshot in place.
@@ -104,26 +99,22 @@ class QuerySource:
         Rebuilds the physical plan from the stored SQL and strategy
         against :attr:`db` and restores the operator cursor into it;
         the next ``next()`` continues where the suspended run stopped.
+        A cursor that cannot be restored raises
+        :class:`~repro.errors.CursorError` and leaves the source as it
+        was.
         """
-        if (
-            not isinstance(state, dict)
-            or state.get("format") != SOURCE_FORMAT
-        ):
-            raise CursorError("not a query-source cursor")
-        if state.get("version") != SOURCE_VERSION:
-            raise CursorError(
-                f"unsupported source cursor version "
-                f"{state.get('version')!r} (this build reads "
-                f"{SOURCE_VERSION})"
+        body = cursor.unpack(state, "query-source", type(self))
+        with cursor.restoring("query-source"):
+            sql, strategy = body["sql"], body["strategy"]
+            plan = self.db.physical_plan(
+                sql, strategy=strategy, **self.join_kwargs
             )
-        self.sql = state["sql"]
-        self.strategy = state["strategy"]
-        self._plan = self.db.physical_plan(
-            self.sql, strategy=self.strategy, **self.join_kwargs
-        )
-        if state["plan"] is not None:
-            self._plan.restore(state["plan"])
-        self._rows = self._plan.rows()
+            if body["plan"] is not None:
+                plan.restore(body["plan"])
+        self.sql = sql
+        self.strategy = strategy
+        self._plan = plan
+        self._rows = plan.rows()
 
 
 class Session:
@@ -175,6 +166,9 @@ class Session:
         self.quanta = 0
         self.done = False
         self.evicted = False
+        #: Why the scheduler dropped this session (its spooled cursor
+        #: could not be restored); the client waiting on it is told.
+        self.error: Optional[CursorError] = None
         self.last_touch = time.monotonic()
         self._rows: Optional[Iterator[Row]] = None
 
@@ -230,16 +224,18 @@ class Session:
         objects (they never went away and their clocks are newer than
         the snapshot); a fresh process restores both from the
         envelope, ratcheting the progress floor so it can only move
-        forward.
+        forward.  Raises :class:`~repro.errors.CursorError` when any
+        part of ``state`` cannot be restored.
         """
         self.source.load(state)
-        if not self.tel.enabled and "telemetry" in state:
-            self.tel = RequestTelemetry.restore(state["telemetry"])
-        saved_progress = state.get("progress")
-        if saved_progress is not None:
-            restored = ProgressEstimator.restore(saved_progress)
-            if restored.lower_bound > self.progress_est.lower_bound:
-                self.progress_est = restored
+        with cursor.restoring("session"):
+            if not self.tel.enabled and "telemetry" in state:
+                self.tel = RequestTelemetry.restore(state["telemetry"])
+            saved_progress = state.get("progress")
+            if saved_progress is not None:
+                restored = ProgressEstimator.restore(saved_progress)
+                if restored.lower_bound > self.progress_est.lower_bound:
+                    self.progress_est = restored
         self._rows = self.source.open()
         self.evicted = False
         self.spooled_bytes = 0

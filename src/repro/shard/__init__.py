@@ -7,14 +7,13 @@
   :class:`ShardRouterSemiJoin` operators: shard pairs ordered by
   MINDIST lower bound, lazily admitted by the watermark merge, pruned
   when the consumer stops first; fully suspendable.
-- :mod:`repro.shard.cache` -- fingerprint-keyed plan and result
-  caches.
+- :mod:`repro.shard.cache` -- the fingerprint-keyed plan cache.
 
 See ``docs/SHARDING.md`` for the catalog format, the pruning rule,
 and the cache keys.
 """
 
-from repro.shard.cache import clear_caches, result_cache, route_cache
+from repro.shard.cache import clear_caches, route_cache
 from repro.shard.catalog import (
     CATALOG_FORMAT,
     CATALOG_VERSION,
@@ -44,6 +43,5 @@ __all__ = [
     "catalog_for",
     "clear_caches",
     "plan_shard_pairs",
-    "result_cache",
     "route_cache",
 ]

@@ -1,33 +1,24 @@
-"""Plan and result caches for the shard router.
+"""The shard router's plan cache.
 
-Both caches key on *content fingerprints*
+The **route cache** memoizes the ordered shard-pair plan -- a pure
+function of (catalog fingerprints, metric, distance range).  It keys on
+*content fingerprints*
 (:attr:`repro.shard.catalog.ShardCatalog.fingerprint` is a SHA-1 over
 shard membership), so a hit is valid by construction: any insert,
 delete, or re-partitioning changes the fingerprint and silently
-misses.  Two caches exist:
+misses.
 
-- the **route cache** memoizes the ordered shard-pair plan -- a pure
-  function of (catalog fingerprints, metric, distance range);
-- the **result cache** memoizes the complete result rows of a
-  finished query keyed additionally by the full
-  :class:`~repro.core.spec.JoinSpec` (minus the ``pair_filter``;
-  filtered queries are never cached, since an arbitrary callable is
-  not part of any key).
-
-Both are small process-wide LRUs.  They serve the repeated-identical-
-query pattern of a long-lived service; the benchmark harness bypasses
-them so measured counters stay build-inclusive.
+It is a small process-wide LRU serving the repeated-query pattern of a
+long-lived service; the benchmark harness clears it so measured
+counters stay build-inclusive.
 """
 
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import Any, Hashable, Optional, Tuple
+from typing import Any, Hashable, Optional
 
-from repro.core.spec import JoinSpec
-
-#: Default entry bounds (results can be large; plans are tiny).
-RESULT_CACHE_ENTRIES = 32
+#: Default entry bound (plans are tiny).
 ROUTE_CACHE_ENTRIES = 128
 
 
@@ -63,13 +54,7 @@ class LRUCache:
         return len(self._entries)
 
 
-_RESULT_CACHE = LRUCache(RESULT_CACHE_ENTRIES)
 _ROUTE_CACHE = LRUCache(ROUTE_CACHE_ENTRIES)
-
-
-def result_cache() -> LRUCache:
-    """The process-wide result cache."""
-    return _RESULT_CACHE
 
 
 def route_cache() -> LRUCache:
@@ -78,18 +63,5 @@ def route_cache() -> LRUCache:
 
 
 def clear_caches() -> None:
-    """Drop all cached plans and results (tests, benchmarks)."""
-    _RESULT_CACHE.clear()
+    """Drop all cached plans (tests, benchmarks)."""
     _ROUTE_CACHE.clear()
-
-
-def spec_cache_key(spec: JoinSpec) -> Tuple:
-    """A hashable key covering every result-affecting spec knob.
-
-    The ``pair_filter`` is excluded by construction (callers refuse to
-    cache filtered queries); the frozen dataclass with the filter
-    nulled is itself hashable and equality-comparable, so the whole
-    spec participates -- a conservative key that can only under-share,
-    never alias two different queries.
-    """
-    return (spec.evolve(pair_filter=None),)

@@ -35,20 +35,16 @@ parallel join, makes the whole operator *suspendable*:
 :meth:`ShardRouterJoin.save` captures the merge state, every opened
 task's join cursor and soft-cap position, and the routing counters,
 and :meth:`ShardRouterJoin.load` resumes bit-identically against
-deterministically rebuilt catalogs.
-
-Completed results are memoized in a small LRU keyed by the two
-catalog fingerprints and the spec (:mod:`repro.shard.cache`); a
-repeated identical query replays the cached rows without routing
-anything.
+deterministically rebuilt catalogs (the ``shard`` cursor kind; see
+"Cursor format" in ``docs/SERVICE.md``).
 """
 
 from __future__ import annotations
 
-import pickle
 from collections import deque
 from typing import Any, Dict, List, NamedTuple, Optional, Tuple
 
+from repro.core import cursor
 from repro.core.distance_join import (
     IncrementalDistanceJoin,
     JoinResult,
@@ -61,11 +57,7 @@ from repro.parallel.merge import OrderedStreamMerge
 from repro.parallel.partition import STR
 from repro.parallel.plan import _translated_filter
 from repro.rtree.base import RTreeBase
-from repro.shard.cache import (
-    result_cache as _result_cache,
-    route_cache as _route_cache,
-    spec_cache_key,
-)
+from repro.shard.cache import route_cache as _route_cache
 from repro.shard.catalog import (
     DEFAULT_SHARDS,
     ShardCatalog,
@@ -74,9 +66,6 @@ from repro.shard.catalog import (
 from repro.util.counters import CounterRegistry
 from repro.util.obs import Observer
 from repro.util.validation import require
-
-CURSOR_FORMAT = "repro-shard-cursor"
-CURSOR_VERSION = 1
 
 _INF = float("inf")
 
@@ -176,7 +165,13 @@ class _InlineTask:
             ))
         return spec
 
-    def open(self, router: "ShardRouterJoin") -> None:
+    def open(
+        self,
+        router: "ShardRouterJoin",
+        join_cursor: Optional[dict] = None,
+    ) -> None:
+        """Build the shard pair's join, or resume it from
+        ``join_cursor``."""
         tree1 = router.catalog1.tree(self.pair.sid1)
         tree2 = router.catalog2.tree(self.pair.sid2)
         self.table1 = router.catalog1.table(self.pair.sid1)
@@ -185,10 +180,15 @@ class _InlineTask:
             IncrementalDistanceSemiJoin
             if router._semi_join else IncrementalDistanceJoin
         )
-        self.join = cls(
-            tree1, tree2, self._worker_spec(router),
-            counters=router.counters,
-        )
+        spec = self._worker_spec(router)
+        if join_cursor is None:
+            self.join = cls(tree1, tree2, spec, counters=router.counters)
+        else:
+            self.join = cls.load(
+                join_cursor, tree1, tree2,
+                counters=router.counters,
+                pair_filter=spec.pair_filter,
+            )
 
     def advance(
         self, router: "ShardRouterJoin", batch_size: int
@@ -229,7 +229,6 @@ class _InlineTask:
 
     def state(self) -> Dict[str, Any]:
         return {
-            "opened": self.opened,
             "emitted": self.emitted,
             "boundary": self.boundary,
             "done": self.done,
@@ -242,24 +241,8 @@ class _InlineTask:
         self.emitted = state["emitted"]
         self.boundary = state["boundary"]
         self.done = state["done"]
-        if not state["opened"]:
-            return
-        tree1 = router.catalog1.tree(self.pair.sid1)
-        tree2 = router.catalog2.tree(self.pair.sid2)
-        self.table1 = router.catalog1.table(self.pair.sid1)
-        self.table2 = router.catalog2.table(self.pair.sid2)
-        cls = (
-            IncrementalDistanceSemiJoin
-            if router._semi_join else IncrementalDistanceJoin
-        )
-        translated = None
-        if router.worker_spec.pair_filter is not None:
-            translated = self._worker_spec(router).pair_filter
-        self.join = cls.load(
-            state["join"], tree1, tree2,
-            counters=router.counters,
-            pair_filter=translated,
-        )
+        if state["join"] is not None:
+            self.open(router, state["join"])
 
 
 class InlineShardExecutor:
@@ -305,7 +288,7 @@ class InlineShardExecutor:
         self._queued.clear()
 
 
-class ShardRouterJoin:
+class ShardRouterJoin(cursor.SuspendableOperator):
     """Cost-bounded shard-routed incremental distance join.
 
     Parameters
@@ -328,10 +311,6 @@ class ShardRouterJoin:
         Reuse catalogs memoized on the trees (default).  The benchmark
         harness disables this so repeated runs charge identical build
         counters.
-    result_cache:
-        Memoize completed results keyed by (catalog fingerprints,
-        spec); replayed on an identical repeat query.  Automatically
-        disabled when a ``pair_filter`` is present.
     spec / **knobs:
         As in :class:`~repro.parallel.join.ParallelDistanceJoin`
         (validated with ``JoinSpec.validate(parallel=True)``: no
@@ -343,6 +322,8 @@ class ShardRouterJoin:
     """
 
     _semi_join = False
+
+    _cursor_kind = "shard"
 
     def __init__(
         self,
@@ -357,7 +338,7 @@ class ShardRouterJoin:
         counters: Optional[CounterRegistry] = None,
         observer: Optional[Observer] = None,
         catalog_cache: bool = True,
-        result_cache: bool = True,
+        _resume: Optional[Dict[str, Any]] = None,
         **knobs: Any,
     ) -> None:
         if tree1.dim != tree2.dim:
@@ -367,6 +348,10 @@ class ShardRouterJoin:
             )
         spec = JoinSpec.coalesce(spec, knobs)
         spec.validate(parallel=True)
+        if _resume is not None:
+            shards = _resume["shards"]
+            partition_method = _resume["partition_method"]
+            batch_size = _resume["batch_size"]
         if shards is None:
             shards = DEFAULT_SHARDS
         require(shards >= 1, "shards must be at least 1")
@@ -391,7 +376,6 @@ class ShardRouterJoin:
         #: Per-stream soft cap for plain joins (None for semi-joins).
         self.cap = None if self._semi_join else spec.max_pairs
 
-        suspended = getattr(self, "_suspended_init", False)
         with self.obs.span("shard.route"):
             if catalogs is not None:
                 self.catalog1, self.catalog2 = catalogs
@@ -404,7 +388,10 @@ class ShardRouterJoin:
                     tree2, shards, partition_method,
                     counters=self.counters, cache=catalog_cache,
                 )
-            self.pairs, self.range_pruned = self._plan_pairs()
+            self.pairs, self.range_pruned, plan_cached = plan_shard_pairs(
+                self.catalog1, self.catalog2, spec.metric,
+                spec.min_distance, spec.max_distance,
+            )
         self.pairs_total = (
             len(self.catalog1) * len(self.catalog2)
         )
@@ -417,50 +404,22 @@ class ShardRouterJoin:
         self._finalized = False
         self.batches_received = 0
 
-        # Result cache: replay a completed identical query outright.
-        self._cache = (
-            _result_cache()
-            if result_cache_enabled(result_cache, spec) else None
-        )
-        self._cache_key = (
-            self.catalog1.fingerprint,
-            self.catalog2.fingerprint,
-            self._semi_join,
-            spec_cache_key(spec),
-        ) if self._cache is not None else None
-        self._replay = None
-        self._recorded: Optional[List[JoinResult]] = None
-        if not suspended:
-            self.counters.add("shard_pairs_total", self.pairs_total)
-            self.counters.add(
-                "shard_pairs_range_pruned", self.range_pruned
-            )
-            self.counters.observe("shard_partitions", shards)
-            if self._cache is not None:
-                cached = self._cache.get(self._cache_key)
-                if cached is not None:
-                    self.counters.add("shard_cache_hits")
-                    self._replay = iter(cached)
-                    self._finalized = True  # no routing happens
-                else:
-                    self.counters.add("shard_cache_misses")
-                    self._recorded = []
+        if _resume is not None:
+            # :meth:`load`: the suspended run already charged the
+            # routing counters; put its cursor body back instead.  A
+            # restore that fails must not charge pruning from __del__.
+            self._finalized = True
+            self._restore(_resume)
+            return
+        if plan_cached:
+            self.counters.add("shard_plan_cache_hits")
+        self.counters.add("shard_pairs_total", self.pairs_total)
+        self.counters.add("shard_pairs_range_pruned", self.range_pruned)
+        self.counters.observe("shard_partitions", shards)
 
     # ------------------------------------------------------------------
     # planning
     # ------------------------------------------------------------------
-
-    def _plan_pairs(self) -> Tuple[List[ShardPair], int]:
-        """Route via :func:`plan_shard_pairs`, charging the plan-cache
-        counter on a memoized hit (silent when resuming a cursor)."""
-        spec = self.spec
-        pairs, range_pruned, hit = plan_shard_pairs(
-            self.catalog1, self.catalog2, spec.metric,
-            spec.min_distance, spec.max_distance,
-        )
-        if hit and not getattr(self, "_suspended_init", False):
-            self.counters.add("shard_plan_cache_hits")
-        return pairs, range_pruned
 
     def route_plan(self) -> Dict[str, Any]:
         """Static routing summary (EXPLAIN): shard counts, planned
@@ -511,20 +470,11 @@ class ShardRouterJoin:
     def __next__(self) -> JoinResult:
         if self._closed:
             raise StopIteration
-        if self.max_pairs is not None and self._produced >= self.max_pairs:
-            self._complete()
-            raise StopIteration
-        if self._replay is not None:
-            try:
-                result = next(self._replay)
-            except StopIteration:
-                self.close()
-                raise
-            self._produced += 1
-            self.counters.add("shard_rows_reported")
-            return result
-        if not self.pairs:
-            self._complete()
+        if not self.pairs or (
+            self.max_pairs is not None
+            and self._produced >= self.max_pairs
+        ):
+            self.close()
             raise StopIteration
         if self._merge is None:
             self._start()
@@ -535,21 +485,11 @@ class ShardRouterJoin:
             else:
                 result = next(self._merge)
         except StopIteration:
-            self._complete()
+            self.close()
             raise
         self._produced += 1
         self.counters.add("shard_rows_reported")
-        if self._recorded is not None:
-            self._recorded.append(result)
         return result
-
-    def _complete(self) -> None:
-        """Natural end of the stream: the result set for this spec is
-        final, so publish it to the result cache, then close."""
-        if self._recorded is not None and self._cache is not None:
-            self._cache.put(self._cache_key, tuple(self._recorded))
-            self._recorded = None
-        self.close()
 
     # ------------------------------------------------------------------
     # lifecycle / introspection
@@ -565,7 +505,6 @@ class ShardRouterJoin:
         if self._closed:
             return
         self._closed = True
-        self._recorded = None
         if not self._finalized:
             self._finalized = True
             self.counters.add(
@@ -608,9 +547,7 @@ class ShardRouterJoin:
             "max_distance": self.spec.max_distance,
             "descending": self.spec.descending,
             "queue_len": 0,
-            "done": self._closed or (
-                not self.pairs and self._replay is None
-            ),
+            "done": self._closed or not self.pairs,
             "batches_received": self.batches_received,
             "tasks": len(self.pairs),
             "shard_pairs_total": self.pairs_total,
@@ -618,48 +555,26 @@ class ShardRouterJoin:
         }
 
     # ------------------------------------------------------------------
-    # suspendable cursor: save / load
+    # suspendable cursor (save / load: cursor.SuspendableOperator)
     # ------------------------------------------------------------------
 
-    def save(self) -> dict:
-        """Snapshot the router as a picklable cursor.
-
-        Captures the merge state (per-stream buffers and admission
-        flags), every opened task's join cursor plus its soft-cap
-        position, the routing counters, and enough configuration to
-        rebuild identical catalogs at :meth:`load` time.  Only valid
-        between ``next()`` calls.
-        """
-        if self._replay is not None:
-            raise CursorError(
-                "cannot save a cache-replay stream; re-run the query "
-                "with result_cache=False to get a saveable cursor"
-            )
-        spec = self.spec
-        has_filter = spec.pair_filter is not None
-        if has_filter:
-            try:
-                pickle.dumps(spec.pair_filter, pickle.HIGHEST_PROTOCOL)
-            except Exception:
-                spec = spec.evolve(pair_filter=None)
-        started = self._merge is not None
+    def _cursor_body(self) -> Dict[str, Any]:
+        """The merge state (per-stream buffers and admission flags),
+        every opened task's join cursor plus its soft-cap position,
+        the routing progress, and enough configuration to rebuild
+        identical catalogs at :meth:`load` time: catalogs are rebuilt
+        from the trees deterministically and checked against the
+        saved catalog fingerprints (a cursor taken over externally
+        supplied catalogs resumes only if rebuilt catalogs have
+        identical content)."""
+        merge = self._merge
         return {
-            "format": CURSOR_FORMAT,
-            "version": CURSOR_VERSION,
-            "class": type(self).__name__,
-            "spec": spec,
-            "has_pair_filter": has_filter,
-            "trees": (
-                IncrementalDistanceJoin._tree_fingerprint(self.tree1),
-                IncrementalDistanceJoin._tree_fingerprint(self.tree2),
-            ),
             "catalogs": (
                 self.catalog1.fingerprint, self.catalog2.fingerprint
             ),
             "shards": self.shards,
             "partition_method": self.partition_method,
             "batch_size": self.batch_size,
-            "started": started,
             "produced": self._produced,
             "routed": self._routed,
             "closed": self._closed,
@@ -673,104 +588,28 @@ class ShardRouterJoin:
                 ).items()
                 if task.opened or task.done
             },
-            "merge": self._merge.state() if started else None,
-            "counters": self.counters.full_snapshot(),
+            "merge": merge.state() if merge is not None else None,
         }
 
-    @classmethod
-    def load(
-        cls,
-        state: dict,
-        tree1: RTreeBase,
-        tree2: RTreeBase,
-        *,
-        counters: Optional[CounterRegistry] = None,
-        observer: Optional[Observer] = None,
-        pair_filter: Optional[Any] = None,
-    ) -> "ShardRouterJoin":
-        """Rebuild a suspended router from a :meth:`save` cursor.
-
-        ``tree1``/``tree2`` must be the trees the cursor was taken
-        against; catalogs are rebuilt from them deterministically and
-        checked against the saved catalog fingerprints (a cursor taken
-        over externally supplied catalogs resumes only if rebuilt
-        catalogs have identical content).  Counter semantics follow
-        the sequential join's :meth:`load`: silent with a supplied
-        registry, primed-from-snapshot otherwise.
-        """
-        if not isinstance(state, dict) or state.get("format") != \
-                CURSOR_FORMAT:
-            raise CursorError("not a shard-router cursor")
-        if state.get("version") != CURSOR_VERSION:
-            raise CursorError(
-                f"unsupported cursor version {state.get('version')!r} "
-                f"(this build reads version {CURSOR_VERSION})"
-            )
-        if state.get("class") != cls.__name__:
-            raise CursorError(
-                f"cursor was saved by {state.get('class')!r}; "
-                f"load it with that class, not {cls.__name__}"
-            )
-        fingerprint = IncrementalDistanceJoin._tree_fingerprint
-        expected = (fingerprint(tree1), fingerprint(tree2))
-        if tuple(map(tuple, state["trees"])) != expected:
-            raise CursorError(
-                "cursor does not match the supplied trees: saved "
-                f"{state['trees']!r}, got {expected!r}"
-            )
-        spec = state["spec"]
-        if pair_filter is not None:
-            spec = spec.evolve(pair_filter=pair_filter)
-        elif state["has_pair_filter"] and spec.pair_filter is None:
-            raise CursorError(
-                "the cursor's pair filter was not serializable; "
-                "re-supply it via pair_filter="
-            )
-        registry = counters if counters is not None else CounterRegistry()
-        router = cls.__new__(cls)
-        router._suspended_init = True
-        try:
-            router.__init__(
-                tree1, tree2, spec,
-                shards=state["shards"],
-                partition_method=state["partition_method"],
-                batch_size=state["batch_size"],
-                counters=registry,
-                observer=observer,
-                result_cache=False,
-            )
-        finally:
-            router.__dict__.pop("_suspended_init", None)
-        saved_catalogs = tuple(state["catalogs"])
-        rebuilt = (
-            router.catalog1.fingerprint, router.catalog2.fingerprint
-        )
+    def _restore(self, body: dict) -> None:
+        """Put a :meth:`_cursor_body` back (constructor resume path)."""
+        saved_catalogs = tuple(body["catalogs"])
+        rebuilt = (self.catalog1.fingerprint, self.catalog2.fingerprint)
         if saved_catalogs != rebuilt:
             raise CursorError(
                 "rebuilt catalogs do not match the cursor: saved "
                 f"{saved_catalogs!r}, got {rebuilt!r}"
             )
-        router._produced = state["produced"]
-        router._routed = state["routed"]
-        router._closed = state["closed"]
-        router._finalized = state["finalized"]
-        router.batches_received = state["batches_received"]
-        if state["started"]:
-            router._start()
-            router._merge.restore(state["merge"])
-            for task_id, task_state in state["tasks"].items():
-                router._executor.tasks[task_id].restore(
-                    router, task_state
-                )
-        if counters is None:
-            snap = state["counters"]
-            for name, value in snap.values.items():
-                registry.counter(name).value = value
-            for name, peak in snap.peaks.items():
-                counter = registry.counter(name)
-                if peak > counter.peak:
-                    counter.peak = peak
-        return router
+        self._produced = body["produced"]
+        self._routed = body["routed"]
+        self.batches_received = body["batches_received"]
+        if body["merge"] is not None:
+            self._start()
+            self._merge.restore(body["merge"])
+            for task_id, task_state in body["tasks"].items():
+                self._executor.tasks[task_id].restore(self, task_state)
+        self._closed = body["closed"]
+        self._finalized = body["finalized"]
 
     def __repr__(self) -> str:
         return (
@@ -811,9 +650,3 @@ class ShardRouterSemiJoin(ShardRouterJoin):
             },
             on_admit=self._on_admit,
         )
-
-
-def result_cache_enabled(requested: bool, spec: JoinSpec) -> bool:
-    """Result caching applies only to filter-free specs (an arbitrary
-    ``pair_filter`` is not part of any cache key)."""
-    return bool(requested) and spec.pair_filter is None

@@ -14,15 +14,12 @@ import threading
 
 import pytest
 
+from repro.core import cursor
 from repro.errors import CursorError, ServiceError
 from repro.geometry.point import Point
 from repro.live import ADD, StandingJoin
 from repro.query.executor import Database
 from repro.service import JoinService, LiveSource, ServiceClient
-from repro.service.live import (
-    LIVE_SOURCE_FORMAT,
-    LIVE_SOURCE_VERSION,
-)
 from repro.service.scheduler import JoinScheduler
 from repro.util.counters import CounterRegistry
 from tests.conftest import make_points
@@ -96,8 +93,9 @@ class TestLiveSource:
         source.open()
         source.poll(3)
         state = source.save()
-        assert state["format"] == LIVE_SOURCE_FORMAT
-        assert state["version"] == LIVE_SOURCE_VERSION
+        assert state["format"] == cursor.FORMAT
+        assert state["version"] == cursor.VERSION
+        assert state["kind"] == "live-source"
         remaining = [d.key for d in source.poll(None)]
         source.release()
         assert source._standing is None

@@ -19,6 +19,7 @@ import pickle
 
 import pytest
 
+from repro.core import cursor
 from repro.core.distance_join import IncrementalDistanceJoin, JoinResult
 from repro.core.spec import JoinSpec
 from repro.errors import (
@@ -31,7 +32,6 @@ from repro.geometry.metrics import EUCLIDEAN
 from repro.geometry.point import Point
 from repro.live import (
     ADD,
-    LIVE_CURSOR_FORMAT,
     REMOVE,
     Delta,
     ResultStore,
@@ -442,8 +442,8 @@ class TestCursor:
     def test_wrong_envelope_rejected(self):
         standing, __, __, __ = make_standing(k=4, na=20, nb=20)
         state = standing.save()
-        assert state["format"] == LIVE_CURSOR_FORMAT
-        with pytest.raises(CursorError, match="not a standing"):
+        assert (state["format"], state["kind"]) == (cursor.FORMAT, "live")
+        with pytest.raises(CursorError, match="not a live"):
             StandingJoin.load(
                 {"format": "bogus"}, standing.tree1, standing.tree2
             )

@@ -71,13 +71,12 @@ def test_router_equals_sequential(points_a, points_b, data):
     for shards in SHARD_COUNTS:
         full = ShardRouterJoin(
             tree_a, tree_b, shards=shards, batch_size=7,
-            min_distance=dmin, max_distance=dmax, result_cache=False,
+            min_distance=dmin, max_distance=dmax,
         )
         assert rows(full) == reference, f"shards={shards}"
         prefix = ShardRouterJoin(
             tree_a, tree_b, shards=shards, batch_size=7,
             min_distance=dmin, max_distance=dmax, max_pairs=k,
-            result_cache=False,
         )
         assert rows(prefix) == reference[:k], \
             f"shards={shards}, k={k}"
@@ -104,7 +103,6 @@ def test_router_resumes_through_pickle(points_a, points_b, data):
     )
     router = ShardRouterJoin(
         tree_a, tree_b, shards=shards, batch_size=5, max_pairs=k,
-        result_cache=False,
     )
     taken = [next(router) for __ in range(cut)]
     blob = pickle.dumps(router.save(), pickle.HIGHEST_PROTOCOL)
@@ -127,7 +125,6 @@ def test_semi_router_equals_sequential(points_a, points_b, data):
     shards = data.draw(st.sampled_from(SHARD_COUNTS), label="shards")
     join = ShardRouterSemiJoin(
         tree_a, tree_b, shards=shards, batch_size=5,
-        result_cache=False,
     )
     seen, previous = {}, -1.0
     for result in join:

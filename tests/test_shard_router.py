@@ -71,8 +71,7 @@ class TestEquivalence:
     def test_full_join(self, trees, shards):
         tree_a, tree_b = trees
         reference = canonical(IncrementalDistanceJoin(tree_a, tree_b))
-        router = ShardRouterJoin(tree_a, tree_b, shards=shards,
-                                 result_cache=False)
+        router = ShardRouterJoin(tree_a, tree_b, shards=shards)
         assert rows(router) == reference
 
     @pytest.mark.parametrize("shards", [2, 4])
@@ -80,7 +79,7 @@ class TestEquivalence:
         tree_a, tree_b = trees
         reference = canonical(IncrementalDistanceJoin(tree_a, tree_b))
         router = ShardRouterJoin(tree_a, tree_b, shards=shards,
-                                 max_pairs=30, result_cache=False)
+                                 max_pairs=30)
         assert rows(router) == reference[:30]
 
     def test_distance_range(self, trees):
@@ -90,7 +89,7 @@ class TestEquivalence:
         ))
         router = ShardRouterJoin(
             tree_a, tree_b, shards=3, min_distance=2.0,
-            max_distance=50.0, result_cache=False,
+            max_distance=50.0,
         )
         assert rows(router) == reference
 
@@ -100,8 +99,7 @@ class TestEquivalence:
             r.oid1: r.distance
             for r in IncrementalDistanceSemiJoin(tree_a, tree_b)
         }
-        router = ShardRouterSemiJoin(tree_a, tree_b, shards=3,
-                                     result_cache=False)
+        router = ShardRouterSemiJoin(tree_a, tree_b, shards=3)
         seen, previous = {}, -1.0
         for result in router:
             assert result.distance >= previous
@@ -119,7 +117,7 @@ class TestEquivalence:
 
 class TestRouting:
     def test_plan_is_bound_ordered(self, trees):
-        router = ShardRouterJoin(*trees, shards=4, result_cache=False)
+        router = ShardRouterJoin(*trees, shards=4)
         bounds = [pair.bound for pair in router.pairs]
         assert bounds == sorted(bounds)
         assert router.pairs_total == \
@@ -129,7 +127,6 @@ class TestRouting:
         counters = CounterRegistry()
         router = ShardRouterJoin(
             *trees, shards=4, max_pairs=20, counters=counters,
-            result_cache=False,
         )
         list(router)
         snap = counters.snapshot()
@@ -140,8 +137,7 @@ class TestRouting:
 
     def test_full_consumption_routes_everything_needed(self, trees):
         counters = CounterRegistry()
-        router = ShardRouterJoin(*trees, shards=3, counters=counters,
-                                 result_cache=False)
+        router = ShardRouterJoin(*trees, shards=3, counters=counters)
         list(router)
         snap = counters.snapshot()
         assert snap["shard_pairs_routed"] == \
@@ -151,7 +147,6 @@ class TestRouting:
         counters = CounterRegistry()
         router = ShardRouterJoin(
             *trees, shards=4, max_distance=10.0, counters=counters,
-            result_cache=False,
         )
         assert router.range_pruned > 0
         list(router)
@@ -168,7 +163,7 @@ class TestRouting:
             counters = CounterRegistry()
             router = ShardRouterJoin(
                 *trees, shards=4, max_pairs=20, counters=counters,
-                catalog_cache=False, result_cache=False,
+                catalog_cache=False,
             )
             list(router)
             snaps.append({
@@ -178,67 +173,16 @@ class TestRouting:
         assert snaps[0] == snaps[1]
 
     def test_route_plan_summary(self, trees):
-        router = ShardRouterJoin(*trees, shards=2, result_cache=False)
+        router = ShardRouterJoin(*trees, shards=2)
         plan = router.route_plan()
         assert plan["pairs_total"] == 4
         assert plan["pairs_planned"] == len(plan["order"])
 
     def test_plan_cache_hit(self, trees):
         counters = CounterRegistry()
-        ShardRouterJoin(*trees, shards=3, counters=counters,
-                        result_cache=False)
-        ShardRouterJoin(*trees, shards=3, counters=counters,
-                        result_cache=False)
+        ShardRouterJoin(*trees, shards=3, counters=counters)
+        ShardRouterJoin(*trees, shards=3, counters=counters)
         assert counters.snapshot()["shard_plan_cache_hits"] == 1
-
-
-class TestResultCache:
-    def test_replay_is_identical(self, trees):
-        counters = CounterRegistry()
-        first = ShardRouterJoin(*trees, shards=3, max_pairs=25,
-                                counters=counters)
-        expected = rows(first)
-        second = ShardRouterJoin(*trees, shards=3, max_pairs=25,
-                                 counters=counters)
-        assert rows(second) == expected
-        snap = counters.snapshot()
-        assert snap["shard_cache_hits"] == 1
-        assert snap["shard_cache_misses"] == 1
-
-    def test_replay_routes_nothing(self, trees):
-        rows_before = rows(ShardRouterJoin(*trees, shards=3,
-                                           max_pairs=10))
-        counters = CounterRegistry()
-        replay = ShardRouterJoin(*trees, shards=3, max_pairs=10,
-                                 counters=counters)
-        assert rows(replay) == rows_before
-        assert counters.snapshot().get("shard_pairs_routed", 0) == 0
-
-    def test_incomplete_run_is_not_cached(self, trees):
-        counters = CounterRegistry()
-        router = ShardRouterJoin(*trees, shards=3, counters=counters)
-        next(iter(router))
-        router.close()
-        again = ShardRouterJoin(*trees, shards=3, counters=counters)
-        next(iter(again))
-        again.close()
-        assert counters.snapshot().get("shard_cache_hits", 0) == 0
-
-    def test_filtered_queries_bypass_the_cache(self, trees):
-        counters = CounterRegistry()
-        router = ShardRouterJoin(
-            *trees, shards=2, max_pairs=5, counters=counters,
-            pair_filter=lambda pair: True,
-        )
-        list(router)
-        snap = counters.snapshot()
-        assert snap.get("shard_cache_misses", 0) == 0
-
-    def test_save_on_replay_raises(self, trees):
-        list(ShardRouterJoin(*trees, shards=2, max_pairs=5))
-        replay = ShardRouterJoin(*trees, shards=2, max_pairs=5)
-        with pytest.raises(CursorError):
-            replay.save()
 
 
 class TestSuspendResume:
@@ -246,7 +190,7 @@ class TestSuspendResume:
         tree_a, tree_b = trees
         reference = canonical(IncrementalDistanceJoin(tree_a, tree_b))
         router = ShardRouterJoin(tree_a, tree_b, shards=3,
-                                 max_pairs=60, result_cache=False)
+                                 max_pairs=60)
         taken = [next(router) for __ in range(23)]
         blob = pickle.dumps(router.save())
         resumed = ShardRouterJoin.load(
@@ -259,20 +203,18 @@ class TestSuspendResume:
     def test_save_before_start(self, trees):
         tree_a, tree_b = trees
         router = ShardRouterJoin(tree_a, tree_b, shards=2,
-                                 max_pairs=8, result_cache=False)
+                                 max_pairs=8)
         state = pickle.loads(pickle.dumps(router.save()))
         resumed = ShardRouterJoin.load(state, tree_a, tree_b)
         assert rows(resumed) == rows(
-            ShardRouterJoin(tree_a, tree_b, shards=2, max_pairs=8,
-                            result_cache=False)
+            ShardRouterJoin(tree_a, tree_b, shards=2, max_pairs=8)
         )
 
     def test_semi_join_resume(self, trees):
         tree_a, tree_b = trees
         reference = rows(ShardRouterSemiJoin(
-            tree_a, tree_b, shards=3, result_cache=False))
-        router = ShardRouterSemiJoin(tree_a, tree_b, shards=3,
-                                     result_cache=False)
+            tree_a, tree_b, shards=3))
+        router = ShardRouterSemiJoin(tree_a, tree_b, shards=3)
         taken = [next(router) for __ in range(11)]
         resumed = ShardRouterSemiJoin.load(
             pickle.loads(pickle.dumps(router.save())), tree_a, tree_b,
@@ -282,15 +224,14 @@ class TestSuspendResume:
 
     def test_wrong_tree_rejected(self, trees):
         tree_a, tree_b = trees
-        router = ShardRouterJoin(tree_a, tree_b, shards=2,
-                                 result_cache=False)
+        router = ShardRouterJoin(tree_a, tree_b, shards=2)
         state = router.save()
         other = bulk_load_str(cluster_points(17))
         with pytest.raises(CursorError):
             ShardRouterJoin.load(state, tree_a, other)
 
     def test_wrong_class_rejected(self, trees):
-        router = ShardRouterJoin(*trees, shards=2, result_cache=False)
+        router = ShardRouterJoin(*trees, shards=2)
         with pytest.raises(CursorError):
             ShardRouterSemiJoin.load(router.save(), *trees)
 
@@ -301,7 +242,7 @@ class TestSuspendResume:
         )  # a closure pickle cannot serialize
         router = ShardRouterJoin(
             tree_a, tree_b, shards=2, max_pairs=40,
-            pair_filter=probe, result_cache=False,
+            pair_filter=probe,
         )
         next(router)
         state = router.save()
@@ -317,8 +258,7 @@ class TestSuspendResume:
         tree_a, tree_b = trees
         counters = CounterRegistry()
         router = ShardRouterJoin(tree_a, tree_b, shards=3,
-                                 max_pairs=30, counters=counters,
-                                 result_cache=False)
+                                 max_pairs=30, counters=counters)
         for __ in range(10):
             next(router)
         routed = counters.snapshot()["shard_pairs_routed"]
@@ -332,8 +272,7 @@ class TestProgress:
     def test_signals_feed_the_estimator(self, trees):
         from repro.util.telemetry import ProgressEstimator
 
-        router = ShardRouterJoin(*trees, shards=3, max_pairs=40,
-                                 result_cache=False)
+        router = ShardRouterJoin(*trees, shards=3, max_pairs=40)
         estimator = ProgressEstimator()
         last = 0.0
         for i, __ in enumerate(router):
@@ -346,8 +285,7 @@ class TestProgress:
         assert estimator.report(signals).lower_bound == 1.0
 
     def test_signals_shape(self, trees):
-        router = ShardRouterJoin(*trees, shards=2, max_pairs=5,
-                                 result_cache=False)
+        router = ShardRouterJoin(*trees, shards=2, max_pairs=5)
         signals = router.progress_signals()
         assert signals["operator"] == "ShardRouterJoin"
         assert signals["shard_pairs_total"] == 4
