@@ -1,13 +1,15 @@
 """Partitioned parallel join over TIGER-like data.
 
-Runs a 4-worker :class:`repro.parallel.ParallelDistanceJoin` of the
-synthetic Water and Roads point sets, checks its output against the
-sequential operator, and prints a per-worker counter breakdown pulled
-from the worker-side registries (every result batch carries a counter
-snapshot back to the parent, which aggregates the deltas).
+Runs a 4-worker :class:`repro.parallel.ParallelDistanceJoin` -- the
+shard router (``docs/SHARDING.md``) on a thread pool, over catalogs
+private to the join -- of the synthetic Water and Roads point sets,
+checks its output against the sequential operator, and prints the
+routed/pruned shard-pair split plus a per-worker counter breakdown
+pulled from the worker-side registries (every result batch carries a
+counter snapshot back to the parent, which aggregates the deltas).
 
 Also shows the SQL spelling of the same query: the ``PARALLEL <n>``
-hint routes a Figure 1 query to the parallel engine.
+hint routes a Figure 1 query to the same engine.
 
 Run:  python examples/parallel_scaling.py
 """
@@ -61,7 +63,9 @@ def main():
     print(f"parallel join: {len(parallel)} closest pairs, "
           f"d in [{parallel[0].distance:.3f}, "
           f"{parallel[-1].distance:.3f}] "
-          f"across {len(join.tasks)} tile-pair tasks")
+          f"from {join.counters.value('shard_pairs_routed')} of "
+          f"{len(join.pairs)} shard-pair tasks "
+          f"({join.counters.value('shard_pairs_pruned')} pruned)")
 
     # --- identical to the sequential algorithm -----------------------
     sequential = canonical(IncrementalDistanceJoin(

@@ -7,10 +7,11 @@ they run on, the paper's engineering strategies (tie-breaking, node
 policies, distance ranges, maximum-distance estimation, the hybrid
 memory/disk priority queue, semi-join filters), the non-incremental
 baselines, synthetic TIGER-like data sets, and a small SQL dialect with
-``DISTANCE JOIN`` / ``STOP AFTER``.  On top of the paper, the
-:mod:`repro.parallel` package runs the join partitioned across worker
-threads or processes with an order-preserving stream merge (SQL hint
-``PARALLEL <n>``, CLI flag ``--workers``).
+``DISTANCE JOIN`` / ``STOP AFTER``.  On top of the paper, the shard
+router (:mod:`repro.shard`) runs the join partitioned into shard
+pairs -- inline, or across worker threads or processes -- behind an
+order-preserving stream merge (SQL hints ``SHARDS <n>`` /
+``PARALLEL <n>``, CLI flags ``--shards`` / ``--workers``).
 
 Quickstart
 ----------

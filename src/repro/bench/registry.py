@@ -133,20 +133,19 @@ class BenchCase:
             return IncrementalDistanceSemiJoin(
                 load.tree1, load.tree2, spec, **common
             )
-        if self.operator == "parallel":
+        if self.operator in ("parallel", "shard"):
             from repro.parallel import ParallelDistanceJoin
-
-            return ParallelDistanceJoin(
-                load.tree1, load.tree2, spec,
-                **common, **dict(self.engine),
-            )
-        if self.operator == "shard":
             from repro.shard import ShardRouterJoin, clear_caches
 
             # Fresh catalogs and plans per repetition: measured
             # counters include the routing work and stay identical
             # run to run.
             clear_caches()
+            if self.operator == "parallel":
+                return ParallelDistanceJoin(
+                    load.tree1, load.tree2, spec,
+                    **common, **dict(self.engine),
+                )
             return ShardRouterJoin(
                 load.tree1, load.tree2, spec, **common,
                 catalog_cache=False,

@@ -101,6 +101,11 @@ def run_join(
     join = make_join()
     produced = consume(join, pairs)
     elapsed = time.perf_counter() - start
+    if pairs is not None and hasattr(join, "close"):
+        # Stopped early: release a partitioned join's pool and let it
+        # finalize its routing counters inside this measurement, not
+        # whenever the collector finds it.
+        join.close()
     return MeasuredRun(
         label=label,
         pairs_requested=pairs,

@@ -144,11 +144,8 @@ class SuspendableOperator:
         """
         spec = self.spec
         has_filter = spec.pair_filter is not None
-        if has_filter:
-            try:
-                pickle.dumps(spec.pair_filter, pickle.HIGHEST_PROTOCOL)
-            except Exception:
-                spec = spec.evolve(pair_filter=None)
+        if has_filter and not picklable(spec.pair_filter):
+            spec = spec.evolve(pair_filter=None)
         return pack(
             self._cursor_kind, self, self._cursor_body(),
             spec=spec,
@@ -230,6 +227,16 @@ class SuspendableOperator:
 # ----------------------------------------------------------------------
 # blobs
 # ----------------------------------------------------------------------
+
+def picklable(value: Any) -> bool:
+    """Whether ``value`` (e.g. a user ``pair_filter``) can travel in a
+    cursor or to a worker process."""
+    try:
+        pickle.dumps(value, pickle.HIGHEST_PROTOCOL)
+    except Exception:
+        return False
+    return True
+
 
 def dumps(state: Any) -> bytes:
     """Pickle ``state`` behind the magic prefix and payload digest."""

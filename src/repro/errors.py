@@ -107,8 +107,8 @@ class CursorError(ReproError):
     it was taken against different input trees than the ones supplied
     at load time, when a component of the execution state is not
     serializable (e.g. a closure pair filter that was not re-supplied),
-    or when an operator does not support suspension at all (the
-    multiprocessing parallel join).
+    or when an operator does not support suspension at all (a
+    pool-backed partitioned join).
     """
 
 

@@ -1,15 +1,14 @@
-"""Partitioned parallel join engine with order-preserving stream merge.
+"""Building blocks of the partitioned join engine.
 
-The package parallelises the paper's incremental distance join by
-tiling the joint data space (:mod:`~repro.parallel.partition`),
-shipping picklable tile-pair join tasks (:mod:`~repro.parallel.plan`)
-to serial/thread/process backends (:mod:`~repro.parallel.executor`),
-and recombining the per-task ordered streams with a watermark k-way
-merge (:mod:`~repro.parallel.merge`) so the public operators
-(:mod:`~repro.parallel.join`) keep the sequential algorithm's
-incremental, distance-ordered iterator contract.
+The engine itself is :class:`repro.shard.router.ShardRouterJoin`; this
+package holds what it is made of -- the reference-point tilers
+(:mod:`~repro.parallel.partition`), the picklable per-pair join task
+and its live state (:mod:`~repro.parallel.plan`), the thread/process
+pool backends (:mod:`~repro.parallel.executor`) and the watermark k-way
+merge (:mod:`~repro.parallel.merge`) -- plus the ``PARALLEL n``
+constructor adapters (:mod:`~repro.parallel.join`).
 
-See ``docs/PARALLEL.md`` for the architecture and the correctness
+See ``docs/SHARDING.md`` for the architecture and the correctness
 argument.
 """
 
@@ -21,10 +20,6 @@ from repro.parallel.executor import (
     THREAD,
     StreamExecutor,
     TaskBatch,
-)
-from repro.parallel.join import (
-    ParallelDistanceJoin,
-    ParallelDistanceSemiJoin,
     default_workers,
 )
 from repro.parallel.merge import OrderedStreamMerge
@@ -41,7 +36,14 @@ from repro.parallel.partition import (
     make_partitioner,
     reference_point,
 )
-from repro.parallel.plan import JoinSpec, TileJoinTask
+from repro.parallel.plan import JoinSpec, TaskState, TileJoinTask
+
+# Last: the adapters subclass the router, which imports the modules
+# above.
+from repro.parallel.join import (  # noqa: E402
+    ParallelDistanceJoin,
+    ParallelDistanceSemiJoin,
+)
 
 __all__ = [
     "BACKENDS",
@@ -62,6 +64,7 @@ __all__ = [
     "StreamExecutor",
     "TaskBatch",
     "TaskObject",
+    "TaskState",
     "Tile",
     "TileJoinTask",
     "default_workers",

@@ -1,16 +1,18 @@
-"""Worker execution backends for the parallel distance join.
+"""Pool execution backends for the partitioned distance join.
 
-The parent drives each :class:`TileJoinTask` as an *incremental
+The router drives each :class:`TileJoinTask` as an *incremental
 stream*: it asks for one batch of ``batch_size`` result pairs at a
 time, and the worker keeps the underlying join's priority queue alive
 between batches so each request costs only the incremental work (the
 paper's fast-first property survives parallelisation).
 
-Three backends share one protocol:
+Three backends share one ``request`` / ``next_batch`` / ``close``
+protocol:
 
 ``serial``
-    Runs tasks inline in the parent (no pool).  The degenerate
-    one-worker configuration, also the easiest to debug.
+    Runs tasks inline in the caller, over the catalogs' own shard
+    trees, charging the router's registry (no pool; suspendable):
+    :class:`repro.shard.router.InlineShardExecutor`.
 ``thread``
     A :class:`~concurrent.futures.ThreadPoolExecutor`.  Threads share
     the parent's memory, so tasks need not pickle; best for I/O-bound
@@ -21,14 +23,14 @@ Three backends share one protocol:
     *lane* per worker slot, with tasks pinned to lanes round-robin.
     Pinning guarantees that the process holding a task's live join
     receives every follow-up batch request, so queue state is never
-    rebuilt.  If a lane process dies and state is lost anyway, the
-    parent transparently reopens the task and skips the results it
-    already consumed.
+    rebuilt.  A lane process that dies takes its tasks' queues with
+    it: the join fails with :class:`~repro.errors.JoinError`.
 
-Workers retain per-task state in a module-level cache keyed by a
-parent-unique run token, report cumulative counters with every batch
-(:class:`~repro.util.counters.CounterSnapshot`), and drop all state on
-``close``.
+Pool workers build private shard trees from the task's object lists,
+charge a private registry, retain per-task state in a module-level
+cache keyed by a parent-unique run token, report cumulative counters
+with every batch (:class:`~repro.util.counters.CounterSnapshot`), and
+drop all state on ``close``.
 """
 
 from __future__ import annotations
@@ -43,16 +45,16 @@ from concurrent.futures import (
     ThreadPoolExecutor,
     wait,
 )
-from typing import Dict, List, NamedTuple, Optional, Tuple
+from typing import Callable, Dict, NamedTuple, Optional, Tuple
 
 from repro.core.distance_join import JoinResult
 from repro.errors import JoinError
-from repro.parallel.plan import TileJoinTask
+from repro.parallel.plan import TaskState, TileJoinTask, load_objects
 from repro.util.counters import CounterRegistry, CounterSnapshot
 from repro.util.obs import ObsSnapshot, Observer
 from repro.util.validation import require
 
-#: Executor backend names ("auto" resolves before a pool is built).
+#: Executor backend names.
 SERIAL = "serial"
 THREAD = "thread"
 PROCESS = "process"
@@ -64,8 +66,13 @@ DEFAULT_BATCH_SIZE = 64
 _RUN_SEQ = itertools.count()
 
 
+def default_workers() -> int:
+    """Worker count used when the caller does not choose one."""
+    return max(1, min(8, os.cpu_count() or 1))
+
+
 class TaskBatch(NamedTuple):
-    """One worker round-trip: a chunk of ordered results plus status.
+    """One task round-trip: a chunk of ordered results plus status.
 
     ``counters`` and ``spans`` are *cumulative* for the task; the
     parent merges per-batch deltas (``delta_from``) so nothing double
@@ -81,41 +88,16 @@ class TaskBatch(NamedTuple):
     spans: Optional[ObsSnapshot] = None  # cumulative stage timings
 
 
-class TaskStateLost(RuntimeError):
-    """A worker was asked to advance a task it has no state for."""
-
-    def __init__(self, task_id: int) -> None:
-        super().__init__(f"no live state for task {task_id}")
-        self.task_id = task_id
-
-
 # ----------------------------------------------------------------------
 # worker-side functions (module level so the process backend can pickle
-# references to them; the thread/serial backends call them directly)
+# references to them; the thread backend calls them directly)
 # ----------------------------------------------------------------------
 
-
-class _WorkerTaskState:
-    """A live join held inside a worker between batch requests."""
-
-    __slots__ = ("task", "join", "table1", "table2", "counters",
-                 "produced", "obs")
-
-    def __init__(self, task: TileJoinTask) -> None:
-        self.task = task
-        self.counters = CounterRegistry()
-        # Stage timings ship with every batch next to the counter
-        # snapshot.  The cost is two perf_counter reads per batch, so
-        # the worker always records; the parent decides what to keep.
-        self.obs = Observer(max_events=0)
-        with self.obs.span("worker.build"):
-            self.join, self.table1, self.table2 = task.build_join(
-                self.counters
-            )
-        self.produced = 0
-
-
-_WORKER_TASKS: Dict[Tuple[str, int], _WorkerTaskState] = {}
+#: Live task state held inside a worker between batch requests, with
+#: the private registry and stage timer it charges.
+_WORKER_TASKS: Dict[
+    Tuple[str, int], Tuple[TaskState, CounterRegistry, Observer]
+] = {}
 
 
 def _worker_label() -> str:
@@ -125,60 +107,45 @@ def _worker_label() -> str:
     return f"pid-{os.getpid()}/{thread.name}"
 
 
-def _pull_batch(
-    state: _WorkerTaskState, batch_size: int
-) -> TaskBatch:
-    results: List[JoinResult] = []
-    done = False
-    with state.obs.span("worker.join"):
-        while len(results) < batch_size:
-            try:
-                result = next(state.join)
-            except StopIteration:
-                done = True
-                break
-            results.append(
-                state.task.translate(result, state.table1, state.table2)
-            )
-    state.produced += len(results)
-    # Batch fill level rides in the snapshot's gauges, so per-worker
-    # trace tracks can show how full round-trips ran.
-    state.obs.gauge("worker.batch_pairs", float(len(results)))
-    return TaskBatch(
-        task_id=state.task.task_id,
-        results=tuple(results),
-        produced=state.produced,
-        done=done,
-        counters=state.counters.full_snapshot(),
-        worker=_worker_label(),
-        spans=state.obs.snapshot(),
-    )
-
-
 def _open_task(
-    run_token: str, task: TileJoinTask, offset: int, batch_size: int
+    run_token: str, task: TileJoinTask, batch_size: int
 ) -> TaskBatch:
-    """Build (or rebuild) a task's join, skip ``offset`` results the
-    parent already consumed, and pull the first batch."""
-    state = _WorkerTaskState(task)
-    for __ in range(offset):
-        try:
-            next(state.join)
-        except StopIteration:
-            break
-    state.produced = offset
-    _WORKER_TASKS[(run_token, task.task_id)] = state
-    return _pull_batch(state, batch_size)
+    """Build a task's shard trees and join, and pull the first batch."""
+    counters = CounterRegistry()
+    # Stage timings ship with every batch next to the counter
+    # snapshot.  The cost is two perf_counter reads per batch, so the
+    # worker always records; the parent decides what to keep.
+    obs = Observer(max_events=0)
+    with obs.span("worker.build"):
+        state = TaskState(
+            task,
+            load_objects(task.objects1, task.max_entries, counters),
+            load_objects(task.objects2, task.max_entries, counters),
+            counters,
+        )
+    _WORKER_TASKS[(run_token, task.task_id)] = (state, counters, obs)
+    return _advance_task(run_token, task.task_id, batch_size)
 
 
 def _advance_task(
     run_token: str, task_id: int, batch_size: int
 ) -> TaskBatch:
     """Pull the next batch from a task opened earlier in this worker."""
-    state = _WORKER_TASKS.get((run_token, task_id))
-    if state is None:
-        raise TaskStateLost(task_id)
-    return _pull_batch(state, batch_size)
+    state, counters, obs = _WORKER_TASKS[(run_token, task_id)]
+    with obs.span("worker.join"):
+        results = state.advance(batch_size)
+    # Batch fill level rides in the snapshot's gauges, so per-worker
+    # trace tracks can show how full round-trips ran.
+    obs.gauge("worker.batch_pairs", float(len(results)))
+    return TaskBatch(
+        task_id=task_id,
+        results=tuple(results),
+        produced=state.emitted,
+        done=state.done,
+        counters=counters.full_snapshot(),
+        worker=_worker_label(),
+        spans=obs.snapshot(),
+    )
 
 
 def _close_run(run_token: str) -> int:
@@ -194,42 +161,8 @@ def _close_run(run_token: str) -> int:
 # ----------------------------------------------------------------------
 
 
-def _completed_future(value: TaskBatch) -> "Future[TaskBatch]":
-    future: "Future[TaskBatch]" = Future()
-    future.set_result(value)
-    return future
-
-
-class SerialPool:
-    """Inline execution: every request completes synchronously."""
-
-    backend = SERIAL
-
-    def __init__(self, run_token: str) -> None:
-        self._run_token = run_token
-
-    def submit_open(
-        self, task: TileJoinTask, offset: int, batch_size: int
-    ) -> "Future[TaskBatch]":
-        return _completed_future(
-            _open_task(self._run_token, task, offset, batch_size)
-        )
-
-    def submit_advance(
-        self, task_id: int, batch_size: int
-    ) -> "Future[TaskBatch]":
-        return _completed_future(
-            _advance_task(self._run_token, task_id, batch_size)
-        )
-
-    def shutdown(self, cancel: bool = True) -> None:
-        _close_run(self._run_token)
-
-
 class ThreadPool:
     """A shared thread pool; task state lives in this process."""
-
-    backend = THREAD
 
     def __init__(self, run_token: str, workers: int) -> None:
         self._run_token = run_token
@@ -239,10 +172,10 @@ class ThreadPool:
         )
 
     def submit_open(
-        self, task: TileJoinTask, offset: int, batch_size: int
+        self, task: TileJoinTask, batch_size: int
     ) -> "Future[TaskBatch]":
         return self._pool.submit(
-            _open_task, self._run_token, task, offset, batch_size
+            _open_task, self._run_token, task, batch_size
         )
 
     def submit_advance(
@@ -261,11 +194,8 @@ class ProcessLanes:
     """One single-process lane per worker slot, tasks pinned by id.
 
     Pinning keeps each task's live priority queue in the process that
-    built it.  The parent still survives a lost lane: a
-    :class:`TaskStateLost` escape triggers a re-open with an offset.
+    built it.
     """
-
-    backend = PROCESS
 
     def __init__(self, run_token: str, workers: int) -> None:
         self._run_token = run_token
@@ -284,10 +214,10 @@ class ProcessLanes:
         return self._lanes[lane]
 
     def submit_open(
-        self, task: TileJoinTask, offset: int, batch_size: int
+        self, task: TileJoinTask, batch_size: int
     ) -> "Future[TaskBatch]":
         return self._lane(task.task_id).submit(
-            _open_task, self._run_token, task, offset, batch_size
+            _open_task, self._run_token, task, batch_size
         )
 
     def submit_advance(
@@ -303,52 +233,52 @@ class ProcessLanes:
 
 
 def make_pool(backend: str, workers: int):
-    """Build a pool; ``workers`` is ignored by the serial backend."""
-    require(backend in BACKENDS,
-            f"backend must be one of {BACKENDS}")
+    """Build the ``thread`` or ``process`` pool."""
+    require(backend in (THREAD, PROCESS),
+            f"pool backend must be one of {(THREAD, PROCESS)}")
     require(workers >= 1, "workers must be at least 1")
     run_token = f"{os.getpid()}-{next(_RUN_SEQ)}"
-    if backend == SERIAL:
-        return SerialPool(run_token)
     if backend == THREAD:
         return ThreadPool(run_token, workers)
     return ProcessLanes(run_token, workers)
 
 
 class StreamExecutor:
-    """Drives every task of one parallel join as a buffered stream.
+    """Drives the tasks of one pool-backed join as buffered streams.
 
     The merge layer asks for a task's next batch with
-    :meth:`request`; completed batches are collected with
-    :meth:`next_batch`, which blocks up to ``timeout`` seconds.  At
-    most one request per task is in flight -- worker task state is
-    single-cursor, so overlapping requests for one task would race.
+    :meth:`request` (``task_for(task_id)`` describes a task the first
+    time it is requested, so never-admitted tasks cost nothing);
+    completed batches are collected with :meth:`next_batch`, which
+    blocks up to ``timeout`` seconds.  At most one request per task is
+    in flight -- worker task state is single-cursor, so overlapping
+    requests for one task would race.  Any pool failure -- a task that
+    raises, a dead lane, a timeout -- closes the executor and surfaces
+    as :class:`~repro.errors.JoinError`.
     """
 
     def __init__(
         self,
-        tasks: List[TileJoinTask],
+        task_for: Callable[[int], TileJoinTask],
         backend: str,
         workers: int,
         timeout: Optional[float] = None,
     ) -> None:
-        self._tasks = {task.task_id: task for task in tasks}
+        self._task_for = task_for
         self._pool = make_pool(backend, workers)
         self._timeout = timeout
-        self._opened: Dict[int, bool] = {}
-        self._produced: Dict[int, int] = {}
+        self._opened: set = set()
         self._pending: Dict["Future[TaskBatch]", int] = {}
         self._closed = False
 
-    @property
-    def backend(self) -> str:
-        return self._pool.backend
-
-    def has_pending(self) -> bool:
-        return bool(self._pending)
-
     def pending_for(self, task_id: int) -> bool:
         return task_id in self._pending.values()
+
+    def _failed(self, task_id: int, exc: Exception) -> JoinError:
+        self.close()
+        return JoinError(
+            f"parallel join worker failed on task {task_id}: {exc!r}"
+        )
 
     def request(self, task_id: int, batch_size: int) -> None:
         """Ask for the next batch of ``task_id`` (no-op if in flight)."""
@@ -356,59 +286,40 @@ class StreamExecutor:
             raise JoinError("parallel join executor is closed")
         if self.pending_for(task_id):
             return
-        if self._opened.get(task_id):
-            future = self._pool.submit_advance(task_id, batch_size)
-        else:
-            future = self._pool.submit_open(
-                self._tasks[task_id],
-                self._produced.get(task_id, 0),
-                batch_size,
-            )
-            self._opened[task_id] = True
+        opened = task_id in self._opened
+        task = None if opened else self._task_for(task_id)
+        try:
+            if opened:
+                future = self._pool.submit_advance(task_id, batch_size)
+            else:
+                future = self._pool.submit_open(task, batch_size)
+        except Exception as exc:  # a dead lane: BrokenProcessPool
+            raise self._failed(task_id, exc) from exc
+        self._opened.add(task_id)
         self._pending[future] = task_id
 
     def next_batch(self, batch_size: int) -> TaskBatch:
-        """Wait for any in-flight request to complete and return it.
-
-        Transparently re-opens a task whose worker lost its state
-        (process backend after a lane restart), skipping the results
-        the parent already consumed.
-        """
-        while True:
-            if not self._pending:
-                raise JoinError(
-                    "next_batch called with no request in flight"
-                )
-            done, __ = wait(
-                self._pending, timeout=self._timeout,
-                return_when=FIRST_COMPLETED,
+        """Wait for any in-flight request to complete and return it."""
+        if not self._pending:
+            raise JoinError(
+                "next_batch called with no request in flight"
             )
-            if not done:
-                self.close()
-                raise JoinError(
-                    f"parallel join timed out after "
-                    f"{self._timeout}s waiting for a worker batch"
-                )
-            future = done.pop()
-            task_id = self._pending.pop(future)
-            try:
-                batch = future.result()
-            except TaskStateLost:
-                # Lane restarted: rebuild the join where we left off.
-                self._opened[task_id] = False
-                self.request(task_id, batch_size)
-                continue
-            except JoinError:
-                self.close()
-                raise
-            except Exception as exc:  # worker crash: surface cleanly
-                self.close()
-                raise JoinError(
-                    f"parallel join worker failed on task "
-                    f"{task_id}: {exc!r}"
-                ) from exc
-            self._produced[task_id] = batch.produced
-            return batch
+        done, __ = wait(
+            self._pending, timeout=self._timeout,
+            return_when=FIRST_COMPLETED,
+        )
+        if not done:
+            self.close()
+            raise JoinError(
+                f"parallel join timed out after "
+                f"{self._timeout}s waiting for a worker batch"
+            )
+        future = done.pop()
+        task_id = self._pending.pop(future)
+        try:
+            return future.result()
+        except Exception as exc:  # the task raised, or its lane died
+            raise self._failed(task_id, exc) from exc
 
     def close(self) -> None:
         """Cancel outstanding work and release the pool."""

@@ -1,109 +1,30 @@
-"""The partitioned parallel distance join and semi-join operators.
+"""``ParallelDistanceJoin``: the pooled, ephemeral-catalog spelling of
+the shard router.
 
-:class:`ParallelDistanceJoin` provides the same incremental iterator
-contract as :class:`~repro.core.distance_join.IncrementalDistanceJoin`
--- result pairs in non-decreasing distance, lazily, with ``stop after
-K`` costing only incremental work -- but executes as a fleet of
-independent per-partition-pair joins whose ordered streams are
-recombined by an order-preserving watermark merge
-(:mod:`repro.parallel.merge`).
-
-Output order is the canonical total order ``(distance, oid1, oid2)``:
-deterministic, independent of worker count, partitioning method, and
-backend.  The sequential join emits equal-distance ties in traversal
-order instead, so byte-identical comparison against it requires
-canonicalizing its ties the same way (see ``docs/PARALLEL.md``).
-
-Differences from the sequential operator, all checked at construction:
-
-- ``descending`` (farthest-first) is not supported -- the watermark
-  merge is a min-merge;
-- the worker queue is always the in-memory pairing-heap queue
-  (per-tile queues are small);
-- with the ``process`` backend every task and knob must pickle; a
-  non-picklable ``pair_filter`` silently falls back to the ``thread``
-  backend (counted as ``parallel_backend_fallback``).
+The partitioned engine is :class:`~repro.shard.router.ShardRouterJoin`
+(partition -> route -> execute -> merge; see ``docs/SHARDING.md``).
+The two classes here only adapt the constructor the ``PARALLEL n`` hint
+and ``--workers`` use: ``partitions`` is the shard count (default: one
+per worker), catalogs are built from the trees for this one join and
+never cached, and ``backend="auto"`` picks ``serial`` for one worker
+and ``thread`` otherwise (choose ``"process"`` explicitly for
+CPU-bound scaling).
 """
 
 from __future__ import annotations
 
-import os
-import pickle
-from typing import Any, Callable, Dict, List, Optional
+from typing import Any, Optional
 
-from repro.core.distance_join import JoinResult
 from repro.core.spec import JoinSpec
-from repro.errors import CursorError, JoinError
-from repro.parallel.executor import (
-    BACKENDS,
-    DEFAULT_BATCH_SIZE,
-    PROCESS,
-    SERIAL,
-    THREAD,
-    StreamExecutor,
-    TaskBatch,
-)
-from repro.parallel.merge import OrderedStreamMerge
-from repro.parallel.partition import GRID, make_partitioner
-from repro.parallel.plan import TileJoinTask
-from repro.rtree.base import DEFAULT_MAX_ENTRIES, RTreeBase
-from repro.util.counters import CounterRegistry, CounterSnapshot
-from repro.util.obs import ObsSnapshot, Observer
-from repro.util.validation import require
-
-def default_workers() -> int:
-    """Worker count used when the caller does not choose one."""
-    return max(1, min(8, os.cpu_count() or 1))
+from repro.parallel.executor import SERIAL, THREAD, default_workers
+from repro.parallel.partition import GRID
+from repro.rtree.base import RTreeBase
+from repro.shard.router import ShardRouterJoin
 
 
-class ParallelDistanceJoin:
-    """Partitioned parallel incremental distance join of two R-trees.
-
-    Parameters
-    ----------
-    tree1, tree2:
-        The spatial indexes of the two joined relations.
-    workers:
-        Worker slots (default: CPU count capped at 8).
-    backend:
-        ``"serial"``, ``"thread"``, ``"process"`` or ``"auto"``
-        (serial for one worker, otherwise threads; choose
-        ``"process"`` explicitly for CPU-bound scaling).
-    partitions:
-        Number of space tiles per relation (default: ``workers``).
-        Tasks are the cross product of non-empty tiles, so expect up
-        to ``partitions**2`` tasks.
-    partition_method:
-        ``"grid"`` (uniform tiles) or ``"str"`` (quantile-balanced
-        sort-tile-recursive tiles).
-    batch_size:
-        Result pairs per worker round-trip.
-    timeout:
-        Seconds to wait for any single worker batch before raising
-        :class:`~repro.errors.JoinError` (None = wait forever).
-    spec / **knobs:
-        A :class:`~repro.core.spec.JoinSpec` (or its fields as
-        keywords -- ``metric``, ``min_distance``, ``max_distance``,
-        ``max_pairs``, ``tie_break``, ``node_policy``, ``leaf_mode``,
-        ``estimate``, ``aggressive``, ``pair_filter``,
-        ``process_leaves_together``, ``filter_strategy``,
-        ``dmax_strategy``), applied inside every worker task.
-        Validated with ``JoinSpec.validate(parallel=True)``, which
-        *explicitly* rejects the combinations the engine cannot honour
-        (``descending``, a non-memory ``queue`` tier) instead of
-        silently ignoring them.
-    counters:
-        As in the sequential join (aggregates all workers'
-        registries).
-    observer:
-        Stage-timing sink (:class:`~repro.util.obs.Observer`).  Unlike
-        the sequential join, the default is a private *enabled*
-        observer: parallel instrumentation costs two clock reads per
-        worker batch, not per pair, so :meth:`stage_breakdown` works
-        out of the box.
-    """
-
-    _semi_join = False
+class ParallelDistanceJoin(ShardRouterJoin):
+    """Partitioned parallel incremental distance join of two R-trees
+    (every other argument is the router's)."""
 
     def __init__(
         self,
@@ -115,354 +36,25 @@ class ParallelDistanceJoin:
         backend: str = "auto",
         partitions: Optional[int] = None,
         partition_method: str = GRID,
-        batch_size: int = DEFAULT_BATCH_SIZE,
-        timeout: Optional[float] = None,
-        counters: Optional[CounterRegistry] = None,
-        observer: Optional[Observer] = None,
-        **knobs: Any,
+        **engine: Any,
     ) -> None:
-        if tree1.dim != tree2.dim:
-            raise JoinError(
-                f"cannot join trees of dimension {tree1.dim} and "
-                f"{tree2.dim}"
-            )
-        spec = JoinSpec.coalesce(spec, knobs)
-        spec.validate(parallel=True)
         if workers is None:
             workers = default_workers()
-        require(workers >= 1, "workers must be at least 1")
-        require(batch_size >= 1, "batch_size must be at least 1")
-        require(backend in BACKENDS + ("auto",),
-                f'backend must be one of {BACKENDS + ("auto",)}')
-
-        self.spec = spec
-        self.tree1 = tree1
-        self.tree2 = tree2
-        self.workers = workers
-        self.max_pairs = spec.max_pairs
-        self.batch_size = batch_size
-        self.timeout = timeout
-        self.partitions = partitions if partitions is not None else workers
-        self.partition_method = partition_method
-        self.counters = counters if counters is not None else tree1.counters
-        self.obs = observer if observer is not None else Observer(
-            max_events=0
-        )
-        self.backend = self._resolve_backend(backend, spec.pair_filter)
-
-        # Semi-join worker streams must stay uncapped: duplicate outer
-        # objects are discarded only after the merge.
-        worker_spec = (
-            spec.evolve(max_pairs=None) if self._semi_join else spec
-        )
-        with self.obs.span("parallel.partition"):
-            self.tasks: List[TileJoinTask] = self._plan_tasks(worker_spec)
-        self.counters.add("parallel_tasks", len(self.tasks))
-        self.counters.observe("parallel_partitions", self.partitions)
-
-        self._task_snapshots: Dict[int, CounterSnapshot] = {}
-        self._task_obs: Dict[int, ObsSnapshot] = {}
-        self._task_workers: Dict[int, str] = {}
-        self._executor: Optional[StreamExecutor] = None
-        self._merge: Optional[OrderedStreamMerge] = None
-        self._produced = 0
-        self._closed = False
-        #: Worker result batches folded in so far.  Batch arrivals are
-        #: the operator's natural preemption points: the scheduler's
-        #: quantum loop reads this to yield between tile batches
-        #: instead of mid-batch.
-        self.batches_received = 0
-
-    # ------------------------------------------------------------------
-    # planning
-    # ------------------------------------------------------------------
-
-    def _resolve_backend(
-        self, backend: str, pair_filter: Optional[Callable]
-    ) -> str:
         if backend == "auto":
-            backend = SERIAL if self.workers == 1 else THREAD
-        if backend == PROCESS and pair_filter is not None:
-            try:
-                pickle.dumps(pair_filter)
-            except Exception:
-                self.counters.add("parallel_backend_fallback")
-                return THREAD
-        return backend
-
-    def _plan_tasks(self, spec: JoinSpec) -> List[TileJoinTask]:
-        if len(self.tree1) == 0 or len(self.tree2) == 0:
-            return []
-        partitioner = make_partitioner(
-            self.partition_method, self.tree1, self.tree2,
-            self.partitions,
-        )
-        groups1 = partitioner.assign(self.tree1.items())
-        groups2 = partitioner.assign(self.tree2.items())
-        max_entries = max(
-            getattr(self.tree1, "max_entries", DEFAULT_MAX_ENTRIES),
-            getattr(self.tree2, "max_entries", DEFAULT_MAX_ENTRIES),
-        )
-        tasks: List[TileJoinTask] = []
-        for index1 in sorted(groups1):
-            for index2 in sorted(groups2):
-                tasks.append(TileJoinTask(
-                    task_id=len(tasks),
-                    tile1=partitioner.tiles[index1],
-                    tile2=partitioner.tiles[index2],
-                    objects1=groups1[index1],
-                    objects2=groups2[index2],
-                    spec=spec,
-                    semi_join=self._semi_join,
-                    max_entries=max_entries,
-                ))
-        return tasks
-
-    # ------------------------------------------------------------------
-    # execution
-    # ------------------------------------------------------------------
-
-    def _on_batch(self, batch: TaskBatch) -> None:
-        previous = self._task_snapshots.get(batch.task_id)
-        delta = (
-            batch.counters.delta_from(previous)
-            if previous is not None else batch.counters
-        )
-        self.counters.merge(delta)
-        self.counters.add("parallel_batches")
-        self.batches_received += 1
-        self._task_snapshots[batch.task_id] = batch.counters
-        self._task_workers[batch.task_id] = batch.worker
-        if batch.spans is not None:
-            # Worker stage timings are cumulative per task, like the
-            # counter snapshot above: merge only the increment.
-            prev_obs = self._task_obs.get(batch.task_id)
-            obs_delta = (
-                batch.spans.delta_from(prev_obs)
-                if prev_obs is not None else batch.spans
-            )
-            if self.obs.enabled:
-                self.obs.merge(obs_delta)
-            self._task_obs[batch.task_id] = batch.spans
-
-    def _start(self) -> None:
-        self._executor = StreamExecutor(
-            self.tasks,
-            backend=self.backend,
-            workers=self.workers,
-            timeout=self.timeout,
-        )
-        self._merge = self._make_merge()
-
-    def _make_merge(self) -> OrderedStreamMerge:
-        return OrderedStreamMerge(
-            self._executor,
-            [task.task_id for task in self.tasks],
-            self.batch_size,
-            on_batch=self._on_batch,
-        )
-
-    def __iter__(self) -> "ParallelDistanceJoin":
-        return self
-
-    def __next__(self) -> JoinResult:
-        if self._closed:
-            raise StopIteration
-        if self.max_pairs is not None and self._produced >= self.max_pairs:
-            self.close()
-            raise StopIteration
-        if not self.tasks:
-            raise StopIteration
-        if self._merge is None:
-            self._start()
-        try:
-            if self.obs.enabled:
-                with self.obs.span("parallel.merge"):
-                    result = next(self._merge)
-            else:
-                result = next(self._merge)
-        except StopIteration:
-            self.close()
-            raise
-        self._produced += 1
-        self.counters.add("parallel_pairs_reported")
-        return result
-
-    # ------------------------------------------------------------------
-    # lifecycle / introspection
-    # ------------------------------------------------------------------
-
-    def save(self) -> dict:
-        """Not supported: mid-flight worker state cannot be serialized.
-
-        A parallel join's execution state lives in its worker pool
-        (in-flight tile batches, per-worker queues), so it cannot be
-        turned into a compact on-disk cursor.  It is still a Python
-        iterator, so the scheduler suspends it *in memory* between
-        ``next()`` calls -- ideally at :attr:`batches_received`
-        boundaries -- but such a session cannot be evicted to disk.
-        """
-        raise CursorError(
-            f"{type(self).__name__} does not support save(): parallel "
-            "joins suspend in memory only (between next() calls), not "
-            "to a serialized cursor"
-        )
-
-    def close(self) -> None:
-        """Cancel outstanding worker batches and release the pool.
-
-        Safe to call repeatedly; iteration afterwards reports
-        exhaustion.  Also invoked automatically when the iterator is
-        exhausted, when ``max_pairs`` is reached, and on garbage
-        collection.
-        """
-        if self._closed:
-            return
-        self._closed = True
-        if self._executor is not None:
-            self._executor.close()
-
-    def __enter__(self) -> "ParallelDistanceJoin":
-        return self
-
-    def __exit__(self, *exc_info: Any) -> None:
-        self.close()
-
-    def __del__(self) -> None:
-        try:
-            self.close()
-        except Exception:
-            pass
-
-    def progress_signals(self) -> Dict[str, Any]:
-        """Raw progress facts, mirroring
-        :meth:`~repro.core.distance_join.IncrementalDistanceJoin
-        .progress_signals`.
-
-        A parallel join has no single queue head to probe (each worker
-        owns a tile-local queue), so only the certified pair count and
-        completion flag are reported; batch arrivals ride along as
-        detail for the flight recorder.
-        """
-        return {
-            "operator": type(self).__name__,
-            "produced": self._produced,
-            "max_pairs": self.max_pairs,
-            "head_distance": None,
-            "min_distance": self.spec.min_distance,
-            "max_distance": self.spec.max_distance,
-            "descending": self.spec.descending,
-            "queue_len": 0,
-            "done": self._closed or not self.tasks,
-            "batches_received": self.batches_received,
-            "tasks": len(self.tasks),
-        }
-
-    def task_counter_snapshots(self) -> Dict[int, CounterSnapshot]:
-        """Latest per-task worker counter snapshots (task id keyed)."""
-        return dict(self._task_snapshots)
-
-    def task_span_snapshots(self) -> Dict[int, ObsSnapshot]:
-        """Latest per-task worker stage timings (task id keyed)."""
-        return dict(self._task_obs)
-
-    def stage_breakdown(self) -> Dict[str, float]:
-        """Wall seconds per pipeline stage, aggregated so far.
-
-        - ``partition``: parent-side task planning;
-        - ``worker_build``: workers constructing per-tile joins;
-        - ``worker_join``: workers pulling result batches (summed over
-          workers, so with real parallelism it can exceed wall time);
-        - ``merge``: parent-side recombination, *including* time spent
-          waiting on worker batches.
-        """
-        return {
-            "partition": self.obs.span_seconds("parallel.partition"),
-            "worker_build": self.obs.span_seconds("worker.build"),
-            "worker_join": self.obs.span_seconds("worker.join"),
-            "merge": self.obs.span_seconds("parallel.merge"),
-        }
-
-    def trace_events(self) -> List[Dict[str, Any]]:
-        """The execution so far as Chrome trace events.
-
-        One driver track (the parent's partition/merge spans, plus
-        per-occurrence events when the observer records them) and one
-        track per worker built from the :class:`ObsSnapshot`\\ s the
-        workers shipped with their batches; load with Perfetto or
-        ``chrome://tracing``.
-        """
-        from repro.util import tracing
-
-        events = tracing.observer_trace(
-            self.obs, process_name="repro parallel join",
-        )
-        events.extend(tracing.worker_track_events(
-            self._task_obs, self._task_workers,
-        ))
-        return tracing.sort_events(events)
-
-    def write_trace(self, path: str) -> str:
-        """Write :meth:`trace_events` to ``path`` as trace JSON."""
-        from repro.util import tracing
-
-        return tracing.write_chrome_trace(
-            path, self.trace_events(),
-            metadata={
-                "workers": self.workers,
-                "backend": self.backend,
-                "tasks": len(self.tasks),
-            },
-        )
-
-    def worker_breakdown(self) -> Dict[str, CounterSnapshot]:
-        """Aggregate the per-task snapshots by executing worker."""
-        merged: Dict[str, CounterRegistry] = {}
-        for task_id, snapshot in self._task_snapshots.items():
-            worker = self._task_workers.get(task_id, "?")
-            registry = merged.setdefault(worker, CounterRegistry())
-            registry.merge(snapshot)
-        return {
-            worker: registry.full_snapshot()
-            for worker, registry in merged.items()
-        }
-
-    def __repr__(self) -> str:
-        return (
-            f"{type(self).__name__}(workers={self.workers}, "
-            f"backend={self.backend}, tasks={len(self.tasks)}, "
-            f"produced={self._produced})"
+            backend = SERIAL if workers == 1 else THREAD
+        super().__init__(
+            tree1, tree2, spec,
+            shards=partitions if partitions is not None else workers,
+            partition_method=partition_method,
+            catalog_cache=False,
+            backend=backend,
+            workers=workers,
+            **engine,
         )
 
 
 class ParallelDistanceSemiJoin(ParallelDistanceJoin):
-    """Partitioned parallel distance semi-join.
-
-    Each tile-pair task runs a sequential distance semi-join, so a
-    task reports the nearest inner-tile object for each of its outer
-    objects; the watermark merge recombines the candidate streams in
-    global distance order and a best-per-object filter keeps only the
-    first (hence globally nearest) result for every outer object id --
-    the same output set as the sequential semi-join.
-
-    When equally-distant nearest neighbours exist in different inner
-    tiles, the reported partner is the one with the smallest inner
-    object id (the canonical choice); the sequential operator reports
-    whichever its traversal finds first.  Distances always agree.
-
-    Worker streams run uncapped (``max_pairs`` applies only to merged
-    output) and the merge stops early once every outer object has been
-    reported.
-    """
+    """Partitioned parallel distance semi-join (see
+    :class:`~repro.shard.router.ShardRouterSemiJoin`)."""
 
     _semi_join = True
-
-    def _make_merge(self) -> OrderedStreamMerge:
-        return OrderedStreamMerge(
-            self._executor,
-            [task.task_id for task in self.tasks],
-            self.batch_size,
-            on_batch=self._on_batch,
-            dedup_outer=True,
-            expected_outer=len(self.tree1),
-        )

@@ -1,6 +1,6 @@
 """Order-preserving k-way merge of per-partition result streams.
 
-Every tile-pair task yields its result pairs in non-decreasing
+Every shard-pair task yields its result pairs in non-decreasing
 distance, so a task's next known distance is a *frontier watermark*:
 nothing it will ever emit can be closer than its buffered head.  A
 result pair may therefore be released to the consumer only once its

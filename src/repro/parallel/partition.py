@@ -1,10 +1,10 @@
-"""Space partitioning for the parallel distance join.
+"""Space partitioning for the partitioned distance join.
 
-The parallel engine tiles the joint data space and assigns every
-object of both relations to exactly one tile.  A worker task then
-joins one tile of the first relation against one tile of the second,
-so the union of all tile-pair tasks covers the cross product exactly
-once -- no result pair can be duplicated or lost.
+A shard catalog (:mod:`repro.shard.catalog`) tiles a relation's data
+space and assigns every object to exactly one tile -- its shard.  A
+task then joins one shard of the first relation against one shard of
+the second, so the union of all shard-pair tasks covers the cross
+product exactly once -- no result pair can be duplicated or lost.
 
 *Duplicate avoidance* follows the reference-point method used by
 partition-based parallel spatial joins (Tsitsigkos et al., *Parallel

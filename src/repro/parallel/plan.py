@@ -1,28 +1,28 @@
-"""Per-tile join tasks: the unit of work shipped to a worker.
+"""Per-pair join tasks: the unit of work of the partitioned engine.
 
-A :class:`TileJoinTask` is a picklable description of one tile-pair
-join: the two tiles' object lists plus the *unified*
+A :class:`TileJoinTask` is a picklable description of one shard-pair
+join: the two shards' object lists plus the *unified*
 :class:`repro.core.spec.JoinSpec` of strategy knobs -- the same spec
-type that configures the sequential operators, so the parallel engine
-ships exactly the configuration it was given (validated once, by
+type that configures the sequential operators, so the engine ships
+exactly the configuration it was given (validated once, by
 ``JoinSpec.validate(parallel=True)``, rather than silently dropping
-unsupported knobs).  Workers rebuild two small R*-trees from the
-object lists (STR bulk load, the same build path as the benchmark
-harness) and run the ordinary sequential
-:class:`IncrementalDistanceJoin` or
-:class:`IncrementalDistanceSemiJoin` over them -- the parallel engine
-reuses the paper's algorithm unchanged inside each partition pair.
+unsupported knobs).  A :class:`TaskState` runs it: the ordinary
+sequential :class:`IncrementalDistanceJoin` or
+:class:`IncrementalDistanceSemiJoin` over two small R*-trees -- the
+paper's algorithm, unchanged, inside each partition pair -- advanced
+one batch at a time wherever the executor backend put it (inline in
+the router, or inside a pool worker).
 
-Workers index their tiles with dense local object ids and translate
-results back to the original ids before returning them, so the parent
-never sees worker-local numbering.  A user ``pair_filter`` is wrapped
-the same way: it always observes original object ids.
+Shard trees carry dense local object ids; results are translated back
+to the original ids before they leave the task, so the merge never
+sees local numbering.  A user ``pair_filter`` is wrapped the same way:
+it always observes original object ids.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Iterator, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional
 
 from repro.core.distance_join import (
     IncrementalDistanceJoin,
@@ -31,144 +31,160 @@ from repro.core.distance_join import (
 from repro.core.pairs import NODE, Item, Pair
 from repro.core.semi_join import IncrementalDistanceSemiJoin
 from repro.core.spec import JoinSpec
-from repro.parallel.partition import TaskObject, Tile
-from repro.rtree.base import DEFAULT_MAX_ENTRIES
+from repro.parallel.partition import TaskObject
+from repro.rtree.base import DEFAULT_MAX_ENTRIES, RTreeBase
 from repro.rtree.bulk import bulk_load_str
 from repro.util.counters import CounterRegistry
 
-__all__ = ["JoinSpec", "TileJoinTask"]
+__all__ = ["JoinSpec", "TaskState", "TileJoinTask"]
 
 
 @dataclass
 class TileJoinTask:
-    """One partition-pair join, fully described and picklable.
+    """One shard-pair join, fully described and picklable.
 
-    ``spec`` carries the join knobs; ``semi_join`` selects the worker
-    operator and ``max_entries`` the fanout of the per-tile trees
-    (engine concerns, so they live on the task, not the spec).
+    ``spec`` carries the join knobs; ``semi_join`` selects the
+    operator and ``max_entries`` the fanout of shard trees a pool
+    worker builds from the object lists (engine concerns, so they live
+    on the task, not the spec).
 
-    ``spec.max_pairs`` bounds each worker stream.  For the plain join
-    the parent's ``stop after K`` bound is safe per stream: the global
-    K-smallest results can never include more than K elements of any
-    one ordered stream, so capping (and with it the paper's
-    maximum-distance estimation) applies per tile pair -- except that
+    ``spec.max_pairs`` bounds the task's stream.  For the plain join
+    the consumer's ``stop after K`` bound is safe per stream: the
+    global K-smallest results can never include more than K elements
+    of any one ordered stream, so capping (and with it the paper's
+    maximum-distance estimation) applies per shard pair -- except that
     the stream must finish the equal-distance group containing its
-    K-th result (see :func:`_soft_capped`).  For the semi-join the
-    parent discards duplicate outer objects *after* merging, so the
-    parent hands workers a spec with ``max_pairs=None``.
+    K-th result (see :meth:`TaskState.advance`).  For the semi-join
+    duplicate outer objects are discarded *after* merging, so tasks
+    get a spec with ``max_pairs=None``.
     """
 
     task_id: int
-    tile1: Tile
-    tile2: Tile
     objects1: List[TaskObject]
     objects2: List[TaskObject]
     spec: JoinSpec = field(default_factory=JoinSpec)
     semi_join: bool = False
     max_entries: int = DEFAULT_MAX_ENTRIES
 
-    def build_join(
-        self, counters: Optional[CounterRegistry] = None
-    ) -> Tuple[Iterator[JoinResult], List[TaskObject],
-               List[TaskObject]]:
-        """Materialize the worker-side join.
-
-        Returns the join iterator plus the two local-oid -> original
-        ``TaskObject`` tables used to translate results back.
-        """
-        spec = self.spec
-        counters = counters if counters is not None else CounterRegistry()
-        tree1 = _build_tile_tree(self.objects1, self.max_entries, counters)
-        tree2 = _build_tile_tree(self.objects2, self.max_entries, counters)
-        if spec.pair_filter is not None:
-            spec = spec.evolve(pair_filter=_translated_filter(
-                spec.pair_filter, self.objects1, self.objects2
-            ))
-        if self.semi_join:
-            join: IncrementalDistanceJoin = IncrementalDistanceSemiJoin(
-                tree1, tree2, spec, counters=counters,
-            )
-        else:
-            join = IncrementalDistanceJoin(
-                tree1, tree2, spec, counters=counters,
-            )
-        stream: Iterator[JoinResult] = join
-        if spec.max_pairs is not None and not self.semi_join:
-            stream = _soft_capped(join, spec.max_pairs)
-        return stream, self.objects1, self.objects2
-
-    def translate(
-        self,
-        result: JoinResult,
-        table1: List[TaskObject],
-        table2: List[TaskObject],
-    ) -> JoinResult:
-        """Map a worker-local result onto original ids and payloads."""
-        original1 = table1[result.oid1]
-        original2 = table2[result.oid2]
-        return JoinResult(
-            result.distance,
-            original1.oid, original1.obj,
-            original2.oid, original2.obj,
-        )
-
     def __repr__(self) -> str:
         return (
             f"TileJoinTask(id={self.task_id}, "
-            f"tiles=({self.tile1.index}, {self.tile2.index}), "
             f"sizes=({len(self.objects1)}, {len(self.objects2)}))"
         )
 
 
-def _soft_capped(
-    join: IncrementalDistanceJoin, cap: int
-) -> Iterator[JoinResult]:
-    """Stream ``join``, ending only after the equal-distance group
-    containing the ``cap``-th result is complete.
+class TaskState:
+    """The live join of one :class:`TileJoinTask` between batches.
 
-    A stream cut at exactly ``cap`` results could split a tie group in
-    the worker's traversal order, dropping members that rank earlier
-    in the canonical ``(distance, oid1, oid2)`` order than kept ones
-    -- the merge would then emit a non-canonical (worker-count
-    dependent) subset of the ties.  Extending past the cap to the end
-    of the boundary group restores determinism, and remains safe to
-    truncate there: any dropped pair is strictly farther than ``cap``
-    pairs of this stream alone, so it can never be among the global
-    ``cap`` smallest.
-
-    The join keeps its own ``max_pairs == cap`` during the capped
-    phase so maximum-distance estimation engages as usual; past the
-    cap the bound is raised one result at a time to peek at the tie
-    tail.  Estimation cannot have pruned that tail: its bound is an
-    upper bound on the ``cap``-th distance and the join prunes
-    strictly above it.
+    The per-stream soft cap is kept as explicit fields (``emitted``,
+    ``boundary``) rather than generator state so an inline task can
+    suspend (:meth:`state` / ``join_cursor``).
     """
-    produced = 0
-    boundary = float("-inf")
-    while True:
-        if produced >= cap:
-            join.max_pairs = produced + 1
-        try:
-            result = next(join)
-        except StopIteration:
-            return
-        if produced >= cap and result.distance > boundary:
-            return
-        boundary = result.distance
-        produced += 1
-        yield result
+
+    __slots__ = ("task", "join", "emitted", "boundary", "done")
+
+    def __init__(
+        self,
+        task: TileJoinTask,
+        tree1: RTreeBase,
+        tree2: RTreeBase,
+        counters: CounterRegistry,
+        saved: Optional[Dict[str, Any]] = None,
+    ) -> None:
+        """Build the pair's join over its two shard trees, charging
+        ``counters`` -- or put a :meth:`state` snapshot back."""
+        self.task = task
+        spec = task.spec
+        if spec.pair_filter is not None:
+            spec = spec.evolve(pair_filter=_translated_filter(
+                spec.pair_filter, task.objects1, task.objects2
+            ))
+        cls = (
+            IncrementalDistanceSemiJoin
+            if task.semi_join else IncrementalDistanceJoin
+        )
+        if saved is None:
+            self.join = cls(tree1, tree2, spec, counters=counters)
+            self.emitted = 0
+            self.boundary = float("-inf")
+            self.done = False
+        else:
+            self.join = cls.load(
+                saved["join"], tree1, tree2,
+                counters=counters, pair_filter=spec.pair_filter,
+            )
+            self.emitted = saved["emitted"]
+            self.boundary = saved["boundary"]
+            self.done = saved["done"]
+
+    def advance(self, batch_size: int) -> List[JoinResult]:
+        """Pull up to ``batch_size`` results, translated to original
+        ids, ending only after the equal-distance group containing the
+        cap-th result is complete.
+
+        A stream cut at exactly ``cap`` results could split a tie
+        group in the join's traversal order, dropping members that
+        rank earlier in the canonical ``(distance, oid1, oid2)`` order
+        than kept ones -- the merge would then emit a non-canonical
+        (partitioning dependent) subset of the ties.  Extending past
+        the cap to the end of the boundary group restores determinism,
+        and remains safe to truncate there: any dropped pair is
+        strictly farther than ``cap`` pairs of this stream alone, so
+        it can never be among the global ``cap`` smallest.
+
+        The join keeps its own ``max_pairs == cap`` during the capped
+        phase so maximum-distance estimation engages as usual; past
+        the cap the bound is raised one result at a time to peek at
+        the tie tail.  Estimation cannot have pruned that tail: its
+        bound is an upper bound on the ``cap``-th distance and the
+        join prunes strictly above it.
+        """
+        cap = self.task.spec.max_pairs
+        table1 = self.task.objects1
+        table2 = self.task.objects2
+        results: List[JoinResult] = []
+        while len(results) < batch_size and not self.done:
+            past_cap = cap is not None and self.emitted >= cap
+            if past_cap:
+                self.join.max_pairs = self.emitted + 1
+            try:
+                result = next(self.join)
+            except StopIteration:
+                self.done = True
+                break
+            if past_cap and result.distance > self.boundary:
+                self.done = True
+                break
+            self.boundary = result.distance
+            self.emitted += 1
+            original1 = table1[result.oid1]
+            original2 = table2[result.oid2]
+            results.append(JoinResult(
+                result.distance,
+                original1.oid, original1.obj,
+                original2.oid, original2.obj,
+            ))
+        return results
+
+    def state(self) -> Dict[str, Any]:
+        return {
+            "emitted": self.emitted,
+            "boundary": self.boundary,
+            "done": self.done,
+            "join": self.join.save(),
+        }
 
 
-def _build_tile_tree(
+def load_objects(
     objects: List[TaskObject],
     max_entries: int,
     counters: CounterRegistry,
-):
-    """STR bulk load a tile's objects, preserving payloads.
+) -> RTreeBase:
+    """STR bulk load a shard's objects, preserving payloads.
 
     Objects with a payload are loaded as that payload (so exact-shape
-    distances keep working in the worker); payload-less entries are
-    loaded as their bounding rectangle.
+    distances keep working); payload-less entries are loaded as their
+    bounding rectangle.
     """
     return bulk_load_str(
         [o.obj if o.obj is not None else o.rect for o in objects],

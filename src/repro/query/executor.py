@@ -37,7 +37,6 @@ from repro.errors import QueryError
 from repro.geometry.metrics import EUCLIDEAN, Metric
 from repro.geometry.point import Point
 from repro.geometry.rectangle import Rect
-from repro.parallel.join import ParallelDistanceJoin
 from repro.quadtree.prquadtree import PRQuadtree
 from repro.query.ast_nodes import Query
 from repro.query.parser import parse
@@ -115,9 +114,8 @@ class AnalyzedPlan(NamedTuple):
                 )
         spans = {
             name: entry for name, entry in sorted(self.obs.spans.items())
-            if self.stages is None or not (
-                name.startswith("parallel.") or name.startswith("worker.")
-            )
+            if self.stages is None
+            or not name.startswith(("shard.", "worker."))
         }
         if spans:
             lines.append("  actual spans:")
@@ -442,7 +440,7 @@ class Database:
         join = plan.open_join()
         stages = (
             join.stage_breakdown()
-            if isinstance(join, ParallelDistanceJoin) else None
+            if query.parallel is not None else None
         )
         signals = plan.progress_signals()
         progress = None

@@ -47,10 +47,6 @@ from repro.core.pairs import NODE, Pair
 from repro.core.reverse import ReverseDistanceJoin, ReverseDistanceSemiJoin
 from repro.core.semi_join import IncrementalDistanceSemiJoin
 from repro.errors import QueryError
-from repro.parallel.join import (
-    ParallelDistanceJoin,
-    ParallelDistanceSemiJoin,
-)
 from repro.errors import CursorError
 from repro.query.ast_nodes import Query
 from repro.query.costmodel import JoinCostModel, estimate_build_cost
@@ -59,8 +55,9 @@ from repro.rtree.base import DEFAULT_MAX_ENTRIES
 from repro.rtree.bulk import bulk_load_str
 
 # NOTE: repro.shard depends on this package (its catalogs carry
-# cost-model stats), so the shard operators are imported lazily inside
-# the functions that need them.
+# cost-model stats), so the partitioned-engine operators (the shard
+# router and its PARALLEL adapters) are imported lazily inside the
+# functions that need them.
 from repro.util.validation import require
 
 _INF = float("inf")
@@ -776,30 +773,29 @@ def _matcher(
 
 def _operator_for(query: Query) -> type:
     """Map the logical join kind onto an operator class."""
-    if query.shards is not None:
+    if query.shards is not None or query.parallel is not None:
+        from repro.parallel.join import (
+            ParallelDistanceJoin,
+            ParallelDistanceSemiJoin,
+        )
         from repro.shard.router import (
             ShardRouterJoin,
             ShardRouterSemiJoin,
         )
 
-        if query.parallel is not None:
+        if query.shards is not None and query.parallel is not None:
             raise QueryError(
                 "SHARDS and PARALLEL are mutually exclusive hints"
             )
         if query.descending:
             raise QueryError(
-                "SHARDS does not support ORDER BY ... DESC "
-                "(the shard router's merge is nearest-first)"
+                "SHARDS and PARALLEL do not support ORDER BY ... DESC "
+                "(the partitioned engine's merge is nearest-first)"
             )
-        return (
-            ShardRouterSemiJoin if query.is_semi_join
-            else ShardRouterJoin
-        )
-    if query.parallel is not None:
-        if query.descending:
-            raise QueryError(
-                "PARALLEL does not support ORDER BY ... DESC "
-                "(the parallel merge is nearest-first)"
+        if query.shards is not None:
+            return (
+                ShardRouterSemiJoin if query.is_semi_join
+                else ShardRouterJoin
             )
         return (
             ParallelDistanceSemiJoin if query.is_semi_join
@@ -959,24 +955,32 @@ def build_physical_plan(
     )
 
     def shard_route_info() -> Optional[Dict[str, Any]]:
-        """Describe the shard router's plan without constructing the
-        operator (no counters charged beyond catalog/stat builds)."""
-        if query.shards is None:
+        """Describe the partitioned engine's route without
+        constructing the operator (no counters charged beyond
+        catalog/stat builds)."""
+        if query.shards is None and query.parallel is None:
             return None
         from repro.shard.catalog import catalog_for
         from repro.shard.router import plan_shard_pairs
 
+        if query.shards is not None:
+            shards = kwargs["shards"]
+            method = kwargs.get("partition_method", "str")
+        else:
+            # The PARALLEL adapter's spelling: one grid tile per
+            # worker, catalogs private to the join.
+            shards = kwargs.get("partitions", kwargs["workers"])
+            method = kwargs.get("partition_method", "grid")
         catalogs = kwargs.get("catalogs")
-        method = kwargs.get("partition_method", "str")
-        shards = kwargs.get("shards", query.shards)
         if catalogs is not None:
             cat1, cat2 = catalogs
         else:
-            cat1 = catalog_for(
-                tree1, shards, method, counters=db.counters
-            )
-            cat2 = catalog_for(
-                tree2, shards, method, counters=db.counters
+            cat1, cat2 = (
+                catalog_for(
+                    tree, shards, method, counters=db.counters,
+                    cache=query.shards is not None,
+                )
+                for tree in (tree1, tree2)
             )
         pairs, range_pruned, __ = plan_shard_pairs(
             cat1, cat2, db.metric, dmin, dmax

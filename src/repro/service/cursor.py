@@ -11,7 +11,7 @@ format" in ``docs/SERVICE.md``.
 from __future__ import annotations
 
 import os
-from typing import Any, Iterator, Optional
+from typing import Any, Optional
 
 from repro.core.cursor import dumps, loads
 from repro.errors import CursorError
@@ -91,13 +91,3 @@ class CursorStore:
     def exists(self, session_id: str) -> bool:
         """True when a cursor is spooled for ``session_id``."""
         return os.path.exists(self._path(session_id))
-
-    def session_ids(self) -> Iterator[str]:
-        """Session ids with a spooled cursor (by file name)."""
-        try:
-            names = os.listdir(self.spool_dir)
-        except FileNotFoundError:
-            return
-        for name in sorted(names):
-            if name.startswith("session-") and name.endswith(".cursor"):
-                yield name[len("session-"):-len(".cursor")]

@@ -85,7 +85,7 @@ class QuerySource:
         """Snapshot the source as a picklable cursor state.
 
         Raises :class:`~repro.errors.CursorError` when the underlying
-        operator cannot serialize (the multiprocessing parallel join).
+        operator cannot serialize (a pool-backed partitioned join).
         """
         return cursor.pack("query-source", self, {
             "sql": self.sql,

@@ -28,17 +28,13 @@ class LRUCache:
     def __init__(self, capacity: int) -> None:
         self.capacity = capacity
         self._entries: "OrderedDict[Hashable, Any]" = OrderedDict()
-        self.hits = 0
-        self.misses = 0
 
     def get(self, key: Hashable) -> Optional[Any]:
         try:
             value = self._entries[key]
         except KeyError:
-            self.misses += 1
             return None
         self._entries.move_to_end(key)
-        self.hits += 1
         return value
 
     def put(self, key: Hashable, value: Any) -> None:

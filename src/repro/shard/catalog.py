@@ -1,10 +1,10 @@
 """Persistent shard catalogs: a relation as a set of small R-trees.
 
 A :class:`ShardCatalog` partitions one relation into disjoint shards
-with the same reference-point tilers the parallel engine uses
-(:mod:`repro.parallel.partition`), so every object belongs to exactly
-one shard and the cross product of two catalogs' shards covers the
-join's pair space exactly once.  Each shard carries:
+with the reference-point tilers of :mod:`repro.parallel.partition`, so
+every object belongs to exactly one shard and the cross product of two
+catalogs' shards covers the join's pair space exactly once.  Each
+shard carries:
 
 - its exact MBR (union of member rectangles) and object count;
 - a content fingerprint (SHA-1 over the members' ids and rectangles),
@@ -43,9 +43,9 @@ from repro.parallel.partition import (
     TaskObject,
     make_partitioner,
 )
+from repro.parallel.plan import load_objects
 from repro.query.costmodel import LevelStats, TreeStats, collect_stats
 from repro.rtree.base import DEFAULT_MAX_ENTRIES, RTreeBase
-from repro.rtree.bulk import bulk_load_str
 from repro.storage.snapshot import load_tree, save_tree
 from repro.util.counters import CounterRegistry
 from repro.util.validation import require
@@ -337,13 +337,8 @@ class ShardCatalog:
         if tree is not None:
             return tree
         if self._objects is not None and shard_id in self._objects:
-            tree = bulk_load_str(
-                [
-                    item.obj if item.obj is not None else item.rect
-                    for item in self._objects[shard_id]
-                ],
-                max_entries=self.max_entries,
-                counters=self.counters,
+            tree = load_objects(
+                self._objects[shard_id], self.max_entries, self.counters
             )
         elif self._paths is not None and shard_id in self._paths:
             tree = load_tree(

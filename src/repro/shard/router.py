@@ -1,4 +1,5 @@
-"""The shard router: a distance join over two shard catalogs.
+"""The shard router: the one partition -> route -> execute -> merge
+operator.
 
 :class:`ShardRouterJoin` provides the incremental iterator contract of
 :class:`~repro.core.distance_join.IncrementalDistanceJoin` -- result
@@ -16,9 +17,8 @@ bound exceeds ``max_distance`` (or whose MAXDIST cannot reach
 ``min_distance``) are range-pruned before the merge even sees them.
 
 Output is bit-identical to the sequential join with canonical ties
-(the same ``(distance, oid1, oid2)`` order the parallel engine
-produces) for every shard count and method; the routing decisions are
-observable as deterministic counters::
+(the ``(distance, oid1, oid2)`` order) for every shard count, method
+and backend; the routing decisions are observable as counters::
 
     shard_pairs_total         planned shard pairs (cross product)
     shard_pairs_range_pruned  eliminated upfront by the distance range
@@ -26,36 +26,42 @@ observable as deterministic counters::
     shard_pairs_pruned        never admitted (finalized when the
                               operator closes; includes range-pruned)
 
-Tasks execute inline -- serially, in this process -- through
-:class:`InlineShardExecutor`, which speaks the same
-``request``/``next_batch`` protocol as the parallel
-:class:`~repro.parallel.executor.StreamExecutor`.  Inline execution
-keeps every counter deterministic and, unlike the multiprocessing
-parallel join, makes the whole operator *suspendable*:
-:meth:`ShardRouterJoin.save` captures the merge state, every opened
-task's join cursor and soft-cap position, and the routing counters,
-and :meth:`ShardRouterJoin.load` resumes bit-identically against
-deterministically rebuilt catalogs (the ``shard`` cursor kind; see
-"Cursor format" in ``docs/SERVICE.md``).
+Where a routed task runs is the ``backend``.  ``serial`` executes it
+inline, in this process, through :class:`InlineShardExecutor`, which
+speaks the same ``request``/``next_batch`` protocol as the pooled
+:class:`~repro.parallel.executor.StreamExecutor` behind ``thread`` and
+``process``.  Inline execution keeps every counter deterministic and
+makes the whole operator *suspendable*: :meth:`ShardRouterJoin.save`
+captures the merge state, every opened task's join cursor and soft-cap
+position, and the routing counters, and :meth:`ShardRouterJoin.load`
+resumes bit-identically against deterministically rebuilt catalogs
+(the ``shard`` cursor kind; see "Cursor format" in
+``docs/SERVICE.md``).  A pool-backed router's execution state lives in
+its workers, so it suspends in memory only, between ``next()`` calls.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from typing import Any, Dict, List, NamedTuple, Optional, Tuple
+from typing import Any, Deque, Dict, List, NamedTuple, Optional, Tuple
 
 from repro.core import cursor
-from repro.core.distance_join import (
-    IncrementalDistanceJoin,
-    JoinResult,
-)
-from repro.core.semi_join import IncrementalDistanceSemiJoin
+from repro.core.distance_join import JoinResult
 from repro.core.spec import JoinSpec
 from repro.errors import CursorError, JoinError
-from repro.parallel.executor import DEFAULT_BATCH_SIZE, TaskBatch
+from repro.parallel.executor import (
+    BACKENDS,
+    DEFAULT_BATCH_SIZE,
+    PROCESS,
+    SERIAL,
+    THREAD,
+    StreamExecutor,
+    TaskBatch,
+    default_workers,
+)
 from repro.parallel.merge import OrderedStreamMerge
 from repro.parallel.partition import STR
-from repro.parallel.plan import _translated_filter
+from repro.parallel.plan import TaskState, TileJoinTask
 from repro.rtree.base import RTreeBase
 from repro.shard.cache import route_cache as _route_cache
 from repro.shard.catalog import (
@@ -63,8 +69,8 @@ from repro.shard.catalog import (
     ShardCatalog,
     catalog_for,
 )
-from repro.util.counters import CounterRegistry
-from repro.util.obs import Observer
+from repro.util.counters import CounterRegistry, CounterSnapshot
+from repro.util.obs import ObsSnapshot, Observer
 from repro.util.validation import require
 
 _INF = float("inf")
@@ -131,137 +137,25 @@ def plan_shard_pairs(
     return pairs, range_pruned, False
 
 
-class _InlineTask:
-    """State of one shard-pair join executed inline.
-
-    The task is *closed* until its first batch is requested: no shard
-    tree is built or loaded, no join constructed.  The per-stream soft
-    cap (finish the tie group containing the cap-th result; see
-    :func:`repro.parallel.plan._soft_capped`) is kept as explicit
-    fields rather than generator state so the task can suspend.
-    """
-
-    __slots__ = ("pair", "join", "table1", "table2",
-                 "emitted", "boundary", "done")
-
-    def __init__(self, pair: ShardPair) -> None:
-        self.pair = pair
-        self.join: Optional[IncrementalDistanceJoin] = None
-        self.table1: Optional[list] = None
-        self.table2: Optional[list] = None
-        self.emitted = 0
-        self.boundary = float("-inf")
-        self.done = False
-
-    @property
-    def opened(self) -> bool:
-        return self.join is not None
-
-    def _worker_spec(self, router: "ShardRouterJoin") -> JoinSpec:
-        spec = router.worker_spec
-        if spec.pair_filter is not None:
-            spec = spec.evolve(pair_filter=_translated_filter(
-                spec.pair_filter, self.table1, self.table2
-            ))
-        return spec
-
-    def open(
-        self,
-        router: "ShardRouterJoin",
-        join_cursor: Optional[dict] = None,
-    ) -> None:
-        """Build the shard pair's join, or resume it from
-        ``join_cursor``."""
-        tree1 = router.catalog1.tree(self.pair.sid1)
-        tree2 = router.catalog2.tree(self.pair.sid2)
-        self.table1 = router.catalog1.table(self.pair.sid1)
-        self.table2 = router.catalog2.table(self.pair.sid2)
-        cls = (
-            IncrementalDistanceSemiJoin
-            if router._semi_join else IncrementalDistanceJoin
-        )
-        spec = self._worker_spec(router)
-        if join_cursor is None:
-            self.join = cls(tree1, tree2, spec, counters=router.counters)
-        else:
-            self.join = cls.load(
-                join_cursor, tree1, tree2,
-                counters=router.counters,
-                pair_filter=spec.pair_filter,
-            )
-
-    def advance(
-        self, router: "ShardRouterJoin", batch_size: int
-    ) -> List[JoinResult]:
-        """Pull up to ``batch_size`` translated results."""
-        if self.join is None:
-            self.open(router)
-        cap = router.cap
-        results: List[JoinResult] = []
-        while len(results) < batch_size and not self.done:
-            if cap is not None and self.emitted >= cap:
-                # Past the cap: peek one result at a time for the tie
-                # tail (the estimation bound stays honest; see
-                # _soft_capped).
-                self.join.max_pairs = self.emitted + 1
-            try:
-                result = next(self.join)
-            except StopIteration:
-                self.done = True
-                break
-            if (
-                cap is not None
-                and self.emitted >= cap
-                and result.distance > self.boundary
-            ):
-                self.done = True
-                break
-            self.boundary = result.distance
-            self.emitted += 1
-            original1 = self.table1[result.oid1]
-            original2 = self.table2[result.oid2]
-            results.append(JoinResult(
-                result.distance,
-                original1.oid, original1.obj,
-                original2.oid, original2.obj,
-            ))
-        return results
-
-    def state(self) -> Dict[str, Any]:
-        return {
-            "emitted": self.emitted,
-            "boundary": self.boundary,
-            "done": self.done,
-            "join": self.join.save() if self.join is not None else None,
-        }
-
-    def restore(
-        self, router: "ShardRouterJoin", state: Dict[str, Any]
-    ) -> None:
-        self.emitted = state["emitted"]
-        self.boundary = state["boundary"]
-        self.done = state["done"]
-        if state["join"] is not None:
-            self.open(router, state["join"])
-
-
 class InlineShardExecutor:
-    """Drives shard-pair tasks inline, speaking the
-    :class:`~repro.parallel.executor.StreamExecutor` protocol the
-    watermark merge consumes (``request`` enqueues, ``next_batch``
-    advances exactly one requested task and returns its batch)."""
+    """The ``serial`` backend: drives shard-pair tasks inline,
+    speaking the :class:`~repro.parallel.executor.StreamExecutor`
+    protocol the watermark merge consumes (``request`` enqueues,
+    ``next_batch`` advances exactly one requested task and returns its
+    batch).
+
+    A task is *closed* until its first batch is requested: no shard
+    tree is built or loaded, no join constructed.  ``tasks`` holds the
+    opened ones.
+    """
 
     def __init__(self, router: "ShardRouterJoin") -> None:
         self._router = router
-        self.tasks: Dict[int, _InlineTask] = {
-            pair.task_id: _InlineTask(pair) for pair in router.pairs
-        }
-        self._queue: deque = deque()
-        self._queued: set = set()
+        self.tasks: Dict[int, TaskState] = {}
+        self._queue: Deque[int] = deque()
 
     def request(self, task_id: int, batch_size: int) -> None:
-        if task_id not in self._queued:
-            self._queued.add(task_id)
+        if task_id not in self._queue:
             self._queue.append(task_id)
 
     def next_batch(self, batch_size: int) -> TaskBatch:
@@ -270,9 +164,12 @@ class InlineShardExecutor:
                 "inline shard executor: no outstanding request"
             )
         task_id = self._queue.popleft()
-        self._queued.discard(task_id)
-        task = self.tasks[task_id]
-        results = task.advance(self._router, batch_size)
+        task = self.tasks.get(task_id)
+        if task is None:
+            task = self.tasks[task_id] = self._router._open_inline(
+                task_id
+            )
+        results = task.advance(batch_size)
         return TaskBatch(
             task_id=task_id,
             results=tuple(results),
@@ -285,7 +182,6 @@ class InlineShardExecutor:
 
     def close(self) -> None:
         self._queue.clear()
-        self._queued.clear()
 
 
 class ShardRouterJoin(cursor.SuspendableOperator):
@@ -306,19 +202,41 @@ class ShardRouterJoin(cursor.SuspendableOperator):
         from disk with :meth:`ShardCatalog.open` -- overriding
         derivation from the trees.
     batch_size:
-        Results per inline task advance.
+        Result pairs per task round-trip.
     catalog_cache:
         Reuse catalogs memoized on the trees (default).  The benchmark
         harness disables this so repeated runs charge identical build
         counters.
+    backend:
+        Where routed tasks run: ``"serial"`` (default; inline,
+        deterministic, suspendable), ``"thread"`` or ``"process"``
+        (see :mod:`repro.parallel.executor`).  With ``process`` every
+        task and knob must pickle; a non-picklable ``pair_filter``
+        falls back to ``thread`` (counted as
+        ``parallel_backend_fallback``).
+    workers:
+        Pool worker slots (default: CPU count capped at 8; ignored by
+        ``serial``).
+    timeout:
+        Seconds to wait for any single pool batch before raising
+        :class:`~repro.errors.JoinError` (None = wait forever).
     spec / **knobs:
-        As in :class:`~repro.parallel.join.ParallelDistanceJoin`
-        (validated with ``JoinSpec.validate(parallel=True)``: no
-        ``descending``, no queue-tier choice).
-    counters / observer:
-        As in the parallel join; all shard trees and per-pair joins
-        charge this registry directly, so counters are exact and --
-        inline execution being serial -- deterministic.
+        A :class:`~repro.core.spec.JoinSpec` (or its fields as
+        keywords), applied inside every task.  Validated with
+        ``JoinSpec.validate(parallel=True)``, which *explicitly*
+        rejects what the engine cannot honour (``descending`` -- the
+        merge is a min-merge -- and a non-memory ``queue`` tier).
+    counters:
+        As in the sequential join.  Inline tasks and their shard trees
+        charge this registry directly, so ``serial`` counters are
+        exact and deterministic; pool workers charge private
+        registries whose per-batch deltas are merged in.
+    observer:
+        Stage-timing sink (:class:`~repro.util.obs.Observer`).  Unlike
+        the sequential join, the default is a private *enabled*
+        observer: the engine's instrumentation costs clock reads per
+        batch, not per pair, so :meth:`stage_breakdown` works out of
+        the box.
     """
 
     _semi_join = False
@@ -335,9 +253,12 @@ class ShardRouterJoin(cursor.SuspendableOperator):
         partition_method: str = STR,
         catalogs: Optional[Tuple[ShardCatalog, ShardCatalog]] = None,
         batch_size: int = DEFAULT_BATCH_SIZE,
+        catalog_cache: bool = True,
+        backend: str = SERIAL,
+        workers: Optional[int] = None,
+        timeout: Optional[float] = None,
         counters: Optional[CounterRegistry] = None,
         observer: Optional[Observer] = None,
-        catalog_cache: bool = True,
         _resume: Optional[Dict[str, Any]] = None,
         **knobs: Any,
     ) -> None:
@@ -349,13 +270,20 @@ class ShardRouterJoin(cursor.SuspendableOperator):
         spec = JoinSpec.coalesce(spec, knobs)
         spec.validate(parallel=True)
         if _resume is not None:
+            # Only the serial backend saves cursors.
             shards = _resume["shards"]
             partition_method = _resume["partition_method"]
             batch_size = _resume["batch_size"]
+            backend = SERIAL
         if shards is None:
             shards = DEFAULT_SHARDS
+        if workers is None:
+            workers = 1 if backend == SERIAL else default_workers()
         require(shards >= 1, "shards must be at least 1")
         require(batch_size >= 1, "batch_size must be at least 1")
+        require(workers >= 1, "workers must be at least 1")
+        require(backend in BACKENDS,
+                f"backend must be one of {BACKENDS}")
 
         self.spec = spec
         self.tree1 = tree1
@@ -363,18 +291,22 @@ class ShardRouterJoin(cursor.SuspendableOperator):
         self.shards = shards
         self.partition_method = partition_method
         self.batch_size = batch_size
+        self.workers = workers
+        self.timeout = timeout
         self.max_pairs = spec.max_pairs
         self.counters = counters if counters is not None else tree1.counters
         self.obs = observer if observer is not None else Observer(
             max_events=0
         )
-        # Semi-join worker streams stay uncapped: duplicate outer
+        if backend == PROCESS and not cursor.picklable(spec.pair_filter):
+            self.counters.add("parallel_backend_fallback")
+            backend = THREAD
+        self.backend = backend
+        # Semi-join task streams stay uncapped: duplicate outer
         # objects are discarded only after the merge.
         self.worker_spec = (
             spec.evolve(max_pairs=None) if self._semi_join else spec
         )
-        #: Per-stream soft cap for plain joins (None for semi-joins).
-        self.cap = None if self._semi_join else spec.max_pairs
 
         with self.obs.span("shard.route"):
             if catalogs is not None:
@@ -396,13 +328,21 @@ class ShardRouterJoin(cursor.SuspendableOperator):
             len(self.catalog1) * len(self.catalog2)
         )
 
-        self._executor: Optional[InlineShardExecutor] = None
+        self._executor: Any = None
         self._merge: Optional[OrderedStreamMerge] = None
         self._produced = 0
         self._routed = 0
         self._closed = False
         self._finalized = False
+        #: Task result batches folded in so far.  Batch arrivals are
+        #: the operator's natural preemption points: the scheduler's
+        #: quantum loop reads this to yield between batches instead of
+        #: mid-batch.
         self.batches_received = 0
+        # Pool workers only: latest cumulative snapshots per task.
+        self._task_snapshots: Dict[int, CounterSnapshot] = {}
+        self._task_obs: Dict[int, ObsSnapshot] = {}
+        self._task_workers: Dict[int, str] = {}
 
         if _resume is not None:
             # :meth:`load`: the suspended run already charged the
@@ -436,9 +376,44 @@ class ShardRouterJoin(cursor.SuspendableOperator):
             ],
         }
 
+    def _task(self, task_id: int) -> TileJoinTask:
+        """The picklable description of one planned pair's join
+        (``task_id`` indexes :attr:`pairs`).  Asking for it loads the
+        two shards of a catalog opened from disk."""
+        pair = self.pairs[task_id]
+        return TileJoinTask(
+            task_id=task_id,
+            objects1=self.catalog1.table(pair.sid1),
+            objects2=self.catalog2.table(pair.sid2),
+            spec=self.worker_spec,
+            semi_join=self._semi_join,
+            max_entries=max(
+                self.catalog1.max_entries, self.catalog2.max_entries
+            ),
+        )
+
+    @property
+    def tasks(self) -> List[TileJoinTask]:
+        """Every planned pair's task, in admission (bound) order."""
+        return [self._task(pair.task_id) for pair in self.pairs]
+
     # ------------------------------------------------------------------
     # execution
     # ------------------------------------------------------------------
+
+    def _open_inline(
+        self, task_id: int, saved: Optional[Dict[str, Any]] = None
+    ) -> TaskState:
+        """Open (or resume) a task over the catalogs' own shard trees,
+        charging this operator's registry."""
+        pair = self.pairs[task_id]
+        return TaskState(
+            self._task(task_id),
+            self.catalog1.tree(pair.sid1),
+            self.catalog2.tree(pair.sid2),
+            self.counters,
+            saved,
+        )
 
     def _on_admit(self, task_id: int) -> None:
         self._routed += 1
@@ -447,17 +422,40 @@ class ShardRouterJoin(cursor.SuspendableOperator):
     def _on_batch(self, batch: TaskBatch) -> None:
         self.batches_received += 1
         self.counters.add("shard_batches")
+        if self.backend == SERIAL:
+            return
+        # A pool worker's counters and stage timings are cumulative
+        # per task: merge only the increment.
+        task_id = batch.task_id
+        previous = self._task_snapshots.get(task_id)
+        self.counters.merge(
+            batch.counters.delta_from(previous)
+            if previous is not None else batch.counters
+        )
+        self._task_snapshots[task_id] = batch.counters
+        self._task_workers[task_id] = batch.worker
+        prev_obs = self._task_obs.get(task_id)
+        if self.obs.enabled:
+            self.obs.merge(
+                batch.spans.delta_from(prev_obs)
+                if prev_obs is not None else batch.spans
+            )
+        self._task_obs[task_id] = batch.spans
 
     def _start(self) -> None:
-        self._executor = InlineShardExecutor(self)
-        self._merge = self._make_merge()
-
-    def _make_merge(self) -> OrderedStreamMerge:
-        return OrderedStreamMerge(
+        if self.backend == SERIAL:
+            self._executor = InlineShardExecutor(self)
+        else:
+            self._executor = StreamExecutor(
+                self._task, self.backend, self.workers, self.timeout
+            )
+        self._merge = OrderedStreamMerge(
             self._executor,
             [pair.task_id for pair in self.pairs],
             self.batch_size,
             on_batch=self._on_batch,
+            dedup_outer=self._semi_join,
+            expected_outer=len(self.tree1),
             lower_bounds={
                 pair.task_id: pair.bound for pair in self.pairs
             },
@@ -484,7 +482,9 @@ class ShardRouterJoin(cursor.SuspendableOperator):
                     result = next(self._merge)
             else:
                 result = next(self._merge)
-        except StopIteration:
+        except (StopIteration, JoinError):
+            # Exhausted, or a pool failure the executor reported:
+            # either way iteration afterwards reports exhaustion.
             self.close()
             raise
         self._produced += 1
@@ -496,11 +496,15 @@ class ShardRouterJoin(cursor.SuspendableOperator):
     # ------------------------------------------------------------------
 
     def close(self) -> None:
-        """Finalize routing counters and drop task state.
+        """Finalize routing counters, cancel outstanding pool batches
+        and drop task state.
 
-        Safe to call repeatedly.  Shard pairs never admitted by the
-        time the operator closes were *pruned*: the watermark rule
-        proved the consumer could not need them.
+        Safe to call repeatedly; iteration afterwards reports
+        exhaustion.  Also invoked when the iterator is exhausted, when
+        ``max_pairs`` is reached, and on garbage collection.  Shard
+        pairs never admitted by the time the operator closes were
+        *pruned*: the watermark rule proved the consumer could not
+        need them.
         """
         if self._closed:
             return
@@ -527,11 +531,10 @@ class ShardRouterJoin(cursor.SuspendableOperator):
 
     def progress_signals(self) -> Dict[str, Any]:
         """Raw progress facts (see the sequential operator's
-        :meth:`progress_signals`).  Unlike the parallel join, the
-        router *does* have a certified global head: the merge
-        watermark (minimum over admitted stream heads and pending
-        shard-pair bounds), which feeds the distance-fraction
-        estimate."""
+        :meth:`progress_signals`).  The router has no single queue,
+        but it does have a certified global head: the merge watermark
+        (minimum over admitted stream heads and pending shard-pair
+        bounds), which feeds the distance-fraction estimate."""
         if self._merge is not None:
             head = self._merge.watermark()
         elif self.pairs:
@@ -554,6 +557,78 @@ class ShardRouterJoin(cursor.SuspendableOperator):
             "shard_pairs_routed": self._routed,
         }
 
+    def task_counter_snapshots(self) -> Dict[int, CounterSnapshot]:
+        """Latest per-task pool-worker counter snapshots (task id
+        keyed; empty for ``serial``, whose tasks charge
+        :attr:`counters` directly)."""
+        return dict(self._task_snapshots)
+
+    def task_span_snapshots(self) -> Dict[int, ObsSnapshot]:
+        """Latest per-task pool-worker stage timings (task id keyed)."""
+        return dict(self._task_obs)
+
+    def worker_breakdown(self) -> Dict[str, CounterSnapshot]:
+        """Aggregate the per-task snapshots by executing worker."""
+        merged: Dict[str, CounterRegistry] = {}
+        for task_id, snapshot in self._task_snapshots.items():
+            worker = self._task_workers.get(task_id, "?")
+            registry = merged.setdefault(worker, CounterRegistry())
+            registry.merge(snapshot)
+        return {
+            worker: registry.full_snapshot()
+            for worker, registry in merged.items()
+        }
+
+    def stage_breakdown(self) -> Dict[str, float]:
+        """Wall seconds per pipeline stage, aggregated so far.
+
+        - ``partition``: catalog construction and route planning;
+        - ``worker_build``: pool workers constructing per-pair joins;
+        - ``worker_join``: pool workers pulling result batches (summed
+          over workers, so with real parallelism it can exceed wall
+          time);
+        - ``merge``: recombination, *including* time spent running
+          inline tasks or waiting on pool batches.
+        """
+        return {
+            "partition": self.obs.span_seconds("shard.route"),
+            "worker_build": self.obs.span_seconds("worker.build"),
+            "worker_join": self.obs.span_seconds("worker.join"),
+            "merge": self.obs.span_seconds("shard.merge"),
+        }
+
+    def trace_events(self) -> List[Dict[str, Any]]:
+        """The execution so far as Chrome trace events.
+
+        One driver track (the route/merge spans, plus per-occurrence
+        events when the observer records them) and one track per pool
+        worker built from the :class:`ObsSnapshot`\\ s the workers
+        shipped with their batches; load with Perfetto or
+        ``chrome://tracing``.
+        """
+        from repro.util import tracing
+
+        events = tracing.observer_trace(
+            self.obs, process_name="repro partitioned join",
+        )
+        events.extend(tracing.worker_track_events(
+            self._task_obs, self._task_workers,
+        ))
+        return tracing.sort_events(events)
+
+    def write_trace(self, path: str) -> str:
+        """Write :meth:`trace_events` to ``path`` as trace JSON."""
+        from repro.util import tracing
+
+        return tracing.write_chrome_trace(
+            path, self.trace_events(),
+            metadata={
+                "workers": self.workers,
+                "backend": self.backend,
+                "tasks": len(self.pairs),
+            },
+        )
+
     # ------------------------------------------------------------------
     # suspendable cursor (save / load: cursor.SuspendableOperator)
     # ------------------------------------------------------------------
@@ -566,7 +641,23 @@ class ShardRouterJoin(cursor.SuspendableOperator):
         from the trees deterministically and checked against the
         saved catalog fingerprints (a cursor taken over externally
         supplied catalogs resumes only if rebuilt catalogs have
-        identical content)."""
+        identical content).
+
+        Only the ``serial`` backend has one: a pool-backed router's
+        execution state lives in its workers (in-flight batches,
+        per-worker queues), so it cannot be turned into a cursor.  It
+        is still a Python iterator, so the scheduler suspends it *in
+        memory* between ``next()`` calls -- ideally at
+        :attr:`batches_received` boundaries -- but such a session
+        cannot be evicted to disk.
+        """
+        if self.backend != SERIAL:
+            raise CursorError(
+                f"{type(self).__name__} on the {self.backend} backend "
+                "does not support save(): pool-backed joins suspend "
+                "in memory only (between next() calls), not to a "
+                "serialized cursor"
+            )
         merge = self._merge
         return {
             "catalogs": (
@@ -586,7 +677,6 @@ class ShardRouterJoin(cursor.SuspendableOperator):
                     self._executor.tasks if self._executor is not None
                     else {}
                 ).items()
-                if task.opened or task.done
             },
             "merge": merge.state() if merge is not None else None,
         }
@@ -607,7 +697,9 @@ class ShardRouterJoin(cursor.SuspendableOperator):
             self._start()
             self._merge.restore(body["merge"])
             for task_id, task_state in body["tasks"].items():
-                self._executor.tasks[task_id].restore(self, task_state)
+                self._executor.tasks[task_id] = self._open_inline(
+                    task_id, task_state
+                )
         self._closed = body["closed"]
         self._finalized = body["finalized"]
 
@@ -615,8 +707,8 @@ class ShardRouterJoin(cursor.SuspendableOperator):
         return (
             f"{type(self).__name__}(shards="
             f"({len(self.catalog1)}, {len(self.catalog2)}), "
-            f"pairs={len(self.pairs)}, routed={self._routed}, "
-            f"produced={self._produced})"
+            f"backend={self.backend}, pairs={len(self.pairs)}, "
+            f"routed={self._routed}, produced={self._produced})"
         )
 
 
@@ -626,27 +718,21 @@ class ShardRouterSemiJoin(ShardRouterJoin):
     Each routed shard pair runs a sequential semi-join (nearest
     inner-shard partner per outer object); the watermark merge
     recombines candidates in global distance order and keeps the first
-    result per outer object id, exactly like
-    :class:`~repro.parallel.join.ParallelDistanceSemiJoin`.  Lazy
-    admission still applies: a candidate at distance ``d`` is only
-    emitted once every pending shard pair's bound exceeds ``d``, so a
-    closer partner can never hide in a pruned pair.  The merge stops
-    as soon as every outer object has been reported; shard pairs still
-    pending then are pruned.
+    (hence globally nearest) result per outer object id -- the same
+    output set as the sequential semi-join.  Lazy admission still
+    applies: a candidate at distance ``d`` is only emitted once every
+    pending shard pair's bound exceeds ``d``, so a closer partner can
+    never hide in a pruned pair.  The merge stops as soon as every
+    outer object has been reported; shard pairs still pending then are
+    pruned.
+
+    When equally-distant nearest neighbours exist in different inner
+    shards, the reported partner is the one with the smallest inner
+    object id (the canonical choice); the sequential operator reports
+    whichever its traversal finds first.  Distances always agree.
+
+    Task streams run uncapped (``max_pairs`` applies only to merged
+    output).
     """
 
     _semi_join = True
-
-    def _make_merge(self) -> OrderedStreamMerge:
-        return OrderedStreamMerge(
-            self._executor,
-            [pair.task_id for pair in self.pairs],
-            self.batch_size,
-            on_batch=self._on_batch,
-            dedup_outer=True,
-            expected_outer=len(self.tree1),
-            lower_bounds={
-                pair.task_id: pair.bound for pair in self.pairs
-            },
-            on_admit=self._on_admit,
-        )

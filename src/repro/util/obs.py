@@ -600,7 +600,7 @@ def metrics_records(
         {"metric": "dist_calcs", "type": "counter", "value": 123,
          "labels": {...}}
         {"metric": "queue_size", "type": "peak", "value": 87, ...}
-        {"metric": "parallel.merge", "type": "span", "count": 12,
+        {"metric": "shard.merge", "type": "span", "count": 12,
          "seconds": 0.041, "min_s": ..., "max_s": ..., ...}
         {"metric": "pq_adaptive_dt", "type": "gauge", "value": 0.37,
          "count": 1, "min": 0.37, "max": 0.37, ...}

@@ -468,7 +468,7 @@ def stitched_records(
 
     ``worker_tracks`` entries are ``(task_obs, task_workers, anchor,
     parent_id)`` -- the per-task snapshot/worker maps a
-    :class:`~repro.parallel.join.ParallelDistanceJoin` exposes.
+    :class:`~repro.shard.router.ShardRouterJoin` exposes.
     Snapshots carry totals, not per-occurrence times, so each worker
     renders as one synthetic span with its stage totals laid end to
     end beneath it (a time budget, not a literal schedule).

@@ -212,7 +212,7 @@ def worker_track_events(
     """One trace track per parallel worker from per-task snapshots.
 
     ``task_obs`` and ``task_workers`` are exactly what
-    :meth:`~repro.parallel.join.ParallelDistanceJoin.task_span_snapshots`
+    :meth:`~repro.shard.router.ShardRouterJoin.task_span_snapshots`
     and its worker map provide: the cumulative stage timings each
     worker shipped in its :class:`TaskBatch`.  Tasks are grouped by
     executing worker; each worker gets one ``(pid, tid)`` pair (tids

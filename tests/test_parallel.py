@@ -1,6 +1,9 @@
 """Tests for the partitioned parallel join engine."""
 
+import os
 import pickle
+import signal
+import time
 
 import pytest
 
@@ -262,15 +265,92 @@ class TestParallelJoin:
         )
         produced = sum(1 for __ in join)
         assert produced == 50
-        assert counters.value("parallel_pairs_reported") == 50
-        assert counters.value("parallel_tasks") == len(join.tasks)
+        assert counters.value("shard_rows_reported") == 50
+        assert counters.value("shard_pairs_total") == len(join.tasks)
         assert counters.value("dist_calcs") > 0
-        assert counters.value("parallel_batches") > 0
+        assert counters.value("shard_batches") > 0
         breakdown = join.worker_breakdown()
         assert breakdown
         assert sum(
             s.value("pairs_reported") for s in breakdown.values()
         ) == counters.value("pairs_reported")
+
+
+    def test_stop_after_prunes_shard_pairs(self, small_trees):
+        # Lazy, MINDIST-bounded admission applies to every backend.
+        tree_a, tree_b, truth = small_trees
+        counters = CounterRegistry()
+        join = ParallelDistanceJoin(
+            tree_a, tree_b, workers=2, backend="thread",
+            partitions=4, max_pairs=20, counters=counters,
+        )
+        assert results_as_triples(join) == truth[:20]
+        snap = counters.snapshot()
+        assert snap["shard_pairs_pruned"] > 0
+        assert snap["shard_pairs_routed"] + snap["shard_pairs_pruned"] \
+            == snap["shard_pairs_total"]
+
+
+class TestExecutorFaults:
+    """Every pool failure is a JoinError that releases the pool, and
+    iteration afterwards reports exhaustion."""
+
+    def assert_failed_closed(self, join):
+        assert join._executor._closed
+        with pytest.raises(StopIteration):
+            next(join)
+
+    def test_killed_lane_is_a_join_error(self, small_trees):
+        tree_a, tree_b, __ = small_trees
+        join = ParallelDistanceJoin(
+            tree_a, tree_b, workers=2, backend="process",
+            partitions=4, batch_size=4, timeout=30,
+        )
+        next(join)
+        lanes = join._executor._pool._lanes
+        for lane in lanes:
+            for pid in list(lane._processes):
+                os.kill(pid, signal.SIGKILL)
+        deadline = time.monotonic() + 10
+        while not all(lane._broken for lane in lanes):
+            assert time.monotonic() < deadline
+            time.sleep(0.01)
+        with pytest.raises(JoinError, match="failed on task"):
+            for __ in join:
+                pass
+        self.assert_failed_closed(join)
+
+    def test_raising_worker_names_the_task(self, small_trees):
+        tree_a, tree_b, __ = small_trees
+
+        def broken(pair):
+            raise ZeroDivisionError("boom")
+
+        join = ParallelDistanceJoin(
+            tree_a, tree_b, workers=2, backend="thread",
+            partitions=4, pair_filter=broken,
+        )
+        with pytest.raises(JoinError, match=r"task \d+.*boom"):
+            next(join)
+        self.assert_failed_closed(join)
+
+    def test_timeout_is_a_join_error(self, small_trees):
+        tree_a, tree_b, __ = small_trees
+        slept = []
+
+        def slow_once(pair):
+            if not slept:
+                slept.append(True)
+                time.sleep(0.5)
+            return True
+
+        join = ParallelDistanceJoin(
+            tree_a, tree_b, workers=2, backend="thread",
+            partitions=4, pair_filter=slow_once, timeout=0.05,
+        )
+        with pytest.raises(JoinError, match="timed out"):
+            next(join)
+        self.assert_failed_closed(join)
 
 
 class TestParallelSemiJoin:

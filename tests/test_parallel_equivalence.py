@@ -20,6 +20,7 @@ from repro.core.semi_join import IncrementalDistanceSemiJoin
 from repro.geometry.point import Point
 from repro.parallel import ParallelDistanceJoin, ParallelDistanceSemiJoin
 from repro.rtree.bulk import bulk_load_str
+from repro.shard import ShardRouterJoin
 
 WORKER_COUNTS = (1, 2, 4)
 
@@ -76,6 +77,15 @@ def test_parallel_join_equals_sequential(points_a, points_b, data):
         assert [
             (r.distance, r.oid1, r.oid2) for r in prefix
         ] == reference[:k], f"workers={workers}, k={k}"
+        # The parallel join *is* the router over ``partitions`` shards.
+        router = ShardRouterJoin(
+            tree_a, tree_b, shards=workers, partition_method="grid",
+            backend="thread", workers=workers, batch_size=7,
+            max_pairs=k,
+        )
+        assert [
+            (r.distance, r.oid1, r.oid2) for r in router
+        ] == reference[:k], f"router, shards={workers}, k={k}"
 
 
 @settings(max_examples=10, deadline=None)

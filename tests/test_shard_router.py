@@ -254,6 +254,15 @@ class TestSuspendResume:
         )
         next(resumed)
 
+    def test_pool_backed_save_raises(self, trees):
+        router = ShardRouterJoin(
+            *trees, shards=2, max_pairs=8, backend="thread", workers=2,
+        )
+        with router:
+            next(router)
+            with pytest.raises(CursorError, match="thread backend"):
+                router.save()
+
     def test_resume_counters_primed(self, trees):
         tree_a, tree_b = trees
         counters = CounterRegistry()
