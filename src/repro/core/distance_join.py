@@ -31,7 +31,7 @@ All of the paper's algorithmic knobs are exposed:
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Any, Dict, List, NamedTuple, Optional
 
 from repro.core import cursor
 from repro.core.estimate import JoinEstimator
@@ -39,6 +39,7 @@ from repro.core.pairs import (
     NODE,
     OBJ,
     OBR,
+    CandidateBlock,
     Item,
     Pair,
     PairDistance,
@@ -182,25 +183,23 @@ class IncrementalDistanceJoin(cursor.SuspendableOperator):
         # kernel="auto" an environment without numpy silently gets the
         # scalar path, which produces bit-identical results.
         self._kern = resolve_kernels(spec.kernel, spec.metric)
-        # The vectorized expansion may defer child-Item construction
-        # until after pruning -- but only when the _skip_child hook is
-        # the base no-op.  A subclass hook (the semi-join's Inside2
-        # seen-set) must observe every child, in entry order, before
-        # any distances are computed.
+        # The Inside2 seen-set hook must observe every child, in entry
+        # order, before any distance is computed; with the base no-op
+        # the vectorized expansion skips that pass.
         self._hooks_default = (
             type(self)._skip_child is IncrementalDistanceJoin._skip_child
         )
-        # Block enqueueing is only sound while per-push side effects
-        # are the stock ones; a subclass overriding _push (e.g. the
-        # tracing mixin recording push events) and the consistency
-        # checker keep the per-pair loop.
+        # An expansion is enqueued as one block while per-push side
+        # effects are the stock ones; a subclass overriding _push (e.g.
+        # the tracing mixin recording push events) and the consistency
+        # checker get every candidate as a Pair, one _push each.
         self._block_push = (
             type(self)._push is IncrementalDistanceJoin._push
             and not check_consistency
         )
-        # Child items are immutable, so the vectorized expansion may
-        # cache a node's child-Item list on its SoA and reuse it across
-        # expansions -- unless a subclass customizes construction.
+        # Child items are immutable, so a node's child-Item list is
+        # cached on its SoA and shared by every block built from it --
+        # unless a subclass customizes construction.
         self._child_items_default = (
             type(self)._make_child_item
             is IncrementalDistanceJoin._make_child_item
@@ -307,7 +306,11 @@ class IncrementalDistanceJoin(cursor.SuspendableOperator):
                     continue
                 raise StopIteration
             key, pair = self._queue.pop()
-            self._c_queue_size.observe(len(self._queue))
+            if type(pair) is CandidateBlock:
+                # A block row: this is where its pair comes to exist.
+                pair = pair.pair_of(key)
+            # (No queue_size observation: a pop cannot raise the peak,
+            # and every size a push reached was observed by the push.)
             if self._estimator is not None:
                 self._estimator.on_dequeue(pair)
 
@@ -424,12 +427,11 @@ class IncrementalDistanceJoin(cursor.SuspendableOperator):
         return False
 
     def _filter_candidates(
-        self, pair: Pair, side: int,
-        candidates: List[Tuple[Pair, float]],
-    ) -> List[Tuple[Pair, float]]:
-        """Drop candidate child pairs, keeping the order of the rest
+        self, pair: Pair, side: int, block: CandidateBlock
+    ) -> CandidateBlock:
+        """Drop candidate rows, keeping the order of the rest
         (semi-join d_max hooks)."""
-        return candidates
+        return block
 
     # ------------------------------------------------------------------
     # node processing
@@ -478,72 +480,55 @@ class IncrementalDistanceJoin(cursor.SuspendableOperator):
         self._on_expand(pair, side)
         node_item = pair.item1 if side == 1 else pair.item2
         other = pair.item2 if side == 1 else pair.item1
-        tree = self._tree(side)
-        node = self._read_node(tree, node_item.node_id)
+        node = self._read_node(self._tree(side), node_item.node_id)
         eff_dmax = self._effective_dmax()
 
-        candidates: Optional[List[Tuple[Pair, float]]] = None
-        uppers: Optional[List[float]] = None
+        block: Optional[CandidateBlock] = None
         if self._kern is not None:
-            candidates, uppers = self._expand_vector(
-                node, other, side, eff_dmax
-            )
-        if candidates is None:
-            candidates = self._expand_scalar(node, other, side, eff_dmax)
-        self._push_candidates(pair, side, candidates, uppers)
+            block = self._expand_vector(node, other, side, eff_dmax)
+        if block is None:
+            block = self._expand_scalar(node, other, side, eff_dmax)
+        self._push_candidates(pair, side, block)
 
     def _expand_scalar(
         self, node: Any, other: Item, side: int, eff_dmax: float
-    ) -> List[Tuple[Pair, float]]:
+    ) -> CandidateBlock:
         """The per-entry (scalar) expansion loop."""
-        candidates: List[Tuple[Pair, float]] = []
+        dists: List[float] = []
+        children: List[Item] = []
         for entry in node.entries:
             child = self._make_child_item(node.level, entry)
             if self._skip_child(side, child):
                 continue
-            if side == 1:
-                child_pair = Pair(child, other, 0.0)
-            else:
-                child_pair = Pair(other, child, 0.0)
-            d = self.distance.mindist(child_pair.item1, child_pair.item2)
-            child_pair.distance = d
-            if not self._range_admits(child_pair, d, eff_dmax):
-                continue
-            # The spatial-criterion filter runs before the semi-join's
-            # d_max hooks: a pair excluded by the criterion must not
-            # contribute pruning bounds (its objects are not valid
-            # nearest-neighbour candidates).
-            if self.pair_filter is not None and not self.pair_filter(
-                child_pair
-            ):
-                self.counters.add("pruned_filter")
-                continue
-            candidates.append((child_pair, d))
-        return candidates
+            item1, item2 = (child, other) if side == 1 else (other, child)
+            d = self.distance.mindist(item1, item2)
+            if self._range_admits(item1, item2, d, eff_dmax):
+                dists.append(d)
+                children.append(child)
+        return CandidateBlock(
+            dists, list(range(len(dists))), children, other, side
+        )
 
     def _expand_vector(
         self, node: Any, other: Item, side: int, eff_dmax: float
-    ) -> Tuple[Optional[List[Tuple[Pair, float]]], Optional[List[float]]]:
+    ) -> Optional[CandidateBlock]:
         """Batch-kernel expansion of one node against ``other``.
 
-        Returns the candidate list -- identical, element for element,
-        to what :meth:`_expand_scalar` would build, with identical
-        counter charges -- and the candidates' estimation d_max values
-        (:meth:`_uppers_batch`), or ``(None, None)`` to fall back to
-        the scalar path (foreign node type, or object payloads the
-        point kernel cannot serve).  Stage order replicates the scalar
-        loop exactly: seen-set hook, MINDIST + range test, pair filter.
+        Returns the block :meth:`_expand_scalar` would build, row for
+        row and with identical counter charges, plus the rows'
+        estimation d_max values (:meth:`_uppers_batch`) -- or ``None``
+        to fall back to the scalar path (foreign node type, or object
+        payloads the point kernel cannot serve).  Stage order
+        replicates the scalar loop exactly: seen-set hook, then
+        MINDIST + range test.
         """
         soa_of = getattr(node, "entries_soa", None)
-        if soa_of is None:
-            return None, None
-        soa = soa_of()
+        soa = soa_of() if soa_of is not None else None
         if soa is None:
-            return None, None
-        entries = node.entries
+            return None
         level = node.level
         if soa.n == 0:
-            return [], None
+            return CandidateBlock([], [], [], other, side)
         # Object/object pairs take the exact-distance path; everything
         # else is a rectangle bound.  Mixed outcomes cannot occur: the
         # child kind is uniform across one node's entries.
@@ -554,112 +539,77 @@ class IncrementalDistanceJoin(cursor.SuspendableOperator):
             soa.pts is None or not isinstance(other.obj, Point)
         ):
             # Non-point payloads (exact shapes) stay scalar.
-            return None, None
+            return None
 
         kern = self._kern
-        dist = self.distance
-        children_all = self._node_children(soa, entries, level)
-
-        # The Inside2 seen-set hook must observe every child, in entry
-        # order, *before* any distance is computed (its pruned_seen
-        # charges are part of the bit-identity contract); with the
-        # default no-op hook, per-child work is deferred until after
-        # pruning.
-        children: Optional[List[Item]]
-        if self._hooks_default:
-            children = None
-            lo, hi, pts = soa.lo, soa.hi, soa.pts
-            kept_entries = entries
-            m = soa.n
-        else:
-            children = []
-            taken: List[int] = []
-            for i, entry in enumerate(entries):
-                if children_all is not None:
-                    child = children_all[i]
-                else:
-                    child = self._make_child_item(level, entry)
-                if self._skip_child(side, child):
-                    continue
-                children.append(child)
-                taken.append(i)
-            m = len(children)
-            if m == 0:
-                return [], None
-            kept_entries = [entries[i] for i in taken]
-            lo = soa.lo[taken]
-            hi = soa.hi[taken]
-            pts = soa.pts[taken] if soa.pts is not None else None
+        children = self._node_children(soa, node.entries, level)
+        lo, hi, pts = soa.lo, soa.hi, soa.pts
+        taken: Optional[List[int]] = None
+        if not self._hooks_default:
+            # The seen-set hook's pruned_seen charges are part of the
+            # bit-identity contract: every child, in entry order.
+            skip = self._skip_child
+            taken = [
+                i for i, child in enumerate(children)
+                if not skip(side, child)
+            ]
+            if not taken:
+                return CandidateBlock([], [], children, other, side)
+            lo, hi = lo[taken], hi[taken]
+            pts = pts[taken] if pts is not None else None
+        m = soa.n if taken is None else len(taken)
 
         if object_path:
             d = kern.point_distance(pts, other.obj.coords)
-            dist._dist_calcs.add(m)
+            self.distance._dist_calcs.add(m)
         else:
             olo, ohi = other.rect.lo, other.rect.hi
             if side == 1:
                 d = kern.mindist(lo, hi, olo, ohi)
             else:
                 d = kern.mindist(olo, ohi, lo, hi)
-            dist._bound_calcs.add(m)
+            self.distance._bound_calcs.add(m)
 
         alive = self._range_admits_batch(
             kern, d, eff_dmax, object_path,
             lo, hi, other, side,
         )
-
+        if alive is not None and not alive.size:
+            return CandidateBlock([], [], children, other, side)
         uppers = self._uppers_batch(
             kern, alive, object_path,
             level == 0 and other.kind != NODE, lo, hi, other, side,
         )
-        pair_filter = self.pair_filter
-        d_list = d.tolist()
-        source = children if children is not None else children_all
-        if source is not None and pair_filter is None:
-            # The common shape: no filter, children already built.
-            if alive is None:
-                if side == 1:
-                    return [(Pair(c, other, di), di)
-                            for c, di in zip(source, d_list)], uppers
-                return [(Pair(other, c, di), di)
-                        for c, di in zip(source, d_list)], uppers
-            if side == 1:
-                return [(Pair(source[i], other, d_list[i]), d_list[i])
-                        for i in alive.tolist()], uppers
-            return [(Pair(other, source[i], d_list[i]), d_list[i])
-                    for i in alive.tolist()], uppers
-        candidates: List[Tuple[Pair, float]] = []
-        indices = range(m) if alive is None else alive.tolist()
-        for i in indices:
-            if source is not None:
-                child = source[i]
-            else:
-                child = self._make_child_item(level, kept_entries[i])
-            di = d_list[i]
-            if side == 1:
-                child_pair = Pair(child, other, di)
-            else:
-                child_pair = Pair(other, child, di)
-            if pair_filter is not None and not pair_filter(child_pair):
-                self.counters.add("pruned_filter")
-                continue
-            candidates.append((child_pair, di))
-        return candidates, uppers
+        dists = d.tolist()
+        if alive is None:
+            rows = list(range(m))
+        else:
+            rows = alive.tolist()
+            dists = [dists[i] for i in rows]
+        if taken is not None:
+            rows = [taken[i] for i in rows]
+        return CandidateBlock(
+            dists, rows, children, other, side, uppers=uppers
+        )
 
     def _node_children(
         self, soa: Any, entries: Any, level: int
-    ) -> Optional[List[Item]]:
+    ) -> List[Item]:
         """The node's full child-Item list, cached on its SoA.
 
         Items are immutable once constructed (OBR resolution builds
-        *new* OBJ items), so a node expanded against many partners can
-        reuse one list.  The cache is keyed by child kind: a branch
+        *new* OBJ items), so a node expanded against many partners
+        reuses one list, and queued blocks keep referring to it: node
+        mutation replaces the SoA and with it the list, never edits
+        the list in place.  The cache is keyed by child kind: a branch
         node always yields NODE items, a leaf node OBJ or OBR items
         depending on ``leaf_mode``, so concurrent joins with different
-        modes coexist.  Returns ``None`` (no caching) when a subclass
-        customizes item construction.
+        modes coexist.  A subclass that customizes item construction
+        gets a fresh, uncached list.
         """
+        make = self._make_child_item
         if not self._child_items_default:
-            return None
+            return [make(level, e) for e in entries]
         if level > 0:
             key = NODE
         elif self.leaf_mode == DIRECT:
@@ -668,9 +618,7 @@ class IncrementalDistanceJoin(cursor.SuspendableOperator):
             key = OBR
         cached = soa.items.get(key)
         if cached is None:
-            make = self._make_child_item
-            cached = [make(level, e) for e in entries]
-            soa.items[key] = cached
+            cached = soa.items[key] = [make(level, e) for e in entries]
         return cached
 
     def _range_admits_batch(
@@ -752,21 +700,16 @@ class IncrementalDistanceJoin(cursor.SuspendableOperator):
         node2 = self._read_node(self.tree2, pair.item2.node_id)
         eff_dmax = self._effective_dmax()
 
-        candidates: Optional[List[Tuple[Pair, float]]] = None
-        uppers: Optional[List[float]] = None
+        block: Optional[CandidateBlock] = None
         if self._kern is not None:
-            candidates, uppers = self._expand_both_vector(
-                node1, node2, pair, eff_dmax
-            )
-        if candidates is None:
-            candidates = self._expand_both_scalar(
-                node1, node2, pair, eff_dmax
-            )
-        self._push_candidates(pair, 0, candidates, uppers)
+            block = self._expand_both_vector(node1, node2, pair, eff_dmax)
+        if block is None:
+            block = self._expand_both_scalar(node1, node2, pair, eff_dmax)
+        self._push_candidates(pair, 0, block)
 
     def _expand_both_scalar(
         self, node1: Any, node2: Any, pair: Pair, eff_dmax: float
-    ) -> List[Tuple[Pair, float]]:
+    ) -> CandidateBlock:
         entries1 = restrict_entries(
             node1.entries, pair.item2.rect, self.metric, eff_dmax
         )
@@ -777,28 +720,27 @@ class IncrementalDistanceJoin(cursor.SuspendableOperator):
             "bound_calcs", len(node1.entries) + len(node2.entries)
         )
 
-        candidates: List[Tuple[Pair, float]] = []
+        dists: List[float] = []
+        children1: List[Item] = []
+        children2: List[Item] = []
         for e1, e2 in sweep_pairs(entries1, entries2, eff_dmax):
             child1 = self._make_child_item(node1.level, e1)
             if self._skip_child(1, child1):
                 continue
             child2 = self._make_child_item(node2.level, e2)
-            child_pair = Pair(child1, child2, 0.0)
             d = self.distance.mindist(child1, child2)
-            child_pair.distance = d
-            if not self._range_admits(child_pair, d, eff_dmax):
-                continue
-            if self.pair_filter is not None and not self.pair_filter(
-                child_pair
-            ):
-                self.counters.add("pruned_filter")
-                continue
-            candidates.append((child_pair, d))
-        return candidates
+            if self._range_admits(child1, child2, d, eff_dmax):
+                dists.append(d)
+                children1.append(child1)
+                children2.append(child2)
+        rows = list(range(len(dists)))
+        return CandidateBlock(
+            dists, rows, children1, None, 0, rows, children2
+        )
 
     def _expand_both_vector(
         self, node1: Any, node2: Any, pair: Pair, eff_dmax: float
-    ) -> Tuple[Optional[List[Tuple[Pair, float]]], Optional[List[float]]]:
+    ) -> Optional[CandidateBlock]:
         """Batch-kernel simultaneous expansion (restriction + sweep).
 
         The search-space restriction becomes one MINDIST kernel call
@@ -806,30 +748,32 @@ class IncrementalDistanceJoin(cursor.SuspendableOperator):
         scalar yield order (:func:`sweep_index_pairs`), and the
         per-sweep-pair MINDIST becomes one gathered pairwise kernel
         call.  Counter charges match the scalar path element for
-        element.  Returns the candidates and their estimation d_max
-        values like :meth:`_expand_vector`; ``(None, None)`` falls
-        back to scalar.
+        element.  Returns the block (with its estimation d_max values)
+        like :meth:`_expand_vector`; ``None`` falls back to scalar.
         """
         soa_of1 = getattr(node1, "entries_soa", None)
         soa_of2 = getattr(node2, "entries_soa", None)
         if soa_of1 is None or soa_of2 is None:
-            return None, None
+            return None
         s1 = soa_of1()
         s2 = soa_of2()
         if s1 is None or s2 is None:
-            return None, None
+            return None
+        level1, level2 = node1.level, node2.level
         object_path = (
-            node1.level == 0 and node2.level == 0
-            and self.leaf_mode == DIRECT
+            level1 == 0 and level2 == 0 and self.leaf_mode == DIRECT
         )
         if object_path and (s1.pts is None or s2.pts is None):
-            return None, None
+            return None
 
         kern = self._kern
         np = kern.np
-        dist = self.distance
-        entries1, entries2 = node1.entries, node2.entries
-        n1, n2 = len(entries1), len(entries2)
+        n1, n2 = s1.n, s2.n
+        children1 = self._node_children(s1, node1.entries, level1)
+        children2 = self._node_children(s2, node2.entries, level2)
+
+        def empty() -> CandidateBlock:
+            return CandidateBlock([], [], children1, None, 0, [], children2)
 
         # Search-space restriction (the scalar path charges the two
         # nodes' full entry counts as bound_calcs whether or not a
@@ -847,37 +791,24 @@ class IncrementalDistanceJoin(cursor.SuspendableOperator):
             idx2 = np.flatnonzero(np.less_equal(dm, eff_dmax)).tolist()
         self.counters.add("bound_calcs", n1 + n2)
         if not idx1 or not idx2:
-            return [], None
+            return empty()
 
-        # Plane sweep in index space, exactly the scalar yield order.
+        # Plane sweep in index space, exactly the scalar yield order;
+        # the seen-set hook sees the first child of every swept pair.
         lo1x = s1.lo[idx1, 0].tolist()
         hi1x = s1.hi[idx1, 0].tolist()
         lo2x = s2.lo[idx2, 0].tolist()
         hi2x = s2.hi[idx2, 0].tolist()
-        level1, level2 = node1.level, node2.level
-        hooks_default = self._hooks_default
-        children_all1 = self._node_children(s1, entries1, level1)
-        children_all2 = self._node_children(s2, entries2, level2)
-        children1: dict = {}
+        skip = None if self._hooks_default else self._skip_child
         ii: List[int] = []
         jj: List[int] = []
         for a, b in sweep_index_pairs(lo1x, hi1x, lo2x, hi2x, eff_dmax):
-            if not hooks_default:
-                child1 = children1.get(a)
-                if child1 is None:
-                    if children_all1 is not None:
-                        child1 = children_all1[idx1[a]]
-                    else:
-                        child1 = self._make_child_item(
-                            level1, entries1[idx1[a]]
-                        )
-                    children1[a] = child1
-                if self._skip_child(1, child1):
-                    continue
+            if skip is not None and skip(1, children1[idx1[a]]):
+                continue
             ii.append(a)
             jj.append(b)
         if not ii:
-            return [], None
+            return empty()
 
         m = len(ii)
         g1 = np.asarray(idx1, dtype=np.intp)[ii]
@@ -886,46 +817,26 @@ class IncrementalDistanceJoin(cursor.SuspendableOperator):
         glo2, ghi2 = s2.lo[g2], s2.hi[g2]
         if object_path:
             d = kern.point_distance(s1.pts[g1], s2.pts[g2])
-            dist._dist_calcs.add(m)
+            self.distance._dist_calcs.add(m)
         else:
             d = kern.mindist(glo1, ghi1, glo2, ghi2)
-            dist._bound_calcs.add(m)
+            self.distance._bound_calcs.add(m)
 
         alive = self._range_admits_batch(
             kern, d, eff_dmax, object_path,
             glo1, ghi1, None, 0, lo2=glo2, hi2=ghi2,
         )
-
-        candidates: List[Tuple[Pair, float]] = []
-        pair_filter = self.pair_filter
-        d_list = d.tolist()
-        indices = range(m) if alive is None else alive.tolist()
-        for t in indices:
-            a = ii[t]
-            if children_all1 is not None:
-                child1 = children_all1[idx1[a]]
-            else:
-                child1 = children1.get(a)
-                if child1 is None:
-                    child1 = self._make_child_item(
-                        level1, entries1[idx1[a]]
-                    )
-                    children1[a] = child1
-            if children_all2 is not None:
-                child2 = children_all2[idx2[jj[t]]]
-            else:
-                child2 = self._make_child_item(
-                    level2, entries2[idx2[jj[t]]]
-                )
-            di = d_list[t]
-            child_pair = Pair(child1, child2, di)
-            if pair_filter is not None and not pair_filter(child_pair):
-                self.counters.add("pruned_filter")
-                continue
-            candidates.append((child_pair, di))
-        return candidates, self._uppers_batch(
+        if alive is not None and not alive.size:
+            return empty()
+        uppers = self._uppers_batch(
             kern, alive, object_path, level1 == 0 and level2 == 0,
             glo1, ghi1, None, 0, lo2=glo2, hi2=ghi2,
+        )
+        if alive is not None:
+            d, g1, g2 = d[alive], g1[alive], g2[alive]
+        return CandidateBlock(
+            d.tolist(), g1.tolist(), children1, None, 0,
+            g2.tolist(), children2, uppers,
         )
 
     def _uppers_batch(
@@ -942,16 +853,11 @@ class IncrementalDistanceJoin(cursor.SuspendableOperator):
         ``minimal`` bounding rectangles) serves the block, bit-identical
         to the scalar :meth:`PairDistance.estimation_maxdist`.  Only
         enqueued pairs cost a ``bound_calcs`` unit, so
-        :meth:`_push_candidates` charges, not this.  ``None`` when the
-        values would go unused: no estimator, the per-pair loop, exact
-        object distances (their own d_max), a pair filter still to thin
-        the rows out, or no row admitted.
+        :meth:`_offer` charges, not this.  ``None`` when the values
+        would go unused: no estimator, the per-pair loop, or exact
+        object distances (their own d_max).
         """
-        if (
-            self._estimator is None or not self._block_push
-            or object_path or self.pair_filter is not None
-            or (alive is not None and not alive.size)
-        ):
+        if self._estimator is None or not self._block_push or object_path:
             return None
         if alive is not None:
             lo, hi = lo[alive], hi[alive]
@@ -965,67 +871,65 @@ class IncrementalDistanceJoin(cursor.SuspendableOperator):
         return bound(lo, hi, lo2, hi2).tolist()
 
     def _push_candidates(
-        self, pair: Pair, side: int,
-        candidates: List[Tuple[Pair, float]],
-        uppers: Optional[List[float]] = None,
+        self, pair: Pair, side: int, block: CandidateBlock
     ) -> None:
-        """Run the d_max hooks over the candidates, then enqueue them
-        and offer them to the estimator, as one block.
+        """Run the spatial-criterion filter and the d_max hooks over
+        one expansion's block, then enqueue it and offer it to the
+        estimator, whole.
 
-        Keys are produced in candidate order (fixing the identical
-        tie-break sequence) and handed to the queue's ``push_many``,
-        with the insert counter charged in one add and the queue-size
-        peak observed once at the final (maximal) size; the estimator
-        then takes the block in one ``offer``.  No queue push reads
-        what the estimator writes, so totals, peaks and the trim
-        trajectory equal the per-pair accounting exactly.  ``uppers``
-        are the d_max values of :meth:`_uppers_batch`, if it ran.
+        The block is keyed in row order (fixing the identical tie-break
+        sequence) and handed to the queue's ``push_many``, with the
+        insert counter charged in one add and the queue-size peak
+        observed once at the final (maximal) size; the estimator then
+        takes the block in one ``offer``.  No queue push reads what the
+        estimator writes, so totals, peaks and the trim trajectory
+        equal the per-pair accounting exactly.  Rows stay rows: pairs
+        are built only for a ``pair_filter``, a subclass's d_max hooks,
+        and the per-pair loop (an overridden ``_push``, the consistency
+        checker).
         """
-        filtered = self._filter_candidates(pair, side, candidates)
-        if not filtered:
+        if not block.dists:
+            return
+        if self.pair_filter is not None:
+            # Before the semi-join's d_max hooks: a pair excluded by
+            # the criterion must not contribute pruning bounds (its
+            # objects are not valid nearest-neighbour candidates).
+            accepts = self.pair_filter
+            kept = [
+                row for row, child_pair in enumerate(block.pairs())
+                if accepts(child_pair)
+            ]
+            if len(kept) < len(block):
+                self.counters.add("pruned_filter", len(block) - len(kept))
+                block = block.take(kept)
+        block = self._filter_candidates(pair, side, block)
+        n = len(block.dists)
+        if not n:
             return
         if not self._block_push:
-            for child_pair, d in filtered:
-                self.distance.check_child(pair, d)
+            for child_pair in block.pairs():
+                self.distance.check_child(pair, child_pair.distance)
                 self._push(child_pair)
             return
-        # One expansion's candidates share kind/level structure, so the
-        # key's discrete components are computed once for the whole
-        # batch (bit-identical to per-pair key() calls).
-        if self.descending:
-            dists = [self._key_distance(cp) for cp, _d in filtered]
-        else:
-            dists = [cp.distance for cp, _d in filtered]
-        batch_keys = self._keys.key_batch(filtered[0][0], dists)
-        items = [(k, cp) for k, (cp, _d) in zip(batch_keys, filtered)]
-        self._queue.push_many(items)
-        self._c_queue_inserts.add(len(items))
+        item1, item2 = block.head()
+        self._keys.key_block(
+            block, item1, item2,
+            self._dmax_of(block, item1, item2) if self.descending
+            else block.dists,
+        )
+        self._queue.push_many(block)
+        self._c_queue_inserts.add(n)
         self._c_queue_size.observe(len(self._queue))
         if self._estimator is not None:
-            first = filtered[0][0]
-            if first.is_result:
-                # An exact distance is its own d_max (and the estimator
-                # never runs descending: dists are the distances).
-                uppers = dists
-            elif uppers is None or len(uppers) != len(filtered):
-                # Scalar expansion, or the semi-join's d_max hooks
-                # dropped candidates the batch was computed over.
-                uppers = self._estimation_uppers(filtered)
-            else:
-                self.distance._bound_calcs.add(len(filtered))
-            self._estimator.offer(
-                filtered, uppers, self._estimator_count(first)
-            )
+            self._offer(block, item1, item2)
 
-    def _range_admits(self, child_pair: Pair, d: float,
+    def _range_admits(self, item1: Item, item2: Item, d: float,
                       eff_dmax: float) -> bool:
         if not self.descending and d > eff_dmax:
             self._c_pruned_range.add()
             return False
         if self.min_distance > 0.0:
-            upper = self.distance.maxdist(
-                child_pair.item1, child_pair.item2
-            )
+            upper = self.distance.maxdist(item1, item2)
             if upper < self.min_distance:
                 self._c_pruned_range.add()
                 return False
@@ -1042,10 +946,21 @@ class IncrementalDistanceJoin(cursor.SuspendableOperator):
     # queue plumbing
     # ------------------------------------------------------------------
 
-    def _key_distance(self, pair: Pair) -> float:
-        if self.descending and not pair.is_result:
-            return self.distance.estimation_maxdist(pair.item1, pair.item2)
-        return pair.distance
+    def _dmax_of(
+        self, block: CandidateBlock, item1: Item, item2: Item
+    ) -> List[float]:
+        """Scalar d_max of each row of a block headed by ``item1`` /
+        ``item2`` (also the reverse variant's key distance): for
+        resolved object/object rows the exact distance is its own
+        d_max (no second distance computation); every other row costs
+        one bound."""
+        if item1.kind == OBJ and item2.kind == OBJ:
+            return block.dists
+        bound = self.distance.estimation_maxdist
+        return [
+            bound(block.first(row), block.second(row))
+            for row in range(len(block))
+        ]
 
     def _count_lower_bound(self, side: int, item: Item) -> int:
         if item.kind != NODE:
@@ -1057,35 +972,37 @@ class IncrementalDistanceJoin(cursor.SuspendableOperator):
             return max(1, int(tree.avg_subtree_count(item.level)))
         return tree.min_subtree_count(item.level)
 
-    def _estimation_uppers(
-        self, candidates: Sequence[Tuple[Pair, float]]
-    ) -> List[float]:
-        """Scalar d_max of each candidate: for resolved object/object
-        pairs the exact distance is its own d_max (no second distance
-        computation); every other pair costs one bound."""
-        bound = self.distance.estimation_maxdist
-        return [
-            d if child_pair.is_result
-            else bound(child_pair.item1, child_pair.item2)
-            for child_pair, d in candidates
-        ]
-
-    def _estimator_count(self, pair: Pair) -> int:
+    def _estimator_count(self, item1: Item, item2: Item) -> int:
         return (
-            self._count_lower_bound(1, pair.item1)
-            * self._count_lower_bound(2, pair.item2)
+            self._count_lower_bound(1, item1)
+            * self._count_lower_bound(2, item2)
         )
 
+    def _offer(
+        self, block: CandidateBlock, item1: Item, item2: Item
+    ) -> None:
+        """Offer a just-enqueued block (headed by ``item1`` / ``item2``)
+        to the estimator, with the d_max values of :meth:`_uppers_batch`
+        if the expansion computed them (charged here: only enqueued
+        rows cost a bound)."""
+        if block.uppers is None:
+            block.uppers = self._dmax_of(block, item1, item2)
+        else:
+            self.distance._bound_calcs.add(len(block))
+        self._estimator.offer(block, self._estimator_count(item1, item2))
+
     def _push(self, pair: Pair) -> None:
-        key_distance = self._key_distance(pair)
+        key_distance = pair.distance
+        if self.descending and not pair.is_result:
+            key_distance = self.distance.estimation_maxdist(
+                pair.item1, pair.item2
+            )
         self._queue.push(self._keys.key(pair, key_distance), pair)
         self._c_queue_inserts.add()
         self._c_queue_size.observe(len(self._queue))
         if self._estimator is not None:
-            block = ((pair, pair.distance),)
-            self._estimator.offer(
-                block, self._estimation_uppers(block),
-                self._estimator_count(pair),
+            self._offer(
+                CandidateBlock.of_pairs([pair]), pair.item1, pair.item2
             )
 
     # ------------------------------------------------------------------

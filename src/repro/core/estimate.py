@@ -35,10 +35,10 @@ signalled via :class:`repro.errors.RestartRequired`).
 
 from __future__ import annotations
 
-from typing import Sequence, Tuple
+from typing import Tuple
 
 from repro.core.heap import AddressableMaxQueue
-from repro.core.pairs import Pair
+from repro.core.pairs import CandidateBlock, Pair
 from repro.util.counters import CounterRegistry
 
 _INF = float("inf")
@@ -145,31 +145,29 @@ class _EstimatorBase:
 class JoinEstimator(_EstimatorBase):
     """Maximum-distance estimation for the distance join."""
 
-    def offer(
-        self,
-        candidates: Sequence[Tuple[Pair, float]],
-        uppers: Sequence[float],
-        count: int,
-    ) -> None:
+    def offer(self, block: CandidateBlock, count: int) -> None:
         """Consider a block of pairs just inserted into the main queue.
 
-        ``candidates[i]`` is ``(pair, MINDIST)`` and ``uppers[i]`` its
-        d_max.  The block is one node expansion's worth (or a single
-        pair), so child kind and level are uniform and ``count`` -- the
-        lower bound on the object pairs each can generate (product of
-        the two subtree bounds) -- is one value.  Semantics are
-        sequential: every element is tested against the ``dmax`` the
-        elements before it left behind, and trimmed after, exactly as
-        if offered one at a time.
+        Row ``r`` has MINDIST ``block.dists[r]`` and d_max
+        ``block.uppers[r]``.  The block is one node expansion's worth
+        (or a single pair), so child kind and level are uniform and
+        ``count`` -- the lower bound on the object pairs each can
+        generate (product of the two subtree bounds) -- is one value.
+        Semantics are sequential: every row is tested against the
+        ``dmax`` the rows before it left behind, and trimmed after,
+        exactly as if offered one at a time.  Only a row that passes
+        the test has its identity computed.
         """
         dmin = self.dmin
         insert = self._m.insert
-        for (pair, mindist), est_dmax in zip(candidates, uppers):
+        for row, (mindist, est_dmax) in enumerate(
+            zip(block.dists, block.uppers)
+        ):
             # All object pairs generated from an eligible pair are
             # certain to land inside [dmin, current dmax].
             if not (mindist >= dmin and est_dmax <= self.dmax):
                 continue
-            existing = insert(pair.identity(), est_dmax, count)
+            existing = insert(block.identity(row), est_dmax, count)
             if existing is not None:
                 self._total -= existing[1]
             self._total += count
@@ -210,21 +208,19 @@ class SemiJoinEstimator(_EstimatorBase):
         # M values are (count, second-item identity) tuples here.
         return value[0]
 
-    def offer(
-        self,
-        candidates: Sequence[Tuple[Pair, float]],
-        uppers: Sequence[float],
-        count: int,
-    ) -> None:
+    def offer(self, block: CandidateBlock, count: int) -> None:
         """Consider a block of pairs (the :meth:`JoinEstimator.offer`
         contract); ``count`` bounds the objects under each item1."""
         dmin = self.dmin
         m = self._m
-        for (pair, mindist), est_dmax in zip(candidates, uppers):
+        for row, (mindist, est_dmax) in enumerate(
+            zip(block.dists, block.uppers)
+        ):
             if not (mindist >= dmin and est_dmax <= self.dmax):
                 continue
-            first = pair.item1.identity()
-            if pair.item1.is_node and first in self._processed_first:
+            item1 = block.first(row)
+            first = item1.identity()
+            if item1.is_node and first in self._processed_first:
                 # The node was expanded before: its descendants may
                 # already be represented in M, and re-adding it would
                 # double-count.
@@ -234,7 +230,9 @@ class SemiJoinEstimator(_EstimatorBase):
                 if existing[0] <= est_dmax:
                     continue  # keep the tighter existing entry
                 self._total -= existing[1][0]
-            m.insert(first, est_dmax, (count, pair.item2.identity()))
+            m.insert(
+                first, est_dmax, (count, block.second(row).identity())
+            )
             self._total += count
             self._trim()
 

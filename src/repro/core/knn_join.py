@@ -28,7 +28,7 @@ from __future__ import annotations
 import heapq
 from typing import Dict, List, Optional, Tuple
 
-from repro.core.pairs import NODE, Item, Pair
+from repro.core.pairs import NODE, CandidateBlock, Item, Pair
 from repro.core.spec import JoinSpec
 from repro.core.semi_join import (
     DMAX_GLOBAL_ALL,
@@ -137,9 +137,9 @@ class KNearestNeighborJoin(IncrementalDistanceSemiJoin):
     # k-th-smallest d_max bounds
     # ------------------------------------------------------------------
 
-    def _estimator_count(self, pair: Pair) -> int:
-        outer = self._count_lower_bound(1, pair.item1)
-        inner = self._count_lower_bound(2, pair.item2)
+    def _estimator_count(self, item1: Item, item2: Item) -> int:
+        outer = self._count_lower_bound(1, item1)
+        inner = self._count_lower_bound(2, item2)
         return outer * min(self.k, inner)
 
     def _global_bound(self, key: Tuple):
@@ -167,28 +167,19 @@ class KNearestNeighborJoin(IncrementalDistanceSemiJoin):
             heapq.heapreplace(values, -est_dmax)
 
     def _filter_candidates(
-        self, pair: Pair, side: int,
-        candidates: List[Tuple[Pair, float]],
-    ) -> List[Tuple[Pair, float]]:
-        if self.dmax_strategy == DMAX_NONE or not candidates:
-            return candidates
+        self, pair: Pair, side: int, block: CandidateBlock
+    ) -> CandidateBlock:
+        if self.dmax_strategy == DMAX_NONE or not block.dists:
+            return block
 
-        scored = [
-            (
-                child_pair,
-                d,
-                d if child_pair.is_result
-                else self.distance.estimation_maxdist(
-                    child_pair.item1, child_pair.item2
-                ),
-            )
-            for child_pair, d in candidates
-        ]
+        scored = list(zip(
+            block.pairs(), self._dmax_of(block, *block.head())
+        ))
 
         # Local bound: the k-th smallest d_max among siblings sharing
         # the same outer item (None when fewer than k siblings).
         local_lists: Dict[Tuple, List[float]] = {}
-        for child_pair, __, est_dmax in scored:
+        for child_pair, est_dmax in scored:
             local_lists.setdefault(
                 child_pair.item1.identity(), []
             ).append(est_dmax)
@@ -200,8 +191,8 @@ class KNearestNeighborJoin(IncrementalDistanceSemiJoin):
         use_global = self.dmax_strategy in (
             DMAX_GLOBAL_NODES, DMAX_GLOBAL_ALL
         )
-        kept: List[Tuple[Pair, float]] = []
-        for child_pair, d, est_dmax in scored:
+        kept: List[int] = []
+        for row, (child_pair, est_dmax) in enumerate(scored):
             key = child_pair.item1.identity()
             bound = local_bound.get(key)
             if use_global and self._tracks_global(child_pair.item1):
@@ -211,11 +202,11 @@ class KNearestNeighborJoin(IncrementalDistanceSemiJoin):
                     bound is None or stored < bound
                 ):
                     bound = stored
-            if bound is not None and d > bound:
+            if bound is not None and child_pair.distance > bound:
                 self.counters.add("pruned_dmax")
                 continue
-            kept.append((child_pair, d))
-        return kept
+            kept.append(row)
+        return block if len(kept) == len(block) else block.take(kept)
 
     # ------------------------------------------------------------------
     # suspendable cursor

@@ -14,7 +14,8 @@ and charging the right performance counter, and enforces the paper's
 
 from __future__ import annotations
 
-from typing import Any, Optional
+from itertools import count
+from typing import Any, List, Optional, Tuple
 
 from repro.errors import ConsistencyError
 from repro.geometry.metrics import EUCLIDEAN, Metric
@@ -126,6 +127,161 @@ class Pair:
     def __repr__(self) -> str:
         return (
             f"Pair({self.item1!r}, {self.item2!r}, d={self.distance:.4g})"
+        )
+
+
+class CandidateBlock:
+    """What one node expansion produced, kept columnar.
+
+    Most queued pairs are never dequeued (paper Section 3.2), so a
+    block holds exactly what the expansion computed -- one row per
+    admitted child pair -- and a :class:`Pair` is built only for the
+    row a consumer asks for.
+
+    Attributes
+    ----------
+    dists:
+        MINDIST (the exact distance for object/object rows) per row.
+    rows, items:
+        ``items[rows[r]]`` is row ``r``'s child item.  ``items`` is
+        typically the node's cached child list, shared by every block
+        built from that node and never edited in place.
+    other, side:
+        One-sided expansion: the fixed partner item, and the side (1
+        or 2) the children are on.  ``side=0`` is the simultaneous
+        expansion: ``items2[rows2[r]]`` is the second item instead.
+    uppers:
+        The rows' estimation d_max values, once something computed
+        them (``None`` until then).
+    keyd, rank, level, seq0, step:
+        The key shape, set by :meth:`KeyMaker.key_block` when the
+        block is enqueued: row ``r`` has the queue key ``(keyd[r],
+        rank, level, seq0 + step * r)``.  The row of a key follows
+        from its sequence component, so a queue keeps plain ``(key,
+        block)`` handles and no per-row wrapper.
+    """
+
+    __slots__ = ("dists", "rows", "items", "other", "side", "rows2",
+                 "items2", "uppers", "keyd", "rank", "level", "seq0",
+                 "step")
+
+    def __init__(
+        self,
+        dists: List[float],
+        rows: List[int],
+        items: List[Item],
+        other: Optional[Item],
+        side: int,
+        rows2: Optional[List[int]] = None,
+        items2: Optional[List[Item]] = None,
+        uppers: Optional[List[float]] = None,
+    ) -> None:
+        self.dists = dists
+        self.rows = rows
+        self.items = items
+        self.other = other
+        self.side = side
+        self.rows2 = rows2
+        self.items2 = items2
+        self.uppers = uppers
+
+    @classmethod
+    def of_pairs(cls, pairs: List[Pair]) -> "CandidateBlock":
+        """A block over already materialised pairs (one row each)."""
+        rows = list(range(len(pairs)))
+        return cls(
+            [p.distance for p in pairs], rows, [p.item1 for p in pairs],
+            None, 0, rows, [p.item2 for p in pairs],
+        )
+
+    def __len__(self) -> int:
+        return len(self.dists)
+
+    def first(self, row: int) -> Item:
+        """Row ``row``'s item from the first tree."""
+        return self.other if self.side == 2 else self.items[self.rows[row]]
+
+    def second(self, row: int) -> Item:
+        """Row ``row``'s item from the second tree."""
+        if self.side == 1:
+            return self.other
+        if self.side == 2:
+            return self.items[self.rows[row]]
+        return self.items2[self.rows2[row]]
+
+    def head(self) -> Tuple[Item, Item]:
+        """Row 0's two items.  Child kind and level are uniform across
+        one expansion and the partner is fixed, so they speak for every
+        row's kinds and levels."""
+        return self.first(0), self.second(0)
+
+    def pairs(self) -> List[Pair]:
+        """Every row materialised, in row order -- for the consumers
+        that genuinely need objects (a pair filter, the semi-join's
+        d_max hooks, the per-pair push)."""
+        items, other = self.items, self.other
+        if self.side == 1:
+            return [Pair(items[i], other, d)
+                    for i, d in zip(self.rows, self.dists)]
+        if self.side == 2:
+            return [Pair(other, items[i], d)
+                    for i, d in zip(self.rows, self.dists)]
+        items2 = self.items2
+        return [Pair(items[i], items2[j], d)
+                for i, j, d in zip(self.rows, self.rows2, self.dists)]
+
+    def identity(self, row: int) -> tuple:
+        """:meth:`Pair.identity` of row ``row``, without the pair."""
+        child = self.items[self.rows[row]].identity()
+        if self.side == 1:
+            return (child, self.other.identity())
+        if self.side == 2:
+            return (self.other.identity(), child)
+        return (child, self.items2[self.rows2[row]].identity())
+
+    def take(self, kept: List[int]) -> "CandidateBlock":
+        """A block of the ``kept`` rows only, in that order."""
+
+        def picked(column):
+            return None if column is None else [column[r] for r in kept]
+
+        return CandidateBlock(
+            picked(self.dists), picked(self.rows), self.items, self.other,
+            self.side, picked(self.rows2), self.items2,
+            picked(self.uppers),
+        )
+
+    # -- keyed blocks (after KeyMaker.key_block) -----------------------
+
+    def key(self, row: int) -> tuple:
+        """The queue key of row ``row``."""
+        return (self.keyd[row], self.rank, self.level,
+                self.seq0 + self.step * row)
+
+    def keys(self) -> List[tuple]:
+        """The queue keys of all rows, in row order."""
+        rank, level = self.rank, self.level
+        return [
+            (d, rank, level, seq)
+            for d, seq in zip(self.keyd, count(self.seq0, self.step))
+        ]
+
+    def pair_of(self, key: tuple) -> Pair:
+        """Materialise the row that ``key`` (one of this block's keys)
+        names.  Runs once per queue pop, hence unrolled."""
+        row = abs(key[3] - self.seq0)
+        side = self.side
+        if side == 1:
+            return Pair(
+                self.items[self.rows[row]], self.other, self.dists[row]
+            )
+        if side == 2:
+            return Pair(
+                self.other, self.items[self.rows[row]], self.dists[row]
+            )
+        return Pair(
+            self.items[self.rows[row]], self.items2[self.rows2[row]],
+            self.dists[row],
         )
 
 

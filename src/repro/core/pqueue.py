@@ -8,15 +8,24 @@ distance band ``[k*DT, (k+1)*DT)``.  When the heap runs dry the list is
 heapified, ``D1``/``D2`` advance by ``DT``, and the next disk band is
 pulled into the list.  All disk traffic is counted (``pq_disk_writes``,
 ``pq_disk_reads``, plus the page store's ``page_reads``/``page_writes``).
+
+A queued value is a :class:`~repro.core.pairs.Pair` or, for a whole
+node expansion pushed with ``push_many``, the expansion's
+:class:`~repro.core.pairs.CandidateBlock`: every row gets a ``(key,
+block)`` handle and its pair is materialised by whoever pops it
+(``block.pair_of(key)``).  Snapshots (``state()``) materialise, so the
+cursor schema is ``(key, Pair)`` rows whatever the queue holds.
 """
 
 from __future__ import annotations
 
 import math
 from abc import ABC, abstractmethod
+from itertools import repeat
 from typing import Any, Dict, List, Optional, Tuple, Type
 
 from repro.core.heap import PairingHeap
+from repro.core.pairs import CandidateBlock
 from repro.storage.pager import PageStore
 from repro.util.counters import CounterRegistry
 from repro.util.obs import NULL_OBSERVER, Observer
@@ -35,6 +44,25 @@ _MAX_BAND = 2 ** 62
 DT_MICRO_SCALE = 1_000_000
 
 
+def _records(columns: Tuple[list, list]) -> List[Tuple[Tuple, Any]]:
+    """The ``(key, value)`` records of one disk page's columns (see
+    :class:`HybridPairQueue`): a row number becomes its block's key."""
+    return [
+        (value.key(key) if type(key) is int else key, value)
+        for key, value in zip(*columns)
+    ]
+
+
+def _materialised(items) -> List[Tuple[Tuple, Any]]:
+    """``(key, value)`` rows with every block handle replaced by the
+    pair it stands for (what a snapshot carries)."""
+    return [
+        (key, value.pair_of(key) if type(value) is CandidateBlock
+         else value)
+        for key, value in items
+    ]
+
+
 class PairQueue(ABC):
     """Interface shared by the queue implementations.
 
@@ -46,17 +74,16 @@ class PairQueue(ABC):
     def push(self, key: Tuple, value: Any) -> None:
         """Insert an element."""
 
-    def push_many(self, items) -> None:
-        """Insert ``(key, value)`` elements in iteration order.
+    def push_many(self, block: CandidateBlock) -> None:
+        """Insert every row of a keyed block, in row order.
 
-        Semantically identical to calling :meth:`push` one by one --
-        subclasses may only batch *internal* work, never change the
-        accounting (the hybrid queue's per-push band/disk counters are
-        part of the join's bit-identity contract).  Iteration order
-        matters: it fixes the tie-break sequence of equal keys.
+        Semantically identical to ``push(block.key(r), block)`` row by
+        row -- subclasses may only batch *internal* work, never change
+        the accounting (the hybrid queue's per-record disk counters are
+        part of the join's bit-identity contract).
         """
-        for key, value in items:
-            self.push(key, value)
+        for key in block.keys():
+            self.push(key, block)
 
     @abstractmethod
     def pop(self) -> Tuple[Tuple, Any]:
@@ -110,7 +137,8 @@ class MemoryPairQueue(PairQueue):
     def push(self, key: Tuple, value: Any) -> None:
         self._heap.push(key, value)
 
-    def push_many(self, items) -> None:
+    def push_many(self, block: CandidateBlock) -> None:
+        items = zip(block.keys(), repeat(block))
         heap_bulk = getattr(self._heap, "push_many", None)
         if heap_bulk is not None:
             heap_bulk(items)
@@ -144,7 +172,8 @@ class MemoryPairQueue(PairQueue):
         ordered (the tie-break seq makes them so), so re-pushing into a
         fresh heap reproduces the identical pop order.
         """
-        return {"kind": "memory", "items": self._heap.items()}
+        return {"kind": "memory",
+                "items": _materialised(self._heap.items())}
 
     @classmethod
     def from_state(
@@ -191,6 +220,15 @@ class HybridPairQueue(PairQueue):
         Optional :class:`~repro.util.obs.Observer`; when enabled,
         queue refills are timed under the ``pq.refill`` span and band
         loads are logged as events.
+
+    The disk tier is the paper's unsorted bucket lists: each band is a
+    list of pages, and a page is two columns, ``(keys, values)``.  A
+    row pushed inside a block is stored late-materialised -- ``keys[i]``
+    is its row number in the block ``values[i]`` -- so spilling it
+    allocates nothing; any other record carries its full key.  A band's
+    open page is held in hand and appended to in place; the store sees
+    one ``write`` when the page fills (``page_writes`` is per page,
+    ``pq_disk_writes`` per record).
     """
 
     def __init__(
@@ -217,7 +255,9 @@ class HybridPairQueue(PairQueue):
         # band-by-band promotion preserves global distance order.
         self._cursor = 1  # D1 = cursor * DT, D2 = (cursor + 1) * DT
         self._bands: Dict[int, List[int]] = {}
-        self._open_page: Dict[int, int] = {}
+        #: band -> (page id, keys column, values column) of its open
+        #: page -- always the last page of the band's list.
+        self._open_page: Dict[int, Tuple[int, list, list]] = {}
         self._disk_records = 0
         self._page_capacity = max(1, self.store.page_size // PAIR_RECORD_BYTES)
 
@@ -241,7 +281,33 @@ class HybridPairQueue(PairQueue):
         elif band == self._cursor:
             self._list.append((key, value))
         else:
-            self._push_disk(band, (key, value))
+            self._push_disk(band, key, value)
+            self._disk_records += 1
+            self.counters.add("pq_disk_writes")
+
+    def push_many(self, block: CandidateBlock) -> None:
+        cursor = self._cursor
+        band_of = self._band_of
+        push_disk = self._push_disk
+        heap_before = len(self._heap)
+        spilled = 0
+        for row, distance in enumerate(block.keyd):
+            band = band_of(distance)
+            if band > cursor:
+                push_disk(band, row, block)
+                spilled += 1
+            elif band < cursor:
+                self._heap.push(block.key(row), block)
+            else:
+                self._list.append((block.key(row), block))
+        # The heap only grows here, so its peak is its final size; the
+        # disk counter is a total.  Neither is created by a block that
+        # did not touch its tier (snapshots list touched counters).
+        if len(self._heap) > heap_before:
+            self.counters.observe("pq_heap_size", len(self._heap))
+        if spilled:
+            self._disk_records += spilled
+            self.counters.add("pq_disk_writes", spilled)
 
     def _band_of(self, distance: float) -> int:
         quotient = distance / self.dt
@@ -255,24 +321,27 @@ class HybridPairQueue(PairQueue):
             return _MAX_BAND
         return int(math.floor(quotient))
 
-    def _push_disk(self, band: int, record: Tuple[Tuple, Any]) -> None:
-        page_id = self._open_page.get(band)
-        if page_id is None:
-            page_id = self.store.allocate([], 0)
-            self._open_page[band] = page_id
+    def _push_disk(self, band: int, key: Any, value: Any) -> None:
+        """Append one record to ``band``'s open page: ``key`` is the
+        record's full key, or its row number when ``value`` is the
+        block it belongs to."""
+        page = self._open_page.get(band)
+        if page is None:
+            keys: list = []
+            values: list = []
+            page_id = self.store.allocate((keys, values), 0)
+            page = self._open_page[band] = (page_id, keys, values)
             self._bands.setdefault(band, []).append(page_id)
-        page = self.store.read(page_id)
-        records: List[Tuple[Tuple, Any]] = page.payload
-        records.append(record)
-        self.store.write(
-            page_id, records, len(records) * PAIR_RECORD_BYTES
-        )
-        if len(records) >= self._page_capacity:
-            # Page full: next append opens a fresh page in the band's
-            # linked list.
+        page_id, keys, values = page
+        keys.append(key)
+        values.append(value)
+        if len(keys) >= self._page_capacity:
+            # Page full: written out once; the next append opens a
+            # fresh page in the band's linked list.
+            self.store.write(
+                page_id, (keys, values), len(keys) * PAIR_RECORD_BYTES
+            )
             del self._open_page[band]
-        self._disk_records += 1
-        self.counters.add("pq_disk_writes")
 
     # ------------------------------------------------------------------
     # retrieval
@@ -326,8 +395,7 @@ class HybridPairQueue(PairQueue):
                 value=float(len(page_ids)),
             )
         for page_id in page_ids:
-            page = self.store.read(page_id)
-            records: List[Tuple[Tuple, Any]] = page.payload
+            records = _records(self.store.read(page_id).payload)
             self._list.extend(records)
             self._disk_records -= len(records)
             self.counters.add("pq_disk_reads", len(records))
@@ -395,7 +463,7 @@ class HybridPairQueue(PairQueue):
         bands = []
         for band in sorted(self._bands):
             pages = [
-                list(self.store.peek(page_id).payload)
+                _materialised(_records(self.store.peek(page_id).payload))
                 for page_id in self._bands[band]
             ]
             bands.append((band, pages, band in self._open_page))
@@ -403,8 +471,8 @@ class HybridPairQueue(PairQueue):
             "kind": "hybrid",
             "dt": self.dt,
             "cursor": self._cursor,
-            "heap": self._heap.items(),
-            "list": list(self._list),
+            "heap": _materialised(self._heap.items()),
+            "list": _materialised(self._list),
             "bands": bands,
             "disk_records": self._disk_records,
         }
@@ -441,17 +509,17 @@ class HybridPairQueue(PairQueue):
         for band, pages, has_open in state["bands"]:
             page_ids = []
             for records in pages:
-                records = list(records)
-                page_id = queue.store.allocate(
-                    records, len(records) * PAIR_RECORD_BYTES
-                )
-                page_ids.append(page_id)
+                keys = [key for key, __ in records]
+                values = [value for __, value in records]
+                page_ids.append(queue.store.allocate(
+                    (keys, values), len(keys) * PAIR_RECORD_BYTES
+                ))
             queue._bands[band] = page_ids
             if has_open and page_ids:
                 # Invariant: a band's open page is always the last page
                 # in its list (created together, dropped from the open
                 # map when full).
-                queue._open_page[band] = page_ids[-1]
+                queue._open_page[band] = (page_ids[-1], keys, values)
         return queue
 
 
@@ -551,6 +619,13 @@ class AdaptiveHybridPairQueue(PairQueue):
         if len(self._observed) >= self.calibration_size:
             self._calibrate()
 
+    def push_many(self, block: CandidateBlock) -> None:
+        if self._inner is not None:
+            self._inner.push_many(block)
+        else:
+            # Row by row: calibration may complete inside the block.
+            super().push_many(block)
+
     def pop(self) -> Tuple[Tuple, Any]:
         if self._inner is not None:
             return self._inner.pop()
@@ -620,7 +695,7 @@ class AdaptiveHybridPairQueue(PairQueue):
                 "phase": "warmup",
                 "calibration_size": self.calibration_size,
                 "target_heap_fraction": self.target_heap_fraction,
-                "warmup": self._warmup.items(),
+                "warmup": _materialised(self._warmup.items()),
                 "observed": list(self._observed),
             }
         return {

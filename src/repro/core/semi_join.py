@@ -42,7 +42,7 @@ from typing import Optional
 
 from repro.core.distance_join import IncrementalDistanceJoin
 from repro.core.estimate import SemiJoinEstimator
-from repro.core.pairs import NODE, Item, Pair
+from repro.core.pairs import NODE, CandidateBlock, Item, Pair
 from repro.core.spec import (  # noqa: F401  (re-exported for back-compat)
     DMAX_GLOBAL_ALL,
     DMAX_GLOBAL_NODES,
@@ -106,10 +106,10 @@ class IncrementalDistanceSemiJoin(IncrementalDistanceJoin):
         self._bounds = {}
         super()._init_state()
 
-    def _estimator_count(self, pair: Pair) -> int:
+    def _estimator_count(self, item1: Item, item2: Item) -> int:
         # Each outer object contributes at most one semi-join result,
         # so only item1's subtree bounds the generated pairs.
-        return self._count_lower_bound(1, pair.item1)
+        return self._count_lower_bound(1, item1)
 
     def _complete(self) -> bool:
         return len(self._seen) >= len(self.tree1)
@@ -176,33 +176,21 @@ class IncrementalDistanceSemiJoin(IncrementalDistanceJoin):
         return False
 
     def _filter_candidates(
-        self, pair: Pair, side: int,
-        candidates: List[Tuple[Pair, float]],
-    ) -> List[Tuple[Pair, float]]:
-        if self.dmax_strategy == DMAX_NONE or not candidates:
-            return candidates
+        self, pair: Pair, side: int, block: CandidateBlock
+    ) -> CandidateBlock:
+        if self.dmax_strategy == DMAX_NONE or not block.dists:
+            return block
 
-        # Resolved object/object pairs already carry their exact
-        # distance, which is its own d_max; only bound-bearing pairs
-        # need a MINMAXDIST/MAXDIST evaluation.
-        scored = [
-            (
-                child_pair,
-                d,
-                d if child_pair.is_result
-                else self.distance.estimation_maxdist(
-                    child_pair.item1, child_pair.item2
-                ),
-            )
-            for child_pair, d in candidates
-        ]
+        scored = list(zip(
+            block.pairs(), self._dmax_of(block, *block.head())
+        ))
 
         # Local bounds: the smallest d_max among the candidates sharing
         # the same outer item.  Meaningful when the inner node was
         # expanded (all candidates share item1) and, for the
         # simultaneous policy, within each item1 group.
         local: Dict[Tuple, float] = {}
-        for child_pair, __, est_dmax in scored:
+        for child_pair, est_dmax in scored:
             key = child_pair.item1.identity()
             best = local.get(key)
             if best is None or est_dmax < best:
@@ -211,8 +199,8 @@ class IncrementalDistanceSemiJoin(IncrementalDistanceJoin):
         use_global = self.dmax_strategy in (
             DMAX_GLOBAL_NODES, DMAX_GLOBAL_ALL
         )
-        kept: List[Tuple[Pair, float]] = []
-        for child_pair, d, est_dmax in scored:
+        kept: List[int] = []
+        for row, (child_pair, est_dmax) in enumerate(scored):
             key = child_pair.item1.identity()
             bound = local[key]
             if use_global and self._tracks_global(child_pair.item1):
@@ -223,11 +211,11 @@ class IncrementalDistanceSemiJoin(IncrementalDistanceJoin):
                     stored, est_dmax
                 )
                 self._bounds[key] = new_bound
-            if d > bound:
+            if child_pair.distance > bound:
                 self._c_pruned_dmax.add()
                 continue
-            kept.append((child_pair, d))
-        return kept
+            kept.append(row)
+        return block if len(kept) == len(block) else block.take(kept)
 
     # ------------------------------------------------------------------
     # suspendable cursor

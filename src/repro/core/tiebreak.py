@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from typing import Tuple
 
-from repro.core.pairs import Pair
+from repro.core.pairs import NODE, OBJ, CandidateBlock, Item, Pair
 
 #: Tie-break policy names.
 DEPTH_FIRST = "depth_first"
@@ -63,6 +63,36 @@ class KeyMaker:
         # generate byte-identical keys to preserve tie ordering.
         self._seq = 0
 
+    def _shape(
+        self, kind1: int, level1: int, kind2: int, level2: int
+    ) -> Tuple[int, int]:
+        """The ``(kind rank, level key)`` of a pair of items with these
+        kinds and levels -- all a key needs beside distance and seq."""
+        nodes = (kind1 == NODE) + (kind2 == NODE)
+        if nodes:
+            rank = 1 + nodes
+        elif kind1 == OBJ and kind2 == OBJ:
+            rank = 0
+        else:
+            rank = 1
+        level_sum = 0
+        if kind1 == NODE:
+            level_sum += level1
+        if kind2 == NODE:
+            level_sum += level2
+        if self.tie_break == DEPTH_FIRST:
+            return rank, level_sum
+        return rank, -level_sum
+
+    def _take(self, n: int) -> Tuple[int, int]:
+        """Consume ``n`` sequence numbers; returns the seq key of the
+        first and the stride to the next (depth-first keys negate)."""
+        seq = self._seq
+        self._seq = seq + n
+        if self.tie_break == DEPTH_FIRST:
+            return -seq, -1
+        return seq, 1
+
     def key(self, pair: Pair, distance: float) -> Tuple:
         """The queue key for ``pair`` ordered at ``distance``.
 
@@ -70,60 +100,48 @@ class KeyMaker:
         keys unresolved pairs by their d_max bound rather than by
         ``pair.distance``.
         """
-        if pair.is_result:
-            rank = 0
-        elif pair.node_count == 0:
-            rank = 1
-        else:
-            rank = 1 + pair.node_count
-        level_sum = 0
-        if pair.item1.is_node:
-            level_sum += pair.item1.level
-        if pair.item2.is_node:
-            level_sum += pair.item2.level
-        seq = self._seq
-        self._seq += 1
-        signed_distance = -distance if self.descending else distance
-        if self.tie_break == DEPTH_FIRST:
-            return (signed_distance, rank, level_sum, -seq)
-        return (signed_distance, rank, -level_sum, seq)
+        item1, item2 = pair.item1, pair.item2
+        rank, level = self._shape(
+            item1.kind, item1.level, item2.kind, item2.level
+        )
+        return (
+            -distance if self.descending else distance,
+            rank, level, self._take(1)[0],
+        )
+
+    def key_block(
+        self, block: CandidateBlock, item1: Item, item2: Item,
+        distances: list,
+    ) -> None:
+        """Key a whole block headed by ``item1`` / ``item2``
+        (:meth:`CandidateBlock.head`): row ``r`` is ordered at
+        ``distances[r]``.
+
+        One expansion's rows share kind and level structure (the child
+        kind and level are uniform across a node's entries, and the
+        partner is fixed), so the block gets one ``(rank, level)`` shape
+        and a run of sequence numbers; its keys -- built on demand by
+        :meth:`CandidateBlock.key` / ``keys`` -- are bit-identical to
+        calling :meth:`key` on each row's pair in order, including the
+        sequence numbers consumed.
+        """
+        block.rank, block.level = self._shape(
+            item1.kind, item1.level, item2.kind, item2.level
+        )
+        block.seq0, block.step = self._take(len(distances))
+        block.keyd = (
+            [-d for d in distances] if self.descending else distances
+        )
 
     def key_batch(self, first: Pair, distances) -> list:
-        """Keys for a batch of pairs sharing ``first``'s shape.
-
-        Callers guarantee every pair in the batch has the same kind
-        and level structure as ``first`` (true for the candidates of
-        one node expansion: the child kind and level are uniform
-        across a node's entries, and the partner item is fixed), so
-        the rank and level components are computed once and only the
-        distance and sequence number vary.  Bit-identical to calling
-        :meth:`key` on each pair in order -- including the sequence
-        numbers consumed -- at a fraction of the per-pair cost.
-        """
-        if first.is_result:
-            rank = 0
-        elif first.node_count == 0:
-            rank = 1
-        else:
-            rank = 1 + first.node_count
-        level_sum = 0
-        if first.item1.is_node:
-            level_sum += first.item1.level
-        if first.item2.is_node:
-            level_sum += first.item2.level
-        seq = self._seq
-        self._seq = seq + len(distances)
-        if self.descending:
-            if self.tie_break == DEPTH_FIRST:
-                return [(-d, rank, level_sum, -(seq + i))
-                        for i, d in enumerate(distances)]
-            return [(-d, rank, -level_sum, seq + i)
-                    for i, d in enumerate(distances)]
-        if self.tie_break == DEPTH_FIRST:
-            return [(d, rank, level_sum, -(seq + i))
-                    for i, d in enumerate(distances)]
-        return [(d, rank, -level_sum, seq + i)
-                for i, d in enumerate(distances)]
+        """Keys for a batch of pairs sharing ``first``'s shape, ordered
+        at ``distances`` (the :meth:`key_block` contract, for callers
+        holding pairs)."""
+        block = CandidateBlock(
+            distances, [0] * len(distances), [first.item1], first.item2, 1
+        )
+        self.key_block(block, first.item1, first.item2, distances)
+        return block.keys()
 
     @property
     def seq(self) -> int:

@@ -141,6 +141,9 @@ class RTreeBase:
         method) or an explicit ``rect`` must be given; when both are
         present, ``rect`` wins.  Object ids are assigned sequentially
         when not supplied, so they densely index the semi-join bitset.
+        A rectangle of the wrong dimension or with a NaN or infinite
+        coordinate is refused with :class:`TreeError` before anything
+        is mutated.
         """
         if rect is None:
             rect = self._rect_of(obj)
@@ -149,6 +152,7 @@ class RTreeBase:
                 f"object of dimension {rect.dim} inserted into "
                 f"{self.dim}-d tree"
             )
+        self._require_finite(rect)
         if oid is None:
             oid = self._next_oid
         self._next_oid = max(self._next_oid, oid + 1)
@@ -180,6 +184,21 @@ class RTreeBase:
         raise TreeError(
             f"cannot derive a bounding rectangle from {type(obj).__name__}"
         )
+
+    @staticmethod
+    def _require_finite(rect: Rect) -> None:
+        """Refuse NaN and infinite coordinates.
+
+        A NaN compares false with everything, so once stored it
+        poisons every ancestor MBR and every distance computed from
+        them (and the hybrid queue cannot band a NaN distance at all);
+        an infinite one makes MAXDIST bounds infinite or NaN.
+        """
+        isfinite = math.isfinite
+        for corner in (rect.lo, rect.hi):
+            for coordinate in corner:
+                if not isfinite(coordinate):
+                    raise TreeError(f"non-finite coordinate in {rect!r}")
 
     def _insert_at_level(self, entry: Any, target_level: int) -> None:
         split_entry = self._insert_recursive(self.root_id, entry, target_level)

@@ -33,7 +33,8 @@ def bulk_load_str(
     objects:
         Points, Rects, or anything with an ``mbr()`` method.  Object
         ids are assigned in input order (0, 1, 2, ...), so callers can
-        map ids back to their own records.
+        map ids back to their own records.  A NaN or infinite
+        coordinate is refused with ``TreeError``, ``tree`` untouched.
     tree:
         An *empty* tree to load into; a fresh :class:`RStarTree` with
         ``tree_kwargs`` is created when omitted.
@@ -60,6 +61,8 @@ def bulk_load_str(
     leaf_entries: List[LeafEntry] = []
     for oid, obj in enumerate(objects):
         rect = tree._rect_of(obj)
+        # Validated before anything below mutates the tree.
+        tree._require_finite(rect)
         payload = obj if isinstance(obj, Point) or hasattr(obj, "mbr") else None
         leaf_entries.append(LeafEntry(rect, oid, payload))
     tree._next_oid = len(leaf_entries)

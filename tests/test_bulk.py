@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.errors import TreeError
 from repro.geometry.point import Point
 from repro.geometry.rectangle import Rect
 from repro.rtree.bulk import bulk_load_str
@@ -73,6 +74,24 @@ class TestBulkLoad:
         assert oid == 100
         validate_tree(tree, allow_underfull=True)
         assert len(tree) == 101
+
+    @pytest.mark.parametrize(
+        "bad", [float("nan"), float("inf"), float("-inf")]
+    )
+    def test_non_finite_coordinates_rejected(self, bad):
+        """The refusal comes before the target tree is touched."""
+        tree = RStarTree(dim=2, max_entries=8)
+        before = (len(tree), tree.root_id, tree._next_oid)
+        points = make_points(30, seed=6) + [Point((1.0, bad))]
+        with pytest.raises(TreeError, match="non-finite"):
+            bulk_load_str(points, tree=tree)
+        assert (len(tree), tree.root_id, tree._next_oid) == before
+        with pytest.raises(TreeError, match="non-finite"):
+            bulk_load_str(points, max_entries=8)
+        # The refused tree is still empty and loadable.
+        bulk_load_str(points[:-1], tree=tree)
+        validate_tree(tree, allow_underfull=True)
+        assert len(tree) == 30
 
     def test_3d_bulk_load(self):
         import random

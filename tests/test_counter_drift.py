@@ -11,6 +11,8 @@ different expansion policy), update the golden values here and say so
 in the commit message.
 """
 
+from itertools import islice
+
 from repro.bench.workloads import build_tiger_workload
 from repro.core.distance_join import IncrementalDistanceJoin
 
@@ -22,6 +24,22 @@ PAIRS = 100
 #: repro/datasets/tiger_like.py; STR bulk load; best-first join).
 GOLDEN_DIST_CALCS = 6023
 GOLDEN_NODE_IO = 28
+
+#: The spill path of the same workload: an unbounded ``queue="hybrid"``
+#: join at ``HYBRID_DT``, consumed for ``PAIRS`` rows, so nearly every
+#: insert goes to the disk tier.  Captured at 14b7010 (the commit
+#: before blocks were queued columnar); counter -> (value, peak), None
+#: where only the other is pinned.
+HYBRID_DT = 25.0
+GOLDEN_HYBRID = {
+    "queue_inserts": (7740, None),
+    "pq_disk_writes": (7505, None),
+    "pq_disk_reads": (177, None),
+    "queue_size": (None, 7413),
+    "pq_heap_size": (None, 42),
+    "dist_calcs": (GOLDEN_DIST_CALCS, None),
+    "node_io": (GOLDEN_NODE_IO, None),
+}
 
 
 def test_sequential_join_work_counters_match_golden():
@@ -35,6 +53,26 @@ def test_sequential_join_work_counters_match_golden():
     assert load.counters.value("dist_calcs") == GOLDEN_DIST_CALCS
     assert load.counters.value("node_io") == GOLDEN_NODE_IO
     assert load.counters.value("pairs_reported") == PAIRS
+
+
+def test_hybrid_queue_spill_counters_match_golden():
+    """What is queued, spilled and read back is pinned too: a change
+    to the disk tier's banding or to what an expansion enqueues fails
+    here, not as a quiet shift in the bench artifacts."""
+    load = build_tiger_workload(scale=SCALE)
+    join = IncrementalDistanceJoin(
+        load.tree1, load.tree2,
+        queue="hybrid", queue_dt=HYBRID_DT, counters=load.counters,
+    )
+    assert len(list(islice(join, PAIRS))) == PAIRS
+    observed = {
+        name: (
+            None if value is None else load.counters.value(name),
+            None if peak is None else load.counters.peak(name),
+        )
+        for name, (value, peak) in GOLDEN_HYBRID.items()
+    }
+    assert observed == GOLDEN_HYBRID
 
 
 def test_goldens_are_repeatable_within_process():

@@ -14,12 +14,13 @@ from repro.core.pqueue import (
     MemoryPairQueue,
     queue_from_state,
 )
-from repro.core.pairs import OBJ, Item, Pair
+from repro.core.pairs import OBJ, CandidateBlock, Item, Pair
 from repro.core.semi_join import IncrementalDistanceSemiJoin
 from repro.core.spec import JoinSpec
 from repro.core.tiebreak import KeyMaker
 from repro.errors import CursorError
 from repro.geometry.rectangle import Rect
+from repro.storage.pager import PageStore
 from repro.util.counters import CounterRegistry
 
 from tests.conftest import make_points, make_tree
@@ -111,6 +112,122 @@ class TestHybridQueueSnapshot:
         out = drain(restored)
         assert out == sorted(out, key=lambda kv: kv[0])
         assert len(out) == 60
+
+
+def keyed_block(distances, seq0):
+    """A keyed block of object/object rows at ``distances``."""
+    rect = Rect((0.0, 0.0), (1.0, 1.0))
+    partner = Item(OBJ, rect, oid=1000)
+    children = [Item(OBJ, rect, oid=seq0 + i)
+                for i in range(len(distances))]
+    block = CandidateBlock(
+        list(distances), list(range(len(distances))), children,
+        partner, 1,
+    )
+    keys = KeyMaker("depth_first")
+    keys.restore_seq(seq0)
+    keys.key_block(block, *block.head(), block.dists)
+    return block
+
+
+def rows_of(drained):
+    """(key, oid1, oid2, distance) of drained queue elements, whether
+    they came back as block handles or as materialised pairs."""
+    out = []
+    for k, v in drained:
+        pair = v.pair_of(k) if isinstance(v, CandidateBlock) else v
+        out.append((k, pair.item1.oid, pair.item2.oid, pair.distance))
+    return out
+
+
+class TestBlockSnapshots:
+    """Blocks are a queue-internal representation: ``state()`` carries
+    ``(key, Pair)`` rows, in every tier of every queue."""
+
+    def _blocks(self):
+        rng = random.Random(17)
+        return [
+            keyed_block([rng.uniform(0, 60) for __ in range(9)], 9 * i)
+            for i in range(12)
+        ]
+
+    def _queues(self, page_size=256):
+        return [
+            MemoryPairQueue(),
+            # 4 records a page: full pages and open pages both occur.
+            HybridPairQueue(dt=5.0, store=PageStore(page_size=page_size)),
+            AdaptiveHybridPairQueue(calibration_size=30),
+            AdaptiveHybridPairQueue(calibration_size=10_000),
+        ]
+
+    def test_state_carries_pairs_in_every_tier(self):
+        for q in self._queues():
+            for block in self._blocks():
+                q.push_many(block)
+            # from_state stores what the snapshot holds, as is.
+            restored = drain(roundtrip(q))
+            assert len(restored) == len(q) == 108
+            assert all(type(v) is Pair for __, v in restored)
+
+    def test_roundtrip_equals_uninterrupted(self):
+        reference = MemoryPairQueue()
+        for block in self._blocks():
+            reference.push_many(block)
+        expected = rows_of(drain(reference))
+        assert [row[0] for row in expected] == sorted(
+            row[0] for row in expected
+        )
+        for q in self._queues():
+            for block in self._blocks():
+                q.push_many(block)
+            popped = [q.pop() for __ in range(20)]
+            restored = roundtrip(q)
+            assert len(restored) == len(q)
+            assert rows_of(popped + drain(restored)) == expected
+            assert rows_of(popped + drain(q)) == expected
+
+    def test_restore_into_open_partly_filled_page(self):
+        """Blocks pushed after a restore append to the restored open
+        pages (materialised records and block rows then share a page)
+        and fill, close and reopen them exactly as without the
+        suspension."""
+        first, later = self._blocks()[:6], self._blocks()[6:]
+
+        def filled(counters):
+            q = HybridPairQueue(
+                dt=5.0, store=PageStore(page_size=256),
+                counters=counters,
+            )
+            for block in first:
+                q.push_many(block)
+            return q
+
+        reference_counters = CounterRegistry()
+        reference = filled(reference_counters)
+        for block in later:
+            reference.push_many(block)
+
+        counters = CounterRegistry()
+        q = filled(counters)
+        assert q._open_page  # partly filled pages at the suspend point
+        open_sizes = {
+            band: len(page[1]) for band, page in q._open_page.items()
+        }
+        assert any(0 < n < 4 for n in open_sizes.values())
+        restored = queue_from_state(
+            pickle.loads(pickle.dumps(q.state())),
+            counters=counters, store=PageStore(page_size=256),
+        )
+        assert {
+            band: len(page[1])
+            for band, page in restored._open_page.items()
+        } == open_sizes
+        for block in later:
+            restored.push_many(block)
+        assert restored.store.page_count == reference.store.page_count
+        assert rows_of(drain(restored)) == rows_of(drain(reference))
+        assert dict(counters.snapshot()) == \
+            dict(reference_counters.snapshot())
 
 
 class TestAdaptiveQueueSnapshot:

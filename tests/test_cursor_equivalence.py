@@ -10,6 +10,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.core.distance_join import IncrementalDistanceJoin
+from repro.core.pairs import CandidateBlock
 from repro.core.semi_join import IncrementalDistanceSemiJoin
 from repro.core.spec import JoinSpec
 from repro.geometry.point import Point
@@ -192,5 +193,75 @@ def test_estimator_join_suspended_between_every_two_nexts(
     for name in JOIN_COUNTERS:
         want, have = (
             reference_counters.counter(name), got_counters.counter(name)
+        )
+        assert (have.value, have.peak) == (want.value, want.peak), name
+
+
+def _tiers_holding_blocks(queue):
+    """Which tiers of a (possibly adaptive) hybrid queue hold rows of
+    late-materialised blocks right now."""
+    hybrid = getattr(queue, "_inner", None) or queue
+    if not hasattr(hybrid, "_bands"):
+        return set()  # adaptive queue still warming up
+
+    def has_block(values):
+        return any(type(v) is CandidateBlock for v in values)
+
+    tiers = set()
+    if has_block(v for __, v in hybrid._heap.items()):
+        tiers.add("heap")
+    if has_block(v for __, v in hybrid._list):
+        tiers.add("list")
+    for band, page_ids in hybrid._bands.items():
+        for page_id in page_ids:
+            if has_block(hybrid.store.peek(page_id).payload[1]):
+                tiers.add("disk")
+                if band in hybrid._open_page:
+                    tiers.add("open page")
+    return tiers
+
+
+@pytest.mark.parametrize("node_policy", ["even", "simultaneous"])
+@pytest.mark.parametrize("queue", ["hybrid", "adaptive"])
+def test_blocks_in_every_tier_suspended_at_every_next(queue, node_policy):
+    """An unbounded spilling join keeps whole expansions as blocks in
+    the heap, the unorganised list and the disk bands (open, partly
+    filled pages included).  A cursor taken there carries ``(key,
+    Pair)`` rows -- the schema did not move -- and resuming from it
+    after *every* ``next()`` gives the uninterrupted rows, counter
+    values and peaks."""
+    t1 = make_tree(make_points(60, seed=71), max_entries=4)
+    t2 = make_tree(make_points(80, seed=72), max_entries=4)
+    extra = {"queue_dt": 2.0} if queue == "hybrid" else {}
+    spec = JoinSpec(queue=queue, node_policy=node_policy, **extra)
+
+    reference_counters = CounterRegistry()
+    reference = list(IncrementalDistanceJoin(
+        t1, t2, spec, counters=reference_counters
+    ))
+
+    counters = CounterRegistry()
+    join = IncrementalDistanceJoin(t1, t2, spec, counters=counters)
+    got = []
+    seen_tiers = set()
+    for __ in range(150):
+        got.append(next(join))
+        seen_tiers |= _tiers_holding_blocks(join._queue)
+        state = pickle.loads(pickle.dumps(join.save()))
+        join = IncrementalDistanceJoin.load(
+            state, t1, t2, counters=counters
+        )
+        # What was restored is materialised pairs, in every tier.
+        assert not _tiers_holding_blocks(join._queue)
+    got.extend(join)
+
+    assert seen_tiers == {"heap", "list", "disk", "open page"}
+    assert [(r.distance, r.oid1, r.oid2) for r in got] == \
+        [(r.distance, r.oid1, r.oid2) for r in reference]
+    for name in JOIN_COUNTERS + (
+        "pq_disk_writes", "pq_disk_reads", "pq_heap_size"
+    ):
+        want, have = (
+            reference_counters.counter(name), counters.counter(name)
         )
         assert (have.value, have.peak) == (want.value, want.peak), name

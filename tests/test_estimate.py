@@ -3,7 +3,7 @@
 from hypothesis import given, settings, strategies as st
 
 from repro.core.estimate import JoinEstimator, SemiJoinEstimator
-from repro.core.pairs import NODE, OBJ, Item, Pair
+from repro.core.pairs import NODE, OBJ, CandidateBlock, Item, Pair
 from repro.geometry.rectangle import Rect
 from repro.util.counters import CounterRegistry
 
@@ -27,9 +27,18 @@ def obj_pair(o1, o2, distance=0.0):
     )
 
 
+def offer_block(est, pairs, uppers, count):
+    """Offer already materialised pairs as one block."""
+    block = CandidateBlock.of_pairs(pairs)
+    block.uppers = uppers
+    est.offer(block, count)
+
+
 def offer1(est, pair, mindist, est_dmax, count):
-    """Offer a single pair: a one-element block."""
-    est.offer([(pair, mindist)], [est_dmax], count)
+    """Offer a single pair: a one-row block."""
+    offer_block(
+        est, [Pair(pair.item1, pair.item2, mindist)], [est_dmax], count
+    )
 
 
 class TestJoinEstimator:
@@ -222,15 +231,15 @@ def test_property_block_offer_equals_one_at_a_time(cls, k, dmin, steps):
                 __, nodes, rows, count = step
                 make = node_pair if nodes else obj_pair
                 candidates = [
-                    (make(id1, id2, d), d) for id1, id2, d, __ in rows
+                    make(id1, id2, d) for id1, id2, d, __ in rows
                 ]
                 # d_max >= MINDIST, as for any real pair.
                 uppers = [d + extra for __, ___, d, extra in rows]
                 if est is block:
-                    est.offer(candidates, uppers, count)
+                    offer_block(est, candidates, uppers, count)
                 else:
                     for candidate, upper in zip(candidates, uppers):
-                        est.offer([candidate], [upper], count)
+                        offer_block(est, [candidate], [upper], count)
             elif step[0] == "dequeue":
                 make = node_pair if step[1] else obj_pair
                 est.on_dequeue(make(step[2], step[3]))

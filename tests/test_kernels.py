@@ -435,6 +435,69 @@ class TestBlockEqualsPerPair:
         assert block[1].get("estimator_trims", 0) > 0 or \
             name == "estimated_all_pairs"
 
+    @pytest.mark.parametrize("descending", [False, True],
+                             ids=["ascending", "descending"])
+    @pytest.mark.parametrize(
+        "node_policy", ["basic", "even", "simultaneous"]
+    )
+    @pytest.mark.parametrize(
+        "tie_break", ["depth_first", "breadth_first"]
+    )
+    @pytest.mark.parametrize("max_pairs", [None, 150],
+                             ids=["unbounded", "bounded"])
+    @pytest.mark.parametrize("queue", ["memory", "hybrid", "adaptive"])
+    def test_block_equals_per_pair_on_every_queue(
+        self, queue, max_pairs, tie_break, node_policy, descending
+    ):
+        """Blocks in every queue tier: heap, unorganised list and disk
+        bands (and the adaptive queue's warm-up heap) all order and
+        return block rows exactly as they do per-pair ``Pair`` values.
+        ``kernel="auto"``: vector here, scalar on the no-numpy leg."""
+        knobs = dict(
+            queue=queue, max_pairs=max_pairs, tie_break=tie_break,
+            node_policy=node_policy, descending=descending,
+        )
+        if queue == "hybrid":
+            knobs["queue_dt"] = 2.0
+        block = _run(IncrementalDistanceJoin, knobs, "auto")
+        per_pair = _run(IncrementalDistanceJoin, knobs, "auto",
+                        check_consistency=True)
+        assert block == per_pair
+        assert len(block[0]) == (max_pairs or 400)
+        if queue != "memory" and max_pairs is None and not descending:
+            # Negated keys all band below the cursor and a K-bounded
+            # queue may stay small; these must have used the disk tier.
+            assert block[1]["pq_disk_reads"] > 0
+
+    def test_pairs_are_built_when_popped_not_when_pushed(
+        self, monkeypatch
+    ):
+        """Late materialisation itself: an unbounded hybrid join builds
+        one ``Pair`` per pop (plus the root pair), not one per insert."""
+        from repro.core.pairs import Pair
+        from repro.core.pqueue import HybridPairQueue
+
+        made = []
+        pops = []
+        pair_init = Pair.__init__
+        queue_pop = HybridPairQueue.pop
+
+        def counting_init(self, *args):
+            made.append(1)
+            pair_init(self, *args)
+
+        def counting_pop(self):
+            pops.append(1)
+            return queue_pop(self)
+
+        monkeypatch.setattr(Pair, "__init__", counting_init)
+        monkeypatch.setattr(HybridPairQueue, "pop", counting_pop)
+        values = _run(IncrementalDistanceJoin,
+                      dict(queue="hybrid", queue_dt=2.0), "auto")[1]
+        assert values["pairs_reported"] == 400
+        assert values["pq_disk_writes"] > len(pops)
+        assert len(made) <= len(pops) + 1 < values["queue_inserts"]
+
     def test_restart_config_restarts(self):
         name, operator, knobs = next(
             c for c in ESTIMATED_CONFIGS if c[0] == "estimated_restart"

@@ -75,6 +75,27 @@ class TestInsertion:
         with pytest.raises(TreeError):
             tree.insert(obj=Point((1, 2, 3)))
 
+    @pytest.mark.parametrize(
+        "bad", [float("nan"), float("inf"), float("-inf")]
+    )
+    def test_non_finite_coordinates_rejected(self, tree_class, bad):
+        """A refused insert leaves no trace: size, root and the next
+        oid are what they were (the check runs before any mutation)."""
+        tree = tree_class(dim=2, max_entries=4)
+        for point in make_points(10, seed=3):
+            tree.insert(obj=point)
+        before = (len(tree), tree.root_id, tree._next_oid)
+        for attempt in (
+            lambda: tree.insert(obj=Point((bad, 5.0))),
+            lambda: tree.insert(rect=Rect((0.0, 0.0), (1.0, abs(bad)))),
+            lambda: tree.insert_point((5.0, bad)),
+        ):
+            with pytest.raises(TreeError, match="non-finite"):
+                attempt()
+            assert (len(tree), tree.root_id, tree._next_oid) == before
+        assert tree.insert_point((5.0, 5.0)) == 10
+        validate_tree(tree)
+
     def test_3d_tree(self, tree_class):
         tree = tree_class(dim=3, max_entries=4)
         rng = random.Random(1)
