@@ -20,8 +20,8 @@ All of the paper's algorithmic knobs are exposed:
 - ``max_pairs``: an upper bound on the number of result pairs, enabling
   the maximum-distance estimation of Section 2.2.4 (with the
   ``aggressive`` estimator and its restart path as an option);
-- ``queue``: a pure-memory pairing heap or the hybrid memory/disk
-  queue of Section 3.2;
+- ``queue``: a pure-memory heap or the hybrid memory/disk queue of
+  Section 3.2;
 - ``leaf_mode``: objects stored directly in leaves (``"direct"``, the
   paper's experimental setup) or leaves holding bounding rectangles
   with deferred object resolution (``"obr"``);

@@ -1,8 +1,12 @@
-"""Priority-queue structures: a pairing heap and an addressable max-queue.
+"""Priority-queue structures: two heaps behind one interface and an
+addressable max-queue.
 
 The paper's implementation keeps the in-memory part of its hybrid
 priority queue in a *pairing heap* (its reference [13]); this module
-provides one.  It also provides :class:`AddressableMaxQueue`, the
+provides one, and a binary heap on C ``heapq`` with the same surface
+-- ``push``, ``pop``, ``peek``, ``replace``, ``push_many``, ``items``,
+``clear``, ``len()`` -- so the pair queues (:mod:`repro.core.pqueue`)
+run on either.  It also provides :class:`AddressableMaxQueue`, the
 ``Q_M`` structure of Section 2.2.4: a max-priority queue over d_max
 values combined with a hash table so that arbitrary entries can be
 deleted when their pair is dequeued from the main queue (implemented
@@ -117,6 +121,17 @@ class PairingHeap(Generic[K, V]):
         self._size -= 1
         return root.key, root.value
 
+    def replace(self, key: K, value: V) -> Tuple[K, V]:
+        """Remove and return the minimum item, then insert ``(key,
+        value)`` -- a :meth:`pop` followed by a :meth:`push`."""
+        root = self._root
+        if root is None:
+            raise IndexError("replace on empty heap")
+        self._root = self._meld(
+            self._merge_pairs(root.child), _PairingNode(key, value)
+        )
+        return root.key, root.value
+
     def meld(self, other: "PairingHeap[K, V]") -> None:
         """Destructively absorb ``other`` (which is left empty)."""
         self._root = self._meld(self._root, other._root)
@@ -198,8 +213,12 @@ class PairingHeap(Generic[K, V]):
 
 
 class BinaryHeap(Generic[K, V]):
-    """A ``heapq``-backed binary heap with the same interface as
-    :class:`PairingHeap`, for the heap-structure ablation benchmark."""
+    """A binary heap on C ``heapq`` with the same interface as
+    :class:`PairingHeap`.
+
+    Items are ``(key, value)`` tuples, so two items with equal keys
+    compare by value; the pair queues' keys are unique.
+    """
 
     def __init__(self) -> None:
         self._heap: List[Tuple[K, V]] = []
@@ -213,6 +232,17 @@ class BinaryHeap(Generic[K, V]):
     def push(self, key: K, value: V) -> None:
         heapq.heappush(self._heap, (key, value))
 
+    def push_many(self, items: Iterable[Tuple[K, V]]) -> None:
+        """Insert items: one ``heapify`` when the heap is empty, a
+        push each otherwise."""
+        heap = self._heap
+        if heap:
+            for item in items:
+                heapq.heappush(heap, item)
+        else:
+            heap.extend(items)
+            heapq.heapify(heap)
+
     def peek(self) -> Tuple[K, V]:
         if not self._heap:
             raise IndexError("peek on empty heap")
@@ -222,6 +252,13 @@ class BinaryHeap(Generic[K, V]):
         if not self._heap:
             raise IndexError("pop on empty heap")
         return heapq.heappop(self._heap)
+
+    def replace(self, key: K, value: V) -> Tuple[K, V]:
+        """Remove and return the minimum item, then insert ``(key,
+        value)``, in one sift."""
+        if not self._heap:
+            raise IndexError("replace on empty heap")
+        return heapq.heapreplace(self._heap, (key, value))
 
     def clear(self) -> None:
         """Discard all items."""

@@ -157,8 +157,9 @@ class CandidateBlock:
         The key shape, set by :meth:`KeyMaker.key_block` when the
         block is enqueued: row ``r`` has the queue key ``(keyd[r],
         rank, level, seq0 + step * r)``.  The row of a key follows
-        from its sequence component, so a queue keeps plain ``(key,
-        block)`` handles and no per-row wrapper.
+        from its sequence component, so a queue hands out plain
+        ``(key, block)`` rows and keeps no per-row wrapper (in memory
+        it orders one handle for the whole block, sorted into a run).
     """
 
     __slots__ = ("dists", "rows", "items", "other", "side", "rows2",

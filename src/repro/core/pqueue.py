@@ -1,30 +1,35 @@
 """Pair priority queues: pure-memory and the paper's hybrid memory/disk
 three-tier scheme (Section 3.2).
 
-The hybrid queue keeps pairs with distance below ``D1`` in a pairing
-heap, pairs in ``[D1, D2)`` in an unorganized in-memory list, and
-everything else on (simulated) disk in linked page lists, one list per
-distance band ``[k*DT, (k+1)*DT)``.  When the heap runs dry the list is
+The hybrid queue keeps pairs with distance below ``D1`` in a heap,
+pairs in ``[D1, D2)`` in an unorganized in-memory list, and everything
+else on (simulated) disk in linked page lists, one list per distance
+band ``[k*DT, (k+1)*DT)``.  When the heap runs dry the list is
 heapified, ``D1``/``D2`` advance by ``DT``, and the next disk band is
 pulled into the list.  All disk traffic is counted (``pq_disk_writes``,
 ``pq_disk_reads``, plus the page store's ``page_reads``/``page_writes``).
 
 A queued value is a :class:`~repro.core.pairs.Pair` or, for a whole
 node expansion pushed with ``push_many``, the expansion's
-:class:`~repro.core.pairs.CandidateBlock`: every row gets a ``(key,
-block)`` handle and its pair is materialised by whoever pops it
-(``block.pair_of(key)``).  Snapshots (``state()``) materialise, so the
-cursor schema is ``(key, Pair)`` rows whatever the queue holds.
+:class:`~repro.core.pairs.CandidateBlock`, whose popped row is
+materialised by whoever pops it (``block.pair_of(key)``).  In memory a
+block is queued as a *run* (:class:`_RunHeap`): its rows are sorted
+once and the heap orders one handle for the whole block, so popping in
+key order is a k-way merge of runs and a key tuple exists only for a
+row that reaches the head of its run.  Sizes and counters count rows,
+never handles.  Snapshots (``state()``) materialise, so the cursor
+schema is ``(key, Pair)`` rows whatever the queue holds.
 """
 
 from __future__ import annotations
 
 import math
 from abc import ABC, abstractmethod
-from itertools import repeat
-from typing import Any, Dict, List, Optional, Tuple, Type
+from typing import (
+    Any, Dict, Iterator, List, Optional, Sequence, Tuple, Type,
+)
 
-from repro.core.heap import PairingHeap
+from repro.core.heap import BinaryHeap
 from repro.core.pairs import CandidateBlock
 from repro.storage.pager import PageStore
 from repro.util.counters import CounterRegistry
@@ -61,6 +66,98 @@ def _materialised(items) -> List[Tuple[Tuple, Any]]:
          else value)
         for key, value in items
     ]
+
+
+class _Run:
+    """The rows of one keyed block queued behind the row that heads
+    them: ``rows`` holds their row numbers in descending key order
+    (the next one is ``rows.pop()``) and is never empty.  The head
+    row's key is the key of the run's heap handle."""
+
+    __slots__ = ("block", "rows")
+
+    def __init__(self, block: CandidateBlock, rows: List[int]) -> None:
+        self.block = block
+        self.rows = rows
+
+
+class _RunHeap:
+    """The in-memory heap of a pair queue, ordering runs.
+
+    A handle is ``(key, value)``: one row, whose value is a pair or
+    the block the row belongs to, or -- with a :class:`_Run` value -- a
+    whole sorted run, keyed by its head row.  ``len()``, :meth:`pop`,
+    :meth:`peek` and :meth:`items` speak rows: a run is advanced one
+    row a pop (one ``replace`` on the heap) and is indistinguishable
+    from its rows pushed singly, because keys are totally ordered.
+    """
+
+    __slots__ = ("_heap", "_rows")
+
+    def __init__(self, heap_class: Type) -> None:
+        self._heap = heap_class()
+        self._rows = 0
+
+    def __len__(self) -> int:
+        return self._rows
+
+    def push(self, key: Tuple, value: Any) -> None:
+        self._heap.push(key, value)
+        self._rows += 1
+
+    def push_rows(self, rows: List[Tuple[Tuple, Any]]) -> None:
+        """Insert ``(key, value)`` rows (heapified when the heap is
+        empty)."""
+        self._heap.push_many(rows)
+        self._rows += len(rows)
+
+    def push_run(self, block: CandidateBlock, rows: Sequence[int]) -> None:
+        """Insert the given rows of a keyed block (row numbers,
+        ascending) as one run.
+
+        A block's rows share ``rank`` and ``level``, so key order is
+        ``(keyd, seq)`` order: one stable sort over ``keyd``, starting
+        from descending ``seq``, leaves the rows in descending key
+        order.
+        """
+        order = sorted(
+            rows if block.step < 0 else reversed(rows),
+            key=block.keyd.__getitem__, reverse=True,
+        )
+        self._rows += len(order)
+        head = order.pop()
+        self._heap.push(
+            block.key(head), _Run(block, order) if order else block
+        )
+
+    def pop(self) -> Tuple[Tuple, Any]:
+        heap = self._heap
+        head = heap.peek()
+        run = head[1]
+        if type(run) is _Run:
+            block, rows = run.block, run.rows
+            row = rows.pop()
+            heap.replace(block.key(row), run if rows else block)
+            head = (head[0], block)
+        else:
+            heap.pop()
+        self._rows -= 1
+        return head
+
+    def peek(self) -> Tuple[Tuple, Any]:
+        key, value = self._heap.peek()
+        return key, value.block if type(value) is _Run else value
+
+    def items(self) -> Iterator[Tuple[Tuple, Any]]:
+        """Every queued row, runs unrolled, in internal order."""
+        for key, value in self._heap.items():
+            if type(value) is _Run:
+                block = value.block
+                yield key, block
+                for row in value.rows:
+                    yield block.key(row), block
+            else:
+                yield key, value
 
 
 class PairQueue(ABC):
@@ -127,25 +224,19 @@ class MemoryPairQueue(PairQueue):
     Parameters
     ----------
     heap_class:
-        :class:`PairingHeap` (default, as in the paper) or
-        :class:`BinaryHeap` for the ablation benchmark.
+        :class:`BinaryHeap` (default: C ``heapq``) or
+        :class:`PairingHeap` (the paper's structure).  Same rows, same
+        order, same counters under either.
     """
 
-    def __init__(self, heap_class: Type = PairingHeap) -> None:
-        self._heap = heap_class()
+    def __init__(self, heap_class: Type = BinaryHeap) -> None:
+        self._heap = _RunHeap(heap_class)
 
     def push(self, key: Tuple, value: Any) -> None:
         self._heap.push(key, value)
 
     def push_many(self, block: CandidateBlock) -> None:
-        items = zip(block.keys(), repeat(block))
-        heap_bulk = getattr(self._heap, "push_many", None)
-        if heap_bulk is not None:
-            heap_bulk(items)
-            return
-        push = self._heap.push
-        for key, value in items:
-            push(key, value)
+        self._heap.push_run(block, range(len(block)))
 
     def pop(self) -> Tuple[Tuple, Any]:
         return self._heap.pop()
@@ -168,9 +259,9 @@ class MemoryPairQueue(PairQueue):
     def state(self) -> dict:
         """A picklable snapshot of the queue contents.
 
-        Heap items are captured in internal order; keys are totally
-        ordered (the tie-break seq makes them so), so re-pushing into a
-        fresh heap reproduces the identical pop order.
+        Rows are captured in internal order; keys are totally
+        ordered (the tie-break seq makes them so), so loading them into
+        a fresh heap reproduces the identical pop order.
         """
         return {"kind": "memory",
                 "items": _materialised(self._heap.items())}
@@ -180,7 +271,7 @@ class MemoryPairQueue(PairQueue):
         cls,
         state: dict,
         *,
-        heap_class: Type = PairingHeap,
+        heap_class: Type = BinaryHeap,
         counters: Optional[CounterRegistry] = None,
         observer: Optional[Observer] = None,
         store: Optional[PageStore] = None,
@@ -192,8 +283,7 @@ class MemoryPairQueue(PairQueue):
         only uses ``heap_class``.
         """
         queue = cls(heap_class=heap_class)
-        for key, value in state["items"]:
-            queue._heap.push(key, value)
+        queue._heap.push_rows(state["items"])
         return queue
 
 
@@ -236,7 +326,7 @@ class HybridPairQueue(PairQueue):
         dt: float,
         store: Optional[PageStore] = None,
         counters: Optional[CounterRegistry] = None,
-        heap_class: Type = PairingHeap,
+        heap_class: Type = BinaryHeap,
         observer: Optional[Observer] = None,
     ) -> None:
         require_positive(dt, "dt")
@@ -244,7 +334,7 @@ class HybridPairQueue(PairQueue):
         self.counters = counters if counters is not None else CounterRegistry()
         self.obs = observer if observer is not None else NULL_OBSERVER
         self.store = store if store is not None else PageStore()
-        self._heap = heap_class()
+        self._heap = _RunHeap(heap_class)
         self._list: List[Tuple[Tuple, Any]] = []
         # The band cursor is the single source of truth for the tier
         # thresholds: the heap holds bands below the cursor, the
@@ -289,7 +379,7 @@ class HybridPairQueue(PairQueue):
         cursor = self._cursor
         band_of = self._band_of
         push_disk = self._push_disk
-        heap_before = len(self._heap)
+        heap_rows: List[int] = []
         spilled = 0
         for row, distance in enumerate(block.keyd):
             band = band_of(distance)
@@ -297,13 +387,14 @@ class HybridPairQueue(PairQueue):
                 push_disk(band, row, block)
                 spilled += 1
             elif band < cursor:
-                self._heap.push(block.key(row), block)
+                heap_rows.append(row)
             else:
                 self._list.append((block.key(row), block))
         # The heap only grows here, so its peak is its final size; the
         # disk counter is a total.  Neither is created by a block that
         # did not touch its tier (snapshots list touched counters).
-        if len(self._heap) > heap_before:
+        if heap_rows:
+            self._heap.push_run(block, heap_rows)
             self.counters.observe("pq_heap_size", len(self._heap))
         if spilled:
             self._disk_records += spilled
@@ -370,9 +461,8 @@ class HybridPairQueue(PairQueue):
 
     def _refill(self) -> None:
         while not self._heap and (self._list or self._disk_records):
-            # Promote the unorganized list into the heap...
-            for key, value in self._list:
-                self._heap.push(key, value)
+            # Heapify the unorganized list (the heap is empty) ...
+            self._heap.push_rows(self._list)
             self._list.clear()
             self.counters.observe("pq_heap_size", len(self._heap))
             # ... advance the thresholds ...
@@ -482,7 +572,7 @@ class HybridPairQueue(PairQueue):
         cls,
         state: dict,
         *,
-        heap_class: Type = PairingHeap,
+        heap_class: Type = BinaryHeap,
         counters: Optional[CounterRegistry] = None,
         observer: Optional[Observer] = None,
         store: Optional[PageStore] = None,
@@ -501,8 +591,7 @@ class HybridPairQueue(PairQueue):
             heap_class=heap_class,
             observer=observer,
         )
-        for key, value in state["heap"]:
-            queue._heap.push(key, value)
+        queue._heap.push_rows(state["heap"])
         queue._list = list(state["list"])
         queue._cursor = state["cursor"]
         queue._disk_records = state["disk_records"]
@@ -549,7 +638,7 @@ class AdaptiveHybridPairQueue(PairQueue):
         target_heap_fraction: float = 0.25,
         store: Optional[PageStore] = None,
         counters: Optional[CounterRegistry] = None,
-        heap_class: Type = PairingHeap,
+        heap_class: Type = BinaryHeap,
         observer: Optional[Observer] = None,
     ) -> None:
         require_positive(calibration_size, "calibration_size")
@@ -711,7 +800,7 @@ class AdaptiveHybridPairQueue(PairQueue):
         cls,
         state: dict,
         *,
-        heap_class: Type = PairingHeap,
+        heap_class: Type = BinaryHeap,
         counters: Optional[CounterRegistry] = None,
         observer: Optional[Observer] = None,
         store: Optional[PageStore] = None,
@@ -731,8 +820,7 @@ class AdaptiveHybridPairQueue(PairQueue):
             observer=observer,
         )
         if state["phase"] == "warmup":
-            for key, value in state["warmup"]:
-                queue._warmup.push(key, value)
+            queue._warmup.push_many(state["warmup"])
             queue._observed = list(state["observed"])
         else:
             queue._inner = HybridPairQueue.from_state(
@@ -756,7 +844,7 @@ _QUEUE_KINDS: Dict[str, Type[PairQueue]] = {
 def queue_from_state(
     state: dict,
     *,
-    heap_class: Type = PairingHeap,
+    heap_class: Type = BinaryHeap,
     counters: Optional[CounterRegistry] = None,
     observer: Optional[Observer] = None,
     store: Optional[PageStore] = None,

@@ -22,7 +22,7 @@ import dataclasses
 from dataclasses import dataclass
 from typing import Any, Callable, Mapping, Optional
 
-from repro.core.heap import PairingHeap
+from repro.core.heap import BinaryHeap
 from repro.core.tiebreak import DEPTH_FIRST, POLICIES as TIE_BREAKS
 from repro.geometry.metrics import EUCLIDEAN, Metric
 from repro.util.validation import require
@@ -92,7 +92,16 @@ class JoinSpec:
     node_policy: str = EVEN
     queue: str = MEMORY_QUEUE
     queue_dt: Optional[float] = None
-    heap_class: type = PairingHeap
+    #: The heap under the pair queue's memory tier:
+    #: :class:`~repro.core.heap.BinaryHeap` (C ``heapq``, the default)
+    #: or :class:`~repro.core.heap.PairingHeap` (the paper's structure,
+    #: kept for the AB2 ablation).  They share one interface -- ``push``,
+    #: ``pop``, ``peek``, ``replace``, ``push_many``, ``items`` -- and
+    #: the queue gives either one handle per *run* (an expansion's
+    #: block, sorted once), advancing it with ``replace`` on pop and
+    #: heapifying on refill; keys are unique, so rows, tie order and
+    #: counters are identical under both.
+    heap_class: type = BinaryHeap
     leaf_mode: str = DIRECT
     descending: bool = False
     estimate: bool = True

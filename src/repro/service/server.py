@@ -71,6 +71,10 @@ ALLOWED_STRATEGIES = STRATEGIES
 #: Hard cap on one ``/next`` page (the client loops for more).
 MAX_PAGE = 4096
 
+#: Largest request body accepted (a body is one SQL statement or one
+#: update); a request declaring more is answered 413, unread.
+MAX_BODY_BYTES = 1 << 20
+
 
 def row_to_json(row: Any) -> Dict[str, Any]:
     """A :class:`~repro.query.physical.Row` -- or a standing join's
@@ -585,16 +589,28 @@ class JoinService:
                     break
                 name, __, value = line.decode("latin-1").partition(":")
                 headers[name.strip().lower()] = value.strip()
+            # Content-Length comes from outside: judge it before
+            # waiting for a single body byte.
             try:
                 content_length = int(headers.get("content-length", "0"))
             except ValueError:
-                content_length = 0
-            body = await reader.readexactly(content_length) \
-                if content_length else b""
+                content_length = -1
             started = time.perf_counter()
-            status, payload, ctype = await self._dispatch(
-                method, path, body, headers
-            )
+            if content_length < 0:
+                status, payload, ctype = 400, {
+                    "error": "Content-Length must be a non-negative integer"
+                }, "application/json"
+            elif content_length > MAX_BODY_BYTES:
+                status, payload, ctype = 413, {
+                    "error": f"request body exceeds {MAX_BODY_BYTES} bytes"
+                }, "application/json"
+            else:
+                body = await reader.readexactly(content_length) \
+                    if content_length else b""
+                started = time.perf_counter()
+                status, payload, ctype = await self._dispatch(
+                    method, path, body, headers
+                )
             if self.log_json:
                 self._log_request(
                     method, path, status, payload, headers,
@@ -605,7 +621,8 @@ class JoinService:
             else:
                 data = json.dumps(payload).encode("utf-8")
             reason = {200: "OK", 400: "Bad Request", 404: "Not Found",
-                      409: "Conflict", 500: "Internal Server Error"}
+                      409: "Conflict", 413: "Payload Too Large",
+                      500: "Internal Server Error"}
             head = (
                 f"HTTP/1.1 {status} {reason.get(status, 'OK')}\r\n"
                 f"Content-Type: {ctype}\r\n"

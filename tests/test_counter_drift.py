@@ -11,10 +11,15 @@ different expansion policy), update the golden values here and say so
 in the commit message.
 """
 
+import hashlib
 from itertools import islice
+
+import pytest
 
 from repro.bench.workloads import build_tiger_workload
 from repro.core.distance_join import IncrementalDistanceJoin
+from repro.core.heap import BinaryHeap, PairingHeap
+from repro.core.spec import JoinSpec
 
 #: Fixed-seed workload configuration the goldens are pinned against.
 SCALE = 0.005
@@ -41,6 +46,34 @@ GOLDEN_HYBRID = {
     "node_io": (GOLDEN_NODE_IO, None),
 }
 
+#: The K-bounded path of the same workload: ``max_pairs=TOPK_PAIRS``
+#: puts the d_max estimator behind a deep memory queue.  Captured at
+#: 9912cea (the commit before the queue ordered runs); the stream is
+#: the SHA-1 of every row's ``distance.hex(),oid1,oid2;``.
+TOPK_PAIRS = 2000
+GOLDEN_TOPK = {
+    "queue_inserts": (5900, None),
+    "queue_size": (None, 4835),
+    "estimator_trims": (3060, None),
+    "pruned_range": (7851, None),
+    "dist_calcs": (11637, None),
+    "bound_calcs": (3164, None),
+    "node_io": (34, None),
+}
+GOLDEN_TOPK_STREAM = "808e393614381c57e26de3883a7891c21e1062ca"
+
+
+def observed(counters, golden):
+    """The registry's readings in the ``(value, peak)`` shape of a
+    golden table."""
+    return {
+        name: (
+            None if value is None else counters.value(name),
+            None if peak is None else counters.peak(name),
+        )
+        for name, (value, peak) in golden.items()
+    }
+
 
 def test_sequential_join_work_counters_match_golden():
     load = build_tiger_workload(scale=SCALE)
@@ -65,14 +98,25 @@ def test_hybrid_queue_spill_counters_match_golden():
         queue="hybrid", queue_dt=HYBRID_DT, counters=load.counters,
     )
     assert len(list(islice(join, PAIRS))) == PAIRS
-    observed = {
-        name: (
-            None if value is None else load.counters.value(name),
-            None if peak is None else load.counters.peak(name),
-        )
-        for name, (value, peak) in GOLDEN_HYBRID.items()
-    }
-    assert observed == GOLDEN_HYBRID
+    assert observed(load.counters, GOLDEN_HYBRID) == GOLDEN_HYBRID
+
+
+@pytest.mark.parametrize("heap_class", [BinaryHeap, PairingHeap])
+def test_k_bounded_join_counters_match_golden(heap_class):
+    """What the estimator trims and the deep memory queue holds is
+    pinned, rows and tie order included, under either heap: the queue
+    may change how it orders its rows, never which rows or when."""
+    load = build_tiger_workload(scale=SCALE)
+    join = IncrementalDistanceJoin(
+        load.tree1, load.tree2,
+        JoinSpec(max_pairs=TOPK_PAIRS, heap_class=heap_class),
+        counters=load.counters,
+    )
+    stream = hashlib.sha1()
+    for r in join:
+        stream.update(f"{r.distance.hex()},{r.oid1},{r.oid2};".encode())
+    assert observed(load.counters, GOLDEN_TOPK) == GOLDEN_TOPK
+    assert stream.hexdigest() == GOLDEN_TOPK_STREAM
 
 
 def test_goldens_are_repeatable_within_process():

@@ -3,6 +3,8 @@ STOP AFTER k join across several quanta, observe status/metrics, and
 exercise the API's error paths."""
 
 import asyncio
+import json
+import socket
 import threading
 
 import pytest
@@ -10,6 +12,7 @@ import pytest
 from repro.errors import ServiceError
 from repro.query.executor import Database
 from repro.service import JoinService, ServiceClient
+from repro.service.server import MAX_BODY_BYTES
 from repro.util.counters import CounterRegistry
 
 from tests.conftest import make_points
@@ -151,3 +154,63 @@ class TestErrors:
         with pytest.raises(ServiceError):
             client.next(session_id, k=0)
         client.delete(session_id)
+
+
+def raw_exchange(port, request: bytes):
+    """Send ``request`` as is and read the reply to end of stream;
+    returns (status, parsed JSON body)."""
+    with socket.create_connection(("127.0.0.1", port), timeout=10) as sock:
+        sock.sendall(request)
+        chunks = []
+        while True:
+            try:
+                chunk = sock.recv(65536)
+            except ConnectionResetError:
+                break  # closed on our unread body, after the reply
+            if not chunk:
+                break
+            chunks.append(chunk)
+    head, __, body = b"".join(chunks).partition(b"\r\n\r\n")
+    status_line = head.split(b"\r\n")[0].decode("latin-1")
+    assert status_line.startswith("HTTP/1.1 ")
+    return int(status_line.split()[1]), json.loads(body)
+
+
+class TestContentLength:
+    """``Content-Length`` is outside input: a value the server cannot
+    honour is a JSON 4xx sent before any body is read -- no traceback,
+    no handler parked on a body that never comes, no session."""
+
+    @pytest.mark.parametrize("declared,status", [
+        ("-1", 400),
+        ("12abc", 400),
+        ("", 400),
+        ("9" * 5000, 400),  # beyond int()'s digit limit
+        ("99999999999", 413),
+        (str(MAX_BODY_BYTES + 1), 413),
+    ])
+    def test_rejected_before_the_body(self, served, declared, status):
+        service, client = served
+        got, payload = raw_exchange(service.port, (
+            "POST /query HTTP/1.1\r\n"
+            "Content-Type: application/json\r\n"
+            f"Content-Length: {declared}\r\n"
+            "\r\n"
+        ).encode("latin-1") + json.dumps({"sql": SQL}).encode())
+        assert got == status
+        assert set(payload) == {"error"}
+        assert service.scheduler.status()["session_count"] == 0
+        # The next ordinary request, on a fresh connection, is served.
+        assert len(client.rows(SQL, k=50)) == 40
+
+    def test_largest_allowed_length_is_read(self, served):
+        service, __ = served
+        body = json.dumps({"sql": SQL}).encode().ljust(MAX_BODY_BYTES)
+        got, payload = raw_exchange(service.port, (
+            "POST /query HTTP/1.1\r\n"
+            f"Content-Length: {len(body)}\r\n"
+            "\r\n"
+        ).encode("latin-1") + body)
+        assert got == 200
+        assert service.scheduler.status()["session_count"] == 1
+        ServiceClient(port=service.port).delete(payload["session"])
