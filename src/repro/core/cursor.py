@@ -25,9 +25,11 @@ from repro.util.counters import CounterRegistry
 
 #: The one cursor format and its version.  Cursors are session-scoped
 #: (spools, ``--cursor`` files): anything else is rejected, there is no
-#: compatibility reader.
+#: compatibility reader.  Version 2: the join estimator's ``M`` is
+#: keyed by queue sequence number (version 1: by pair identity, which
+#: this build would resume into silently wrong trims).
 FORMAT = "repro-cursor"
-VERSION = 1
+VERSION = 2
 
 _MAGIC = FORMAT.encode("ascii") + bytes([VERSION])
 _DIGEST_SIZE = hashlib.sha256().digest_size

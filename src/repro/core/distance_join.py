@@ -312,7 +312,7 @@ class IncrementalDistanceJoin(cursor.SuspendableOperator):
             # (No queue_size observation: a pop cannot raise the peak,
             # and every size a push reached was observed by the push.)
             if self._estimator is not None:
-                self._estimator.on_dequeue(pair)
+                self._estimator.on_dequeue(abs(key[3]), pair)
 
             if pair.is_result:
                 result = self._handle_result(pair)
@@ -997,13 +997,14 @@ class IncrementalDistanceJoin(cursor.SuspendableOperator):
             key_distance = self.distance.estimation_maxdist(
                 pair.item1, pair.item2
             )
-        self._queue.push(self._keys.key(pair, key_distance), pair)
+        key = self._keys.key(pair, key_distance)
+        self._queue.push(key, pair)
         self._c_queue_inserts.add()
         self._c_queue_size.observe(len(self._queue))
         if self._estimator is not None:
-            self._offer(
-                CandidateBlock.of_pairs([pair]), pair.item1, pair.item2
-            )
+            block = CandidateBlock.of_pairs([pair])
+            block.seq0 = key[3]  # the row's name in the estimator's M
+            self._offer(block, pair.item1, pair.item2)
 
     # ------------------------------------------------------------------
     # restart path for the aggressive estimator

@@ -17,14 +17,25 @@ never be needed.
 Two variants exist:
 
 - :class:`JoinEstimator` -- for the distance join; ``M`` is keyed by
-  the *pair*, counts multiply the two subtree cardinalities, and a pair
-  leaves ``M`` when it is dequeued from the main queue.
+  the *queue row*, named as the queue names it: by the sequence number
+  :class:`~repro.core.tiebreak.KeyMaker` gave it (``abs(key[3])``).
+  Counts multiply the two subtree cardinalities, and a row leaves ``M``
+  when it is dequeued from the main queue.  A pair has exactly one
+  generating expansion (a node has one parent, and the side expanded is
+  a function of the pair's levels), so no two queued rows are the same
+  pair and an entry is never replaced.
 - :class:`SemiJoinEstimator` -- for the distance semi-join; ``M`` is
   keyed by the pair's *first item* (each outer object yields one result
   at most), counts use only the first item's subtree, an existing entry
   is replaced only by one with a smaller ``d_max``, and a node may not
   enter ``M`` after it has been expanded (its descendants may already
   be counted).
+
+Both take a whole block per :meth:`offer` with sequential semantics
+(each row tested against the ``D_max`` its predecessors left, trimmed
+after); the join's loop is fused -- state in locals, one booking per
+block -- and every trim, from either ``offer`` or ``on_report``, is
+the one eviction loop :meth:`AddressableMaxQueue.trim`.
 
 Subtree-cardinality bounds come from the tree's minimum fan-out
 (*safe*: ``D_max`` never drops below the true K-th distance) or, in
@@ -35,7 +46,8 @@ signalled via :class:`repro.errors.RestartRequired`).
 
 from __future__ import annotations
 
-from typing import Tuple
+from heapq import heappush
+from typing import Optional, Tuple
 
 from repro.core.heap import AddressableMaxQueue
 from repro.core.pairs import CandidateBlock, Pair
@@ -73,18 +85,16 @@ class _EstimatorBase:
     #: value is the count).
     _count_of = None
 
-    def _trim(self) -> None:
-        # Evict largest-d_max entries while the remainder still covers
-        # the k pairs we owe; D_max drops to the last evicted d_max.
-        # ``total < k`` leaves nothing to evict whatever the largest
-        # entry's count is, so that case exits without touching Q_M.
-        if self._total < self.k:
-            return
-        self._total, evicted, est_dmax = self._m.trim(
-            self._total, self.k, self._count_of
-        )
+    def _settle(
+        self, total: int, evicted: int, dmax: Optional[float]
+    ) -> None:
+        """Book a trim -- what :meth:`AddressableMaxQueue.trim`
+        returned, or a block's worth of it: the remaining total and, if
+        anything was evicted, ``D_max`` dropped to the last evicted
+        d_max."""
+        self._total = total
         if evicted:
-            self.dmax = est_dmax
+            self.dmax = dmax
             self.trimmed = True
             self.counters.add("estimator_trims", evicted)
 
@@ -92,7 +102,12 @@ class _EstimatorBase:
         """One result pair was reported: one fewer still owed."""
         if self.k > 0:
             self.k -= 1
-        self._trim()
+        # Evict largest-d_max entries while the remainder still covers
+        # the k pairs we owe.  ``total < k`` leaves nothing to evict
+        # whatever the largest entry's count is, so that case never
+        # touches Q_M (here and in both ``offer`` loops).
+        if self._total >= self.k:
+            self._settle(*self._m.trim(self._total, self.k, self._count_of))
 
     @property
     def tracked_pairs(self) -> int:
@@ -146,39 +161,50 @@ class JoinEstimator(_EstimatorBase):
     """Maximum-distance estimation for the distance join."""
 
     def offer(self, block: CandidateBlock, count: int) -> None:
-        """Consider a block of pairs just inserted into the main queue.
+        """Consider a keyed block of pairs just inserted into the main
+        queue.
 
-        Row ``r`` has MINDIST ``block.dists[r]`` and d_max
-        ``block.uppers[r]``.  The block is one node expansion's worth
+        Row ``r`` has MINDIST ``block.dists[r]``, d_max
+        ``block.uppers[r]`` and the sequence number ``abs(block.seq0) +
+        r``, its key in ``M``.  The block is one node expansion's worth
         (or a single pair), so child kind and level are uniform and
         ``count`` -- the lower bound on the object pairs each can
         generate (product of the two subtree bounds) -- is one value.
         Semantics are sequential: every row is tested against the
         ``dmax`` the rows before it left behind, and trimmed after,
-        exactly as if offered one at a time.  Only a row that passes
-        the test has its identity computed.
+        exactly as if offered one at a time.  The loop is fused: state
+        in locals, booked once per block, and the insert written out
+        (:meth:`AddressableMaxQueue.insert` for a key that is new and
+        ascending, so the sequence number is the tie-break as well),
+        which leaves one call per eligible row: the shared eviction
+        loop.
         """
-        dmin = self.dmin
-        insert = self._m.insert
-        for row, (mindist, est_dmax) in enumerate(
-            zip(block.dists, block.uppers)
+        m = self._m
+        heap, live, trim = m._heap, m._live, m.trim
+        dmin, dmax, k, total = self.dmin, self.dmax, self.k, self._total
+        evicted = 0
+        seq0 = abs(block.seq0)
+        for seq, mindist, est_dmax in zip(
+            range(seq0, seq0 + len(block.dists)), block.dists, block.uppers
         ):
             # All object pairs generated from an eligible pair are
             # certain to land inside [dmin, current dmax].
-            if not (mindist >= dmin and est_dmax <= self.dmax):
-                continue
-            existing = insert(block.identity(row), est_dmax, count)
-            if existing is not None:
-                self._total -= existing[1]
-            self._total += count
-            self._trim()
+            if mindist >= dmin and est_dmax <= dmax:
+                live[seq] = (est_dmax, count)
+                heappush(heap, (-est_dmax, seq, seq))
+                total += count
+                if total >= k:
+                    total, n, last = trim(total, k)
+                    if n:
+                        evicted += n
+                        dmax = last
+        self._settle(total, evicted, dmax)
 
-    def on_dequeue(self, pair: Pair) -> None:
-        """The pair left the main queue; its children will re-offer."""
-        key = pair.identity()
-        existing = self._m.get(key)
+    def on_dequeue(self, seq: int, pair: Pair) -> None:
+        """Row ``seq`` left the main queue; its children will
+        re-offer."""
+        existing = self._m.delete(seq)
         if existing is not None:
-            self._m.delete(key)
             self._total -= existing[1]
 
 
@@ -234,10 +260,12 @@ class SemiJoinEstimator(_EstimatorBase):
                 first, est_dmax, (count, block.second(row).identity())
             )
             self._total += count
-            self._trim()
+            if self._total >= self.k:
+                self._settle(*m.trim(self._total, self.k, self._count_of))
 
-    def on_dequeue(self, pair: Pair) -> None:
-        """Remove the exact pair from M when it leaves the main queue."""
+    def on_dequeue(self, seq: int, pair: Pair) -> None:
+        """Remove the exact pair from M when it leaves the main queue
+        (``M`` is keyed by the outer item, so ``seq`` goes unused)."""
         first = pair.item1.identity()
         existing = self._m.get(first)
         if existing is not None and existing[1][1] == pair.item2.identity():
@@ -249,16 +277,14 @@ class SemiJoinEstimator(_EstimatorBase):
         drop any M entry keyed by it (its children take over)."""
         first = pair.item1.identity()
         self._processed_first.add(first)
-        existing = self._m.get(first)
+        existing = self._m.delete(first)
         if existing is not None:
-            self._m.delete(first)
             self._total -= existing[1][0]
 
     def on_report_first(self, first_identity: Tuple) -> None:
         """A result for this outer object was reported: purge its M
         entry and decrement the owed-pair count."""
-        existing = self._m.get(first_identity)
+        existing = self._m.delete(first_identity)
         if existing is not None:
-            self._m.delete(first_identity)
             self._total -= existing[1][0]
         self.on_report()

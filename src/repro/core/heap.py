@@ -10,7 +10,10 @@ run on either.  It also provides :class:`AddressableMaxQueue`, the
 ``Q_M`` structure of Section 2.2.4: a max-priority queue over d_max
 values combined with a hash table so that arbitrary entries can be
 deleted when their pair is dequeued from the main queue (implemented
-with lazy deletion).
+with lazy deletion), and ``trim``, the estimator's one eviction loop.
+What an entry is keyed by is the estimator's business
+(:mod:`repro.core.estimate`): a queue sequence number in the join, the
+outer item in the semi-join.
 """
 
 from __future__ import annotations
@@ -276,7 +279,12 @@ class AddressableMaxQueue(Generic[V]):
     values to find the largest, plus a hash table to locate and delete
     the entry of a particular pair when it leaves the main queue.
     Deletion is implemented lazily: the hash table is authoritative and
-    stale heap entries are skipped on ``pop_max``/``peek_max``.
+    stale heap entries are skipped on ``pop_max``/``peek_max``/``trim``.
+    The heap orders ``(-priority, tie-break, key)``: :meth:`insert`
+    breaks ties by insertion count, and
+    :meth:`repro.core.estimate.JoinEstimator.offer`, whose fused loop
+    writes the heap and the hash table itself, by its keys -- ascending
+    sequence numbers, so the same order.
     """
 
     def __init__(self) -> None:
@@ -308,9 +316,10 @@ class AddressableMaxQueue(Generic[V]):
         heapq.heappush(self._heap, (-priority, self._counter, key))
         return previous
 
-    def delete(self, key: Hashable) -> bool:
-        """Delete the entry under ``key``; True if it existed."""
-        return self._live.pop(key, None) is not None
+    def delete(self, key: Hashable) -> Optional[Tuple[float, V]]:
+        """Delete the entry under ``key``; returns its (priority,
+        value), or None if there was none."""
+        return self._live.pop(key, None)
 
     def _skim(self) -> None:
         # Drop stale heap tops (deleted or replaced entries).

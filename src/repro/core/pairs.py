@@ -74,7 +74,8 @@ class Item:
         return self.kind == NODE
 
     def identity(self) -> tuple:
-        """Hashable identity for the estimator's hash table."""
+        """Hashable identity of the item: what the semi-join keys its
+        per-outer-item state by (d_max bounds, the estimator's M)."""
         if self.kind == NODE:
             return ("n", self.node_id)
         return ("o", self.oid)
@@ -119,10 +120,6 @@ class Pair:
     def node_count(self) -> int:
         """How many of the two items are nodes (0, 1 or 2)."""
         return int(self.item1.is_node) + int(self.item2.is_node)
-
-    def identity(self) -> tuple:
-        """Hashable identity of the pair (estimator bookkeeping)."""
-        return (self.item1.identity(), self.item2.identity())
 
     def __repr__(self) -> str:
         return (
@@ -230,15 +227,6 @@ class CandidateBlock:
         items2 = self.items2
         return [Pair(items[i], items2[j], d)
                 for i, j, d in zip(self.rows, self.rows2, self.dists)]
-
-    def identity(self, row: int) -> tuple:
-        """:meth:`Pair.identity` of row ``row``, without the pair."""
-        child = self.items[self.rows[row]].identity()
-        if self.side == 1:
-            return (child, self.other.identity())
-        if self.side == 2:
-            return (self.other.identity(), child)
-        return (child, self.items2[self.rows2[row]].identity())
 
     def take(self, kept: List[int]) -> "CandidateBlock":
         """A block of the ``kept`` rows only, in that order."""

@@ -75,6 +75,11 @@ MAX_PAGE = 4096
 #: update); a request declaring more is answered 413, unread.
 MAX_BODY_BYTES = 1 << 20
 
+#: Most header lines one request may carry.  One more -- or a request
+#: or header line longer than the stream reader's limit (asyncio's
+#: 64 KiB) -- is answered 431 before anything is dispatched.
+MAX_HEADER_LINES = 100
+
 
 def row_to_json(row: Any) -> Dict[str, Any]:
     """A :class:`~repro.query.physical.Row` -- or a standing join's
@@ -577,18 +582,26 @@ class JoinService:
         writer: asyncio.StreamWriter,
     ) -> None:
         try:
-            request_line = await reader.readline()
-            pieces = request_line.decode("latin-1").split()
-            if len(pieces) < 2:
-                return
-            method, path = pieces[0].upper(), pieces[1]
+            method = path = ""
             headers: Dict[str, str] = {}
-            while True:
-                line = await reader.readline()
-                if line in (b"\r\n", b"\n", b""):
-                    break
-                name, __, value = line.decode("latin-1").partition(":")
-                headers[name.strip().lower()] = value.strip()
+            try:
+                request_line = await reader.readline()
+                pieces = request_line.decode("latin-1").split()
+                if len(pieces) < 2:
+                    return
+                method, path = pieces[0].upper(), pieces[1]
+                for __ in range(MAX_HEADER_LINES + 1):
+                    line = await reader.readline()
+                    if line in (b"\r\n", b"\n", b""):
+                        break
+                    name, __, value = line.decode("latin-1").partition(":")
+                    headers[name.strip().lower()] = value.strip()
+                else:
+                    raise ValueError("too many header lines")
+                head_fits = True
+            except ValueError:
+                # Ours, or readline's own for a line beyond its limit.
+                head_fits = False
             # Content-Length comes from outside: judge it before
             # waiting for a single body byte.
             try:
@@ -596,7 +609,12 @@ class JoinService:
             except ValueError:
                 content_length = -1
             started = time.perf_counter()
-            if content_length < 0:
+            if not head_fits:
+                status, payload, ctype = 431, {
+                    "error": "request head too large: a line over 64 KiB "
+                             f"or more than {MAX_HEADER_LINES} header lines"
+                }, "application/json"
+            elif content_length < 0:
                 status, payload, ctype = 400, {
                     "error": "Content-Length must be a non-negative integer"
                 }, "application/json"
@@ -622,6 +640,7 @@ class JoinService:
                 data = json.dumps(payload).encode("utf-8")
             reason = {200: "OK", 400: "Bad Request", 404: "Not Found",
                       409: "Conflict", 413: "Payload Too Large",
+                      431: "Request Header Fields Too Large",
                       500: "Internal Server Error"}
             head = (
                 f"HTTP/1.1 {status} {reason.get(status, 'OK')}\r\n"

@@ -2,13 +2,16 @@
 
 from __future__ import annotations
 
+import asyncio
 import random
+import threading
 
 import pytest
 
 from repro.geometry.metrics import EUCLIDEAN
 from repro.geometry.point import Point
 from repro.rtree.rstar import RStarTree
+from repro.service import JoinService, ServiceClient
 from repro.util.counters import CounterRegistry
 
 
@@ -93,3 +96,44 @@ def medium_trees():
     tree_b = make_tree(points_b)
     truth = brute_force_pairs(points_a, points_b)
     return tree_a, tree_b, points_a, points_b, truth
+
+
+@pytest.fixture
+def serve(tmp_path):
+    """Factory for the HTTP tests: ``serve(db, **keywords)`` boots a
+    :class:`JoinService` (the keywords are its own) on an ephemeral
+    port with its loop in a thread and returns ``(service, client)``.
+    The spool lives under ``tmp_path`` and the evictor stays quiet
+    unless a keyword says otherwise; teardown stops what was started."""
+    stops = []
+
+    def start(db, **keywords):
+        keywords.setdefault("spool_dir", str(tmp_path / "spool"))
+        keywords.setdefault("idle_evict_seconds", 1e9)
+        service = JoinService(db, **keywords)
+        loop = asyncio.new_event_loop()
+        started = threading.Event()
+
+        def runner():
+            asyncio.set_event_loop(loop)
+            loop.run_until_complete(service.start(port=0))
+            started.set()
+            loop.run_forever()
+
+        thread = threading.Thread(target=runner, daemon=True)
+        thread.start()
+        assert started.wait(10), "server failed to start"
+
+        def stop():
+            asyncio.run_coroutine_threadsafe(service.stop(), loop).result(10)
+            loop.call_soon_threadsafe(loop.stop)
+            thread.join(10)
+            assert not thread.is_alive()
+            loop.close()
+
+        stops.append(stop)
+        return service, ServiceClient(port=service.port, timeout=30)
+
+    yield start
+    for stop in stops:
+        stop()

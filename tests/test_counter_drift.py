@@ -19,7 +19,11 @@ import pytest
 from repro.bench.workloads import build_tiger_workload
 from repro.core.distance_join import IncrementalDistanceJoin
 from repro.core.heap import BinaryHeap, PairingHeap
+from repro.core.semi_join import IncrementalDistanceSemiJoin
 from repro.core.spec import JoinSpec
+from repro.datasets.tiger_like import roads_segments, water_segments
+from repro.rtree.bulk import bulk_load_str
+from repro.util.counters import CounterRegistry
 
 #: Fixed-seed workload configuration the goldens are pinned against.
 SCALE = 0.005
@@ -61,6 +65,60 @@ GOLDEN_TOPK = {
     "node_io": (34, None),
 }
 GOLDEN_TOPK_STREAM = "808e393614381c57e26de3883a7891c21e1062ca"
+
+#: Three more ways into the estimator, captured at 5583c0b (the commit
+#: before ``M`` was keyed by sequence number): name -> (operator,
+#: segments?, knobs, counters, stream).  ``simultaneous`` offers
+#: two-sided blocks.  ``obr`` runs on the workload's segment twin (same
+#: seeds, cardinalities and fan-out): an obr pair of *points* resolves
+#: to its own MINDIST and is reported at once, while 1 534 of these
+#: resolved pairs re-enter the queue through ``_push``, where the
+#: row's sequence number is threaded from the key just made.  ``semi``
+#: puts ``SemiJoinEstimator`` on the shared base and ``Q_M``.
+GOLDEN_ESTIMATOR_PATHS = {
+    "simultaneous": (
+        IncrementalDistanceJoin, False,
+        dict(max_pairs=TOPK_PAIRS, node_policy="simultaneous"),
+        {
+            "queue_inserts": (10131, None),
+            "queue_size": (None, 9971),
+            "estimator_trims": (7435, None),
+            "pruned_range": (6019, None),
+            "dist_calcs": (16004, None),
+            "bound_calcs": (4131, None),
+            "node_io": (36, None),
+        },
+        GOLDEN_TOPK_STREAM,
+    ),
+    "obr": (
+        IncrementalDistanceJoin, True,
+        dict(max_pairs=TOPK_PAIRS, leaf_mode="obr"),
+        {
+            "queue_inserts": (6709, None),
+            "queue_size": (None, 3731),
+            "estimator_trims": (2374, None),
+            "pruned_range": (5476, None),
+            "dist_calcs": (2151, None),
+            "bound_calcs": (15735, None),
+            "node_io": (23, None),
+        },
+        "d244a3447b2c7c937bcb76db9c84521b8c0c8ee8",
+    ),
+    "semi": (
+        IncrementalDistanceSemiJoin, False,
+        dict(max_pairs=100),
+        {
+            "queue_inserts": (1493, None),
+            "queue_size": (None, 1270),
+            "estimator_trims": (130, None),
+            "pruned_range": (3269, None),
+            "dist_calcs": (6496, None),
+            "bound_calcs": (4504, None),
+            "node_io": (29, None),
+        },
+        "c7ba86a721ce4c0f353233d1cabcd0d8ae9bca42",
+    ),
+}
 
 
 def observed(counters, golden):
@@ -117,6 +175,48 @@ def test_k_bounded_join_counters_match_golden(heap_class):
         stream.update(f"{r.distance.hex()},{r.oid1},{r.oid2};".encode())
     assert observed(load.counters, GOLDEN_TOPK) == GOLDEN_TOPK
     assert stream.hexdigest() == GOLDEN_TOPK_STREAM
+
+
+def segment_twin(load):
+    """``load``'s maps as short segments: trees and a fresh registry,
+    built the way :func:`build_tiger_workload` builds its own."""
+    counters = CounterRegistry()
+    trees = [
+        bulk_load_str(
+            segments(len(points)), max_entries=50, buffer_pages=256,
+            counters=counters, dim=2,
+        )
+        for segments, points in (
+            (water_segments, load.points1), (roads_segments, load.points2)
+        )
+    ]
+    counters.reset()
+    return (*trees, counters)
+
+
+@pytest.mark.parametrize("heap_class", [BinaryHeap, PairingHeap])
+@pytest.mark.parametrize("path", list(GOLDEN_ESTIMATOR_PATHS))
+def test_estimator_path_counters_match_golden(path, heap_class):
+    """The estimator's other entrances do exactly the parent's work:
+    same rows in the same order, same trims, same queue."""
+    operator, segments, knobs, golden, golden_stream = (
+        GOLDEN_ESTIMATOR_PATHS[path]
+    )
+    load = build_tiger_workload(scale=SCALE)
+    tree1, tree2, counters = (
+        segment_twin(load) if segments
+        else (load.tree1, load.tree2, load.counters)
+    )
+    join = operator(
+        tree1, tree2, JoinSpec(heap_class=heap_class, **knobs),
+        counters=counters,
+    )
+    stream = hashlib.sha1()
+    for r in join:
+        stream.update(f"{r.distance.hex()},{r.oid1},{r.oid2};".encode())
+    assert counters.value("estimator_trims") > 0
+    assert observed(counters, golden) == golden
+    assert stream.hexdigest() == golden_stream
 
 
 def test_goldens_are_repeatable_within_process():

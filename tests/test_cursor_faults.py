@@ -3,10 +3,8 @@ every cursor kind, ends in :class:`CursorError` -- never another
 exception, never a changed tree -- and over HTTP a damaged spooled
 cursor costs exactly one session."""
 
-import asyncio
 import logging
 import random
-import threading
 
 import pytest
 
@@ -17,14 +15,7 @@ from repro.errors import CursorError, ServiceError
 from repro.geometry.point import Point
 from repro.live import StandingJoin
 from repro.query.executor import Database
-from repro.service import (
-    JoinService,
-    LiveSource,
-    QuerySource,
-    ServiceClient,
-    dumps,
-    loads,
-)
+from repro.service import LiveSource, QuerySource, dumps, loads
 from repro.shard import ShardRouterJoin, ShardRouterSemiJoin
 from repro.util.counters import CounterRegistry
 
@@ -212,6 +203,7 @@ class TestEnvelope:
         ("format", "repro-join-cursor"),  # a pre-protocol cursor
         ("format", None),
         ("version", cursor.VERSION + 1),
+        ("version", 1),  # M keyed by pair identity: never resumed
         ("version", "1"),
         ("kind", "teleport"),
         ("class", "Nobody"),
@@ -345,36 +337,10 @@ class TestStructuralDamage:
 # ----------------------------------------------------------------------
 
 @pytest.fixture
-def served(tmp_path):
-    """(service, client, db) with the loop in a thread and the evictor
-    quiet."""
+def served(serve):
+    """(service, client, db) with the evictor quiet."""
     db = build_db()
-    service = JoinService(
-        db,
-        quantum_pairs=5,
-        spool_dir=str(tmp_path / "spool"),
-        idle_evict_seconds=1e9,
-    )
-    loop = asyncio.new_event_loop()
-    started = threading.Event()
-
-    def runner():
-        asyncio.set_event_loop(loop)
-        loop.run_until_complete(service.start(port=0))
-        started.set()
-        loop.run_forever()
-
-    thread = threading.Thread(target=runner, daemon=True)
-    thread.start()
-    assert started.wait(10), "server failed to start"
-    try:
-        yield service, ServiceClient(port=service.port, timeout=30), db
-    finally:
-        asyncio.run_coroutine_threadsafe(service.stop(), loop).result(10)
-        loop.call_soon_threadsafe(loop.stop)
-        thread.join(10)
-        assert not thread.is_alive()
-        loop.close()
+    return (*serve(db, quantum_pairs=5), db)
 
 
 def drop_key(state):
@@ -393,7 +359,20 @@ def truncate(state):
     return blob[:len(blob) // 2]
 
 
-DAMAGES = [drop_key, body_to_string, truncate]
+def envelope_v1(state):
+    """What the build before this one spooled: ``M`` keyed by pair
+    identity, which would resume here into silently wrong trims."""
+    state["version"] = 1
+    return dumps(state)
+
+
+def blob_v1(state):
+    """The same, down to the version byte of the blob's magic."""
+    magic = cursor.FORMAT.encode("ascii")
+    return magic + b"\x01" + envelope_v1(state)[len(magic) + 1:]
+
+
+DAMAGES = [drop_key, body_to_string, truncate, envelope_v1, blob_v1]
 
 
 def damage_spool(service, sid, damage):

@@ -114,8 +114,8 @@ class TestAddressableMaxQueue:
         q = AddressableMaxQueue()
         q.insert("a", 3.0, None)
         q.insert("b", 7.0, None)
-        assert q.delete("b")
-        assert not q.delete("b")
+        assert q.delete("b") == (7.0, None)  # the entry it removed
+        assert q.delete("b") is None
         assert q.pop_max()[0] == "a"
         assert not q
 
@@ -171,7 +171,10 @@ class TestAddressableMaxQueue:
                 q.insert(key, priority, None)
                 model[key] = priority
             elif op == "del":
-                assert q.delete(key) == (key in model)
+                removed = q.delete(key)
+                assert removed == (
+                    (model[key], None) if key in model else None
+                )
                 model.pop(key, None)
             else:
                 if model:

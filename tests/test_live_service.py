@@ -9,9 +9,6 @@ subscription, and the ``live_*`` counters on ``/metrics``.
 
 from __future__ import annotations
 
-import asyncio
-import threading
-
 import pytest
 
 from repro.core import cursor
@@ -19,7 +16,7 @@ from repro.errors import CursorError, ServiceError
 from repro.geometry.point import Point
 from repro.live import ADD, StandingJoin
 from repro.query.executor import Database
-from repro.service import JoinService, LiveSource, ServiceClient
+from repro.service import LiveSource
 from repro.service.scheduler import JoinScheduler
 from repro.util.counters import CounterRegistry
 from tests.conftest import make_points
@@ -161,34 +158,11 @@ class TestSchedulerLiveQuanta:
 
 
 @pytest.fixture
-def served(tmp_path):
+def served(serve):
     """A JoinService over a live-enabled database; yields
     (service, client, db)."""
     db = build_db()
-    service = JoinService(
-        db,
-        spool_dir=str(tmp_path / "spool"),
-        idle_evict_seconds=1e9,
-    )
-    loop = asyncio.new_event_loop()
-    started = threading.Event()
-
-    def runner():
-        asyncio.set_event_loop(loop)
-        loop.run_until_complete(service.start(port=0))
-        started.set()
-        loop.run_forever()
-
-    thread = threading.Thread(target=runner, daemon=True)
-    thread.start()
-    assert started.wait(10), "server failed to start"
-    try:
-        yield service, ServiceClient(port=service.port, timeout=30), db
-    finally:
-        asyncio.run_coroutine_threadsafe(service.stop(), loop).result(10)
-        loop.call_soon_threadsafe(loop.stop)
-        thread.join(10)
-        loop.close()
+    return (*serve(db), db)
 
 
 class TestHttpSubscription:

@@ -3,18 +3,15 @@ scheduler and over HTTP, the per-session flight recorder, slow-quantum
 dumps, /debug introspection, structured request logs, and the metrics
 exposition's content type and label escaping."""
 
-import asyncio
 import http.client
 import io
 import json
 import pickle
-import threading
 
 import pytest
 
 from repro.errors import ServiceError
 from repro.query.executor import Database
-from repro.service import JoinService, ServiceClient
 from repro.service.cursor import CursorStore
 from repro.service.scheduler import JoinScheduler
 from repro.service.session import QuerySource, Session
@@ -248,37 +245,14 @@ class TestSuspendResumeTrace:
 
 
 @pytest.fixture
-def served(tmp_path):
+def served(serve):
     """A telemetry-enabled JoinService with a JSON request log;
     yields (service, client, log_buffer)."""
     log = io.StringIO()
-    service = JoinService(
-        build_db(),
-        quantum_pairs=5,
-        spool_dir=str(tmp_path / "spool"),
-        idle_evict_seconds=1e9,
-        log_json=True,
-        log_stream=log,
+    service, client = serve(
+        build_db(), quantum_pairs=5, log_json=True, log_stream=log
     )
-    loop = asyncio.new_event_loop()
-    started = threading.Event()
-
-    def runner():
-        asyncio.set_event_loop(loop)
-        loop.run_until_complete(service.start(port=0))
-        started.set()
-        loop.run_forever()
-
-    thread = threading.Thread(target=runner, daemon=True)
-    thread.start()
-    assert started.wait(10), "server failed to start"
-    try:
-        yield service, ServiceClient(port=service.port, timeout=30), log
-    finally:
-        asyncio.run_coroutine_threadsafe(service.stop(), loop).result(10)
-        loop.call_soon_threadsafe(loop.stop)
-        thread.join(10)
-        loop.close()
+    return service, client, log
 
 
 TRACEPARENT = "00-" + "ab" * 16 + "-" + "cd" * 8 + "-01"

@@ -2,17 +2,16 @@
 STOP AFTER k join across several quanta, observe status/metrics, and
 exercise the API's error paths."""
 
-import asyncio
 import json
+import logging
 import socket
-import threading
 
 import pytest
 
 from repro.errors import ServiceError
 from repro.query.executor import Database
-from repro.service import JoinService, ServiceClient
-from repro.service.server import MAX_BODY_BYTES
+from repro.service import ServiceClient
+from repro.service.server import MAX_BODY_BYTES, MAX_HEADER_LINES
 from repro.util.counters import CounterRegistry
 
 from tests.conftest import make_points
@@ -31,34 +30,9 @@ def build_db():
 
 
 @pytest.fixture
-def served(tmp_path):
-    """A JoinService on an ephemeral port with its loop in a thread;
-    yields (service, client)."""
-    service = JoinService(
-        build_db(),
-        quantum_pairs=5,  # small quanta force multi-quantum paging
-        spool_dir=str(tmp_path / "spool"),
-        idle_evict_seconds=1e9,  # the evictor stays quiet in tests
-    )
-    loop = asyncio.new_event_loop()
-    started = threading.Event()
-
-    def runner():
-        asyncio.set_event_loop(loop)
-        loop.run_until_complete(service.start(port=0))
-        started.set()
-        loop.run_forever()
-
-    thread = threading.Thread(target=runner, daemon=True)
-    thread.start()
-    assert started.wait(10), "server failed to start"
-    try:
-        yield service, ServiceClient(port=service.port, timeout=30)
-    finally:
-        asyncio.run_coroutine_threadsafe(service.stop(), loop).result(10)
-        loop.call_soon_threadsafe(loop.stop)
-        thread.join(10)
-        loop.close()
+def served(serve):
+    """(service, client); small quanta force multi-quantum paging."""
+    return serve(build_db(), quantum_pairs=5)
 
 
 class TestPaging:
@@ -214,3 +188,44 @@ class TestContentLength:
         assert got == 200
         assert service.scheduler.status()["session_count"] == 1
         ServiceClient(port=service.port).delete(payload["session"])
+
+
+class TestRequestHead:
+    """The request line and the headers are outside input too: a line
+    the stream reader cannot hold, or more header lines than
+    ``MAX_HEADER_LINES``, is a JSON 431 sent before any dispatch --
+    not a ``ValueError`` out of the connection callback and an empty
+    reply, nor twenty thousand headers parsed into a dict."""
+
+    @pytest.mark.parametrize("head", [
+        b"GET /status HTTP/1.1\r\nX-Long: " + b"a" * 70_000 + b"\r\n",
+        b"GET /" + b"a" * 70_000 + b" HTTP/1.1\r\n",
+        b"POST /query HTTP/1.1\r\n" + b"X-Same: v\r\n" * 20_000,
+        b"POST /query HTTP/1.1\r\n" + b"".join(
+            b"X-%d: v\r\n" % i for i in range(MAX_HEADER_LINES + 1)
+        ),
+    ], ids=["long-header", "long-request-line", "20000-headers", "one-over"])
+    def test_oversized_head_is_a_431(self, served, head, caplog, capfd):
+        service, client = served
+        body = json.dumps({"sql": SQL}).encode()
+        with caplog.at_level(logging.ERROR, logger="asyncio"):
+            got, payload = raw_exchange(service.port, (
+                head + b"Content-Length: %d\r\n\r\n" % len(body) + body
+            ))
+            assert got == 431
+            assert set(payload) == {"error"}
+            assert service.scheduler.status()["session_count"] == 0
+            # The next ordinary request, on a fresh connection, is served.
+            assert len(client.rows(SQL, k=50)) == 40
+        assert not caplog.records
+        assert capfd.readouterr().err == ""
+
+    def test_the_cap_itself_is_served(self, served):
+        service, __ = served
+        got, payload = raw_exchange(service.port, (
+            b"GET /status HTTP/1.1\r\n" + b"".join(
+                b"X-%d: v\r\n" % i for i in range(MAX_HEADER_LINES)
+            ) + b"\r\n"
+        ))
+        assert got == 200
+        assert payload["session_count"] == 0
