@@ -14,13 +14,21 @@ exact object distance likewise (``dist_calcs``), and each evaluated
 partner object bumps ``live_probe_pairs``; the set of nodes expanded
 is exactly *all* nodes within the bound, so the charged counters are
 deterministic regardless of traversal order.
+
+Given a kernel set (:func:`repro.kernels.resolve_kernels`), a node is
+one batch call over its columnar mirror (``Node.entries_soa``) instead
+of a Python call per entry: the same floats, entries, order and
+counter totals, charged in bulk (docs/KERNELS.md).  The per-entry loop
+is the usual fallback: no numpy, ``kernel="scalar"``, or a leaf or
+probe object that is not a point.
 """
 
 from __future__ import annotations
 
-from typing import List, NamedTuple, Tuple
+from typing import Any, List, NamedTuple, Optional, Tuple
 
 from repro.core.pairs import Item, NODE, OBJ, PairDistance
+from repro.geometry.point import Point
 from repro.rtree.base import RTreeBase
 from repro.rtree.entry import LeafEntry
 from repro.util.counters import CounterRegistry
@@ -48,6 +56,7 @@ def probe_partner(
     probe_item: Item,
     bound: float,
     counters: CounterRegistry,
+    kernels: Optional[Any] = None,
 ) -> ProbeResult:
     """All partner objects within ``bound`` of ``probe_item``.
 
@@ -56,11 +65,15 @@ def probe_partner(
     set), computing the exact object distance at every reached leaf
     entry.  Node I/O is charged to the tree's registry and, when that
     differs from ``counters``, mirrored there -- the same accounting
-    rule the join operators use.
+    rule the join operators use.  ``kernels`` (a
+    :class:`~repro.kernels.batch.BatchKernels` of ``distance``'s
+    metric, or None) evaluates whole nodes at once.
     """
     found: List[Tuple[float, LeafEntry]] = []
     exhaustive = True
     shared = tree.counters is counters
+    rect = probe_item.rect
+    point = probe_item.obj if isinstance(probe_item.obj, Point) else None
     stack = [tree.root_id]
     while stack:
         node_id = stack.pop()
@@ -70,8 +83,29 @@ def probe_partner(
             counters.add("node_reads")
             if not hit:
                 counters.add("node_io")
-        if node.is_leaf:
-            for entry in node.entries:
+        entries = node.entries
+        leaf = node.is_leaf
+        soa = node.entries_soa() if kernels is not None and entries else None
+        if soa is not None and (
+            not leaf or (soa.pts is not None and point is not None)
+        ):
+            if leaf:
+                d = kernels.point_distance(soa.pts, point.coords)
+                distance._dist_calcs.add(soa.n)
+                counters.add("live_probe_pairs", soa.n)
+            else:
+                d = kernels.mindist(rect.lo, rect.hi, soa.lo, soa.hi)
+                distance._bound_calcs.add(soa.n)
+            within = kernels.np.flatnonzero(d <= bound).tolist()
+            if len(within) < soa.n:
+                exhaustive = False
+            if leaf:
+                dists = d.tolist()
+                found.extend((dists[i], entries[i]) for i in within)
+            else:
+                stack.extend(entries[i].child_id for i in within)
+        elif leaf:
+            for entry in entries:
                 other = Item(
                     OBJ, entry.rect, oid=entry.oid, obj=entry.obj
                 )
@@ -83,7 +117,7 @@ def probe_partner(
                     exhaustive = False
         else:
             child_level = node.level - 1
-            for entry in node.entries:
+            for entry in entries:
                 child = Item(
                     NODE, entry.rect,
                     node_id=entry.child_id, level=child_level,

@@ -29,6 +29,11 @@ The store invariant at every rest point: the store holds exactly the
 the canonical ``(distance, oid1, oid2)`` key, and ``store.complete``
 marks when it holds *all* of them.  Range-mode stores (no K) are
 always complete, so they never refill.
+
+A repair's deltas are the pairs it moved across position K, as the
+store reports them while it merges and retracts (``ResultStore.merge``
+/ ``remove_oid``): an update costs the pairs it touches and the
+partner nodes it probes, never a pass over the K reported pairs.
 """
 
 from __future__ import annotations
@@ -45,6 +50,7 @@ from repro.core.pairs import Item, OBJ, PairDistance
 from repro.core.spec import JoinSpec
 from repro.errors import CursorError, LiveError
 from repro.geometry.rectangle import Rect
+from repro.kernels import resolve_kernels
 from repro.live.delta import ADD, REMOVE, Delta, pair_key
 from repro.live.frontier import ResultStore
 from repro.live.probe import probe_partner
@@ -108,8 +114,8 @@ class StandingJoin(cursor.SuspendableOperator):
         The two (distinct) input trees.  Updates are addressed by
         side: ``insert(oid, obj, side=1)`` mutates ``tree1``.
     spec:
-        The join configuration (or the equivalent keyword knobs);
-        see :func:`validate_live_spec` for the supported subset.
+        The join configuration; see :func:`validate_live_spec` for
+        the supported subset.
         ``spec.max_pairs`` selects top-K mode; ``None`` with a finite
         ``max_distance`` selects range mode.
     frontier:
@@ -132,15 +138,13 @@ class StandingJoin(cursor.SuspendableOperator):
         self,
         tree1: RTreeBase,
         tree2: RTreeBase,
-        spec: Optional[JoinSpec] = None,
+        spec: JoinSpec,
         *,
         counters: Optional[CounterRegistry] = None,
         observer: Optional[Observer] = None,
         frontier: Optional[int] = None,
         _resume: Optional[Dict[str, Any]] = None,
-        **knobs: Any,
     ) -> None:
-        spec = JoinSpec.coalesce(spec, knobs)
         validate_live_spec(spec)
         if tree1 is tree2:
             raise LiveError(
@@ -175,6 +179,7 @@ class StandingJoin(cursor.SuspendableOperator):
         )
         self.obs = observer if observer is not None else NULL_OBSERVER
         self.distance = PairDistance(spec.metric, self.counters)
+        self._kern = resolve_kernels(spec.kernel, spec.metric)
         self._store = ResultStore(self._capacity)
         self._objects: Dict[int, Dict[int, Tuple[Any, Rect]]] = {
             1: {}, 2: {},
@@ -192,7 +197,7 @@ class StandingJoin(cursor.SuspendableOperator):
         self._rescan()
         # The registration itself publishes the initial result: a
         # subscriber pages these ADD deltas first, then the repairs.
-        self._emit({})
+        self._emit([], self.result())
 
     # ------------------------------------------------------------------
     # introspection
@@ -304,13 +309,12 @@ class StandingJoin(cursor.SuspendableOperator):
         else:
             self._observe_mutation(side)
         self._objects[side][oid] = (obj, rect)
-        before = self._published()
-        self._repair_insert(oid, obj, rect, side)
+        left, entered = self._repair_insert(oid, obj, rect, side)
         self._updates += 1
         self.counters.add("live_repairs")
         if self.obs.enabled:
             self.obs.event("live.insert", value=float(oid))
-        return self._emit(before)
+        return self._emit(left, entered)
 
     def _delete(
         self, oid: int, side: int, mutate: bool
@@ -330,22 +334,27 @@ class StandingJoin(cursor.SuspendableOperator):
         else:
             self._observe_mutation(side)
         del self._objects[side][oid]
-        before = self._published()
-        self._store.remove_oid(side, oid)
-        if (
-            self.max_pairs is not None
-            and len(self._store) < self.max_pairs
-            and not self._store.complete
-        ):
-            self.counters.add("live_refills")
-            if self.obs.enabled:
-                self.obs.event("live.refill")
-            self._rescan()
+        store, k = self._store, self.max_pairs
+        retracted = store.remove_oid(side, oid)
+        if k is None:
+            left, entered = [pair for __, pair in retracted], []
+        else:
+            left = [pair for pos, pair in retracted if pos < k]
+            # The reported pairs that stay are the best pairs of what
+            # is left: they keep the front, through a refill too.
+            kept = min(len(store) + len(retracted), k) - len(left)
+            if len(store) < k and not store.complete:
+                self.counters.add("live_refills")
+                if self.obs.enabled:
+                    self.obs.event("live.refill")
+                self._rescan()
+            # One runner-up is promoted per hole in the top K.
+            entered = store[kept:k]
         self._updates += 1
         self.counters.add("live_repairs")
         if self.obs.enabled:
             self.obs.event("live.delete", value=float(oid))
-        return self._emit(before)
+        return self._emit(left, entered)
 
     # ------------------------------------------------------------------
     # repair machinery
@@ -387,15 +396,11 @@ class StandingJoin(cursor.SuspendableOperator):
         self._check_sync(observed)
         self._expected = observed
 
-    def _published(self) -> Dict[Tuple[float, int, int], JoinResult]:
-        return {
-            pair_key(e): e for e in self._store.top(self.max_pairs)
-        }
-
     def _repair_insert(
         self, oid: int, obj: Any, rect: Rect, side: int
-    ) -> None:
-        """Probe the partner tree and merge the new object's pairs."""
+    ) -> Tuple[List[JoinResult], List[JoinResult]]:
+        """Probe the partner tree and merge the new object's pairs;
+        returns the pairs that ``(left, entered)`` the reported set."""
         store = self._store
         spec = self.spec
         full_bound = self._capacity is None or (
@@ -410,8 +415,10 @@ class StandingJoin(cursor.SuspendableOperator):
         partner = self.tree2 if side == 1 else self.tree1
         probe_item = Item(OBJ, rect, oid=oid, obj=obj)
         found, exhaustive = probe_partner(
-            partner, self.distance, probe_item, bound, self.counters
+            partner, self.distance, probe_item, bound, self.counters,
+            self._kern,
         )
+        added: List[JoinResult] = []
         excluded = False
         for d, leaf in found:
             if d < spec.min_distance or d > spec.max_distance:
@@ -421,13 +428,15 @@ class StandingJoin(cursor.SuspendableOperator):
             else:
                 result = JoinResult(d, leaf.oid, leaf.obj, oid, obj)
             if full_bound or pair_key(result) < tail:
-                store.add(result)
+                added.append(result)
             else:
                 excluded = True
+        change = store.merge(added, self.max_pairs)
         if store.trim():
             store.complete = False
         if not full_bound and (excluded or not exhaustive):
             store.complete = False
+        return change
 
     def _rescan(self) -> None:
         """Rebuild the store by one bounded re-enumeration.
@@ -469,16 +478,16 @@ class StandingJoin(cursor.SuspendableOperator):
         )
 
     def _emit(
-        self, before: Dict[Tuple[float, int, int], JoinResult]
+        self, left: List[JoinResult], entered: List[JoinResult]
     ) -> List[Delta]:
-        after = self._published()
+        """Publish one repair: the pairs that left the reported set,
+        then the ones that entered it, each list in canonical order
+        (every repair produces them that way)."""
         deltas: List[Delta] = []
-        for key in sorted(k for k in before if k not in after):
-            self._seq += 1
-            deltas.append(Delta(REMOVE, self._seq, *before[key]))
-        for key in sorted(k for k in after if k not in before):
-            self._seq += 1
-            deltas.append(Delta(ADD, self._seq, *after[key]))
+        for op, pairs in ((REMOVE, left), (ADD, entered)):
+            for pair in pairs:
+                self._seq += 1
+                deltas.append(Delta(op, self._seq, *pair))
         self._outbox.extend(deltas)
         return deltas
 

@@ -4,12 +4,35 @@ This is the index the paper runs all experiments on.  It differs from
 the classic R-tree in three ways, all implemented here:
 
 - *ChooseSubtree* minimizes overlap enlargement at the level above the
-  leaves (and area enlargement higher up);
+  leaves (and area enlargement higher up) -- lazily, see below;
 - the split picks its axis by minimum margin sum and its distribution
   by minimum overlap (see :func:`repro.rtree.split.rstar_split`);
 - the first overflow on each level during an insertion triggers
   *forced reinsertion* of the 30% of entries farthest from the node
   center instead of an immediate split.
+
+**ChooseSubtree at level 1 is lazy and exact.**  The rule keeps the
+first entry minimizing ``(overlap enlargement, area enlargement,
+area)``: the minimum of ``(overlap, growth, area, index)``.  Only the
+first term costs a pass over the node per entry.  It is the difference
+of two sums in entry order -- the enlarged rectangle's overlap with
+every sibling minus the entry's own -- and is never negative, in
+floats too: enlarging cannot shrink a ``min(hi) - max(lo)`` extent,
+and subtracting, multiplying and adding non-negative floats round
+monotonically, so terms, sums and difference keep their order.  Hence:
+
+- an entry's key is at least ``(0.0, growth, area, index)``: evaluate
+  overlap in ``(growth, area, index)`` order and stop once that bound
+  no longer beats the incumbent (no later entry's does) -- at the
+  latest after the first entry with zero overlap enlargement;
+- an entry that already covers the rectangle is its own enlargement:
+  both sums are one sum, the term is exactly ``0.0``, no sibling read;
+- a sibling the *enlarged* rectangle misses adds ``0.0`` to both sums,
+  so its "before" term is skipped.
+
+What is evaluated is the float the exhaustive rule computes (same
+terms, same order), so the winner is the same entry, node for node
+(oracle: ``tests/test_rtree.py``; shapes: ``test_counter_drift.py``).
 """
 
 from __future__ import annotations
@@ -33,40 +56,38 @@ class RStarTree(RTreeBase):
 
     def _choose_subtree(self, node: Node, rect: Rect) -> BranchEntry:
         entries = node.entries
-        if node.level == 1:
-            # Children are leaves: minimize overlap enlargement, then
-            # area enlargement, then area.
-            best = None
-            best_key: Tuple[float, float, float] = (_INF, _INF, _INF)
-            for entry in entries:
-                enlarged = entry.rect.union(rect)
-                overlap_before = 0.0
-                overlap_after = 0.0
+        # (area enlargement, area, position): the whole rule above
+        # level 1, the cheap tail of the key at level 1.
+        ranked = []
+        for index, entry in enumerate(entries):
+            enlarged = entry.rect.union(rect)
+            area = entry.rect.area()
+            ranked.append((enlarged.area() - area, area, index, enlarged))
+        if node.level != 1:
+            return entries[min(ranked)[2]]
+        # Children are leaves: overlap enlargement leads the key.  It
+        # is evaluated in rank order, and only while a zero of it could
+        # still win (module docstring).
+        ranked.sort()
+        best_key = (_INF, _INF, _INF, len(entries))
+        for growth, area, index, enlarged in ranked:
+            if best_key <= (0.0, growth, area, index):
+                break
+            entry = entries[index]
+            own = entry.rect
+            overlap = 0.0
+            if enlarged != own:
+                before = after = 0.0
                 for other in entries:
                     if other is entry:
                         continue
-                    overlap_before += entry.rect.overlap_area(other.rect)
-                    overlap_after += enlarged.overlap_area(other.rect)
-                key = (
-                    overlap_after - overlap_before,
-                    enlarged.area() - entry.rect.area(),
-                    entry.rect.area(),
-                )
-                if key < best_key:
-                    best_key = key
-                    best = entry
-            assert best is not None
-            return best
-        # Higher levels: minimize area enlargement, then area.
-        best = None
-        best_key2: Tuple[float, float] = (_INF, _INF)
-        for entry in entries:
-            key2 = (entry.rect.enlargement(rect), entry.rect.area())
-            if key2 < best_key2:
-                best_key2 = key2
-                best = entry
-        assert best is not None
-        return best
+                    term = enlarged.overlap_area(other.rect)
+                    if term > 0.0:
+                        after += term
+                        before += own.overlap_area(other.rect)
+                overlap = after - before
+            best_key = min(best_key, (overlap, growth, area, index))
+        return entries[best_key[3]]
 
     def _split_entries(self, entries) -> Tuple[List, List]:
         return rstar_split(entries, self.min_entries)

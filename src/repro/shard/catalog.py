@@ -15,11 +15,18 @@ shard carries:
   summary feeding the per-shard cost model.
 
 Catalogs persist as a directory: a ``manifest.json`` (format
-``repro-shard-catalog`` version 1) describing every shard, plus one
+``repro-shard-catalog`` version 2) describing every shard, plus one
 ``storage.snapshot`` tree file per shard.  :meth:`ShardCatalog.open`
 reads only the manifest; shard trees load on first use, through each
 tree's own pager and buffer pool, so routing that prunes a shard pair
 never pays that shard's I/O.
+
+The router prunes shard pairs on the manifest's MBRs alone, so a
+well-formed but *wrong* manifest would drop rows silently.  Hence the
+catalog fingerprint -- also the route cache's key -- covers all that
+routing reads (each shard's digest, count and MBR), and a shard tree
+loaded from disk must have the count and bounds its record states;
+either failing is a :class:`~repro.errors.StorageError`.
 
 Everything is deterministic: the same relation, shard count, and
 method always produce byte-identical shard membership, tree shapes,
@@ -35,7 +42,7 @@ import os
 from dataclasses import dataclass
 from typing import Any, Dict, List, Optional
 
-from repro.errors import StorageError
+from repro.errors import ReproError, StorageError
 from repro.geometry.rectangle import Rect
 from repro.parallel.partition import (
     STR,
@@ -52,7 +59,7 @@ from repro.util.validation import require
 
 #: Manifest envelope.
 CATALOG_FORMAT = "repro-shard-catalog"
-CATALOG_VERSION = 1
+CATALOG_VERSION = 2
 
 #: Default shard count when the caller does not choose one.
 DEFAULT_SHARDS = 4
@@ -81,6 +88,17 @@ def _shard_fingerprint(objects: List[TaskObject]) -> str:
             f"{item.oid}:{item.rect.lo!r}:{item.rect.hi!r};".encode()
         )
     return digest.hexdigest()
+
+
+def _typed(record: Any, field: Any, kind: type) -> Any:
+    """``record[field]``, insisting on its JSON type (a bool is not a
+    count, and ``"3"`` would hash like ``3``)."""
+    value = record[field]
+    if not isinstance(value, kind) or isinstance(value, bool):
+        raise TypeError(
+            f"{field!r} must be {kind.__name__}, not {value!r}"
+        )
+    return value
 
 
 def _stats_to_json(stats: TreeStats) -> Dict[str, Any]:
@@ -157,7 +175,10 @@ class ShardCatalog:
             f"{self.method}:{self.shards};".encode()
         )
         for info in self.infos:
-            digest.update(f"{info.shard_id}={info.fingerprint};".encode())
+            digest.update(
+                f"{info.shard_id}={info.fingerprint}:{info.count}:"
+                f"{info.mbr.lo!r}:{info.mbr.hi!r};".encode()
+            )
         return digest.hexdigest()
 
     # ------------------------------------------------------------------
@@ -230,7 +251,10 @@ class ShardCatalog:
             raise StorageError(
                 f"cannot read shard manifest {manifest_path}: {exc}"
             ) from exc
-        if manifest.get("format") != CATALOG_FORMAT:
+        if (
+            not isinstance(manifest, dict)
+            or manifest.get("format") != CATALOG_FORMAT
+        ):
             raise StorageError(
                 f"{manifest_path} is not a shard catalog manifest"
             )
@@ -240,37 +264,55 @@ class ShardCatalog:
                 f"{manifest.get('version')!r} (this build reads "
                 f"{CATALOG_VERSION})"
             )
-        infos: List[ShardInfo] = []
-        paths: Dict[int, str] = {}
-        oids: Dict[int, List[int]] = {}
-        stats: Dict[int, TreeStats] = {}
-        for record in manifest["entries"]:
-            shard_id = record["shard_id"]
-            infos.append(ShardInfo(
-                shard_id=shard_id,
-                tile_index=record["tile_index"],
-                mbr=Rect(record["mbr"][0], record["mbr"][1]),
-                count=record["count"],
-                fingerprint=record["fingerprint"],
-            ))
-            paths[shard_id] = os.path.join(directory, record["path"])
-            oids[shard_id] = list(record["oids"])
-            if record.get("stats") is not None:
-                stats[shard_id] = _stats_from_json(record["stats"])
-        catalog = cls(
-            manifest["dim"], manifest["method"], manifest["shards"],
-            infos,
-            counters=counters,
-            max_entries=manifest.get(
-                "max_entries", DEFAULT_MAX_ENTRIES
-            ),
-            directory=directory,
-            paths=paths,
-            oids=oids,
-            stats=stats,
-            tree_kwargs=tree_kwargs,
-        )
-        if catalog.fingerprint != manifest["fingerprint"]:
+        try:
+            infos: List[ShardInfo] = []
+            paths: Dict[int, str] = {}
+            oids: Dict[int, List[int]] = {}
+            stats: Dict[int, TreeStats] = {}
+            for record in _typed(manifest, "entries", list):
+                shard_id = _typed(record, "shard_id", int)
+                lo, hi = _typed(record, "mbr", list)
+                infos.append(ShardInfo(
+                    shard_id=shard_id,
+                    tile_index=_typed(record, "tile_index", int),
+                    mbr=Rect(lo, hi),
+                    count=_typed(record, "count", int),
+                    fingerprint=_typed(record, "fingerprint", str),
+                ))
+                paths[shard_id] = os.path.join(
+                    directory, _typed(record, "path", str)
+                )
+                ids = _typed(record, "oids", list)
+                oids[shard_id] = [
+                    _typed(ids, index, int) for index in range(len(ids))
+                ]
+                if record.get("stats") is not None:
+                    stats[shard_id] = _stats_from_json(record["stats"])
+            catalog = cls(
+                _typed(manifest, "dim", int),
+                _typed(manifest, "method", str),
+                _typed(manifest, "shards", int),
+                infos,
+                counters=counters,
+                max_entries=manifest.get(
+                    "max_entries", DEFAULT_MAX_ENTRIES
+                ),
+                directory=directory,
+                paths=paths,
+                oids=oids,
+                stats=stats,
+                tree_kwargs=tree_kwargs,
+            )
+            stated = manifest["fingerprint"]
+        except (
+            KeyError, IndexError, TypeError, ValueError, ReproError
+        ) as exc:
+            # A missing field, or one of the wrong type or shape.
+            raise StorageError(
+                f"malformed shard manifest {manifest_path}: "
+                f"{type(exc).__name__}: {exc}"
+            ) from exc
+        if catalog.fingerprint != stated:
             raise StorageError(
                 "shard manifest fingerprint mismatch (manifest edited "
                 "or written by an incompatible build)"
@@ -346,6 +388,17 @@ class ShardCatalog:
                 counters=self.counters,
                 **self._tree_kwargs,
             )
+            # A stale or swapped shard file is not the shard the
+            # manifest routes on.  Peeked: the check charges no I/O.
+            info = self._by_id[shard_id]
+            root = tree.store.peek(tree.root_id).payload
+            bounds = root.mbr() if root.entries else None
+            if len(tree) != info.count or bounds != info.mbr:
+                raise StorageError(
+                    f"shard {shard_id}: the manifest states "
+                    f"{info.count} objects within {info.mbr!r}, its "
+                    f"tree file holds {len(tree)} within {bounds!r}"
+                )
         else:
             raise StorageError(f"unknown shard id {shard_id}")
         self._trees[shard_id] = tree

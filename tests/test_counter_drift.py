@@ -12,6 +12,7 @@ in the commit message.
 """
 
 import hashlib
+import random
 from itertools import islice
 
 import pytest
@@ -22,7 +23,12 @@ from repro.core.heap import BinaryHeap, PairingHeap
 from repro.core.semi_join import IncrementalDistanceSemiJoin
 from repro.core.spec import JoinSpec
 from repro.datasets.tiger_like import roads_segments, water_segments
+from repro.geometry.point import Point
+from repro.geometry.rectangle import Rect
+from repro.kernels import DISABLE_ENV, numpy_or_none
+from repro.live import StandingJoin
 from repro.rtree.bulk import bulk_load_str
+from repro.rtree.rstar import RStarTree
 from repro.util.counters import CounterRegistry
 
 #: Fixed-seed workload configuration the goldens are pinned against.
@@ -237,3 +243,183 @@ def test_goldens_are_repeatable_within_process():
             load.counters.value("node_io"),
         ))
     assert results[0] == results[1] == (GOLDEN_DIST_CALCS, GOLDEN_NODE_IO)
+
+
+# ----------------------------------------------------------------------
+# the write path: tree shape under insert/delete, and the standing
+# join's delta stream -- captured at 97d7018 (the commit before
+# ChooseSubtree went lazy, the probe moved onto the batch kernels and
+# the deltas came from the repair)
+# ----------------------------------------------------------------------
+
+WRITE_SEED = 1998
+WRITE_PRELOAD = 80
+WRITE_OPS = 360
+
+
+def write_script():
+    """``(op, side, oid, point)`` steps: ``WRITE_PRELOAD`` inserts
+    alternating sides, then ``WRITE_OPS`` seeded inserts and deletes.
+    Half the points sit on a 16 x 16 lattice, so duplicates, distance
+    ties and zero-area MBRs occur."""
+    rng = random.Random(WRITE_SEED)
+    live = {1: {}, 2: {}}
+    script = []
+    for step in range(WRITE_PRELOAD + WRITE_OPS):
+        side = 1 + step % 2 if step < WRITE_PRELOAD else rng.choice((1, 2))
+        if step >= WRITE_PRELOAD and live[side] and rng.random() < 0.45:
+            oid = rng.choice(sorted(live[side]))
+            script.append(("delete", side, oid, live[side].pop(oid)))
+            continue
+        if rng.random() < 0.5:
+            coords = (float(rng.randrange(16)), float(rng.randrange(16)))
+        else:
+            coords = (rng.uniform(0.0, 15.0), rng.uniform(0.0, 15.0))
+        live[side][step] = Point(coords)
+        script.append(("insert", side, step, live[side][step]))
+    return script
+
+
+def tree_digest(tree):
+    """SHA-1 of the tree walked root-down: each node's level, then its
+    entries in order -- rectangle, and the oid or the child's walk."""
+    sha = hashlib.sha1()
+
+    def walk(node_id):
+        node = tree.read_node(node_id)
+        sha.update(f"[{node.level}".encode())
+        for entry in node.entries:
+            corners = ",".join(c.hex() for c in entry.rect.lo + entry.rect.hi)
+            sha.update(f"({corners}".encode())
+            if node.is_leaf:
+                sha.update(f"#{entry.oid})".encode())
+            else:
+                walk(entry.child_id)
+                sha.update(b")")
+        sha.update(b"]")
+
+    walk(tree.root_id)
+    return sha.hexdigest()
+
+
+#: fan-out -> (tree digest, forced_reinserts, node_reads); the reads
+#: are taken before the digest's own walk.
+GOLDEN_WRITE_TREES = {
+    8: ("dd9ff77dd05d6ad59211e29342ecd29a654d140f", 128, 3240),
+    50: ("9f94bb256508de3a29acd2898e4a0e097bc6704a", 30, 1530),
+}
+
+#: name -> (spec knobs, frontier, delta-stream digest, the
+#: ``WRITE_COUNTERS``).  The stream is the SHA-1 of every delta's ``op,seq,distance.hex(),oid1,
+#: oid2;`` from the bootstrap on.  ``k5`` keeps one runner-up, so
+#: retractions exhaust the frontier and refill; ``k200_near`` holds
+#: fewer than K pairs for most of the script.
+WRITE_COUNTERS = (
+    "live_probe_pairs", "dist_calcs", "bound_calcs", "node_reads",
+    "live_repairs", "live_refills",
+)
+GOLDEN_WRITE_STANDING = {
+    "k5": (
+        dict(max_pairs=5), 1,
+        "49aba3fbb1f7e303e2b29df697d78ff67200e204",
+        (746, 2255, 2618, 3106, 360, 6),
+    ),
+    "k200": (
+        dict(max_pairs=200), None,
+        "71ace0ff536e247dc4717a76fdc9ccffc523ec54",
+        (3493, 4278, 1853, 3316, 360, 0),
+    ),
+    "k200_near": (
+        dict(max_pairs=200, max_distance=1.5), None,
+        "b28fa8bfcf412b13cab719330143ff5e378128d1",
+        (1528, 1796, 1676, 2863, 360, 0),
+    ),
+    "range": (
+        dict(min_distance=0.5, max_distance=2.0), None,
+        "1a4e0d9c5e4b9c79250a840833618f09c759cf8d",
+        (1945, 2363, 1816, 2960, 360, 0),
+    ),
+}
+#: The two fan-out-8 trees every case above leaves behind.
+GOLDEN_WRITE_STANDING_TREES = (
+    "013c4764048d5705fabb0a148e4ae81f1fc2750f",
+    "8961fb6032b4598ad341382299e98711d3d0545b",
+)
+
+
+@pytest.fixture(params=["numpy", "no-numpy"])
+def numpy_leg(request, monkeypatch):
+    """Both kernel legs in one run: the goldens hold with the batch
+    kernels and under ``REPRO_NO_NUMPY=1``."""
+    if request.param == "no-numpy":
+        monkeypatch.setenv(DISABLE_ENV, "1")
+    elif numpy_or_none() is None:
+        pytest.skip("numpy is not importable")
+
+
+def observe_write_tree(fanout):
+    tree = RStarTree(max_entries=fanout)
+    for op, __, oid, point in write_script():
+        if op == "insert":
+            tree.insert(obj=point, oid=oid)
+        else:
+            assert tree.delete(oid, Rect.from_point(point))
+    reads = tree.counters.value("node_reads")
+    return (
+        tree_digest(tree), tree.counters.value("forced_reinserts"), reads,
+    )
+
+
+def observe_write_standing(knobs, frontier):
+    counters = CounterRegistry()
+    trees = {
+        side: RStarTree(max_entries=8, counters=counters) for side in (1, 2)
+    }
+    script = write_script()
+    for __, side, oid, point in script[:WRITE_PRELOAD]:
+        trees[side].insert(obj=point, oid=oid)
+    counters.reset()
+    standing = StandingJoin(
+        trees[1], trees[2], JoinSpec(**knobs),
+        counters=counters, frontier=frontier,
+    )
+    for op, side, oid, point in script[WRITE_PRELOAD:]:
+        if op == "insert":
+            standing.insert(oid, point, side=side)
+        else:
+            standing.delete(oid, side=side)
+    stream = hashlib.sha1()
+    for d in standing.poll():
+        stream.update(
+            f"{d.op},{d.seq},{d.distance.hex()},{d.oid1},{d.oid2};".encode()
+        )
+    return (
+        stream.hexdigest(),
+        tuple(counters.value(name) for name in WRITE_COUNTERS),
+        (tree_digest(trees[1]), tree_digest(trees[2])),
+    )
+
+
+@pytest.mark.parametrize("fanout", list(GOLDEN_WRITE_TREES))
+def test_write_path_tree_shape_matches_golden(fanout, numpy_leg):
+    """ChooseSubtree, the split and forced reinsertion put every entry
+    where the parent commit put it, node for node."""
+    assert observe_write_tree(fanout) == GOLDEN_WRITE_TREES[fanout]
+
+
+@pytest.mark.parametrize("case", list(GOLDEN_WRITE_STANDING))
+def test_write_path_delta_stream_matches_golden(case, numpy_leg):
+    """A repair emits the parent commit's deltas -- op, order, seq --
+    for the parent commit's work."""
+    knobs, frontier, golden_stream, golden = GOLDEN_WRITE_STANDING[case]
+    stream, counters, trees = observe_write_standing(knobs, frontier)
+    assert dict(zip(WRITE_COUNTERS, counters)) == dict(
+        zip(WRITE_COUNTERS, golden)
+    )
+    assert stream == golden_stream
+    assert trees == GOLDEN_WRITE_STANDING_TREES
+
+
+def test_write_path_goldens_cover_the_refill():
+    refills = WRITE_COUNTERS.index("live_refills")
+    assert GOLDEN_WRITE_STANDING["k5"][3][refills] > 0

@@ -11,6 +11,7 @@ import pytest
 from repro.core import cursor
 from repro.core.distance_join import IncrementalDistanceJoin
 from repro.core.semi_join import IncrementalDistanceSemiJoin
+from repro.core.spec import JoinSpec
 from repro.errors import CursorError, ServiceError
 from repro.geometry.point import Point
 from repro.live import StandingJoin
@@ -95,7 +96,7 @@ class Case:
     def _live(self):
         self.cls, self.other = StandingJoin, IncrementalDistanceJoin
         standing = self.cls(
-            self.tree1, self.tree2, max_pairs=6,
+            self.tree1, self.tree2, JoinSpec(max_pairs=6),
             counters=CounterRegistry(),
         )
         standing.poll(3)

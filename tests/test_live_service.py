@@ -9,6 +9,9 @@ subscription, and the ``live_*`` counters on ``/metrics``.
 
 from __future__ import annotations
 
+import json
+import random
+
 import pytest
 
 from repro.core import cursor
@@ -246,6 +249,79 @@ class TestHttpSubscription:
         assert not service.scheduler.session(sid).evicted
         assert service.scheduler.counters.value("service_resumes") >= 1
         client.delete(sid)
+
+    def test_eviction_before_every_update_changes_no_delta(
+        self, served, monkeypatch
+    ):
+        """Two identical subscriptions, one of them spooled to disk
+        before *every* update of a script that keeps retracting
+        reported pairs, small pages interleaved: the cursor (store,
+        its oid index rebuilt on load, the half-drained outbox)
+        carries everything, so both streams are byte-equal and end at
+        a fresh execution of the query."""
+        service, client, db = served
+        sql = WATCH_SQL.replace("STOP AFTER 6", "STOP AFTER 50")
+        kept, spooled = client.watch(sql), client.watch(sql)
+        scheduler = service.scheduler
+        # Pin the control session in memory; everything else idles out.
+        monkeypatch.setattr(
+            scheduler.session(kept), "idle_seconds", lambda: -1.0
+        )
+        streams = {kept: [], spooled: []}
+        for sid in (kept, spooled):
+            while len(streams[sid]) < 50:  # the bootstrap
+                streams[sid] += client.deltas(sid, k=3)
+        held = apply_deltas({}, streams[kept])
+        applied = len(streams[kept])
+        points_b = make_points(70, seed=12)
+        rng = random.Random(40)
+        def script():
+            """Forty updates: a reported b-object goes (its pairs are
+            retracted, runners-up promoted), a near-duplicate of a
+            b-point cracks the top 50, the b-object comes back, the
+            duplicate leaves."""
+            for block in range(10):
+                victim = rng.choice(sorted({b for __, b in held}))
+                home = list(points_b[victim].coords)
+                near = [
+                    c + 1e-3 * (block + 1)
+                    for c in points_b[rng.randrange(70)].coords
+                ]
+                yield "b", "delete", victim, home
+                yield "a", "insert", 9400 + block, near
+                yield "b", "insert", victim, home
+                yield "a", "delete", 9400 + block, near
+
+        updates = 0
+        for relation, op, oid, point in script():
+            assert scheduler.evict_idle(0.0) == [spooled]
+            receipt = client.update(relation, op, oid, point)
+            updates += 1
+            assert receipt["watchers"] == 2
+            assert not scheduler.session(spooled).evicted
+            for sid in (kept, spooled):
+                streams[sid] += client.deltas(sid, k=3)
+            apply_deltas(held, streams[kept][applied:])
+            applied = len(streams[kept])
+        for sid in (kept, spooled):
+            while True:
+                page = client.deltas(sid, k=3)
+                streams[sid] += page
+                if not page:
+                    break
+        assert sum(r["op"] == "-" for r in streams[kept]) > 20
+        assert json.dumps(streams[spooled]) == json.dumps(streams[kept])
+        fresh = {
+            (r.oid1, r.oid2): r.d
+            for r in db.physical_plan(
+                PULL_SQL.replace("STOP AFTER 6", "STOP AFTER 50")
+            ).rows()
+        }
+        assert apply_deltas({}, streams[spooled]) == fresh
+        assert updates == 40
+        assert scheduler.counters.value("service_resumes") >= updates
+        client.delete(kept)
+        client.delete(spooled)
 
     def test_invalid_watch_rolls_back_admission(self, served):
         service, client, __ = served

@@ -16,11 +16,13 @@ from __future__ import annotations
 
 import math
 import pickle
+import random
 
 import pytest
 
 from repro.core import cursor
 from repro.core.distance_join import IncrementalDistanceJoin, JoinResult
+from repro.core.pairs import OBJ, Item, PairDistance
 from repro.core.spec import JoinSpec
 from repro.errors import (
     CursorError,
@@ -28,8 +30,10 @@ from repro.errors import (
     QueryError,
     QuerySyntaxError,
 )
-from repro.geometry.metrics import EUCLIDEAN
+from repro.geometry.metrics import CHESSBOARD, EUCLIDEAN, MANHATTAN
 from repro.geometry.point import Point
+from repro.geometry.rectangle import Rect
+from repro.kernels import resolve_kernels
 from repro.live import (
     ADD,
     REMOVE,
@@ -37,12 +41,14 @@ from repro.live import (
     ResultStore,
     StandingJoin,
     pair_key,
+    probe_partner,
     validate_live_spec,
 )
 from repro.query.executor import Database
 from repro.query.logical import build_logical_plan
 from repro.query.parser import parse
 from repro.query.physical import build_physical_plan
+from repro.rtree.base import RTreeBase
 from repro.util.counters import CounterRegistry
 from tests.conftest import make_points, make_tree
 
@@ -131,9 +137,11 @@ class TestResultStore:
         store.add(self.pair(1.0, 1, 9))
         store.add(self.pair(2.0, 1, 8))
         store.add(self.pair(3.0, 2, 9))
-        assert store.remove_oid(1, 1) == 2
-        assert store.remove_oid(2, 9) == 1
-        assert store.remove_oid(2, 9) == 0
+        assert store.remove_oid(1, 1) == [
+            (0, self.pair(1.0, 1, 9)), (1, self.pair(2.0, 1, 8)),
+        ]
+        assert store.remove_oid(2, 9) == [(0, self.pair(3.0, 2, 9))]
+        assert store.remove_oid(2, 9) == []
         assert len(store) == 0
 
     def test_top_and_replace(self):
@@ -588,3 +596,316 @@ class TestStatsCacheObservesLivePath:
         assert after.size == before.size + 6
         standing.delete(7000, side=1)
         assert collect_stats(tree_a).size == after.size - 1
+
+
+# ----------------------------------------------------------------------
+# deltas taken from the repair, against the rule they replaced
+# ----------------------------------------------------------------------
+
+def lattice_points(count, rng, width=5):
+    """Integer points on a ``width`` x ``width`` lattice: duplicates
+    and distance ties everywhere, at the K boundary included."""
+    return [
+        Point((float(rng.randrange(width)), float(rng.randrange(width))))
+        for __ in range(count)
+    ]
+
+
+def snapshot_diff(before, after):
+    """The rule the repair's deltas replaced: snapshot the reported
+    keys before and after, diff, sort.  The oracle."""
+    return (
+        [(REMOVE, key) for key in sorted(before.keys() - after.keys())]
+        + [(ADD, key) for key in sorted(after.keys() - before.keys())]
+    )
+
+
+def reported(standing):
+    return {pair_key(r): r for r in standing.result()}
+
+
+#: name -> (spec knobs, frontier).  Between them: a store that stays
+#: below K (``below_k``: the band holds fewer than K pairs), ties at
+#: the K boundary (the lattice), the smallest frontier, refills
+#: (``refill``), range mode and ``min_distance > 0``.
+DELTA_CASES = {
+    "topk": (dict(max_pairs=6), None),
+    "frontier_1": (dict(max_pairs=4), 1),
+    "refill": (dict(max_pairs=12), 1),
+    "below_k": (dict(max_pairs=40, max_distance=1.0), 2),
+    "band_topk": (dict(max_pairs=8, min_distance=1.0), 3),
+    "range": (dict(max_distance=1.5), None),
+    "band_range": (dict(min_distance=1.0, max_distance=2.0), None),
+}
+
+
+class TestDeltasFromTheRepair:
+    STEPS = 90
+
+    def run_script(self, case, seed):
+        """Random inserts and deletes on a lattice, one pickled
+        ``save()`` / ``load()`` at a random step; after every step
+        the returned deltas are the snapshot diff and the reported
+        set is the brute-force one.  Returns what the run met."""
+        knobs, frontier = DELTA_CASES[case]
+        spec = JoinSpec(**knobs)
+        k = spec.max_pairs
+        rng = random.Random(seed)
+        objs = {
+            side: dict(enumerate(lattice_points(9, rng))) for side in (1, 2)
+        }
+        trees = {
+            side: make_tree(list(objs[side].values()), max_entries=4)
+            for side in (1, 2)
+        }
+        counters = CounterRegistry()
+        standing = StandingJoin(
+            trees[1], trees[2], spec, counters=counters, frontier=frontier
+        )
+        assert [(d.op, d.key) for d in standing.poll()] == snapshot_diff(
+            {}, reported(standing)
+        )
+        seq = standing.seq
+        suspend_at = rng.randrange(self.STEPS)
+        met = set()
+        for step in range(self.STEPS):
+            before = reported(standing)
+            side = rng.choice((1, 2))
+            if len(objs[side]) > 3 and rng.random() < 0.5:
+                oid = rng.choice(sorted(objs[side]))
+                del objs[side][oid]
+                deltas = standing.delete(oid, side=side)
+            else:
+                oid = 100 + step
+                objs[side][oid] = lattice_points(1, rng)[0]
+                deltas = standing.insert(oid, objs[side][oid], side=side)
+            after = reported(standing)
+            truth = canonical_topk(
+                objs[1], objs[2], k=None,
+                dmin=spec.min_distance, dmax=spec.max_distance,
+            )
+            assert list(after) == (truth if k is None else truth[:k])
+            assert [(d.op, d.key) for d in deltas] == snapshot_diff(
+                before, after
+            )
+            assert [d.seq for d in deltas] == list(
+                range(seq + 1, seq + 1 + len(deltas))
+            )
+            seq += len(deltas)
+            for d in deltas:
+                source = after if d.op == ADD else before
+                assert d.result == source[d.key]
+            if k is not None and len(after) < k:
+                met.add("below_k")
+            if k is not None and len(truth) > k and (
+                truth[k - 1][0] == truth[k][0]
+            ):
+                met.add("tie_at_k")
+            if step == suspend_at:
+                blob = pickle.dumps(standing.save())
+                standing = StandingJoin.load(
+                    pickle.loads(blob), trees[1], trees[2],
+                    counters=counters,
+                )
+        assert standing.poll() and standing.seq == seq
+        if counters.value("live_refills"):
+            met.add("refill")
+        return met
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    @pytest.mark.parametrize("case", list(DELTA_CASES))
+    def test_deltas_equal_the_snapshot_diff(self, case, seed):
+        self.run_script(case, seed)
+
+    def test_the_cases_meet_what_they_are_for(self):
+        assert "tie_at_k" in self.run_script("topk", 1)
+        assert "tie_at_k" in self.run_script("frontier_1", 1)
+        assert "refill" in self.run_script("refill", 1)
+        assert "below_k" in self.run_script("below_k", 1)
+
+    def test_demoted_pair_trimmed_in_the_same_repair(self):
+        """More new pairs than the frontier holds: the pairs they
+        push out of the top K fall out of the *store* in the same
+        repair, and are still retracted."""
+        tree_a = make_tree([Point((50.0, 50.0 + i)) for i in range(3)])
+        tree_b = make_tree([Point((0.0, float(i))) for i in range(6)])
+        standing = StandingJoin(
+            tree_a, tree_b, JoinSpec(max_pairs=3), frontier=1
+        )
+        before = reported(standing)
+        assert len(before) == 3
+        # Six new pairs at distance 0 .. 5 against a capacity of 4.
+        deltas = standing.insert(99, Point((0.0, 0.0)), side=1)
+        after = reported(standing)
+        assert [(d.op, d.key) for d in deltas] == snapshot_diff(
+            before, after
+        )
+        assert [d.op for d in deltas] == [REMOVE] * 3 + [ADD] * 3
+        stored = {pair_key(e) for e in standing._store}
+        assert len(stored) == 4 and not stored & before.keys()
+        assert not standing.complete
+
+
+class TestResultStoreIndex:
+    """The per-side oid index says what a scan of the store says."""
+
+    def assert_index(self, store):
+        for which, by_oid in enumerate(store._by_oid):
+            scanned = {}
+            for key in store.top_keys(None):
+                scanned.setdefault(key[1 + which], []).append(key)
+            assert {
+                oid: sorted(keys) for oid, keys in by_oid.items()
+            } == scanned
+
+    def test_index_follows_every_mutation(self):
+        rng = random.Random(7)
+        store = ResultStore(capacity=12)
+        for __ in range(300):
+            roll = rng.random()
+            if roll < 0.5:
+                store.merge([
+                    JoinResult(
+                        float(rng.randrange(4)), rng.randrange(6), None,
+                        rng.randrange(6), None,
+                    )
+                    for __ in range(rng.randrange(4))
+                ], rng.choice((None, 3, 8)))
+            elif roll < 0.7:
+                store.trim()
+            elif roll < 0.95:
+                side = rng.choice((1, 2))
+                oid = rng.randrange(6)
+                held = store.top_keys(None)
+                removed = store.remove_oid(side, oid)
+                assert [(pos, pair_key(e)) for pos, e in removed] == [
+                    (pos, key) for pos, key in enumerate(held)
+                    if key[side] == oid
+                ]
+            else:
+                store.replace(list(store)[::2])
+            self.assert_index(store)
+            assert store.top_keys(None) == sorted(store.top_keys(None))
+        clone = ResultStore.from_state(store.state(), list(store))
+        self.assert_index(clone)
+
+    def test_merge_reports_the_change_to_the_best_k(self):
+        rng = random.Random(8)
+        store = ResultStore()
+        for __ in range(200):
+            k = rng.choice((None, 1, 4, 9))
+            batch = [
+                JoinResult(
+                    float(rng.randrange(5)), rng.randrange(9), None,
+                    rng.randrange(9), None,
+                )
+                for __ in range(rng.randrange(6))
+            ]
+            before = {pair_key(e): e for e in store.top(k)}
+            left, entered = store.merge(batch, k)
+            after = {pair_key(e): e for e in store.top(k)}
+            assert (
+                [(REMOVE, pair_key(e)) for e in left]
+                + [(ADD, pair_key(e)) for e in entered]
+            ) == snapshot_diff(before, after)
+            if len(store) > 30:
+                store.replace(list(store)[:10])
+
+
+# ----------------------------------------------------------------------
+# the probe on the batch kernels, against the per-entry loop
+# ----------------------------------------------------------------------
+
+PROBE_COUNTERS = (
+    "dist_calcs", "bound_calcs", "live_probe_pairs", "node_reads",
+    "node_io",
+)
+
+
+class CountingKernels:
+    """A kernel set that counts the node evaluations it serves."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.np = inner.np
+        self.calls = {"mindist": 0, "point_distance": 0}
+
+    def mindist(self, *args):
+        self.calls["mindist"] += 1
+        return self.inner.mindist(*args)
+
+    def point_distance(self, *args):
+        self.calls["point_distance"] += 1
+        return self.inner.point_distance(*args)
+
+
+def run_probe(tree, metric, probe_obj, bound, kernels):
+    list(tree.items())  # same (warm) buffer pool for either path
+    counters = CounterRegistry()
+    item = Item(OBJ, RTreeBase._rect_of(probe_obj), oid=-5, obj=probe_obj)
+    found, exhaustive = probe_partner(
+        tree, PairDistance(metric, counters), item, bound, counters,
+        kernels,
+    )
+    return (
+        sorted((d.hex(), entry.oid) for d, entry in found),
+        # Same traversal, so the same order too -- not only the set.
+        [entry.oid for __, entry in found],
+        exhaustive,
+        {name: counters.value(name) for name in PROBE_COUNTERS},
+    )
+
+
+@pytest.mark.parametrize("bound", [0.0, 7.5, math.inf])
+@pytest.mark.parametrize("metric", [MANHATTAN, EUCLIDEAN, CHESSBOARD])
+class TestProbeOnKernels:
+    def kernels(self, metric):
+        kernels = resolve_kernels("auto", metric)
+        if kernels is None:
+            pytest.skip("batch kernels unavailable")
+        return kernels
+
+    def test_point_tree(self, metric, bound):
+        kernels = self.kernels(metric)
+        rng = random.Random(3)
+        points = make_points(150, seed=9, extent=30.0)
+        points += lattice_points(60, rng, width=30)
+        tree = make_tree(points, max_entries=6)
+        for probe in (points[0], points[170], Point((15.2, 14.9)),
+                      Point((-40.0, 70.0))):
+            scalar = run_probe(tree, metric, probe, bound, None)
+            assert run_probe(tree, metric, probe, bound, kernels) == scalar
+            assert scalar[3]["live_probe_pairs"] == scalar[3]["dist_calcs"]
+        if bound == math.inf:
+            assert scalar[2] and len(scalar[0]) == len(points)
+
+    def test_non_point_payloads_fall_back_per_node(self, metric, bound):
+        """A leaf holding anything but points -- and a probe that is
+        no point -- takes the per-entry loop for that node only."""
+        kernels = self.kernels(metric)
+        tree = make_tree(make_points(80, seed=10, extent=30.0), max_entries=6)
+        rng = random.Random(4)
+        for __ in range(12):
+            x, y = rng.uniform(0, 28), rng.uniform(0, 28)
+            tree.insert(obj=Rect((x, y), (x + 2.0, y + 1.0)))
+        for probe in (Point((12.0, 12.0)), Rect((5, 5), (9, 6))):
+            scalar = run_probe(tree, metric, probe, bound, None)
+            counting = CountingKernels(kernels)
+            assert run_probe(tree, metric, probe, bound, counting) == scalar
+            if bound < math.inf:
+                continue
+            # Rectangle payloads are charged as bounds, not distances;
+            # every branch node went through the kernels, and of the
+            # leaves only the all-point ones under a point probe.
+            assert scalar[3]["live_probe_pairs"] > scalar[3]["dist_calcs"]
+            levels = [
+                tree.read_node(page_id).level
+                for page_id in tree.store.page_ids()
+            ]
+            assert counting.calls["mindist"] == sum(
+                1 for level in levels if level > 0
+            )
+            if isinstance(probe, Point):
+                assert 0 < counting.calls["point_distance"] < levels.count(0)
+            else:
+                assert counting.calls["point_distance"] == 0

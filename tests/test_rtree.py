@@ -255,3 +255,130 @@ def test_property_mixed_insert_delete(data):
             model[oid] = point
     validate_tree(tree)
     assert {e.oid for e in tree.items()} == set(model)
+
+
+# ----------------------------------------------------------------------
+# ChooseSubtree: the lazy rule against the exhaustive one it replaced
+# ----------------------------------------------------------------------
+
+def quadratic_choose_subtree(entries, rect):
+    """The exhaustive level-1 rule (the R* paper's, and this tree's
+    until it went lazy): overlap enlargement of every entry against
+    every other; keep the first minimum of (overlap enlargement, area
+    enlargement, area).  The oracle."""
+    best = None
+    best_key = (float("inf"),) * 3
+    for entry in entries:
+        enlarged = entry.rect.union(rect)
+        overlap_before = 0.0
+        overlap_after = 0.0
+        for other in entries:
+            if other is entry:
+                continue
+            overlap_before += entry.rect.overlap_area(other.rect)
+            overlap_after += enlarged.overlap_area(other.rect)
+        key = (
+            overlap_after - overlap_before,
+            enlarged.area() - entry.rect.area(),
+            entry.rect.area(),
+        )
+        if key < best_key:
+            best_key = key
+            best = entry
+    return best
+
+
+def area_choose_subtree(entries, rect):
+    """The rule above level 1, as the loop it was: keep the first
+    minimum of (area enlargement, area)."""
+    best = None
+    best_key = (float("inf"),) * 2
+    for entry in entries:
+        key = (entry.rect.enlargement(rect), entry.rect.area())
+        if key < best_key:
+            best_key = key
+            best = entry
+    return best
+
+
+class CheckedRStarTree(RStarTree):
+    """Every choice is checked against its oracle, as the same entry
+    *object*: an equal key on another entry is a miss."""
+
+    checked = 0
+    covered = 0
+    higher = 0
+
+    def _choose_subtree(self, node, rect):
+        chosen = super()._choose_subtree(node, rect)
+        if node.level == 1:
+            assert chosen is quadratic_choose_subtree(node.entries, rect)
+            self.checked += 1
+            self.covered += chosen.rect.contains_rect(rect)
+        else:
+            assert chosen is area_choose_subtree(node.entries, rect)
+            self.higher += 1
+        return chosen
+
+
+def lattice_object(rng, dim, rectangles):
+    """A point on a 6-wide lattice -- or a small lattice rectangle --
+    so duplicates, ties on every key term, entries that cover the
+    insert and zero-area MBRs (collinear points) are all frequent."""
+    lo = [float(rng.randrange(6)) for __ in range(dim)]
+    if not rectangles or rng.random() < 0.5:
+        return Point(lo)
+    return Rect(lo, [c + rng.randrange(3) for c in lo])
+
+
+def uniform_object(rng, dim, rectangles):
+    lo = [rng.uniform(0.0, 100.0) for __ in range(dim)]
+    if not rectangles:
+        return Point(lo)
+    return Rect(lo, [c + rng.uniform(0.0, 10.0) for c in lo])
+
+
+@settings(
+    max_examples=40,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+@given(
+    seed=st.integers(0, 10_000),
+    ops=st.integers(20, 250),
+    max_entries=st.sampled_from([4, 5, 8, 16, 50]),
+    dim=st.sampled_from([2, 3]),
+    rectangles=st.booleans(),
+    make=st.sampled_from([lattice_object, uniform_object]),
+)
+def test_property_lazy_choose_subtree_is_the_quadratic_rule(
+    seed, ops, max_entries, dim, rectangles, make
+):
+    """Property: through any insert/delete sequence (deletes reinsert
+    orphans through ChooseSubtree too) the lazy rule picks the entry
+    the exhaustive rule picks, so the trees are the same tree."""
+    rng = random.Random(seed)
+    tree = CheckedRStarTree(dim=dim, max_entries=max_entries)
+    model = {}
+    for __ in range(ops):
+        if model and rng.random() < 0.3:
+            oid = rng.choice(sorted(model))
+            assert tree.delete(oid, RStarTree._rect_of(model.pop(oid)))
+        else:
+            obj = make(rng, dim, rectangles)
+            model[tree.insert(obj=obj)] = obj
+    validate_tree(tree)
+    assert {e.oid for e in tree.items()} == set(model)
+
+
+def test_lazy_choose_subtree_meets_every_case():
+    """One fixed run that provably exercises the rule: level-1
+    choices happen, some land in an entry that already covers the
+    rectangle (no sibling looked at) and some do not, and choices
+    above level 1 happen too."""
+    rng = random.Random(5)
+    tree = CheckedRStarTree(dim=2, max_entries=5)
+    for __ in range(400):
+        tree.insert(obj=lattice_object(rng, 2, True))
+    assert 0 < tree.covered < tree.checked
+    assert tree.higher > 0

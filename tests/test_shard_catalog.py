@@ -1,15 +1,23 @@
 """Tests for the persistent shard catalog and the stats cache."""
 
+import dataclasses
 import json
+import os
 
 import pytest
 
+from repro.core.spec import JoinSpec
 from repro.errors import StorageError
 from repro.geometry.point import Point
+from repro.geometry.rectangle import Rect
 from repro.query.costmodel import collect_stats, stats_fingerprint
 from repro.rtree.bulk import bulk_load_str
 from repro.rtree.rstar import RStarTree
+from repro.shard import ShardRouterJoin
+from repro.shard.cache import clear_caches, route_cache
 from repro.shard.catalog import ShardCatalog, catalog_for
+from repro.storage.snapshot import load_tree
+from repro.util.counters import CounterRegistry
 
 
 def grid_points(n, stride=7):
@@ -119,6 +127,144 @@ class TestPersistence:
         json.dump(manifest, open(path, "w"))
         with pytest.raises(StorageError):
             ShardCatalog.open(str(tmp_path / "cat"))
+
+
+def edit_manifest(path, edit):
+    with open(path) as handle:
+        manifest = json.load(handle)
+    edit(manifest)
+    with open(path, "w") as handle:
+        json.dump(manifest, handle)
+
+
+def far_away(manifest):
+    """Shard 0's MBR moved where nothing is: at the parent commit the
+    manifest opened, and the router pruned the shard's pairs."""
+    manifest["entries"][0]["mbr"] = [[1e6, 1e6], [1e6 + 1, 1e6 + 1]]
+
+
+def entry_edit(field, value):
+    def edit(manifest):
+        manifest["entries"][0][field] = value
+    return edit
+
+
+def drop_entry_field(field):
+    def edit(manifest):
+        del manifest["entries"][0][field]
+    return edit
+
+
+WRONG_MANIFESTS = {
+    "mbr": far_away,
+    "count": entry_edit("count", 1),
+    "fingerprint": entry_edit("fingerprint", "0" * 40),
+    "no tile_index": drop_entry_field("tile_index"),
+    "no oids": drop_entry_field("oids"),
+    "count is a string": entry_edit("count", "23"),
+    "count is a bool": entry_edit("count", True),
+    "mbr is a string": entry_edit("mbr", "everywhere"),
+    "mbr has lo > hi": entry_edit("mbr", [[9.0, 9.0], [0.0, 0.0]]),
+    "path is a number": entry_edit("path", 7),
+    "oids hold a string": entry_edit("oids", ["0"]),
+    "stats are a list": entry_edit("stats", [1, 2]),
+    "entries are a dict": lambda manifest: manifest.update(entries={}),
+    "an entry is a string": lambda manifest: manifest.update(
+        entries=["shard"]
+    ),
+    "no dim": lambda manifest: manifest.pop("dim"),
+    "no fingerprint": lambda manifest: manifest.pop("fingerprint"),
+    "old version": lambda manifest: manifest.update(version=1),
+}
+
+
+class TestWrongManifest:
+    """A manifest that is valid JSON but wrong -- the router would
+    prune on it -- is a :class:`StorageError`, never rows missing."""
+
+    @pytest.fixture
+    def saved(self, tmp_path):
+        trees = [bulk_load_str(grid_points(90)),
+                 bulk_load_str(grid_points(70, stride=5))]
+        directories = [str(tmp_path / name) for name in "ab"]
+        for tree, directory in zip(trees, directories):
+            ShardCatalog.build(tree, shards=4).save(directory)
+        clear_caches()
+        return trees, directories
+
+    def rows(self, trees, catalogs):
+        return [
+            (r.distance, r.oid1, r.oid2)
+            for r in ShardRouterJoin(
+                *trees, JoinSpec(max_distance=2.0), catalogs=catalogs
+            )
+        ]
+
+    @pytest.mark.parametrize("edit", list(WRONG_MANIFESTS))
+    def test_refused_at_open_with_no_route_cached(self, saved, edit):
+        trees, directories = saved
+        edit_manifest(
+            directories[0] + "/manifest.json", WRONG_MANIFESTS[edit]
+        )
+        with pytest.raises(StorageError):
+            ShardCatalog.open(directories[0])
+        assert len(route_cache()) == 0
+
+    def test_top_level_list_refused(self, saved):
+        __, directories = saved
+        with open(directories[0] + "/manifest.json", "w") as handle:
+            json.dump([1, 2], handle)
+        with pytest.raises(StorageError):
+            ShardCatalog.open(directories[0])
+
+    def test_forged_mbr_cannot_borrow_the_right_route(self, saved):
+        """Even with the fingerprint recomputed to match, a manifest
+        with another MBR is another catalog: its route is cached
+        under its own key, and its shard file gives it away."""
+        trees, directories = saved
+        good = [ShardCatalog.open(d) for d in directories]
+        expected = self.rows(trees, good)
+        assert expected
+
+        def forge(manifest):
+            far_away(manifest)
+            infos = [
+                dataclasses.replace(info) for info in good[0].infos
+            ]
+            infos[0].mbr = Rect(*manifest["entries"][0]["mbr"])
+            manifest["fingerprint"] = ShardCatalog(
+                good[0].dim, good[0].method, good[0].shards, infos
+            ).fingerprint
+
+        edit_manifest(directories[0] + "/manifest.json", forge)
+        forged = ShardCatalog.open(directories[0])
+        assert forged.fingerprint != good[0].fingerprint
+        with pytest.raises(StorageError, match="shard 0"):
+            forged.tree(0)
+        # Whatever the forged catalog planned, the right catalogs
+        # still get the right route.
+        list(ShardRouterJoin(
+            *trees, JoinSpec(max_distance=2.0), catalogs=(forged, good[1])
+        ))
+        assert self.rows(trees, good) == expected
+
+    def test_swapped_shard_file_refused_on_load(self, saved):
+        __, directories = saved
+        os.replace(
+            directories[0] + "/shard-0001.json",
+            directories[0] + "/shard-0000.json",
+        )
+        catalog = ShardCatalog.open(directories[0])  # manifest intact
+        with pytest.raises(StorageError, match="shard 0"):
+            catalog.tree(0)
+
+    def test_load_check_charges_nothing(self, saved):
+        __, directories = saved
+        catalog = ShardCatalog.open(directories[0])
+        catalog.tree(0)
+        bare = CounterRegistry()
+        load_tree(directories[0] + "/shard-0000.json", counters=bare)
+        assert catalog.counters.snapshot() == bare.snapshot()
 
 
 class TestCatalogMemo:
