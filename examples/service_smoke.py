@@ -1,6 +1,6 @@
 """Service smoke run: boot the preemptable join service, page a
 STOP AFTER query through it over HTTP, and export session metrics
-plus the request's stitched trace.
+plus the request's trace.
 
 Exercises the full serving stack the way CI does: an asyncio server
 on an ephemeral port, the synchronous client paging a bounded join
@@ -87,7 +87,7 @@ def main():
             if reply["done"]:
                 break
             # The session is still live: certified progress must be
-            # monotone, /debug must list it, and the stitched trace
+            # monotone, /debug must list it, and the trace
             # must carry the propagated trace id.
             progress = client.progress(session_id)["progress"]
             bounds.append(progress["lower_bound"])

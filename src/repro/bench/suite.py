@@ -40,6 +40,7 @@ from repro.bench.registry import BenchCase, TIERS, cases_for
 from repro.bench.runner import run_join
 from repro.bench.workloads import JoinWorkload, build_tiger_workload
 from repro.util.obs import NULL_OBSERVER, Observer
+from repro.util.telemetry import TraceContext
 
 __all__ = [
     "environment_fingerprint",
@@ -274,7 +275,7 @@ def main(argv: Optional[List[str]] = None) -> int:
                   f"{case.description}")
         return 0
 
-    suite_obs = Observer(trace_spans=True)
+    suite_obs = Observer(trace=TraceContext.mint())
     started = time.perf_counter()
     entry = run_suite(
         args.tier, repeat=args.repeat, scale=args.scale,

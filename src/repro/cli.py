@@ -307,6 +307,7 @@ def cmd_query(args: argparse.Namespace) -> int:
     """``repro query``: run a SQL query, streaming rows to stdout."""
     from repro.query.parser import parse
     from repro.util.obs import Observer, write_metrics
+    from repro.util.telemetry import TraceContext
 
     if args.page is not None or args.resume:
         return _cmd_query_paged(args)
@@ -339,7 +340,9 @@ def cmd_query(args: argparse.Namespace) -> int:
         return 0
 
     observe = bool(args.metrics or args.trace)
-    obs = Observer(trace_spans=bool(args.trace)) if observe else None
+    obs = Observer(
+        trace=TraceContext.mint() if args.trace else None
+    ) if observe else None
     before = db.counters.full_snapshot() if args.metrics else None
     join_kwargs = {"observer": obs} if obs is not None else {}
     if args.kernel != "auto":

@@ -21,10 +21,13 @@ session only (:meth:`JoinScheduler.resume`).  Parallel-join sessions
 suspend in memory only (their worker pools cannot serialize) and are
 simply skipped by eviction.
 
-Per-session observers record ``service.quantum`` / ``service.suspend``
-/ ``service.resume`` spans and the ``service.quantum_pairs`` gauge;
-:meth:`metrics` flattens them into the shared metrics schema with a
-``session`` label.
+Each session's one observer records ``service.quantum`` /
+``service.suspend`` / ``service.resume`` spans and the
+``service.quantum_pairs`` gauge, and is the observer its operator
+records into, so with :attr:`JoinScheduler.telemetry` on a request's
+trace is one tree (``service.quantum`` > ``op.*`` > ``join.*``);
+:meth:`metrics` flattens the aggregates into the shared metrics schema
+with a ``session`` label.
 """
 
 from __future__ import annotations
@@ -40,14 +43,13 @@ from repro.service.cursor import CursorStore
 from repro.service.session import QuerySource, Session
 from repro.util.counters import CounterRegistry
 from repro.util.obs import KEEP_LAST, Observer, metrics_records
-from repro.util.telemetry import (
-    RequestTelemetry,
-    TraceContext,
-    chrome_trace_events,
+from repro.util.telemetry import TraceContext
+from repro.util.tracing import (
+    chrome_trace,
+    observer_trace,
     span_tree,
-    stitched_records,
+    worker_records,
 )
-from repro.util.tracing import chrome_trace
 from repro.util.validation import require_positive
 
 
@@ -123,18 +125,18 @@ class JoinScheduler:
         self,
         source: QuerySource,
         session_id: Optional[str] = None,
-        trace_ctx: Optional[TraceContext] = None,
+        trace: Optional[TraceContext] = None,
     ) -> Session:
         """Register a new session for ``source``; returns it.
 
-        With :attr:`telemetry` on, ``trace_ctx`` (parsed from the
-        client's ``traceparent`` header, or minted here) becomes the
-        session's trace identity, and the per-session observer is
-        upgraded to a flight recorder: per-occurrence span events on a
-        ring buffer, injected into the source's join kwargs so the
-        operator's own ``join.*``/``pq.*`` spans land in the same
-        trace.  Observers never touch counters, so the join's counter
-        bit-identity (and the bench gates) are unaffected.
+        With :attr:`telemetry` on, ``trace`` (parsed from the client's
+        ``traceparent`` header, or minted here) becomes the session's
+        trace identity, and the per-session observer is a flight
+        recorder: per-occurrence span records and events on ring
+        buffers, injected into the source's join kwargs so the
+        operator's own ``join.*``/``pq.*`` spans nest under the quantum
+        that ran them.  Observers never touch counters, so the join's
+        counter bit-identity (and the bench gates) are unaffected.
         """
         if len(self._sessions) >= self.max_sessions:
             raise ServiceError(
@@ -147,24 +149,15 @@ class JoinScheduler:
         if session_id in self._sessions:
             raise ServiceError(f"session {session_id!r} already exists")
         if self.telemetry:
-            tel = RequestTelemetry(
-                ctx=trace_ctx if trace_ctx is not None
-                else TraceContext.mint()
-            )
             observer = Observer(
                 max_events=256, event_policy=KEEP_LAST,
-                trace_spans=True,
+                trace=trace if trace is not None
+                else TraceContext.mint(),
             )
-            observer.trace_ctx = tel.ctx
             source.join_kwargs.setdefault("observer", observer)
-            session = Session(
-                session_id, source, observer=observer, telemetry=tel
-            )
-            session.obs_anchor = tel.now()
         else:
-            session = Session(session_id, source, observer=Observer(
-                max_events=64
-            ))
+            observer = Observer(max_events=64)
+        session = Session(session_id, source, observer=observer)
         self._sessions[session_id] = session
         self.counters.observe("service_sessions", len(self._sessions))
         return session
@@ -233,45 +226,44 @@ class JoinScheduler:
             return self._run_live_quantum(session)
         produced = 0
         deadline = time.monotonic() + self.quantum_seconds
-        rows = session.rows()
-        live = self._live_join(session)
-        batch_mark = getattr(live, "batches_received", None)
-        tel = session.tel
-        quantum_start = tel.now() if tel.enabled else 0.0
-        with tel.span(
+        obs = session.obs
+        quantum_start = obs.now()
+        with obs.span(
             "service.quantum", session=session.id,
             quantum=session.quanta,
         ):
-            with session.obs.span("service.quantum"):
-                while (
-                    produced < self.quantum_pairs
-                    and len(session.buffer) < session.demand
-                ):
-                    try:
-                        row = next(rows)
-                    except StopIteration:
-                        session.done = True
+            # The first quantum opens the plan: that work is its own.
+            rows = session.rows()
+            live = self._live_join(session)
+            batch_mark = getattr(live, "batches_received", None)
+            while (
+                produced < self.quantum_pairs
+                and len(session.buffer) < session.demand
+            ):
+                try:
+                    row = next(rows)
+                except StopIteration:
+                    session.done = True
+                    break
+                session.buffer.append(row)
+                produced += 1
+                if time.monotonic() >= deadline:
+                    break
+                if batch_mark is not None:
+                    # Parallel sources preempt between tile batches:
+                    # a batch arrival is the natural yield point.
+                    current = getattr(live, "batches_received", 0)
+                    if current > batch_mark:
                         break
-                    session.buffer.append(row)
-                    produced += 1
-                    if time.monotonic() >= deadline:
-                        break
-                    if batch_mark is not None:
-                        # Parallel sources preempt between tile
-                        # batches: a batch arrival is the natural
-                        # yield point.
-                        current = getattr(live, "batches_received", 0)
-                        if current > batch_mark:
-                            break
         session.quanta += 1
-        session.obs.gauge("service.quantum_pairs", float(produced))
+        obs.gauge("service.quantum_pairs", float(produced))
         self.counters.add("service_quanta")
         if produced:
             self.counters.add("service_rows", produced)
-        if tel.enabled:
+        if obs.trace is not None:
             self._record_flight(session, produced)
             if self.latency_budget_seconds is not None:
-                elapsed = tel.now() - quantum_start
+                elapsed = obs.now() - quantum_start
                 if elapsed > self.latency_budget_seconds:
                     self._on_slow_quantum(session, elapsed)
         return produced
@@ -288,14 +280,12 @@ class JoinScheduler:
             self.quantum_pairs,
             max(0, session.demand - len(session.buffer)),
         )
-        tel = session.tel
-        with tel.span(
+        with session.obs.span(
             "service.quantum", session=session.id,
             quantum=session.quanta,
         ):
-            with session.obs.span("service.quantum"):
-                deltas = session.source.poll(budget) if budget else []
-                session.buffer.extend(deltas)
+            deltas = session.source.poll(budget) if budget else []
+            session.buffer.extend(deltas)
         produced = len(deltas)
         session.quanta += 1
         session.obs.gauge("service.quantum_pairs", float(produced))
@@ -462,7 +452,7 @@ class JoinScheduler:
         self, session: Session, elapsed: float
     ) -> None:
         """A quantum blew the latency budget: count it and dump the
-        session's stitched span tree plus flight-recorder ring."""
+        session's span tree plus flight-recorder ring."""
         self.counters.add("service_slow_quanta")
         session.obs.event(
             "slow_quantum", label=f"elapsed={elapsed:.4f}s",
@@ -477,7 +467,7 @@ class JoinScheduler:
         )
         dump = {
             "session": session.id,
-            "trace_id": session.tel.ctx.trace_id,
+            "trace_id": session.obs.trace.trace_id,
             "quantum": session.quanta,
             "elapsed_s": elapsed,
             "budget_s": self.latency_budget_seconds,
@@ -513,55 +503,43 @@ class JoinScheduler:
             record = session.stats()
             record["spooled_bytes"] = session.spooled_bytes
             record["progress"] = session.progress_report()
-            record["trace_spans"] = len(session.tel.spans)
+            record["trace_spans"] = len(session.obs.records)
             records.append(record)
         return records
-
-    def _stitched(self, session: Session) -> List[Any]:
-        """The session's stitched span records: telemetry spans plus
-        grafted operator span events and parallel-worker tracks."""
-        observers = []
-        if session.obs.enabled and session.obs.trace_spans:
-            observers.append((session.obs, session.obs_anchor, ""))
-        worker_tracks = []
-        live = self._live_join(session)
-        snapshots = getattr(live, "task_span_snapshots", None)
-        if snapshots is not None:
-            worker_tracks.append((
-                snapshots(),
-                getattr(live, "_task_workers", {}),
-                session.obs_anchor,
-                None,
-            ))
-        return stitched_records(
-            session.tel,
-            observers=observers,
-            worker_tracks=worker_tracks,
-            exclude_prefixes=("service.",),
-        )
 
     def trace_dump(
         self, session_id: str, fmt: str = "json"
     ) -> Dict[str, Any]:
-        """The session's single connected trace, as a nested JSON span
-        tree (``fmt="json"``) or a Chrome trace-event container
-        (``fmt="chrome"``)."""
+        """The session's single connected trace -- its observer's span
+        records, plus one synthetic span per pool worker of a parallel
+        join -- as a nested JSON span tree (``fmt="json"``) or a Chrome
+        trace-event container (``fmt="chrome"``)."""
         session = self.session(session_id)
-        if not session.tel.enabled:
+        obs = session.obs
+        if obs.trace is None:
             raise ServiceError(
                 f"session {session_id!r} has no telemetry (the "
                 "scheduler was built with telemetry=False)"
             )
-        records = self._stitched(session)
+        records = obs.records
+        live = self._live_join(session)
+        snapshots = getattr(live, "task_span_snapshots", None)
+        if snapshots is not None:
+            records.extend(worker_records(
+                snapshots(), getattr(live, "_task_workers", {}),
+                obs.trace.span_id,
+            ))
         if fmt == "chrome":
-            return chrome_trace(
-                chrome_trace_events(session.tel, records)
-            )
+            return chrome_trace(observer_trace(
+                obs, process_name="repro service",
+                thread_name=f"trace {obs.trace.trace_id[:16]}",
+                include_gauges=False, records=records,
+            ))
         if fmt != "json":
             raise ServiceError(
                 f"unknown trace format {fmt!r} (json or chrome)"
             )
-        return span_tree(session.tel, records)
+        return span_tree(obs, records)
 
     def status(self) -> Dict[str, Any]:
         """A JSON-friendly snapshot of the whole scheduler."""

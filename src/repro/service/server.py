@@ -200,7 +200,7 @@ class JoinService:
         query = parse(sql)
         # A malformed traceparent is ignored (a fresh trace is minted
         # at admission), per the W3C propagation contract.
-        trace_ctx = TraceContext.from_traceparent(
+        trace = TraceContext.from_traceparent(
             (headers or {}).get("traceparent")
         )
         if query.watch:
@@ -214,7 +214,7 @@ class JoinService:
             )
         else:
             source = QuerySource(self.db, sql, strategy=strategy)
-        session = self.scheduler.admit(source, trace_ctx=trace_ctx)
+        session = self.scheduler.admit(source, trace=trace)
         if query.watch:
             # Register eagerly (after admit, so the telemetry observer
             # injected by the scheduler reaches the standing join): a
@@ -228,9 +228,9 @@ class JoinService:
         payload = {"session": session.id, "status": session.stats()}
         if query.watch:
             payload["watch"] = True
-        if session.tel.enabled:
-            payload["trace_id"] = session.tel.ctx.trace_id
-            payload["traceparent"] = session.tel.ctx.to_traceparent()
+        if session.obs.trace is not None:
+            payload["trace_id"] = session.obs.trace.trace_id
+            payload["traceparent"] = session.obs.trace.to_traceparent()
         return 200, payload
 
     async def _get_next(self, params: Dict[str, Any]) -> Tuple[int, Any]:
@@ -554,8 +554,8 @@ class JoinService:
                 session = self.scheduler.session(session_id)
             except ReproError:
                 session = None
-            if session is not None and session.tel.enabled:
-                trace_id = session.tel.ctx.trace_id
+            if session is not None and session.obs.trace is not None:
+                trace_id = session.obs.trace.trace_id
         if trace_id is None:
             header = TraceContext.from_traceparent(
                 headers.get("traceparent")

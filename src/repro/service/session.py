@@ -24,11 +24,7 @@ from repro.core import cursor
 from repro.errors import CursorError
 from repro.query.physical import PhysicalPlan, Row
 from repro.util.obs import Observer
-from repro.util.telemetry import (
-    NULL_TELEMETRY,
-    ProgressEstimator,
-    RequestTelemetry,
-)
+from repro.util.telemetry import ProgressEstimator
 
 
 class QuerySource:
@@ -127,9 +123,11 @@ class Session:
     source:
         The :class:`QuerySource` being consumed.
     obs:
-        Per-session observer; ``service.quantum`` / ``service.suspend``
-        / ``service.resume`` spans and the ``service.quantum_pairs``
-        gauge land here.
+        The session's one recorder; ``service.quantum`` /
+        ``service.suspend`` / ``service.resume`` spans and the
+        ``service.quantum_pairs`` gauge land here, and when it carries
+        a trace (``obs.trace``) so does every span of the operator it
+        is handed to, as one tree.
     buffer:
         Rows produced but not yet taken by the client.
     demand:
@@ -141,19 +139,12 @@ class Session:
         session_id: str,
         source: QuerySource,
         observer: Optional[Observer] = None,
-        telemetry: Optional[RequestTelemetry] = None,
     ) -> None:
         self.id = session_id
         self.source = source
         self.obs = observer if observer is not None else Observer(
             max_events=64
         )
-        #: Request-scoped trace recorder; :data:`NULL_TELEMETRY` keeps
-        #: every hook a single attribute read when tracing is off.
-        self.tel = telemetry if telemetry is not None else NULL_TELEMETRY
-        #: Telemetry-clock time at which :attr:`obs` started (its t=0);
-        #: trace stitching aligns observer span events with it.
-        self.obs_anchor = 0.0
         #: Certified progress ratchet; survives suspend/resume via the
         #: cursor envelope.
         self.progress_est = ProgressEstimator()
@@ -198,10 +189,11 @@ class Session:
     def suspend_to_state(self) -> Dict[str, Any]:
         """Serialize for eviction and drop the in-memory plan.
 
-        The trace context and the progress ratchet ride in the cursor
-        envelope (extra keys; :meth:`QuerySource.load` ignores them),
-        so a session resumed in a *different* process keeps its trace
-        identity, its span history, and its certified floor.
+        A traced recorder's state (``telemetry``) and the progress
+        ratchet ride in the cursor envelope (extra keys;
+        :meth:`QuerySource.load` ignores them), so a session resumed in
+        a *different* process keeps its trace identity, its span
+        history, and its certified floor.
 
         Raises :class:`~repro.errors.CursorError` for operators that
         only support in-memory suspension (parallel joins).
@@ -209,8 +201,8 @@ class Session:
         # Pin the latest certified reading before the plan goes away.
         self.progress_report()
         state = self.source.save()
-        if self.tel.enabled:
-            state["telemetry"] = self.tel.state()
+        if self.obs.trace is not None:
+            state["telemetry"] = self.obs.state()
         state["progress"] = self.progress_est.state()
         self.source.release()
         self._rows = None
@@ -220,22 +212,33 @@ class Session:
     def resume_from_state(self, state: Dict[str, Any]) -> None:
         """Rebuild the plan from an eviction cursor.
 
-        An in-process resume keeps the live telemetry and estimator
-        objects (they never went away and their clocks are newer than
-        the snapshot); a fresh process restores both from the
-        envelope, ratcheting the progress floor so it can only move
-        forward.  Raises :class:`~repro.errors.CursorError` when any
-        part of ``state`` cannot be restored.
+        An in-process resume keeps the live recorder and estimator
+        (they never went away and their clocks are newer than the
+        snapshot); a session without a trace -- a fresh process --
+        restores both from the envelope, ratcheting the progress floor
+        so it can only move forward, and hands the restored recorder to
+        the rebuilt operator so it keeps recording into the same trace.
+        Raises :class:`~repro.errors.CursorError` when any part of
+        ``state`` cannot be restored, and then changes nothing.
         """
-        self.source.load(state)
+        obs, progress = self.obs, self.progress_est
         with cursor.restoring("session"):
-            if not self.tel.enabled and "telemetry" in state:
-                self.tel = RequestTelemetry.restore(state["telemetry"])
+            if obs.trace is None and "telemetry" in state:
+                obs = Observer.restore(state["telemetry"])
             saved_progress = state.get("progress")
             if saved_progress is not None:
                 restored = ProgressEstimator.restore(saved_progress)
-                if restored.lower_bound > self.progress_est.lower_bound:
-                    self.progress_est = restored
+                if restored.lower_bound > progress.lower_bound:
+                    progress = restored
+        kwargs = self.source.join_kwargs
+        if obs is not self.obs:
+            self.source.join_kwargs = dict(kwargs, observer=obs)
+        try:
+            self.source.load(state)
+        except CursorError:
+            self.source.join_kwargs = kwargs
+            raise
+        self.obs, self.progress_est = obs, progress
         self._rows = self.source.open()
         self.evicted = False
         self.spooled_bytes = 0
@@ -280,6 +283,7 @@ class Session:
             "evicted": self.evicted,
             "idle_seconds": round(self.idle_seconds(), 3),
             "trace_id": (
-                self.tel.ctx.trace_id if self.tel.enabled else None
+                self.obs.trace.trace_id
+                if self.obs.trace is not None else None
             ),
         }

@@ -1,30 +1,33 @@
-"""Structured observability: spans, gauges, events, metrics export.
+"""The record model: counters aside, everything measured lands here.
 
 The paper's experimental argument rests on *measuring* the join
 strategies -- distance calculations, queue sizes, node I/O (Table 1,
-Figures 6-10) -- and the parallel engine additionally needs to know
-*where* wall-clock time goes (partitioning vs. worker joins vs. the
-order-preserving merge).  The flat :mod:`repro.util.counters` registry
-answers "how much work"; this module answers "how long, when, and in
-which phase":
+Figures 6-10) -- and the partitioned engine and the service
+additionally need to know *where* wall-clock time goes.  The flat
+:mod:`repro.util.counters` registry answers "how much work"; this
+module answers "how long, when, and under what":
 
-- :class:`Observer` is the per-execution recording surface: named
-  **spans** (monotonic-clock phase timers), float **gauges** with a
-  bounded timeline of samples, and a bounded **event log**;
-- :class:`ObsSnapshot` is the frozen, picklable view that parallel
-  workers ship back with every result batch (next to their
-  :class:`~repro.util.counters.CounterSnapshot`) and the parent merges;
+- :class:`Observer` is the one recording surface: named **spans**
+  (per-name aggregates always; built with ``trace=`` also one
+  :class:`SpanRecord` per occurrence, parented by the stack of spans
+  open on that observer), float **gauges** with a bounded timeline,
+  and a bounded **event log** -- all on one clock that survives
+  :meth:`Observer.state` / :meth:`Observer.restore`;
+- :class:`ObsSnapshot` is the frozen, picklable view of the aggregates
+  that parallel workers ship back with every result batch (next to
+  their :class:`~repro.util.counters.CounterSnapshot`) and the parent
+  merges;
 - :func:`metrics_records` / :func:`write_metrics` serialize counters
   and observations into one machine-readable schema: JSON-lines plus a
   Prometheus-style text dump, shared by the CLI's ``--metrics`` flag,
-  ``EXPLAIN ANALYZE``, and the benchmark harness.
+  ``EXPLAIN ANALYZE``, ``/metrics`` and the benchmark harness.
 
 Overhead discipline: every hot-path hook is gated on
 :attr:`Observer.enabled` (a plain attribute read) and the shared
 :data:`NULL_OBSERVER` makes the disabled path allocation-free, so
 instrumented drivers stay within noise of uninstrumented ones when
-observability is off.  ``sample_every`` additionally thins gauge
-timelines in hot loops when it *is* on.
+observability is off.  A recorded span costs two clock reads and one
+appended record.
 """
 
 from __future__ import annotations
@@ -48,6 +51,7 @@ from typing import (
 )
 
 from repro.util.counters import CounterRegistry, CounterSnapshot
+from repro.util.telemetry import TraceContext
 
 __all__ = [
     "Event",
@@ -56,29 +60,29 @@ __all__ = [
     "NULL_OBSERVER",
     "ObsSnapshot",
     "Observer",
-    "SPAN_EVENT",
+    "SpanRecord",
     "SpanStats",
     "metrics_records",
     "prometheus_text",
     "write_metrics",
 ]
 
-#: Default bound on retained events (the log never grows past this).
+#: Default bound on retained events, and on retained span records (the
+#: log and the span store never grow past it).
 DEFAULT_MAX_EVENTS = 4096
 
-#: Default bound on retained gauge timeline samples per gauge.
-DEFAULT_MAX_SAMPLES = 256
+#: Bound on retained gauge timeline samples per gauge.
+MAX_GAUGE_SAMPLES = 256
 
-#: Event-log retention policies: keep the *first* N events (an
-#: execution prefix, what a trace reader wants) or the *last* N
-#: (a flight-recorder ring buffer, what a crash reader wants).
+#: Retention policies of the event log and the span store: keep the
+#: *first* N (an execution prefix, what a trace reader wants) or the
+#: *last* N (a flight-recorder ring buffer, what a crash reader wants).
 KEEP_FIRST = "first"
 KEEP_LAST = "ring"
 
-#: Event kind used for per-occurrence span records (``trace_spans``):
-#: the event's ``t`` is the span *end* offset and its ``value`` the
-#: duration in seconds, so ``t - value`` recovers the start.
-SPAN_EVENT = "span"
+#: Envelope identifiers of :meth:`Observer.state`.
+OBSERVER_FORMAT = "repro-observer"
+OBSERVER_VERSION = 1
 
 
 class SpanStats:
@@ -112,54 +116,60 @@ class SpanStats:
         )
 
 
+class SpanRecord(NamedTuple):
+    """One finished span occurrence.  ``t0`` / ``dur`` are seconds on
+    the recording observer's clock (0.0 = its creation, surviving
+    suspend/resume); ``parent_id`` is the span that was open on that
+    observer when this one began, or the trace's root span.  Ids are
+    16 hex digits: the observer's recording sequence."""
+
+    name: str
+    span_id: str
+    parent_id: str
+    t0: float
+    dur: float
+    attrs: Dict[str, Any]
+
+    def as_dict(self) -> Dict[str, Any]:
+        return dict(self._asdict(), attrs=dict(self.attrs))
+
+
 class _Span:
-    """A live span: context manager recording into one SpanStats."""
+    """A live span: a context manager timing one occurrence into its
+    :class:`SpanStats` and, on a traced observer, appending the
+    occurrence's :class:`SpanRecord`."""
 
-    __slots__ = ("_stats", "_start")
-
-    def __init__(self, stats: SpanStats) -> None:
-        self._stats = stats
-        self._start = 0.0
-
-    def __enter__(self) -> "_Span":
-        self._start = time.perf_counter()
-        return self
-
-    def __exit__(self, *exc_info: Any) -> None:
-        self._stats.record(time.perf_counter() - self._start)
-
-
-class _TracedSpan:
-    """A span that additionally logs each occurrence as an event.
-
-    The event is appended at span *end* with the duration as its value
-    (kind :data:`SPAN_EVENT`), so a trace exporter can reconstruct the
-    start as ``t - value``.  Only used when the owning observer was
-    created with ``trace_spans=True`` -- the aggregate-only path stays
-    one allocation per span, as before.
-    """
-
-    __slots__ = ("_stats", "_events", "_t0", "_start")
+    __slots__ = ("_obs", "_stats", "_attrs", "_seq", "_parent", "_start")
 
     def __init__(
-        self, stats: SpanStats, events: "EventLog", t0: float
+        self, obs: "Observer", stats: SpanStats, attrs: Dict[str, Any]
     ) -> None:
+        self._obs = obs
         self._stats = stats
-        self._events = events
-        self._t0 = t0
-        self._start = 0.0
+        self._attrs = attrs
+        self._seq = 0
 
-    def __enter__(self) -> "_TracedSpan":
+    def __enter__(self) -> "_Span":
+        obs = self._obs
+        if obs.trace is not None:
+            stack = obs._stack
+            self._parent = stack[-1]
+            obs._seq = self._seq = obs._seq + 1
+            stack.append(self._seq)
         self._start = time.perf_counter()
         return self
 
     def __exit__(self, *exc_info: Any) -> None:
-        end = time.perf_counter()
-        duration = end - self._start
+        start = self._start
+        duration = time.perf_counter() - start
         self._stats.record(duration)
-        self._events.append(
-            end - self._t0, SPAN_EVENT, self._stats.name, duration
-        )
+        if self._seq:
+            obs = self._obs
+            obs._stack.pop()
+            obs._keep((
+                self._stats.name, self._seq, self._parent,
+                start - obs._origin, duration, self._attrs,
+            ))
 
 
 class _NullSpan:
@@ -185,16 +195,14 @@ class GaugeTimeline:
     __slots__ = ("name", "last", "min_value", "max_value", "count",
                  "samples")
 
-    def __init__(
-        self, name: str, max_samples: int = DEFAULT_MAX_SAMPLES
-    ) -> None:
+    def __init__(self, name: str) -> None:
         self.name = name
         self.last = 0.0
         self.min_value = float("inf")
         self.max_value = float("-inf")
         self.count = 0
         self.samples: Deque[Tuple[float, float]] = deque(
-            maxlen=max_samples
+            maxlen=MAX_GAUGE_SAMPLES
         )
 
     def record(self, t: float, value: float) -> None:
@@ -357,69 +365,59 @@ class Observer:
         When False every hook is a near-free no-op; components are
         expected to additionally gate *their* hot paths on this
         attribute so a disabled observer costs one attribute read.
-    sample_every:
-        Record only every ``n``-th gauge sample (spans and events are
-        always recorded when enabled; gauges are the hot-loop signal).
     max_events, event_policy:
-        Bound and retention policy of the event log.
-    max_samples:
-        Bound on each gauge's retained timeline.
-    trace_spans:
-        Also log every span occurrence as a :data:`SPAN_EVENT` event
-        (end offset + duration), the raw material of
-        :mod:`repro.util.tracing`'s Chrome trace export.  Off by
-        default -- aggregate-only spans stay cheaper and the event
-        log bound is then free for the caller's own events.
+        Bound and retention policy of the event log and of the span
+        store (each holds up to ``max_events`` entries).
+    trace:
+        The trace this observer records for.  When given, every span
+        occurrence is also kept (:attr:`records`), parented by the
+        innermost span open on this observer when it began (the
+        trace's root span at top level); without it spans are
+        aggregate-only.
     """
 
     def __init__(
         self,
         enabled: bool = True,
-        sample_every: int = 1,
         max_events: int = DEFAULT_MAX_EVENTS,
         event_policy: str = KEEP_FIRST,
-        max_samples: int = DEFAULT_MAX_SAMPLES,
-        trace_spans: bool = False,
+        trace: Optional[TraceContext] = None,
     ) -> None:
-        if sample_every < 1:
-            raise ValueError(
-                f"sample_every must be >= 1, got {sample_every!r}"
-            )
         self.enabled = enabled
-        self.sample_every = sample_every
-        self.trace_spans = trace_spans
-        #: Optional trace identity (a ``repro.util.telemetry
-        #: .TraceContext``) stamped by request-scoped owners (the
-        #: service scheduler) so exporters can tag this observer's
-        #: spans with the owning trace.  Untyped on purpose: obs must
-        #: not import telemetry.
-        self.trace_ctx: Optional[Any] = None
-        self._max_samples = max_samples
+        self.trace = trace
         self._spans: Dict[str, SpanStats] = {}
         self._gauges: Dict[str, GaugeTimeline] = {}
-        self._gauge_ticks: Dict[str, int] = {}
         self.events = EventLog(max_events=max_events, policy=event_policy)
-        self._t0 = time.perf_counter()
+        # A traced observer's span occurrences, oldest first, as
+        # SpanRecord-shaped tuples whose two ids are still sequence
+        # numbers (0: the root); `records` renders them.
+        self._records: Deque[Tuple] = deque(
+            maxlen=max_events if event_policy == KEEP_LAST else None
+        )
+        #: Occurrences the span store let go of (or never kept).
+        self.dropped_spans = 0
+        # Sequence numbers of the open spans, innermost last.
+        self._stack: List[int] = [0]
+        self._seq = 0
+        self._origin = time.perf_counter()
 
-    @property
-    def t0(self) -> float:
-        """The ``time.perf_counter`` reading at which this observer's
-        clock started (event/gauge ``t`` offsets are relative to it).
-        Exposed so trace stitchers can align observer timelines with a
-        request-scoped clock."""
-        return self._t0
+    def now(self) -> float:
+        """Seconds on this observer's clock: 0.0 at creation, monotone
+        across :meth:`state` / :meth:`restore`.  Every record, gauge
+        sample and event is stamped with it."""
+        return time.perf_counter() - self._origin
 
     # -- spans ---------------------------------------------------------
 
-    def span(self, name: str):
-        """A context manager timing one occurrence of phase ``name``."""
+    def span(self, name: str, **attrs: Any):
+        """A context manager timing one occurrence of phase ``name``;
+        ``attrs`` ride on the occurrence's record."""
         if not self.enabled:
             return _NULL_SPAN
-        if self.trace_spans:
-            return _TracedSpan(
-                self._span_stats(name), self.events, self._t0
-            )
-        return _Span(self._span_stats(name))
+        stats = self._spans.get(name)
+        if stats is None:
+            stats = self._span_stats(name)
+        return _Span(self, stats, attrs)
 
     def _span_stats(self, name: str) -> SpanStats:
         stats = self._spans.get(name)
@@ -428,24 +426,38 @@ class Observer:
             self._spans[name] = stats
         return stats
 
-    def record_span(self, name: str, seconds: float, count: int = 1) -> None:
-        """Fold an externally measured duration into phase ``name``."""
+    def _keep(self, record: Tuple) -> None:
+        if len(self._records) >= self.events.max_events:
+            self.dropped_spans += 1
+            if self.events.policy == KEEP_FIRST:
+                return
+        self._records.append(record)
+
+    @property
+    def records(self) -> List[SpanRecord]:
+        """The retained span occurrences of a traced observer, oldest
+        first.  A span's id never changes once recorded."""
+        root = self.trace.span_id if self.trace is not None else ""
+        return [
+            SpanRecord(
+                name, "%016x" % seq,
+                "%016x" % parent if parent else root, t0, dur, attrs,
+            )
+            for name, seq, parent, t0, dur, attrs in self._records
+        ]
+
+    def record_span(self, name: str, seconds: float) -> None:
+        """Fold an externally measured duration into phase ``name``
+        (as an occurrence that ended now)."""
         if not self.enabled:
             return
-        stats = self._span_stats(name)
-        if self.trace_spans:
-            # Treat "now" as the external measurement's end.
-            self.events.append(
-                time.perf_counter() - self._t0, SPAN_EVENT, name,
-                seconds,
-            )
-        if count == 1:
-            stats.record(seconds)
-            return
-        stats.count += count
-        stats.total_s += seconds
-        if seconds > stats.max_s:
-            stats.max_s = seconds
+        self._span_stats(name).record(seconds)
+        if self.trace is not None:
+            self._seq += 1
+            self._keep((
+                name, self._seq, self._stack[-1],
+                max(0.0, self.now() - seconds), seconds, {},
+            ))
 
     def span_seconds(self, name: str) -> float:
         stats = self._spans.get(name)
@@ -458,19 +470,14 @@ class Observer:
     # -- gauges --------------------------------------------------------
 
     def gauge(self, name: str, value: float) -> None:
-        """Record a float level for ``name`` (subject to sampling)."""
+        """Record a float level for ``name``."""
         if not self.enabled:
             return
-        if self.sample_every > 1:
-            tick = self._gauge_ticks.get(name, 0)
-            self._gauge_ticks[name] = tick + 1
-            if tick % self.sample_every:
-                return
         timeline = self._gauges.get(name)
         if timeline is None:
-            timeline = GaugeTimeline(name, self._max_samples)
+            timeline = GaugeTimeline(name)
             self._gauges[name] = timeline
-        timeline.record(time.perf_counter() - self._t0, value)
+        timeline.record(self.now(), value)
 
     def gauge_value(self, name: str) -> Optional[float]:
         """The gauge's most recent value (None if never recorded)."""
@@ -491,9 +498,7 @@ class Observer:
         """Append one event to the bounded log."""
         if not self.enabled:
             return
-        self.events.append(
-            time.perf_counter() - self._t0, kind, label, value
-        )
+        self.events.append(self.now(), kind, label, value)
 
     # -- snapshots / merging ------------------------------------------
 
@@ -511,11 +516,12 @@ class Observer:
         )
 
     def merge(self, other: Union["Observer", ObsSnapshot]) -> None:
-        """Fold another observer's (or snapshot's) measurements in.
+        """Fold another observer's (or snapshot's) aggregates in.
 
         Span counts and totals add; extrema combine by min/max.  Gauge
         merges keep the other side's last value (it is newer by
         construction in the worker-batch flow) and combine extrema.
+        Records and events stay with the observer that recorded them.
         """
         snap = other.snapshot() if isinstance(other, Observer) else other
         for name, (count, total, mn, mx) in snap.spans.items():
@@ -529,7 +535,7 @@ class Observer:
         for name, (count, last, mn, mx) in snap.gauges.items():
             timeline = self._gauges.get(name)
             if timeline is None:
-                timeline = GaugeTimeline(name, self._max_samples)
+                timeline = GaugeTimeline(name)
                 self._gauges[name] = timeline
             timeline.count += count
             timeline.last = last
@@ -538,22 +544,69 @@ class Observer:
             if mx > timeline.max_value:
                 timeline.max_value = mx
 
-    def reset(self) -> None:
-        """Drop every recorded span, gauge, and event."""
-        self._spans.clear()
-        self._gauges.clear()
-        self._gauge_ticks.clear()
-        self.events = EventLog(
-            max_events=self.events.max_events,
-            policy=self.events.policy,
+    # -- suspend / resume ---------------------------------------------
+
+    def state(self) -> Dict[str, Any]:
+        """A picklable snapshot: the trace identity, the clock, the
+        retained records and events, and the aggregates (gauge
+        timelines are not carried)."""
+        snap = self.snapshot()
+        return {
+            "format": OBSERVER_FORMAT,
+            "version": OBSERVER_VERSION,
+            "trace": (
+                self.trace.as_dict() if self.trace is not None else None
+            ),
+            "elapsed": self.now(),
+            "max_events": self.events.max_events,
+            "event_policy": self.events.policy,
+            "seq": self._seq,
+            "dropped_spans": self.dropped_spans,
+            "records": list(self._records),
+            "events_total": self.events.total,
+            "events": [tuple(event) for event in self.events],
+            "spans": snap.spans,
+            "gauges": snap.gauges,
+        }
+
+    @classmethod
+    def restore(cls, state: Mapping[str, Any]) -> "Observer":
+        """Rebuild from :meth:`state`, re-anchoring the clock so time
+        keeps moving forward from the suspended offset (and span ids
+        from the suspended sequence), even in another process."""
+        if state.get("format") != OBSERVER_FORMAT:
+            raise ValueError(
+                f"not an observer state: format={state.get('format')!r}"
+            )
+        trace = state["trace"]
+        obs = cls(
+            max_events=int(state["max_events"]),
+            event_policy=state["event_policy"],
+            trace=TraceContext(**trace) if trace is not None else None,
         )
-        self._t0 = time.perf_counter()
+        obs._origin -= float(state["elapsed"])
+        obs._seq = int(state["seq"])
+        obs.dropped_spans = int(state["dropped_spans"])
+        for name, seq, parent, t0, dur, attrs in state["records"]:
+            obs._records.append((
+                str(name), int(seq), int(parent), float(t0), float(dur),
+                dict(attrs),
+            ))
+        obs.events.total = int(state["events_total"])
+        for seq, t, kind, label, value in state["events"]:
+            obs.events._events.append(
+                Event(int(seq), float(t), str(kind), str(label), value)
+            )
+        obs.merge(ObsSnapshot(
+            spans=dict(state["spans"]), gauges=dict(state["gauges"])
+        ))
+        return obs
 
     def __repr__(self) -> str:
         return (
             f"Observer(enabled={self.enabled}, "
             f"spans={len(self._spans)}, gauges={len(self._gauges)}, "
-            f"events={self.events.total})"
+            f"records={len(self._records)}, events={self.events.total})"
         )
 
 
@@ -566,26 +619,6 @@ NULL_OBSERVER = Observer(enabled=False)
 # ----------------------------------------------------------------------
 # metrics export (JSON-lines + Prometheus-style text)
 # ----------------------------------------------------------------------
-
-
-def _counter_snapshot(
-    counters: Union[CounterRegistry, CounterSnapshot, None]
-) -> Optional[CounterSnapshot]:
-    if counters is None:
-        return None
-    if isinstance(counters, CounterRegistry):
-        return counters.full_snapshot()
-    return counters
-
-
-def _obs_snapshot(
-    obs: Union[Observer, ObsSnapshot, None]
-) -> Optional[ObsSnapshot]:
-    if obs is None:
-        return None
-    if isinstance(obs, Observer):
-        return obs.snapshot()
-    return obs
 
 
 def metrics_records(
@@ -611,7 +644,10 @@ def metrics_records(
     """
     label_dict = dict(labels) if labels else {}
     records: List[Dict[str, Any]] = []
-    counter_snap = _counter_snapshot(counters)
+    counter_snap = (
+        counters.full_snapshot()
+        if isinstance(counters, CounterRegistry) else counters
+    )
     if counter_snap is not None:
         for name in sorted(counter_snap.values):
             # Gauge-style counters (observe-only, e.g. queue_size)
@@ -631,7 +667,7 @@ def metrics_records(
                     "value": counter_snap.peaks[name],
                     "labels": label_dict,
                 })
-    obs_snap = _obs_snapshot(obs)
+    obs_snap = obs.snapshot() if isinstance(obs, Observer) else obs
     if obs_snap is not None:
         for name in sorted(obs_snap.spans):
             count, total, mn, mx = obs_snap.spans[name]

@@ -1,43 +1,60 @@
-"""Chrome trace-event export for :mod:`repro.util.obs` data.
+"""Exporters for :mod:`repro.util.obs` data: Chrome trace events and
+the nested span tree.
 
 Serializes an :class:`~repro.util.obs.Observer`'s measurements --
-per-occurrence span events (``trace_spans=True``), gauge timelines,
-and the event log -- as Chrome trace-event JSON, the format read by
-Perfetto (https://ui.perfetto.dev) and ``chrome://tracing``.  The
-same exporter renders the aggregate :class:`~repro.util.obs.ObsSnapshot`
-objects that parallel workers ship inside every
-:class:`~repro.parallel.executor.TaskBatch`, one track (pid/tid pair)
-per worker, so a parallel join's whole fleet is visible on one
-timeline.
+per-occurrence :class:`~repro.util.obs.SpanRecord`\\ s (a traced
+observer), gauge timelines, and the event log -- as Chrome trace-event
+JSON, the format read by Perfetto (https://ui.perfetto.dev) and
+``chrome://tracing``, or as one JSON tree rooted at the trace context
+(:func:`span_tree`, what ``/debug/trace`` serves).  Aggregates that
+carry no per-occurrence times -- an untraced observer, the
+:class:`~repro.util.obs.ObsSnapshot` objects that parallel workers ship
+inside every :class:`~repro.parallel.executor.TaskBatch` -- are first
+drawn as records (:func:`summary_records`), so every span on every
+surface goes through the one :func:`span_record_events`.
 
 Event vocabulary used (all standard trace-event phases):
 
 - ``X`` *complete* events for spans (``ts`` start, ``dur`` duration,
-  both in microseconds);
+  both in microseconds; span / parent / trace ids in ``args``);
 - ``C`` *counter* events for gauge timelines;
-- ``i`` *instant* events for everything else in the event log;
+- ``i`` *instant* events for the event log;
 - ``M`` *metadata* events naming processes and threads.
 
 Everything here is pure data transformation: nothing in this module
-runs on a hot path, and a disabled observer simply yields an empty
-trace.
+runs on a hot path or mutates what it exports, so dumping twice yields
+the same ids.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
-from typing import Any, Dict, Iterable, List, Mapping, Optional, Union
+from typing import (
+    Any,
+    Dict,
+    Iterable,
+    Iterator,
+    List,
+    Mapping,
+    Optional,
+    Sequence,
+    Tuple,
+    Union,
+)
 
-from repro.util.obs import ObsSnapshot, Observer, SPAN_EVENT
+from repro.util.obs import ObsSnapshot, Observer, SpanRecord
 
 __all__ = [
     "chrome_trace",
     "gauge_counter_events",
     "instant_events",
     "observer_trace",
-    "snapshot_summary_events",
     "sort_events",
     "span_record_events",
+    "span_tree",
+    "summary_records",
+    "worker_records",
     "worker_track_events",
     "write_chrome_trace",
 ]
@@ -69,48 +86,16 @@ def thread_name_event(pid: int, tid: int, name: str) -> Dict[str, Any]:
     }
 
 
-def span_complete_events(
-    obs: Observer, pid: int = DRIVER_PID, tid: int = 1,
-    cat: str = "span",
-) -> List[Dict[str, Any]]:
-    """``X`` events for every :data:`~repro.util.obs.SPAN_EVENT` in the
-    observer's event log (requires ``trace_spans=True`` recording).
-
-    Span events are logged at span *end* with the duration as value,
-    so the start is ``t - value``; a clamped-at-zero start guards
-    against float jitter on sub-microsecond spans.
-    """
-    events: List[Dict[str, Any]] = []
-    for event in obs.events:
-        if event.kind != SPAN_EVENT:
-            continue
-        start = event.t - event.value
-        if start < 0.0:
-            start = 0.0
-        events.append({
-            "name": event.label, "cat": cat, "ph": "X",
-            "ts": _us(start), "dur": _us(event.value),
-            "pid": pid, "tid": tid,
-        })
-    return events
-
-
 def span_record_events(
-    records: Iterable[Any],
+    records: Iterable[SpanRecord],
     pid: int = DRIVER_PID,
     tid: int = 1,
-    cat: str = "telemetry",
+    cat: str = "span",
     trace_id: Optional[str] = None,
 ) -> List[Dict[str, Any]]:
-    """``X`` events for request-scoped telemetry span records.
-
-    ``records`` is anything shaped like
-    :class:`repro.util.telemetry.SpanRecord` (``name`` / ``span_id`` /
-    ``parent_id`` / ``t0`` / ``dur`` / ``attrs``) -- duck-typed so this
-    module keeps its single dependency on :mod:`repro.util.obs`.  Span
-    and parent ids ride in ``args`` (plus the owning ``trace_id`` when
-    given), which is how Perfetto reconstructs the request tree.
-    """
+    """``X`` events for span records.  Span and parent ids ride in
+    ``args`` (plus the owning ``trace_id`` when given, and the record's
+    attributes), which is how Perfetto reconstructs the tree."""
     events: List[Dict[str, Any]] = []
     for record in records:
         args: Dict[str, Any] = {
@@ -119,8 +104,7 @@ def span_record_events(
         }
         if trace_id:
             args["trace_id"] = trace_id
-        if record.attrs:
-            args.update(record.attrs)
+        args.update(record.attrs)
         events.append({
             "name": record.name, "cat": cat, "ph": "X",
             "ts": _us(record.t0), "dur": _us(record.dur),
@@ -149,58 +133,98 @@ def instant_events(
     obs: Observer, pid: int = DRIVER_PID, tid: int = 1,
     cat: str = "event",
 ) -> List[Dict[str, Any]]:
-    """``i`` instant events for the non-span entries of the event log."""
+    """``i`` instant events for the entries of the event log."""
     events: List[Dict[str, Any]] = []
     for event in obs.events:
-        if event.kind == SPAN_EVENT:
-            continue
+        args = {"kind": event.kind, "value": event.value}
+        if obs.trace is not None:
+            args["trace_id"] = obs.trace.trace_id
         events.append({
             "name": event.label or event.kind, "cat": cat, "ph": "i",
             "ts": _us(event.t), "pid": pid, "tid": tid, "s": "t",
-            "args": {"kind": event.kind, "value": event.value},
+            "args": args,
         })
     return events
 
 
-def snapshot_summary_events(
+def _synthetic_ids() -> Iterator[str]:
+    """Ids for records drawn from aggregates: the top half of the id
+    space, which no observer's recording sequence reaches."""
+    return ("%016x" % n for n in itertools.count(1 << 63))
+
+
+def summary_records(
     snapshot: ObsSnapshot,
-    pid: int,
-    tid: int,
-    start_us: float = 0.0,
-    cat: str = "summary",
-) -> List[Dict[str, Any]]:
-    """Aggregate span stats as a synthetic sequential ``X`` timeline.
+    parent_id: str = "",
+    t0: float = 0.0,
+    ids: Optional[Iterator[str]] = None,
+) -> List[SpanRecord]:
+    """Aggregate span stats as a synthetic sequential timeline.
 
     Snapshots carry totals, not per-occurrence timestamps (that is
     what keeps them cheap to pickle across the process boundary), so
     each phase is drawn once, ``total_s`` long, phases laid end to
-    end in name order.  The result reads as a per-worker time budget
-    rather than a literal schedule; counts and extrema ride in
-    ``args``.
+    end in name order from ``t0``.  The result reads as a time budget
+    rather than a literal schedule; counts and extrema ride in the
+    records' attributes.
     """
-    events: List[Dict[str, Any]] = []
-    cursor = start_us
+    if ids is None:
+        ids = _synthetic_ids()
+    records: List[SpanRecord] = []
+    cursor = t0
     for name in sorted(snapshot.spans):
         count, total, mn, mx = snapshot.spans[name]
-        events.append({
-            "name": name, "cat": cat, "ph": "X",
-            "ts": cursor, "dur": _us(total),
-            "pid": pid, "tid": tid,
-            "args": {
+        records.append(SpanRecord(
+            name, next(ids), parent_id, cursor, total, {
                 "count": count,
                 "min_ms": mn * 1e3 if mn != float("inf") else 0.0,
                 "max_ms": mx * 1e3,
             },
-        })
-        cursor += _us(total)
-    return events
+        ))
+        cursor += total
+    return records
 
 
-def _merge_snapshots(snapshots: Iterable[ObsSnapshot]) -> ObsSnapshot:
-    merged = Observer(max_events=0)
-    for snapshot in snapshots:
-        merged.merge(snapshot)
-    return merged.snapshot()
+def _by_worker(
+    task_obs: Mapping[int, ObsSnapshot],
+    task_workers: Mapping[int, str],
+) -> List[Tuple[str, int, ObsSnapshot]]:
+    """``(worker label, tasks, merged snapshot)`` in label order, from
+    what :meth:`~repro.shard.router.ShardRouterJoin
+    .task_span_snapshots` and its worker map provide: the cumulative
+    stage timings each worker shipped in its :class:`TaskBatch`."""
+    grouped: Dict[str, List[ObsSnapshot]] = {}
+    for task_id, snapshot in task_obs.items():
+        label = task_workers.get(task_id, "worker-?")
+        grouped.setdefault(label, []).append(snapshot)
+    out = []
+    for label in sorted(grouped):
+        merged = Observer(max_events=0)
+        for snapshot in grouped[label]:
+            merged.merge(snapshot)
+        out.append((label, len(grouped[label]), merged.snapshot()))
+    return out
+
+
+def worker_records(
+    task_obs: Mapping[int, ObsSnapshot],
+    task_workers: Mapping[int, str],
+    parent_id: str,
+) -> List[SpanRecord]:
+    """Pool workers as records under ``parent_id``: one
+    ``worker:<label>`` span per worker with its stage totals
+    (:func:`summary_records`) beneath it."""
+    ids = _synthetic_ids()
+    records: List[SpanRecord] = []
+    for label, tasks, merged in _by_worker(task_obs, task_workers):
+        worker_id = next(ids)
+        stages = summary_records(merged, worker_id, ids=ids)
+        records.append(SpanRecord(
+            f"worker:{label}", worker_id, parent_id, 0.0,
+            sum(stage.dur for stage in stages), {"tasks": tasks},
+        ))
+        records.extend(stages)
+    return records
 
 
 def worker_track_events(
@@ -211,28 +235,23 @@ def worker_track_events(
 ) -> List[Dict[str, Any]]:
     """One trace track per parallel worker from per-task snapshots.
 
-    ``task_obs`` and ``task_workers`` are exactly what
-    :meth:`~repro.shard.router.ShardRouterJoin.task_span_snapshots`
-    and its worker map provide: the cumulative stage timings each
-    worker shipped in its :class:`TaskBatch`.  Tasks are grouped by
-    executing worker; each worker gets one ``(pid, tid)`` pair (tids
-    are assigned in sorted worker-label order, so output is
-    deterministic) plus a ``thread_name`` metadata event carrying the
-    worker label (``pid-1234`` or ``pid-1234/repro-join_0``).
+    Tasks are grouped by executing worker; each worker gets one
+    ``(pid, tid)`` pair (tids are assigned in sorted worker-label
+    order, so output is deterministic) plus a ``thread_name`` metadata
+    event carrying the worker label (``pid-1234`` or
+    ``pid-1234/repro-join_0``).
     """
-    by_worker: Dict[str, List[ObsSnapshot]] = {}
-    for task_id, snapshot in task_obs.items():
-        label = task_workers.get(task_id, "worker-?")
-        by_worker.setdefault(label, []).append(snapshot)
     events: List[Dict[str, Any]] = [
         process_name_event(pid, "repro workers")
     ]
-    for tid, label in enumerate(sorted(by_worker), start=1):
+    ids = _synthetic_ids()
+    for tid, (label, __, merged) in enumerate(
+        _by_worker(task_obs, task_workers), start=1
+    ):
         events.append(thread_name_event(pid, tid, label))
-        merged = _merge_snapshots(by_worker[label])
-        events.extend(
-            snapshot_summary_events(merged, pid=pid, tid=tid, cat=cat)
-        )
+        events.extend(span_record_events(
+            summary_records(merged, ids=ids), pid=pid, tid=tid, cat=cat,
+        ))
     return events
 
 
@@ -243,27 +262,79 @@ def observer_trace(
     process_name: str = "repro",
     thread_name: str = "driver",
     include_gauges: bool = True,
-    include_instants: bool = True,
+    records: Optional[Sequence[SpanRecord]] = None,
 ) -> List[Dict[str, Any]]:
-    """The full single-track trace of one observer: metadata, spans
-    (per-occurrence when ``trace_spans`` recorded them, aggregate
-    summary otherwise), gauge counters, and instant events."""
+    """The full single-track trace of one observer: metadata, the root
+    ``request`` span of a traced observer, its spans (``records``; by
+    default the observer's own, or the aggregate summary when it kept
+    none), gauge counters, and instant events."""
     events: List[Dict[str, Any]] = [
         process_name_event(pid, process_name),
         thread_name_event(pid, tid, thread_name),
     ]
-    spans = span_complete_events(obs, pid=pid, tid=tid)
-    if spans:
-        events.extend(spans)
-    else:
-        events.extend(
-            snapshot_summary_events(obs.snapshot(), pid=pid, tid=tid)
-        )
+    trace = obs.trace
+    if records is None:
+        records = obs.records or summary_records(obs.snapshot())
+    if trace is not None:
+        events.append({
+            "name": "request", "cat": "span", "ph": "X",
+            "ts": 0.0, "dur": _us(obs.now()), "pid": pid, "tid": tid,
+            "args": trace.as_dict(),
+        })
+    events.extend(span_record_events(
+        records, pid=pid, tid=tid,
+        trace_id=trace.trace_id if trace is not None else None,
+    ))
     if include_gauges:
         events.extend(gauge_counter_events(obs, pid=pid, tid=tid))
-    if include_instants:
-        events.extend(instant_events(obs, pid=pid, tid=tid))
+    events.extend(instant_events(obs, pid=pid, tid=tid))
     return sort_events(events)
+
+
+def span_tree(
+    obs: Observer,
+    records: Optional[Sequence[SpanRecord]] = None,
+) -> Dict[str, Any]:
+    """A traced observer as one nested JSON span tree rooted at its
+    trace context (``records`` defaults to the observer's own).
+    Records whose parent is unknown (it was dropped by the bound) hang
+    off the root, so the tree is always connected."""
+    trace = obs.trace
+    if records is None:
+        records = obs.records
+    ordered = sorted(records, key=lambda r: (r.t0, r.dur))
+    known = {record.span_id for record in ordered}
+    children: Dict[str, List[SpanRecord]] = {}
+    for record in ordered:
+        parent = record.parent_id
+        if parent not in known or parent == record.span_id:
+            parent = trace.span_id
+        children.setdefault(parent, []).append(record)
+
+    def node(record: SpanRecord) -> Dict[str, Any]:
+        entry = record.as_dict()
+        entry["children"] = [
+            node(child) for child in children.get(record.span_id, [])
+        ]
+        return entry
+
+    return {
+        "name": "request",
+        "trace_id": trace.trace_id,
+        "span_id": trace.span_id,
+        "parent_id": trace.parent_id,
+        "t0": 0.0,
+        "dur": obs.now(),
+        "dropped_spans": obs.dropped_spans,
+        "events": [
+            {"t": event.t, "name": event.kind,
+             "attrs": {"label": event.label, "value": event.value}}
+            for event in obs.events
+        ],
+        "children": [
+            node(record) for record in children.get(trace.span_id, [])
+        ],
+    }
 
 
 def sort_events(

@@ -17,6 +17,8 @@ from repro.geometry.point import Point
 from repro.live import StandingJoin
 from repro.query.executor import Database
 from repro.service import LiveSource, QuerySource, dumps, loads
+from repro.service.scheduler import JoinScheduler
+from repro.service.session import Session
 from repro.shard import ShardRouterJoin, ShardRouterSemiJoin
 from repro.util.counters import CounterRegistry
 
@@ -331,6 +333,83 @@ class TestStructuralDamage:
             state = case.fresh()
             damage(state)
             case.rejected(case.load, state)
+
+
+class TestSessionExtras:
+    """The two keys a session adds to its source's envelope --
+    ``telemetry`` (the recorder's state) and ``progress`` (the
+    certified floor) -- under the same damage: a resume either
+    succeeds or raises CursorError *before* anything changed."""
+
+    REPLACEMENTS = (None, 7, "x", [], {}, 2.5, True, {"format": "nope"})
+
+    @pytest.fixture(params=["query-source", "live-source"])
+    def suspended(self, request):
+        self.db = build_db()
+        self.live = request.param == "live-source"
+        scheduler = JoinScheduler(quantum_pairs=5, telemetry=True)
+        session = scheduler.admit(self.source())
+        scheduler.fetch(session.id, 4)
+        state = loads(dumps(session.suspend_to_state()))
+        assert state["kind"] == request.param
+        assert {"telemetry", "progress"} <= set(state)
+        return state
+
+    def source(self):
+        if self.live:
+            return LiveSource(self.db, WATCH_SQL)
+        return QuerySource(self.db, PULL_SQL)
+
+    def attempt(self, state):
+        fresh = Session("fresh", self.source())
+        obs, estimator = fresh.obs, fresh.progress_est
+        try:
+            fresh.resume_from_state(state)
+        except CursorError:
+            assert fresh.source.plan is None
+            assert getattr(fresh.source, "_standing", None) is None
+            assert fresh.source.join_kwargs == {}
+            assert fresh.obs is obs and obs.trace is None
+            assert fresh.progress_est is estimator
+            assert estimator.lower_bound == 0.0
+            return False
+        assert not fresh.evicted
+        assert fresh.source.join_kwargs.get("observer") in (
+            None, fresh.obs,
+        )
+        # What was restored can be exported.
+        assert len(fresh.obs.records) <= fresh.obs.events.max_events
+        return True
+
+    def test_round_trip_resumes(self, suspended):
+        assert self.attempt(suspended)
+
+    @pytest.mark.parametrize("key", ["telemetry", "progress"])
+    def test_extra_deleted_or_retyped(self, suspended, key):
+        state = loads(dumps(suspended))
+        del state[key]
+        assert self.attempt(state)  # both extras are optional
+        outcomes = []
+        for other in self.REPLACEMENTS:
+            state = loads(dumps(suspended))
+            state[key] = other
+            outcomes.append(self.attempt(state))
+        # progress=None reads as "no floor saved"; nothing else fits.
+        assert outcomes == [
+            key == "progress" and other is None
+            for other in self.REPLACEMENTS
+        ]
+
+    def test_damage_inside_the_recorder_state(self, suspended):
+        for key in list(suspended["telemetry"]):
+            state = loads(dumps(suspended))
+            del state["telemetry"][key]
+            if key != "version":
+                assert not self.attempt(state), key
+            for other in (None, "x", 7):
+                state = loads(dumps(suspended))
+                state["telemetry"][key] = other
+                self.attempt(state)
 
 
 # ----------------------------------------------------------------------

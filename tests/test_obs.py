@@ -2,22 +2,29 @@
 
 import json
 import pickle
+import time
 
 import pytest
 
+from repro.core.distance_join import IncrementalDistanceJoin
 from repro.util.counters import CounterRegistry
 from repro.util.obs import (
     KEEP_FIRST,
     KEEP_LAST,
+    MAX_GAUGE_SAMPLES,
     NULL_OBSERVER,
     EventLog,
     ObsSnapshot,
     Observer,
+    SpanRecord,
     SpanStats,
     metrics_records,
     prometheus_text,
     write_metrics,
 )
+from repro.util.telemetry import TraceContext
+
+from tests.conftest import make_points, make_tree
 
 
 class TestSpans:
@@ -43,8 +50,8 @@ class TestSpans:
     def test_record_span_folds_external_measurement(self):
         obs = Observer()
         obs.record_span("io", 0.25)
-        obs.record_span("io", 0.75, count=4)
-        assert obs.span_count("io") == 5
+        obs.record_span("io", 0.75)
+        assert obs.span_count("io") == 2
         assert obs.span_seconds("io") == pytest.approx(1.0)
 
     def test_unknown_span_is_zero(self):
@@ -85,27 +92,17 @@ class TestGauges:
         count, last, mn, mx = snap.gauges["g"]
         assert (count, last, mn, mx) == (3, 7.0, 1.0, 7.0)
 
-    def test_gauge_sampling_thins_timeline(self):
-        obs = Observer(sample_every=10)
-        for i in range(100):
-            obs.gauge("g", float(i))
-        timeline = obs.gauge_timeline("g")
-        assert len(timeline) == 10  # every 10th sample retained
-
     def test_gauge_timeline_is_bounded(self):
-        obs = Observer(max_samples=16)
-        for i in range(100):
+        obs = Observer()
+        for i in range(MAX_GAUGE_SAMPLES + 100):
             obs.gauge("g", float(i))
         timeline = obs.gauge_timeline("g")
-        assert len(timeline) == 16
-        assert timeline[-1][1] == 99.0  # newest retained
+        assert len(timeline) == MAX_GAUGE_SAMPLES
+        # newest retained
+        assert timeline[-1][1] == float(MAX_GAUGE_SAMPLES + 99)
 
     def test_unknown_gauge_is_none(self):
         assert Observer().gauge_value("never") is None
-
-    def test_sample_every_validation(self):
-        with pytest.raises(ValueError):
-            Observer(sample_every=0)
 
 
 class TestEventLog:
@@ -171,7 +168,7 @@ class TestSnapshots:
         obs = Observer()
         obs.record_span("a", 5.0)
         earlier = obs.snapshot()
-        obs.reset()
+        obs = Observer()  # the contributor started over
         obs.record_span("a", 1.0)
         delta = obs.snapshot().delta_from(earlier)
         # Work since the reset, never a negative flow.
@@ -204,16 +201,6 @@ class TestSnapshots:
         assert a.span_count("x") == 1
         assert a.gauge_value("g") == 4.0
 
-    def test_reset_clears_everything(self):
-        obs = Observer()
-        obs.record_span("a", 1.0)
-        obs.gauge("g", 1.0)
-        obs.event("e")
-        obs.reset()
-        assert obs.snapshot().spans == {}
-        assert obs.snapshot().gauges == {}
-        assert obs.events.total == 0
-
 
 class TestMetricsExport:
     def _sample(self):
@@ -221,7 +208,8 @@ class TestMetricsExport:
         counters.add("dist_calcs", 42)
         counters.observe("queue_size", 17)
         obs = Observer()
-        obs.record_span("join.expand", 0.5, count=10)
+        for __ in range(10):
+            obs.record_span("join.expand", 0.05)
         obs.gauge("pq_adaptive_dt", 0.37)
         return counters, obs
 
@@ -306,36 +294,198 @@ class TestMetricsExport:
         assert 'run="1"' in prom and 'run="2"' in prom
 
 
+def traced(max_events=8, policy=KEEP_LAST, spans=()):
+    obs = Observer(
+        max_events=max_events, event_policy=policy,
+        trace=TraceContext.mint(),
+    )
+    for name, seconds in spans:
+        obs.record_span(name, seconds)
+    return obs
+
+
+class TestRecords:
+    """A traced observer keeps one SpanRecord per occurrence, parented
+    by the stack of spans open on it."""
+
+    def test_untraced_observer_keeps_aggregates_only(self):
+        obs = Observer()
+        with obs.span("phase"):
+            pass
+        assert obs.records == []
+        assert obs.span_count("phase") == 1
+
+    def test_nested_spans_form_a_stack(self):
+        obs = traced()
+        with obs.span("outer"):
+            with obs.span("inner"):
+                pass
+            with obs.span("inner"):
+                pass
+        with obs.span("sibling"):
+            pass
+        by_name = {}
+        for record in obs.records:
+            by_name.setdefault(record.name, []).append(record)
+        (outer,), (sibling,) = by_name["outer"], by_name["sibling"]
+        assert outer.parent_id == sibling.parent_id == obs.trace.span_id
+        for inner in by_name["inner"]:
+            assert inner.parent_id == outer.span_id
+            assert outer.t0 <= inner.t0
+            assert inner.t0 + inner.dur <= outer.t0 + outer.dur
+        ids = [record.span_id for record in obs.records]
+        assert len(set(ids)) == 4 and all(len(i) == 16 for i in ids)
+        # Records and aggregates are the same occurrences.
+        assert obs.span_count("inner") == 2
+        assert obs.span_seconds("inner") == pytest.approx(
+            sum(record.dur for record in by_name["inner"])
+        )
+
+    def test_a_raising_body_still_closes_its_span(self):
+        obs = traced()
+        with pytest.raises(KeyError):
+            with obs.span("outer"):
+                with obs.span("inner"):
+                    raise KeyError("boom")
+        with obs.span("after"):
+            pass
+        after = obs.records[-1]
+        assert after.name == "after"
+        assert after.parent_id == obs.trace.span_id
+
+    def test_span_attributes_ride_on_the_record(self):
+        obs = traced()
+        with obs.span("q", session="s1", quantum=0):
+            pass
+        assert obs.records[0].attrs == {"session": "s1", "quantum": 0}
+        assert obs.records[0].as_dict()["attrs"] == {
+            "session": "s1", "quantum": 0,
+        }
+
+    def test_ids_do_not_change_between_reads(self):
+        obs = traced(spans=[("a", 0.1), ("b", 0.2)])
+        assert obs.records == obs.records
+        assert all(isinstance(r, SpanRecord) for r in obs.records)
+
+    def test_record_span_is_an_occurrence_that_ended_now(self):
+        obs = traced()
+        with obs.span("outer"):
+            obs.record_span("io", 1e-9)
+        io, outer = obs.records
+        assert io.name == "io" and io.parent_id == outer.span_id
+        assert io.dur == 1e-9
+        assert io.t0 + io.dur <= obs.now()
+
+    def test_ring_keeps_the_last_and_counts_the_rest(self):
+        obs = traced(max_events=8, policy=KEEP_LAST)
+        for __ in range(20):
+            obs.record_span("join.expand", 0.01)
+        assert len(obs.records) == 8
+        assert obs.dropped_spans == 12
+        assert [int(r.span_id, 16) for r in obs.records] == \
+            list(range(13, 21))
+        # Spans no longer take slots of the event log.
+        assert obs.events.total == 0
+        assert obs.span_count("join.expand") == 20
+
+    def test_prefix_policy_keeps_the_first(self):
+        obs = traced(max_events=2, policy=KEEP_FIRST)
+        for __ in range(5):
+            with obs.span("s"):
+                pass
+        assert [int(r.span_id, 16) for r in obs.records] == [1, 2]
+        assert obs.dropped_spans == 3
+
+    def test_clock_is_monotone_and_shared(self):
+        obs = traced()
+        before = obs.now()
+        with obs.span("s"):
+            pass
+        obs.gauge("g", 1.0)
+        obs.event("e")
+        after = obs.now()
+        record = obs.records[0]
+        (sample_t, __), = obs.gauge_timeline("g")
+        assert before <= record.t0 <= record.t0 + record.dur \
+            <= sample_t <= obs.events[0].t <= after
+
+
+class TestStateRestore:
+    def roundtrip(self, obs):
+        return Observer.restore(pickle.loads(pickle.dumps(obs.state())))
+
+    def test_state_restore_preserves_identity_and_history(self):
+        obs = traced(max_events=16)
+        with obs.span("before", k=1):
+            pass
+        obs.event("mark", label="m", value=2.0)
+        obs.gauge("g", 3.0)
+        resumed = self.roundtrip(obs)
+        assert resumed.trace == obs.trace
+        assert resumed.records == obs.records
+        assert resumed.events.as_list() == obs.events.as_list()
+        assert resumed.events.total == obs.events.total
+        assert resumed.events.policy == KEEP_LAST
+        assert resumed.events.max_events == 16
+        assert resumed.snapshot() == obs.snapshot()
+        assert resumed.dropped_spans == obs.dropped_spans
+
+    def test_restored_clock_and_ids_only_move_forward(self):
+        obs = traced()
+        with obs.span("before"):
+            pass
+        suspended_at = obs.now()
+        resumed = self.roundtrip(obs)
+        assert resumed.now() >= suspended_at
+        with resumed.span("after"):
+            pass
+        before, after = resumed.records
+        assert after.t0 >= before.t0 + before.dur
+        assert int(after.span_id, 16) > int(before.span_id, 16)
+        assert after.parent_id == obs.trace.span_id
+
+    def test_dropped_count_survives(self):
+        obs = traced(max_events=2)
+        for __ in range(5):
+            obs.record_span("s", 0.0)
+        resumed = self.roundtrip(obs)
+        assert resumed.dropped_spans == 3
+        resumed.record_span("s", 0.0)
+        assert resumed.dropped_spans == 4 and len(resumed.records) == 2
+
+    def test_untraced_state_restores_untraced(self):
+        obs = Observer(max_events=4)
+        obs.record_span("a", 0.5)
+        resumed = self.roundtrip(obs)
+        assert resumed.trace is None and resumed.records == []
+        assert resumed.span_seconds("a") == 0.5
+
+    def test_restore_rejects_foreign_state(self):
+        with pytest.raises(ValueError):
+            Observer.restore({"format": "something-else"})
+
+
 class TestTraceAnnotatedMerge:
     """Observer.merge / ObsSnapshot.delta_from with trace-recording
     observers: aggregates fold correctly while each observer's trace
-    identity and span-event timeline stay its own."""
+    identity and record timeline stay its own."""
 
-    def _traced(self, ctx_tag, spans):
-        obs = Observer(trace_spans=True, event_policy=KEEP_LAST,
-                       max_events=8)
-        obs.trace_ctx = ctx_tag
-        for name, seconds in spans:
-            obs.record_span(name, seconds)
-        return obs
-
-    def test_merge_adds_aggregates_not_events(self):
-        left = self._traced("trace-a", [("join.expand", 0.2)])
-        right = self._traced("trace-b", [("join.expand", 0.3),
-                                         ("pq.refill", 0.1)])
-        events_before = left.events.total
+    def test_merge_adds_aggregates_not_records(self):
+        left = traced(spans=[("join.expand", 0.2)])
+        right = traced(spans=[("join.expand", 0.3), ("pq.refill", 0.1)])
+        left_trace, records_before = left.trace, left.records
         left.merge(right)
         assert left.span_count("join.expand") == 2
         assert left.span_seconds("join.expand") == pytest.approx(0.5)
         assert left.span_seconds("pq.refill") == pytest.approx(0.1)
-        # Merging folds aggregates only: the span-event timeline and
-        # the trace identity belong to the recording observer.
-        assert left.events.total == events_before
-        assert left.trace_ctx == "trace-a"
-        assert right.trace_ctx == "trace-b"
+        # Merging folds aggregates only: the record timeline and the
+        # trace identity belong to the recording observer.
+        assert left.records == records_before
+        assert left.trace is left_trace
+        assert right.trace is not left_trace
 
     def test_merge_accepts_snapshots_from_traced_observers(self):
-        worker = self._traced("trace-w", [("worker.join", 0.4)])
+        worker = traced(spans=[("worker.join", 0.4)])
         parent = Observer(max_events=0)
         parent.merge(worker.snapshot())
         parent.merge(worker.snapshot())
@@ -343,7 +493,7 @@ class TestTraceAnnotatedMerge:
         assert parent.span_seconds("worker.join") == pytest.approx(0.8)
 
     def test_delta_from_between_traced_snapshots(self):
-        obs = self._traced("trace-d", [("join.expand", 0.2)])
+        obs = traced(spans=[("join.expand", 0.2)])
         first = obs.snapshot()
         obs.record_span("join.expand", 0.3)
         obs.gauge("queue_len", 7.0)
@@ -352,20 +502,86 @@ class TestTraceAnnotatedMerge:
         assert delta.span_seconds("join.expand") == pytest.approx(0.3)
         assert delta.gauge_last("queue_len") == 7.0
         # Unchanged phases drop out of the delta entirely.
-        obs.record_span("pq.refill", 0.0, count=0)
-        assert "pq.refill" not in obs.snapshot().delta_from(
-            obs.snapshot()
-        ).spans
+        assert obs.snapshot().delta_from(obs.snapshot()).spans == {}
 
-    def test_span_events_ride_the_ring_policy(self):
-        obs = self._traced("trace-r", [])
-        for i in range(20):
-            obs.record_span("join.expand", 0.01)
-        assert len(obs.events) == 8  # ring keeps the last 8
-        assert obs.events.total == 20
-        kept = [e.seq for e in obs.events]
-        assert kept == list(range(12, 20))
-        assert all(e.kind == "span" for e in obs.events)
+
+class TestCostOfWatching:
+    """Disabled path free, enabled path bounded -- as counts, so no
+    wall-clock gate can flake."""
+
+    @pytest.fixture
+    def clock_reads(self, monkeypatch):
+        reads = []
+        real = time.perf_counter
+
+        def counted():
+            reads.append(1)
+            return real()
+
+        monkeypatch.setattr(time, "perf_counter", counted)
+        return reads
+
+    def test_recorded_span_two_clock_reads_one_record(self, clock_reads):
+        obs = traced(max_events=64)
+        del clock_reads[:]
+        for n in range(1, 6):
+            with obs.span("join.expand"):
+                pass
+            assert len(clock_reads) == 2 * n
+            assert len(obs.records) == n
+        assert obs.events.total == 0
+
+    def test_aggregate_span_reads_the_clock_twice_too(self, clock_reads):
+        obs = Observer()
+        del clock_reads[:]
+        with obs.span("join.expand"):
+            pass
+        assert len(clock_reads) == 2 and obs.records == []
+
+    def test_disabled_traced_observer_hands_out_the_null_span(
+        self, clock_reads
+    ):
+        obs = Observer(enabled=False, trace=TraceContext.mint())
+        del clock_reads[:]
+        assert obs.span("a") is NULL_OBSERVER.span("b")
+        with obs.span("a", k=1):
+            pass
+        obs.record_span("a", 1.0)
+        obs.gauge("g", 1.0)
+        obs.event("e")
+        assert clock_reads == []
+        assert obs.records == [] and obs.snapshot() == ObsSnapshot()
+        assert obs.events.total == 0
+
+    def test_unobserved_join_reads_enabled_and_nothing_else(
+        self, monkeypatch
+    ):
+        """A join built with no observer holds the shared disabled one
+        and, per pair, only reads its ``enabled``.  The one call it
+        does make is ``span("join.init")`` at construction, which the
+        disabled observer answers with the shared no-op span."""
+
+        class Untouchable(Observer):
+            def span(self, name, **attrs):
+                assert name == "join.init", name
+                return NULL_OBSERVER.span(name)
+
+            def forbidden(self, *args, **kwargs):
+                raise AssertionError("disabled observer was used")
+
+            record_span = gauge = event = now = forbidden
+            snapshot = merge = state = forbidden
+
+        null = Untouchable(enabled=False)
+        monkeypatch.setattr("repro.core.distance_join.NULL_OBSERVER", null)
+        monkeypatch.setattr("repro.core.pqueue.NULL_OBSERVER", null)
+        join = IncrementalDistanceJoin(
+            make_tree(make_points(150, seed=5)),
+            make_tree(make_points(150, seed=6)),
+            max_pairs=400, counters=CounterRegistry(),
+        )
+        assert join.obs is null
+        assert len(list(join)) == 400
 
 
 class TestLongRunBoundedness:
@@ -390,11 +606,11 @@ class TestLongRunBoundedness:
         assert [e.seq for e in log] == list(range(64))
 
     def test_gauge_timeline_bounded_with_exact_extrema(self):
-        obs = Observer(max_samples=32)
+        obs = Observer()
         for quantum in range(4000):
             obs.gauge("service.queue_len", float(quantum % 977))
         timeline = obs.gauge_timeline("service.queue_len")
-        assert len(timeline) == 32
+        assert len(timeline) == MAX_GAUGE_SAMPLES
         snapshot = obs.snapshot()
         count, last, mn, mx = snapshot.gauges["service.queue_len"]
         assert count == 4000

@@ -1,22 +1,14 @@
-"""Unit tests for request-scoped tracing (repro.util.telemetry):
-traceparent propagation, the resumable span recorder, and stitching
-operator/worker observability into one span tree."""
-
-import pickle
+"""Unit tests for the trace identity (repro.util.telemetry):
+traceparent parsing, minting and rendering.  What records under that
+identity is tested in test_obs.py, what exports it in test_tracing.py,
+the progress estimator in test_progress.py."""
 
 import pytest
 
-from repro.util.obs import KEEP_LAST, Observer
 from repro.util.telemetry import (
-    NULL_TELEMETRY,
-    RequestTelemetry,
-    SpanRecord,
     TraceContext,
-    chrome_trace_events,
     new_span_id,
     new_trace_id,
-    span_tree,
-    stitched_records,
 )
 
 
@@ -63,226 +55,3 @@ class TestTraceContext:
         assert len(new_trace_id()) == 32
         assert len(new_span_id()) == 16
         assert new_span_id() != new_span_id()
-
-
-class TestRequestTelemetry:
-    def test_nested_spans_form_a_stack(self):
-        tel = RequestTelemetry()
-        with tel.span("outer") as outer:
-            with tel.span("inner") as inner:
-                pass
-        by_name = {record.name: record for record in tel.spans}
-        assert by_name["inner"].parent_id == outer.span_id
-        assert by_name["outer"].parent_id == tel.ctx.span_id
-        assert by_name["inner"].t0 >= by_name["outer"].t0
-        assert inner.span_id != outer.span_id
-
-    def test_span_attributes(self):
-        tel = RequestTelemetry()
-        with tel.span("q", session="s1") as span:
-            span.set(pairs=7)
-        assert tel.spans[0].attrs == {"session": "s1", "pairs": 7}
-
-    def test_span_bound_drops_and_counts(self):
-        tel = RequestTelemetry(max_spans=2)
-        for __ in range(5):
-            with tel.span("s"):
-                pass
-        assert len(tel.spans) == 2
-        assert tel.dropped == 3
-
-    def test_event_bound(self):
-        tel = RequestTelemetry(max_events=3)
-        for i in range(5):
-            tel.event("tick", i=i)
-        assert len(tel.events) == 3
-        assert tel.dropped == 2
-
-    def test_clock_is_monotone(self):
-        tel = RequestTelemetry()
-        readings = [tel.now() for __ in range(5)]
-        assert readings == sorted(readings)
-
-    def test_state_restore_preserves_identity_and_spans(self):
-        tel = RequestTelemetry()
-        with tel.span("before"):
-            pass
-        tel.event("mark", k=1)
-        state = pickle.loads(pickle.dumps(tel.state()))
-        resumed = RequestTelemetry.restore(state)
-        assert resumed.ctx == tel.ctx
-        assert [r.as_dict() for r in resumed.spans] == \
-            [r.as_dict() for r in tel.spans]
-        assert resumed.events == tel.events
-
-    def test_restored_clock_never_runs_backwards(self):
-        tel = RequestTelemetry()
-        with tel.span("before"):
-            pass
-        suspended_at = tel.now()
-        resumed = RequestTelemetry.restore(tel.state())
-        assert resumed.now() >= suspended_at
-        with resumed.span("after"):
-            pass
-        by_name = {r.name: r for r in resumed.spans}
-        assert by_name["after"].t0 >= by_name["before"].t0 + \
-            by_name["before"].dur
-
-    def test_restore_rejects_foreign_state(self):
-        with pytest.raises(ValueError):
-            RequestTelemetry.restore({"format": "something-else"})
-
-    def test_null_telemetry_records_nothing(self):
-        span = NULL_TELEMETRY.span("x", a=1)
-        with span:
-            span.set(b=2)
-        NULL_TELEMETRY.event("e")
-        assert NULL_TELEMETRY.spans == []
-        assert NULL_TELEMETRY.events == []
-        assert NULL_TELEMETRY.dropped == 0
-
-    def test_null_telemetry_span_is_shared(self):
-        # The disabled path must not allocate per call.
-        assert NULL_TELEMETRY.span("a") is NULL_TELEMETRY.span("b")
-
-    def test_record_span_defaults_to_root_parent(self):
-        tel = RequestTelemetry()
-        sid = tel.record_span("io", t0=0.1, dur=0.2)
-        assert tel.spans[0].parent_id == tel.ctx.span_id
-        assert tel.spans[0].span_id == sid
-
-
-def _telemetry_with_quantum(duration=0.05):
-    """A telemetry whose single 'service.quantum' span covers
-    [0.0, duration] exactly (recorded externally for determinism)."""
-    tel = RequestTelemetry()
-    sid = tel.record_span("service.quantum", t0=0.0, dur=duration)
-    return tel, sid
-
-
-class TestStitching:
-    def test_observer_spans_graft_under_containing_span(self):
-        tel, quantum_sid = _telemetry_with_quantum(duration=0.05)
-        obs = Observer(trace_spans=True)
-        # A span event: ended at t=0.03 on the observer clock, took
-        # 0.01s.  Anchor 0.0 aligns the clocks.
-        obs.events.append(0.03, "span", "join.expand", 0.01)
-        records = stitched_records(tel, observers=[(obs, 0.0, "")])
-        grafted = [r for r in records if r.name == "join.expand"]
-        assert len(grafted) == 1
-        assert grafted[0].parent_id == quantum_sid
-        assert grafted[0].t0 == pytest.approx(0.02)
-        assert grafted[0].dur == pytest.approx(0.01)
-
-    def test_uncontained_span_attaches_to_root(self):
-        tel, __ = _telemetry_with_quantum(duration=0.05)
-        obs = Observer(trace_spans=True)
-        obs.events.append(9.0, "span", "late", 0.01)
-        records = stitched_records(tel, observers=[(obs, 0.0, "")])
-        late = [r for r in records if r.name == "late"][0]
-        assert late.parent_id == tel.ctx.span_id
-
-    def test_exclude_prefixes_drops_duplicate_surface(self):
-        tel, __ = _telemetry_with_quantum()
-        obs = Observer(trace_spans=True)
-        with obs.span("service.quantum"):
-            pass
-        with obs.span("join.expand"):
-            pass
-        records = stitched_records(
-            tel, observers=[(obs, 0.0, "")],
-            exclude_prefixes=("service.",),
-        )
-        names = [r.name for r in records]
-        # One quantum span (the telemetry one), not two.
-        assert names.count("service.quantum") == 1
-        assert "join.expand" in names
-
-    def test_stitching_is_pure(self):
-        tel, __ = _telemetry_with_quantum()
-        obs = Observer(trace_spans=True)
-        with obs.span("join.expand"):
-            pass
-        before = len(tel.spans)
-        first = stitched_records(tel, observers=[(obs, 0.0, "")])
-        second = stitched_records(tel, observers=[(obs, 0.0, "")])
-        assert len(tel.spans) == before
-        assert len(first) == len(second)
-
-    def test_worker_tracks_become_stage_spans(self):
-        tel, __ = _telemetry_with_quantum()
-        worker = Observer()
-        worker.record_span("worker.build", 0.02)
-        worker.record_span("worker.join", 0.03)
-        snapshots = {0: worker.snapshot(), 1: worker.snapshot()}
-        workers = {0: "w0", 1: "w1"}
-        records = stitched_records(
-            tel, worker_tracks=[(snapshots, workers, 0.0, None)]
-        )
-        worker_spans = [r for r in records
-                        if r.name.startswith("worker:")]
-        assert {r.name for r in worker_spans} == \
-            {"worker:w0", "worker:w1"}
-        for span in worker_spans:
-            assert span.dur == pytest.approx(0.05)
-            stages = [r for r in records
-                      if r.parent_id == span.span_id]
-            assert {s.name for s in stages} == \
-                {"worker.build", "worker.join"}
-            # Stage spans tile the worker span end to end.
-            assert sum(s.dur for s in stages) == pytest.approx(
-                span.dur
-            )
-
-
-class TestSpanTree:
-    def test_tree_is_connected_and_rooted(self):
-        tel = RequestTelemetry()
-        with tel.span("outer"):
-            with tel.span("inner"):
-                pass
-        tree = span_tree(tel)
-        assert tree["name"] == "request"
-        assert tree["trace_id"] == tel.ctx.trace_id
-        assert len(tree["children"]) == 1
-        outer = tree["children"][0]
-        assert outer["name"] == "outer"
-        assert [c["name"] for c in outer["children"]] == ["inner"]
-
-    def test_orphans_reattach_to_root(self):
-        tel = RequestTelemetry()
-        tel.record_span("orphan", t0=0.0, dur=0.1,
-                        parent_id="feedfacefeedface")
-        tree = span_tree(tel)
-        assert [c["name"] for c in tree["children"]] == ["orphan"]
-
-    def test_events_ride_on_the_root(self):
-        tel = RequestTelemetry()
-        tel.event("mark", k=3)
-        tree = span_tree(tel)
-        assert tree["events"][0]["name"] == "mark"
-        assert tree["events"][0]["attrs"] == {"k": 3}
-
-
-class TestChromeExport:
-    def test_events_carry_trace_identity(self):
-        tel = RequestTelemetry()
-        with tel.span("phase"):
-            pass
-        tel.event("mark")
-        events = chrome_trace_events(tel)
-        complete = [e for e in events if e.get("ph") == "X"]
-        assert {e["name"] for e in complete} == {"request", "phase"}
-        for event in complete:
-            assert event["args"]["trace_id"] == tel.ctx.trace_id
-        instants = [e for e in events if e.get("ph") == "i"]
-        assert instants and instants[0]["name"] == "mark"
-        # Metadata events name the process/thread for Perfetto.
-        assert any(e.get("ph") == "M" for e in events)
-
-    def test_span_record_roundtrip(self):
-        record = SpanRecord(
-            name="n", span_id="a" * 16, parent_id="b" * 16,
-            t0=1.0, dur=2.0, attrs={"k": "v"},
-        )
-        assert SpanRecord.from_dict(record.as_dict()) == record

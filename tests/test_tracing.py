@@ -1,19 +1,23 @@
-"""Tests for Chrome trace-event export (repro.util.tracing)."""
+"""Tests for the exporters of repro.util.tracing: Chrome trace events
+and the nested span tree."""
 
 import json
 
 import pytest
 
 from repro.parallel import ParallelDistanceJoin
-from repro.util.obs import NULL_OBSERVER, SPAN_EVENT, Observer
+from repro.util.obs import Observer, SpanRecord
+from repro.util.telemetry import TraceContext
 from repro.util.tracing import (
     chrome_trace,
     gauge_counter_events,
     instant_events,
     observer_trace,
-    snapshot_summary_events,
     sort_events,
-    span_complete_events,
+    span_record_events,
+    span_tree,
+    summary_records,
+    worker_records,
     worker_track_events,
     write_chrome_trace,
 )
@@ -24,7 +28,7 @@ VALID_PHASES = {"X", "B", "E", "C", "i", "M"}
 
 
 def traced_observer():
-    obs = Observer(trace_spans=True)
+    obs = Observer(trace=TraceContext.mint())
     with obs.span("outer"):
         with obs.span("inner"):
             pass
@@ -36,36 +40,31 @@ def traced_observer():
 
 
 class TestSpanEvents:
-    def test_trace_spans_logs_per_occurrence(self):
-        obs = traced_observer()
-        kinds = [e.kind for e in obs.events]
-        assert kinds.count(SPAN_EVENT) == 3  # outer, inner, io
-
     def test_complete_events_have_duration_phase(self):
         obs = traced_observer()
-        events = span_complete_events(obs)
-        assert len(events) == 3
+        events = span_record_events(obs.records)
+        assert len(events) == 3  # one per occurrence: outer, inner, io
         assert all(e["ph"] == "X" for e in events)
         assert all(e["dur"] >= 0.0 for e in events)
         assert all(e["ts"] >= 0.0 for e in events)
         assert {e["name"] for e in events} == {"outer", "inner", "io"}
 
-    def test_trace_spans_off_yields_no_span_events(self):
-        obs = Observer()  # trace_spans defaults to off
-        with obs.span("a"):
-            pass
-        assert span_complete_events(obs) == []
+    def test_ids_and_attrs_ride_in_args(self):
+        record = SpanRecord(
+            "n", "a" * 16, "b" * 16, 1.0, 2.0, {"k": "v"},
+        )
+        (event,) = span_record_events([record], trace_id="t" * 32)
+        assert event["ts"] == 1e6 and event["dur"] == 2e6
+        assert event["args"] == {
+            "span_id": "a" * 16, "parent_id": "b" * 16,
+            "trace_id": "t" * 32, "k": "v",
+        }
 
-    def test_disabled_observer_allocation_free(self):
-        # trace_spans must not defeat the NULL_OBSERVER discipline:
-        # a disabled observer still hands out the shared no-op span.
-        obs = Observer(enabled=False, trace_spans=True)
-        assert obs.span("a") is obs.span("b")
-        assert obs.span("a") is NULL_OBSERVER.span("x")
+    def test_untraced_observer_yields_no_records(self):
+        obs = Observer()
         with obs.span("a"):
             pass
-        assert obs.events.total == 0
-        assert span_complete_events(obs) == []
+        assert span_record_events(obs.records) == []
 
 
 class TestObserverTrace:
@@ -103,14 +102,30 @@ class TestObserverTrace:
         assert [e["args"]["queue"] for e in events] == [3.0, 7.0]
         assert all(e["ph"] == "C" for e in events)
 
-    def test_instants_skip_span_entries(self):
-        events = instant_events(traced_observer())
+    def test_instants_are_the_event_log(self):
+        obs = traced_observer()
+        events = instant_events(obs)
         assert [e["name"] for e in events] == ["first-pair"]
         assert events[0]["args"]["kind"] == "milestone"
+        assert events[0]["args"]["trace_id"] == obs.trace.trace_id
 
-    def test_aggregate_fallback_without_trace_spans(self):
+    def test_traced_observer_carries_its_identity(self):
+        obs = traced_observer()
+        complete = [e for e in observer_trace(obs) if e["ph"] == "X"]
+        assert {e["name"] for e in complete} == \
+            {"request", "outer", "inner", "io"}
+        for event in complete:
+            assert event["args"]["trace_id"] == obs.trace.trace_id
+        by_name = {e["name"]: e["args"] for e in complete}
+        assert by_name["inner"]["parent_id"] == \
+            by_name["outer"]["span_id"]
+        assert by_name["outer"]["parent_id"] == \
+            by_name["request"]["span_id"] == obs.trace.span_id
+
+    def test_aggregate_fallback_without_a_trace(self):
         obs = Observer()
-        obs.record_span("b", 0.5, count=2)
+        obs.record_span("b", 0.25)
+        obs.record_span("b", 0.25)
         obs.record_span("a", 0.25)
         events = [
             e for e in observer_trace(obs) if e["ph"] == "X"
@@ -176,12 +191,42 @@ class TestWorkerTracks:
         snap = self._snapshot(
             [("c", 0.1), ("a", 0.2), ("b", 0.3), ("a", 0.05)]
         )
-        events = snapshot_summary_events(snap, pid=5, tid=7)
-        assert [e["name"] for e in events] == ["a", "b", "c"]
-        cursor = 0.0
-        for event in events:
-            assert event["ts"] == pytest.approx(cursor)
-            cursor += event["dur"]
+        records = summary_records(snap, parent_id="p" * 16, t0=1.0)
+        assert [r.name for r in records] == ["a", "b", "c"]
+        assert records[0].attrs["count"] == 2
+        assert all(r.parent_id == "p" * 16 for r in records)
+        assert len({r.span_id for r in records}) == 3
+        cursor = 1.0
+        for record in records:
+            assert record.t0 == pytest.approx(cursor)
+            cursor += record.dur
+
+    def test_worker_records_tile_each_worker_span(self):
+        worker = self._snapshot(
+            [("worker.build", 0.02), ("worker.join", 0.03)]
+        )
+        records = worker_records(
+            {0: worker, 1: worker, 2: worker},
+            {0: "w0", 1: "w1", 2: "w1"}, parent_id="r" * 16,
+        )
+        workers = [r for r in records if r.name.startswith("worker:")]
+        assert [r.name for r in workers] == ["worker:w0", "worker:w1"]
+        assert [r.attrs for r in workers] == [{"tasks": 1}, {"tasks": 2}]
+        for span in workers:
+            assert span.parent_id == "r" * 16
+            stages = [r for r in records if r.parent_id == span.span_id]
+            assert {s.name for s in stages} == \
+                {"worker.build", "worker.join"}
+            # Stage spans tile the worker span end to end.
+            assert sum(s.dur for s in stages) == pytest.approx(span.dur)
+            assert stages[0].t0 == span.t0
+        # Synthesised ids are stable across calls and distinct.
+        again = worker_records(
+            {0: worker, 1: worker, 2: worker},
+            {0: "w0", 1: "w1", 2: "w1"}, parent_id="r" * 16,
+        )
+        assert again == records
+        assert len({r.span_id for r in records}) == len(records)
 
     def test_parallel_join_trace_end_to_end(self, tmp_path):
         tree_a = make_tree(make_points(60, seed=61))
@@ -210,6 +255,42 @@ class TestWorkerTracks:
                 and e["ph"] == "X"
             ]
             assert ts_list == sorted(ts_list)
+
+
+class TestSpanTree:
+    def test_tree_is_connected_and_rooted(self):
+        obs = traced_observer()
+        tree = span_tree(obs)
+        assert tree["name"] == "request"
+        assert tree["trace_id"] == obs.trace.trace_id
+        assert tree["span_id"] == obs.trace.span_id
+        assert tree["dropped_spans"] == 0
+        # "io" took 0.25 s and ended now: it is clamped to start at 0.
+        assert [c["name"] for c in tree["children"]] == ["io", "outer"]
+        outer = tree["children"][1]
+        assert [c["name"] for c in outer["children"]] == ["inner"]
+        assert set(outer) == {"name", "span_id", "parent_id", "t0",
+                              "dur", "attrs", "children"}
+
+    def test_orphans_reattach_to_root(self):
+        obs = Observer(trace=TraceContext.mint())
+        orphan = SpanRecord(
+            "orphan", "1" * 16, "feedfacefeedface", 0.0, 0.1, {},
+        )
+        tree = span_tree(obs, [orphan])
+        assert [c["name"] for c in tree["children"]] == ["orphan"]
+
+    def test_events_ride_on_the_root(self):
+        tree = span_tree(traced_observer())
+        (event,) = tree["events"]
+        assert event["name"] == "milestone"
+        assert event["attrs"] == {"label": "first-pair", "value": 1.0}
+
+    def test_export_is_pure(self):
+        obs = traced_observer()
+        first, second = span_tree(obs), span_tree(obs)
+        first.pop("dur"), second.pop("dur")  # the root ends "now"
+        assert first == second
 
 
 class TestSortEvents:
