@@ -121,6 +121,11 @@ class ServiceError(ReproError):
     """
 
 
+class ServiceFull(ServiceError):
+    """Admission refused: the scheduler is at ``max_sessions`` (HTTP
+    409, where every other :class:`ServiceError` is a 404)."""
+
+
 class LiveError(ReproError):
     """Errors raised by the standing-query (``repro.live``) layer.
 

@@ -3,19 +3,39 @@
 Used by the tests, the CI smoke job, and ``examples/service_smoke.py``
 so they all exercise the server the same way a real client would --
 over a socket, one page at a time.  Stdlib only (``http.client``).
+
+A client keeps one connection for all its requests (``docs/SERVICE.md``,
+"Connections"), under a lock, so threads may share one.  It reconnects
+when the connection is gone but **never re-sends a request**: ``/next``
+consumes rows and ``/update`` mutates, so a connection that dies with
+a request in flight is a :class:`~repro.errors.ServiceError` saying the
+outcome is unknown, and the *next* call reconnects.
 """
 
 from __future__ import annotations
 
 import http.client
 import json
+import re
+import select
+import threading
+import time
 from typing import Any, Dict, Iterator, List, Optional
 
 from repro.errors import ServiceError
 
+#: Seconds before the server's advertised idle timeout at which an
+#: unused connection is dropped rather than raced against.
+EXPIRY_MARGIN = 1.0
+
+_KEEP_ALIVE = re.compile(r"timeout=([\d.]+).*?max=(\d+)")
+
 
 class ServiceClient:
     """Talk to a running :class:`~repro.service.server.JoinService`.
+
+    Thread-safe, and a context manager: :meth:`close` releases the
+    socket, as does dropping the client.
 
     Parameters
     ----------
@@ -32,6 +52,28 @@ class ServiceClient:
         self.host = host
         self.port = port
         self.timeout = timeout
+        self._lock = threading.Lock()
+        self._conn: Optional[http.client.HTTPConnection] = None
+        self._expires = 0.0  # monotonic time the server drops _conn
+
+    def close(self) -> None:
+        """Drop the connection (the next request opens a new one)."""
+        with self._lock:
+            self._drop()
+
+    def __enter__(self) -> "ServiceClient":
+        return self
+
+    def __exit__(self, *exc_info: Any) -> None:
+        self.close()
+
+    def __del__(self) -> None:
+        self._drop()
+
+    def _drop(self) -> None:
+        if self._conn is not None:
+            self._conn.close()
+            self._conn = None
 
     def _request(
         self,
@@ -40,36 +82,64 @@ class ServiceClient:
         body: Optional[Dict[str, Any]] = None,
         headers: Optional[Dict[str, str]] = None,
     ) -> Any:
-        conn = http.client.HTTPConnection(
-            self.host, self.port, timeout=self.timeout
-        )
-        try:
-            payload = json.dumps(body).encode("utf-8") \
-                if body is not None else None
-            send_headers = dict(headers or {})
-            if payload is not None:
-                send_headers.setdefault(
-                    "Content-Type", "application/json"
+        payload = json.dumps(body).encode("utf-8") \
+            if body is not None else None
+        send_headers = dict(headers or {})
+        if payload is not None:
+            send_headers.setdefault("Content-Type", "application/json")
+        with self._lock:
+            conn = self._conn
+            # Not worth a request whose outcome would be unknown: the
+            # server is about to hang up, or has (readable means EOF).
+            if conn is not None and (
+                time.monotonic() >= self._expires
+                or select.select([conn.sock], [], [], 0)[0]
+            ):
+                self._drop()
+                conn = None
+            if conn is None:
+                conn = http.client.HTTPConnection(
+                    self.host, self.port, timeout=self.timeout
                 )
-            conn.request(
-                method, path, body=payload, headers=send_headers
-            )
-            response = conn.getresponse()
-            raw = response.read()
-            content_type = response.getheader("Content-Type", "")
-            if content_type.startswith("application/json"):
-                decoded: Any = json.loads(raw.decode("utf-8"))
-            else:
-                decoded = raw.decode("utf-8")
-            if response.status >= 400:
-                detail = decoded.get("error", decoded) \
-                    if isinstance(decoded, dict) else decoded
+                conn.connect()  # refused: raises as is, nothing was sent
+                self._conn = conn
+            try:
+                conn.request(
+                    method, path, body=payload, headers=send_headers
+                )
+                response = conn.getresponse()
+                raw = response.read()
+            except BaseException as exc:
+                self._drop()
+                if not isinstance(exc, (http.client.HTTPException, OSError)):
+                    raise
+                # Not re-sent: the server may have acted on it.
                 raise ServiceError(
-                    f"{method} {path} -> {response.status}: {detail}"
-                )
-            return decoded
-        finally:
-            conn.close()
+                    f"{method} {path}: connection failed "
+                    f"({type(exc).__name__}: {exc}); whether the server "
+                    "acted on the request is unknown"
+                ) from exc
+            advertised = _KEEP_ALIVE.search(
+                response.getheader("Keep-Alive", "")
+            )
+            if response.will_close or advertised is None \
+                    or advertised.group(2) == "0":
+                self._drop()
+            else:
+                self._expires = time.monotonic() \
+                    + float(advertised.group(1)) - EXPIRY_MARGIN
+        content_type = response.getheader("Content-Type", "")
+        if content_type.startswith("application/json"):
+            decoded: Any = json.loads(raw.decode("utf-8"))
+        else:
+            decoded = raw.decode("utf-8")
+        if response.status >= 400:
+            detail = decoded.get("error", decoded) \
+                if isinstance(decoded, dict) else decoded
+            raise ServiceError(
+                f"{method} {path} -> {response.status}: {detail}"
+            )
+        return decoded
 
     # ------------------------------------------------------------------
     # API surface
@@ -86,13 +156,7 @@ class ServiceClient:
         ``traceparent`` (a W3C trace header value) makes the server
         join an existing client trace instead of minting one.
         """
-        headers = {"traceparent": traceparent} \
-            if traceparent is not None else None
-        reply = self._request(
-            "POST", "/query", {"sql": sql, "strategy": strategy},
-            headers=headers,
-        )
-        return reply["session"]
+        return self.admit(sql, strategy, traceparent)["session"]
 
     def admit(
         self,
@@ -139,8 +203,7 @@ class ServiceClient:
     def watch(self, sql: str) -> str:
         """Register a standing ``WATCH`` subscription; returns its
         session id.  Page its delta stream with :meth:`deltas`."""
-        reply = self._request("POST", "/query", {"sql": sql})
-        return reply["session"]
+        return self.query(sql)
 
     def deltas(self, session_id: str, k: int = 16) -> List[Dict[str, Any]]:
         """The next page of a subscription's pending repair deltas

@@ -37,7 +37,7 @@ import os
 import time
 from typing import Any, Dict, List, Optional, Tuple
 
-from repro.errors import CursorError, ServiceError
+from repro.errors import CursorError, ServiceError, ServiceFull
 from repro.query.physical import Row
 from repro.service.cursor import CursorStore
 from repro.service.session import QuerySource, Session
@@ -139,7 +139,7 @@ class JoinScheduler:
         counter bit-identity (and the bench gates) are unaffected.
         """
         if len(self._sessions) >= self.max_sessions:
-            raise ServiceError(
+            raise ServiceFull(
                 f"service full: {self.max_sessions} concurrent "
                 "sessions"
             )

@@ -34,7 +34,15 @@ spool; the next ``/next`` transparently resumes them (a spooled cursor
 that cannot be restored costs that one session: its client gets a 500
 with the reason, then 404 like any unknown session).  Everything is
 ``asyncio`` + ``json`` + manual HTTP/1.1 parsing -- no dependencies
-beyond the standard library, one request per connection.
+beyond the standard library.
+
+A connection outlives its request: each is one sequential loop of
+*read a request, dispatch it, write the reply*, kept for an HTTP/1.1
+client (or an HTTP/1.0 one sending ``Connection: keep-alive``) until it
+says ``Connection: close``, idles for :data:`IDLE_TIMEOUT`, has had
+:data:`MAX_REQUESTS` replies, or is refused by the framing rules (400,
+408, 413, 431, 501 -- the stream position after one cannot be trusted).
+Reading runs under :data:`READ_TIMEOUT`; dispatching never does.
 """
 
 from __future__ import annotations
@@ -43,7 +51,8 @@ import asyncio
 import json
 import sys
 import time
-from typing import Any, Dict, Optional, Tuple
+from http import HTTPStatus
+from typing import Any, Dict, Optional, Set, Tuple
 from urllib.parse import parse_qs, urlsplit
 
 from repro.errors import (
@@ -52,6 +61,7 @@ from repro.errors import (
     QueryError,
     ReproError,
     ServiceError,
+    ServiceFull,
 )
 from repro.geometry.point import Point
 from repro.query.parser import parse
@@ -79,6 +89,157 @@ MAX_BODY_BYTES = 1 << 20
 #: or header line longer than the stream reader's limit (asyncio's
 #: 64 KiB) -- is answered 431 before anything is dispatched.
 MAX_HEADER_LINES = 100
+
+#: Seconds a connection may sit between requests (or before its first
+#: request line is complete); then it is closed without a byte.
+IDLE_TIMEOUT = 10.0
+
+#: Seconds the headers and body may take once the request line is in;
+#: a stalled sender is answered 408.  Never covers ``_dispatch``.  Not
+#: below IDLE_TIMEOUT, or every request re-arms a timer (_ReadClock).
+READ_TIMEOUT = 20.0
+
+#: Replies one connection is served; the last says ``Connection: close``.
+MAX_REQUESTS = 1000
+
+#: What a closing connection still reads and discards, so that the
+#: close is not a reset that costs a peer still sending its last reply.
+LINGER_BYTES = 4 << 20
+LINGER_TIMEOUT = 2.0
+
+
+class _Refusal(Exception):
+    """``(status, message)`` of a request refused before dispatch."""
+
+
+class _ReadClock:
+    """The deadline one connection's reads run under: ``set(seconds)``
+    before awaiting the peer, ``deadline = None`` after; past it the
+    handler task is cancelled with :attr:`expired` set.  That is
+    ``asyncio.timeout`` (absent from 3.10) on one standing timer, moved
+    only when it fires early or a deadline is set ahead of it: while
+    deadlines move later, a read costs a clock reading, not a timer
+    (let alone ``asyncio.wait_for``'s task)."""
+
+    def __init__(self) -> None:
+        self._loop = asyncio.get_running_loop()
+        self._task = asyncio.current_task()
+        self._timer: Optional[asyncio.TimerHandle] = None
+        self.deadline: Optional[float] = None
+        self.expired = False
+
+    def set(self, seconds: float) -> None:
+        self.expired = False
+        self.deadline = when = self._loop.time() + seconds
+        if self._timer is None or when < self._timer.when():
+            self.close()
+            self._timer = self._loop.call_at(when, self._fire)
+
+    def close(self) -> None:
+        if self._timer is not None:
+            self._timer.cancel()
+            self._timer = None
+
+    def _fire(self) -> None:
+        # Runs between the task's steps: with a deadline set, the task
+        # is suspended in a read, where the cancellation surfaces.
+        self._timer = None
+        if self.deadline is None:
+            return
+        if self._loop.time() < self.deadline:
+            self._timer = self._loop.call_at(self.deadline, self._fire)
+        else:
+            self.expired = True
+            self._task.cancel()
+
+
+async def _read_request(
+    reader: asyncio.StreamReader, clock: _ReadClock
+) -> Optional[Tuple[str, str, bool, Dict[str, str], bytes]]:
+    """The next request off the stream: ``(method, path, keep_alive,
+    headers, body)``, or ``None`` when the peer went away or stayed
+    idle.  Raises :class:`_Refusal` for what must not be dispatched."""
+    request_line = b""
+    try:
+        clock.set(IDLE_TIMEOUT)
+        request_line = await reader.readline()
+        if not request_line:
+            return None
+        clock.set(READ_TIMEOUT)
+        pieces = request_line.decode("latin-1").split()
+        if len(pieces) < 2:
+            raise _Refusal(400, "malformed request line")
+        headers: Dict[str, str] = {}
+        for __ in range(MAX_HEADER_LINES + 1):
+            line = await reader.readline()
+            if line in (b"\r\n", b"\n", b""):
+                break
+            name, __, value = line.decode("latin-1").partition(":")
+            name, value = name.strip().lower(), value.strip()
+            if name == "content-length" and headers.get(name, value) != value:
+                raise _Refusal(400, "conflicting Content-Length headers")
+            headers[name] = value
+        else:
+            raise ValueError("too many header lines")
+        # Chunks left unread would be parsed as the next request.
+        if "transfer-encoding" in headers:
+            raise _Refusal(501, "Transfer-Encoding is not supported")
+        # Content-Length comes from outside: judge it before waiting
+        # for a single body byte.
+        try:
+            length = int(headers.get("content-length", "0"))
+        except ValueError:
+            length = -1
+        if length < 0:
+            raise _Refusal(
+                400, "Content-Length must be a non-negative integer"
+            )
+        if length > MAX_BODY_BYTES:
+            raise _Refusal(413, f"request body exceeds {MAX_BODY_BYTES} bytes")
+        body = await reader.readexactly(length) if length else b""
+    except asyncio.CancelledError:
+        if not clock.expired:
+            raise
+        if not request_line:
+            return None
+        raise _Refusal(
+            408, f"request not received within {READ_TIMEOUT:g} s"
+        ) from None
+    except ValueError:
+        # Ours, or readline's own for a line beyond its limit.
+        raise _Refusal(
+            431, "request head too large: a line over 64 KiB or more "
+                 f"than {MAX_HEADER_LINES} header lines"
+        ) from None
+    finally:
+        clock.deadline = None
+    connection = headers.get("connection", "").lower()
+    if len(pieces) > 2 and pieces[2] == "HTTP/1.1":
+        keep_alive = "close" not in connection
+    else:
+        keep_alive = "keep-alive" in connection
+    return pieces[0].upper(), pieces[1], keep_alive, headers, body
+
+
+async def _linger(
+    reader: asyncio.StreamReader,
+    writer: asyncio.StreamWriter,
+    clock: _ReadClock,
+) -> None:
+    """Half-close and discard what the peer is still sending, within
+    :data:`LINGER_BYTES` / :data:`LINGER_TIMEOUT`: closing on unread
+    bytes resets the connection and can cost the peer its reply."""
+    writer.write_eof()
+    clock.set(LINGER_TIMEOUT)
+    try:
+        for __ in range(LINGER_BYTES >> 16):
+            if not await reader.read(1 << 16):
+                break
+    except asyncio.CancelledError:
+        if not clock.expired:
+            raise
+    finally:
+        clock.deadline = None
 
 
 def row_to_json(row: Any) -> Dict[str, Any]:
@@ -176,6 +337,9 @@ class JoinService:
             else sys.stdout
         self._server: Optional[asyncio.AbstractServer] = None
         self._evictor: Optional[asyncio.Task] = None
+        # Handler task -> its writer; those stop() lets write a reply.
+        self._connections: Dict[asyncio.Task, asyncio.StreamWriter] = {}
+        self._dispatching: Set[asyncio.Task] = set()
 
     # ------------------------------------------------------------------
     # request handlers (route → JSON)
@@ -452,6 +616,10 @@ class JoinService:
         if not session_id:
             return 400, {"error": "missing 'session' parameter"}
         fmt = params.get("format", "json")
+        if fmt not in ("json", "chrome"):
+            return 400, {
+                "error": f"unknown trace format {fmt!r} (json or chrome)"
+            }
         return 200, self.scheduler.trace_dump(session_id, fmt=fmt)
 
     async def _dispatch(
@@ -468,7 +636,7 @@ class JoinService:
         }
         route = (method, parts.path)
         try:
-            if route == ("POST", "/query"):
+            if method == "POST" and parts.path in ("/query", "/update"):
                 try:
                     parsed = json.loads(body.decode("utf-8") or "{}")
                 except ValueError:
@@ -477,17 +645,10 @@ class JoinService:
                 if not isinstance(parsed, dict):
                     return 400, {"error": "body must be a JSON object"}, \
                         "application/json"
-                status, payload = self._post_query(parsed, headers)
-            elif route == ("POST", "/update"):
-                try:
-                    parsed = json.loads(body.decode("utf-8") or "{}")
-                except ValueError:
-                    return 400, {"error": "body is not valid JSON"}, \
-                        "application/json"
-                if not isinstance(parsed, dict):
-                    return 400, {"error": "body must be a JSON object"}, \
-                        "application/json"
-                status, payload = self._post_update(parsed)
+                if parts.path == "/query":
+                    status, payload = self._post_query(parsed, headers)
+                else:
+                    status, payload = self._post_update(parsed)
             elif route == ("GET", "/next"):
                 status, payload = await self._get_next(params)
             elif route == ("GET", "/status"):
@@ -508,9 +669,8 @@ class JoinService:
                     "error": f"no route {method} {parts.path}"
                 }
         except ServiceError as exc:
-            message = str(exc)
-            status = 409 if "full" in message else 404
-            payload = {"error": message}
+            status = 409 if isinstance(exc, ServiceFull) else 404
+            payload = {"error": str(exc)}
         except (LiveError, QueryError) as exc:
             status, payload = 400, {"error": str(exc)}
         except ReproError as exc:
@@ -581,79 +741,61 @@ class JoinService:
         reader: asyncio.StreamReader,
         writer: asyncio.StreamWriter,
     ) -> None:
+        task = asyncio.current_task()
+        self._connections[task] = writer
+        clock = _ReadClock()
         try:
-            method = path = ""
-            headers: Dict[str, str] = {}
-            try:
-                request_line = await reader.readline()
-                pieces = request_line.decode("latin-1").split()
-                if len(pieces) < 2:
-                    return
-                method, path = pieces[0].upper(), pieces[1]
-                for __ in range(MAX_HEADER_LINES + 1):
-                    line = await reader.readline()
-                    if line in (b"\r\n", b"\n", b""):
-                        break
-                    name, __, value = line.decode("latin-1").partition(":")
-                    headers[name.strip().lower()] = value.strip()
-                else:
-                    raise ValueError("too many header lines")
-                head_fits = True
-            except ValueError:
-                # Ours, or readline's own for a line beyond its limit.
-                head_fits = False
-            # Content-Length comes from outside: judge it before
-            # waiting for a single body byte.
-            try:
-                content_length = int(headers.get("content-length", "0"))
-            except ValueError:
-                content_length = -1
-            started = time.perf_counter()
-            if not head_fits:
-                status, payload, ctype = 431, {
-                    "error": "request head too large: a line over 64 KiB "
-                             f"or more than {MAX_HEADER_LINES} header lines"
-                }, "application/json"
-            elif content_length < 0:
-                status, payload, ctype = 400, {
-                    "error": "Content-Length must be a non-negative integer"
-                }, "application/json"
-            elif content_length > MAX_BODY_BYTES:
-                status, payload, ctype = 413, {
-                    "error": f"request body exceeds {MAX_BODY_BYTES} bytes"
-                }, "application/json"
-            else:
-                body = await reader.readexactly(content_length) \
-                    if content_length else b""
+            for remaining in range(MAX_REQUESTS - 1, -1, -1):
+                method = path = ""
+                headers: Dict[str, str] = {}
                 started = time.perf_counter()
-                status, payload, ctype = await self._dispatch(
-                    method, path, body, headers
+                try:
+                    request = await _read_request(reader, clock)
+                    if request is None:
+                        break
+                    method, path, keep_alive, headers, body = request
+                    self._dispatching.add(task)
+                    started = time.perf_counter()
+                    status, payload, ctype = await self._dispatch(
+                        method, path, body, headers
+                    )
+                    keep_alive = keep_alive and remaining > 0 \
+                        and self._server.is_serving()
+                except _Refusal as refusal:
+                    status, message = refusal.args
+                    payload, ctype = {"error": message}, "application/json"
+                    keep_alive = False
+                if self.log_json:
+                    self._log_request(
+                        method, path, status, payload, headers,
+                        time.perf_counter() - started,
+                    )
+                if isinstance(payload, str):
+                    data = payload.encode("utf-8")
+                else:
+                    data = json.dumps(payload).encode("utf-8")
+                head = (
+                    f"HTTP/1.1 {status} {HTTPStatus(status).phrase}\r\n"
+                    f"Content-Type: {ctype}\r\n"
+                    f"Content-Length: {len(data)}\r\n"
+                ) + (
+                    "Connection: keep-alive\r\n"
+                    f"Keep-Alive: timeout={IDLE_TIMEOUT:g}, "
+                    f"max={remaining}\r\n\r\n"
+                    if keep_alive else "Connection: close\r\n\r\n"
                 )
-            if self.log_json:
-                self._log_request(
-                    method, path, status, payload, headers,
-                    time.perf_counter() - started,
-                )
-            if isinstance(payload, str):
-                data = payload.encode("utf-8")
-            else:
-                data = json.dumps(payload).encode("utf-8")
-            reason = {200: "OK", 400: "Bad Request", 404: "Not Found",
-                      409: "Conflict", 413: "Payload Too Large",
-                      431: "Request Header Fields Too Large",
-                      500: "Internal Server Error"}
-            head = (
-                f"HTTP/1.1 {status} {reason.get(status, 'OK')}\r\n"
-                f"Content-Type: {ctype}\r\n"
-                f"Content-Length: {len(data)}\r\n"
-                "Connection: close\r\n"
-                "\r\n"
-            )
-            writer.write(head.encode("latin-1") + data)
-            await writer.drain()
+                writer.write(head.encode("latin-1") + data)
+                await writer.drain()
+                self._dispatching.discard(task)
+                if not keep_alive:
+                    await _linger(reader, writer, clock)
+                    break
         except (asyncio.IncompleteReadError, ConnectionError):
             pass
         finally:
+            self._dispatching.discard(task)
+            del self._connections[task]
+            clock.close()
             try:
                 writer.close()
                 await writer.wait_closed()
@@ -688,7 +830,8 @@ class JoinService:
         return self._server.sockets[0].getsockname()[1]
 
     async def stop(self) -> None:
-        """Stop the evictor and close the listening socket."""
+        """Stop the evictor, the listener and every connection: at
+        once, but for one in dispatch, which writes its reply first."""
         if self._evictor is not None:
             self._evictor.cancel()
             try:
@@ -698,6 +841,11 @@ class JoinService:
             self._evictor = None
         if self._server is not None:
             self._server.close()
+            while self._connections:
+                for task, writer in self._connections.items():
+                    if task not in self._dispatching:
+                        writer.close()
+                await asyncio.wait(list(self._connections))
             await self._server.wait_closed()
             self._server = None
 
@@ -705,9 +853,13 @@ class JoinService:
         self, host: str = "127.0.0.1", port: int = 8080
     ) -> None:
         """Start and block until cancelled (the ``repro serve`` path)."""
-        server = await self.start(host, port)
-        async with server:
-            await server.serve_forever()
+        await self.start(host, port)
+        try:
+            # Not Server.serve_forever(): cancelled, it waits (3.12.1+)
+            # for every kept connection to idle out before stop() runs.
+            await asyncio.get_running_loop().create_future()
+        finally:
+            await self.stop()
 
 
 def run(

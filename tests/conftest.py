@@ -5,6 +5,7 @@ from __future__ import annotations
 import asyncio
 import random
 import threading
+import time
 
 import pytest
 
@@ -104,8 +105,10 @@ def serve(tmp_path):
     :class:`JoinService` (the keywords are its own) on an ephemeral
     port with its loop in a thread and returns ``(service, client)``.
     The spool lives under ``tmp_path`` and the evictor stays quiet
-    unless a keyword says otherwise; teardown stops what was started."""
-    stops = []
+    unless a keyword says otherwise; teardown stops what was started
+    and ``serve.stop(service)`` stops one service (and its loop) now,
+    returning the seconds ``JoinService.stop()`` took."""
+    stops = {}
 
     def start(db, **keywords):
         keywords.setdefault("spool_dir", str(tmp_path / "spool"))
@@ -123,17 +126,23 @@ def serve(tmp_path):
         thread = threading.Thread(target=runner, daemon=True)
         thread.start()
         assert started.wait(10), "server failed to start"
+        client = ServiceClient(port=service.port, timeout=30)
 
         def stop():
+            began = time.perf_counter()
             asyncio.run_coroutine_threadsafe(service.stop(), loop).result(10)
+            took = time.perf_counter() - began
             loop.call_soon_threadsafe(loop.stop)
             thread.join(10)
             assert not thread.is_alive()
             loop.close()
+            client.close()
+            return took
 
-        stops.append(stop)
-        return service, ServiceClient(port=service.port, timeout=30)
+        stops[service] = stop
+        return service, client
 
+    start.stop = lambda service: stops.pop(service)()
     yield start
-    for stop in stops:
+    for stop in stops.values():
         stop()

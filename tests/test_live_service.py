@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import random
+import threading
 
 import pytest
 
@@ -19,7 +20,7 @@ from repro.errors import CursorError, ServiceError
 from repro.geometry.point import Point
 from repro.live import ADD, StandingJoin
 from repro.query.executor import Database
-from repro.service import LiveSource
+from repro.service import LiveSource, ServiceClient
 from repro.service.scheduler import JoinScheduler
 from repro.util.counters import CounterRegistry
 from tests.conftest import make_points
@@ -204,6 +205,53 @@ class TestHttpSubscription:
             apply_deltas(held, client.deltas(sid, k=32))
             assert held == recompute(db)
         client.delete(sid)
+
+    def test_updates_racing_delta_polls_on_one_subscription(self, served):
+        """Two persistent clients in two threads: one replays 60
+        scripted updates, the other polls ``deltas()`` without pause.
+        Kept connections make the interleaving reachable (connection
+        set-up used to serialise it).  No delta is lost, repeated or
+        reordered: ``seq`` rises by one, and the replayed deltas end
+        in the query's fresh result."""
+        service, writer, db = served
+        sid = writer.watch(WATCH_SQL)
+        rng = random.Random(5)
+        pts_b = make_points(70, seed=12)
+        script, live = [], []
+        for step in range(60):
+            if live and rng.random() < 0.4:
+                script.append(("delete", *live.pop(rng.randrange(len(live)))))
+            else:
+                near = pts_b[rng.randrange(len(pts_b))].coords
+                point = [c + 1e-4 * (step + 1) for c in near]
+                live.append((9100 + step, point))
+                script.append(("insert", 9100 + step, point))
+        polled, stop = [], threading.Event()
+
+        def poll():
+            with ServiceClient(port=service.port) as reader:
+                while not stop.is_set():
+                    polled.extend(reader.deltas(sid, k=3))
+
+        thread = threading.Thread(target=poll)
+        thread.start()
+        try:
+            for op, oid, point in script:
+                writer.update("a", op, oid, point)
+        finally:
+            stop.set()
+            thread.join(20)
+        assert not thread.is_alive()
+        while True:
+            page = writer.deltas(sid, k=64)
+            polled.extend(page)
+            if not page:
+                break
+        assert [row["seq"] for row in polled] \
+            == list(range(polled[0]["seq"], polled[0]["seq"] + len(polled)))
+        assert len(polled) > 6 + 60
+        assert apply_deltas({}, polled) == recompute(db)
+        writer.delete(sid)
 
     def test_update_without_watchers(self, served):
         __, client, db = served
