@@ -1,8 +1,11 @@
-"""Benchmark harness: workload construction, measured runs, reporting.
+"""Benchmark harness: the experiment registry and what reads it.
 
-Each script under ``benchmarks/`` regenerates one table or figure of
-the paper using these utilities; they are library code so the test
-suite can exercise them at tiny scale.
+:mod:`repro.bench.registry` defines every experiment once, as data
+(cases, checkpoint sweeps, the paper's values and orderings);
+``python -m repro.bench.suite`` runs a tier into ``BENCH_<tier>.json``,
+``python -m repro.bench.compare`` gates the newest entry against that
+history, ``python -m repro.bench.report`` renders EXPERIMENTS.md from
+it, and ``repro bench GLOB`` runs cases by name.
 """
 
 from repro.bench.workloads import (

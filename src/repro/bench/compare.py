@@ -23,7 +23,12 @@ soft gates (wall time)
     With a long committed history the band tightens automatically;
     with a single baseline entry it degrades to the relative
     tolerance.  Cases marked non-deterministic get the same banded
-    treatment for their counters.
+    treatment for their counters.  A case whose baseline median is
+    under :data:`MIN_TIMED_SECONDS` is listed as *unresolved (too
+    short to time)* and never fails: tens of milliseconds move by a
+    third between two runs of one commit.  That is the whole smoke
+    tier; the full tier, where every case runs for seconds, is where
+    wall time is gated.
 
 ``--hard-only`` demotes soft regressions to warnings (exit 0), which
 is what CI uses: shared runners cannot promise comparable wall time,
@@ -52,6 +57,9 @@ __all__ = [
 #: Consistency factor turning a MAD into a robust sigma estimate.
 MAD_SIGMA = 1.4826
 
+#: Baseline wall time below which a case is too short to gate on.
+MIN_TIMED_SECONDS = 0.25
+
 
 @dataclass(frozen=True)
 class CompareConfig:
@@ -74,6 +82,7 @@ class GateResult:
     limit: float
     value: float
     regressed: bool
+    unresolved: bool = False
 
     def row(self) -> Dict[str, Any]:
         return {
@@ -83,7 +92,11 @@ class GateResult:
             "baseline": self.baseline,
             "limit": round(self.limit, 6),
             "new": self.value,
-            "status": "REGRESSED" if self.regressed else "ok",
+            "status": (
+                "REGRESSED" if self.regressed
+                else "unresolved (too short to time)" if self.unresolved
+                else "ok"
+            ),
         }
 
 
@@ -166,10 +179,12 @@ def compare_entries(
         if seconds and record.get("seconds") is not None:
             limit = _soft_limit(seconds, config)
             value = float(record["seconds"])
+            baseline = statistics.median(seconds)
+            timed = baseline >= MIN_TIMED_SECONDS
             report.gates.append(GateResult(
                 case=case, metric="seconds", kind="soft",
-                baseline=statistics.median(seconds), limit=limit,
-                value=value, regressed=value > limit,
+                baseline=baseline, limit=limit, value=value,
+                regressed=timed and value > limit, unresolved=not timed,
             ))
 
         # Work counters, queue peaks, and produced pairs.
@@ -287,6 +302,9 @@ def main(argv: Optional[List[str]] = None) -> int:
             ],
             title=f"bench gate: {path}",
         ))
+    unresolved = [g.case for g in report.gates if g.unresolved]
+    if unresolved:
+        print(f"unresolved (too short to time): {', '.join(unresolved)}")
     if report.new_cases:
         print(f"new cases (no baseline yet): "
               f"{', '.join(report.new_cases)}")

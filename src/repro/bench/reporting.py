@@ -1,8 +1,7 @@
 """Plain-text table/series formatting + metrics export for benchmarks.
 
-The benchmark scripts print the same rows and series the paper's
-tables and figures report, so EXPERIMENTS.md can be filled in by
-copy-paste.  :func:`run_metrics` additionally serializes a
+:func:`format_table` is what :mod:`repro.bench.compare` prints its
+gates with.  :func:`run_metrics` serializes a
 :class:`~repro.bench.runner.MeasuredRun` into the observability
 layer's shared metric schema (:mod:`repro.util.obs`), so benchmark
 output, the CLI's ``--metrics`` flag, and ``EXPLAIN ANALYZE`` all
@@ -14,7 +13,7 @@ from __future__ import annotations
 from typing import Any, Dict, List, Mapping, Optional, Sequence
 
 from repro.util.counters import CounterSnapshot
-from repro.util.obs import Observer, metrics_records, write_metrics
+from repro.util.obs import Observer, metrics_records
 
 
 def format_table(
@@ -84,21 +83,6 @@ def run_metrics(
         values=dict(run.counters), peaks=dict(run.peaks)
     )
     return metrics_records(snapshot, obs, label_dict)
-
-
-def write_run_metrics(
-    path: str,
-    runs: Sequence[Any],
-    labels: Optional[Sequence[Mapping[str, Any]]] = None,
-) -> List[Dict[str, Any]]:
-    """Write many runs' metrics to ``path`` (JSON-lines plus a
-    ``.prom`` dump); ``labels`` optionally supplies one label mapping
-    per run.  Returns the records written."""
-    records: List[Dict[str, Any]] = []
-    for index, run in enumerate(runs):
-        run_labels = labels[index] if labels else None
-        records.extend(run_metrics(run, run_labels))
-    return write_metrics(path, records=records)
 
 
 def _fmt(value: Any) -> str:

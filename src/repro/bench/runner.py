@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Any, Dict, Iterator, Optional
+from typing import Any, Dict, Iterator, Optional, Sequence
 
 from repro.util.counters import CounterRegistry
 
@@ -28,6 +28,9 @@ class MeasuredRun:
     seconds: float
     counters: Dict[str, int] = field(default_factory=dict)
     peaks: Dict[str, int] = field(default_factory=dict)
+    #: Readings taken inside the run, keyed by checkpoint label
+    #: (``"1000"``, ``"all"``): seconds, counters and peaks so far.
+    checkpoints: Dict[str, Dict[str, Any]] = field(default_factory=dict)
 
     @property
     def dist_calcs(self) -> int:
@@ -43,17 +46,6 @@ class MeasuredRun:
     def max_queue_size(self) -> int:
         """Peak priority-queue size (Table 1 measure)."""
         return self.peaks.get("queue_size", 0)
-
-    @property
-    def throughput_pairs_per_sec(self) -> float:
-        """Result pairs produced per second of wall-clock time.
-
-        The headline number for the parallel-scaling benchmark; 0.0
-        for a run too fast for the clock to resolve.
-        """
-        if self.seconds <= 0.0:
-            return 0.0
-        return self.pairs_produced / self.seconds
 
     def row(self) -> Dict[str, Any]:
         """A flat dict for table formatting."""
@@ -78,15 +70,27 @@ def consume(iterator: Iterator[Any], limit: Optional[int] = None) -> int:
     return count
 
 
+def checkpoint_label(mark: Optional[int]) -> str:
+    """How a checkpoint is keyed in a record (None = exhaustion)."""
+    return "all" if mark is None else str(mark)
+
+
 def run_join(
     make_join,
     pairs: Optional[int],
     counters: CounterRegistry,
     label: str = "",
     before=None,
+    checkpoints: Sequence[Optional[int]] = (),
 ) -> MeasuredRun:
     """Build a join via ``make_join()``, consume ``pairs`` results, and
     capture time + counters.
+
+    ``checkpoints`` (ascending result counts ending at ``pairs``; None
+    = exhaustion) makes the run a sweep: the join is incremental, so
+    the K-pair measurement is a prefix of the longer run, and the
+    reading taken when result K arrives is exactly what a run stopped
+    there reports.  A count the join runs dry before is not recorded.
 
     Counters are reset before the run so the measurement covers exactly
     this execution (including the join's own tree reads).  ``before``
@@ -99,7 +103,21 @@ def run_join(
     counters.reset()
     start = time.perf_counter()
     join = make_join()
-    produced = consume(join, pairs)
+    stream = iter(join)
+    produced = 0
+    readings: Dict[str, Dict[str, Any]] = {}
+    for mark in checkpoints or (pairs,):
+        produced += consume(
+            stream, None if mark is None else mark - produced
+        )
+        if mark is not None and produced < mark:
+            continue
+        if checkpoints:
+            readings[checkpoint_label(mark)] = {
+                "seconds": time.perf_counter() - start,
+                "counters": dict(counters.snapshot()),
+                "peaks": dict(counters.snapshot_peaks()),
+            }
     elapsed = time.perf_counter() - start
     if pairs is not None and hasattr(join, "close"):
         # Stopped early: release a partitioned join's pool and let it
@@ -113,4 +131,5 @@ def run_join(
         seconds=elapsed,
         counters=dict(counters.snapshot()),
         peaks=dict(counters.snapshot_peaks()),
+        checkpoints=readings,
     )

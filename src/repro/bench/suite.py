@@ -10,12 +10,15 @@ environment fingerprint (interpreter, platform, CPU count, git
 commit).  The trajectory is what :mod:`repro.bench.compare` gates
 against, so the file is meant to be committed: each landed PR extends
 the history, and a PR that quietly doubles ``dist_calcs`` fails the
-gate instead of shipping.
+gate instead of shipping.  A case registered with a checkpoint sweep
+is run once and read at every mark (``checkpoints`` in its record).
 
 Usage::
 
     python -m repro.bench.suite --tier smoke            # CI tier
-    python -m repro.bench.suite --tier full             # paper scale
+    python -m repro.bench.suite --tier full             # paper scale;
+                                  # minutes and ~2 GB, then re-render
+                                  # EXPERIMENTS.md (repro.bench.report)
     python -m repro.bench.suite --tier smoke --trace t.json
     python -m repro.bench.suite --tier smoke --case 'fig6.*'
 
@@ -28,6 +31,7 @@ from __future__ import annotations
 
 import argparse
 import fnmatch
+import gc
 import json
 import os
 import platform
@@ -48,6 +52,7 @@ __all__ = [
     "main",
     "run_case",
     "run_suite",
+    "summary",
     "trajectory_path",
     "write_entry",
 ]
@@ -67,7 +72,9 @@ def trajectory_path(tier: str, root: Optional[str] = None) -> str:
 
 def environment_fingerprint() -> Dict[str, Any]:
     """Where a measurement came from: interpreter, platform, CPU
-    count, and (when available) the git commit of the tree."""
+    count, and (when available) the git commit of the tree.  An entry
+    is appended before its own commit exists, so ``git`` names the
+    *parent* whenever ``dirty`` is true."""
     fingerprint: Dict[str, Any] = {
         "python": platform.python_version(),
         "implementation": platform.python_implementation(),
@@ -75,16 +82,19 @@ def environment_fingerprint() -> Dict[str, Any]:
         "machine": platform.machine(),
         "cpu_count": os.cpu_count(),
     }
-    try:
-        sha = subprocess.run(
-            ["git", "rev-parse", "--short", "HEAD"],
-            capture_output=True, text=True, timeout=5,
-        )
-        fingerprint["git"] = (
-            sha.stdout.strip() if sha.returncode == 0 else None
-        )
-    except (OSError, subprocess.SubprocessError):
-        fingerprint["git"] = None
+
+    def git(*args: str) -> Optional[str]:
+        try:
+            done = subprocess.run(
+                ["git", *args], capture_output=True, text=True, timeout=5,
+            )
+        except (OSError, subprocess.SubprocessError):
+            return None
+        return done.stdout.strip() if done.returncode == 0 else None
+
+    fingerprint["git"] = git("rev-parse", "--short", "HEAD")
+    status = git("status", "--porcelain")
+    fingerprint["dirty"] = None if status is None else bool(status)
     return fingerprint
 
 
@@ -97,17 +107,24 @@ def run_case(
 ) -> Dict[str, Any]:
     """Execute one case min-of-N and return its trajectory record.
 
-    Every repetition runs against cold caches and reset counters (the
-    discipline of ``benchmarks/common.fresh``); wall time keeps the
-    minimum (the classic min-of-N noise filter -- the minimum is the
-    run least disturbed by the machine), while counters come from the
-    last repetition and are checked for stability across repetitions.
+    Every repetition runs against cold caches and reset counters;
+    wall time keeps the minimum (the classic min-of-N noise filter --
+    the minimum is the run least disturbed by the machine, and the
+    first repetition carries one-off process warm-up: ``seconds_all``
+    keeps it visible), while counters come from the last repetition
+    and are checked for stability across repetitions -- at every
+    checkpoint of a sweep, not only at its end.
     """
     pairs = case.pairs_for(tier)
+    marks = case.checkpoints_for(tier)
+    # Data-dependent knobs (an oracle MaxDist costs a join of its own)
+    # are memoised on the workload: resolve them before the clock runs.
+    case.spec_for(load, pairs)
     seconds_all: List[float] = []
+    mark_seconds: Dict[str, List[float]] = {}
     counters_stable = True
     run = None
-    reference: Optional[Dict[str, int]] = None
+    reference = None
     case_obs = Observer(max_events=0)
     for __ in range(max(1, repeat)):
         obs = Observer(max_events=0)
@@ -121,20 +138,41 @@ def run_case(
                 pairs,
                 load.counters,
                 label=case.name,
+                # Every repetition starts from cold caches, zeroed
+                # counters and a collected heap: what the previous
+                # case left for the cyclic collector would otherwise
+                # be paid for, at a random moment, by this one.
                 before=lambda: (
                     load.cold_caches(), load.reset_counters(),
+                    gc.collect(),
                 ),
+                checkpoints=marks,
             )
         seconds_all.append(run.seconds)
+        for label, reading in run.checkpoints.items():
+            mark_seconds.setdefault(label, []).append(
+                reading.pop("seconds")
+            )
+        # Zeros dropped: a counter first touched late in repetition 1
+        # already exists, at 0, in the early readings of repetition 2.
+        counted = [
+            {name: value for name, value in counts.items() if value}
+            for reading in (
+                {"counters": run.counters, "peaks": run.peaks},
+                *run.checkpoints.values(),
+            )
+            for counts in (reading["counters"], reading["peaks"])
+        ]
         if reference is None:
-            reference = dict(run.counters)
-        elif dict(run.counters) != reference:
+            reference = counted
+        elif counted != reference:
             counters_stable = False
         case_obs = obs
     assert run is not None
     snapshot = case_obs.snapshot()
-    return {
+    record: Dict[str, Any] = {
         "description": case.description,
+        "workload": load.name,
         "pairs_requested": pairs,
         "pairs": run.pairs_produced,
         "seconds": min(seconds_all),
@@ -150,6 +188,18 @@ def run_case(
         "deterministic": case.deterministic,
         "counters_stable": counters_stable,
     }
+    if marks:
+        record["checkpoints"] = {
+            label: {
+                "seconds": min(mark_seconds[label]),
+                "seconds_all": [
+                    round(s, 6) for s in mark_seconds[label]
+                ],
+                **reading,
+            }
+            for label, reading in run.checkpoints.items()
+        }
+    return record
 
 
 def run_suite(
@@ -171,13 +221,27 @@ def run_suite(
             case for case in cases
             if fnmatch.fnmatch(case.name, case_pattern)
         ]
-    load = build_tiger_workload(scale=scale)
+    loads: Dict[Any, JoinWorkload] = {}
+
+    def load_for(case: BenchCase) -> JoinWorkload:
+        key = (case.workload, min(scale, case.max_scale or scale))
+        if key not in loads:
+            # Water x Roads at the tier's scale serves most cases and
+            # stays; of the others only the one in use is kept (cases
+            # sharing one are registered together, and two paper-scale
+            # trees are a few hundred MB).
+            for other in list(loads):
+                if other != (build_tiger_workload, scale):
+                    del loads[other]
+            loads[key] = case.workload(key[1])
+        return loads[key]
+
     results: Dict[str, Any] = {}
     for case in cases:
         if progress is not None:
             progress(case)
         results[case.name] = run_case(
-            case, load, tier, repeat, suite_obs=suite_obs
+            case, load_for(case), tier, repeat, suite_obs=suite_obs
         )
     return {
         "meta": {
@@ -211,7 +275,12 @@ def write_entry(
     path: str, entry: Dict[str, Any], reset: bool = False
 ) -> Dict[str, Any]:
     """Append ``entry`` to the trajectory at ``path`` (capped at
-    :data:`MAX_ENTRIES`, oldest dropped); returns the file content."""
+    :data:`MAX_ENTRIES`, oldest dropped); returns the file content.
+
+    The file is the committed history: it is replaced atomically (a
+    flushed, synced temporary file beside it, then ``os.replace``), so an
+    interrupt or a full disk mid-dump leaves the old bytes in place.
+    """
     data = (
         {"schema": SCHEMA_VERSION, "entries": []}
         if reset else load_trajectory(path)
@@ -220,10 +289,31 @@ def write_entry(
     data["entries"].append(entry)
     if len(data["entries"]) > MAX_ENTRIES:
         data["entries"] = data["entries"][-MAX_ENTRIES:]
-    with open(path, "w") as handle:
-        json.dump(data, handle, indent=1, sort_keys=True)
-        handle.write("\n")
+    scratch = f"{path}.{os.getpid()}.tmp"
+    try:
+        with open(scratch, "w") as handle:
+            json.dump(data, handle, indent=1, sort_keys=True)
+            handle.write("\n")
+            handle.flush()
+            os.fsync(handle.fileno())
+        os.replace(scratch, path)
+    except BaseException:
+        if os.path.exists(scratch):
+            os.unlink(scratch)
+        raise
     return data
+
+
+def summary(entry: Dict[str, Any]) -> str:
+    """One line per case of an entry: time, distance calculations,
+    node I/O (what ``suite`` and ``repro bench`` print)."""
+    return "\n".join(
+        f"{name:<32} {record['seconds']*1e3:9.2f} ms  "
+        f"dist_calcs={record['counters'].get('dist_calcs', 0):>9,}  "
+        f"node_io={record['counters'].get('node_io', 0):>6,}"
+        + ("" if record["counters_stable"] else "  [UNSTABLE]")
+        for name, record in entry["cases"].items()
+    )
 
 
 def main(argv: Optional[List[str]] = None) -> int:
@@ -269,7 +359,7 @@ def main(argv: Optional[List[str]] = None) -> int:
 
     if args.list:
         for case in cases_for(args.tier):
-            pairs = case.pairs_for(args.tier)
+            pairs = case.pairs.get(args.tier)
             print(f"{case.name:<32} pairs={pairs!s:<8} "
                   f"{'hard-gated' if case.deterministic else 'soft'}  "
                   f"{case.description}")
@@ -291,14 +381,7 @@ def main(argv: Optional[List[str]] = None) -> int:
 
     out = args.out or trajectory_path(args.tier)
     data = write_entry(out, entry, reset=args.reset)
-    for name, record in entry["cases"].items():
-        stable = "" if record["counters_stable"] else "  [UNSTABLE]"
-        print(
-            f"{name:<32} {record['seconds']*1e3:9.2f} ms  "
-            f"dist_calcs={record['counters'].get('dist_calcs', 0):>9,}  "
-            f"node_io={record['counters'].get('node_io', 0):>6,}"
-            f"{stable}"
-        )
+    print(summary(entry))
     print(
         f"suite '{args.tier}': {len(entry['cases'])} case(s) in "
         f"{elapsed:.2f}s -> {out} "

@@ -1,16 +1,20 @@
-"""Workload construction for the benchmark scripts.
+"""Workload construction for the benchmark cases.
 
 The paper's workload is "join *Water* with *Roads*" over R*-trees with
 fan-out 50 and a 256-page buffer.  :func:`build_tiger_workload` builds
-the synthetic equivalent at a configurable scale (default 1:10 -- the
-substrate is pure Python) with exactly those tree parameters.
+the synthetic equivalent at a configurable scale (1.0 = the paper's
+37,495 x 200,482 points) with exactly those tree parameters.  The
+other factories -- the swapped order, segment data, uniform points in
+d dimensions, the packing ablation -- take a scale too, so a
+:class:`~repro.bench.registry.BenchCase` names its workload by
+naming a factory.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import List, Optional
+from dataclasses import dataclass, field
+from typing import Any, Dict, List, Optional, Sequence
 
 from repro.datasets.tiger_like import (
     ROADS_FULL_SIZE,
@@ -35,6 +39,8 @@ class JoinWorkload:
     counters: CounterRegistry
     points1: List[Point]
     points2: List[Point]
+    #: :func:`oracle_distance` results already measured on these trees.
+    memo: Dict[Any, float] = field(default_factory=dict, repr=False)
 
     def reset_counters(self) -> None:
         """Zero the counters (call between build and measurement)."""
@@ -114,3 +120,116 @@ def suggest_dt(workload: JoinWorkload, bands: int = 50) -> float:
         sum((hi - lo) ** 2 for lo, hi in zip(joint.lo, joint.hi))
     )
     return max(diagonal / bands, 1e-9)
+
+
+def oracle_distance(
+    workload: JoinWorkload, rank: Optional[int], semi: bool = False
+) -> float:
+    """The distance of result number ``rank`` (None = the last one) of
+    the default join -- or, with ``semi``, of the Local semi-join.
+
+    The paper sets Figure 7's and Figure 10's ``MaxDist`` from known
+    pair distances the same way.  Measured once per workload and kept
+    in ``workload.memo``: a spec factory calls this inside the timed
+    region, so the suite resolves every case's spec once beforehand.
+    """
+    from repro.core.distance_join import IncrementalDistanceJoin
+    from repro.core.semi_join import IncrementalDistanceSemiJoin
+
+    if (rank, semi) not in workload.memo:
+        operator = (
+            IncrementalDistanceSemiJoin if semi
+            else IncrementalDistanceJoin
+        )
+        distance = 0.0
+        for count, result in enumerate(
+            operator(workload.tree1, workload.tree2), start=1
+        ):
+            distance = result.distance
+            if count == rank:
+                break
+        workload.memo[rank, semi] = distance
+    return workload.memo[rank, semi]
+
+
+def roads_water(scale: float) -> JoinWorkload:
+    """Roads x Water: the larger relation first (Section 4.1.1)."""
+    return build_tiger_workload(scale=scale).swapped()
+
+
+def _loaded(
+    name: str, objects1: Sequence[Any], objects2: Sequence[Any],
+    load=bulk_load_str,
+) -> JoinWorkload:
+    """Two trees with the paper's node and buffer parameters."""
+    counters = CounterRegistry()
+    tree1, tree2 = (
+        load(objects, max_entries=50, buffer_pages=256,
+             counters=counters)
+        for objects in (objects1, objects2)
+    )
+    counters.reset()
+    return JoinWorkload(
+        name, tree1, tree2, counters, list(objects1), list(objects2)
+    )
+
+
+def segment_workload(scale: float) -> JoinWorkload:
+    """EXT1: Water and Roads as line segments (16,000 x 80,000 at
+    scale 1.0), the "more complex spatial features" of Section 5."""
+    from repro.datasets.tiger_like import roads_segments, water_segments
+
+    return _loaded(
+        f"segments-{scale:g}",
+        water_segments(max(50, round(16_000 * scale))),
+        roads_segments(max(50, round(80_000 * scale))),
+    )
+
+
+def uniform_workload(scale: float, dim: int = 2) -> JoinWorkload:
+    """EXT2 / OPT1: two uniform point sets in ``[0, 100]^dim``,
+    30,000 points each at scale 1.0 (never fewer than 1,000)."""
+    from repro.datasets.synthetic import uniform_points
+
+    count = max(1_000, round(30_000 * scale))
+    return _loaded(
+        f"uniform-{dim}d-{scale:g}",
+        uniform_points(count, seed=dim, dim=dim, extent=100.0),
+        uniform_points(count, seed=dim + 100, dim=dim, extent=100.0),
+    )
+
+
+def analyzed_workload(scale: float) -> JoinWorkload:
+    """OPT1: uniform 2-d points with the cost model's tree statistics
+    already collected -- ANALYZE is set-up, not the cost of a query
+    (:func:`repro.query.costmodel.collect_stats` memoises per tree)."""
+    from repro.query.costmodel import collect_stats
+
+    load = uniform_workload(scale)
+    collect_stats(load.tree1)
+    collect_stats(load.tree2)
+    load.counters.reset()
+    return load
+
+
+def packed_workload(scale: float, packing: str = "str") -> JoinWorkload:
+    """AB4: Water x Roads packed by ``str`` / ``hilbert`` / ``morton``
+    order, or built by R* insertion (``rstar``) as the paper's were."""
+    from functools import partial
+
+    from repro.rtree.rstar import RStarTree
+    from repro.rtree.spacefill import bulk_load_curve
+
+    def insert_each(objects, **tree_kwargs):
+        tree = RStarTree(dim=2, **tree_kwargs)
+        for obj in objects:
+            tree.insert(obj=obj)
+        return tree
+
+    return _loaded(
+        f"water-roads-{packing}-{scale:g}",
+        water_points(max(10, int(WATER_FULL_SIZE * scale))),
+        roads_points(max(10, int(ROADS_FULL_SIZE * scale))),
+        load=insert_each if packing == "rstar"
+        else partial(bulk_load_curve, curve=packing),
+    )

@@ -507,34 +507,34 @@ def cmd_shard_stats(args: argparse.Namespace) -> int:
 
 
 def cmd_bench(args: argparse.Namespace) -> int:
-    """Run a named benchmark script's table printer."""
-    import importlib
-    import os
+    """Run the registered benchmark cases matching a glob and print
+    their measurements (the suite, without its trajectory file)."""
+    import fnmatch
+    import json
 
-    os.environ.setdefault("REPRO_BENCH_SCALE", str(args.scale))
-    module_name = f"benchmarks.bench_{args.name}"
-    try:
-        module = importlib.import_module(module_name)
-    except ImportError:
+    from repro.bench.registry import cases_for
+    from repro.bench.suite import run_suite, summary
+
+    names = [case.name for case in cases_for(args.tier)]
+    if not fnmatch.filter(names, args.name):
         print(
-            f"error: no benchmark named {args.name!r} "
-            f"(expected a benchmarks/bench_{args.name}.py next to the "
-            f"source checkout)",
+            f"error: no benchmark named {args.name!r}; the "
+            f"{args.tier} tier has: {', '.join(names)}",
             file=sys.stderr,
         )
         return 1
-    script_argv = ["--scale", str(args.scale)]
-    if args.repeat is not None:
-        script_argv += ["--repeat", str(args.repeat)]
-    if args.metrics:
-        script_argv += ["--metrics", args.metrics]
-    if args.json:
-        script_argv += ["--json"]
     profiler = _start_profiler(args.profile)
     try:
-        module.main(script_argv)
+        entry = run_suite(
+            args.tier, repeat=args.repeat, scale=args.scale,
+            case_pattern=args.name,
+        )
     finally:
         _stop_profiler(profiler, args.profile)
+    if args.json:
+        print(json.dumps(entry, indent=1, sort_keys=True))
+    else:
+        print(summary(entry))
     return 0
 
 
@@ -789,27 +789,30 @@ def build_parser() -> argparse.ArgumentParser:
 
     bench = commands.add_parser(
         "bench",
-        help="regenerate a paper table/figure (requires the source "
-             "checkout with benchmarks/)",
+        help="run registered benchmark cases by name (a table or "
+             "figure of the paper is a glob: 'table1.*', 'fig6.*')",
     )
     bench.add_argument(
-        "name",
-        help="benchmark name, e.g. table1, fig6_traversal, "
-             "fig9_semijoin, ablation_buffer",
+        "name", metavar="GLOB",
+        help="case-name glob, e.g. 'table1.*', 'fig9.*', 'ab3.*' "
+             "(python -m repro.bench.suite --list names them all)",
     )
-    bench.add_argument("--scale", type=float, default=0.05)
+    bench.add_argument(
+        "--tier", default="smoke", choices=["smoke", "full"],
+        help="whose budgets and scale to run at (default: smoke; "
+             "full is the paper's cardinalities)",
+    )
+    bench.add_argument(
+        "--scale", type=float, default=None,
+        help="workload scale override (default: the tier's)",
+    )
     bench.add_argument(
         "--repeat", type=_positive_int, default=None, metavar="N",
-        help="min-of-N repetitions per measurement",
+        help="min-of-N repetitions per case (default: the tier's)",
     )
     bench.add_argument(
         "--json", action="store_true",
-        help="emit the script's rows as JSON instead of a table",
-    )
-    bench.add_argument(
-        "--metrics", default=None, metavar="FILE",
-        help="write each measured run's metrics to FILE (JSON-lines "
-             "plus FILE.prom)",
+        help="print the whole trajectory entry as JSON",
     )
     bench.add_argument(
         "--profile", default=None, metavar="FILE",

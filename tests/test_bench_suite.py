@@ -8,6 +8,7 @@ import pytest
 
 from repro.bench import registry
 from repro.bench.compare import (
+    MIN_TIMED_SECONDS,
     compare_entries,
     compare_file,
 )
@@ -16,6 +17,7 @@ from repro.bench.registry import SMOKE, TIERS, BenchCase, cases_for
 from repro.bench.suite import (
     MAX_ENTRIES,
     SCHEMA_VERSION,
+    environment_fingerprint,
     load_trajectory,
     run_suite,
     trajectory_path,
@@ -35,6 +37,15 @@ def tiny_entry():
 @pytest.fixture(scope="module")
 def two_entries():
     return tiny_entry(), tiny_entry()
+
+
+def timed(entry, seconds=1.0):
+    """``entry`` with every case long enough for the soft gate to
+    apply (the tiny runs themselves take milliseconds)."""
+    clone = copy.deepcopy(entry)
+    for record in clone["cases"].values():
+        record["seconds"] = seconds
+    return clone
 
 
 class TestRegistry:
@@ -108,6 +119,35 @@ class TestSuite:
         write_entry(path, two_entries[0])
         data = write_entry(path, two_entries[1], reset=True)
         assert len(data["entries"]) == 1
+
+    def test_write_entry_failure_keeps_the_history(
+        self, tmp_path, two_entries, monkeypatch
+    ):
+        path = tmp_path / "BENCH_t.json"
+        write_entry(str(path), two_entries[0])
+        before = path.read_bytes()
+        real_dump = json.dump
+
+        def dump_then_fail(data, handle, **options):
+            real_dump(data["entries"][0], handle, **options)
+            handle.flush()  # half a document is on disk ...
+            raise OSError(28, "No space left on device")
+
+        monkeypatch.setattr(json, "dump", dump_then_fail)
+        with pytest.raises(OSError):
+            write_entry(str(path), two_entries[1])
+        # ... but not where the committed history is.
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == [path.name]
+
+    def test_fingerprint_says_whether_the_tree_was_dirty(self):
+        fingerprint = environment_fingerprint()
+        assert "git" in fingerprint
+        # None only where git itself is unavailable.
+        assert fingerprint["dirty"] in (True, False, None)
+        assert (fingerprint["git"] is None) == (
+            fingerprint["dirty"] is None
+        )
 
     def test_load_trajectory_missing_file_is_empty(self, tmp_path):
         data = load_trajectory(str(tmp_path / "nope.json"))
@@ -190,10 +230,34 @@ class TestCompare:
         def slow(record):
             record["seconds"] = record["seconds"] * 2.0 + 1.0
 
-        report = compare_entries([first], self._regress(second, slow))
+        report = compare_entries(
+            [timed(first)], self._regress(timed(second), slow)
+        )
         assert [g.metric for g in report.soft_regressions] == ["seconds"]
         assert not report.ok()
         assert report.ok(hard_only=True)  # CI mode tolerates wall time
+
+    def test_case_too_short_to_time_is_unresolved(self, two_entries):
+        first, second = two_entries
+        short = MIN_TIMED_SECONDS / 10
+
+        def slow(record):
+            record["seconds"] = short * 50
+
+        report = compare_entries(
+            [timed(first, short)], self._regress(second, slow)
+        )
+        (gate,) = [g for g in report.gates if g.metric == "seconds"]
+        assert gate.unresolved and not gate.regressed
+        assert gate.row()["status"] == "unresolved (too short to time)"
+        assert report.ok()
+        # The hard gates of the same case are untouched.
+        inflated = self._regress(second, lambda r: r["counters"].update(
+            dist_calcs=r["counters"]["dist_calcs"] * 2
+        ))
+        assert compare_entries(
+            [timed(first, short)], inflated
+        ).hard_regressions
 
     def test_counter_drop_never_fails(self, two_entries):
         first, second = two_entries
@@ -315,16 +379,20 @@ class TestCompareFile:
 
         # Soft-only regression: fails by default, warns with
         # --hard-only (the CI configuration).
-        slowed = copy.deepcopy(second)
-        slowed["cases"]["table1.even_depthfirst"]["seconds"] = (
-            second["cases"]["table1.even_depthfirst"]["seconds"] * 2
-            + 1.0
-        )
-        self._write(path, [first, slowed])
+        slowed = timed(second, 3.0)
+        self._write(path, [timed(first), slowed])
         assert compare_main(["--file", path]) == 1
         capsys.readouterr()
         assert compare_main(["--file", path, "--hard-only"]) == 0
         assert "WARN:" in capsys.readouterr().out
+
+        # The same slowdown on a case too short to time: listed, and
+        # never a failure.
+        self._write(path, [first, slowed])
+        assert compare_main(["--file", path]) == 0
+        assert "unresolved (too short to time): table1" in (
+            capsys.readouterr().out
+        )
 
         assert compare_main(
             ["--file", str(tmp_path / "absent.json")]

@@ -168,24 +168,43 @@ class TestBenchCommand:
         code, __, stderr = run(capsys, "bench", "not_a_real_bench")
         assert code == 1
         assert "no benchmark named" in stderr
+        # ... and what there is to ask for instead.
+        assert "table1.even_depthfirst" in stderr
 
     def test_bench_json_passthrough(self, capsys):
         import json
 
         code, stdout, __ = run(
-            capsys, "bench", "table1", "--scale", "0.002", "--json",
+            capsys, "bench", "table1.*", "--scale", "0.002", "--json",
         )
         assert code == 0
         payload = json.loads(stdout)
-        assert payload["rows"]
-        assert payload["rows"][0]["Pairs"] == 1
+        assert payload["meta"]["scale"] == 0.002
+        assert list(payload["cases"]) == ["table1.even_depthfirst"]
+        assert payload["cases"]["table1.even_depthfirst"]["pairs"] == 100
+
+    def test_bench_runs_a_tier_of_the_registry(self, capsys):
+        code, stdout, __ = run(
+            capsys, "bench", "fig7.maxpairs_1*", "--tier", "full",
+            "--scale", "0.002", "--repeat", "1",
+        )
+        assert code == 0
+        assert stdout.split()[0] == "fig7.maxpairs_100"
+        assert len(stdout.splitlines()) == 2
+
+    def test_bench_leaves_the_environment_alone(self, capsys):
+        import os
+
+        before = dict(os.environ)
+        run(capsys, "bench", "table1.*", "--scale", "0.002")
+        assert dict(os.environ) == before
 
     def test_bench_profile_writes_pstats(self, tmp_path, capsys):
         import pstats
 
         profile = str(tmp_path / "bench.prof")
         code, __, stderr = run(
-            capsys, "bench", "table1", "--scale", "0.002",
+            capsys, "bench", "table1.*", "--scale", "0.002",
             "--profile", profile,
         )
         assert code == 0
