@@ -234,12 +234,18 @@ class BenchCase:
 
 
 def _scored_query(
-    load: JoinWorkload, spec: JoinSpec, strategy: str, selectivity: float
+    load: JoinWorkload,
+    spec: JoinSpec,
+    strategy: str = "auto",
+    selectivity: Optional[float] = None,
+    **knobs: object,
 ) -> Iterator:
     """OPT1's query: the ``spec.max_pairs`` closest pairs whose outer
     object passes an attribute predicate of the given selectivity
     (object ``i`` of ``n`` scores ``(i + 0.5) / n``: uniform, and
-    independent of position), under one Section 5 plan."""
+    independent of position), under one Section 5 plan; no predicate
+    without a selectivity.  ``knobs`` go to the join (a pinned
+    ``node_policy``); without one the planner picks the traversal."""
     from repro.query.executor import Database
 
     db = Database(counters=load.counters)
@@ -248,12 +254,15 @@ def _scored_query(
         "score": [(i + 0.5) / count for i in range(count)],
     })
     db.create_relation("inner_rel", load.tree2)
+    where = (
+        f"WHERE outer_rel.score <= {selectivity} "
+        if selectivity is not None else ""
+    )
     return db.execute(
         "SELECT * FROM outer_rel, inner_rel, "
         "DISTANCE(outer_rel.geom, inner_rel.geom) AS d "
-        f"WHERE outer_rel.score <= {selectivity} "
-        f"ORDER BY d STOP AFTER {spec.max_pairs}",
-        strategy=strategy,
+        f"{where}ORDER BY d STOP AFTER {spec.max_pairs}",
+        strategy=strategy, **knobs,
     )
 
 
@@ -540,8 +549,18 @@ for _selectivity in (0.001, 0.05, 1.0):
             f"{_selectivity:.1%} of the outer relation, {_strategy} plan",
             JoinSpec(max_pairs=10), smoke=None,
             operator="sql", workload=analyzed_workload,
-            engine={"strategy": _strategy, "selectivity": _selectivity},
+            # The predicate plans are compared under one traversal,
+            # the paper's Even (the planner's own choice is the case
+            # below).
+            engine={"strategy": _strategy, "selectivity": _selectivity,
+                    "node_policy": "even"},
         )
+_case(
+    "opt1.traversal_top10",
+    "OPT1: the 10 closest pairs, no predicate, the traversal the "
+    "planner picks (Simultaneous: D is a sliver of a leaf)",
+    JoinSpec(max_pairs=10), smoke=None, operator="sql", tiers=(SMOKE,),
+)
 for _every in (16, 32, 256):
     _case(
         "service.suspend_resume" if _every == 32

@@ -222,17 +222,6 @@ class StandingJoin(cursor.SuspendableOperator):
         """The currently reported pairs, canonical order."""
         return self._store.top(self.max_pairs)
 
-    def has_object(self, oid: int, side: int = 1) -> bool:
-        """Whether ``oid`` is currently indexed on ``side``.
-
-        The object index mirrors the tree exactly (it is loaded from
-        the tree at registration and maintained by every repair), so
-        callers can use this as an O(1) freshness check before
-        mutating the underlying relation.
-        """
-        self._tree(side)  # validate the side argument
-        return oid in self._objects[side]
-
     def pending(self) -> int:
         """Deltas emitted but not yet polled."""
         return len(self._outbox)

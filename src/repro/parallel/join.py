@@ -13,7 +13,7 @@ CPU-bound scaling).
 
 from __future__ import annotations
 
-from typing import Any, Optional
+from typing import Any, Optional, Tuple
 
 from repro.core.spec import JoinSpec
 from repro.parallel.executor import SERIAL, THREAD, default_workers
@@ -42,15 +42,35 @@ class ParallelDistanceJoin(ShardRouterJoin):
             workers = default_workers()
         if backend == "auto":
             backend = SERIAL if workers == 1 else THREAD
+        shards, partition_method = self.routing(
+            partition_method=partition_method,
+            workers=workers, partitions=partitions,
+        )
         super().__init__(
             tree1, tree2, spec,
-            shards=partitions if partitions is not None else workers,
+            shards=shards,
             partition_method=partition_method,
             catalog_cache=False,
             backend=backend,
             workers=workers,
             **engine,
         )
+
+    @classmethod
+    def routing(
+        cls,
+        shards: Optional[int] = None,
+        partition_method: str = GRID,
+        *,
+        workers: Optional[int] = None,
+        partitions: Optional[int] = None,
+        **__: Any,
+    ) -> Tuple[int, str]:
+        """One grid tile per worker unless ``partitions`` says
+        otherwise (the router's ``shards`` is not this spelling's)."""
+        if partitions is None:
+            partitions = default_workers() if workers is None else workers
+        return partitions, partition_method
 
 
 class ParallelDistanceSemiJoin(ParallelDistanceJoin):

@@ -13,17 +13,27 @@ simplification -- so its absolute predictions are rough on skewed
 inputs; its purpose is *ranking* candidate plans, and the accompanying
 tests check exactly that (monotonicity in the distance bound, and
 agreement in ordering with measured counters).
+
+Its selectivity half (:class:`UniformPairs`) needs only the two sizes
+and the two bounding boxes, so :func:`traversal_bound` -- the input of
+the planner's node-policy choice -- is computed without the stats
+walk, on every execution.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import List, NamedTuple, Optional, Sequence
 
+from repro.geometry.rectangle import Rect
 from repro.rtree.base import RTreeBase
 
 _INF = float("inf")
+
+#: Bulk loading packs nodes to this fraction of ``max_entries``
+#: (:func:`repro.rtree.bulk.bulk_load_str`'s default fill).
+PACKING_FILL = 0.7
 
 
 @dataclass
@@ -47,10 +57,7 @@ class TreeStats:
     @property
     def universe_volume(self) -> float:
         """Volume of the data set's bounding box (floored per axis)."""
-        volume = 1.0
-        for side in self.universe_sides:
-            volume *= max(side, 1e-12)
-        return volume
+        return _volume(self.universe_sides)
 
 
 def stats_fingerprint(tree: RTreeBase) -> Optional[tuple]:
@@ -118,6 +125,131 @@ def _walk_stats(tree: RTreeBase) -> TreeStats:
     return TreeStats(len(tree), len(counts), sides, levels)
 
 
+def _volume(sides: Sequence[float]) -> float:
+    volume = 1.0
+    for side in sides:
+        volume *= max(side, 1e-12)
+    return volume
+
+
+class UniformPairs:
+    """Pair counts against distance for two uniformly spread data sets
+    of ``size1`` and ``size2`` objects sharing a box of sides
+    ``overlap_sides`` (each the smaller of the two data sets' extents)."""
+
+    def __init__(
+        self,
+        size1: float,
+        size2: float,
+        overlap_sides: Sequence[float],
+        dim: int,
+    ) -> None:
+        self.dim = dim
+        self._total = float(size1 * size2)
+        self._overlap_sides = list(overlap_sides)
+
+    def _ball_volume(self, radius: float) -> float:
+        """Volume of a Euclidean ball of ``radius`` in ``dim``."""
+        if radius <= 0.0:
+            return 0.0
+        dim = self.dim
+        return (
+            math.pi ** (dim / 2.0)
+            / math.gamma(dim / 2.0 + 1.0)
+            * radius ** dim
+        )
+
+    def _joint_volume(self) -> float:
+        return _volume(self._overlap_sides)
+
+    def expected_pairs_within(self, distance: float) -> float:
+        """Expected object pairs with distance <= ``distance``
+        (uniformity assumption; capped by the Cartesian product)."""
+        total = self._total
+        if distance == _INF or total == 0.0:
+            return total
+        fraction = min(
+            1.0, self._ball_volume(distance) / self._joint_volume()
+        )
+        return total * fraction
+
+    def distance_for_pairs(self, pairs: float) -> float:
+        """Inverse of :meth:`expected_pairs_within`: the distance at
+        which roughly ``pairs`` result pairs exist."""
+        total = self._total
+        if total == 0:
+            return 0.0
+        fraction = min(1.0, pairs / total)
+        volume = fraction * self._joint_volume()
+        dim = self.dim
+        unit = math.pi ** (dim / 2.0) / math.gamma(dim / 2.0 + 1.0)
+        return (volume / unit) ** (1.0 / dim)
+
+
+class TraversalBound(NamedTuple):
+    """The two lengths the planner's node-policy choice compares."""
+
+    #: Plan-time distance bound D: the smaller of the query's maximum
+    #: distance and the distance at which its K-th row is expected.
+    distance: float
+    #: Expected side of a leaf of the finer of the two trees.
+    leaf_side: float
+
+
+def _root_mbr(tree: RTreeBase) -> Optional[Rect]:
+    """The tree's bounding box, read without charging ``node_reads`` or
+    ``node_io`` (a plan must not show in the execution's counters)."""
+    root = tree.store.peek(tree.root_id).payload
+    return root.mbr() if root.entries else None
+
+
+def traversal_bound(
+    tree1: RTreeBase,
+    tree2: RTreeBase,
+    min_distance: float = 0.0,
+    max_distance: float = _INF,
+    max_pairs: Optional[int] = None,
+    pair_selectivity: float = 1.0,
+) -> Optional[TraversalBound]:
+    """D and the leaf side from sizes, fan-outs and the two root MBRs
+    only (None when a relation is empty).
+
+    With ``WHERE d >= x`` the expected rows start at ``x``: the K-th is
+    expected where ``pairs_within(x) + K`` pairs lie.  A predicate
+    keeping ``pair_selectivity`` of the pairs thins the pairs the K
+    rows are drawn from, which moves D out.  A leaf of a tree over
+    ``n`` objects covers a ``n / (PACKING_FILL * max_entries)``-th of
+    the shared box.
+    """
+    mbr1, mbr2 = _root_mbr(tree1), _root_mbr(tree2)
+    if mbr1 is None or mbr2 is None:
+        return None
+    overlap = [
+        min(hi1 - lo1, hi2 - lo2)
+        for lo1, hi1, lo2, hi2 in zip(mbr1.lo, mbr1.hi, mbr2.lo, mbr2.hi)
+    ]
+    dim = tree1.dim
+    model = UniformPairs(
+        len(tree1) * pair_selectivity, len(tree2), overlap, dim
+    )
+    distance = max_distance
+    if max_pairs is not None:
+        before = (
+            model.expected_pairs_within(min_distance)
+            if min_distance > 0.0 else 0.0
+        )
+        distance = min(
+            distance, model.distance_for_pairs(before + max_pairs)
+        )
+    volume = _volume(overlap)
+    leaf_side = min(
+        (volume / max(1.0, len(tree) / (PACKING_FILL * tree.max_entries)))
+        ** (1.0 / dim)
+        for tree in (tree1, tree2)
+    )
+    return TraversalBound(distance, leaf_side)
+
+
 @dataclass
 class JoinCostEstimate:
     """Predicted work for one incremental distance join execution."""
@@ -144,11 +276,11 @@ def estimate_build_cost(
     an n·log n sort plus one page write per packed node."""
     if count <= 1:
         return 0.0
-    pages = count / max(1, int(0.7 * fanout))
+    pages = count / max(1, int(PACKING_FILL * fanout))
     return cpu_weight * count * math.log2(count) + io_weight * pages
 
 
-class JoinCostModel:
+class JoinCostModel(UniformPairs):
     """Estimates the cost of a distance (semi-)join between two trees.
 
     Parameters
@@ -174,18 +306,16 @@ class JoinCostModel:
             assert tree2 is not None
             stats2 = collect_stats(tree2)
         assert dim is not None
-        self.dim = dim
         self.stats1 = stats1
         self.stats2 = stats2
-        self._overlap_sides = [
-            max(
-                0.0,
-                min(a, b),
-            )
-            for a, b in zip(
-                self.stats1.universe_sides, self.stats2.universe_sides
-            )
-        ]
+        super().__init__(
+            stats1.size, stats2.size,
+            [
+                max(0.0, min(a, b))
+                for a, b in zip(stats1.universe_sides, stats2.universe_sides)
+            ],
+            dim,
+        )
 
     def scaled(self, scale1: float, scale2: float) -> "JoinCostModel":
         """A model for hypothetically filtered inputs: each side's
@@ -212,50 +342,6 @@ class JoinCostModel:
             stats2=shrink(self.stats2, scale2),
             dim=self.dim,
         )
-
-    # ------------------------------------------------------------------
-    # selectivity
-    # ------------------------------------------------------------------
-
-    def _ball_volume(self, radius: float) -> float:
-        """Volume of a Euclidean ball of ``radius`` in ``dim``."""
-        if radius <= 0.0:
-            return 0.0
-        dim = self.dim
-        return (
-            math.pi ** (dim / 2.0)
-            / math.gamma(dim / 2.0 + 1.0)
-            * radius ** dim
-        )
-
-    def _joint_volume(self) -> float:
-        volume = 1.0
-        for side in self._overlap_sides:
-            volume *= max(side, 1e-12)
-        return volume
-
-    def expected_pairs_within(self, distance: float) -> float:
-        """Expected object pairs with distance <= ``distance``
-        (uniformity assumption; capped by the Cartesian product)."""
-        total = float(self.stats1.size * self.stats2.size)
-        if distance == _INF or total == 0.0:
-            return total
-        fraction = min(
-            1.0, self._ball_volume(distance) / self._joint_volume()
-        )
-        return total * fraction
-
-    def distance_for_pairs(self, pairs: int) -> float:
-        """Inverse of :meth:`expected_pairs_within`: the distance at
-        which roughly ``pairs`` result pairs exist."""
-        total = self.stats1.size * self.stats2.size
-        if total == 0:
-            return 0.0
-        fraction = min(1.0, pairs / float(total))
-        volume = fraction * self._joint_volume()
-        dim = self.dim
-        unit = math.pi ** (dim / 2.0) / math.gamma(dim / 2.0 + 1.0)
-        return (volume / unit) ** (1.0 / dim)
 
     # ------------------------------------------------------------------
     # work estimation

@@ -23,6 +23,13 @@ the costs stay annotated on the join node so ``EXPLAIN`` can show
 both.  ``execute``, ``EXPLAIN`` and ``EXPLAIN ANALYZE`` all walk this
 same tree -- EXPLAIN renders it without opening it (no temporary
 index is built), execution opens it and streams rows.
+
+A second rule picks the join's node policy (:func:`choose_traversal`,
+Section 2.2.2): Simultaneous when the plan-time distance bound is
+small against a leaf, Even otherwise.  The choice cannot show in a
+row, because equal-distance groups leave the join operator in
+canonical ``(oid1, oid2)`` order whatever traversal produced them
+(:class:`repro.parallel.plan.CanonicalTies`).
 """
 
 from __future__ import annotations
@@ -46,12 +53,17 @@ from repro.core.distance_join import IncrementalDistanceJoin, JoinResult
 from repro.core.pairs import NODE, Pair
 from repro.core.reverse import ReverseDistanceJoin, ReverseDistanceSemiJoin
 from repro.core.semi_join import IncrementalDistanceSemiJoin
+from repro.core.spec import EVEN, SIMULTANEOUS
 from repro.errors import QueryError
 from repro.errors import CursorError
 from repro.query.ast_nodes import Query
-from repro.query.costmodel import JoinCostModel, estimate_build_cost
+from repro.query.costmodel import (
+    JoinCostModel,
+    estimate_build_cost,
+    traversal_bound,
+)
 from repro.query.logical import LogicalPlan, build_logical_plan
-from repro.rtree.base import DEFAULT_MAX_ENTRIES
+from repro.rtree.base import DEFAULT_MAX_ENTRIES, RTreeBase
 from repro.rtree.bulk import bulk_load_str
 
 # NOTE: repro.shard depends on this package (its catalogs carry
@@ -64,7 +76,18 @@ _INF = float("inf")
 
 STRATEGIES = ("auto", "pipeline", "prefilter")
 
+#: ``c`` of the traversal rule: Simultaneous while the plan-time
+#: distance bound D is at most this fraction of a leaf's side.  Fitted
+#: on a K / distance sweep of the Water x Roads maps at scales 0.05,
+#: 0.1 and 1.0 (the table is in CHANGES.md): Simultaneous returned the
+#: first 25 rows sooner up to D ~ 0.12 leaf, lost them by up to 19 %
+#: between 0.12 and 0.2 and by up to 5.9x beyond, and returned all
+#: rows sooner up to ~0.45 leaf; Even never lost more than 1.8x.  So c
+#: sits at the end of the first-page crossover, errors falling on Even.
+SIMULTANEOUS_LEAF_FRACTION = 0.2
+
 __all__ = [
+    "SIMULTANEOUS_LEAF_FRACTION",
     "STRATEGIES",
     "Row",
     "PlanExplanation",
@@ -78,7 +101,9 @@ __all__ = [
     "RowProject",
     "Limit",
     "PhysicalPlan",
+    "Traversal",
     "build_physical_plan",
+    "choose_traversal",
     "build_standing_join",
     "materialize_filtered",
 ]
@@ -92,6 +117,17 @@ class Row(NamedTuple):
     geom1: Any
     oid2: int
     geom2: Any
+
+
+class Traversal(NamedTuple):
+    """The node policy a plan runs and why (:func:`choose_traversal`);
+    ``EXPLAIN`` prints it as ``policy (reason)``."""
+
+    policy: str
+    reason: str
+
+    def __str__(self) -> str:
+        return f"{self.policy} ({self.reason})"
 
 
 class PlanExplanation(NamedTuple):
@@ -118,6 +154,7 @@ class PlanExplanation(NamedTuple):
     tree: Optional[str] = None
     shards: Optional[int] = None
     shard_route: Optional[Dict[str, Any]] = None
+    traversal: Optional["Traversal"] = None
 
     def pretty(self) -> str:
         """A human-readable plan description."""
@@ -132,6 +169,8 @@ class PlanExplanation(NamedTuple):
             f"  distance range: [{self.min_distance:g}, "
             f"{self.max_distance:g}], {bound}",
         ]
+        if self.traversal is not None:
+            lines.append(f"  traversal: {self.traversal}")
         if self.parallel is not None:
             lines.append(f"  parallel workers: {self.parallel}")
         if self.shards is not None:
@@ -449,8 +488,20 @@ class DistanceJoinOp(PhysicalNode):
     plan has any), composes pushed-down predicates into one
     ``pair_filter`` (a caller-supplied ``pair_filter`` kwarg wins) and
     constructs the join iterator exactly once.  The planner's cost
-    annotations (both strategies' estimates) live here for EXPLAIN.
+    annotations (both strategies' estimates) and its traversal choice
+    live here for EXPLAIN.
+
+    :meth:`results` emits every equal-distance group in ``(oid1,
+    oid2)`` order and completes the group at the ``STOP AFTER`` cap
+    (:class:`repro.parallel.plan.CanonicalTies` around a sequential
+    join; the partitioned engine's merge already does both).  Prefilter
+    indexes number their objects in original-oid order, so the order
+    survives :class:`RemapOids`.  A group being emitted is part of the
+    cursor.
     """
+
+    #: 2: the payload carries the tie groups held back from the join.
+    STATE_VERSION = 2
 
     def __init__(
         self,
@@ -459,12 +510,14 @@ class DistanceJoinOp(PhysicalNode):
         operator_cls: type,
         kwargs: Dict[str, Any],
         strategy: str,
+        traversal: Optional[Traversal] = None,
     ) -> None:
         self.left = left
         self.right = right
         self.operator_cls = operator_cls
         self.kwargs = kwargs
         self.strategy = strategy
+        self.traversal = traversal
         # Cost annotations arrive lazily (see PhysicalPlan.explanation):
         # plain execution never prices plans it was not asked to choose
         # between, so it skips the cost model's tree walk entirely.
@@ -473,6 +526,7 @@ class DistanceJoinOp(PhysicalNode):
         self.mapping1: Optional[List[int]] = None
         self.mapping2: Optional[List[int]] = None
         self._join: Optional[IncrementalDistanceJoin] = None
+        self._rows: Optional[Iterator[JoinResult]] = None
 
     def children(self) -> Tuple[PhysicalNode, ...]:
         return (self.left, self.right)
@@ -516,10 +570,25 @@ class DistanceJoinOp(PhysicalNode):
                 self._join = self.operator_cls(
                     left.tree, right.tree, **kwargs
                 )
+                self._order()
         return self._join
 
+    def _order(self, ties: Optional[Dict[str, Any]] = None) -> None:
+        """Put the canonical tie order over a sequential join (``ties``:
+        a saved :meth:`CanonicalTies.state`, when resuming)."""
+        # Imported here: repro.parallel reaches this package through
+        # repro.shard (see the note at the imports).
+        from repro.parallel.plan import CanonicalTies
+
+        if isinstance(self._join, IncrementalDistanceJoin):
+            self._rows = CanonicalTies(self._join, ties)
+        else:
+            self._rows = self._join
+
     def results(self) -> Iterator[JoinResult]:
-        return iter(self.open())
+        self.open()
+        assert self._rows is not None
+        return self._rows
 
     def progress_signals(self) -> Optional[Dict[str, Any]]:
         """The live join's raw progress facts (None before open)."""
@@ -530,10 +599,13 @@ class DistanceJoinOp(PhysicalNode):
         return probe() if probe is not None else None
 
     def _state_payload(self) -> Any:
+        ordered = self._rows is not self._join
         return {
             "strategy": self.strategy,
             "join": self._join.save() if self._join is not None
             else None,
+            # None for the partitioned engine, whose merge orders ties.
+            "ties": self._rows.state() if ordered else None,
         }
 
     def _load_payload(self, payload: Any) -> None:
@@ -572,6 +644,15 @@ class DistanceJoinOp(PhysicalNode):
                 observer=obs,
                 pair_filter=pair_filter,
             )
+            ties = payload["ties"]
+            if isinstance(self._join, IncrementalDistanceJoin) and (
+                ties is None
+            ):
+                raise CursorError(
+                    "cursor holds a sequential join without its tie "
+                    "groups"
+                )
+            self._order(ties)
 
 
 class RemapOids(PhysicalNode):
@@ -585,13 +666,13 @@ class RemapOids(PhysicalNode):
         return (self.child,)
 
     def results(self) -> Iterator[JoinResult]:
-        join = self.child.open()
+        results = self.child.results()
         mapping1 = self.child.mapping1
         mapping2 = self.child.mapping2
         if mapping1 is None and mapping2 is None:
-            yield from join
+            yield from results
             return
-        for result in join:
+        for result in results:
             oid1 = mapping1[result.oid1] if mapping1 is not None \
                 else result.oid1
             oid2 = mapping2[result.oid2] if mapping2 is not None \
@@ -812,6 +893,68 @@ def _operator_for(query: Query) -> type:
     )
 
 
+def choose_traversal(
+    query: Query,
+    tree1: Any,
+    tree2: Any,
+    kwargs: Dict[str, Any],
+    pushdown: bool = False,
+    pair_selectivity: float = 1.0,
+) -> Traversal:
+    """The planner's node-policy rule (Section 2.2.2, Figure 6).
+
+    Even is the paper's best policy without a bound; Simultaneous --
+    search-space restriction and plane sweep over both nodes -- pays
+    off once a small maximum distance is known, and loses up to 6x
+    once it is loose.  So the rule compares the plan-time bound D with
+    a leaf's side (:func:`repro.query.costmodel.traversal_bound`: sizes,
+    fan-outs and the two root MBRs, no stats walk, nothing charged) and
+    picks Simultaneous when ``D <= SIMULTANEOUS_LEAF_FRACTION x leaf``.
+    ``kwargs`` are the join's constructor keywords before the choice: a
+    caller's ``node_policy`` or ``process_leaves_together`` wins.
+    Kept on Even, each for a reason: the semi-join (measured slower),
+    ``DESC``, ``SHARDS`` / ``PARALLEL`` (neutral in time, more memory),
+    an index without an R-tree's fan-out (a quadtree), and a predicate
+    pushed into the join (``pushdown``: Even drops a failing object
+    with its object/node pair, Simultaneous only after computing its
+    distance to a whole leaf -- measured 1.4x to 6.6x slower at 5 % and
+    0.1 % selectivity).  A ``WATCH`` query's bootstrap and repair are
+    not planned here.
+    """
+    if "node_policy" in kwargs or "process_leaves_together" in kwargs:
+        together = kwargs.get("process_leaves_together", False)
+        return Traversal(
+            kwargs.get("node_policy", EVEN),
+            "caller, leaves together" if together else "caller",
+        )
+    if query.is_semi_join:
+        return Traversal(EVEN, "semi-join")
+    if query.descending:
+        return Traversal(EVEN, "DESC")
+    if query.shards is not None:
+        return Traversal(EVEN, "SHARDS")
+    if query.parallel is not None:
+        return Traversal(EVEN, "PARALLEL")
+    if pushdown:
+        return Traversal(EVEN, "pushed-down predicate")
+    if not (isinstance(tree1, RTreeBase) and isinstance(tree2, RTreeBase)):
+        return Traversal(EVEN, "no R-tree fan-out")
+    bound = traversal_bound(
+        tree1, tree2, kwargs["min_distance"], kwargs["max_distance"],
+        kwargs["max_pairs"], pair_selectivity,
+    )
+    if bound is None:
+        return Traversal(EVEN, "empty relation")
+    if bound.distance == _INF:
+        return Traversal(EVEN, "unbounded")
+    fits = bound.distance <= SIMULTANEOUS_LEAF_FRACTION * bound.leaf_side
+    return Traversal(
+        SIMULTANEOUS if fits else EVEN,
+        f"D ~ {bound.distance:.1f} {'<=' if fits else '>'} "
+        f"{SIMULTANEOUS_LEAF_FRACTION:g} x leaf {bound.leaf_side:.0f}",
+    )
+
+
 def _price_strategies(
     query: Query,
     tree1: Any,
@@ -921,6 +1064,12 @@ def build_physical_plan(
         counters=db.counters,
     )
     kwargs.update(join_kwargs or {})
+    traversal = choose_traversal(
+        query, tree1, tree2, kwargs,
+        pushdown=has_predicates and strategy_used == "pipeline",
+        pair_selectivity=selectivity1 * selectivity2,
+    )
+    kwargs["node_policy"] = traversal.policy
     if query.parallel is not None:
         kwargs.setdefault("workers", query.parallel)
     if query.shards is not None:
@@ -945,6 +1094,7 @@ def build_physical_plan(
         operator_cls=operator_cls,
         kwargs=kwargs,
         strategy=strategy_used,
+        traversal=traversal,
     )
     if costs is not None:
         join_op.annotate_costs(*costs)
@@ -963,14 +1113,7 @@ def build_physical_plan(
         from repro.shard.catalog import catalog_for
         from repro.shard.router import plan_shard_pairs
 
-        if query.shards is not None:
-            shards = kwargs["shards"]
-            method = kwargs.get("partition_method", "str")
-        else:
-            # The PARALLEL adapter's spelling: one grid tile per
-            # worker, catalogs private to the join.
-            shards = kwargs.get("partitions", kwargs["workers"])
-            method = kwargs.get("partition_method", "grid")
+        shards, method = operator_cls.routing(**kwargs)
         catalogs = kwargs.get("catalogs")
         if catalogs is not None:
             cat1, cat2 = catalogs
@@ -1035,6 +1178,7 @@ def build_physical_plan(
             tree=root.pretty(),
             shards=query.shards,
             shard_route=shard_route_info(),
+            traversal=join_op.traversal,
         )
 
     return PhysicalPlan(

@@ -9,7 +9,7 @@ choice, splitting, and overflow treatment.
 from __future__ import annotations
 
 import math
-from typing import Any, Iterator, List, Optional, Tuple
+from typing import Any, Iterator, List, Optional, Set, Tuple
 
 from repro.errors import TreeError
 from repro.geometry.point import Point
@@ -76,6 +76,9 @@ class RTreeBase:
         )
         self.size = 0
         self._next_oid = 0
+        # Every stored object id (insert, delete and the bulk loaders
+        # keep it), so a duplicate is refused without a walk.
+        self._oids: Set[int] = set()
         # Monotone structural-version counter: bumped by every insert
         # and delete.  Derived summaries (cost-model stats, shard
         # catalogs) key their caches on it to detect staleness.
@@ -142,8 +145,8 @@ class RTreeBase:
         present, ``rect`` wins.  Object ids are assigned sequentially
         when not supplied, so they densely index the semi-join bitset.
         A rectangle of the wrong dimension or with a NaN or infinite
-        coordinate is refused with :class:`TreeError` before anything
-        is mutated.
+        coordinate, or an ``oid`` the tree already holds, is refused
+        with :class:`TreeError` before anything is mutated.
         """
         if rect is None:
             rect = self._rect_of(obj)
@@ -155,7 +158,10 @@ class RTreeBase:
         self._require_finite(rect)
         if oid is None:
             oid = self._next_oid
+        elif oid in self._oids:
+            raise TreeError(f"object id {oid} is already in the tree")
         self._next_oid = max(self._next_oid, oid + 1)
+        self._oids.add(oid)
         entry = LeafEntry(rect, oid, obj)
 
         self._reinserted_levels = set()
@@ -273,6 +279,7 @@ class RTreeBase:
             return False
         self.size -= 1
         self._mutations += 1
+        self._oids.discard(oid)
         root = self.read_node(self.root_id)
         if not root.is_leaf and len(root.entries) == 1:
             only_child = root.entries[0].child_id

@@ -66,6 +66,7 @@ def bulk_load_str(
         payload = obj if isinstance(obj, Point) or hasattr(obj, "mbr") else None
         leaf_entries.append(LeafEntry(rect, oid, payload))
     tree._next_oid = len(leaf_entries)
+    tree._oids = set(range(len(leaf_entries)))
     tree.size = len(leaf_entries)
 
     level = 0

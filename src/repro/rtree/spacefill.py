@@ -160,6 +160,7 @@ def _pack_sorted(
             LeafEntry(rect, original_ids[position], payload)
         )
     tree._next_oid = len(entries)
+    tree._oids = set(original_ids)
     tree.size = len(entries)
     old_root = tree.read_node(tree.root_id)
     tree._free_node(old_root)

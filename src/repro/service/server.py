@@ -62,6 +62,7 @@ from repro.errors import (
     ReproError,
     ServiceError,
     ServiceFull,
+    TreeError,
 )
 from repro.geometry.point import Point
 from repro.query.parser import parse
@@ -524,24 +525,16 @@ class JoinService:
             watchers.append((session, sides))
 
         if op == "insert":
-            # Validate oid freshness BEFORE mutating: the tree itself
-            # accepts duplicate oids, but a duplicate would desync
-            # every oid-addressed watcher mid-fan-out.  Any watcher's
-            # object index mirrors the relation exactly; without
-            # watchers, the tree is the only source.
-            if watchers:
-                witness, witness_sides = watchers[0]
-                present = witness.source.standing.has_object(
-                    oid, witness_sides[0]
-                )
-            else:
-                present = any(e.oid == oid for e in tree.items())
-            if present:
+            # A duplicate would desync every oid-addressed watcher
+            # mid-fan-out; the tree refuses it before mutating (the
+            # point was validated above, so that is its only refusal).
+            try:
+                tree.insert(obj=obj, rect=rect, oid=oid)
+            except TreeError:
                 return 409, {
                     "error": f"oid {oid} already exists in relation "
                              f"{relation!r}"
                 }
-            tree.insert(obj=obj, rect=rect, oid=oid)
         else:
             if not tree.delete(oid, rect):
                 return 404, {

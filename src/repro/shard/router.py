@@ -275,8 +275,9 @@ class ShardRouterJoin(cursor.SuspendableOperator):
             partition_method = _resume["partition_method"]
             batch_size = _resume["batch_size"]
             backend = SERIAL
-        if shards is None:
-            shards = DEFAULT_SHARDS
+        shards, partition_method = ShardRouterJoin.routing(
+            shards, partition_method
+        )
         if workers is None:
             workers = 1 if backend == SERIAL else default_workers()
         require(shards >= 1, "shards must be at least 1")
@@ -360,6 +361,19 @@ class ShardRouterJoin(cursor.SuspendableOperator):
     # ------------------------------------------------------------------
     # planning
     # ------------------------------------------------------------------
+
+    @classmethod
+    def routing(
+        cls,
+        shards: Optional[int] = None,
+        partition_method: str = STR,
+        **__: Any,
+    ) -> Tuple[int, str]:
+        """Shards per relation and tiling method of a constructor call
+        with these keywords (EXPLAIN routes without building the
+        operator)."""
+        return (DEFAULT_SHARDS if shards is None else shards), \
+            partition_method
 
     def route_plan(self) -> Dict[str, Any]:
         """Static routing summary (EXPLAIN): shard counts, planned

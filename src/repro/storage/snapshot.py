@@ -158,4 +158,9 @@ def load_tree(
         raise StorageError("snapshot root node is missing") from None
     tree.size = snapshot["size"]
     tree._next_oid = snapshot["next_oid"]
+    tree._oids = {
+        entry.oid
+        for node in rebuilt.values() if node.is_leaf
+        for entry in node.entries
+    }
     return tree

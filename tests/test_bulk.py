@@ -75,6 +75,14 @@ class TestBulkLoad:
         validate_tree(tree, allow_underfull=True)
         assert len(tree) == 101
 
+    def test_bulk_loaded_oids_are_taken(self):
+        tree = bulk_load_str(make_points(100, seed=4), max_entries=8)
+        for oid in (0, 99):
+            with pytest.raises(TreeError, match=f"object id {oid}"):
+                tree.insert(obj=Point((1.0, 1.0)), oid=oid)
+        assert tree.insert(obj=Point((1.0, 1.0)), oid=100) == 100
+        assert len(tree) == 101
+
     @pytest.mark.parametrize(
         "bad", [float("nan"), float("inf"), float("-inf")]
     )

@@ -27,6 +27,7 @@ from repro.geometry.point import Point
 from repro.geometry.rectangle import Rect
 from repro.kernels import DISABLE_ENV, numpy_or_none
 from repro.live import StandingJoin
+from repro.query.executor import Database
 from repro.rtree.bulk import bulk_load_str
 from repro.rtree.rstar import RStarTree
 from repro.util.counters import CounterRegistry
@@ -223,6 +224,61 @@ def test_estimator_path_counters_match_golden(path, heap_class):
     assert counters.value("estimator_trims") > 0
     assert observed(counters, golden) == golden
     assert stream.hexdigest() == golden_stream
+
+
+#: The same workload through SQL, so the planner's traversal choice is
+#: pinned with the work it causes: name -> (statement, the traversal
+#: EXPLAIN shows, rows, dist_calcs, node_reads, queue_inserts, peak
+#: queue_size).  At this scale a leaf of Roads is ~1 828 wide, so K =
+#: 1 000 (D ~ 403) stays on Even.
+SQL_HEAD = "SELECT * FROM water, roads, DISTANCE(water.geom, roads.geom) AS d "
+GOLDEN_SQL = {
+    "top10": (
+        f"{SQL_HEAD}ORDER BY d STOP AFTER 10",
+        "simultaneous (D ~ 40.3 <= 0.2 x leaf 1828)",
+        10, 1993, 86, 1364, 1335,
+    ),
+    "top1000": (
+        f"{SQL_HEAD}ORDER BY d STOP AFTER 1000",
+        "even (D ~ 403.2 > 0.2 x leaf 1828)",
+        1000, 9528, 342, 3864, 3229,
+    ),
+    "within25": (
+        f"{SQL_HEAD}WHERE d <= 25 ORDER BY d",
+        "simultaneous (D ~ 25.0 <= 0.2 x leaf 1828)",
+        7, 270, 86, 49, 41,
+    ),
+    "semi": (
+        "SELECT *, MIN(d) FROM water, roads, "
+        "DISTANCE(water.geom, roads.geom) AS d "
+        "GROUP BY water.geom ORDER BY d STOP AFTER 100",
+        "even (semi-join)",
+        100, 6496, 255, 1493, 1270,
+    ),
+    "shards4": (
+        f"{SQL_HEAD}ORDER BY d STOP AFTER 1000 SHARDS 4",
+        "even (SHARDS)",
+        1000, 11263, 508, 10870, 1556,
+    ),
+}
+
+
+@pytest.mark.parametrize("case", list(GOLDEN_SQL))
+def test_sql_counters_match_golden(case, numpy_leg):
+    sql, traversal, *golden = GOLDEN_SQL[case]
+    load = build_tiger_workload(scale=SCALE)
+    db = Database(counters=load.counters)
+    db.create_relation("water", load.tree1)
+    db.create_relation("roads", load.tree2)
+    plan = db.physical_plan(sql)
+    rows = list(plan.rows())
+    counters = load.counters
+    assert str(plan.join_op.traversal) == traversal
+    assert [
+        len(rows), counters.value("dist_calcs"),
+        counters.value("node_reads"), counters.value("queue_inserts"),
+        counters.peak("queue_size"),
+    ] == golden
 
 
 def test_goldens_are_repeatable_within_process():

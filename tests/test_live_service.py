@@ -466,9 +466,9 @@ class TestHttpSubscription:
         client.delete(sid)
 
     def test_rejected_updates_without_watchers(self, served):
-        """The freshness checks hold with zero subscriptions too: a
-        duplicate insert falls back to a tree scan and a no-op delete
-        is a 404, not a silent 200."""
+        """The freshness checks hold with zero subscriptions too: the
+        tree refuses a duplicate insert (409) and a no-op delete is a
+        404, not a silent 200."""
         __, client, db = served
         size = len(db.relation("a"))
         with pytest.raises(ServiceError, match="409"):

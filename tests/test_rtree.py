@@ -96,6 +96,23 @@ class TestInsertion:
         assert tree.insert_point((5.0, 5.0)) == 10
         validate_tree(tree)
 
+    def test_duplicate_oid_rejected(self, tree_class):
+        """An oid the tree holds is refused before any mutation; once
+        deleted it is free again."""
+        tree = tree_class(dim=2, max_entries=4)
+        points = make_points(12, seed=4)
+        for point in points:
+            tree.insert(obj=point)
+        before = (len(tree), tree.root_id, tree._mutations)
+        for oid in (0, 7, 11):
+            with pytest.raises(TreeError, match=f"object id {oid}"):
+                tree.insert(obj=Point((50.0, 50.0)), oid=oid)
+            assert (len(tree), tree.root_id, tree._mutations) == before
+        assert tree.delete(7, Rect.from_point(points[7]))
+        assert tree.insert(obj=Point((50.0, 50.0)), oid=7) == 7
+        assert sorted(e.oid for e in tree.items()) == list(range(12))
+        validate_tree(tree)
+
     def test_3d_tree(self, tree_class):
         tree = tree_class(dim=3, max_entries=4)
         rng = random.Random(1)

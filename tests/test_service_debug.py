@@ -32,6 +32,11 @@ SQL = (
     "ORDER BY d STOP AFTER 40"
 )
 
+#: The planner runs SQL under Simultaneous, which expands everything it
+#: needs in quantum 0; the tests that look for expansions in later
+#: quanta pin the incremental Even traversal.
+EVEN = {"node_policy": "even"}
+
 
 def build_db():
     db = Database(counters=CounterRegistry())
@@ -93,7 +98,9 @@ class TestSchedulerTelemetry:
 
     def test_trace_dump_is_connected_and_idempotent(self):
         scheduler = build_scheduler()
-        session = scheduler.admit(QuerySource(build_db(), SQL))
+        session = scheduler.admit(
+            QuerySource(build_db(), SQL, join_kwargs=EVEN)
+        )
         scheduler.fetch(session.id, 12)
         tree = scheduler.trace_dump(session.id)
         assert tree["name"] == "request"
@@ -242,13 +249,13 @@ class TestSuspendResumeTrace:
         recording into."""
         db = build_db()
         scheduler = build_scheduler()
-        session = scheduler.admit(QuerySource(db, SQL))
+        session = scheduler.admit(QuerySource(db, SQL, join_kwargs=EVEN))
         scheduler.fetch(session.id, 10)
         floor_before = session.progress_est.lower_bound
         before = session.obs.records
         state = pickle.loads(pickle.dumps(session.suspend_to_state()))
 
-        fresh = Session("resumed", QuerySource(db, SQL))
+        fresh = Session("resumed", QuerySource(db, SQL, join_kwargs=EVEN))
         assert fresh.obs.trace is None
         fresh.resume_from_state(state)
         assert fresh.obs.trace == session.obs.trace

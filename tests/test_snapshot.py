@@ -5,7 +5,7 @@ import json
 import pytest
 
 from repro.core.distance_join import IncrementalDistanceJoin
-from repro.errors import StorageError
+from repro.errors import StorageError, TreeError
 from repro.geometry.rectangle import Rect
 from repro.rtree.guttman import GuttmanRTree
 from repro.rtree.validate import validate_tree
@@ -53,6 +53,8 @@ class TestRoundTrip:
         oid = loaded.insert_point((1.0, 1.0))
         assert oid == 50
         validate_tree(loaded)
+        with pytest.raises(TreeError, match="object id 17"):
+            loaded.insert(obj=points[0], oid=17)
 
     def test_guttman_round_trip(self, tmp_path):
         tree = GuttmanRTree(dim=2, max_entries=8)
