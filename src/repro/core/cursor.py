@@ -274,5 +274,7 @@ def loads(blob: bytes) -> Any:
         )
     try:
         return pickle.loads(payload)
+    except CursorError:
+        raise
     except Exception as exc:
         raise CursorError(f"corrupt cursor blob: {exc}") from exc

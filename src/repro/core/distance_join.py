@@ -120,8 +120,8 @@ class IncrementalDistanceJoin(cursor.SuspendableOperator):
         ``max_distance``, ``max_pairs``, ``tie_break``,
         ``node_policy``, ``queue``, ``queue_dt``, ``heap_class``,
         ``leaf_mode``, ``descending``, ``estimate``, ``aggressive``,
-        ``pair_filter``, ``process_leaves_together`` -- with the
-        semantics documented there and in the module docstring.
+        ``pair_filter`` -- with the semantics documented there and in
+        the module docstring.
     """
 
     #: Validation context: the forward semi-join (and k-NN join)
@@ -171,7 +171,6 @@ class IncrementalDistanceJoin(cursor.SuspendableOperator):
         self.estimate = spec.estimate and not spec.descending
         self.aggressive = spec.aggressive
         self.pair_filter = spec.pair_filter
-        self.process_leaves_together = spec.process_leaves_together
         self.filter_strategy = spec.filter_strategy
         self.dmax_strategy = spec.dmax_strategy
         self.counters = counters if counters is not None else tree1.counters
@@ -441,16 +440,6 @@ class IncrementalDistanceJoin(cursor.SuspendableOperator):
         item1, item2 = pair.item1, pair.item2
         if item1.is_node and item2.is_node:
             if self.node_policy == SIMULTANEOUS:
-                self._process_both(pair)
-                return
-            if (
-                self.process_leaves_together
-                and item1.level == 0
-                and item2.level == 0
-            ):
-                # Section 2.2.2 (unbalanced structures / deferred leaf
-                # processing): expand leaf/leaf pairs simultaneously so
-                # each object is fetched at most once per pair.
                 self._process_both(pair)
                 return
             if self.node_policy == EVEN and item2.level > item1.level:
@@ -743,12 +732,17 @@ class IncrementalDistanceJoin(cursor.SuspendableOperator):
     ) -> Optional[CandidateBlock]:
         """Batch-kernel simultaneous expansion (restriction + sweep).
 
-        The search-space restriction becomes one MINDIST kernel call
-        per node, the plane sweep runs in index space with the exact
-        scalar yield order (:func:`sweep_index_pairs`), and the
-        per-sweep-pair MINDIST becomes one gathered pairwise kernel
-        call.  Counter charges match the scalar path element for
-        element.  Returns the block (with its estimation d_max values)
+        Each node's search-space restriction is one boolean mask
+        (:meth:`BatchKernels.within`), and node 2's is never computed
+        once node 1 keeps nothing.  The plane sweep walks the order
+        cached on each SoA (``EntrySoA.sweep_columns``) filtered by the
+        masks -- the stable sort the scalar sweep makes afresh -- and
+        yields entry indices in the scalar yield order.  The
+        per-sweep-pair MINDIST (or point distance) is one gathered
+        kernel call.  Counter charges match the scalar path element for
+        element: like it, the restriction charges both nodes' full
+        entry counts as ``bound_calcs`` whether or not a mask is
+        computed.  Returns the block (with its estimation d_max values)
         like :meth:`_expand_vector`; ``None`` falls back to scalar.
         """
         soa_of1 = getattr(node1, "entries_soa", None)
@@ -771,48 +765,46 @@ class IncrementalDistanceJoin(cursor.SuspendableOperator):
         n1, n2 = s1.n, s2.n
         children1 = self._node_children(s1, node1.entries, level1)
         children2 = self._node_children(s2, node2.entries, level2)
+        empty = CandidateBlock([], [], children1, None, 0, [], children2)
+        self.distance._bound_calcs.add(n1 + n2)
+        if not n1 or not n2:
+            return empty
 
-        def empty() -> CandidateBlock:
-            return CandidateBlock([], [], children1, None, 0, [], children2)
-
-        # Search-space restriction (the scalar path charges the two
-        # nodes' full entry counts as bound_calcs whether or not a
-        # finite bound makes the restriction effective; so does this).
-        r1, r2 = pair.item1.rect, pair.item2.rect
-        if eff_dmax == _INF or n1 == 0:
-            idx1 = list(range(n1))
+        lo1, hi1, order1 = s1.sweep_columns()
+        lo2, hi2, order2 = s2.sweep_columns()
+        if eff_dmax == _INF:
+            # Nothing is restricted, and the sweep pairs every entry
+            # with every entry in entry order.
+            order1, order2 = range(n1), range(n2)
         else:
-            dm = kern.mindist(s1.lo, s1.hi, r2.lo, r2.hi)
-            idx1 = np.flatnonzero(np.less_equal(dm, eff_dmax)).tolist()
-        if eff_dmax == _INF or n2 == 0:
-            idx2 = list(range(n2))
-        else:
-            dm = kern.mindist(s2.lo, s2.hi, r1.lo, r1.hi)
-            idx2 = np.flatnonzero(np.less_equal(dm, eff_dmax)).tolist()
-        self.counters.add("bound_calcs", n1 + n2)
-        if not idx1 or not idx2:
-            return empty()
+            r2 = pair.item2.rect
+            keep = kern.within(s1.lo, s1.hi, r2.lo, r2.hi, eff_dmax).tolist()
+            order1 = [i for i in order1 if keep[i]]
+            if not order1:
+                return empty
+            r1 = pair.item1.rect
+            keep = kern.within(s2.lo, s2.hi, r1.lo, r1.hi, eff_dmax).tolist()
+            order2 = [j for j in order2 if keep[j]]
+            if not order2:
+                return empty
 
-        # Plane sweep in index space, exactly the scalar yield order;
-        # the seen-set hook sees the first child of every swept pair.
-        lo1x = s1.lo[idx1, 0].tolist()
-        hi1x = s1.hi[idx1, 0].tolist()
-        lo2x = s2.lo[idx2, 0].tolist()
-        hi2x = s2.hi[idx2, 0].tolist()
+        # The seen-set hook sees the first child of every swept pair.
         skip = None if self._hooks_default else self._skip_child
         ii: List[int] = []
         jj: List[int] = []
-        for a, b in sweep_index_pairs(lo1x, hi1x, lo2x, hi2x, eff_dmax):
-            if skip is not None and skip(1, children1[idx1[a]]):
+        for i, j in sweep_index_pairs(
+            lo1, hi1, order1, lo2, hi2, order2, eff_dmax
+        ):
+            if skip is not None and skip(1, children1[i]):
                 continue
-            ii.append(a)
-            jj.append(b)
+            ii.append(i)
+            jj.append(j)
         if not ii:
-            return empty()
+            return empty
 
         m = len(ii)
-        g1 = np.asarray(idx1, dtype=np.intp)[ii]
-        g2 = np.asarray(idx2, dtype=np.intp)[jj]
+        g1 = np.array(ii, dtype=np.intp)
+        g2 = np.array(jj, dtype=np.intp)
         glo1, ghi1 = s1.lo[g1], s1.hi[g1]
         glo2, ghi2 = s2.lo[g2], s2.hi[g2]
         if object_path:
@@ -827,7 +819,7 @@ class IncrementalDistanceJoin(cursor.SuspendableOperator):
             glo1, ghi1, None, 0, lo2=glo2, hi2=ghi2,
         )
         if alive is not None and not alive.size:
-            return empty()
+            return empty
         uppers = self._uppers_batch(
             kern, alive, object_path, level1 == 0 and level2 == 0,
             glo1, ghi1, None, 0, lo2=glo2, hi2=ghi2,

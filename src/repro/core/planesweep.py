@@ -10,6 +10,14 @@ with the classic spatial-join optimizations of Brinkhoff et al.:
    entries whose projections come within ``D_max`` of each other are
    paired -- the paper's modification of the intersection-only sweep,
    which must look ahead to ``x2 + D_max`` instead of ``x2``.
+
+There is one sweep loop, :func:`sweep_index_pairs`, over coordinate
+lists and a presorted order.  :func:`sweep_pairs` (entry objects: the
+scalar expansion, the within-distance baseline) feeds it a freshly
+sorted order; the batch-kernel expansion feeds it the order cached on
+each node's columnar mirror (``EntrySoA.sweep_columns``), filtered by
+the restriction.  Both orders are the same stable sort, so the two
+paths yield identical pairs in identical order by construction.
 """
 
 from __future__ import annotations
@@ -57,73 +65,63 @@ def sweep_pairs(
     up to ``hi + D_max`` (Figure 4: ``r1`` must also be checked against
     ``s3``, not only the projection-intersecting ``s1`` and ``s2``).
     """
+    lo1 = [e.rect.lo[axis] for e in entries1]
+    lo2 = [e.rect.lo[axis] for e in entries2]
     if max_gap == _INF:
-        for e1 in entries1:
-            for e2 in entries2:
-                yield e1, e2
-        return
-
-    a = sorted(entries1, key=lambda e: e.rect.lo[axis])
-    b = sorted(entries2, key=lambda e: e.rect.lo[axis])
-    i = j = 0
-    while i < len(a) and j < len(b):
-        if a[i].rect.lo[axis] <= b[j].rect.lo[axis]:
-            reach = a[i].rect.hi[axis] + max_gap
-            k = j
-            while k < len(b) and b[k].rect.lo[axis] <= reach:
-                yield a[i], b[k]
-                k += 1
-            i += 1
-        else:
-            reach = b[j].rect.hi[axis] + max_gap
-            k = i
-            while k < len(a) and a[k].rect.lo[axis] <= reach:
-                yield a[k], b[j]
-                k += 1
-            j += 1
+        order1, order2 = range(len(lo1)), range(len(lo2))
+    else:
+        order1 = sorted(range(len(lo1)), key=lo1.__getitem__)
+        order2 = sorted(range(len(lo2)), key=lo2.__getitem__)
+    hi1 = [e.rect.hi[axis] for e in entries1]
+    hi2 = [e.rect.hi[axis] for e in entries2]
+    for i, j in sweep_index_pairs(
+        lo1, hi1, order1, lo2, hi2, order2, max_gap
+    ):
+        yield entries1[i], entries2[j]
 
 
 def sweep_index_pairs(
     lo1: Sequence[float],
     hi1: Sequence[float],
+    order1: Sequence[int],
     lo2: Sequence[float],
     hi2: Sequence[float],
+    order2: Sequence[int],
     max_gap: float,
 ) -> Iterator[Tuple[int, int]]:
-    """Index-space variant of :func:`sweep_pairs` over parallel
-    coordinate lists (one sweep axis, already projected).
+    """The plane sweep over coordinate lists (one axis, projected).
 
-    Yields ``(i, j)`` position pairs in *exactly* the order
-    :func:`sweep_pairs` yields the corresponding entry pairs -- both
-    use a stable sort on the same ``lo`` keys and the identical
-    two-pointer lookahead -- which is what lets the batch-kernel
-    expansion preserve the scalar path's tie-break sequence.
+    ``lo1``/``hi1`` and ``lo2``/``hi2`` are indexed by entry; ``order1``
+    and ``order2`` are the entries to sweep, stably sorted on ``lo``
+    (ties in entry order).  Yields ``(i, j)`` entry-index pairs whose
+    projections approach within ``max_gap``, each once, in two-pointer
+    order.  With an infinite gap nothing is pruned: every pair of
+    ``order1`` x ``order2`` is yielded in the orders' own sequence, and
+    callers pass entry order there.
     """
-    n1 = len(lo1)
-    n2 = len(lo2)
     if max_gap == _INF:
-        for i in range(n1):
-            for j in range(n2):
+        for i in order1:
+            for j in order2:
                 yield i, j
         return
 
-    a = sorted(range(n1), key=lo1.__getitem__)
-    b = sorted(range(n2), key=lo2.__getitem__)
+    n1 = len(order1)
+    n2 = len(order2)
     i = j = 0
     while i < n1 and j < n2:
-        ai = a[i]
-        bj = b[j]
+        ai = order1[i]
+        bj = order2[j]
         if lo1[ai] <= lo2[bj]:
             reach = hi1[ai] + max_gap
             k = j
-            while k < n2 and lo2[b[k]] <= reach:
-                yield ai, b[k]
+            while k < n2 and lo2[order2[k]] <= reach:
+                yield ai, order2[k]
                 k += 1
             i += 1
         else:
             reach = hi2[bj] + max_gap
             k = i
-            while k < n1 and lo1[a[k]] <= reach:
-                yield a[k], bj
+            while k < n1 and lo1[order1[k]] <= reach:
+                yield order1[k], bj
                 k += 1
             j += 1

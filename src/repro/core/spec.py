@@ -24,6 +24,7 @@ from typing import Any, Callable, Mapping, Optional
 
 from repro.core.heap import BinaryHeap
 from repro.core.tiebreak import DEPTH_FIRST, POLICIES as TIE_BREAKS
+from repro.errors import CursorError
 from repro.geometry.metrics import EUCLIDEAN, Metric
 from repro.util.validation import require
 
@@ -67,6 +68,11 @@ KERNEL_SCALAR = "scalar"
 KERNEL_VECTOR = "vector"
 KERNEL_MODES = (KERNEL_AUTO, KERNEL_SCALAR, KERNEL_VECTOR)
 
+#: Knobs older builds had, with the value that left them off
+#: (:meth:`JoinSpec.__setstate__`).  ``process_leaves_together``
+#: expanded leaf/leaf pairs simultaneously under Basic and Even.
+_REMOVED_KNOBS = {"process_leaves_together": False}
+
 
 @dataclass(frozen=True)
 class JoinSpec:
@@ -107,7 +113,6 @@ class JoinSpec:
     estimate: bool = True
     aggressive: bool = False
     pair_filter: Optional[Callable[..., bool]] = None
-    process_leaves_together: bool = False
     filter_strategy: str = INSIDE2
     dmax_strategy: str = DMAX_LOCAL
     #: Batch-kernel selection: ``"auto"`` uses the vectorized node
@@ -144,6 +149,19 @@ class JoinSpec:
     def evolve(self, **changes: Any) -> "JoinSpec":
         """A copy with ``changes`` applied (frozen-dataclass update)."""
         return dataclasses.replace(self, **changes)
+
+    def __setstate__(self, state: dict) -> None:
+        # A spec unpickled from a cursor saved before a knob was
+        # removed: at its "off" value the knob changed nothing, so the
+        # spec loads; any other value names a traversal this build
+        # cannot replay.
+        for name, off in _REMOVED_KNOBS.items():
+            if state.pop(name, off) != off:
+                raise CursorError(
+                    f"the cursor's join spec sets {name}, which this "
+                    "build no longer has"
+                )
+        self.__dict__.update(state)
 
     # ------------------------------------------------------------------
     # the single validation point

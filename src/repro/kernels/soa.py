@@ -41,9 +41,15 @@ class EntrySoA:
         a node expanded against many partners reuses one list instead
         of reconstructing its children per expansion; the cache lives
         and dies with the SoA (node mutation invalidates both).
+    sweep_lo, sweep_hi, sweep_order:
+        The plane sweep's columns (:meth:`sweep_columns`), ``None``
+        until first asked for; cached and invalidated like ``items``.
     """
 
-    __slots__ = ("n", "lo", "hi", "pts", "items")
+    __slots__ = (
+        "n", "lo", "hi", "pts", "items",
+        "sweep_lo", "sweep_hi", "sweep_order",
+    )
 
     def __init__(self, n: int, lo, hi, pts) -> None:
         self.n = n
@@ -51,6 +57,23 @@ class EntrySoA:
         self.hi = hi
         self.pts = pts
         self.items = {}
+        self.sweep_lo = None
+        self.sweep_hi = None
+        self.sweep_order = None
+
+    def sweep_columns(self):
+        """``(lo, hi, order)`` on the sweep axis (axis 0): the entries'
+        lower and upper coordinates as float lists, and the entry
+        indices stably sorted on ``lo`` -- what
+        :func:`repro.core.planesweep.sweep_index_pairs` walks.  Built
+        once per SoA, so a node swept against many partners sorts once.
+        """
+        if self.sweep_order is None:
+            lo = self.lo[:, 0].tolist()
+            self.sweep_lo = lo
+            self.sweep_hi = self.hi[:, 0].tolist()
+            self.sweep_order = sorted(range(self.n), key=lo.__getitem__)
+        return self.sweep_lo, self.sweep_hi, self.sweep_order
 
     def __repr__(self) -> str:
         kind = "points" if self.pts is not None else "rects"

@@ -911,7 +911,7 @@ def choose_traversal(
     fan-outs and the two root MBRs, no stats walk, nothing charged) and
     picks Simultaneous when ``D <= SIMULTANEOUS_LEAF_FRACTION x leaf``.
     ``kwargs`` are the join's constructor keywords before the choice: a
-    caller's ``node_policy`` or ``process_leaves_together`` wins.
+    caller's ``node_policy`` wins.
     Kept on Even, each for a reason: the semi-join (measured slower),
     ``DESC``, ``SHARDS`` / ``PARALLEL`` (neutral in time, more memory),
     an index without an R-tree's fan-out (a quadtree), and a predicate
@@ -921,12 +921,8 @@ def choose_traversal(
     0.1 % selectivity).  A ``WATCH`` query's bootstrap and repair are
     not planned here.
     """
-    if "node_policy" in kwargs or "process_leaves_together" in kwargs:
-        together = kwargs.get("process_leaves_together", False)
-        return Traversal(
-            kwargs.get("node_policy", EVEN),
-            "caller, leaves together" if together else "caller",
-        )
+    if "node_policy" in kwargs:
+        return Traversal(kwargs["node_policy"], "caller")
     if query.is_semi_join:
         return Traversal(EVEN, "semi-join")
     if query.descending:

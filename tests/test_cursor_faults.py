@@ -3,6 +3,7 @@ every cursor kind, ends in :class:`CursorError` -- never another
 exception, never a changed tree -- and over HTTP a damaged spooled
 cursor costs exactly one session."""
 
+import itertools
 import logging
 import random
 
@@ -333,6 +334,44 @@ class TestStructuralDamage:
             state = case.fresh()
             damage(state)
             case.rejected(case.load, state)
+
+
+def drawn(case, target):
+    """The rows (or, for a standing join, the deltas) a loaded cursor
+    yields next."""
+    if case.kind == "query-source":
+        rows = target.open()
+    elif "live" in case.kind:
+        rows = target.poll()
+    else:
+        rows = target
+    return list(itertools.islice(rows, 10))
+
+
+class TestRemovedKnob:
+    """A cursor saved by a build whose ``JoinSpec`` still had
+    ``process_leaves_together``: at its off value it resumes with the
+    rows of a cursor without the field; switched on, it names a
+    traversal this build cannot replay and is a CursorError."""
+
+    def saved_by_older_build(self, case, value):
+        state = case.fresh()
+        # What pickling the older dataclass carried: one more field.
+        spec = case.operator(state)["spec"]
+        object.__setattr__(spec, "process_leaves_together", value)
+        return dumps(state)
+
+    def test_off_resumes_with_identical_rows(self, case):
+        want = drawn(case, case.load(case.fresh()))
+        older = loads(self.saved_by_older_build(case, False))
+        spec = case.operator(older)["spec"]
+        assert not hasattr(spec, "process_leaves_together")
+        assert drawn(case, case.load(older)) == want != []
+
+    def test_on_is_refused(self, case):
+        blob = self.saved_by_older_build(case, True)
+        with pytest.raises(CursorError, match="process_leaves_together"):
+            loads(blob)
 
 
 class TestSessionExtras:

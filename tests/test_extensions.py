@@ -1,5 +1,5 @@
-"""Tests for the Section 5 future-work extensions: segment data sets,
-deferred leaf processing, and dimension-agnostic behaviour."""
+"""Tests for the Section 5 future-work extensions: segment data sets
+and dimension-agnostic behaviour."""
 
 import pytest
 
@@ -13,8 +13,6 @@ from repro.datasets.tiger_like import (
 from repro.geometry.shapes import LineSegment
 from repro.rtree.bulk import bulk_load_str
 from repro.util.counters import CounterRegistry
-
-from tests.conftest import make_points, make_tree
 
 
 class TestSegmentDatasets:
@@ -151,42 +149,3 @@ class TestEstimatorOnExtendedObjects:
             min(w.distance_to(r) for r in roads) for w in water
         )[:10]
         assert got == pt.approx(truth)
-
-
-class TestDeferredLeafProcessing:
-    def test_same_results_as_default(self, small_trees):
-        tree_a, tree_b, truth = small_trees
-        join = IncrementalDistanceJoin(
-            tree_a, tree_b, process_leaves_together=True,
-            counters=CounterRegistry(),
-        )
-        got = [next(join).distance for __ in range(200)]
-        assert got == pytest.approx([t[0] for t in truth[:200]])
-
-    def test_composes_with_breadth_first(self, small_trees):
-        tree_a, tree_b, truth = small_trees
-        join = IncrementalDistanceJoin(
-            tree_a, tree_b, process_leaves_together=True,
-            tie_break="breadth_first", counters=CounterRegistry(),
-        )
-        got = [next(join).distance for __ in range(100)]
-        assert got == pytest.approx([t[0] for t in truth[:100]])
-
-    def test_fewer_node_expansions(self):
-        points_a = make_points(200, seed=191)
-        points_b = make_points(200, seed=192)
-        tree_a = make_tree(points_a)
-        tree_b = make_tree(points_b)
-
-        def run(together):
-            counters = CounterRegistry()
-            join = IncrementalDistanceJoin(
-                tree_a, tree_b, process_leaves_together=together,
-                counters=counters,
-            )
-            for __, ___ in zip(range(2000), join):
-                pass
-            return counters.value("node_reads")
-
-        # Leaf/leaf pairs expand once instead of twice.
-        assert run(True) <= run(False)

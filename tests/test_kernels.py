@@ -15,7 +15,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.core.distance_join import IncrementalDistanceJoin
 from repro.core.knn_join import KNearestNeighborJoin
-from repro.core.pairs import OBJ
+from repro.core.pairs import NODE, OBJ, Item, Pair
 from repro.core.semi_join import IncrementalDistanceSemiJoin
 from repro.core.spec import JoinSpec
 from repro.core.tiebreak import KeyMaker
@@ -520,6 +520,201 @@ class TestBlockEqualsPerPair:
                             dict(max_pairs=150), "auto")[0]
         assert trace.pushes == counters.value("queue_inserts") > 150
         assert counters.value("estimator_trims") > 0
+
+
+# ----------------------------------------------------------------------
+# one simultaneous expansion: the vector block against the scalar block
+# ----------------------------------------------------------------------
+
+
+def _tree_of(coords):
+    """A tree whose root is one leaf holding ``coords`` in entry order."""
+    return make_tree([Point(c) for c in coords])
+
+
+#: Root pairs expanded at one bound each: (coordinates of A, of B,
+#: eff_dmax, spec knobs).
+BLOCK_CASES = {
+    # Equal sweep-axis lo values everywhere: the stable order decides.
+    "duplicate_lo": (
+        [(0, 0), (0, 1), (1, 0), (0, 2), (1, 1), (2, 0), (1, 2), (0, 3)],
+        [(0, 0.5), (1, 0.5), (0, 1.5), (2, 2), (1, 1.5), (0, 0.5)],
+        1.2, {},
+    ),
+    # Node 1's entries are all beyond the bound from node 2's region,
+    # while node 2 keeps (5, 3); then the other way round.
+    "side1_empty": ([(0, 0), (10, 0)], [(5, 3), (5, 100)], 4.0, {}),
+    "side2_empty": ([(5, 3), (5, 100)], [(0, 0), (10, 0)], 4.0, {}),
+    "unbounded": (
+        [(3, 1), (0, 4), (2, 2), (5, 0)], [(1, 1), (4, 4), (0, 0)],
+        math.inf, {},
+    ),
+    "min_distance": (
+        [(0, 0), (1, 3), (4, 1), (6, 6), (2, 5)],
+        [(1, 1), (5, 2), (3, 3), (7, 0)],
+        5.0, {"min_distance": 2.5},
+    ),
+}
+
+
+def _expanded(kernel, tree_a, tree_b, node1, node2, eff_dmax, knobs):
+    """One simultaneous expansion of ``node1`` x ``node2``: the block's
+    distances, each row's two entries as indices into the nodes'
+    entry lists, the rows' estimation d_max values, and the counters
+    the expansion charged."""
+    counters = CounterRegistry()
+    join = IncrementalDistanceJoin(
+        tree_a, tree_b, JoinSpec(kernel=kernel, max_pairs=100, **knobs),
+        counters=counters,
+    )
+    pair = Pair(
+        Item(NODE, node1.mbr(), node_id=node1.page_id, level=node1.level),
+        Item(NODE, node2.mbr(), node_id=node2.page_id, level=node2.level),
+        0.0,
+    )
+    expand = (
+        join._expand_both_vector if kernel == "vector"
+        else join._expand_both_scalar
+    )
+    before = counters.full_snapshot()
+    block = expand(node1, node2, pair, eff_dmax)
+    charged = counters.full_snapshot().delta_from(before).values
+
+    def entry_of(node, item):
+        return [
+            e.oid if node.level == 0 else e.child_id for e in node.entries
+        ].index(item.oid if node.level == 0 else item.node_id)
+
+    rows = [entry_of(node1, block.first(r)) for r in range(len(block))]
+    rows2 = [entry_of(node2, block.second(r)) for r in range(len(block))]
+    if kernel == "vector":
+        # The vector block's rows are the entry indices themselves.
+        assert (block.rows, block.rows2) == (rows, rows2)
+    uppers = block.uppers
+    if uppers is None and len(block):
+        # Computed on enqueue otherwise (after the charges above); an
+        # object/object row's exact distance is its own d_max.
+        uppers = join._dmax_of(block, *block.head())
+    return block.dists, rows, rows2, uppers, charged
+
+
+def _same_level_pairs(tree_a, tree_b):
+    """Every node of A paired with every node of B on its level."""
+    def levels(tree):
+        nodes = {}
+        stack = [tree.root_id]
+        while stack:
+            node = tree.read_node(stack.pop())
+            nodes.setdefault(node.level, []).append(node)
+            if node.level > 0:
+                stack.extend(e.child_id for e in node.entries)
+        return nodes
+
+    by_level_b = levels(tree_b)
+    return [
+        (n1, n2)
+        for level, nodes in levels(tree_a).items()
+        for n1 in nodes for n2 in by_level_b.get(level, [])
+    ]
+
+
+@requires_numpy
+class TestSimultaneousBlocks:
+    """``_expand_both_vector`` builds the block ``_expand_both_scalar``
+    builds -- distances, the entries of every row in row order, the
+    d_max values -- and charges the same counters, whichever side the
+    restriction empties, at any bound, under every supported metric."""
+
+    @staticmethod
+    def assert_same(tree_a, tree_b, node1, node2, eff_dmax, knobs):
+        vector = _expanded("vector", tree_a, tree_b, node1, node2,
+                           eff_dmax, knobs)
+        scalar = _expanded("scalar", tree_a, tree_b, node1, node2,
+                           eff_dmax, knobs)
+        assert vector == scalar
+        return vector
+
+    @pytest.mark.parametrize("metric", METRICS)
+    @pytest.mark.parametrize("leaf_mode", ["direct", "obr"])
+    @pytest.mark.parametrize("name", list(BLOCK_CASES))
+    def test_root_pair(self, name, leaf_mode, metric):
+        coords_a, coords_b, eff_dmax, knobs = BLOCK_CASES[name]
+        tree_a, tree_b = _tree_of(coords_a), _tree_of(coords_b)
+        root_a = tree_a.read_node(tree_a.root_id)
+        root_b = tree_b.read_node(tree_b.root_id)
+        knobs = dict(knobs, metric=metric, leaf_mode=leaf_mode)
+        dists, __, ___, ____, charged = self.assert_same(
+            tree_a, tree_b, root_a, root_b, eff_dmax, knobs
+        )
+        assert charged["bound_calcs"] >= len(coords_a) + len(coords_b)
+        assert bool(dists) == (name not in ("side1_empty", "side2_empty"))
+
+    @pytest.mark.parametrize("metric", METRICS)
+    @pytest.mark.parametrize("eff_dmax", [0.0, 6.0, 25.0, math.inf])
+    def test_every_node_pair_of_two_trees(self, eff_dmax, metric):
+        tree_a = make_tree(make_points(60, seed=11))
+        tree_b = make_tree(make_points(80, seed=22))
+        kept = 0
+        for node1, node2 in _same_level_pairs(tree_a, tree_b):
+            kept += len(self.assert_same(
+                tree_a, tree_b, node1, node2, eff_dmax, {"metric": metric}
+            )[0])
+        assert kept > 0
+
+    @pytest.mark.parametrize("name, within_calls", [
+        ("side1_empty", 1), ("side2_empty", 2), ("duplicate_lo", 2),
+        ("unbounded", 0),
+    ])
+    def test_side_two_is_not_restricted_once_side_one_is_empty(
+        self, monkeypatch, name, within_calls
+    ):
+        from repro.kernels.batch import BatchKernels
+
+        calls = []
+        within = BatchKernels.within
+
+        def counted(self, *args):
+            calls.append(args)
+            return within(self, *args)
+
+        monkeypatch.setattr(BatchKernels, "within", counted)
+        coords_a, coords_b, eff_dmax, knobs = BLOCK_CASES[name]
+        tree_a, tree_b = _tree_of(coords_a), _tree_of(coords_b)
+        _expanded(
+            "vector", tree_a, tree_b, tree_a.read_node(tree_a.root_id),
+            tree_b.read_node(tree_b.root_id), eff_dmax, knobs,
+        )
+        assert len(calls) == within_calls
+
+    def test_the_cached_order_dies_with_its_soa(self):
+        coords_a, coords_b, eff_dmax, knobs = BLOCK_CASES["duplicate_lo"]
+        # Room for one more entry in the root leaf.
+        tree_a, tree_b = _tree_of(coords_a[:6]), _tree_of(coords_b)
+
+        def expand():
+            root_a = tree_a.read_node(tree_a.root_id)
+            root_b = tree_b.read_node(tree_b.root_id)
+            assert root_a.level == 0
+            rows = self.assert_same(
+                tree_a, tree_b, root_a, root_b, eff_dmax, knobs
+            )[1]
+            soa = root_a.entries_soa()
+            assert soa.sweep_order is not None
+            return root_a, soa, rows
+
+        __, first, ___ = expand()
+        # A new leftmost entry: it heads the sweep order once rebuilt.
+        leftmost = Point((-0.5, 0.75))
+        oid = tree_a.insert(obj=leftmost)
+        root_a, second, rows = expand()
+        assert second is not first
+        new = [e.oid for e in root_a.entries].index(oid)
+        assert second.sweep_order[0] == new and new in rows
+        assert tree_a.delete(oid, Rect.from_point(leftmost))
+        __, third, rows = expand()
+        assert third is not second
+        assert third.sweep_order == first.sweep_order
+        assert len(rows) == len(expand()[2])
 
 
 # ----------------------------------------------------------------------

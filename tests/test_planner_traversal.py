@@ -1,9 +1,9 @@
 """The planner's traversal choice and the tie contract that makes it
 invisible: which node policy each statement shape runs, that the
 choice costs no stats walk and no counter, and that every plan -- any
-node policy, leaves apart or together, SHARDS, PARALLEL, a cursor
-saved and loaded at every page -- returns the same rows, byte for byte,
-on data full of distance ties."""
+node policy, SHARDS, PARALLEL, a cursor saved and loaded at every
+page -- returns the same rows, byte for byte, on data full of distance
+ties."""
 
 import random
 
@@ -119,17 +119,13 @@ class TestTraversalChoice:
     @pytest.mark.parametrize("knobs, shown", [
         ({"node_policy": "even"}, "even (caller)"),
         ({"node_policy": "basic"}, "basic (caller)"),
-        ({"process_leaves_together": True},
-         "even (caller, leaves together)"),
     ])
     def test_an_explicit_policy_wins(self, maps_db, knobs, shown):
         plan = maps_db.physical_plan(
             f"{HEAD}ORDER BY d STOP AFTER 10", **knobs
         )
         assert str(plan.join_op.traversal) == shown
-        assert plan.open_join().node_policy == knobs.get(
-            "node_policy", "even"
-        )
+        assert plan.open_join().node_policy == knobs["node_policy"]
 
     def test_quadtree_relations_keep_even(self):
         db = Database()
@@ -204,9 +200,8 @@ GRID_QUERIES = [
 VARIANTS = [("", {})] + [
     (f" {hint}", {}) for hint in ("SHARDS 2", "SHARDS 4", "PARALLEL 2")
 ] + [
-    ("", {"node_policy": policy, "process_leaves_together": together})
+    ("", {"node_policy": policy})
     for policy in ("basic", "even", "simultaneous")
-    for together in (False, True)
 ]
 
 

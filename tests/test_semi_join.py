@@ -94,17 +94,6 @@ class TestCorrectness:
         for result in got:
             assert result.distance == pytest.approx(nn[result.oid1][0])
 
-    def test_deferred_leaf_processing(self, semi_setup):
-        tree_a, tree_b, points_a, __, nn = semi_setup
-        semi = IncrementalDistanceSemiJoin(
-            tree_a, tree_b, process_leaves_together=True,
-            counters=CounterRegistry(),
-        )
-        got = list(semi)
-        assert len(got) == len(points_a)
-        for result in got:
-            assert result.distance == pytest.approx(nn[result.oid1][0])
-
     def test_asymmetry(self, semi_setup):
         """Semi-join of A with B differs from B with A (paper Sec. 1)."""
         tree_a, tree_b, points_a, points_b, __ = semi_setup
