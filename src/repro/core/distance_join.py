@@ -46,6 +46,7 @@ from repro.core.pairs import (
 )
 from repro.core.planesweep import (
     restrict_entries,
+    restrict_order,
     sweep_index_pairs,
     sweep_pairs,
 )
@@ -732,17 +733,18 @@ class IncrementalDistanceJoin(cursor.SuspendableOperator):
     ) -> Optional[CandidateBlock]:
         """Batch-kernel simultaneous expansion (restriction + sweep).
 
-        Each node's search-space restriction is one boolean mask
-        (:meth:`BatchKernels.within`), and node 2's is never computed
-        once node 1 keeps nothing.  The plane sweep walks the order
-        cached on each SoA (``EntrySoA.sweep_columns``) filtered by the
-        masks -- the stable sort the scalar sweep makes afresh -- and
-        yields entry indices in the scalar yield order.  The
-        per-sweep-pair MINDIST (or point distance) is one gathered
-        kernel call.  Counter charges match the scalar path element for
-        element: like it, the restriction charges both nodes' full
-        entry counts as ``bound_calcs`` whether or not a mask is
-        computed.  Returns the block (with its estimation d_max values)
+        Each node's search-space restriction is :func:`restrict_order`
+        over the columns cached on its SoA (``EntrySoA.sweep_columns``):
+        a bisection of the sorted sweep keys, then an exact test of
+        the candidates left.  Its result is the cached order filtered
+        -- the stable sort the scalar sweep makes afresh -- so the
+        plane sweep yields entry indices in the scalar yield order.
+        Node 2's columns and test are never touched once node 1 keeps
+        nothing.  The per-sweep-pair MINDIST (or point distance) is one
+        gathered kernel call.  Counter charges match the scalar path
+        element for element: like it, the restriction charges both
+        nodes' full entry counts as ``bound_calcs`` however few entries
+        it tests.  Returns the block (with its estimation d_max values)
         like :meth:`_expand_vector`; ``None`` falls back to scalar.
         """
         soa_of1 = getattr(node1, "entries_soa", None)
@@ -770,21 +772,22 @@ class IncrementalDistanceJoin(cursor.SuspendableOperator):
         if not n1 or not n2:
             return empty
 
-        lo1, hi1, order1 = s1.sweep_columns()
-        lo2, hi2, order2 = s2.sweep_columns()
+        lo1, hi1, order1, keys1 = s1.sweep_columns()
         if eff_dmax == _INF:
             # Nothing is restricted, and the sweep pairs every entry
             # with every entry in entry order.
+            lo2, hi2, __, ___ = s2.sweep_columns()
             order1, order2 = range(n1), range(n2)
         else:
-            r2 = pair.item2.rect
-            keep = kern.within(s1.lo, s1.hi, r2.lo, r2.hi, eff_dmax).tolist()
-            order1 = [i for i in order1 if keep[i]]
+            order1 = restrict_order(
+                lo1, hi1, order1, keys1, pair.item2.rect, kern.p, eff_dmax
+            )
             if not order1:
                 return empty
-            r1 = pair.item1.rect
-            keep = kern.within(s2.lo, s2.hi, r1.lo, r1.hi, eff_dmax).tolist()
-            order2 = [j for j in order2 if keep[j]]
+            lo2, hi2, order2, keys2 = s2.sweep_columns()
+            order2 = restrict_order(
+                lo2, hi2, order2, keys2, pair.item1.rect, kern.p, eff_dmax
+            )
             if not order2:
                 return empty
 
@@ -793,7 +796,7 @@ class IncrementalDistanceJoin(cursor.SuspendableOperator):
         ii: List[int] = []
         jj: List[int] = []
         for i, j in sweep_index_pairs(
-            lo1, hi1, order1, lo2, hi2, order2, eff_dmax
+            lo1[0], hi1[0], order1, lo2[0], hi2[0], order2, eff_dmax
         ):
             if skip is not None and skip(1, children1[i]):
                 continue

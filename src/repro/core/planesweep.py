@@ -16,18 +16,32 @@ lists and a presorted order.  :func:`sweep_pairs` (entry objects: the
 scalar expansion, the within-distance baseline) feeds it a freshly
 sorted order; the batch-kernel expansion feeds it the order cached on
 each node's columnar mirror (``EntrySoA.sweep_columns``), filtered by
-the restriction.  Both orders are the same stable sort, so the two
-paths yield identical pairs in identical order by construction.
+:func:`restrict_order`.  Both orders are the same stable sort, so the
+two paths yield identical pairs in identical order by construction.
+
+The restriction, too, has two forms that keep the same entries:
+:func:`restrict_entries` tests every entry object, and
+:func:`restrict_order` tests only the entries a bisection of the
+cached sweep keys leaves as candidates.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
+from math import sqrt
 from typing import Iterator, List, Sequence, Tuple
 
 from repro.geometry.metrics import Metric
 from repro.geometry.rectangle import Rect
 
 _INF = float("inf")
+
+# How far restrict_order widens its sweep-axis cut: a fraction of the
+# operands' magnitude, far above the rounding of the cut and of the
+# exact test's gap, plus an absolute term above 2**-511, below which a
+# gap's square underflows and sqrt(gap * gap) may fall short of gap.
+_CUT_SLACK = 2.0 ** -40
+_CUT_FLOOR = 2.0 ** -500
 
 
 def restrict_entries(
@@ -125,3 +139,80 @@ def sweep_index_pairs(
                 yield order1[k], bj
                 k += 1
             j += 1
+
+
+def restrict_order(
+    lo: Sequence[Sequence[float]],
+    hi: Sequence[Sequence[float]],
+    order: Sequence[int],
+    keys: Sequence[float],
+    other_region: Rect,
+    p: float,
+    max_distance: float,
+) -> List[int]:
+    """The search-space restriction over a node's cached columns.
+
+    ``lo[k][i]`` / ``hi[k][i]`` are entry ``i``'s axis-``k`` corners,
+    ``order`` the entries stably sorted on ``lo[0]`` and ``keys`` those
+    ``lo[0]`` values in that order (``EntrySoA.sweep_columns``); ``p``
+    is the Minkowski order, 1, 2 or infinity.  Returns the entries of
+    ``order``, in ``order``'s sequence, whose MINDIST to
+    ``other_region`` is at most ``max_distance`` -- the entries
+    :func:`restrict_entries` keeps, tested on the same floats the batch
+    ``mindist`` kernel reads.  The work follows the candidates, not the
+    node:
+
+    1. *The cut.*  A bisection of ``keys`` drops every entry whose
+       ``lo[0]`` lies beyond ``other_region.hi[0] + max_distance``.
+       When ``hi is lo`` (every entry a point) it also drops those
+       below ``other_region.lo[0] - max_distance``; a rectangle's
+       ``hi[0]`` is not sorted, so other nodes have no lower cut.  Each
+       cut is widened (:func:`_widening`) so that a dropped entry's
+       axis-0 gap exceeds ``max_distance`` even after rounding, and so
+       does every norm of it: rounding in the cut never drops an entry
+       the test keeps.
+    2. *The exact test* of each candidate: ``Metric.mindist_rect_rect``
+       operation for operation -- the elif gap chain per axis, then a
+       left-to-right sum of squares and ``sqrt`` (L2), a sum (L1) or a
+       max (L-infinity).  A gap is never NaN or negative, so starting
+       each norm from 0.0 and skipping zero gaps leaves its bits as
+       they are.
+    """
+    r_lo, r_hi = other_region.lo, other_region.hi
+    top = r_hi[0]
+    stop = bisect_right(
+        keys, top + max_distance + _widening(top, max_distance)
+    )
+    start = 0
+    if hi is lo:
+        bottom = r_lo[0]
+        start = bisect_left(
+            keys, bottom - max_distance - _widening(bottom, max_distance),
+            0, stop,
+        )
+    axes = tuple(zip(lo, hi, r_lo, r_hi))
+    kept = []
+    for i in order[start:stop]:
+        norm = 0.0
+        for a_lo, a_hi, b_lo, b_hi in axes:
+            c = a_hi[i]
+            if c < b_lo:
+                gap = b_lo - c
+            else:
+                c = a_lo[i]
+                if not b_hi < c:
+                    continue
+                gap = c - b_hi
+            if p == 2.0:
+                norm += gap * gap
+            elif p == 1.0:
+                norm += gap
+            elif gap > norm:
+                norm = gap
+        if (sqrt(norm) if p == 2.0 else norm) <= max_distance:
+            kept.append(i)
+    return kept
+
+
+def _widening(edge: float, max_distance: float) -> float:
+    return (abs(edge) + max_distance) * _CUT_SLACK + _CUT_FLOOR

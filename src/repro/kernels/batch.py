@@ -105,12 +105,6 @@ class BatchKernels:
         )
         return self._combine(deltas)
 
-    def within(self, lo1, hi1, lo2, hi2, bound: float) -> np.ndarray:
-        """Boolean mask of ``mindist <= bound``: the search-space
-        restriction of :func:`repro.core.planesweep.restrict_entries`
-        (a NaN distance fails it, as in Python)."""
-        return np.less_equal(self.mindist(lo1, hi1, lo2, hi2), bound)
-
     def maxdist(self, lo1, hi1, lo2, hi2) -> np.ndarray:
         """Batch ``Metric.maxdist_rect_rect``."""
         lo1, hi1, lo2, hi2 = self._coerce(lo1, hi1, lo2, hi2)

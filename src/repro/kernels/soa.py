@@ -41,14 +41,15 @@ class EntrySoA:
         a node expanded against many partners reuses one list instead
         of reconstructing its children per expansion; the cache lives
         and dies with the SoA (node mutation invalidates both).
-    sweep_lo, sweep_hi, sweep_order:
-        The plane sweep's columns (:meth:`sweep_columns`), ``None``
-        until first asked for; cached and invalidated like ``items``.
+    cols_lo, cols_hi, sweep_order, sweep_keys:
+        The restriction's and the plane sweep's columns
+        (:meth:`sweep_columns`), ``None`` until first asked for; cached
+        and invalidated like ``items``.
     """
 
     __slots__ = (
         "n", "lo", "hi", "pts", "items",
-        "sweep_lo", "sweep_hi", "sweep_order",
+        "cols_lo", "cols_hi", "sweep_order", "sweep_keys",
     )
 
     def __init__(self, n: int, lo, hi, pts) -> None:
@@ -57,23 +58,37 @@ class EntrySoA:
         self.hi = hi
         self.pts = pts
         self.items = {}
-        self.sweep_lo = None
-        self.sweep_hi = None
+        self.cols_lo = None
+        self.cols_hi = None
         self.sweep_order = None
+        self.sweep_keys = None
 
     def sweep_columns(self):
-        """``(lo, hi, order)`` on the sweep axis (axis 0): the entries'
-        lower and upper coordinates as float lists, and the entry
-        indices stably sorted on ``lo`` -- what
-        :func:`repro.core.planesweep.sweep_index_pairs` walks.  Built
-        once per SoA, so a node swept against many partners sorts once.
+        """``(lo, hi, order, keys)``: the entries' corners as per-axis
+        lists of Python floats (``lo[k][i]`` is entry ``i``'s axis-``k``
+        lower coordinate), the entry indices stably sorted on ``lo[0]``
+        (the sweep axis), and those ``lo[0]`` values in that order --
+        what :func:`repro.core.planesweep.restrict_order` bisects and
+        :func:`repro.core.planesweep.sweep_index_pairs` walks.
+
+        When every entry is a point (``lo == hi``) one list per axis
+        serves both corners, so ``hi is lo``; ``keys`` holds the float
+        objects of ``lo[0]``, not copies.  Built once per SoA (never
+        for an empty one), so a node restricted and swept against many
+        partners converts and sorts once.
         """
         if self.sweep_order is None:
-            lo = self.lo[:, 0].tolist()
-            self.sweep_lo = lo
-            self.sweep_hi = self.hi[:, 0].tolist()
-            self.sweep_order = sorted(range(self.n), key=lo.__getitem__)
-        return self.sweep_lo, self.sweep_hi, self.sweep_order
+            lo = self.lo.T.tolist()
+            self.cols_lo = lo
+            self.cols_hi = (
+                lo if np.array_equal(self.lo, self.hi)
+                else self.hi.T.tolist()
+            )
+            axis = lo[0]
+            order = sorted(range(self.n), key=axis.__getitem__)
+            self.sweep_order = order
+            self.sweep_keys = [axis[i] for i in order]
+        return self.cols_lo, self.cols_hi, self.sweep_order, self.sweep_keys
 
     def __repr__(self) -> str:
         kind = "points" if self.pts is not None else "rects"

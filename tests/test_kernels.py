@@ -661,30 +661,34 @@ class TestSimultaneousBlocks:
             )[0])
         assert kept > 0
 
-    @pytest.mark.parametrize("name, within_calls", [
+    @pytest.mark.parametrize("name, tests", [
         ("side1_empty", 1), ("side2_empty", 2), ("duplicate_lo", 2),
         ("unbounded", 0),
     ])
     def test_side_two_is_not_restricted_once_side_one_is_empty(
-        self, monkeypatch, name, within_calls
+        self, monkeypatch, name, tests
     ):
-        from repro.kernels.batch import BatchKernels
+        from repro.core import distance_join
 
-        calls = []
-        within = BatchKernels.within
+        regions = []
+        restrict_order = distance_join.restrict_order
 
-        def counted(self, *args):
-            calls.append(args)
-            return within(self, *args)
+        def counted(lo, hi, order, keys, other_region, *args):
+            regions.append(other_region)
+            return restrict_order(lo, hi, order, keys, other_region, *args)
 
-        monkeypatch.setattr(BatchKernels, "within", counted)
+        monkeypatch.setattr(distance_join, "restrict_order", counted)
         coords_a, coords_b, eff_dmax, knobs = BLOCK_CASES[name]
         tree_a, tree_b = _tree_of(coords_a), _tree_of(coords_b)
-        _expanded(
-            "vector", tree_a, tree_b, tree_a.read_node(tree_a.root_id),
-            tree_b.read_node(tree_b.root_id), eff_dmax, knobs,
-        )
-        assert len(calls) == within_calls
+        root_a = tree_a.read_node(tree_a.root_id)
+        root_b = tree_b.read_node(tree_b.root_id)
+        _expanded("vector", tree_a, tree_b, root_a, root_b, eff_dmax, knobs)
+        assert len(regions) == tests
+        # Node 1 is tested against node 2's region first; node 2's
+        # columns are never even built once node 1 keeps nothing.
+        assert regions[:1] in ([], [root_b.mbr()])
+        swept = root_b.entries_soa().sweep_order is not None
+        assert swept == (name != "side1_empty")
 
     def test_the_cached_order_dies_with_its_soa(self):
         coords_a, coords_b, eff_dmax, knobs = BLOCK_CASES["duplicate_lo"]
