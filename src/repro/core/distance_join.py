@@ -31,6 +31,7 @@ All of the paper's algorithmic knobs are exposed:
 
 from __future__ import annotations
 
+from itertools import compress
 from typing import Any, Dict, List, NamedTuple, Optional
 
 from repro.core import cursor
@@ -47,8 +48,8 @@ from repro.core.pairs import (
 from repro.core.planesweep import (
     restrict_entries,
     restrict_order,
+    sweep_entry_indices,
     sweep_index_pairs,
-    sweep_pairs,
 )
 from repro.core.pqueue import (
     AdaptiveHybridPairQueue,
@@ -132,6 +133,11 @@ class IncrementalDistanceJoin(cursor.SuspendableOperator):
     #: The maximum-distance estimator variant for ``max_pairs`` joins.
     _estimator_class = JoinEstimator
 
+    #: Whether :meth:`_filter_candidates` reads the rows' estimation
+    #: d_max (the semi-join's d_max hooks), so an expansion computes
+    #: them in one batch even without an estimator.
+    _hook_reads_uppers = False
+
     _cursor_kind = "join"
 
     def __init__(
@@ -183,11 +189,10 @@ class IncrementalDistanceJoin(cursor.SuspendableOperator):
         # kernel="auto" an environment without numpy silently gets the
         # scalar path, which produces bit-identical results.
         self._kern = resolve_kernels(spec.kernel, spec.metric)
-        # The Inside2 seen-set hook must observe every child, in entry
-        # order, before any distance is computed; with the base no-op
-        # the vectorized expansion skips that pass.
+        # With the base no-op seen-set hook the vectorized expansions
+        # skip even the call.
         self._hooks_default = (
-            type(self)._skip_child is IncrementalDistanceJoin._skip_child
+            type(self)._keep_mask is IncrementalDistanceJoin._keep_mask
         )
         # An expansion is enqueued as one block while per-push side
         # effects are the stock ones; a subclass overriding _push (e.g.
@@ -422,9 +427,22 @@ class IncrementalDistanceJoin(cursor.SuspendableOperator):
     def _on_expand(self, pair: Pair, side: int) -> None:
         """A node of ``pair`` (on ``side``) is about to be expanded."""
 
-    def _skip_child(self, side: int, child: Item) -> bool:
-        """Return True to drop a child entry before pairing it."""
-        return False
+    def _keep_mask(
+        self, side: int, level: int, children: List[Item]
+    ) -> Optional[List[bool]]:
+        """The seen-set test of one expansion, before any distance is
+        computed: ``keep[i]`` is False for a child of the node on
+        ``side`` (at ``level``) that must not be paired, or ``None``
+        when nothing can be dropped.  Charges nothing; the expansion
+        charges ``pruned_seen`` once (:meth:`_charge_seen`)."""
+        return None
+
+    def _charge_seen(self, dropped: int) -> None:
+        """One ``pruned_seen`` add for the candidates an expansion
+        dropped on the seen-set test: its children (one-sided) or its
+        swept pairs (simultaneous)."""
+        if dropped:
+            self.counters.add("pruned_seen", dropped)
 
     def _filter_candidates(
         self, pair: Pair, side: int, block: CandidateBlock
@@ -484,12 +502,17 @@ class IncrementalDistanceJoin(cursor.SuspendableOperator):
         self, node: Any, other: Item, side: int, eff_dmax: float
     ) -> CandidateBlock:
         """The per-entry (scalar) expansion loop."""
+        level = node.level
+        make = self._make_child_item
+        candidates = [make(level, entry) for entry in node.entries]
+        keep = self._keep_mask(side, level, candidates)
+        if keep is not None:
+            unseen = list(compress(candidates, keep))
+            self._charge_seen(len(candidates) - len(unseen))
+            candidates = unseen
         dists: List[float] = []
         children: List[Item] = []
-        for entry in node.entries:
-            child = self._make_child_item(node.level, entry)
-            if self._skip_child(side, child):
-                continue
+        for child in candidates:
             item1, item2 = (child, other) if side == 1 else (other, child)
             d = self.distance.mindist(item1, item2)
             if self._range_admits(item1, item2, d, eff_dmax):
@@ -509,7 +532,7 @@ class IncrementalDistanceJoin(cursor.SuspendableOperator):
         estimation d_max values (:meth:`_uppers_batch`) -- or ``None``
         to fall back to the scalar path (foreign node type, or object
         payloads the point kernel cannot serve).  Stage order
-        replicates the scalar loop exactly: seen-set hook, then
+        replicates the scalar loop exactly: seen-set mask, then
         MINDIST + range test.
         """
         soa_of = getattr(node, "entries_soa", None)
@@ -535,18 +558,20 @@ class IncrementalDistanceJoin(cursor.SuspendableOperator):
         children = self._node_children(soa, node.entries, level)
         lo, hi, pts = soa.lo, soa.hi, soa.pts
         taken: Optional[List[int]] = None
-        if not self._hooks_default:
-            # The seen-set hook's pruned_seen charges are part of the
-            # bit-identity contract: every child, in entry order.
-            skip = self._skip_child
-            taken = [
-                i for i, child in enumerate(children)
-                if not skip(side, child)
-            ]
+        keep = (
+            None if self._hooks_default
+            else self._keep_mask(side, level, children)
+        )
+        if keep is not None:
+            taken = list(compress(range(soa.n), keep))
+            self._charge_seen(soa.n - len(taken))
             if not taken:
                 return CandidateBlock([], [], children, other, side)
-            lo, hi = lo[taken], hi[taken]
-            pts = pts[taken] if pts is not None else None
+            if len(taken) == soa.n:
+                taken = None  # nothing dropped: no gather
+            else:
+                lo, hi = lo[taken], hi[taken]
+                pts = pts[taken] if pts is not None else None
         m = soa.n if taken is None else len(taken)
 
         if object_path:
@@ -709,23 +734,30 @@ class IncrementalDistanceJoin(cursor.SuspendableOperator):
         self.counters.add(
             "bound_calcs", len(node1.entries) + len(node2.entries)
         )
+        make = self._make_child_item
+        children1 = [make(node1.level, e) for e in entries1]
+        children2 = [make(node2.level, e) for e in entries2]
+        # The seen-set mask of node 1's children, looked up per swept
+        # pair.
+        keep = self._keep_mask(1, node1.level, children1)
 
         dists: List[float] = []
-        children1: List[Item] = []
-        children2: List[Item] = []
-        for e1, e2 in sweep_pairs(entries1, entries2, eff_dmax):
-            child1 = self._make_child_item(node1.level, e1)
-            if self._skip_child(1, child1):
+        rows1: List[int] = []
+        rows2: List[int] = []
+        dropped = 0
+        for i, j in sweep_entry_indices(children1, children2, eff_dmax):
+            if keep is not None and not keep[i]:
+                dropped += 1
                 continue
-            child2 = self._make_child_item(node2.level, e2)
+            child1, child2 = children1[i], children2[j]
             d = self.distance.mindist(child1, child2)
             if self._range_admits(child1, child2, d, eff_dmax):
                 dists.append(d)
-                children1.append(child1)
-                children2.append(child2)
-        rows = list(range(len(dists)))
+                rows1.append(i)
+                rows2.append(j)
+        self._charge_seen(dropped)
         return CandidateBlock(
-            dists, rows, children1, None, 0, rows, children2
+            dists, rows1, children1, None, 0, rows2, children2
         )
 
     def _expand_both_vector(
@@ -791,17 +823,24 @@ class IncrementalDistanceJoin(cursor.SuspendableOperator):
             if not order2:
                 return empty
 
-        # The seen-set hook sees the first child of every swept pair.
-        skip = None if self._hooks_default else self._skip_child
+        # The seen-set mask of node 1's children, looked up per swept
+        # pair.
+        keep = (
+            None if self._hooks_default
+            else self._keep_mask(1, level1, children1)
+        )
         ii: List[int] = []
         jj: List[int] = []
+        dropped = 0
         for i, j in sweep_index_pairs(
             lo1[0], hi1[0], order1, lo2[0], hi2[0], order2, eff_dmax
         ):
-            if skip is not None and skip(1, children1[i]):
+            if keep is not None and not keep[i]:
+                dropped += 1
                 continue
             ii.append(i)
             jj.append(j)
+        self._charge_seen(dropped)
         if not ii:
             return empty
 
@@ -841,18 +880,21 @@ class IncrementalDistanceJoin(cursor.SuspendableOperator):
     ) -> Optional[List[float]]:
         """Estimation d_max (Section 2.2.4) of one expansion's admitted
         rows -- ``alive`` and the corner arrays are what
-        :meth:`_range_admits_batch` returned and took -- for the block
-        enqueue.
+        :meth:`_range_admits_batch` returned and took -- for the d_max
+        hooks and the block enqueue.
 
         One MAXDIST kernel call (MINMAXDIST when both sides are
         ``minimal`` bounding rectangles) serves the block, bit-identical
-        to the scalar :meth:`PairDistance.estimation_maxdist`.  Only
-        enqueued pairs cost a ``bound_calcs`` unit, so
-        :meth:`_offer` charges, not this.  ``None`` when the values
-        would go unused: no estimator, the per-pair loop, or exact
-        object distances (their own d_max).
+        to the scalar :meth:`PairDistance.estimation_maxdist`.  Each
+        consumer charges by the per-pair rule, not this: the d_max
+        hooks one ``bound_calcs`` unit per row they read, :meth:`_offer`
+        one per row enqueued.  ``None`` when the values would go unused
+        -- no d_max hook and either no estimator or the per-pair loop --
+        or for exact object distances (their own d_max).
         """
-        if self._estimator is None or not self._block_push or object_path:
+        if object_path or not self._hook_reads_uppers and (
+            self._estimator is None or not self._block_push
+        ):
             return None
         if alive is not None:
             lo, hi = lo[alive], hi[alive]
@@ -878,10 +920,11 @@ class IncrementalDistanceJoin(cursor.SuspendableOperator):
         observed once at the final (maximal) size; the estimator then
         takes the block in one ``offer``.  No queue push reads what the
         estimator writes, so totals, peaks and the trim trajectory
-        equal the per-pair accounting exactly.  Rows stay rows: pairs
-        are built only for a ``pair_filter``, a subclass's d_max hooks,
-        and the per-pair loop (an overridden ``_push``, the consistency
-        checker).
+        equal the per-pair accounting exactly.  Rows stay rows: the
+        d_max hooks read the block's columns (distances, batch d_max
+        bounds, child rows), and pairs are built only for a
+        ``pair_filter`` and the per-pair loop (an overridden ``_push``,
+        the consistency checker).
         """
         if not block.dists:
             return
@@ -978,8 +1021,8 @@ class IncrementalDistanceJoin(cursor.SuspendableOperator):
     ) -> None:
         """Offer a just-enqueued block (headed by ``item1`` / ``item2``)
         to the estimator, with the d_max values of :meth:`_uppers_batch`
-        if the expansion computed them (charged here: only enqueued
-        rows cost a bound)."""
+        (or of a d_max hook) if already computed (charged here: every
+        enqueued row costs a bound)."""
         if block.uppers is None:
             block.uppers = self._dmax_of(block, item1, item2)
         else:

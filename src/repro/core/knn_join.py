@@ -26,14 +26,13 @@ The paper's pruning machinery generalizes soundly:
 from __future__ import annotations
 
 import heapq
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.core.pairs import NODE, CandidateBlock, Item, Pair
 from repro.core.spec import JoinSpec
 from repro.core.semi_join import (
     DMAX_GLOBAL_ALL,
     DMAX_GLOBAL_NODES,
-    DMAX_NONE,
     INSIDE1,
     INSIDE2,
     IncrementalDistanceSemiJoin,
@@ -110,16 +109,13 @@ class KNearestNeighborJoin(IncrementalDistanceSemiJoin):
                 return True
         return False
 
-    def _skip_child(self, side: int, child: Item) -> bool:
-        if (
-            side == 1
-            and self.filter_strategy == INSIDE2
-            and child.kind != NODE
-            and self._object_done(child.oid)
-        ):
-            self.counters.add("pruned_seen")
-            return True
-        return False
+    def _keep_mask(
+        self, side: int, level: int, children: List[Item]
+    ) -> Optional[List[bool]]:
+        if side != 1 or level or self.filter_strategy != INSIDE2:
+            return None
+        counts, k = self._partner_counts, self.k
+        return [counts.get(child.oid, 0) < k for child in children]
 
     def _on_report(self, pair: Pair) -> None:
         oid = pair.item1.oid
@@ -166,47 +162,21 @@ class KNearestNeighborJoin(IncrementalDistanceSemiJoin):
         elif est_dmax < -values[0]:
             heapq.heapreplace(values, -est_dmax)
 
-    def _filter_candidates(
-        self, pair: Pair, side: int, block: CandidateBlock
-    ) -> CandidateBlock:
-        if self.dmax_strategy == DMAX_NONE or not block.dists:
-            return block
-
-        scored = list(zip(
-            block.pairs(), self._dmax_of(block, *block.head())
-        ))
-
-        # Local bound: the k-th smallest d_max among siblings sharing
-        # the same outer item (None when fewer than k siblings).
-        local_lists: Dict[Tuple, List[float]] = {}
-        for child_pair, est_dmax in scored:
-            local_lists.setdefault(
-                child_pair.item1.identity(), []
-            ).append(est_dmax)
-        local_bound: Dict[Tuple, float] = {}
-        for key, values in local_lists.items():
-            if len(values) >= self.k:
-                local_bound[key] = heapq.nsmallest(self.k, values)[-1]
-
-        use_global = self.dmax_strategy in (
-            DMAX_GLOBAL_NODES, DMAX_GLOBAL_ALL
-        )
-        kept: List[int] = []
-        for row, (child_pair, est_dmax) in enumerate(scored):
-            key = child_pair.item1.identity()
-            bound = local_bound.get(key)
-            if use_global and self._tracks_global(child_pair.item1):
-                self._observe_bound(key, child_pair.item2, est_dmax)
-                stored = self._global_bound(key)
-                if stored is not None and (
-                    bound is None or stored < bound
-                ):
-                    bound = stored
-            if bound is not None and child_pair.distance > bound:
-                self.counters.add("pruned_dmax")
-                continue
-            kept.append(row)
-        return block if len(kept) == len(block) else block.take(kept)
+    def _with_global(
+        self, block: CandidateBlock, uppers: List[float],
+        local: Sequence[Optional[float]],
+    ) -> List[Optional[float]]:
+        # Row by row: observe the row's d_max into its outer item's k
+        # smallest, then tighten the row's bound with the k-th of them.
+        item2 = block.head()[1]  # every row's inner kind
+        bounds: List[Optional[float]] = []
+        for key, upper, bound in zip(self._outer_keys(block), uppers, local):
+            self._observe_bound(key, item2, upper)
+            stored = self._global_bound(key)
+            if stored is not None and (bound is None or stored < bound):
+                bound = stored
+            bounds.append(bound)
+        return bounds
 
     # ------------------------------------------------------------------
     # suspendable cursor

@@ -12,9 +12,10 @@ with the classic spatial-join optimizations of Brinkhoff et al.:
    which must look ahead to ``x2 + D_max`` instead of ``x2``.
 
 There is one sweep loop, :func:`sweep_index_pairs`, over coordinate
-lists and a presorted order.  :func:`sweep_pairs` (entry objects: the
-scalar expansion, the within-distance baseline) feeds it a freshly
-sorted order; the batch-kernel expansion feeds it the order cached on
+lists and a presorted order.  :func:`sweep_entry_indices` (entry
+objects: the scalar expansion; :func:`sweep_pairs` for the
+within-distance baseline) feeds it a freshly sorted order; the
+batch-kernel expansion feeds it the order cached on
 each node's columnar mirror (``EntrySoA.sweep_columns``), filtered by
 :func:`restrict_order`.  Both orders are the same stable sort, so the
 two paths yield identical pairs in identical order by construction.
@@ -79,6 +80,18 @@ def sweep_pairs(
     up to ``hi + D_max`` (Figure 4: ``r1`` must also be checked against
     ``s3``, not only the projection-intersecting ``s1`` and ``s2``).
     """
+    for i, j in sweep_entry_indices(entries1, entries2, max_gap, axis):
+        yield entries1[i], entries2[j]
+
+
+def sweep_entry_indices(
+    entries1: Sequence,
+    entries2: Sequence,
+    max_gap: float,
+    axis: int = 0,
+) -> Iterator[Tuple[int, int]]:
+    """:func:`sweep_pairs` as ``(i, j)`` positions in the two lists
+    (of anything with a ``rect``)."""
     lo1 = [e.rect.lo[axis] for e in entries1]
     lo2 = [e.rect.lo[axis] for e in entries2]
     if max_gap == _INF:
@@ -88,10 +101,7 @@ def sweep_pairs(
         order2 = sorted(range(len(lo2)), key=lo2.__getitem__)
     hi1 = [e.rect.hi[axis] for e in entries1]
     hi2 = [e.rect.hi[axis] for e in entries2]
-    for i, j in sweep_index_pairs(
-        lo1, hi1, order1, lo2, hi2, order2, max_gap
-    ):
-        yield entries1[i], entries2[j]
+    return sweep_index_pairs(lo1, hi1, order1, lo2, hi2, order2, max_gap)
 
 
 def sweep_index_pairs(

@@ -17,7 +17,7 @@ the last such pair and is dismissed as extremely inefficient.
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import List, Optional
 
 from repro.core.distance_join import IncrementalDistanceJoin
 from repro.core.pairs import NODE, Item, Pair
@@ -89,11 +89,12 @@ class ReverseDistanceSemiJoin(ReverseDistanceJoin):
             return True
         return False
 
-    def _skip_child(self, side: int, child: Item) -> bool:
-        if side == 1 and child.kind != NODE and child.oid in self._seen:
-            self.counters.add("pruned_seen")
-            return True
-        return False
+    def _keep_mask(
+        self, side: int, level: int, children: List[Item]
+    ) -> Optional[List[bool]]:
+        if side != 1 or level:
+            return None
+        return self._seen.missing([child.oid for child in children])
 
     def _on_report(self, pair: Pair) -> None:
         self._seen.add(pair.item1.oid)

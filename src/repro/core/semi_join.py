@@ -36,13 +36,12 @@ The seen-set ``S_A`` is the bit string of Section 3.2
 
 from __future__ import annotations
 
-from typing import Dict, List, Tuple
-
-from typing import Optional
+import heapq
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.core.distance_join import IncrementalDistanceJoin
 from repro.core.estimate import SemiJoinEstimator
-from repro.core.pairs import NODE, CandidateBlock, Item, Pair
+from repro.core.pairs import NODE, OBJ, CandidateBlock, Item, Pair
 from repro.core.spec import (  # noqa: F401  (re-exported for back-compat)
     DMAX_GLOBAL_ALL,
     DMAX_GLOBAL_NODES,
@@ -83,6 +82,11 @@ class IncrementalDistanceSemiJoin(IncrementalDistanceJoin):
     _spec_semi_join = True
     _estimator_class = SemiJoinEstimator
 
+    #: Partners per outer object: the semi-join is the k-NN join
+    #: (:class:`~repro.core.knn_join.KNearestNeighborJoin`) at k = 1,
+    #: so its Local bound is the smallest sibling d_max.
+    k = 1
+
     def __init__(
         self,
         tree1: RTreeBase,
@@ -96,6 +100,7 @@ class IncrementalDistanceSemiJoin(IncrementalDistanceJoin):
         super().__init__(tree1, tree2, spec, **kwargs)
         self._c_pruned_seen = self.counters.counter("pruned_seen")
         self._c_pruned_dmax = self.counters.counter("pruned_dmax")
+        self._hook_reads_uppers = self.dmax_strategy != DMAX_NONE
 
     # ------------------------------------------------------------------
     # state
@@ -140,16 +145,13 @@ class IncrementalDistanceSemiJoin(IncrementalDistanceJoin):
                 return True
         return False
 
-    def _skip_child(self, side: int, child: Item) -> bool:
-        if (
-            side == 1
-            and self.filter_strategy == INSIDE2
-            and child.kind != NODE
-            and child.oid in self._seen
-        ):
-            self._c_pruned_seen.add()
-            return True
-        return False
+    def _keep_mask(
+        self, side: int, level: int, children: List[Item]
+    ) -> Optional[List[bool]]:
+        # Inside2: only outer objects (side-1 leaf children) are seen.
+        if side != 1 or level or self.filter_strategy != INSIDE2:
+            return None
+        return self._seen.missing([child.oid for child in children])
 
     def _on_report(self, pair: Pair) -> None:
         self._seen.add(pair.item1.oid)
@@ -178,44 +180,89 @@ class IncrementalDistanceSemiJoin(IncrementalDistanceJoin):
     def _filter_candidates(
         self, pair: Pair, side: int, block: CandidateBlock
     ) -> CandidateBlock:
+        """The d_max hooks over the block's columns: each row's bound
+        is the Local one, tightened by the remembered bound of its
+        outer item under GlobalNodes / GlobalAll; a row whose MINDIST
+        exceeds its bound is dropped (one ``pruned_dmax`` each)."""
         if self.dmax_strategy == DMAX_NONE or not block.dists:
             return block
+        uppers = self._row_dmax(block)
+        bounds = self._local_bounds(block, uppers)
+        if self._tracks_global(block.first(0)):
+            bounds = self._with_global(block, uppers, bounds)
+        kept = [
+            row for row, (d, bound) in enumerate(zip(block.dists, bounds))
+            if bound is None or not d > bound
+        ]
+        pruned = len(block) - len(kept)
+        if not pruned:
+            return block
+        self._c_pruned_dmax.add(pruned)
+        return block.take(kept)
 
-        scored = list(zip(
-            block.pairs(), self._dmax_of(block, *block.head())
-        ))
+    def _row_dmax(self, block: CandidateBlock) -> List[float]:
+        """Each row's estimation d_max, charged by the per-pair rule:
+        one ``bound_calcs`` a row, none for object/object rows (their
+        exact distance is their own d_max).  The values are the
+        expansion's batch bounds (:meth:`_uppers_batch`); on the scalar
+        path they are computed here and kept on the block, where
+        :meth:`_offer` finds them."""
+        item1, item2 = block.head()
+        if item1.kind == OBJ and item2.kind == OBJ:
+            return block.dists
+        if block.uppers is None:
+            block.uppers = self._dmax_of(block, item1, item2)
+        else:
+            self.distance._bound_calcs.add(len(block))
+        return block.uppers
 
-        # Local bounds: the smallest d_max among the candidates sharing
-        # the same outer item.  Meaningful when the inner node was
-        # expanded (all candidates share item1) and, for the
-        # simultaneous policy, within each item1 group.
-        local: Dict[Tuple, float] = {}
-        for child_pair, est_dmax in scored:
-            key = child_pair.item1.identity()
-            best = local.get(key)
-            if best is None or est_dmax < best:
-                local[key] = est_dmax
+    def _local_bounds(
+        self, block: CandidateBlock, uppers: List[float]
+    ) -> Sequence[Optional[float]]:
+        """Each row's Local bound: the k-th smallest d_max among the
+        rows sharing its outer item (``None`` with fewer than k)."""
+        k = self.k
+        if block.side == 2:
+            # The inner node was expanded: one outer item, the partner.
+            return [_kth_smallest(uppers, k)] * len(uppers)
+        if block.side == 1:
+            # The children of one node are distinct outer items (the
+            # tree refuses a duplicate oid): each row is its own group.
+            return uppers if k == 1 else [None] * len(uppers)
+        # Simultaneous: grouped by the row's child of node 1.
+        groups: Dict[int, List[float]] = {}
+        for i, upper in zip(block.rows, uppers):
+            groups.setdefault(i, []).append(upper)
+        kth = {i: _kth_smallest(group, k) for i, group in groups.items()}
+        return [kth[i] for i in block.rows]
 
-        use_global = self.dmax_strategy in (
-            DMAX_GLOBAL_NODES, DMAX_GLOBAL_ALL
-        )
-        kept: List[int] = []
-        for row, (child_pair, est_dmax) in enumerate(scored):
-            key = child_pair.item1.identity()
-            bound = local[key]
-            if use_global and self._tracks_global(child_pair.item1):
-                stored = self._bounds.get(key)
-                if stored is not None and stored < bound:
+    def _outer_keys(self, block: CandidateBlock) -> List[Tuple]:
+        """Each row's outer item identity, what ``_bounds`` is keyed
+        by (and cursors carry)."""
+        if block.side == 2:
+            return [block.other.identity()] * len(block)
+        items = block.items
+        return [items[i].identity() for i in block.rows]
+
+    def _with_global(
+        self, block: CandidateBlock, uppers: List[float],
+        local: Sequence[Optional[float]],
+    ) -> List[Optional[float]]:
+        """GlobalNodes / GlobalAll, row by row: tighten each row's
+        bound with the smallest d_max remembered for its outer item,
+        then remember the row's own."""
+        remembered = self._bounds
+        bounds: List[Optional[float]] = []
+        for key, upper, bound in zip(self._outer_keys(block), uppers, local):
+            stored = remembered.get(key)
+            if stored is None:
+                remembered[key] = upper
+            else:
+                if stored < bound:
                     bound = stored
-                new_bound = est_dmax if stored is None else min(
-                    stored, est_dmax
-                )
-                self._bounds[key] = new_bound
-            if child_pair.distance > bound:
-                self._c_pruned_dmax.add()
-                continue
-            kept.append(row)
-        return block if len(kept) == len(block) else block.take(kept)
+                remembered[key] = min(stored, upper)
+            bounds.append(bound)
+        return bounds
 
     # ------------------------------------------------------------------
     # suspendable cursor
@@ -230,3 +277,10 @@ class IncrementalDistanceSemiJoin(IncrementalDistanceJoin):
     def _restore_extra(self, extra) -> None:
         self._seen = Bitset.from_state(extra["seen"])
         self._bounds = dict(extra["bounds"])
+
+
+def _kth_smallest(values: List[float], k: int) -> Optional[float]:
+    """The k-th smallest of ``values``; ``None`` with fewer than k."""
+    if len(values) < k:
+        return None
+    return min(values) if k == 1 else heapq.nsmallest(k, values)[-1]

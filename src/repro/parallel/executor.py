@@ -36,6 +36,7 @@ drop all state on ``close``.
 from __future__ import annotations
 
 import itertools
+import multiprocessing
 import os
 import threading
 from concurrent.futures import (
@@ -194,13 +195,19 @@ class ProcessLanes:
     """One single-process lane per worker slot, tasks pinned by id.
 
     Pinning keeps each task's live priority queue in the process that
-    built it.
+    built it.  Lane processes come from a fork server, not a fork of
+    the caller: a lane forked while another lane's manager thread holds
+    its executor's shutdown lock inherits that lock held, and hangs in
+    the first garbage collection that runs the executor's weakref
+    callback.
     """
 
     def __init__(self, run_token: str, workers: int) -> None:
         self._run_token = run_token
+        context = multiprocessing.get_context("forkserver")
         self._lanes = [
-            ProcessPoolExecutor(max_workers=1) for __ in range(workers)
+            ProcessPoolExecutor(max_workers=1, mp_context=context)
+            for __ in range(workers)
         ]
         self._lane_of: Dict[int, int] = {}
         self._next_lane = 0

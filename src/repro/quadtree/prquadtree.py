@@ -26,7 +26,7 @@ minimum occupancy), which keeps the maximum-distance estimator safe.
 
 from __future__ import annotations
 
-from typing import Iterator, List, Optional
+from typing import Iterator, List, Optional, Set
 
 from repro.errors import TreeError
 from repro.geometry.point import Point
@@ -147,6 +147,7 @@ class PRQuadtree:
         )
         self.size = 0
         self._next_oid = 0
+        self._oids: Set[int] = set()
         root = self._new_node(bounds)
         self.root_id = root.page_id
 
@@ -236,8 +237,13 @@ class PRQuadtree:
             )
         if oid is None:
             oid = self._next_oid
+        elif oid in self._oids:
+            # As in the R-trees: an oid names one object, which the
+            # semi-join's seen set and d_max bounds rely on.
+            raise TreeError(f"object id {oid} is already in the tree")
         self._next_oid = max(self._next_oid, oid + 1)
         self._insert_into(self.root_id, obj, oid, depth=0)
+        self._oids.add(oid)
         self.size += 1
         return oid
 
@@ -309,6 +315,7 @@ class PRQuadtree:
         """Remove the object ``oid`` located at ``point``."""
         removed = self._delete_from(self.root_id, oid, point)
         if removed:
+            self._oids.discard(oid)
             self.size -= 1
         return removed
 

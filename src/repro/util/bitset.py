@@ -8,7 +8,7 @@ This module provides that representation.
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, List
 
 from repro.util.validation import require_non_negative
 
@@ -87,6 +87,20 @@ class Bitset:
         if byte >= len(self._bits):
             return False
         return bool(self._bits[byte] & (1 << (index & 7)))
+
+    def missing(self, indices: Iterable[int]) -> List[bool]:
+        """``[i not in self for i in indices]`` in one pass: the
+        semi-join tests a whole leaf's children at once.
+
+        >>> Bitset(16, [3]).missing([3, 4, -1, 99])
+        [False, True, True, True]
+        """
+        bits = self._bits
+        size = len(bits) << 3
+        return [
+            not (0 <= i < size and bits[i >> 3] >> (i & 7) & 1)
+            for i in indices
+        ]
 
     def __len__(self) -> int:
         return self._count

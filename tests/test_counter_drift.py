@@ -81,7 +81,9 @@ GOLDEN_TOPK_STREAM = "808e393614381c57e26de3883a7891c21e1062ca"
 #: to its own MINDIST and is reported at once, while 1 534 of these
 #: resolved pairs re-enter the queue through ``_push``, where the
 #: row's sequence number is threaded from the key just made.  ``semi``
-#: puts ``SemiJoinEstimator`` on the shared base and ``Q_M``.
+#: puts ``SemiJoinEstimator`` on the shared base and ``Q_M``; its
+#: seen-set and d_max charges were added at e067f10 (the commit before
+#: the semi-join's hooks read a block's columns).
 GOLDEN_ESTIMATOR_PATHS = {
     "simultaneous": (
         IncrementalDistanceJoin, False,
@@ -119,11 +121,44 @@ GOLDEN_ESTIMATOR_PATHS = {
             "queue_size": (None, 1270),
             "estimator_trims": (130, None),
             "pruned_range": (3269, None),
+            "pruned_seen": (275, None),
+            "pruned_dmax": (3591, None),
             "dist_calcs": (6496, None),
             "bound_calcs": (4504, None),
             "node_io": (29, None),
         },
         "c7ba86a721ce4c0f353233d1cabcd0d8ae9bca42",
+    ),
+}
+
+#: The semi-join without ``max_pairs``: no estimator, so the d_max
+#: hooks alone ask for the rows' batch bounds.  Drained to the last
+#: outer object (187 rows); captured at e067f10.  dmax_strategy ->
+#: (counters, stream).
+GOLDEN_SEMI_UNBOUNDED = {
+    "local": (
+        {
+            "queue_inserts": (2288, None),
+            "queue_size": (None, 1633),
+            "pruned_seen": (3856, None),
+            "pruned_dmax": (7672, None),
+            "dist_calcs": (7897, None),
+            "bound_calcs": (4125, None),
+            "node_io": (29, None),
+        },
+        "3afab9ea1682c8ad8fb8d6cfb3ed8e70b1e74f94",
+    ),
+    "global_all": (
+        {
+            "queue_inserts": (1414, None),
+            "queue_size": (None, 1079),
+            "pruned_seen": (3244, None),
+            "pruned_dmax": (8546, None),
+            "dist_calcs": (7897, None),
+            "bound_calcs": (4125, None),
+            "node_io": (29, None),
+        },
+        "3afab9ea1682c8ad8fb8d6cfb3ed8e70b1e74f94",
     ),
 }
 
@@ -223,6 +258,24 @@ def test_estimator_path_counters_match_golden(path, heap_class):
         stream.update(f"{r.distance.hex()},{r.oid1},{r.oid2};".encode())
     assert counters.value("estimator_trims") > 0
     assert observed(counters, golden) == golden
+    assert stream.hexdigest() == golden_stream
+
+
+@pytest.mark.parametrize("strategy", list(GOLDEN_SEMI_UNBOUNDED))
+def test_unbounded_semi_join_counters_match_golden(strategy, numpy_leg):
+    """Without an estimator the semi-join's d_max hooks still charge
+    one bound per row and prune the parent's rows, on both legs."""
+    golden, golden_stream = GOLDEN_SEMI_UNBOUNDED[strategy]
+    load = build_tiger_workload(scale=SCALE)
+    join = IncrementalDistanceSemiJoin(
+        load.tree1, load.tree2, JoinSpec(dmax_strategy=strategy),
+        counters=load.counters,
+    )
+    stream = hashlib.sha1()
+    for r in join:
+        stream.update(f"{r.distance.hex()},{r.oid1},{r.oid2};".encode())
+    assert load.counters.value("pairs_reported") == len(load.tree1)
+    assert observed(load.counters, golden) == golden
     assert stream.hexdigest() == golden_stream
 
 

@@ -300,6 +300,20 @@ class TestExecutorFaults:
         with pytest.raises(StopIteration):
             next(join)
 
+    def test_lanes_do_not_fork_the_caller(self):
+        """A lane forked while another lane's manager thread holds its
+        executor's lock inherits the lock held and can hang; lanes come
+        from a fork server instead (no process starts here)."""
+        from repro.parallel.executor import make_pool
+
+        pool = make_pool("process", 2)
+        try:
+            assert [
+                lane._mp_context.get_start_method() for lane in pool._lanes
+            ] == ["forkserver", "forkserver"]
+        finally:
+            pool.shutdown()
+
     def test_killed_lane_is_a_join_error(self, small_trees):
         tree_a, tree_b, __ = small_trees
         join = ParallelDistanceJoin(

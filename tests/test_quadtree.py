@@ -72,6 +72,19 @@ class TestStructure:
         validate_quadtree(tree)
         assert len(tree) == 20
 
+    def test_duplicate_oid_rejected(self):
+        """As in the R-trees, an oid the tree holds is refused before
+        any mutation; once deleted it is free again."""
+        points = make_points(12, seed=137)
+        tree = make_quadtree(points)
+        for oid in (0, 7, 11):
+            with pytest.raises(TreeError, match=f"object id {oid}"):
+                tree.insert(Point((50.0, 50.0)), oid=oid)
+        assert len(tree) == 12 and len(list(tree.items())) == 12
+        assert tree.delete(7, points[7])
+        assert tree.insert(Point((50.0, 50.0)), oid=7) == 7
+        validate_quadtree(tree)
+
     def test_delete(self):
         points = make_points(100, seed=133)
         tree = make_quadtree(points)
