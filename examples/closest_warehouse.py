@@ -13,7 +13,7 @@ Run:  python examples/closest_warehouse.py
 
 from collections import defaultdict
 
-from repro import IncrementalDistanceSemiJoin, Point, RStarTree
+from repro import IncrementalDistanceSemiJoin, JoinSpec, Point, RStarTree
 from repro.datasets import gaussian_clusters
 
 
@@ -39,7 +39,7 @@ def main():
     # GlobalAll is the paper's best full-result strategy (Figure 9).
     semi = IncrementalDistanceSemiJoin(
         store_tree, warehouse_tree,
-        filter_strategy="inside2", dmax_strategy="global_all",
+        JoinSpec(filter_strategy="inside2", dmax_strategy="global_all"),
     )
 
     assignment = defaultdict(list)

@@ -17,6 +17,7 @@ Run:  python examples/parallel_scaling.py
 from repro import (
     CounterRegistry,
     IncrementalDistanceJoin,
+    JoinSpec,
     ParallelDistanceJoin,
 )
 from repro.datasets import roads_points, water_points
@@ -53,10 +54,10 @@ def main():
     # --- the parallel join -------------------------------------------
     join = ParallelDistanceJoin(
         water, roads,
+        JoinSpec(max_pairs=PAIRS),
         workers=4,
         backend="thread",   # use backend="process" for CPU scaling
         partitions=8,
-        max_pairs=PAIRS,
         counters=CounterRegistry(),  # keep the tally to this join only
     )
     parallel = list(join)
@@ -69,7 +70,7 @@ def main():
 
     # --- identical to the sequential algorithm -----------------------
     sequential = canonical(IncrementalDistanceJoin(
-        water, roads, max_pairs=PAIRS,
+        water, roads, JoinSpec(max_pairs=PAIRS),
     ))
     assert [(r.distance, r.oid1, r.oid2) for r in parallel] == \
            [(r.distance, r.oid1, r.oid2) for r in sequential]

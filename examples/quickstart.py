@@ -10,6 +10,7 @@ Run:  python examples/quickstart.py
 from repro import (
     IncrementalDistanceJoin,
     IncrementalDistanceSemiJoin,
+    JoinSpec,
     Point,
     RStarTree,
 )
@@ -57,8 +58,8 @@ def main():
 
     # 4. Distance range: pairs between 5 and 10 units apart.
     ranged = IncrementalDistanceJoin(
-        restaurants, hotels, min_distance=5.0, max_distance=10.0,
-        max_pairs=4,
+        restaurants, hotels,
+        JoinSpec(min_distance=5.0, max_distance=10.0, max_pairs=4),
     )
     print("\n4 pairs with distance in [5, 10]:")
     for pair in ranged:

@@ -15,7 +15,7 @@ Run:  python examples/rivers_near_cities.py
 
 import random
 
-from repro import IncrementalDistanceJoin
+from repro import IncrementalDistanceJoin, JoinSpec
 from repro.core.pairs import OBJ
 from repro.datasets import water_points
 from repro.datasets.synthetic import uniform_points
@@ -72,11 +72,13 @@ def main():
     # selection is highly selective.
     filtered = IncrementalDistanceJoin(
         db.relation("cities"), db.relation("rivers"),
-        pair_filter=lambda pair: (
-            pair.item1.kind != OBJ  # node pairs pass through untouched
-            or populations[pair.item1.oid] > 500_000
+        JoinSpec(
+            pair_filter=lambda pair: (
+                pair.item1.kind != OBJ  # node pairs pass through untouched
+                or populations[pair.item1.oid] > 500_000
+            ),
+            max_pairs=1,
         ),
-        max_pairs=1,
     )
     result = next(filtered)
     print(

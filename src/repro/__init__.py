@@ -78,6 +78,7 @@ from repro.core import (
     IncrementalDistanceSemiJoin,
     IntersectionJoin,
     JoinResult,
+    JoinSpec,
     KNearestNeighborJoin,
     ReverseDistanceJoin,
     ReverseDistanceSemiJoin,
@@ -128,6 +129,7 @@ __all__ = [
     "incremental_nearest",
     "validate_tree",
     # joins
+    "JoinSpec",
     "IncrementalDistanceJoin",
     "IncrementalDistanceSemiJoin",
     "ReverseDistanceJoin",

@@ -238,14 +238,14 @@ def _scored_query(
     spec: JoinSpec,
     strategy: str = "auto",
     selectivity: Optional[float] = None,
-    **knobs: object,
+    node_policy: Optional[str] = None,
 ) -> Iterator:
     """OPT1's query: the ``spec.max_pairs`` closest pairs whose outer
     object passes an attribute predicate of the given selectivity
     (object ``i`` of ``n`` scores ``(i + 0.5) / n``: uniform, and
     independent of position), under one Section 5 plan; no predicate
-    without a selectivity.  ``knobs`` go to the join (a pinned
-    ``node_policy``); without one the planner picks the traversal."""
+    without a selectivity.  Without a ``node_policy`` pin the planner
+    picks the traversal."""
     from repro.query.executor import Database
 
     db = Database(counters=load.counters)
@@ -262,7 +262,7 @@ def _scored_query(
         "SELECT * FROM outer_rel, inner_rel, "
         "DISTANCE(outer_rel.geom, inner_rel.geom) AS d "
         f"{where}ORDER BY d STOP AFTER {spec.max_pairs}",
-        strategy=strategy, **knobs,
+        strategy=strategy, node_policy=node_policy,
     )
 
 

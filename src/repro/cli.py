@@ -54,6 +54,7 @@ import sys
 import time
 from typing import Iterable, List, Optional
 
+from repro.core.spec import JoinSpec
 from repro.datasets.synthetic import gaussian_clusters, uniform_points
 from repro.datasets.tiger_like import roads_points, water_points
 from repro.errors import ReproError
@@ -344,16 +345,14 @@ def cmd_query(args: argparse.Namespace) -> int:
         trace=TraceContext.mint() if args.trace else None
     ) if observe else None
     before = db.counters.full_snapshot() if args.metrics else None
-    join_kwargs = {"observer": obs} if obs is not None else {}
-    if args.kernel != "auto":
-        join_kwargs["kernel"] = args.kernel
+    spec = JoinSpec(kernel=args.kernel)
     plan = None
     estimator = None
     if args.progress:
         from repro.util.telemetry import ProgressEstimator
 
         plan = db.physical_plan(
-            query, strategy=args.strategy, **join_kwargs
+            query, strategy=args.strategy, spec=spec, observer=obs
         )
         estimator = ProgressEstimator()
     profiler = _start_profiler(args.profile)
@@ -361,8 +360,8 @@ def cmd_query(args: argparse.Namespace) -> int:
         if plan is not None:
             rows = plan.rows()
         else:
-            rows = db.execute_query(
-                query, strategy=args.strategy, **join_kwargs
+            rows = db.execute(
+                query, strategy=args.strategy, spec=spec, observer=obs
             )
         printed = 0
         last_report = time.monotonic() if args.progress else 0.0

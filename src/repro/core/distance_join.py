@@ -2,12 +2,13 @@
 
 :class:`IncrementalDistanceJoin` is a Python iterator producing the
 object pairs of two R-trees in order of increasing (or, with
-``descending=True``, decreasing) distance.  Its entire state is a
-priority queue of item pairs, so it can be consumed lazily in a
-pipeline: retrieving ``n`` pairs costs only the work needed for those
-``n`` pairs (the paper's "fast first" property).
+``descending``, decreasing) distance.  Its entire state is a priority
+queue of item pairs, so it can be consumed lazily in a pipeline:
+retrieving ``n`` pairs costs only the work needed for those ``n``
+pairs (the paper's "fast first" property).
 
-All of the paper's algorithmic knobs are exposed:
+All of the paper's algorithmic knobs are fields of the
+:class:`~repro.core.spec.JoinSpec` the operator takes:
 
 - ``tie_break``: depth-first or breadth-first resolution of equal
   distances (Section 2.2.2);
@@ -62,6 +63,7 @@ from repro.core.spec import (  # noqa: F401  (re-exported for back-compat)
     ADAPTIVE_QUEUE,
     BASIC,
     DIRECT,
+    DMAX_NONE,
     EVEN,
     HYBRID_QUEUE,
     LEAF_MODES,
@@ -101,11 +103,10 @@ class IncrementalDistanceJoin(cursor.SuspendableOperator):
         The spatial indexes of the two joined relations.
     spec:
         A :class:`~repro.core.spec.JoinSpec` holding every algorithm
-        knob.  Individual knobs may still be passed as keyword
-        arguments (the historical constructor surface); keywords
-        override the corresponding spec fields.  The resolved spec is
-        validated once by :meth:`JoinSpec.validate` and kept on
-        ``self.spec``.
+        knob (``metric``, the distance range, ``max_pairs``,
+        ``tie_break``, ``node_policy``, the queue tier, ...; None
+        means ``JoinSpec()``).  It is validated once by
+        :meth:`JoinSpec.validate` and kept on ``self.spec``.
     counters:
         Shared performance-counter registry (defaults to a registry
         shared with ``tree1``).
@@ -117,13 +118,6 @@ class IncrementalDistanceJoin(cursor.SuspendableOperator):
         node expansion.
     check_consistency:
         Verify the distance-function consistency contract at run time.
-    **knobs:
-        Any :class:`JoinSpec` field -- ``metric``, ``min_distance``,
-        ``max_distance``, ``max_pairs``, ``tie_break``,
-        ``node_policy``, ``queue``, ``queue_dt``, ``heap_class``,
-        ``leaf_mode``, ``descending``, ``estimate``, ``aggressive``,
-        ``pair_filter`` -- with the semantics documented there and in
-        the module docstring.
     """
 
     #: Validation context: the forward semi-join (and k-NN join)
@@ -132,11 +126,6 @@ class IncrementalDistanceJoin(cursor.SuspendableOperator):
 
     #: The maximum-distance estimator variant for ``max_pairs`` joins.
     _estimator_class = JoinEstimator
-
-    #: Whether :meth:`_filter_candidates` reads the rows' estimation
-    #: d_max (the semi-join's d_max hooks), so an expansion computes
-    #: them in one batch even without an estimator.
-    _hook_reads_uppers = False
 
     _cursor_kind = "join"
 
@@ -150,9 +139,8 @@ class IncrementalDistanceJoin(cursor.SuspendableOperator):
         observer: Optional[Observer] = None,
         check_consistency: bool = False,
         _resume: Optional[Dict[str, Any]] = None,
-        **knobs: Any,
     ) -> None:
-        spec = JoinSpec.coalesce(spec, knobs)
+        spec = self._pin(JoinSpec() if spec is None else spec)
         spec.validate(semi_join=self._spec_semi_join)
         if tree1.dim != tree2.dim:
             raise JoinError(
@@ -209,12 +197,13 @@ class IncrementalDistanceJoin(cursor.SuspendableOperator):
             type(self)._make_child_item
             is IncrementalDistanceJoin._make_child_item
         )
-        # Hot-path counters, cached once (registry lookups add up over
-        # hundreds of thousands of candidate pairs).
-        self._c_queue_inserts = self.counters.counter("queue_inserts")
-        self._c_queue_size = self.counters.counter("queue_size")
-        self._c_pruned_range = self.counters.counter("pruned_range")
-        self._c_pairs_reported = self.counters.counter("pairs_reported")
+        # Whether _filter_candidates reads the rows' estimation d_max
+        # (the forward semi-join's d_max hooks), so an expansion
+        # computes them in one batch even without an estimator.
+        self._hook_reads_uppers = (
+            self._spec_semi_join and spec.dmax_strategy != DMAX_NONE
+        )
+        self._cache_counters()
 
         self._produced = 0
         self._to_skip = 0
@@ -225,6 +214,19 @@ class IncrementalDistanceJoin(cursor.SuspendableOperator):
             return
         with self.obs.span("join.init"):
             self._init_state()
+
+    def _cache_counters(self) -> None:
+        """Hot-path counters, cached once (registry lookups add up over
+        hundreds of thousands of candidate pairs)."""
+        self._c_queue_inserts = self.counters.counter("queue_inserts")
+        self._c_queue_size = self.counters.counter("queue_size")
+        self._c_pruned_range = self.counters.counter("pruned_range")
+        self._c_pairs_reported = self.counters.counter("pairs_reported")
+
+    def _pin(self, spec: JoinSpec) -> JoinSpec:
+        """The spec this variant runs: ``spec`` with the fields it
+        fixes (the reverse joins run descending)."""
+        return spec
 
     # ------------------------------------------------------------------
     # state construction

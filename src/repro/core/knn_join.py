@@ -26,7 +26,7 @@ The paper's pruning machinery generalizes soundly:
 from __future__ import annotations
 
 import heapq
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.core.pairs import NODE, CandidateBlock, Item, Pair
 from repro.core.spec import JoinSpec
@@ -38,6 +38,8 @@ from repro.core.semi_join import (
     IncrementalDistanceSemiJoin,
 )
 from repro.rtree.base import RTreeBase
+from repro.util.counters import CounterRegistry
+from repro.util.obs import Observer
 from repro.util.validation import require
 
 
@@ -45,7 +47,7 @@ class KNearestNeighborJoin(IncrementalDistanceSemiJoin):
     """For each outer object, its ``k`` nearest inner objects, pairs in
     global distance order.
 
-    Accepts every :class:`IncrementalDistanceSemiJoin` parameter plus
+    Takes every :class:`IncrementalDistanceSemiJoin` parameter plus
     ``k`` (default 1 = the paper's semi-join).
     """
 
@@ -56,25 +58,28 @@ class KNearestNeighborJoin(IncrementalDistanceSemiJoin):
         spec: Optional[JoinSpec] = None,
         *,
         k: int = 1,
-        **kwargs,
+        counters: Optional[CounterRegistry] = None,
+        observer: Optional[Observer] = None,
+        check_consistency: bool = False,
+        _resume: Optional[Dict[str, Any]] = None,
     ) -> None:
         require(k >= 1, "k must be at least 1")
         self.k = k
-        self._partner_counts: Dict[int, int] = {}
-        self._done_count = 0
-        # Per-first-item k smallest d_max values (max-heap via negation)
-        # for the global strategies.
-        self._bound_lists: Dict[Tuple, List[float]] = {}
-        super().__init__(tree1, tree2, spec, **kwargs)
+        super().__init__(
+            tree1, tree2, spec, counters=counters, observer=observer,
+            check_consistency=check_consistency, _resume=_resume,
+        )
 
     # ------------------------------------------------------------------
     # state
     # ------------------------------------------------------------------
 
     def _init_state(self) -> None:
-        self._partner_counts = {}
+        self._partner_counts: Dict[int, int] = {}
         self._done_count = 0
-        self._bound_lists = {}
+        # Per-first-item k smallest d_max values (max-heap via negation)
+        # for the global strategies.
+        self._bound_lists: Dict[Tuple, List[float]] = {}
         super()._init_state()
 
     def _object_done(self, oid: int) -> bool:

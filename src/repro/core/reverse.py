@@ -22,31 +22,21 @@ from typing import List, Optional
 from repro.core.distance_join import IncrementalDistanceJoin
 from repro.core.pairs import NODE, Item, Pair
 from repro.core.spec import JoinSpec
-from repro.rtree.base import RTreeBase
 from repro.util.bitset import Bitset
 
 
 class ReverseDistanceJoin(IncrementalDistanceJoin):
     """Distance join producing the farthest pairs first.
 
-    Accepts the parameters of :class:`IncrementalDistanceJoin` except
-    ``descending`` (forced True) and the estimator options (the
-    maximum-distance estimation of Section 2.2.4 does not apply to the
-    reversed order; a minimum-distance analogue is future work, as in
-    the paper).
+    Takes the parameters of :class:`IncrementalDistanceJoin`; the
+    spec's ``descending`` is forced True, which turns the estimator
+    off (the maximum-distance estimation of Section 2.2.4 does not
+    apply to the reversed order; a minimum-distance analogue is future
+    work, as in the paper).
     """
 
-    def __init__(
-        self,
-        tree1: RTreeBase,
-        tree2: RTreeBase,
-        spec: Optional[JoinSpec] = None,
-        **kwargs,
-    ) -> None:
-        kwargs["descending"] = True
-        if spec is None:
-            kwargs.setdefault("estimate", False)
-        super().__init__(tree1, tree2, spec, **kwargs)
+    def _pin(self, spec: JoinSpec) -> JoinSpec:
+        return spec.evolve(descending=True)
 
 
 class ReverseDistanceSemiJoin(ReverseDistanceJoin):
@@ -58,16 +48,6 @@ class ReverseDistanceSemiJoin(ReverseDistanceJoin):
     containing ``o1`` has a smaller distance and is suppressed, both
     when popped and when generated.
     """
-
-    def __init__(
-        self,
-        tree1: RTreeBase,
-        tree2: RTreeBase,
-        spec: Optional[JoinSpec] = None,
-        **kwargs,
-    ) -> None:
-        self._seen: Bitset = Bitset(0)
-        super().__init__(tree1, tree2, spec, **kwargs)
 
     def _init_state(self) -> None:
         self._seen = Bitset(max(1, len(self.tree1)))

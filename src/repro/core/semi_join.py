@@ -54,14 +54,14 @@ from repro.core.spec import (  # noqa: F401  (re-exported for back-compat)
     OUTSIDE,
     JoinSpec,
 )
-from repro.rtree.base import RTreeBase
 from repro.util.bitset import Bitset
 
 
 class IncrementalDistanceSemiJoin(IncrementalDistanceJoin):
     """Incremental distance semi-join of ``tree1`` with ``tree2``.
 
-    Accepts every parameter of :class:`IncrementalDistanceJoin` plus:
+    Takes the parameters of :class:`IncrementalDistanceJoin`; two spec
+    fields apply only here:
 
     Parameters
     ----------
@@ -73,10 +73,10 @@ class IncrementalDistanceSemiJoin(IncrementalDistanceJoin):
         Inside2 filtering, so any value other than ``"none"`` requires
         ``filter_strategy="inside2"``.
 
-    Both are :class:`~repro.core.spec.JoinSpec` fields, so they may
-    arrive via a spec or as keywords; the combination rules live in
-    :meth:`JoinSpec.validate`, which also rejects ``descending`` here
-    (use :class:`~repro.core.reverse.ReverseDistanceSemiJoin`).
+    Both are :class:`~repro.core.spec.JoinSpec` fields; the
+    combination rules live in :meth:`JoinSpec.validate`, which also
+    rejects ``descending`` here (use
+    :class:`~repro.core.reverse.ReverseDistanceSemiJoin`).
     """
 
     _spec_semi_join = True
@@ -87,20 +87,10 @@ class IncrementalDistanceSemiJoin(IncrementalDistanceJoin):
     #: so its Local bound is the smallest sibling d_max.
     k = 1
 
-    def __init__(
-        self,
-        tree1: RTreeBase,
-        tree2: RTreeBase,
-        spec: Optional[JoinSpec] = None,
-        **kwargs,
-    ) -> None:
-        # Set before super().__init__, which calls _init_state().
-        self._seen: Bitset = Bitset(0)
-        self._bounds: Dict[Tuple, float] = {}
-        super().__init__(tree1, tree2, spec, **kwargs)
+    def _cache_counters(self) -> None:
+        super()._cache_counters()
         self._c_pruned_seen = self.counters.counter("pruned_seen")
         self._c_pruned_dmax = self.counters.counter("pruned_dmax")
-        self._hook_reads_uppers = self.dmax_strategy != DMAX_NONE
 
     # ------------------------------------------------------------------
     # state

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass
-from typing import Any, Callable, Mapping, Optional
+from typing import Any, Callable, Optional
 
 from repro.core.heap import BinaryHeap
 from repro.core.tiebreak import DEPTH_FIRST, POLICIES as TIE_BREAKS
@@ -78,12 +78,12 @@ _REMOVED_KNOBS = {"process_leaves_together": False}
 class JoinSpec:
     """Every variant knob of the incremental distance join family.
 
-    Field names match the keyword arguments the operators have always
-    accepted, so ``JoinSpec(**kwargs)`` and the keyword constructors
-    describe the same configuration.  Instances are immutable (derive
-    variants with :meth:`evolve`) and picklable whenever their
-    ``pair_filter`` and ``heap_class`` are, which is what lets the
-    parallel engine ship one spec to every worker.
+    Every operator takes one as its third argument (``None`` means
+    ``JoinSpec()``), and the query planner builds one per statement.
+    Instances are immutable (derive variants with :meth:`evolve`) and
+    picklable whenever their ``pair_filter`` and ``heap_class`` are,
+    which is what lets the parallel engine ship one spec to every
+    worker.
 
     ``filter_strategy`` and ``dmax_strategy`` only take effect in the
     semi-join/k-NN operators; they are carried here so a single spec
@@ -126,25 +126,6 @@ class JoinSpec:
     # ------------------------------------------------------------------
     # construction helpers
     # ------------------------------------------------------------------
-
-    @classmethod
-    def coalesce(
-        cls,
-        spec: Optional["JoinSpec"],
-        knobs: Mapping[str, Any],
-    ) -> "JoinSpec":
-        """Resolve the ``(spec, **kwargs)`` constructor convention.
-
-        No spec: the knobs alone define one (the keyword back-compat
-        path).  Spec plus knobs: the knobs override individual fields.
-        Unknown knob names raise ``TypeError``, exactly like an
-        unexpected keyword argument.
-        """
-        if spec is None:
-            return cls(**knobs)
-        if knobs:
-            return dataclasses.replace(spec, **knobs)
-        return spec
 
     def evolve(self, **changes: Any) -> "JoinSpec":
         """A copy with ``changes`` applied (frozen-dataclass update)."""

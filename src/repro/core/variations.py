@@ -30,10 +30,12 @@ from typing import Any, Iterator, NamedTuple, Optional
 from repro.core.distance_join import IncrementalDistanceJoin, JoinResult
 from repro.core.pairs import OBJ
 from repro.core.semi_join import IncrementalDistanceSemiJoin
+from repro.core.spec import JoinSpec
 from repro.geometry.metrics import EUCLIDEAN, Metric
 from repro.geometry.point import Point
 from repro.geometry.rectangle import Rect
 from repro.rtree.base import RTreeBase
+from repro.util.counters import CounterRegistry
 
 
 def _distinct_unordered(pair) -> bool:
@@ -50,10 +52,21 @@ def _distinct(pair) -> bool:
     return True
 
 
+def _self_join_spec(spec: Optional[JoinSpec], rule) -> JoinSpec:
+    """``spec`` with the self-join ``rule`` ahead of its own
+    ``pair_filter``: a pair must pass both."""
+    spec = JoinSpec() if spec is None else spec
+    caller = spec.pair_filter
+    return spec.evolve(pair_filter=rule if caller is None else (
+        lambda pair: rule(pair) and caller(pair)
+    ))
+
+
 def closest_pairs(
     tree: RTreeBase,
-    metric: Metric = EUCLIDEAN,
-    **join_kwargs: Any,
+    spec: Optional[JoinSpec] = None,
+    *,
+    counters: Optional[CounterRegistry] = None,
 ) -> IncrementalDistanceJoin:
     """All distinct unordered object pairs of ``tree``, closest first.
 
@@ -62,9 +75,10 @@ def closest_pairs(
     a drop-in building block for closest-pair-style computations when
     an R-tree already exists (the paper's Section 1 argument).
     """
-    join_kwargs.setdefault("pair_filter", _distinct_unordered)
-    join_kwargs.setdefault("metric", metric)
-    return IncrementalDistanceJoin(tree, tree, **join_kwargs)
+    return IncrementalDistanceJoin(
+        tree, tree, _self_join_spec(spec, _distinct_unordered),
+        counters=counters,
+    )
 
 
 def closest_pair(
@@ -73,22 +87,24 @@ def closest_pair(
     """The closest pair of distinct objects, or None if fewer than 2."""
     if len(tree) < 2:
         return None
-    return next(closest_pairs(tree, metric=metric, max_pairs=1))
+    return next(closest_pairs(tree, JoinSpec(metric=metric, max_pairs=1)))
 
 
 def all_nearest_neighbors(
     tree: RTreeBase,
-    metric: Metric = EUCLIDEAN,
-    **join_kwargs: Any,
+    spec: Optional[JoinSpec] = None,
+    *,
+    counters: Optional[CounterRegistry] = None,
 ) -> IncrementalDistanceSemiJoin:
     """For every object, its nearest *other* object, in distance order.
 
     A self distance semi-join with self-pairs suppressed -- the
     all-nearest-neighbours operation of the paper's Section 1.
     """
-    join_kwargs.setdefault("pair_filter", _distinct)
-    join_kwargs.setdefault("metric", metric)
-    return IncrementalDistanceSemiJoin(tree, tree, **join_kwargs)
+    return IncrementalDistanceSemiJoin(
+        tree, tree, _self_join_spec(spec, _distinct),
+        counters=counters,
+    )
 
 
 class IntersectionResult(NamedTuple):

@@ -13,18 +13,20 @@ CPU-bound scaling).
 
 from __future__ import annotations
 
-from typing import Any, Optional, Tuple
+from typing import Any, Dict, Optional, Tuple
 
 from repro.core.spec import JoinSpec
 from repro.parallel.executor import SERIAL, THREAD, default_workers
 from repro.parallel.partition import GRID
 from repro.rtree.base import RTreeBase
-from repro.shard.router import ShardRouterJoin
+from repro.shard.router import DEFAULT_BATCH_SIZE, ShardRouterJoin
+from repro.util.counters import CounterRegistry
+from repro.util.obs import Observer
 
 
 class ParallelDistanceJoin(ShardRouterJoin):
     """Partitioned parallel incremental distance join of two R-trees
-    (every other argument is the router's)."""
+    (the other arguments are the router's)."""
 
     def __init__(
         self,
@@ -36,7 +38,11 @@ class ParallelDistanceJoin(ShardRouterJoin):
         backend: str = "auto",
         partitions: Optional[int] = None,
         partition_method: str = GRID,
-        **engine: Any,
+        batch_size: int = DEFAULT_BATCH_SIZE,
+        timeout: Optional[float] = None,
+        counters: Optional[CounterRegistry] = None,
+        observer: Optional[Observer] = None,
+        _resume: Optional[Dict[str, Any]] = None,
     ) -> None:
         if workers is None:
             workers = default_workers()
@@ -53,7 +59,11 @@ class ParallelDistanceJoin(ShardRouterJoin):
             catalog_cache=False,
             backend=backend,
             workers=workers,
-            **engine,
+            batch_size=batch_size,
+            timeout=timeout,
+            counters=counters,
+            observer=observer,
+            _resume=_resume,
         )
 
     @classmethod
@@ -64,7 +74,6 @@ class ParallelDistanceJoin(ShardRouterJoin):
         *,
         workers: Optional[int] = None,
         partitions: Optional[int] = None,
-        **__: Any,
     ) -> Tuple[int, str]:
         """One grid tile per worker unless ``partitions`` says
         otherwise (the router's ``shards`` is not this spelling's)."""

@@ -21,22 +21,21 @@ from __future__ import annotations
 import time
 from typing import (
     Any,
-    Callable,
     Dict,
     Iterator,
     List,
     NamedTuple,
     Optional,
     Sequence,
-    Tuple,
     Union,
 )
 
-from repro.core.distance_join import IncrementalDistanceJoin
+from repro.core.spec import JoinSpec
 from repro.errors import QueryError
 from repro.geometry.metrics import EUCLIDEAN, Metric
 from repro.geometry.point import Point
 from repro.geometry.rectangle import Rect
+from repro.live import StandingJoin
 from repro.quadtree.prquadtree import PRQuadtree
 from repro.query.ast_nodes import Query
 from repro.query.parser import parse
@@ -46,8 +45,8 @@ from repro.query.physical import (  # noqa: F401  (re-exported)
     PlanExplanation,
     Row,
     build_physical_plan,
-    build_standing_join,
     materialize_filtered,
+    statement_spec,
 )
 from repro.rtree.base import RTreeBase
 from repro.rtree.bulk import bulk_load_str
@@ -284,14 +283,6 @@ class Database:
             )
         return values
 
-    @staticmethod
-    def _filtered_tree(
-        tree: Any, matches: Callable[[int], bool]
-    ) -> Tuple[Any, List[int]]:
-        """Back-compat alias of
-        :func:`repro.query.physical.materialize_filtered`."""
-        return materialize_filtered(tree, matches)
-
     # ------------------------------------------------------------------
     # planning
     # ------------------------------------------------------------------
@@ -300,73 +291,69 @@ class Database:
         self,
         query: Union[str, Query],
         strategy: str = "auto",
-        **join_kwargs: Any,
+        *,
+        spec: Optional[JoinSpec] = None,
+        node_policy: Optional[str] = None,
+        observer: Optional[Observer] = None,
     ) -> PhysicalPlan:
-        """Lower a query into its physical plan without opening it."""
+        """Lower a query into its physical plan without opening it;
+        the arguments are :func:`build_physical_plan`'s, as for every
+        entry point below."""
         parsed = parse(query) if isinstance(query, str) else query
         return build_physical_plan(
-            self, parsed, strategy=strategy, join_kwargs=join_kwargs
+            self, parsed, strategy, spec=spec, node_policy=node_policy,
+            observer=observer,
         )
-
-    def plan(
-        self, query: Query, strategy: str = "auto", **join_kwargs: Any
-    ) -> IncrementalDistanceJoin:
-        """Build the join iterator for ``query`` (the "query plan").
-
-        Note: for prefilter plans the iterator's oids refer to the
-        temporary filtered indexes; use :meth:`execute_query` to get
-        rows with original object ids.
-        """
-        return self.physical_plan(
-            query, strategy=strategy, **join_kwargs
-        ).open_join()
 
     # ------------------------------------------------------------------
     # execution
     # ------------------------------------------------------------------
 
     def execute(
-        self, sql: str, strategy: str = "auto", **join_kwargs: Any
+        self,
+        sql: Union[str, Query],
+        strategy: str = "auto",
+        *,
+        spec: Optional[JoinSpec] = None,
+        node_policy: Optional[str] = None,
+        observer: Optional[Observer] = None,
     ) -> Iterator[Row]:
-        """Parse and execute a query; returns a lazy row iterator.
-
-        Extra keyword arguments are forwarded to the join constructor,
-        so callers can select e.g. ``node_policy`` or ``queue="hybrid"``
-        per query.
-        """
-        return self.execute_query(
-            parse(sql), strategy=strategy, **join_kwargs
-        )
-
-    def execute_query(
-        self, query: Query, strategy: str = "auto", **join_kwargs: Any
-    ) -> Iterator[Row]:
-        """Execute an already parsed :class:`Query`."""
-        if query.explain:
+        """Execute a query (SQL text or parsed); returns a lazy row
+        iterator, e.g. ``execute(sql, node_policy="simultaneous",
+        spec=JoinSpec(queue="hybrid", queue_dt=10.0))``."""
+        parsed = parse(sql) if isinstance(sql, str) else sql
+        if parsed.explain:
             raise QueryError(
                 "EXPLAIN queries describe execution instead of "
                 "producing rows; use Database.explain() or "
                 "Database.explain_analyze()"
             )
-        plan = build_physical_plan(
-            self, query, strategy=strategy, join_kwargs=join_kwargs
-        )
-        return plan.rows()
+        return self.physical_plan(
+            parsed, strategy, spec=spec, node_policy=node_policy,
+            observer=observer,
+        ).rows()
 
     # ------------------------------------------------------------------
     # standing queries (WATCH ... NOTIFY; repro.live)
     # ------------------------------------------------------------------
 
     def watch(
-        self, sql: Union[str, Query], **join_kwargs: Any
-    ) -> Any:
+        self,
+        sql: Union[str, Query],
+        *,
+        spec: Optional[JoinSpec] = None,
+        counters: Optional[CounterRegistry] = None,
+        observer: Optional[Observer] = None,
+    ) -> StandingJoin:
         """Register a ``WATCH`` query as a standing join.
 
         Returns a bootstrapped
         :class:`~repro.live.StandingJoin` whose initial result is
         already queued as ADD deltas; route updates through its
         ``insert`` / ``delete`` (or ``observe_*``) methods and drain
-        repairs with ``poll()``.  See docs/LIVE.md.
+        repairs with ``poll()``.  ``spec`` is as for :meth:`execute`,
+        but keeps its ``node_policy`` (nothing plans a standing join).
+        See docs/LIVE.md.
         """
         query = parse(sql) if isinstance(sql, str) else sql
         if not query.watch:
@@ -374,14 +361,24 @@ class Database:
                 "Database.watch() needs a WATCH query; use execute() "
                 "for pull queries"
             )
-        return build_standing_join(self, query, **join_kwargs)
+        return StandingJoin(
+            self.relation(query.relation1),
+            self.relation(query.relation2),
+            statement_spec(self, query, spec),
+            counters=counters if counters is not None else self.counters,
+            observer=observer,
+        )
 
     # ------------------------------------------------------------------
     # EXPLAIN (cost model; the paper's Section 5 future work)
     # ------------------------------------------------------------------
 
     def explain(
-        self, sql: Union[str, Query], strategy: str = "auto"
+        self,
+        sql: Union[str, Query],
+        strategy: str = "auto",
+        *,
+        node_policy: Optional[str] = None,
     ) -> PlanExplanation:
         """Describe how a query would execute and what it should cost.
 
@@ -389,16 +386,22 @@ class Database:
         index is built); the estimates come from
         :class:`repro.query.costmodel.JoinCostModel` (uniformity
         assumptions, see that module) and annotate the same physical
-        plan tree that :meth:`execute` runs.  An ``EXPLAIN`` prefix in
-        the SQL is accepted and ignored (this method *is* EXPLAIN).
+        plan tree that :meth:`execute` runs under the same
+        ``node_policy``.  An ``EXPLAIN`` prefix in the SQL is accepted
+        and ignored (this method *is* EXPLAIN).
         """
-        return self.physical_plan(sql, strategy=strategy).explanation
+        return self.physical_plan(
+            sql, strategy, node_policy=node_policy
+        ).explanation
 
     def explain_analyze(
         self,
         sql: Union[str, Query],
         strategy: str = "auto",
-        **join_kwargs: Any,
+        *,
+        spec: Optional[JoinSpec] = None,
+        node_policy: Optional[str] = None,
+        observer: Optional[Observer] = None,
     ) -> AnalyzedPlan:
         """EXPLAIN ANALYZE: run the query to completion and report the
         plan annotated with actual row counts, counters, span timings
@@ -407,16 +410,14 @@ class Database:
 
         Like its namesake elsewhere, this *executes* the query (rows
         are consumed and discarded), so an unbounded join pays the
-        full join cost.  Extra keyword arguments are forwarded to the
-        join constructor; pass ``observer=`` to reuse a caller-owned
+        full join cost.  Pass ``observer=`` to reuse a caller-owned
         :class:`~repro.util.obs.Observer`.
         """
         query = parse(sql) if isinstance(sql, str) else sql
-        observer = join_kwargs.pop("observer", None)
         obs = observer if observer is not None else Observer()
         plan = build_physical_plan(
-            self, query, strategy=strategy,
-            join_kwargs=dict(join_kwargs, observer=obs),
+            self, query, strategy, spec=spec, node_policy=node_policy,
+            observer=obs,
         )
         # Estimate first: the cost model's stat walk reads tree nodes,
         # which must not leak into the measured counter delta.

@@ -53,7 +53,7 @@ from repro.core.distance_join import IncrementalDistanceJoin, JoinResult
 from repro.core.pairs import NODE, Pair
 from repro.core.reverse import ReverseDistanceJoin, ReverseDistanceSemiJoin
 from repro.core.semi_join import IncrementalDistanceSemiJoin
-from repro.core.spec import EVEN, SIMULTANEOUS
+from repro.core.spec import EVEN, SIMULTANEOUS, JoinSpec
 from repro.errors import QueryError
 from repro.errors import CursorError
 from repro.query.ast_nodes import Query
@@ -70,6 +70,8 @@ from repro.rtree.bulk import bulk_load_str
 # cost-model stats), so the partitioned-engine operators (the shard
 # router and its PARALLEL adapters) are imported lazily inside the
 # functions that need them.
+from repro.util.counters import CounterRegistry
+from repro.util.obs import Observer
 from repro.util.validation import require
 
 _INF = float("inf")
@@ -104,7 +106,7 @@ __all__ = [
     "Traversal",
     "build_physical_plan",
     "choose_traversal",
-    "build_standing_join",
+    "statement_spec",
     "materialize_filtered",
 ]
 
@@ -245,12 +247,15 @@ def _maybe_span(obs: Optional[Any], name: str):
 
 
 def _compose_pair_filter(
+    caller: Optional[Callable[[Pair], bool]],
     match1: Optional[Callable[[int], bool]],
     match2: Optional[Callable[[int], bool]],
 ) -> Optional[Callable[[Pair], bool]]:
-    """Fold the two sides' oid predicates into one join pair filter."""
+    """Fold the two sides' oid predicates and the caller's own pair
+    filter into one join pair filter that a pair must pass in full
+    (under the prefilter plan the caller's sees temporary oids)."""
     if match1 is None and match2 is None:
-        return None
+        return caller
 
     def keep(pair: Pair) -> bool:
         if (
@@ -265,7 +270,7 @@ def _compose_pair_filter(
             and not match2(pair.item2.oid)
         ):
             return False
-        return True
+        return caller is None or caller(pair)
 
     return keep
 
@@ -485,11 +490,12 @@ class DistanceJoinOp(PhysicalNode):
     """The distance (semi-)join operator.
 
     ``open()`` resolves both inputs (building prefilter indexes if the
-    plan has any), composes pushed-down predicates into one
-    ``pair_filter`` (a caller-supplied ``pair_filter`` kwarg wins) and
-    constructs the join iterator exactly once.  The planner's cost
-    annotations (both strategies' estimates) and its traversal choice
-    live here for EXPLAIN.
+    plan has any), composes the pushed-down predicates with the
+    statement spec's own ``pair_filter`` and constructs the join
+    iterator exactly once, handing it the ``SHARDS`` / ``PARALLEL``
+    count as ``shards`` / ``workers``.  The planner's cost annotations
+    (both strategies' estimates) and its traversal choice live here
+    for EXPLAIN.
 
     :meth:`results` emits every equal-distance group in ``(oid1,
     oid2)`` order and completes the group at the ``STOP AFTER`` cap
@@ -508,16 +514,25 @@ class DistanceJoinOp(PhysicalNode):
         left: PhysicalNode,
         right: PhysicalNode,
         operator_cls: type,
-        kwargs: Dict[str, Any],
+        spec: JoinSpec,
         strategy: str,
         traversal: Optional[Traversal] = None,
+        *,
+        counters: Optional[CounterRegistry] = None,
+        observer: Optional[Observer] = None,
+        shards: Optional[int] = None,
+        workers: Optional[int] = None,
     ) -> None:
         self.left = left
         self.right = right
         self.operator_cls = operator_cls
-        self.kwargs = kwargs
+        self.spec = spec
         self.strategy = strategy
         self.traversal = traversal
+        self.counters = counters
+        self.observer = observer
+        self.shards = shards
+        self.workers = workers
         # Cost annotations arrive lazily (see PhysicalPlan.explanation):
         # plain execution never prices plans it was not asked to choose
         # between, so it skips the cost model's tree walk entirely.
@@ -553,22 +568,33 @@ class DistanceJoinOp(PhysicalNode):
             else self.pipeline_cost
         )
 
+    def _inputs(self) -> Tuple[Any, Any, Optional[Callable[[Pair], bool]]]:
+        """Resolve both inputs: the two trees and the join's pair
+        filter (pushed-down predicates and the spec's own)."""
+        left = self.left.resolve(self.observer)
+        right = self.right.resolve(self.observer)
+        self.mapping1 = left.mapping
+        self.mapping2 = right.mapping
+        return left.tree, right.tree, _compose_pair_filter(
+            self.spec.pair_filter, left.matcher, right.matcher
+        )
+
     def open(self) -> IncrementalDistanceJoin:
         if self._join is None:
-            obs = self.kwargs.get("observer")
-            with _maybe_span(obs, "op.DistanceJoin"):
-                left = self.left.resolve(obs)
-                right = self.right.resolve(obs)
-                self.mapping1 = left.mapping
-                self.mapping2 = right.mapping
-                kwargs = dict(self.kwargs)
-                pair_filter = _compose_pair_filter(
-                    left.matcher, right.matcher
+            with _maybe_span(self.observer, "op.DistanceJoin"):
+                tree1, tree2, pair_filter = self._inputs()
+                spec = self.spec
+                if pair_filter is not spec.pair_filter:
+                    spec = spec.evolve(pair_filter=pair_filter)
+                hint = (
+                    {"shards": self.shards} if self.shards is not None
+                    else {"workers": self.workers}
+                    if self.workers is not None else {}
                 )
-                if pair_filter is not None:
-                    kwargs.setdefault("pair_filter", pair_filter)
                 self._join = self.operator_cls(
-                    left.tree, right.tree, **kwargs
+                    tree1, tree2, spec,
+                    counters=self.counters, observer=self.observer,
+                    **hint,
                 )
                 self._order()
         return self._join
@@ -626,22 +652,13 @@ class DistanceJoinOp(PhysicalNode):
                 f"{self.operator_cls.__name__} does not support "
                 "cursor restore"
             )
-        obs = self.kwargs.get("observer")
-        with _maybe_span(obs, "op.DistanceJoin"):
-            left = self.left.resolve(obs)
-            right = self.right.resolve(obs)
-            self.mapping1 = left.mapping
-            self.mapping2 = right.mapping
-            # Recompose the pushed-down predicate closure that save()
-            # had to strip (a caller-supplied pair_filter kwarg wins,
-            # matching open()).
-            pair_filter = self.kwargs.get(
-                "pair_filter"
-            ) or _compose_pair_filter(left.matcher, right.matcher)
+        with _maybe_span(self.observer, "op.DistanceJoin"):
+            # Recompose the pair filter that save() had to strip.
+            tree1, tree2, pair_filter = self._inputs()
             self._join = loader(
-                join_cursor, left.tree, right.tree,
-                counters=self.kwargs.get("counters"),
-                observer=obs,
+                join_cursor, tree1, tree2,
+                counters=self.counters,
+                observer=self.observer,
                 pair_filter=pair_filter,
             )
             ties = payload["ties"]
@@ -897,7 +914,7 @@ def choose_traversal(
     query: Query,
     tree1: Any,
     tree2: Any,
-    kwargs: Dict[str, Any],
+    node_policy: Optional[str] = None,
     pushdown: bool = False,
     pair_selectivity: float = 1.0,
 ) -> Traversal:
@@ -910,8 +927,7 @@ def choose_traversal(
     a leaf's side (:func:`repro.query.costmodel.traversal_bound`: sizes,
     fan-outs and the two root MBRs, no stats walk, nothing charged) and
     picks Simultaneous when ``D <= SIMULTANEOUS_LEAF_FRACTION x leaf``.
-    ``kwargs`` are the join's constructor keywords before the choice: a
-    caller's ``node_policy`` wins.
+    A caller's ``node_policy`` pin wins.
     Kept on Even, each for a reason: the semi-join (measured slower),
     ``DESC``, ``SHARDS`` / ``PARALLEL`` (neutral in time, more memory),
     an index without an R-tree's fan-out (a quadtree), and a predicate
@@ -921,8 +937,8 @@ def choose_traversal(
     0.1 % selectivity).  A ``WATCH`` query's bootstrap and repair are
     not planned here.
     """
-    if "node_policy" in kwargs:
-        return Traversal(kwargs["node_policy"], "caller")
+    if node_policy is not None:
+        return Traversal(node_policy, "caller")
     if query.is_semi_join:
         return Traversal(EVEN, "semi-join")
     if query.descending:
@@ -936,8 +952,8 @@ def choose_traversal(
     if not (isinstance(tree1, RTreeBase) and isinstance(tree2, RTreeBase)):
         return Traversal(EVEN, "no R-tree fan-out")
     bound = traversal_bound(
-        tree1, tree2, kwargs["min_distance"], kwargs["max_distance"],
-        kwargs["max_pairs"], pair_selectivity,
+        tree1, tree2, *query.distance_bounds(), query.stop_after,
+        pair_selectivity,
     )
     if bound is None:
         return Traversal(EVEN, "empty relation")
@@ -997,26 +1013,67 @@ def _price_strategies(
     return choice, pipeline, prefilter
 
 
+#: The :class:`JoinSpec` fields a statement states itself: the
+#: database's metric, the WHERE distance range, ``STOP AFTER`` and
+#: ``ORDER BY``'s direction -- and last, only for a planned pull
+#: query, the traversal (a caller pins it with ``node_policy=``).
+_SQL_FIELDS = (
+    "metric", "min_distance", "max_distance", "max_pairs", "descending",
+    "node_policy",
+)
+
+
+def statement_spec(
+    db: Any, query: Query, spec: Optional[JoinSpec] = None,
+    node_policy: Optional[str] = None,
+) -> JoinSpec:
+    """The caller's ``spec`` with the fields the SQL states filled in
+    from the query, and the planner's ``node_policy`` when given (a
+    ``WATCH`` query is not planned and keeps the spec's).  The SQL owns
+    what it says: a caller spec that sets one of those fields to
+    anything but its default is a :class:`~repro.errors.QueryError`."""
+    default = JoinSpec()
+    spec = default if spec is None else spec
+    for name in _SQL_FIELDS[:None if node_policy else -1]:
+        if getattr(spec, name) != getattr(default, name):
+            raise QueryError(
+                f"the statement states {name}; a caller JoinSpec "
+                "cannot set it" + (
+                    " (pin one with node_policy=)"
+                    if name == "node_policy" else ""
+                )
+            )
+    dmin, dmax = query.distance_bounds()
+    return spec.evolve(
+        metric=db.metric, min_distance=dmin, max_distance=dmax,
+        max_pairs=query.stop_after,
+        node_policy=node_policy or spec.node_policy,
+    )
+
+
 def build_physical_plan(
     db: Any,
     query: Query,
     strategy: str = "auto",
-    join_kwargs: Optional[Dict[str, Any]] = None,
+    *,
+    spec: Optional[JoinSpec] = None,
+    node_policy: Optional[str] = None,
+    observer: Optional[Observer] = None,
 ) -> PhysicalPlan:
     """Lower ``query`` into an executable physical plan.
 
     ``strategy`` forces the predicate plan (``pipeline`` /
-    ``prefilter``); ``auto`` applies the cost rule.  ``join_kwargs``
-    are forwarded to the join operator constructor and take precedence
-    over planner defaults (e.g. a caller ``pair_filter`` suppresses
-    the pushed-down predicate filter).
+    ``prefilter``); ``auto`` applies the cost rule.  ``node_policy``
+    pins the traversal over :func:`choose_traversal`'s.  ``spec``
+    carries the knobs the SQL does not state (:func:`statement_spec`),
+    and ``observer`` receives the operators' spans.
     """
     require(strategy in STRATEGIES,
             f"strategy must be one of {STRATEGIES}")
     if query.watch:
         raise QueryError(
             "WATCH queries are standing registrations, not pull "
-            "plans; use Database.watch() (or build_standing_join)"
+            "plans; use Database.watch()"
         )
     logical = build_logical_plan(query)
     tree1 = db.relation(query.relation1)
@@ -1052,24 +1109,12 @@ def build_physical_plan(
     else:
         strategy_used = "pipeline"
 
-    kwargs: Dict[str, Any] = dict(
-        metric=db.metric,
-        min_distance=dmin,
-        max_distance=dmax,
-        max_pairs=query.stop_after,
-        counters=db.counters,
-    )
-    kwargs.update(join_kwargs or {})
     traversal = choose_traversal(
-        query, tree1, tree2, kwargs,
+        query, tree1, tree2, node_policy,
         pushdown=has_predicates and strategy_used == "pipeline",
         pair_selectivity=selectivity1 * selectivity2,
     )
-    kwargs["node_policy"] = traversal.policy
-    if query.parallel is not None:
-        kwargs.setdefault("workers", query.parallel)
-    if query.shards is not None:
-        kwargs.setdefault("shards", query.shards)
+    spec = statement_spec(db, query, spec, traversal.policy)
 
     def side(
         relation: str,
@@ -1088,9 +1133,13 @@ def build_physical_plan(
         left=side(query.relation1, tree1, match1, selectivity1),
         right=side(query.relation2, tree2, match2, selectivity2),
         operator_cls=operator_cls,
-        kwargs=kwargs,
+        spec=spec,
         strategy=strategy_used,
         traversal=traversal,
+        counters=db.counters,
+        observer=observer,
+        shards=query.shards,
+        workers=query.parallel,
     )
     if costs is not None:
         join_op.annotate_costs(*costs)
@@ -1109,18 +1158,17 @@ def build_physical_plan(
         from repro.shard.catalog import catalog_for
         from repro.shard.router import plan_shard_pairs
 
-        shards, method = operator_cls.routing(**kwargs)
-        catalogs = kwargs.get("catalogs")
-        if catalogs is not None:
-            cat1, cat2 = catalogs
+        if query.shards is not None:
+            shards, method = operator_cls.routing(query.shards)
         else:
-            cat1, cat2 = (
-                catalog_for(
-                    tree, shards, method, counters=db.counters,
-                    cache=query.shards is not None,
-                )
-                for tree in (tree1, tree2)
+            shards, method = operator_cls.routing(workers=query.parallel)
+        cat1, cat2 = (
+            catalog_for(
+                tree, shards, method, counters=db.counters,
+                cache=query.shards is not None,
             )
+            for tree in (tree1, tree2)
+        )
         pairs, range_pruned, __ = plan_shard_pairs(
             cat1, cat2, db.metric, dmin, dmax
         )
@@ -1182,48 +1230,4 @@ def build_physical_plan(
         join_op=join_op,
         logical=logical,
         explanation_factory=explanation_factory,
-    )
-
-
-def build_standing_join(
-    db: Any,
-    query: Query,
-    *,
-    counters: Optional[Any] = None,
-    observer: Optional[Any] = None,
-    frontier: Optional[int] = None,
-    **join_kwargs: Any,
-) -> Any:
-    """Lower a ``WATCH`` query into a registered standing join.
-
-    The standing counterpart of :func:`build_physical_plan`: resolves
-    the relations, folds the WHERE distance range and ``STOP AFTER``
-    into a :class:`~repro.core.spec.JoinSpec`, and bootstraps a
-    :class:`~repro.live.StandingJoin` whose initial result is already
-    queued as ADD deltas.  ``join_kwargs`` override individual spec
-    knobs (``node_policy``, ``tie_break``, ...).
-    """
-    from repro.core.spec import JoinSpec
-    from repro.live import StandingJoin
-
-    if not query.watch:
-        raise QueryError(
-            "build_standing_join needs a WATCH query; use "
-            "build_physical_plan for pull queries"
-        )
-    tree1 = db.relation(query.relation1)
-    tree2 = db.relation(query.relation2)
-    dmin, dmax = query.distance_bounds()
-    knobs: Dict[str, Any] = dict(
-        metric=db.metric,
-        min_distance=dmin,
-        max_distance=dmax,
-        max_pairs=query.stop_after,
-    )
-    knobs.update(join_kwargs)
-    return StandingJoin(
-        tree1, tree2, JoinSpec(**knobs),
-        counters=counters if counters is not None else db.counters,
-        observer=observer,
-        frontier=frontier,
     )

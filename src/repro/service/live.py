@@ -24,6 +24,8 @@ from repro.core import cursor
 from repro.live.delta import Delta
 from repro.live.standing import StandingJoin
 from repro.query.parser import parse
+from repro.util.counters import CounterRegistry
+from repro.util.obs import Observer
 
 __all__ = ["LiveSource"]
 
@@ -33,21 +35,25 @@ class LiveSource:
 
     Mirrors the :class:`~repro.service.session.QuerySource` surface
     the scheduler and sessions expect (``sql`` / ``strategy`` /
-    ``join_kwargs`` / ``plan`` / ``open`` / ``release`` / ``save`` /
+    ``observer`` / ``plan`` / ``open`` / ``release`` / ``save`` /
     ``load``), plus the live-only :meth:`poll`, :meth:`notify_insert`
-    and :meth:`notify_delete`.
+    and :meth:`notify_delete`.  ``counters`` and ``observer`` are
+    :meth:`~repro.query.executor.Database.watch`'s.
     """
 
     def __init__(
         self,
         db: Any,
         sql: str,
-        join_kwargs: Optional[Dict[str, Any]] = None,
+        *,
+        counters: Optional[CounterRegistry] = None,
+        observer: Optional[Observer] = None,
     ) -> None:
         self.db = db
         self.sql = sql
         self.strategy = "live"
-        self.join_kwargs = dict(join_kwargs or {})
+        self.counters = counters if counters is not None else db.counters
+        self.observer = observer
         self._standing: Optional[StandingJoin] = None
         self._query: Any = None
 
@@ -71,7 +77,9 @@ class LiveSource:
     def open(self) -> StandingJoin:
         """Register the standing join (once) and return it."""
         if self._standing is None:
-            self._standing = self.db.watch(self.sql, **self.join_kwargs)
+            self._standing = self.db.watch(
+                self.sql, counters=self.counters, observer=self.observer
+            )
         return self._standing
 
     @property
@@ -123,10 +131,8 @@ class LiveSource:
                 body["standing"],
                 self.db.relation(query.relation1),
                 self.db.relation(query.relation2),
-                counters=self.join_kwargs.get(
-                    "counters", self.db.counters
-                ),
-                observer=self.join_kwargs.get("observer"),
+                counters=self.counters,
+                observer=self.observer,
             )
         self.sql = sql
         self._query = query

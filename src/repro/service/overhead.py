@@ -31,7 +31,6 @@ def resumed_join(
     observer: Optional[Observer] = None,
     every: int = 64,
     through_bytes: bool = True,
-    **knobs: Any,
 ) -> Iterator[Any]:
     """Iterate a join, suspending and resuming every ``every`` results.
 
@@ -51,8 +50,7 @@ def resumed_join(
     """
     require_positive(every, "every")
     join = operator_cls(
-        tree1, tree2, spec, counters=counters, observer=observer,
-        **knobs,
+        tree1, tree2, spec, counters=counters, observer=observer
     )
     while True:
         produced = 0

@@ -133,7 +133,7 @@ class JoinScheduler:
         ``traceparent`` header, or minted here) becomes the session's
         trace identity, and the per-session observer is a flight
         recorder: per-occurrence span records and events on ring
-        buffers, injected into the source's join kwargs so the
+        buffers, handed to the source as its ``observer`` so the
         operator's own ``join.*``/``pq.*`` spans nest under the quantum
         that ran them.  Observers never touch counters, so the join's
         counter bit-identity (and the bench gates) are unaffected.
@@ -154,7 +154,8 @@ class JoinScheduler:
                 trace=trace if trace is not None
                 else TraceContext.mint(),
             )
-            source.join_kwargs.setdefault("observer", observer)
+            if source.observer is None:
+                source.observer = observer
         else:
             observer = Observer(max_events=64)
         session = Session(session_id, source, observer=observer)

@@ -374,8 +374,7 @@ class JoinService:
             # scheduler's registry takes the live_* counters so they
             # surface on /metrics next to the service_* family.
             source: Any = LiveSource(
-                self.db, sql,
-                join_kwargs={"counters": self.scheduler.counters},
+                self.db, sql, counters=self.scheduler.counters
             )
         else:
             source = QuerySource(self.db, sql, strategy=strategy)

@@ -1,8 +1,8 @@
 """Query sources and sessions: the units the scheduler time-slices.
 
-A :class:`QuerySource` is a *rebuildable* row stream: the SQL text,
-the strategy, and the join kwargs needed to lower it into a physical
-plan against a :class:`~repro.query.executor.Database`.  Saving one
+A :class:`QuerySource` is a *rebuildable* row stream: the SQL text
+and the arguments needed to lower it into a physical plan against a
+:class:`~repro.query.executor.Database`.  Saving one
 captures the plan's operator cursor; loading rebuilds the plan from
 the same text and restores the cursor into it, so a resumed stream
 continues bit-identically (the ``query-source`` cursor kind; see
@@ -21,6 +21,7 @@ from collections import deque
 from typing import Any, Deque, Dict, Iterator, Optional
 
 from repro.core import cursor
+from repro.core.spec import JoinSpec
 from repro.errors import CursorError
 from repro.query.physical import PhysicalPlan, Row
 from repro.util.obs import Observer
@@ -39,9 +40,9 @@ class QuerySource:
         cannot resume another).
     strategy:
         Plan strategy (``auto`` / ``pipeline`` / ``prefilter``).
-    join_kwargs:
-        Extra keyword arguments forwarded to the join operator
-        (``observer``, queue knobs, ...).
+    spec, node_policy, observer:
+        As in :meth:`~repro.query.executor.Database.physical_plan`.
+        The scheduler sets :attr:`observer` when it traces a session.
     """
 
     def __init__(
@@ -49,12 +50,17 @@ class QuerySource:
         db: Any,
         sql: str,
         strategy: str = "auto",
-        join_kwargs: Optional[Dict[str, Any]] = None,
+        *,
+        spec: Optional[JoinSpec] = None,
+        node_policy: Optional[str] = None,
+        observer: Optional[Observer] = None,
     ) -> None:
         self.db = db
         self.sql = sql
         self.strategy = strategy
-        self.join_kwargs = dict(join_kwargs or {})
+        self.spec = spec
+        self.node_policy = node_policy
+        self.observer = observer
         self._plan: Optional[PhysicalPlan] = None
         self._rows: Optional[Iterator[Row]] = None
 
@@ -66,11 +72,15 @@ class QuerySource:
     def open(self) -> Iterator[Row]:
         """Build the plan (once) and return the row iterator."""
         if self._rows is None:
-            self._plan = self.db.physical_plan(
-                self.sql, strategy=self.strategy, **self.join_kwargs
-            )
+            self._plan = self._physical_plan(self.sql, self.strategy)
             self._rows = self._plan.rows()
         return self._rows
+
+    def _physical_plan(self, sql: str, strategy: str) -> PhysicalPlan:
+        return self.db.physical_plan(
+            sql, strategy=strategy, spec=self.spec,
+            node_policy=self.node_policy, observer=self.observer,
+        )
 
     def release(self) -> None:
         """Drop the plan and iterator (after :meth:`save`, to evict)."""
@@ -102,9 +112,7 @@ class QuerySource:
         body = cursor.unpack(state, "query-source", type(self))
         with cursor.restoring("query-source"):
             sql, strategy = body["sql"], body["strategy"]
-            plan = self.db.physical_plan(
-                sql, strategy=strategy, **self.join_kwargs
-            )
+            plan = self._physical_plan(sql, strategy)
             if body["plan"] is not None:
                 plan.restore(body["plan"])
         self.sql = sql
@@ -230,13 +238,13 @@ class Session:
                 restored = ProgressEstimator.restore(saved_progress)
                 if restored.lower_bound > progress.lower_bound:
                     progress = restored
-        kwargs = self.source.join_kwargs
+        observer = self.source.observer
         if obs is not self.obs:
-            self.source.join_kwargs = dict(kwargs, observer=obs)
+            self.source.observer = obs
         try:
             self.source.load(state)
         except CursorError:
-            self.source.join_kwargs = kwargs
+            self.source.observer = observer
             raise
         self.obs, self.progress_est = obs, progress
         self._rows = self.source.open()

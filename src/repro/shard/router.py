@@ -220,9 +220,9 @@ class ShardRouterJoin(cursor.SuspendableOperator):
     timeout:
         Seconds to wait for any single pool batch before raising
         :class:`~repro.errors.JoinError` (None = wait forever).
-    spec / **knobs:
-        A :class:`~repro.core.spec.JoinSpec` (or its fields as
-        keywords), applied inside every task.  Validated with
+    spec:
+        A :class:`~repro.core.spec.JoinSpec`, applied inside every
+        task (None means ``JoinSpec()``).  Validated with
         ``JoinSpec.validate(parallel=True)``, which *explicitly*
         rejects what the engine cannot honour (``descending`` -- the
         merge is a min-merge -- and a non-memory ``queue`` tier).
@@ -260,14 +260,13 @@ class ShardRouterJoin(cursor.SuspendableOperator):
         counters: Optional[CounterRegistry] = None,
         observer: Optional[Observer] = None,
         _resume: Optional[Dict[str, Any]] = None,
-        **knobs: Any,
     ) -> None:
         if tree1.dim != tree2.dim:
             raise JoinError(
                 f"cannot join trees of dimension {tree1.dim} and "
                 f"{tree2.dim}"
             )
-        spec = JoinSpec.coalesce(spec, knobs)
+        spec = JoinSpec() if spec is None else spec
         spec.validate(parallel=True)
         if _resume is not None:
             # Only the serial backend saves cursors.
@@ -367,10 +366,9 @@ class ShardRouterJoin(cursor.SuspendableOperator):
         cls,
         shards: Optional[int] = None,
         partition_method: str = STR,
-        **__: Any,
     ) -> Tuple[int, str]:
         """Shards per relation and tiling method of a constructor call
-        with these keywords (EXPLAIN routes without building the
+        with these arguments (EXPLAIN routes without building the
         operator)."""
         return (DEFAULT_SHARDS if shards is None else shards), \
             partition_method

@@ -8,6 +8,7 @@ from repro.baselines.nn_semijoin import nn_semi_join
 from repro.baselines.within_join import within_join, within_join_adaptive
 from repro.core.distance_join import IncrementalDistanceJoin
 from repro.core.semi_join import IncrementalDistanceSemiJoin
+from repro.core.spec import JoinSpec
 from repro.util.counters import CounterRegistry
 
 from tests.conftest import (
@@ -75,7 +76,7 @@ class TestNestedLoop:
     def test_agrees_with_incremental(self, base_setup):
         points_a, points_b, tree_a, tree_b, __ = base_setup
         incremental = list(IncrementalDistanceJoin(
-            tree_a, tree_b, max_pairs=50, counters=CounterRegistry()
+            tree_a, tree_b, JoinSpec(max_pairs=50), counters=CounterRegistry(),
         ))
         brute = nested_loop_join(points_a, points_b, max_pairs=50)
         assert [r.distance for r in incremental] == pytest.approx(

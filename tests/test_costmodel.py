@@ -9,6 +9,7 @@ import pytest
 
 from repro.bench.runner import run_join
 from repro.core.distance_join import IncrementalDistanceJoin
+from repro.core.spec import JoinSpec
 from repro.query.costmodel import JoinCostModel, collect_stats
 from repro.query.executor import Database
 from repro.util.counters import CounterRegistry
@@ -117,7 +118,8 @@ class TestCostRanking:
         for label, dmax in (("narrow", 2.0), ("wide", 30.0)):
             run = run_join(
                 lambda: IncrementalDistanceJoin(
-                    tree_a, tree_b, max_distance=dmax, counters=counters
+                    tree_a, tree_b, JoinSpec(max_distance=dmax),
+                    counters=counters,
                 ),
                 None,
                 counters,

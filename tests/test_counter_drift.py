@@ -178,8 +178,8 @@ def observed(counters, golden):
 def test_sequential_join_work_counters_match_golden():
     load = build_tiger_workload(scale=SCALE)
     join = IncrementalDistanceJoin(
-        load.tree1, load.tree2,
-        max_pairs=PAIRS, counters=load.counters,
+        load.tree1, load.tree2, JoinSpec(max_pairs=PAIRS),
+        counters=load.counters,
     )
     produced = sum(1 for __ in join)
     assert produced == PAIRS
@@ -194,8 +194,8 @@ def test_hybrid_queue_spill_counters_match_golden():
     here, not as a quiet shift in the bench artifacts."""
     load = build_tiger_workload(scale=SCALE)
     join = IncrementalDistanceJoin(
-        load.tree1, load.tree2,
-        queue="hybrid", queue_dt=HYBRID_DT, counters=load.counters,
+        load.tree1, load.tree2, JoinSpec(queue="hybrid", queue_dt=HYBRID_DT),
+        counters=load.counters,
     )
     assert len(list(islice(join, PAIRS))) == PAIRS
     assert observed(load.counters, GOLDEN_HYBRID) == GOLDEN_HYBRID
@@ -343,8 +343,8 @@ def test_goldens_are_repeatable_within_process():
         load.cold_caches()
         load.reset_counters()
         join = IncrementalDistanceJoin(
-            load.tree1, load.tree2,
-            max_pairs=PAIRS, counters=load.counters,
+            load.tree1, load.tree2, JoinSpec(max_pairs=PAIRS),
+            counters=load.counters,
         )
         sum(1 for __ in join)
         results.append((

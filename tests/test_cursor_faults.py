@@ -79,8 +79,9 @@ class Case:
             IncrementalDistanceJoin, IncrementalDistanceSemiJoin
         )
         join = self.cls(
-            self.tree1, self.tree2, max_pairs=40,
-            pair_filter=lambda pair: True, counters=CounterRegistry(),
+            self.tree1, self.tree2,
+            JoinSpec(max_pairs=40, pair_filter=lambda pair: True),
+            counters=CounterRegistry(),
         )
         for __ in range(7):
             next(join)
@@ -89,8 +90,9 @@ class Case:
     def _shard(self):
         self.cls, self.other = ShardRouterJoin, ShardRouterSemiJoin
         router = self.cls(
-            self.tree1, self.tree2, shards=3, max_pairs=40,
-            pair_filter=lambda pair: True, counters=CounterRegistry(),
+            self.tree1, self.tree2,
+            JoinSpec(max_pairs=40, pair_filter=lambda pair: True),
+            shards=3, counters=CounterRegistry(),
         )
         for __ in range(7):
             next(router)
@@ -407,15 +409,13 @@ class TestSessionExtras:
         except CursorError:
             assert fresh.source.plan is None
             assert getattr(fresh.source, "_standing", None) is None
-            assert fresh.source.join_kwargs == {}
+            assert fresh.source.observer is None
             assert fresh.obs is obs and obs.trace is None
             assert fresh.progress_est is estimator
             assert estimator.lower_bound == 0.0
             return False
         assert not fresh.evicted
-        assert fresh.source.join_kwargs.get("observer") in (
-            None, fresh.obs,
-        )
+        assert fresh.source.observer in (None, fresh.obs)
         # What was restored can be exported.
         assert len(fresh.obs.records) <= fresh.obs.events.max_events
         return True

@@ -11,6 +11,7 @@ from repro.core.distance_join import (
     SIMULTANEOUS,
     IncrementalDistanceJoin,
 )
+from repro.core.spec import JoinSpec
 from repro.core.tiebreak import BREADTH_FIRST, DEPTH_FIRST
 from repro.errors import JoinError
 from repro.geometry.metrics import CHESSBOARD, EUCLIDEAN, MANHATTAN
@@ -44,7 +45,7 @@ class TestOrderingCorrectness:
     def test_matches_brute_force_prefix(self, small_trees, policy, tie):
         tree_a, tree_b, truth = small_trees
         join = IncrementalDistanceJoin(
-            tree_a, tree_b, node_policy=policy, tie_break=tie,
+            tree_a, tree_b, JoinSpec(node_policy=policy, tie_break=tie),
             counters=CounterRegistry(),
         )
         got = take(join, 300)
@@ -57,8 +58,7 @@ class TestOrderingCorrectness:
         points_b = make_points(15, seed=42)
         join = IncrementalDistanceJoin(
             make_tree(points_a, max_entries=4),
-            make_tree(points_b, max_entries=4),
-            node_policy=policy,
+            make_tree(points_b, max_entries=4), JoinSpec(node_policy=policy),
         )
         got = list(join)
         assert len(got) == 12 * 15
@@ -80,7 +80,8 @@ class TestOrderingCorrectness:
         tree_a = make_tree(points_small_a)
         tree_b = make_tree(points_small_b)
         join = IncrementalDistanceJoin(
-            tree_a, tree_b, metric=metric, counters=CounterRegistry()
+            tree_a, tree_b, JoinSpec(metric=metric),
+            counters=CounterRegistry(),
         )
         got = take(join, 100)
         expected = [
@@ -129,7 +130,8 @@ class TestDistanceRange:
     def test_max_distance_truncates(self, small_trees):
         tree_a, tree_b, truth = small_trees
         join = IncrementalDistanceJoin(
-            tree_a, tree_b, max_distance=10.0, counters=CounterRegistry()
+            tree_a, tree_b, JoinSpec(max_distance=10.0),
+            counters=CounterRegistry(),
         )
         got = list(join)
         expected = [t for t in truth if t[0] <= 10.0]
@@ -138,7 +140,7 @@ class TestDistanceRange:
     def test_min_distance_skips_close_pairs(self, small_trees):
         tree_a, tree_b, truth = small_trees
         join = IncrementalDistanceJoin(
-            tree_a, tree_b, min_distance=50.0, max_distance=60.0,
+            tree_a, tree_b, JoinSpec(min_distance=50.0, max_distance=60.0),
             counters=CounterRegistry(),
         )
         got = list(join)
@@ -149,7 +151,7 @@ class TestDistanceRange:
     def test_empty_range(self, small_trees):
         tree_a, tree_b, __ = small_trees
         join = IncrementalDistanceJoin(
-            tree_a, tree_b, min_distance=1000.0, max_distance=2000.0,
+            tree_a, tree_b, JoinSpec(min_distance=1000.0, max_distance=2000.0),
             counters=CounterRegistry(),
         )
         assert list(join) == []
@@ -162,7 +164,7 @@ class TestDistanceRange:
         ), 100))
         narrow = CounterRegistry()
         list(take(IncrementalDistanceJoin(
-            tree_a, tree_b, max_distance=5.0, counters=narrow
+            tree_a, tree_b, JoinSpec(max_distance=5.0), counters=narrow,
         ), 100))
         assert (
             narrow.value("queue_inserts") < wide.value("queue_inserts")
@@ -172,7 +174,7 @@ class TestDistanceRange:
         tree_a, tree_b, __ = small_trees
         with pytest.raises(ValueError):
             IncrementalDistanceJoin(
-                tree_a, tree_b, min_distance=5.0, max_distance=1.0
+                tree_a, tree_b, JoinSpec(min_distance=5.0, max_distance=1.0),
             )
 
 
@@ -180,7 +182,7 @@ class TestMaxPairs:
     def test_stops_at_limit(self, small_trees):
         tree_a, tree_b, truth = small_trees
         join = IncrementalDistanceJoin(
-            tree_a, tree_b, max_pairs=25, counters=CounterRegistry()
+            tree_a, tree_b, JoinSpec(max_pairs=25), counters=CounterRegistry(),
         )
         got = list(join)
         assert len(got) == 25
@@ -192,11 +194,11 @@ class TestMaxPairs:
         tree_a, tree_b, *__ = medium_trees
         plain = CounterRegistry()
         take(IncrementalDistanceJoin(
-            tree_a, tree_b, estimate=False, counters=plain
+            tree_a, tree_b, JoinSpec(estimate=False), counters=plain,
         ), 20)
         estimated = CounterRegistry()
         list(IncrementalDistanceJoin(
-            tree_a, tree_b, max_pairs=20, counters=estimated
+            tree_a, tree_b, JoinSpec(max_pairs=20), counters=estimated,
         ))
         assert (
             estimated.value("queue_inserts")
@@ -208,7 +210,7 @@ class TestMaxPairs:
         tree_a, tree_b, __, ___, truth = medium_trees
         counters = CounterRegistry()
         join = IncrementalDistanceJoin(
-            tree_a, tree_b, max_pairs=200, aggressive=True,
+            tree_a, tree_b, JoinSpec(max_pairs=200, aggressive=True),
             counters=counters,
         )
         got = list(join)
@@ -220,7 +222,7 @@ class TestMaxPairs:
     def test_max_pairs_one(self, small_trees):
         tree_a, tree_b, truth = small_trees
         join = IncrementalDistanceJoin(
-            tree_a, tree_b, max_pairs=1, counters=CounterRegistry()
+            tree_a, tree_b, JoinSpec(max_pairs=1), counters=CounterRegistry(),
         )
         got = list(join)
         assert len(got) == 1
@@ -231,7 +233,7 @@ class TestQueueVariants:
     def test_hybrid_queue_same_results(self, small_trees):
         tree_a, tree_b, truth = small_trees
         join = IncrementalDistanceJoin(
-            tree_a, tree_b, queue="hybrid", queue_dt=5.0,
+            tree_a, tree_b, JoinSpec(queue="hybrid", queue_dt=5.0),
             counters=CounterRegistry(),
         )
         got = take(join, 400)
@@ -242,14 +244,14 @@ class TestQueueVariants:
     def test_hybrid_requires_dt(self, small_trees):
         tree_a, tree_b, __ = small_trees
         with pytest.raises(ValueError):
-            IncrementalDistanceJoin(tree_a, tree_b, queue="hybrid")
+            IncrementalDistanceJoin(tree_a, tree_b, JoinSpec(queue="hybrid"))
 
     def test_adaptive_queue_same_results(self, small_trees):
         """The paper's future-work item: D_T chosen dynamically from
         the queue's own early traffic must not change the output."""
         tree_a, tree_b, truth = small_trees
         join = IncrementalDistanceJoin(
-            tree_a, tree_b, queue="adaptive",
+            tree_a, tree_b, JoinSpec(queue="adaptive"),
             counters=CounterRegistry(),
         )
         got = take(join, 400)
@@ -262,7 +264,7 @@ class TestQueueVariants:
         tree_a, tree_b, *__ = medium_trees
         counters = CounterRegistry()
         join = IncrementalDistanceJoin(
-            tree_a, tree_b, queue="hybrid", queue_dt=3.0,
+            tree_a, tree_b, JoinSpec(queue="hybrid", queue_dt=3.0),
             counters=counters,
         )
         take(join, 50)
@@ -303,7 +305,7 @@ class TestEdgesAndHooks:
             return pair.item1.rect.lo[0] <= 50.0
 
         join = IncrementalDistanceJoin(
-            tree_a, tree_b, pair_filter=left_half,
+            tree_a, tree_b, JoinSpec(pair_filter=left_half),
             counters=CounterRegistry(),
         )
         got = take(join, 100)
@@ -338,13 +340,17 @@ class TestEdgesAndHooks:
     def test_invalid_policy_rejected(self, small_trees):
         tree_a, tree_b, __ = small_trees
         with pytest.raises(ValueError):
-            IncrementalDistanceJoin(tree_a, tree_b, node_policy="magic")
+            IncrementalDistanceJoin(
+                tree_a, tree_b, JoinSpec(node_policy="magic"),
+            )
         with pytest.raises(ValueError):
-            IncrementalDistanceJoin(tree_a, tree_b, tie_break="magic")
+            IncrementalDistanceJoin(
+                tree_a, tree_b, JoinSpec(tie_break="magic"),
+            )
         with pytest.raises(ValueError):
-            IncrementalDistanceJoin(tree_a, tree_b, max_pairs=0)
+            IncrementalDistanceJoin(tree_a, tree_b, JoinSpec(max_pairs=0))
         with pytest.raises(ValueError):
-            IncrementalDistanceJoin(tree_a, tree_b, queue="floppy")
+            IncrementalDistanceJoin(tree_a, tree_b, JoinSpec(queue="floppy"))
 
 
 @settings(
@@ -371,7 +377,8 @@ def test_property_join_equals_brute_force(raw_a, raw_b, policy):
     tree_a = make_tree(points_a, max_entries=4)
     tree_b = make_tree(points_b, max_entries=4)
     join = IncrementalDistanceJoin(
-        tree_a, tree_b, node_policy=policy, counters=CounterRegistry()
+        tree_a, tree_b, JoinSpec(node_policy=policy),
+        counters=CounterRegistry(),
     )
     got = list(join)
     truth = brute_force_pairs(points_a, points_b)

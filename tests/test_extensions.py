@@ -5,6 +5,7 @@ import pytest
 
 from repro.core.distance_join import IncrementalDistanceJoin
 from repro.core.semi_join import IncrementalDistanceSemiJoin
+from repro.core.spec import JoinSpec
 from repro.datasets.tiger_like import (
     EXTENT,
     roads_segments,
@@ -73,14 +74,14 @@ class TestSegmentJoins:
 
         counters_direct = CounterRegistry()
         direct = IncrementalDistanceJoin(
-            tree_w, tree_r, leaf_mode="direct",
+            tree_w, tree_r, JoinSpec(leaf_mode="direct"),
             counters=counters_direct,
         )
         got_direct = [next(direct).distance for __ in range(50)]
 
         counters_obr = CounterRegistry()
         obr = IncrementalDistanceJoin(
-            tree_w, tree_r, leaf_mode="obr", counters=counters_obr,
+            tree_w, tree_r, JoinSpec(leaf_mode="obr"), counters=counters_obr,
         )
         got_obr = [next(obr).distance for __ in range(50)]
 
@@ -122,8 +123,7 @@ class TestEstimatorOnExtendedObjects:
         join = IncrementalDistanceJoin(
             bulk_load_str(water, max_entries=8),
             bulk_load_str(roads, max_entries=8),
-            leaf_mode="obr",
-            max_pairs=25,
+            JoinSpec(leaf_mode="obr", max_pairs=25),
             counters=CounterRegistry(),
         )
         got = [r.distance for r in join]
@@ -140,8 +140,7 @@ class TestEstimatorOnExtendedObjects:
         semi = IncrementalDistanceSemiJoin(
             bulk_load_str(water, max_entries=8),
             bulk_load_str(roads, max_entries=8),
-            leaf_mode="obr",
-            max_pairs=10,
+            JoinSpec(leaf_mode="obr", max_pairs=10),
             counters=CounterRegistry(),
         )
         got = [r.distance for r in semi]

@@ -8,6 +8,7 @@ from repro.core.distance_join import (
     IncrementalDistanceJoin,
 )
 from repro.core.semi_join import IncrementalDistanceSemiJoin
+from repro.core.spec import JoinSpec
 from repro.geometry.point import Point
 from repro.geometry.shapes import LineSegment, Polygon
 from repro.query.executor import Database
@@ -89,11 +90,11 @@ class TestObrLeafMode:
         tree_a = make_tree(points_a)
         tree_b = make_tree(points_b)
         direct = take(IncrementalDistanceJoin(
-            tree_a, tree_b, leaf_mode="direct",
+            tree_a, tree_b, JoinSpec(leaf_mode="direct"),
             counters=CounterRegistry(),
         ), 100)
         obr = take(IncrementalDistanceJoin(
-            tree_a, tree_b, leaf_mode=OBR_MODE,
+            tree_a, tree_b, JoinSpec(leaf_mode=OBR_MODE),
             counters=CounterRegistry(),
         ), 100)
         assert [r.distance for r in direct] == pytest.approx(
@@ -105,7 +106,7 @@ class TestObrLeafMode:
         tree_b = make_tree(make_points(30, seed=110))
         counters = CounterRegistry()
         take(IncrementalDistanceJoin(
-            tree_a, tree_b, leaf_mode=OBR_MODE, counters=counters,
+            tree_a, tree_b, JoinSpec(leaf_mode=OBR_MODE), counters=counters,
         ), 20)
         assert counters.value("object_accesses") > 0
 

@@ -5,6 +5,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.core.knn_join import KNearestNeighborJoin
 from repro.core.semi_join import IncrementalDistanceSemiJoin
+from repro.core.spec import JoinSpec
 from repro.geometry.metrics import EUCLIDEAN
 from repro.geometry.point import Point
 from repro.util.counters import CounterRegistry
@@ -45,10 +46,11 @@ class TestCorrectness:
     ):
         points_a, points_b, tree_a, tree_b = knn_setup
         join = KNearestNeighborJoin(
-            tree_a, tree_b, k=k,
-            filter_strategy=filter_strategy,
-            dmax_strategy=dmax_strategy,
-            counters=CounterRegistry(),
+            tree_a, tree_b,
+            JoinSpec(
+                filter_strategy=filter_strategy, dmax_strategy=dmax_strategy,
+            ),
+            k=k, counters=CounterRegistry(),
         )
         got = list(join)
         truth = brute_knn(points_a, points_b, k)
@@ -106,7 +108,7 @@ class TestCorrectness:
     def test_max_pairs_with_estimation(self, knn_setup):
         points_a, points_b, tree_a, tree_b = knn_setup
         join = KNearestNeighborJoin(
-            tree_a, tree_b, k=2, max_pairs=15,
+            tree_a, tree_b, JoinSpec(max_pairs=15), k=2,
             counters=CounterRegistry(),
         )
         got = list(join)
@@ -132,9 +134,9 @@ class TestCorrectness:
         __, ___, tree_a, tree_b = knn_setup
         counters = CounterRegistry()
         list(KNearestNeighborJoin(
-            tree_a, tree_b, k=2,
-            filter_strategy="inside2", dmax_strategy="global_all",
-            counters=counters,
+            tree_a, tree_b,
+            JoinSpec(filter_strategy="inside2", dmax_strategy="global_all"),
+            k=2, counters=counters,
         ))
         assert counters.value("pruned_dmax") > 0
 
@@ -163,12 +165,9 @@ def test_property_knn_join(raw_a, raw_b, k, strategy):
     points_a = [Point(xy) for xy in raw_a]
     points_b = [Point(xy) for xy in raw_b]
     join = KNearestNeighborJoin(
-        make_tree(points_a, max_entries=4),
-        make_tree(points_b, max_entries=4),
-        k=k,
-        filter_strategy=filter_strategy,
-        dmax_strategy=dmax_strategy,
-        counters=CounterRegistry(),
+        make_tree(points_a, max_entries=4), make_tree(points_b, max_entries=4),
+        JoinSpec(filter_strategy=filter_strategy, dmax_strategy=dmax_strategy),
+        k=k, counters=CounterRegistry(),
     )
     got = list(join)
     truth = brute_knn(points_a, points_b, k)

@@ -535,7 +535,7 @@ class TestWatchSql:
         with pytest.raises(QueryError, match="standing"):
             build_physical_plan(db, query)
         with pytest.raises(QueryError, match="standing"):
-            db.execute_query(query)
+            db.execute(query)
 
     def test_database_watch_end_to_end(self):
         db = self.make_db()

@@ -7,6 +7,7 @@ import time
 import pytest
 
 from repro.core.distance_join import IncrementalDistanceJoin
+from repro.core.spec import JoinSpec
 from repro.util.counters import CounterRegistry
 from repro.util.obs import (
     KEEP_FIRST,
@@ -577,8 +578,8 @@ class TestCostOfWatching:
         monkeypatch.setattr("repro.core.pqueue.NULL_OBSERVER", null)
         join = IncrementalDistanceJoin(
             make_tree(make_points(150, seed=5)),
-            make_tree(make_points(150, seed=6)),
-            max_pairs=400, counters=CounterRegistry(),
+            make_tree(make_points(150, seed=6)), JoinSpec(max_pairs=400),
+            counters=CounterRegistry(),
         )
         assert join.obs is null
         assert len(list(join)) == 400

@@ -8,6 +8,7 @@ import time
 import pytest
 
 from repro.core.pairs import OBJ
+from repro.core.spec import JoinSpec
 from repro.errors import JoinError, QueryError, QuerySyntaxError
 from repro.geometry.point import Point
 from repro.geometry.rectangle import Rect
@@ -152,16 +153,16 @@ class TestParallelJoin:
         tree_a, tree_b, truth = small_trees
         for k in (1, 10, 57):
             join = ParallelDistanceJoin(
-                tree_a, tree_b, workers=2, backend="thread",
-                partitions=4, max_pairs=k,
+                tree_a, tree_b, JoinSpec(max_pairs=k), workers=2,
+                backend="thread", partitions=4,
             )
             assert results_as_triples(join) == truth[:k]
 
     def test_medium_dataset(self, medium_trees):
         tree_a, tree_b, __, ___, truth = medium_trees
         join = ParallelDistanceJoin(
-            tree_a, tree_b, workers=3, backend="thread",
-            partitions=6, max_pairs=500,
+            tree_a, tree_b, JoinSpec(max_pairs=500), workers=3,
+            backend="thread", partitions=6,
         )
         assert results_as_triples(join) == truth[:500]
 
@@ -169,8 +170,8 @@ class TestParallelJoin:
         tree_a, tree_b, truth = small_trees
         expected = [t for t in truth if 5.0 <= t[0] <= 20.0]
         join = ParallelDistanceJoin(
-            tree_a, tree_b, workers=2, backend="thread",
-            partitions=4, min_distance=5.0, max_distance=20.0,
+            tree_a, tree_b, JoinSpec(min_distance=5.0, max_distance=20.0),
+            workers=2, backend="thread", partitions=4,
         )
         assert results_as_triples(join) == expected
 
@@ -181,16 +182,16 @@ class TestParallelJoin:
         )
         expected = [t for t in truth if t[1] % 2 == 0][:30]
         join = ParallelDistanceJoin(
-            tree_a, tree_b, workers=2, backend="thread",
-            partitions=4, pair_filter=keep, max_pairs=30,
+            tree_a, tree_b, JoinSpec(pair_filter=keep, max_pairs=30),
+            workers=2, backend="thread", partitions=4,
         )
         assert results_as_triples(join) == expected
 
     def test_process_backend(self, small_trees):
         tree_a, tree_b, truth = small_trees
         join = ParallelDistanceJoin(
-            tree_a, tree_b, workers=2, backend="process",
-            partitions=2, max_pairs=40, batch_size=8,
+            tree_a, tree_b, JoinSpec(max_pairs=40), workers=2,
+            backend="process", partitions=2, batch_size=8,
         )
         assert results_as_triples(join) == truth[:40]
 
@@ -200,9 +201,9 @@ class TestParallelJoin:
         tree_a, tree_b, __ = small_trees
         counters = CounterRegistry()
         join = ParallelDistanceJoin(
-            tree_a, tree_b, workers=2, backend="process",
-            pair_filter=lambda pair: True,  # lambdas don't pickle
-            counters=counters,
+            tree_a, tree_b,
+            JoinSpec(pair_filter=lambda pair: True),  # lambdas don't pickle
+            workers=2, backend="process", counters=counters,
         )
         assert join.backend == "thread"
         assert counters.value("parallel_backend_fallback") == 1
@@ -210,7 +211,7 @@ class TestParallelJoin:
     def test_results_carry_payload_objects(self, small_trees):
         tree_a, tree_b, __ = small_trees
         join = ParallelDistanceJoin(
-            tree_a, tree_b, workers=2, backend="thread", max_pairs=5,
+            tree_a, tree_b, JoinSpec(max_pairs=5), workers=2, backend="thread",
         )
         for result in join:
             assert isinstance(result.obj1, Point)
@@ -235,7 +236,7 @@ class TestParallelJoin:
         with pytest.raises(Exception):
             ParallelDistanceJoin(tree_a, tree_b, backend="gpu")
         with pytest.raises(Exception):
-            ParallelDistanceJoin(tree_a, tree_b, max_pairs=0)
+            ParallelDistanceJoin(tree_a, tree_b, JoinSpec(max_pairs=0))
 
     def test_close_stops_iteration(self, small_trees):
         tree_a, tree_b, __ = small_trees
@@ -260,8 +261,8 @@ class TestParallelJoin:
         tree_a, tree_b, __ = small_trees
         counters = CounterRegistry()
         join = ParallelDistanceJoin(
-            tree_a, tree_b, workers=2, backend="thread",
-            partitions=4, max_pairs=50, counters=counters,
+            tree_a, tree_b, JoinSpec(max_pairs=50), workers=2,
+            backend="thread", partitions=4, counters=counters,
         )
         produced = sum(1 for __ in join)
         assert produced == 50
@@ -281,8 +282,8 @@ class TestParallelJoin:
         tree_a, tree_b, truth = small_trees
         counters = CounterRegistry()
         join = ParallelDistanceJoin(
-            tree_a, tree_b, workers=2, backend="thread",
-            partitions=4, max_pairs=20, counters=counters,
+            tree_a, tree_b, JoinSpec(max_pairs=20), workers=2,
+            backend="thread", partitions=4, counters=counters,
         )
         assert results_as_triples(join) == truth[:20]
         snap = counters.snapshot()
@@ -341,8 +342,8 @@ class TestExecutorFaults:
             raise ZeroDivisionError("boom")
 
         join = ParallelDistanceJoin(
-            tree_a, tree_b, workers=2, backend="thread",
-            partitions=4, pair_filter=broken,
+            tree_a, tree_b, JoinSpec(pair_filter=broken), workers=2,
+            backend="thread", partitions=4,
         )
         with pytest.raises(JoinError, match=r"task \d+.*boom"):
             next(join)
@@ -359,8 +360,8 @@ class TestExecutorFaults:
             return True
 
         join = ParallelDistanceJoin(
-            tree_a, tree_b, workers=2, backend="thread",
-            partitions=4, pair_filter=slow_once, timeout=0.05,
+            tree_a, tree_b, JoinSpec(pair_filter=slow_once), workers=2,
+            backend="thread", partitions=4, timeout=0.05,
         )
         with pytest.raises(JoinError, match="timed out"):
             next(join)
@@ -395,8 +396,8 @@ class TestParallelSemiJoin:
     def test_max_pairs_truncates_output(self, small_trees):
         tree_a, tree_b, __ = small_trees
         join = ParallelDistanceSemiJoin(
-            tree_a, tree_b, workers=2, backend="thread",
-            partitions=4, max_pairs=10,
+            tree_a, tree_b, JoinSpec(max_pairs=10), workers=2,
+            backend="thread", partitions=4,
         )
         assert len(list(join)) == 10
 
@@ -408,8 +409,8 @@ class TestParallelSemiJoin:
         truth = brute_force_nn(points_small_a, points_small_b)
         limit = 3.0
         join = ParallelDistanceSemiJoin(
-            tree_a, tree_b, workers=2, backend="thread",
-            partitions=4, max_distance=limit,
+            tree_a, tree_b, JoinSpec(max_distance=limit), workers=2,
+            backend="thread", partitions=4,
         )
         results = list(join)
         expected = {o for o, (d, __) in truth.items() if d <= limit}
@@ -456,7 +457,7 @@ class TestSqlParallel:
         db.create_relation("a", make_points(10, seed=1))
         db.create_relation("b", make_points(10, seed=2))
         with pytest.raises(QueryError):
-            list(db.execute_query(query))
+            list(db.execute(query))
 
     def test_sql_parallel_matches_sequential(
         self, points_small_a, points_small_b

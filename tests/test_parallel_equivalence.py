@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 
 from repro.core.distance_join import IncrementalDistanceJoin
 from repro.core.semi_join import IncrementalDistanceSemiJoin
+from repro.core.spec import JoinSpec
 from repro.geometry.point import Point
 from repro.parallel import ParallelDistanceJoin, ParallelDistanceSemiJoin
 from repro.rtree.bulk import bulk_load_str
@@ -71,17 +72,17 @@ def test_parallel_join_equals_sequential(points_a, points_b, data):
             (r.distance, r.oid1, r.oid2) for r in full
         ] == reference, f"workers={workers}"
         prefix = ParallelDistanceJoin(
-            tree_a, tree_b, workers=workers, backend="thread",
-            partitions=workers, batch_size=7, max_pairs=k,
+            tree_a, tree_b, JoinSpec(max_pairs=k), workers=workers,
+            backend="thread", partitions=workers, batch_size=7,
         )
         assert [
             (r.distance, r.oid1, r.oid2) for r in prefix
         ] == reference[:k], f"workers={workers}, k={k}"
         # The parallel join *is* the router over ``partitions`` shards.
         router = ShardRouterJoin(
-            tree_a, tree_b, shards=workers, partition_method="grid",
-            backend="thread", workers=workers, batch_size=7,
-            max_pairs=k,
+            tree_a, tree_b, JoinSpec(max_pairs=k), shards=workers,
+            partition_method="grid", backend="thread", workers=workers,
+            batch_size=7,
         )
         assert [
             (r.distance, r.oid1, r.oid2) for r in router

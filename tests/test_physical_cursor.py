@@ -7,6 +7,7 @@ import pickle
 import pytest
 
 from repro.cli import main as cli_main
+from repro.core.spec import JoinSpec
 from repro.errors import CursorError
 from repro.query.executor import Database
 from repro.query.physical import OperatorState
@@ -121,7 +122,7 @@ class TestParallelSuspension:
         t1 = make_tree(make_points(40, seed=3))
         t2 = make_tree(make_points(40, seed=4))
         join = ParallelDistanceJoin(
-            t1, t2, max_pairs=10, workers=2, backend="thread",
+            t1, t2, JoinSpec(max_pairs=10), workers=2, backend="thread",
             counters=CounterRegistry(),
         )
         try:

@@ -86,7 +86,7 @@ class TestTraversalChoice:
     def test_statement_shapes(self, maps_db, sql, strategy, policy):
         plan = maps_db.physical_plan(sql, strategy=strategy)
         assert plan.join_op.traversal.policy == policy
-        assert plan.join_op.kwargs["node_policy"] == policy
+        assert plan.join_op.spec.node_policy == policy
 
     @pytest.mark.parametrize("sql, reason, policy", [
         (f"{HEAD}ORDER BY d STOP AFTER 10000", "D ~ 130.2 > ", "even"),
@@ -116,16 +116,16 @@ class TestTraversalChoice:
         assert line in plan.explanation.pretty().splitlines()
         assert plan.explanation.traversal is plan.join_op.traversal
 
-    @pytest.mark.parametrize("knobs, shown", [
-        ({"node_policy": "even"}, "even (caller)"),
-        ({"node_policy": "basic"}, "basic (caller)"),
+    @pytest.mark.parametrize("policy, shown", [
+        ("even", "even (caller)"),
+        ("basic", "basic (caller)"),
     ])
-    def test_an_explicit_policy_wins(self, maps_db, knobs, shown):
+    def test_an_explicit_policy_wins(self, maps_db, policy, shown):
         plan = maps_db.physical_plan(
-            f"{HEAD}ORDER BY d STOP AFTER 10", **knobs
+            f"{HEAD}ORDER BY d STOP AFTER 10", node_policy=policy
         )
         assert str(plan.join_op.traversal) == shown
-        assert plan.open_join().node_policy == knobs["node_policy"]
+        assert plan.open_join().node_policy == policy
 
     def test_quadtree_relations_keep_even(self):
         db = Database()
@@ -197,12 +197,9 @@ GRID_QUERIES = [
 ]
 
 #: Every way to run the statements: SQL hint suffix, join keywords.
-VARIANTS = [("", {})] + [
-    (f" {hint}", {}) for hint in ("SHARDS 2", "SHARDS 4", "PARALLEL 2")
-] + [
-    ("", {"node_policy": policy})
-    for policy in ("basic", "even", "simultaneous")
-]
+VARIANTS = [("", None)] + [
+    (f" {hint}", None) for hint in ("SHARDS 2", "SHARDS 4", "PARALLEL 2")
+] + [("", policy) for policy in ("basic", "even", "simultaneous")]
 
 
 def grid_db():
@@ -240,24 +237,23 @@ class TestTiesAreCanonical:
         stop = db.physical_plan(sql).query.stop_after
         truth = [t for t in TRUTH if low <= t[0] <= high][:stop]
         reference = None
-        for hint, knobs in VARIANTS:
-            rows = list(db.execute(sql + hint, **knobs))
+        for hint, policy in VARIANTS:
+            rows = list(db.execute(sql + hint, node_policy=policy))
             assert [(r.d, r.oid1, r.oid2) for r in rows] == truth, (
-                hint, knobs
+                hint, policy
             )
             if reference is None:
                 reference = spelled(rows)
-            assert spelled(rows) == reference, (hint, knobs)
+            assert spelled(rows) == reference, (hint, policy)
 
     @pytest.mark.parametrize("policy", ["even", "simultaneous"])
     @pytest.mark.parametrize("page", [1, 7, 40])
     def test_saved_and_loaded_at_every_page(self, policy, page):
         sql = GRID_QUERIES[0]
         db = grid_db()
-        knobs = {"node_policy": policy}
-        whole = list(db.execute(sql, **knobs))
+        whole = list(db.execute(sql, node_policy=policy))
         paged = []
-        source = QuerySource(db, sql, join_kwargs=knobs)
+        source = QuerySource(db, sql, node_policy=policy)
         while True:
             rows = source.open()
             chunk = [row for __, row in zip(range(page), rows)]
@@ -265,7 +261,7 @@ class TestTiesAreCanonical:
             if len(chunk) < page:
                 break
             state = loads(dumps(source.save()))
-            source = QuerySource(db, sql, join_kwargs=knobs)
+            source = QuerySource(db, sql, node_policy=policy)
             source.load(state)
         assert spelled(paged) == spelled(whole)
         assert len(whole) == CAP
@@ -280,9 +276,9 @@ class TestTiesAreCanonical:
             (min(EUCLIDEAN.distance(a, b) for b in GRID_B), i)
             for i, a in enumerate(GRID_A)
         )[:25]
-        for hint, knobs in VARIANTS:
-            rows = list(db.execute(sql + hint, **knobs))
-            assert [(r.d, r.oid1) for r in rows] == nearest, (hint, knobs)
+        for hint, policy in VARIANTS:
+            rows = list(db.execute(sql + hint, node_policy=policy))
+            assert [(r.d, r.oid1) for r in rows] == nearest, (hint, policy)
 
     def test_cap_completes_the_group_before_truncating(self):
         """The tie tail past the cap is read (the join's bound rises),

@@ -14,6 +14,7 @@ from repro.core.pqueue import (
     HybridPairQueue,
     MemoryPairQueue,
 )
+from repro.core.spec import JoinSpec
 from repro.query.executor import Database
 from repro.service.session import QuerySource
 from repro.util.counters import CounterRegistry
@@ -173,7 +174,7 @@ def build_join(max_pairs=None, counters=None):
     tree_a = make_tree(make_points(60, seed=11), counters=counters)
     tree_b = make_tree(make_points(60, seed=12), counters=counters)
     return IncrementalDistanceJoin(
-        tree_a, tree_b, max_pairs=max_pairs, counters=counters
+        tree_a, tree_b, JoinSpec(max_pairs=max_pairs), counters=counters,
     )
 
 

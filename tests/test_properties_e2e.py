@@ -9,6 +9,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from repro.core.distance_join import IncrementalDistanceJoin
 from repro.core.pairs import PairDistance
 from repro.core.semi_join import IncrementalDistanceSemiJoin
+from repro.core.spec import JoinSpec
 from repro.errors import ConsistencyError
 from repro.geometry.metrics import (
     CHESSBOARD,
@@ -48,12 +49,11 @@ def test_property_full_configuration_matrix(
     points_a = [Point(xy) for xy in raw_a]
     points_b = [Point(xy) for xy in raw_b]
     join = IncrementalDistanceJoin(
-        make_tree(points_a, max_entries=4),
-        make_tree(points_b, max_entries=4),
-        metric=metric,
-        queue="hybrid",
-        queue_dt=queue_dt,
-        max_pairs=max_pairs,
+        make_tree(points_a, max_entries=4), make_tree(points_b, max_entries=4),
+        JoinSpec(
+            metric=metric, queue="hybrid", queue_dt=queue_dt,
+            max_pairs=max_pairs,
+        ),
         counters=CounterRegistry(),
     )
     got = [r.distance for r in join]
@@ -83,11 +83,8 @@ def test_property_range_with_estimation(raw_a, raw_b, dmin, width):
     points_a = [Point(xy) for xy in raw_a]
     points_b = [Point(xy) for xy in raw_b]
     join = IncrementalDistanceJoin(
-        make_tree(points_a, max_entries=4),
-        make_tree(points_b, max_entries=4),
-        min_distance=dmin,
-        max_distance=dmax,
-        max_pairs=10,
+        make_tree(points_a, max_entries=4), make_tree(points_b, max_entries=4),
+        JoinSpec(min_distance=dmin, max_distance=dmax, max_pairs=10),
         counters=CounterRegistry(),
     )
     got = [r.distance for r in join]
@@ -120,7 +117,7 @@ def test_property_aggressive_estimation_never_loses_results(
     if semi:
         k = min(8, len(points_a))
         join = IncrementalDistanceSemiJoin(
-            tree_a, tree_b, max_pairs=k, aggressive=True,
+            tree_a, tree_b, JoinSpec(max_pairs=k, aggressive=True),
             counters=CounterRegistry(),
         )
         truth = sorted(
@@ -129,7 +126,7 @@ def test_property_aggressive_estimation_never_loses_results(
         )[:k]
     else:
         join = IncrementalDistanceJoin(
-            tree_a, tree_b, max_pairs=k, aggressive=True,
+            tree_a, tree_b, JoinSpec(max_pairs=k, aggressive=True),
             counters=CounterRegistry(),
         )
         truth = [
@@ -165,10 +162,8 @@ class TestConsistencyInjection:
         points_a = make_points(40, seed=201)
         points_b = make_points(40, seed=202)
         join = IncrementalDistanceJoin(
-            make_tree(points_a),
-            make_tree(points_b),
-            metric=_BrokenMetric(),
-            check_consistency=True,
+            make_tree(points_a), make_tree(points_b),
+            JoinSpec(metric=_BrokenMetric()), check_consistency=True,
             counters=CounterRegistry(),
         )
         with pytest.raises(ConsistencyError):

@@ -7,6 +7,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.core.distance_join import IncrementalDistanceJoin
 from repro.core.semi_join import IncrementalDistanceSemiJoin
+from repro.core.spec import JoinSpec
 from repro.errors import TreeError
 from repro.geometry.point import Point
 from repro.geometry.rectangle import Rect
@@ -181,10 +182,8 @@ class TestQuadtreeJoins:
         points_a = make_points(40, seed=147)
         points_b = make_points(40, seed=148)
         semi = IncrementalDistanceSemiJoin(
-            make_quadtree(points_a),
-            make_quadtree(points_b),
-            filter_strategy="inside2",
-            dmax_strategy="global_all",
+            make_quadtree(points_a), make_quadtree(points_b),
+            JoinSpec(filter_strategy="inside2", dmax_strategy="global_all"),
             counters=CounterRegistry(),
         )
         nn = brute_force_nn(points_a, points_b)
@@ -219,10 +218,8 @@ class TestQuadtreeJoins:
         points_a = make_points(50, seed=149)
         points_b = make_points(50, seed=150)
         join = IncrementalDistanceJoin(
-            make_quadtree(points_a),
-            make_quadtree(points_b),
-            max_pairs=40,
-            counters=CounterRegistry(),
+            make_quadtree(points_a), make_quadtree(points_b),
+            JoinSpec(max_pairs=40), counters=CounterRegistry(),
         )
         got = list(join)
         truth = brute_force_pairs(points_a, points_b)[:40]

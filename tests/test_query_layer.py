@@ -229,12 +229,11 @@ class TestExecutor:
     def test_plan_returns_configured_join(self, db):
         from repro.core.distance_join import IncrementalDistanceJoin
         from repro.core.semi_join import IncrementalDistanceSemiJoin
-        from repro.query.parser import parse
 
-        join = db.plan(parse(JOIN_SQL + " STOP AFTER 7"))
+        join = db.physical_plan(JOIN_SQL + " STOP AFTER 7").open_join()
         assert isinstance(join, IncrementalDistanceJoin)
         assert join.max_pairs == 7
-        semi = db.plan(parse(SEMI_SQL))
+        semi = db.physical_plan(SEMI_SQL).open_join()
         assert isinstance(semi, IncrementalDistanceSemiJoin)
 
     def test_segment_relations(self):

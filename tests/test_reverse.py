@@ -3,6 +3,7 @@
 import pytest
 
 from repro.core.reverse import ReverseDistanceJoin, ReverseDistanceSemiJoin
+from repro.core.spec import JoinSpec
 from repro.geometry.metrics import EUCLIDEAN
 from repro.util.counters import CounterRegistry
 
@@ -50,7 +51,7 @@ class TestReverseJoin:
     def test_range_restriction(self, reverse_setup):
         tree_a, tree_b, __, ___, truth = reverse_setup
         join = ReverseDistanceJoin(
-            tree_a, tree_b, min_distance=40.0, max_distance=80.0,
+            tree_a, tree_b, JoinSpec(min_distance=40.0, max_distance=80.0),
             counters=CounterRegistry(),
         )
         got = list(join)
@@ -61,7 +62,7 @@ class TestReverseJoin:
     def test_max_pairs(self, reverse_setup):
         tree_a, tree_b, __, ___, truth = reverse_setup
         got = list(ReverseDistanceJoin(
-            tree_a, tree_b, max_pairs=7, counters=CounterRegistry()
+            tree_a, tree_b, JoinSpec(max_pairs=7), counters=CounterRegistry(),
         ))
         assert len(got) == 7
         assert got[0].distance == pytest.approx(truth[-1][0])
@@ -72,7 +73,7 @@ class TestReverseJoin:
         simply behaves like the memory queue)."""
         tree_a, tree_b, __, ___, truth = reverse_setup
         join = ReverseDistanceJoin(
-            tree_a, tree_b, queue="hybrid", queue_dt=10.0,
+            tree_a, tree_b, JoinSpec(queue="hybrid", queue_dt=10.0),
             counters=CounterRegistry(),
         )
         got = take(join, 50)
@@ -82,7 +83,7 @@ class TestReverseJoin:
     def test_breadth_first_tie_break(self, reverse_setup):
         tree_a, tree_b, __, ___, truth = reverse_setup
         join = ReverseDistanceJoin(
-            tree_a, tree_b, tie_break="breadth_first",
+            tree_a, tree_b, JoinSpec(tie_break="breadth_first"),
             counters=CounterRegistry(),
         )
         got = take(join, 50)

@@ -64,8 +64,9 @@ class TestCorrectness:
         tree_a, tree_b, points_a, __, nn = semi_setup
         semi = IncrementalDistanceSemiJoin(
             tree_a, tree_b,
-            filter_strategy=filter_strategy,
-            dmax_strategy=dmax_strategy,
+            JoinSpec(
+                filter_strategy=filter_strategy, dmax_strategy=dmax_strategy,
+            ),
             counters=CounterRegistry(),
         )
         got = list(semi)
@@ -83,8 +84,9 @@ class TestCorrectness:
         tree_a, tree_b, *__ = semi_setup
         semi = IncrementalDistanceSemiJoin(
             tree_a, tree_b,
-            filter_strategy=filter_strategy,
-            dmax_strategy=dmax_strategy,
+            JoinSpec(
+                filter_strategy=filter_strategy, dmax_strategy=dmax_strategy,
+            ),
             counters=CounterRegistry(),
         )
         ds = [r.distance for r in semi]
@@ -94,7 +96,7 @@ class TestCorrectness:
     def test_node_policies(self, semi_setup, policy):
         tree_a, tree_b, points_a, __, nn = semi_setup
         semi = IncrementalDistanceSemiJoin(
-            tree_a, tree_b, node_policy=policy,
+            tree_a, tree_b, JoinSpec(node_policy=policy),
             counters=CounterRegistry(),
         )
         got = list(semi)
@@ -137,13 +139,15 @@ class TestStrategyEffects:
         tree_a, tree_b, *__ = semi_setup
         outside = CounterRegistry()
         list(IncrementalDistanceSemiJoin(
-            tree_a, tree_b, filter_strategy=OUTSIDE,
-            dmax_strategy=DMAX_NONE, counters=outside,
+            tree_a, tree_b,
+            JoinSpec(filter_strategy=OUTSIDE, dmax_strategy=DMAX_NONE),
+            counters=outside,
         ))
         inside2 = CounterRegistry()
         list(IncrementalDistanceSemiJoin(
-            tree_a, tree_b, filter_strategy=INSIDE2,
-            dmax_strategy=DMAX_NONE, counters=inside2,
+            tree_a, tree_b,
+            JoinSpec(filter_strategy=INSIDE2, dmax_strategy=DMAX_NONE),
+            counters=inside2,
         ))
         assert (
             inside2.value("queue_inserts") <= outside.value("queue_inserts")
@@ -154,8 +158,9 @@ class TestStrategyEffects:
         for strategy in (DMAX_LOCAL, DMAX_GLOBAL_NODES, DMAX_GLOBAL_ALL):
             counters = CounterRegistry()
             list(IncrementalDistanceSemiJoin(
-                tree_a, tree_b, filter_strategy=INSIDE2,
-                dmax_strategy=strategy, counters=counters,
+                tree_a, tree_b,
+                JoinSpec(filter_strategy=INSIDE2, dmax_strategy=strategy),
+                counters=counters,
             ))
             assert counters.value("pruned_dmax") > 0, strategy
 
@@ -165,8 +170,9 @@ class TestStrategyEffects:
         for strategy in (DMAX_NONE, DMAX_LOCAL, DMAX_GLOBAL_ALL):
             counters = CounterRegistry()
             list(IncrementalDistanceSemiJoin(
-                tree_a, tree_b, filter_strategy=INSIDE2,
-                dmax_strategy=strategy, counters=counters,
+                tree_a, tree_b,
+                JoinSpec(filter_strategy=INSIDE2, dmax_strategy=strategy),
+                counters=counters,
             ))
             inserts[strategy] = counters.value("queue_inserts")
         assert inserts[DMAX_GLOBAL_ALL] <= inserts[DMAX_LOCAL]
@@ -176,30 +182,34 @@ class TestStrategyEffects:
         tree_a, tree_b, *__ = semi_setup
         with pytest.raises(ValueError):
             IncrementalDistanceSemiJoin(
-                tree_a, tree_b, filter_strategy=OUTSIDE,
-                dmax_strategy=DMAX_LOCAL,
+                tree_a, tree_b,
+                JoinSpec(filter_strategy=OUTSIDE, dmax_strategy=DMAX_LOCAL),
             )
 
     def test_unknown_strategies_rejected(self, semi_setup):
         tree_a, tree_b, *__ = semi_setup
         with pytest.raises(ValueError):
-            IncrementalDistanceSemiJoin(tree_a, tree_b,
-                                        filter_strategy="inside9")
+            IncrementalDistanceSemiJoin(
+                tree_a, tree_b, JoinSpec(filter_strategy="inside9"),
+            )
         with pytest.raises(ValueError):
-            IncrementalDistanceSemiJoin(tree_a, tree_b,
-                                        dmax_strategy="psychic")
+            IncrementalDistanceSemiJoin(
+                tree_a, tree_b, JoinSpec(dmax_strategy="psychic"),
+            )
 
     def test_descending_kwarg_rejected(self, semi_setup):
         tree_a, tree_b, *__ = semi_setup
         with pytest.raises(ValueError):
-            IncrementalDistanceSemiJoin(tree_a, tree_b, descending=True)
+            IncrementalDistanceSemiJoin(
+                tree_a, tree_b, JoinSpec(descending=True),
+            )
 
 
 class TestLimits:
     def test_max_pairs(self, semi_setup):
         tree_a, tree_b, __, ___, nn = semi_setup
         semi = IncrementalDistanceSemiJoin(
-            tree_a, tree_b, max_pairs=10, counters=CounterRegistry()
+            tree_a, tree_b, JoinSpec(max_pairs=10), counters=CounterRegistry(),
         )
         got = list(semi)
         assert len(got) == 10
@@ -210,11 +220,11 @@ class TestLimits:
         tree_a, tree_b, *__ = semi_setup
         plain = CounterRegistry()
         take(IncrementalDistanceSemiJoin(
-            tree_a, tree_b, estimate=False, counters=plain
+            tree_a, tree_b, JoinSpec(estimate=False), counters=plain,
         ), 10)
         estimated = CounterRegistry()
         list(IncrementalDistanceSemiJoin(
-            tree_a, tree_b, max_pairs=10, counters=estimated
+            tree_a, tree_b, JoinSpec(max_pairs=10), counters=estimated,
         ))
         assert (
             estimated.value("queue_inserts") <= plain.value("queue_inserts")
@@ -224,7 +234,7 @@ class TestLimits:
         tree_a, tree_b, __, ___, nn = semi_setup
         limit = 5.0
         semi = IncrementalDistanceSemiJoin(
-            tree_a, tree_b, max_distance=limit,
+            tree_a, tree_b, JoinSpec(max_distance=limit),
             counters=CounterRegistry(),
         )
         got = list(semi)
@@ -243,7 +253,7 @@ class TestLimits:
     def test_aggressive_estimation_with_restart(self, semi_setup):
         tree_a, tree_b, __, ___, nn = semi_setup
         semi = IncrementalDistanceSemiJoin(
-            tree_a, tree_b, max_pairs=30, aggressive=True,
+            tree_a, tree_b, JoinSpec(max_pairs=30, aggressive=True),
             counters=CounterRegistry(),
         )
         got = list(semi)
@@ -275,10 +285,8 @@ def test_property_semi_join_equals_per_object_nn(raw_a, raw_b, strategy):
     points_a = [Point(xy) for xy in raw_a]
     points_b = [Point(xy) for xy in raw_b]
     semi = IncrementalDistanceSemiJoin(
-        make_tree(points_a, max_entries=4),
-        make_tree(points_b, max_entries=4),
-        filter_strategy=filter_strategy,
-        dmax_strategy=dmax_strategy,
+        make_tree(points_a, max_entries=4), make_tree(points_b, max_entries=4),
+        JoinSpec(filter_strategy=filter_strategy, dmax_strategy=dmax_strategy),
         counters=CounterRegistry(),
     )
     got = list(semi)

@@ -15,6 +15,7 @@ import time
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+from repro.core.spec import JoinSpec
 from repro.errors import ServiceError
 from repro.query.executor import Database
 from repro.service import JoinService, LiveSource, dumps, loads
@@ -35,7 +36,7 @@ SQL = (
 #: The planner runs SQL under Simultaneous, which expands everything it
 #: needs in quantum 0; the tests that look for expansions in later
 #: quanta pin the incremental Even traversal.
-EVEN = {"node_policy": "even"}
+EVEN = "even"
 
 
 def build_db():
@@ -63,7 +64,7 @@ class TestSchedulerTelemetry:
         )
         assert session.obs.trace is ctx
         # The session's one recorder is the operator's observer.
-        assert session.source.join_kwargs["observer"] is session.obs
+        assert session.source.observer is session.obs
 
     def test_admit_mints_when_no_context_given(self):
         scheduler = build_scheduler()
@@ -74,7 +75,7 @@ class TestSchedulerTelemetry:
         scheduler = JoinScheduler(quantum_pairs=5, telemetry=False)
         session = scheduler.admit(QuerySource(build_db(), SQL))
         assert session.obs.trace is None
-        assert "observer" not in session.source.join_kwargs
+        assert session.source.observer is None
         scheduler.fetch(session.id, 12)
         assert session.obs.records == []
         assert session.obs.span_count("service.quantum") == \
@@ -99,7 +100,7 @@ class TestSchedulerTelemetry:
     def test_trace_dump_is_connected_and_idempotent(self):
         scheduler = build_scheduler()
         session = scheduler.admit(
-            QuerySource(build_db(), SQL, join_kwargs=EVEN)
+            QuerySource(build_db(), SQL, node_policy=EVEN)
         )
         scheduler.fetch(session.id, 12)
         tree = scheduler.trace_dump(session.id)
@@ -249,13 +250,13 @@ class TestSuspendResumeTrace:
         recording into."""
         db = build_db()
         scheduler = build_scheduler()
-        session = scheduler.admit(QuerySource(db, SQL, join_kwargs=EVEN))
+        session = scheduler.admit(QuerySource(db, SQL, node_policy=EVEN))
         scheduler.fetch(session.id, 10)
         floor_before = session.progress_est.lower_bound
         before = session.obs.records
         state = pickle.loads(pickle.dumps(session.suspend_to_state()))
 
-        fresh = Session("resumed", QuerySource(db, SQL, join_kwargs=EVEN))
+        fresh = Session("resumed", QuerySource(db, SQL, node_policy=EVEN))
         assert fresh.obs.trace is None
         fresh.resume_from_state(state)
         assert fresh.obs.trace == session.obs.trace
@@ -264,7 +265,7 @@ class TestSuspendResumeTrace:
         assert [r.name for r in fresh.obs.records[len(before):]] == \
             ["op.DistanceJoin"]
         assert fresh.progress_est.lower_bound == floor_before
-        assert fresh.source.join_kwargs["observer"] is fresh.obs
+        assert fresh.source.observer is fresh.obs
         # Ten more rows: the rebuilt join records into the restored
         # trace, later than everything before the suspend.
         with fresh.obs.span("service.quantum", quantum=99):
@@ -516,7 +517,7 @@ class Driven:
         if self.kind == "watch":
             source = LiveSource(
                 self.db, old.source.sql,
-                join_kwargs={"counters": self.service.scheduler.counters},
+                counters=self.service.scheduler.counters,
             )
         else:
             source = QuerySource(self.db, old.source.sql)
@@ -746,7 +747,7 @@ class TestOneSchema:
         counters = CounterRegistry()
         run = run_join(
             lambda: IncrementalDistanceJoin(
-                db.relation("a"), db.relation("b"), max_pairs=20,
+                db.relation("a"), db.relation("b"), JoinSpec(max_pairs=20),
                 counters=counters,
             ),
             20, counters,

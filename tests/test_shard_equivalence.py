@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 
 from repro.core.distance_join import IncrementalDistanceJoin
 from repro.core.semi_join import IncrementalDistanceSemiJoin
+from repro.core.spec import JoinSpec
 from repro.geometry.point import Point
 from repro.rtree.bulk import bulk_load_str
 from repro.shard import ShardRouterJoin, ShardRouterSemiJoin, clear_caches
@@ -67,7 +68,7 @@ def test_router_equals_sequential(points_a, points_b, data):
         label="max_distance",
     )
     reference = canonical(IncrementalDistanceJoin(
-        tree_a, tree_b, min_distance=dmin, max_distance=dmax,
+        tree_a, tree_b, JoinSpec(min_distance=dmin, max_distance=dmax),
     ))
     k = data.draw(
         st.integers(min_value=1, max_value=max(1, len(reference))),
@@ -76,15 +77,14 @@ def test_router_equals_sequential(points_a, points_b, data):
     for backend in BACKENDS:
         for shards in SHARD_COUNTS:
             full = ShardRouterJoin(
-                tree_a, tree_b, shards=shards, batch_size=7,
-                backend=backend, workers=2,
-                min_distance=dmin, max_distance=dmax,
+                tree_a, tree_b, JoinSpec(min_distance=dmin, max_distance=dmax),
+                shards=shards, batch_size=7, backend=backend, workers=2,
             )
             assert rows(full) == reference, f"{backend}, shards={shards}"
             prefix = ShardRouterJoin(
-                tree_a, tree_b, shards=shards, batch_size=7,
-                backend=backend, workers=2,
-                min_distance=dmin, max_distance=dmax, max_pairs=k,
+                tree_a, tree_b,
+                JoinSpec(min_distance=dmin, max_distance=dmax, max_pairs=k),
+                shards=shards, batch_size=7, backend=backend, workers=2,
             )
             assert rows(prefix) == reference[:k], \
                 f"{backend}, shards={shards}, k={k}"
@@ -110,7 +110,7 @@ def test_router_resumes_through_pickle(points_a, points_b, data):
         st.sampled_from(SHARD_COUNTS), label="shards"
     )
     router = ShardRouterJoin(
-        tree_a, tree_b, shards=shards, batch_size=5, max_pairs=k,
+        tree_a, tree_b, JoinSpec(max_pairs=k), shards=shards, batch_size=5,
     )
     taken = [next(router) for __ in range(cut)]
     blob = pickle.dumps(router.save(), pickle.HIGHEST_PROTOCOL)
@@ -160,12 +160,13 @@ def test_process_backend_equals_sequential():
     reference = canonical(IncrementalDistanceJoin(tree_a, tree_b))
     assert rows(ShardRouterJoin(tree_a, tree_b, **engine)) == reference
     assert rows(ShardRouterJoin(
-        tree_a, tree_b, max_pairs=25, **engine
+        tree_a, tree_b, JoinSpec(max_pairs=25), **engine
     )) == reference[:25]
     assert rows(ShardRouterJoin(
-        tree_a, tree_b, min_distance=2.0, max_distance=8.0, **engine
+        tree_a, tree_b, JoinSpec(min_distance=2.0, max_distance=8.0),
+        **engine
     )) == canonical(IncrementalDistanceJoin(
-        tree_a, tree_b, min_distance=2.0, max_distance=8.0,
+        tree_a, tree_b, JoinSpec(min_distance=2.0, max_distance=8.0),
     ))
     assert {
         r.oid1: r.distance

@@ -7,6 +7,7 @@ import pytest
 
 from repro.core.distance_join import IncrementalDistanceJoin
 from repro.core.semi_join import IncrementalDistanceSemiJoin
+from repro.core.spec import JoinSpec
 from repro.errors import CursorError, JoinError
 from repro.geometry.point import Point
 from repro.rtree.bulk import bulk_load_str
@@ -78,18 +79,19 @@ class TestEquivalence:
     def test_stop_after(self, trees, shards):
         tree_a, tree_b = trees
         reference = canonical(IncrementalDistanceJoin(tree_a, tree_b))
-        router = ShardRouterJoin(tree_a, tree_b, shards=shards,
-                                 max_pairs=30)
+        router = ShardRouterJoin(
+            tree_a, tree_b, JoinSpec(max_pairs=30), shards=shards,
+        )
         assert rows(router) == reference[:30]
 
     def test_distance_range(self, trees):
         tree_a, tree_b = trees
         reference = canonical(IncrementalDistanceJoin(
-            tree_a, tree_b, min_distance=2.0, max_distance=50.0,
+            tree_a, tree_b, JoinSpec(min_distance=2.0, max_distance=50.0),
         ))
         router = ShardRouterJoin(
-            tree_a, tree_b, shards=3, min_distance=2.0,
-            max_distance=50.0,
+            tree_a, tree_b, JoinSpec(min_distance=2.0, max_distance=50.0),
+            shards=3,
         )
         assert rows(router) == reference
 
@@ -126,7 +128,7 @@ class TestRouting:
     def test_stop_after_prunes(self, trees):
         counters = CounterRegistry()
         router = ShardRouterJoin(
-            *trees, shards=4, max_pairs=20, counters=counters,
+            *trees, JoinSpec(max_pairs=20), shards=4, counters=counters,
         )
         list(router)
         snap = counters.snapshot()
@@ -146,7 +148,7 @@ class TestRouting:
     def test_range_pruning(self, trees):
         counters = CounterRegistry()
         router = ShardRouterJoin(
-            *trees, shards=4, max_distance=10.0, counters=counters,
+            *trees, JoinSpec(max_distance=10.0), shards=4, counters=counters,
         )
         assert router.range_pruned > 0
         list(router)
@@ -162,7 +164,7 @@ class TestRouting:
             clear_caches()
             counters = CounterRegistry()
             router = ShardRouterJoin(
-                *trees, shards=4, max_pairs=20, counters=counters,
+                *trees, JoinSpec(max_pairs=20), shards=4, counters=counters,
                 catalog_cache=False,
             )
             list(router)
@@ -189,8 +191,9 @@ class TestSuspendResume:
     def test_mid_stream_pickle_round_trip(self, trees):
         tree_a, tree_b = trees
         reference = canonical(IncrementalDistanceJoin(tree_a, tree_b))
-        router = ShardRouterJoin(tree_a, tree_b, shards=3,
-                                 max_pairs=60)
+        router = ShardRouterJoin(
+            tree_a, tree_b, JoinSpec(max_pairs=60), shards=3,
+        )
         taken = [next(router) for __ in range(23)]
         blob = pickle.dumps(router.save())
         resumed = ShardRouterJoin.load(
@@ -202,12 +205,13 @@ class TestSuspendResume:
 
     def test_save_before_start(self, trees):
         tree_a, tree_b = trees
-        router = ShardRouterJoin(tree_a, tree_b, shards=2,
-                                 max_pairs=8)
+        router = ShardRouterJoin(
+            tree_a, tree_b, JoinSpec(max_pairs=8), shards=2,
+        )
         state = pickle.loads(pickle.dumps(router.save()))
         resumed = ShardRouterJoin.load(state, tree_a, tree_b)
         assert rows(resumed) == rows(
-            ShardRouterJoin(tree_a, tree_b, shards=2, max_pairs=8)
+            ShardRouterJoin(tree_a, tree_b, JoinSpec(max_pairs=8), shards=2)
         )
 
     def test_semi_join_resume(self, trees):
@@ -241,8 +245,8 @@ class TestSuspendResume:
             lambda pair: True
         )  # a closure pickle cannot serialize
         router = ShardRouterJoin(
-            tree_a, tree_b, shards=2, max_pairs=40,
-            pair_filter=probe,
+            tree_a, tree_b, JoinSpec(max_pairs=40, pair_filter=probe),
+            shards=2,
         )
         next(router)
         state = router.save()
@@ -256,7 +260,8 @@ class TestSuspendResume:
 
     def test_pool_backed_save_raises(self, trees):
         router = ShardRouterJoin(
-            *trees, shards=2, max_pairs=8, backend="thread", workers=2,
+            *trees, JoinSpec(max_pairs=8), shards=2, backend="thread",
+            workers=2,
         )
         with router:
             next(router)
@@ -266,8 +271,10 @@ class TestSuspendResume:
     def test_resume_counters_primed(self, trees):
         tree_a, tree_b = trees
         counters = CounterRegistry()
-        router = ShardRouterJoin(tree_a, tree_b, shards=3,
-                                 max_pairs=30, counters=counters)
+        router = ShardRouterJoin(
+            tree_a, tree_b, JoinSpec(max_pairs=30), shards=3,
+            counters=counters,
+        )
         for __ in range(10):
             next(router)
         routed = counters.snapshot()["shard_pairs_routed"]
@@ -281,7 +288,7 @@ class TestProgress:
     def test_signals_feed_the_estimator(self, trees):
         from repro.util.telemetry import ProgressEstimator
 
-        router = ShardRouterJoin(*trees, shards=3, max_pairs=40)
+        router = ShardRouterJoin(*trees, JoinSpec(max_pairs=40), shards=3)
         estimator = ProgressEstimator()
         last = 0.0
         for i, __ in enumerate(router):
@@ -294,7 +301,7 @@ class TestProgress:
         assert estimator.report(signals).lower_bound == 1.0
 
     def test_signals_shape(self, trees):
-        router = ShardRouterJoin(*trees, shards=2, max_pairs=5)
+        router = ShardRouterJoin(*trees, JoinSpec(max_pairs=5), shards=2)
         signals = router.progress_signals()
         assert signals["operator"] == "ShardRouterJoin"
         assert signals["shard_pairs_total"] == 4

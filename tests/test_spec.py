@@ -52,20 +52,6 @@ class TestSpecBasics:
         clone = pickle.loads(pickle.dumps(spec))
         assert clone == spec
 
-    def test_coalesce_from_knobs(self):
-        spec = JoinSpec.coalesce(None, {"max_pairs": 3})
-        assert spec.max_pairs == 3
-
-    def test_coalesce_overrides_spec(self):
-        base = JoinSpec(max_pairs=3, node_policy="basic")
-        spec = JoinSpec.coalesce(base, {"max_pairs": 9})
-        assert spec.max_pairs == 9
-        assert spec.node_policy == "basic"
-
-    def test_coalesce_rejects_unknown_knob(self):
-        with pytest.raises(TypeError):
-            JoinSpec.coalesce(None, {"max_paris": 3})
-
 
 class TestSingleValidationPoint:
     """Every operator rejects bad knobs through JoinSpec.validate."""
@@ -90,7 +76,7 @@ class TestSingleValidationPoint:
     ])
     def test_rejected_everywhere(self, trees, operator, bad):
         with pytest.raises(ValueError):
-            operator(*trees, **bad)
+            operator(*trees, JoinSpec(**bad))
 
     @pytest.mark.parametrize("operator", SEQUENTIAL_OPERATORS)
     def test_spec_positional_accepted(self, trees, operator):
@@ -104,45 +90,7 @@ class TestSingleValidationPoint:
 
 
 class TestBackCompatKeywords:
-    """The old keyword constructors still work and agree with specs."""
-
-    def test_join_kwargs_equal_spec(self, trees):
-        by_kwargs = list(IncrementalDistanceJoin(
-            *trees, max_pairs=25, node_policy="basic",
-            tie_break="breadth_first",
-        ))
-        by_spec = list(IncrementalDistanceJoin(
-            *trees, JoinSpec(
-                max_pairs=25, node_policy="basic",
-                tie_break="breadth_first",
-            ),
-        ))
-        assert [
-            (r.distance, r.oid1, r.oid2) for r in by_kwargs
-        ] == [
-            (r.distance, r.oid1, r.oid2) for r in by_spec
-        ]
-
-    def test_semi_join_kwargs_equal_spec(self, trees):
-        by_kwargs = list(IncrementalDistanceSemiJoin(
-            *trees, dmax_strategy="global_all",
-        ))
-        by_spec = list(IncrementalDistanceSemiJoin(
-            *trees, JoinSpec(dmax_strategy="global_all"),
-        ))
-        assert [
-            (r.oid1, r.oid2) for r in by_kwargs
-        ] == [
-            (r.oid1, r.oid2) for r in by_spec
-        ]
-
-    def test_spec_knobs_combine(self, trees):
-        join = IncrementalDistanceJoin(
-            *trees, JoinSpec(node_policy="basic"), max_pairs=5,
-        )
-        assert join.spec.node_policy == "basic"
-        assert join.spec.max_pairs == 5
-        assert len(list(join)) == 5
+    """The operator's spec is the one it runs, as given."""
 
     def test_reverse_join_forces_descending(self, trees):
         join = ReverseDistanceJoin(*trees, JoinSpec(max_pairs=3))
@@ -153,7 +101,7 @@ class TestBackCompatKeywords:
 class TestSemiJoinDirectionGuard:
     def test_semi_join_rejects_descending(self, trees):
         with pytest.raises(ValueError, match="ReverseDistanceSemiJoin"):
-            IncrementalDistanceSemiJoin(*trees, descending=True)
+            IncrementalDistanceSemiJoin(*trees, JoinSpec(descending=True))
 
     def test_reverse_semi_join_is_the_blessed_path(self, trees):
         join = ReverseDistanceSemiJoin(*trees)
@@ -167,14 +115,15 @@ class TestParallelValidation:
     def test_queue_request_rejected(self, trees):
         with pytest.raises(ValueError, match="in-memory queue"):
             ParallelDistanceJoin(
-                *trees, workers=2, backend="thread",
-                queue="hybrid", queue_dt=2.0,
+                *trees, JoinSpec(queue="hybrid", queue_dt=2.0),
+                workers=2, backend="thread",
             )
 
     def test_descending_rejected(self, trees):
         with pytest.raises(ValueError, match="min-merge"):
             ParallelDistanceJoin(
-                *trees, workers=2, backend="thread", descending=True,
+                *trees, JoinSpec(descending=True),
+                workers=2, backend="thread",
             )
 
     def test_spec_threaded_to_tasks(self, trees):

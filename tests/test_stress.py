@@ -14,6 +14,7 @@ from repro.bench.workloads import build_tiger_workload, suggest_dt
 from repro.core.distance_join import IncrementalDistanceJoin
 from repro.core.knn_join import KNearestNeighborJoin
 from repro.core.semi_join import IncrementalDistanceSemiJoin
+from repro.core.spec import JoinSpec
 from repro.geometry.rectangle import Rect
 from repro.quadtree import PRQuadtree
 from repro.rtree.validate import validate_tree
@@ -94,8 +95,8 @@ class TestCrossValidation:
             workload.tree1, workload.tree2, counters=workload.counters
         )
         hybrid = IncrementalDistanceJoin(
-            workload.tree1, workload.tree2, queue="hybrid",
-            queue_dt=dt, counters=CounterRegistry(),
+            workload.tree1, workload.tree2,
+            JoinSpec(queue="hybrid", queue_dt=dt), counters=CounterRegistry(),
         )
         for __ in range(1000):
             assert next(memory).distance == pytest.approx(
@@ -154,7 +155,7 @@ class TestCrossValidation:
         semi_adaptive = [
             r.distance
             for r in IncrementalDistanceSemiJoin(
-                workload.tree1, workload.tree2, queue="adaptive",
+                workload.tree1, workload.tree2, JoinSpec(queue="adaptive"),
                 counters=CounterRegistry(),
             )
         ]
@@ -162,11 +163,12 @@ class TestCrossValidation:
 
     def test_estimation_invisible_in_results(self, workload):
         plain = IncrementalDistanceJoin(
-            workload.tree1, workload.tree2, estimate=False,
-            max_pairs=400, counters=workload.counters,
+            workload.tree1, workload.tree2,
+            JoinSpec(estimate=False, max_pairs=400),
+            counters=workload.counters,
         )
         estimated = IncrementalDistanceJoin(
-            workload.tree1, workload.tree2, max_pairs=400,
+            workload.tree1, workload.tree2, JoinSpec(max_pairs=400),
             counters=CounterRegistry(),
         )
         assert [r.distance for r in plain] == pytest.approx(

@@ -5,6 +5,7 @@ import json
 
 import pytest
 
+from repro.core.spec import JoinSpec
 from repro.parallel import ParallelDistanceJoin
 from repro.util.obs import Observer, SpanRecord
 from repro.util.telemetry import TraceContext
@@ -232,7 +233,8 @@ class TestWorkerTracks:
         tree_a = make_tree(make_points(60, seed=61))
         tree_b = make_tree(make_points(60, seed=62))
         join = ParallelDistanceJoin(
-            tree_a, tree_b, workers=2, backend="thread", max_pairs=50,
+            tree_a, tree_b, JoinSpec(max_pairs=50), workers=2,
+            backend="thread",
         )
         list(join)
         path = str(tmp_path / "parallel.json")

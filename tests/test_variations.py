@@ -4,6 +4,7 @@ nearest neighbours, and the reference-ordered intersection join."""
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+from repro.core.spec import JoinSpec
 from repro.core.variations import (
     IntersectionJoin,
     all_nearest_neighbors,
@@ -206,7 +207,7 @@ class TestFilterInteractsWithDmax:
         points = make_points(40, seed=126)
         tree = make_tree(points)
         got = list(all_nearest_neighbors(
-            tree, dmax_strategy="local", counters=CounterRegistry()
+            tree, JoinSpec(dmax_strategy="local"), counters=CounterRegistry(),
         ))
         assert len(got) == len(points)
         for result in got:
