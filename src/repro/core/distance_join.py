@@ -82,6 +82,7 @@ from repro.util.counters import CounterRegistry
 from repro.util.obs import NULL_OBSERVER, Observer
 
 _INF = float("inf")
+_new_tuple = tuple.__new__
 
 
 class JoinResult(NamedTuple):
@@ -177,10 +178,14 @@ class IncrementalDistanceJoin(cursor.SuspendableOperator):
         # kernel="auto" an environment without numpy silently gets the
         # scalar path, which produces bit-identical results.
         self._kern = resolve_kernels(spec.kernel, spec.metric)
-        # With the base no-op seen-set hook the vectorized expansions
-        # skip even the call.
+        # With the base no-op expansion hooks and no pair filter the
+        # vectorized expansions skip even the calls.
+        base = IncrementalDistanceJoin
         self._hooks_default = (
-            type(self)._keep_mask is IncrementalDistanceJoin._keep_mask
+            type(self)._keep_mask is base._keep_mask
+            and type(self)._filter_candidates is base._filter_candidates
+            and type(self)._on_expand is base._on_expand
+            and spec.pair_filter is None
         )
         # An expansion is enqueued as one block while per-push side
         # effects are the stock ones; a subclass overriding _push (e.g.
@@ -312,20 +317,28 @@ class IncrementalDistanceJoin(cursor.SuspendableOperator):
                     self._restart()
                     continue
                 raise StopIteration
-            key, pair = self._queue.pop()
-            if type(pair) is CandidateBlock:
-                # A block row: this is where its pair comes to exist.
-                pair = pair.pair_of(key)
+            key, value = self._queue.pop()
+            from_block = type(value) is CandidateBlock
+            if from_block:
+                # A block row is read in place: a result is reported
+                # from it, and only a row to expand becomes a Pair.
+                item1, item2, d = value.row_of(key)
+            else:
+                item1, item2, d = value.item1, value.item2, value.distance
             # (No queue_size observation: a pop cannot raise the peak,
             # and every size a push reached was observed by the push.)
             if self._estimator is not None:
-                self._estimator.on_dequeue(abs(key[3]), pair)
+                self._estimator.on_dequeue(abs(key[3]), item1, item2)
 
-            if pair.is_result:
-                result = self._handle_result(pair)
-                if result is not None:
-                    return result
+            if item1.kind == OBJ and item2.kind == OBJ:
+                if not self._in_range(d):
+                    self._c_pruned_range.add()
+                elif not self._skip_result(item1, item2):
+                    result = self._report(d, item1, item2)
+                    if result is not None:
+                        return result
                 continue
+            pair = Pair(item1, item2, d) if from_block else value
             if pair.is_obr_pair:
                 result = self._handle_obr_pair(pair)
                 if result is not None:
@@ -357,15 +370,6 @@ class IncrementalDistanceJoin(cursor.SuspendableOperator):
             return self._estimator.current_dmax
         return self.max_distance
 
-    def _handle_result(self, pair: Pair) -> Optional[JoinResult]:
-        d = pair.distance
-        if not self._in_range(d):
-            self._c_pruned_range.add()
-            return None
-        if self._skip_result(pair):
-            return None
-        return self._report(pair)
-
     def _handle_obr_pair(self, pair: Pair) -> Optional[JoinResult]:
         # Both items are object bounding rectangles: access the objects
         # and compute their exact distance (INCDISTJOIN lines 7-13).
@@ -377,33 +381,38 @@ class IncrementalDistanceJoin(cursor.SuspendableOperator):
         item2 = Item(OBJ, pair.item2.rect, oid=pair.item2.oid,
                      obj=pair.item2.obj)
         d = self.distance.object_distance(item1, item2)
-        resolved = Pair(item1, item2, d)
         if not self._in_range(d):
             self._c_pruned_range.add()
             return None
         signed = -d if self.descending else d
         if not self._queue or signed <= self._queue.peek()[0][0]:
-            if self._skip_result(resolved):
+            if self._skip_result(item1, item2):
                 return None
-            return self._report(resolved)
+            return self._report(d, item1, item2)
         # Re-enqueued with its exact distance, the resolved pair
         # participates in estimation like any other.
-        self._push(resolved)
+        self._push(Pair(item1, item2, d))
         return None
 
-    def _report(self, pair: Pair) -> Optional[JoinResult]:
+    def _report(
+        self, distance: float, item1: Item, item2: Item
+    ) -> Optional[JoinResult]:
+        """Report the result pair ``(item1, item2)`` at ``distance``
+        (both items resolved objects): the one reporting path of every
+        result, queued as a block row or as a :class:`Pair`."""
         self._produced += 1
         self._c_pairs_reported.add()
-        self._on_report(pair)
+        self._on_report(item1, item2)
         if self._to_skip > 0:
             # Replaying after a restart: this result was already
             # delivered to the consumer before the restart.
             self._to_skip -= 1
             return None
-        return JoinResult(
-            pair.distance,
-            pair.item1.oid, pair.item1.obj,
-            pair.item2.oid, pair.item2.obj,
+        # tuple.__new__ builds the same JoinResult without the
+        # NamedTuple's Python-level __new__ (one call per result).
+        return _new_tuple(
+            JoinResult,
+            (distance, item1.oid, item1.obj, item2.oid, item2.obj),
         )
 
     # Hooks overridden by the semi-join -------------------------------
@@ -413,16 +422,18 @@ class IncrementalDistanceJoin(cursor.SuspendableOperator):
         every outer object already has its nearest neighbour)."""
         return False
 
-    def _skip_result(self, pair: Pair) -> bool:
-        """Return True to suppress a result pair (semi-join seen-set)."""
+    def _skip_result(self, item1: Item, item2: Item) -> bool:
+        """Return True to suppress the result pair ``(item1, item2)``
+        (semi-join seen-set)."""
         return False
 
     def _skip_popped(self, pair: Pair) -> bool:
         """Return True to discard a popped non-result pair."""
         return False
 
-    def _on_report(self, pair: Pair) -> None:
-        """Bookkeeping after a result is produced."""
+    def _on_report(self, item1: Item, item2: Item) -> None:
+        """Bookkeeping after the result ``(item1, item2)`` is
+        produced."""
         if self._estimator is not None:
             self._estimator.on_report()
 
@@ -486,19 +497,113 @@ class IncrementalDistanceJoin(cursor.SuspendableOperator):
 
     def _process_node(self, pair: Pair, side: int) -> None:
         """Expand the node on ``side`` against the pair's other item
-        (PROCESSNODE1 / PROCESSNODE2 of Figures 3 and 5)."""
-        self._on_expand(pair, side)
-        node_item = pair.item1 if side == 1 else pair.item2
-        other = pair.item2 if side == 1 else pair.item1
-        node = self._read_node(self._tree(side), node_item.node_id)
-        eff_dmax = self._effective_dmax()
+        (PROCESSNODE1 / PROCESSNODE2 of Figures 3 and 5).
 
-        block: Optional[CandidateBlock] = None
-        if self._kern is not None:
-            block = self._expand_vector(node, other, side, eff_dmax)
-        if block is None:
-            block = self._expand_scalar(node, other, side, eff_dmax)
-        self._push_candidates(pair, side, block)
+        The vector path is one pass over the node's entry columns
+        (``Node.entries_soa``): the seen-set mask, the block's
+        distances (exact point distances for object/object rows, else
+        MINDIST) and the range test, then the rows' estimation d_max
+        only when a key, the estimator or a d_max hook reads them, and
+        the block is keyed, enqueued and offered.  It builds the block
+        :meth:`_expand_scalar` would, row for row and with identical
+        counter charges; stage order replicates the scalar loop.  The
+        subclass hooks (``_on_expand``, ``_keep_mask``, a
+        ``pair_filter`` and ``_filter_candidates``) and the per-pair
+        loop are reached only when ``__init__`` found them in use.  A
+        foreign node type, or object payloads the point kernel cannot
+        serve (exact shapes), take the scalar expansion.
+        """
+        hooked = not self._hooks_default
+        if hooked:
+            self._on_expand(pair, side)
+        if side == 1:
+            node_id, other, tree = pair.item1.node_id, pair.item2, self.tree1
+        else:
+            node_id, other, tree = pair.item2.node_id, pair.item1, self.tree2
+        node = self._read_node(tree, node_id)
+        eff_dmax = self._effective_dmax()
+        level = node.level
+        # Object/object rows take the exact-distance path, every other
+        # row a rectangle bound: the child kind is uniform across one
+        # node's entries.
+        object_path = (
+            level == 0 and other.kind == OBJ and self.leaf_mode == DIRECT
+        )
+        kern = self._kern
+        soa = None
+        if kern is not None:
+            soa_of = getattr(node, "entries_soa", None)
+            if soa_of is not None:
+                soa = soa_of()
+            if object_path and soa is not None and (
+                soa.pts is None or not isinstance(other.obj, Point)
+            ):
+                soa = None
+        if soa is None:
+            self._push_candidates(
+                pair, side, self._expand_scalar(node, other, side, eff_dmax)
+            )
+            return
+        n = soa.n
+        if not n:
+            return
+        children = self._node_children(soa, node.entries, level)
+        lo, hi, pts = soa.lo, soa.hi, soa.pts
+        taken: Optional[List[int]] = None
+        if hooked:
+            keep = self._keep_mask(side, level, children)
+            if keep is not None:
+                taken = list(compress(range(n), keep))
+                self._charge_seen(n - len(taken))
+                if not taken:
+                    return
+                if len(taken) == n:
+                    taken = None  # nothing dropped: no gather
+                else:
+                    lo, hi = lo[taken], hi[taken]
+                    if pts is not None:
+                        pts = pts[taken]
+        m = n if taken is None else len(taken)
+
+        # The corners in first-tree / second-tree order: the kernels'
+        # argument order is the scalar bounds' item order.
+        rect = other.rect
+        if side == 1:
+            corners = (lo, hi, rect.lo, rect.hi)
+        else:
+            corners = (rect.lo, rect.hi, lo, hi)
+        if object_path:
+            d = kern.point_distance(pts, other.obj.coords)
+            self.distance._dist_calcs.add(m)
+        else:
+            d = kern.mindist(*corners)
+            self.distance._bound_calcs.add(m)
+        alive = self._range_admits_batch(
+            kern, d, eff_dmax, object_path, *corners
+        )
+        if alive is None:
+            dists = d.tolist()
+            rows = list(range(m)) if taken is None else taken
+        else:
+            if not alive.size:
+                return
+            dists = d[alive].tolist()
+            rows = alive.tolist()
+            if taken is not None:
+                rows = [taken[i] for i in rows]
+        uppers = self._uppers_batch(
+            kern, alive, object_path, level == 0 and other.kind != NODE,
+            *corners,
+        )
+        block = CandidateBlock(
+            dists, rows, children, other, side, uppers=uppers
+        )
+        if hooked or not self._block_push:
+            self._push_candidates(pair, side, block)
+        elif side == 1:
+            self._enqueue(block, children[rows[0]], other)
+        else:
+            self._enqueue(block, other, children[rows[0]])
 
     def _expand_scalar(
         self, node: Any, other: Item, side: int, eff_dmax: float
@@ -522,91 +627,6 @@ class IncrementalDistanceJoin(cursor.SuspendableOperator):
                 children.append(child)
         return CandidateBlock(
             dists, list(range(len(dists))), children, other, side
-        )
-
-    def _expand_vector(
-        self, node: Any, other: Item, side: int, eff_dmax: float
-    ) -> Optional[CandidateBlock]:
-        """Batch-kernel expansion of one node against ``other``.
-
-        Returns the block :meth:`_expand_scalar` would build, row for
-        row and with identical counter charges, plus the rows'
-        estimation d_max values (:meth:`_uppers_batch`) -- or ``None``
-        to fall back to the scalar path (foreign node type, or object
-        payloads the point kernel cannot serve).  Stage order
-        replicates the scalar loop exactly: seen-set mask, then
-        MINDIST + range test.
-        """
-        soa_of = getattr(node, "entries_soa", None)
-        soa = soa_of() if soa_of is not None else None
-        if soa is None:
-            return None
-        level = node.level
-        if soa.n == 0:
-            return CandidateBlock([], [], [], other, side)
-        # Object/object pairs take the exact-distance path; everything
-        # else is a rectangle bound.  Mixed outcomes cannot occur: the
-        # child kind is uniform across one node's entries.
-        object_path = (
-            level == 0 and other.kind == OBJ and self.leaf_mode == DIRECT
-        )
-        if object_path and (
-            soa.pts is None or not isinstance(other.obj, Point)
-        ):
-            # Non-point payloads (exact shapes) stay scalar.
-            return None
-
-        kern = self._kern
-        children = self._node_children(soa, node.entries, level)
-        lo, hi, pts = soa.lo, soa.hi, soa.pts
-        taken: Optional[List[int]] = None
-        keep = (
-            None if self._hooks_default
-            else self._keep_mask(side, level, children)
-        )
-        if keep is not None:
-            taken = list(compress(range(soa.n), keep))
-            self._charge_seen(soa.n - len(taken))
-            if not taken:
-                return CandidateBlock([], [], children, other, side)
-            if len(taken) == soa.n:
-                taken = None  # nothing dropped: no gather
-            else:
-                lo, hi = lo[taken], hi[taken]
-                pts = pts[taken] if pts is not None else None
-        m = soa.n if taken is None else len(taken)
-
-        if object_path:
-            d = kern.point_distance(pts, other.obj.coords)
-            self.distance._dist_calcs.add(m)
-        else:
-            olo, ohi = other.rect.lo, other.rect.hi
-            if side == 1:
-                d = kern.mindist(lo, hi, olo, ohi)
-            else:
-                d = kern.mindist(olo, ohi, lo, hi)
-            self.distance._bound_calcs.add(m)
-
-        alive = self._range_admits_batch(
-            kern, d, eff_dmax, object_path,
-            lo, hi, other, side,
-        )
-        if alive is not None and not alive.size:
-            return CandidateBlock([], [], children, other, side)
-        uppers = self._uppers_batch(
-            kern, alive, object_path,
-            level == 0 and other.kind != NODE, lo, hi, other, side,
-        )
-        dists = d.tolist()
-        if alive is None:
-            rows = list(range(m))
-        else:
-            rows = alive.tolist()
-            dists = [dists[i] for i in rows]
-        if taken is not None:
-            rows = [taken[i] for i in rows]
-        return CandidateBlock(
-            dists, rows, children, other, side, uppers=uppers
         )
 
     def _node_children(
@@ -640,39 +660,34 @@ class IncrementalDistanceJoin(cursor.SuspendableOperator):
 
     def _range_admits_batch(
         self, kern, d, eff_dmax: float, object_path: bool,
-        lo, hi, other: Optional[Item], side: int,
-        lo2=None, hi2=None,
+        lo1, hi1, lo2, hi2,
     ):
         """Vectorized :meth:`_range_admits` over a distance array.
 
         Returns the indices of admitted elements (original order), or
-        ``None`` meaning *all* elements are admitted (the common
-        unbounded case, short-circuited before any mask work).  Each
-        test replicates the scalar comparison polarity (NaN distances
-        are *not* pruned by ``d > dmax`` style tests, exactly as in
-        the scalar code) and charges the same counters: one
+        ``None`` meaning *all* elements are admitted.  Each test
+        replicates the scalar comparison polarity (NaN distances are
+        *not* pruned by ``d > dmax`` style tests, exactly as in the
+        scalar code) and charges the same counters: one
         ``pruned_range`` unit per rejected element, and one MAXDIST
         bound (or exact re-evaluation on the object path) per element
         surviving the first test when a minimum distance is active.
 
-        For the one-sided expansion ``lo``/``hi`` pair with ``other``;
-        the simultaneous expansion passes both sides' corner arrays
-        (``lo2``/``hi2``) and ``other=None``.
+        The corners are the first tree's and the second tree's, each
+        row-aligned with ``d`` or one rectangle's corner tuples (the
+        one-sided expansion's fixed partner).
         """
-        if self.min_distance == 0.0 and (
-            self.max_distance == _INF if self.descending
-            else eff_dmax == _INF
-        ):
-            # No bound can prune (d > inf is false even for NaN): the
-            # scalar loop admits everything and charges nothing.
+        dmax = self.max_distance if self.descending else eff_dmax
+        if self.min_distance == 0.0 and dmax == _INF:
+            # Nothing to test (d > inf is false even for NaN).
             return None
         np = kern.np
-        alive = np.arange(d.shape[0])
-        pruned = 0
-        if not self.descending:
-            keep = np.logical_not(np.greater(d, eff_dmax))
-            pruned += alive.size - int(np.count_nonzero(keep))
-            alive = alive[keep]
+        if self.descending:
+            alive = np.arange(d.shape[0])
+            pruned = 0
+        else:
+            alive = (~(d > eff_dmax)).nonzero()[0]
+            pruned = d.shape[0] - alive.size
         if self.min_distance > 0.0 and alive.size:
             if object_path:
                 # Scalar maxdist() of an object/object pair re-runs
@@ -680,32 +695,21 @@ class IncrementalDistanceJoin(cursor.SuspendableOperator):
                 upper = d[alive]
                 self.distance._dist_calcs.add(int(alive.size))
             else:
-                if other is not None:
-                    lo_a, hi_a = lo[alive], hi[alive]
-                    if side == 1:
-                        upper = kern.maxdist(
-                            lo_a, hi_a, other.rect.lo, other.rect.hi
-                        )
-                    else:
-                        upper = kern.maxdist(
-                            other.rect.lo, other.rect.hi, lo_a, hi_a
-                        )
-                else:
-                    upper = kern.maxdist(
-                        lo[alive], hi[alive], lo2[alive], hi2[alive]
-                    )
+                upper = kern.maxdist(*(
+                    c if type(c) is tuple else c[alive]
+                    for c in (lo1, hi1, lo2, hi2)
+                ))
                 self.distance._bound_calcs.add(int(alive.size))
-            keep = np.logical_not(np.less(upper, self.min_distance))
+            keep = ~(upper < self.min_distance)
             pruned += int(alive.size) - int(np.count_nonzero(keep))
             alive = alive[keep]
         if self.descending and alive.size:
-            keep = np.logical_not(
-                np.greater(d[alive], self.max_distance)
-            )
+            keep = ~(d[alive] > self.max_distance)
             pruned += int(alive.size) - int(np.count_nonzero(keep))
             alive = alive[keep]
-        if pruned:
-            self._c_pruned_range.add(pruned)
+        if not pruned:
+            return None
+        self._c_pruned_range.add(pruned)
         return alive
 
     def _process_both(self, pair: Pair) -> None:
@@ -779,7 +783,8 @@ class IncrementalDistanceJoin(cursor.SuspendableOperator):
         element for element: like it, the restriction charges both
         nodes' full entry counts as ``bound_calcs`` however few entries
         it tests.  Returns the block (with its estimation d_max values)
-        like :meth:`_expand_vector`; ``None`` falls back to scalar.
+        like the one-sided vector expansion (:meth:`_process_node`);
+        ``None`` falls back to scalar.
         """
         soa_of1 = getattr(node1, "entries_soa", None)
         soa_of2 = getattr(node2, "entries_soa", None)
@@ -859,14 +864,13 @@ class IncrementalDistanceJoin(cursor.SuspendableOperator):
             self.distance._bound_calcs.add(m)
 
         alive = self._range_admits_batch(
-            kern, d, eff_dmax, object_path,
-            glo1, ghi1, None, 0, lo2=glo2, hi2=ghi2,
+            kern, d, eff_dmax, object_path, glo1, ghi1, glo2, ghi2
         )
         if alive is not None and not alive.size:
             return empty
         uppers = self._uppers_batch(
             kern, alive, object_path, level1 == 0 and level2 == 0,
-            glo1, ghi1, None, 0, lo2=glo2, hi2=ghi2,
+            glo1, ghi1, glo2, ghi2,
         )
         if alive is not None:
             d, g1, g2 = d[alive], g1[alive], g2[alive]
@@ -877,56 +881,46 @@ class IncrementalDistanceJoin(cursor.SuspendableOperator):
 
     def _uppers_batch(
         self, kern, alive, object_path: bool, minimal: bool,
-        lo, hi, other: Optional[Item], side: int,
-        lo2=None, hi2=None,
+        lo1, hi1, lo2, hi2,
     ) -> Optional[List[float]]:
         """Estimation d_max (Section 2.2.4) of one expansion's admitted
-        rows -- ``alive`` and the corner arrays are what
-        :meth:`_range_admits_batch` returned and took -- for the d_max
-        hooks and the block enqueue.
+        rows -- ``alive`` and the corners are what
+        :meth:`_range_admits_batch` returned and took -- for the
+        reverse variant's keys, the estimator and the d_max hooks.
 
         One MAXDIST kernel call (MINMAXDIST when both sides are
         ``minimal`` bounding rectangles) serves the block, bit-identical
         to the scalar :meth:`PairDistance.estimation_maxdist`.  Each
-        consumer charges by the per-pair rule, not this: the d_max
-        hooks one ``bound_calcs`` unit per row they read, :meth:`_offer`
-        one per row enqueued.  ``None`` when the values would go unused
-        -- no d_max hook and either no estimator or the per-pair loop --
-        or for exact object distances (their own d_max).
+        consumer charges by the per-pair rule, not this
+        (:meth:`_dmax_of`).  ``None`` when the values would go unused
+        -- no d_max hook and either neither keys nor an estimator read
+        them or the per-pair loop computes its own -- or for exact
+        object distances (their own d_max).
         """
-        if object_path or not self._hook_reads_uppers and (
-            self._estimator is None or not self._block_push
+        if object_path or not self._hook_reads_uppers and not (
+            self._block_push
+            and (self.descending or self._estimator is not None)
         ):
             return None
         if alive is not None:
-            lo, hi = lo[alive], hi[alive]
-            if other is None:
-                lo2, hi2 = lo2[alive], hi2[alive]
-        if other is not None:
-            lo2, hi2 = other.rect.lo, other.rect.hi
-            if side == 2:
-                lo, hi, lo2, hi2 = lo2, hi2, lo, hi
+            lo1, hi1, lo2, hi2 = (
+                c if type(c) is tuple else c[alive]
+                for c in (lo1, hi1, lo2, hi2)
+            )
         bound = kern.minmaxdist if minimal else kern.maxdist
-        return bound(lo, hi, lo2, hi2).tolist()
+        return bound(lo1, hi1, lo2, hi2).tolist()
 
     def _push_candidates(
         self, pair: Pair, side: int, block: CandidateBlock
     ) -> None:
         """Run the spatial-criterion filter and the d_max hooks over
-        one expansion's block, then enqueue it and offer it to the
-        estimator, whole.
+        one expansion's block, then enqueue it (:meth:`_enqueue`) --
+        or, for the per-pair loop (an overridden ``_push``, the
+        consistency checker), push its rows one :class:`Pair` each.
 
-        The block is keyed in row order (fixing the identical tie-break
-        sequence) and handed to the queue's ``push_many``, with the
-        insert counter charged in one add and the queue-size peak
-        observed once at the final (maximal) size; the estimator then
-        takes the block in one ``offer``.  No queue push reads what the
-        estimator writes, so totals, peaks and the trim trajectory
-        equal the per-pair accounting exactly.  Rows stay rows: the
-        d_max hooks read the block's columns (distances, batch d_max
-        bounds, child rows), and pairs are built only for a
-        ``pair_filter`` and the per-pair loop (an overridden ``_push``,
-        the consistency checker).
+        Rows stay rows: the d_max hooks read the block's columns
+        (distances, batch d_max bounds, child rows), and pairs are
+        built only for a ``pair_filter`` and the per-pair loop.
         """
         if not block.dists:
             return
@@ -943,22 +937,37 @@ class IncrementalDistanceJoin(cursor.SuspendableOperator):
                 self.counters.add("pruned_filter", len(block) - len(kept))
                 block = block.take(kept)
         block = self._filter_candidates(pair, side, block)
-        n = len(block.dists)
-        if not n:
+        if not block.dists:
             return
         if not self._block_push:
             for child_pair in block.pairs():
                 self.distance.check_child(pair, child_pair.distance)
                 self._push(child_pair)
             return
-        item1, item2 = block.head()
+        self._enqueue(block, *block.head())
+
+    def _enqueue(
+        self, block: CandidateBlock, item1: Item, item2: Item
+    ) -> None:
+        """Enqueue one expansion's non-empty block, headed by ``item1``
+        / ``item2`` (:meth:`CandidateBlock.head`), and offer it to the
+        estimator, whole.
+
+        The block is keyed in row order (fixing the identical tie-break
+        sequence) and handed to the queue's ``push_many``, with the
+        insert counter charged in one add and the queue-size peak
+        observed once at the final (maximal) size; the estimator then
+        takes the block in one ``offer``.  No queue push reads what the
+        estimator writes, so totals, peaks and the trim trajectory
+        equal the per-pair accounting exactly.
+        """
         self._keys.key_block(
             block, item1, item2,
             self._dmax_of(block, item1, item2) if self.descending
             else block.dists,
         )
         self._queue.push_many(block)
-        self._c_queue_inserts.add(n)
+        self._c_queue_inserts.add(len(block.dists))
         self._c_queue_size.observe(len(self._queue))
         if self._estimator is not None:
             self._offer(block, item1, item2)
@@ -989,13 +998,17 @@ class IncrementalDistanceJoin(cursor.SuspendableOperator):
     def _dmax_of(
         self, block: CandidateBlock, item1: Item, item2: Item
     ) -> List[float]:
-        """Scalar d_max of each row of a block headed by ``item1`` /
-        ``item2`` (also the reverse variant's key distance): for
-        resolved object/object rows the exact distance is its own
-        d_max (no second distance computation); every other row costs
-        one bound."""
+        """Each row's estimation d_max for a block headed by ``item1`` /
+        ``item2`` (also the reverse variant's key distance), charged by
+        the per-pair rule: one ``bound_calcs`` a row, none for resolved
+        object/object rows (their exact distance is their own d_max).
+        The values are the expansion's batch bounds
+        (:meth:`_uppers_batch`) when it computed them, else scalar."""
         if item1.kind == OBJ and item2.kind == OBJ:
             return block.dists
+        if block.uppers is not None:
+            self.distance._bound_calcs.add(len(block))
+            return block.uppers
         bound = self.distance.estimation_maxdist
         return [
             bound(block.first(row), block.second(row))
@@ -1022,13 +1035,9 @@ class IncrementalDistanceJoin(cursor.SuspendableOperator):
         self, block: CandidateBlock, item1: Item, item2: Item
     ) -> None:
         """Offer a just-enqueued block (headed by ``item1`` / ``item2``)
-        to the estimator, with the d_max values of :meth:`_uppers_batch`
-        (or of a d_max hook) if already computed (charged here: every
+        to the estimator with its rows' d_max (:meth:`_dmax_of`: every
         enqueued row costs a bound)."""
-        if block.uppers is None:
-            block.uppers = self._dmax_of(block, item1, item2)
-        else:
-            self.distance._bound_calcs.add(len(block))
+        block.uppers = self._dmax_of(block, item1, item2)
         self._estimator.offer(block, self._estimator_count(item1, item2))
 
     def _push(self, pair: Pair) -> None:

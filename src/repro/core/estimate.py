@@ -50,7 +50,7 @@ from heapq import heappush
 from typing import Optional, Tuple
 
 from repro.core.heap import AddressableMaxQueue
-from repro.core.pairs import CandidateBlock, Pair
+from repro.core.pairs import CandidateBlock, Item, Pair
 from repro.util.counters import CounterRegistry
 
 _INF = float("inf")
@@ -200,9 +200,9 @@ class JoinEstimator(_EstimatorBase):
                         dmax = last
         self._settle(total, evicted, dmax)
 
-    def on_dequeue(self, seq: int, pair: Pair) -> None:
-        """Row ``seq`` left the main queue; its children will
-        re-offer."""
+    def on_dequeue(self, seq: int, item1: Item, item2: Item) -> None:
+        """Row ``seq`` (the pair ``(item1, item2)``) left the main
+        queue; its children will re-offer."""
         existing = self._m.delete(seq)
         if existing is not None:
             self._total -= existing[1]
@@ -263,12 +263,13 @@ class SemiJoinEstimator(_EstimatorBase):
             if self._total >= self.k:
                 self._settle(*m.trim(self._total, self.k, self._count_of))
 
-    def on_dequeue(self, seq: int, pair: Pair) -> None:
-        """Remove the exact pair from M when it leaves the main queue
-        (``M`` is keyed by the outer item, so ``seq`` goes unused)."""
-        first = pair.item1.identity()
+    def on_dequeue(self, seq: int, item1: Item, item2: Item) -> None:
+        """Remove the exact pair ``(item1, item2)`` from M when it
+        leaves the main queue (``M`` is keyed by the outer item, so
+        ``seq`` goes unused)."""
+        first = item1.identity()
         existing = self._m.get(first)
-        if existing is not None and existing[1][1] == pair.item2.identity():
+        if existing is not None and existing[1][1] == item2.identity():
             self._m.delete(first)
             self._total -= existing[1][0]
 

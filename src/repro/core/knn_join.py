@@ -92,8 +92,8 @@ class KNearestNeighborJoin(IncrementalDistanceSemiJoin):
     # counter-based filtering (replaces the bitset)
     # ------------------------------------------------------------------
 
-    def _skip_result(self, pair: Pair) -> bool:
-        if self._object_done(pair.item1.oid):
+    def _skip_result(self, item1: Item, item2: Item) -> bool:
+        if self._object_done(item1.oid):
             self.counters.add("pruned_seen")
             return True
         return False
@@ -122,14 +122,14 @@ class KNearestNeighborJoin(IncrementalDistanceSemiJoin):
         counts, k = self._partner_counts, self.k
         return [counts.get(child.oid, 0) < k for child in children]
 
-    def _on_report(self, pair: Pair) -> None:
-        oid = pair.item1.oid
+    def _on_report(self, item1: Item, item2: Item) -> None:
+        oid = item1.oid
         count = self._partner_counts.get(oid, 0) + 1
         self._partner_counts[oid] = count
         if count >= self.k:
             self._done_count += 1
             if self._estimator is not None:
-                self._estimator.on_report_first(pair.item1.identity())
+                self._estimator.on_report_first(item1.identity())
                 return
         if self._estimator is not None:
             self._estimator.on_report()

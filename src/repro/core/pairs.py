@@ -255,23 +255,24 @@ class CandidateBlock:
             for d, seq in zip(self.keyd, count(self.seq0, self.step))
         ]
 
-    def pair_of(self, key: tuple) -> Pair:
-        """Materialise the row that ``key`` (one of this block's keys)
-        names.  Runs once per queue pop, hence unrolled."""
+    def row_of(self, key: tuple) -> Tuple[Item, Item, float]:
+        """``(item1, item2, distance)`` of the row that ``key`` (one of
+        this block's keys) names -- what a popped result is reported
+        from.  Runs once per queue pop, hence unrolled."""
         row = abs(key[3] - self.seq0)
         side = self.side
         if side == 1:
-            return Pair(
-                self.items[self.rows[row]], self.other, self.dists[row]
-            )
+            return self.items[self.rows[row]], self.other, self.dists[row]
         if side == 2:
-            return Pair(
-                self.other, self.items[self.rows[row]], self.dists[row]
-            )
-        return Pair(
+            return self.other, self.items[self.rows[row]], self.dists[row]
+        return (
             self.items[self.rows[row]], self.items2[self.rows2[row]],
             self.dists[row],
         )
+
+    def pair_of(self, key: tuple) -> Pair:
+        """Materialise the row that ``key`` names as a :class:`Pair`."""
+        return Pair(*self.row_of(key))
 
 
 class PairDistance:

@@ -56,8 +56,8 @@ class ReverseDistanceSemiJoin(ReverseDistanceJoin):
     def _complete(self) -> bool:
         return len(self._seen) >= len(self.tree1)
 
-    def _skip_result(self, pair: Pair) -> bool:
-        if pair.item1.oid in self._seen:
+    def _skip_result(self, item1: Item, item2: Item) -> bool:
+        if item1.oid in self._seen:
             self.counters.add("pruned_seen")
             return True
         return False
@@ -76,8 +76,8 @@ class ReverseDistanceSemiJoin(ReverseDistanceJoin):
             return None
         return self._seen.missing([child.oid for child in children])
 
-    def _on_report(self, pair: Pair) -> None:
-        self._seen.add(pair.item1.oid)
+    def _on_report(self, item1: Item, item2: Item) -> None:
+        self._seen.add(item1.oid)
 
     def _state_extra(self):
         return {"seen": self._seen.state()}

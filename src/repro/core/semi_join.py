@@ -41,7 +41,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.core.distance_join import IncrementalDistanceJoin
 from repro.core.estimate import SemiJoinEstimator
-from repro.core.pairs import NODE, OBJ, CandidateBlock, Item, Pair
+from repro.core.pairs import NODE, CandidateBlock, Item, Pair
 from repro.core.spec import (  # noqa: F401  (re-exported for back-compat)
     DMAX_GLOBAL_ALL,
     DMAX_GLOBAL_NODES,
@@ -113,8 +113,8 @@ class IncrementalDistanceSemiJoin(IncrementalDistanceJoin):
     # seen-set filtering
     # ------------------------------------------------------------------
 
-    def _skip_result(self, pair: Pair) -> bool:
-        if pair.item1.oid in self._seen:
+    def _skip_result(self, item1: Item, item2: Item) -> bool:
+        if item1.oid in self._seen:
             self._c_pruned_seen.add()
             return True
         return False
@@ -143,14 +143,14 @@ class IncrementalDistanceSemiJoin(IncrementalDistanceJoin):
             return None
         return self._seen.missing([child.oid for child in children])
 
-    def _on_report(self, pair: Pair) -> None:
-        self._seen.add(pair.item1.oid)
+    def _on_report(self, item1: Item, item2: Item) -> None:
+        self._seen.add(item1.oid)
         if self.obs.enabled:
             # Coverage timeline: how fast the semi-join saturates the
             # outer relation (sampled via the observer's knob).
             self.obs.gauge("semijoin.seen", float(len(self._seen)))
         if self._estimator is not None:
-            self._estimator.on_report_first(pair.item1.identity())
+            self._estimator.on_report_first(item1.identity())
 
     def _on_expand(self, pair: Pair, side: int) -> None:
         if side == 1 and self._estimator is not None and pair.item1.is_node:
@@ -176,7 +176,9 @@ class IncrementalDistanceSemiJoin(IncrementalDistanceJoin):
         exceeds its bound is dropped (one ``pruned_dmax`` each)."""
         if self.dmax_strategy == DMAX_NONE or not block.dists:
             return block
-        uppers = self._row_dmax(block)
+        # Each row's estimation d_max, charged by the per-pair rule and
+        # kept on the block, where the enqueue finds it.
+        uppers = block.uppers = self._dmax_of(block, *block.head())
         bounds = self._local_bounds(block, uppers)
         if self._tracks_global(block.first(0)):
             bounds = self._with_global(block, uppers, bounds)
@@ -189,22 +191,6 @@ class IncrementalDistanceSemiJoin(IncrementalDistanceJoin):
             return block
         self._c_pruned_dmax.add(pruned)
         return block.take(kept)
-
-    def _row_dmax(self, block: CandidateBlock) -> List[float]:
-        """Each row's estimation d_max, charged by the per-pair rule:
-        one ``bound_calcs`` a row, none for object/object rows (their
-        exact distance is their own d_max).  The values are the
-        expansion's batch bounds (:meth:`_uppers_batch`); on the scalar
-        path they are computed here and kept on the block, where
-        :meth:`_offer` finds them."""
-        item1, item2 = block.head()
-        if item1.kind == OBJ and item2.kind == OBJ:
-            return block.dists
-        if block.uppers is None:
-            block.uppers = self._dmax_of(block, item1, item2)
-        else:
-            self.distance._bound_calcs.add(len(block))
-        return block.uppers
 
     def _local_bounds(
         self, block: CandidateBlock, uppers: List[float]

@@ -164,10 +164,14 @@ class _TracingMixin:
         self._trace._record("expand", _pair_label(pair), pair.distance)
         super()._process_pair(pair)  # type: ignore[misc]
 
-    def _report(self, pair: Pair):  # type: ignore[override]
+    def _report(  # type: ignore[override]
+        self, distance: float, item1: Item, item2: Item
+    ):
         self._trace.reported += 1
-        self._trace._record("report", _pair_label(pair), pair.distance)
-        return super()._report(pair)  # type: ignore[misc]
+        self._trace._record(
+            "report", _pair_label(Pair(item1, item2, distance)), distance
+        )
+        return super()._report(distance, item1, item2)  # type: ignore[misc]
 
 
 def traced_join(

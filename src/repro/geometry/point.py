@@ -26,7 +26,7 @@ class Point:
     __slots__ = ("coords",)
 
     def __init__(self, coords: Iterable[float]) -> None:
-        coords_tuple: Tuple[float, ...] = tuple(float(c) for c in coords)
+        coords_tuple: Tuple[float, ...] = tuple(map(float, coords))
         if not coords_tuple:
             raise GeometryError("a point needs at least one coordinate")
         object.__setattr__(self, "coords", coords_tuple)

@@ -37,8 +37,8 @@ class Rect:
     def __init__(
         self, lo: Iterable[float], hi: Iterable[float]
     ) -> None:
-        lo_t: Tuple[float, ...] = tuple(float(c) for c in lo)
-        hi_t: Tuple[float, ...] = tuple(float(c) for c in hi)
+        lo_t: Tuple[float, ...] = tuple(map(float, lo))
+        hi_t: Tuple[float, ...] = tuple(map(float, hi))
         if not lo_t:
             raise GeometryError("a rectangle needs at least one dimension")
         if len(lo_t) != len(hi_t):
@@ -67,8 +67,16 @@ class Rect:
 
     @classmethod
     def from_point(cls, point: Point) -> "Rect":
-        """The degenerate rectangle covering exactly ``point``."""
-        return cls(point.coords, point.coords)
+        """The degenerate rectangle covering exactly ``point``.
+
+        A point's coordinates are already a non-empty tuple of floats,
+        so both corners share that one tuple instead of converting and
+        comparing them again.
+        """
+        rect = object.__new__(cls)
+        object.__setattr__(rect, "lo", point.coords)
+        object.__setattr__(rect, "hi", point.coords)
+        return rect
 
     @classmethod
     def from_points(cls, points: Sequence[Point]) -> "Rect":

@@ -65,11 +65,13 @@ class BatchKernels:
         p = self.p
         dim = deltas.shape[1]
         if p == 2.0:
-            d0 = deltas[:, 0]
-            acc = 0.0 + d0 * d0
+            # The squares summed left to right.  The scalar sum's 0.0
+            # seed is dropped: a square is never -0.0, so
+            # 0.0 + x * x == x * x.
+            squares = deltas * deltas
+            acc = squares[:, 0]
             for k in range(1, dim):
-                dk = deltas[:, k]
-                acc = acc + dk * dk
+                acc = acc + squares[:, k]
             return np.sqrt(acc)
         if p == 1.0:
             # sum() starts from (int) 0: the first term is 0.0 + d0.
@@ -94,7 +96,7 @@ class BatchKernels:
         # single rectangle's (dim,) corners against (n, dim) arrays on
         # their own, which is far cheaper than materializing the
         # broadcast (this sits on the node-expansion hot path).
-        return tuple(np.asarray(a, dtype=np.float64) for a in arrays)
+        return [np.asarray(a, dtype=np.float64) for a in arrays]
 
     def mindist(self, lo1, hi1, lo2, hi2) -> np.ndarray:
         """Batch ``Metric.mindist_rect_rect`` (elif-chain per dimension)."""
@@ -143,15 +145,14 @@ class BatchKernels:
     # ------------------------------------------------------------------
 
     def point_distance(self, a, b) -> np.ndarray:
-        """Batch ``MinkowskiMetric.distance`` over coordinate arrays."""
-        a, b = self._coerce(a, b)
-        if a.ndim == 1 and b.ndim == 1:
-            a = a.reshape(1, -1)
-        if self.p == 2.0:
-            d0 = a[..., 0] - b[..., 0]
-            acc = 0.0 + d0 * d0
-            for k in range(1, a.shape[-1]):
-                dk = a[..., k] - b[..., k]
-                acc = acc + dk * dk
-            return np.sqrt(acc)
-        return self._combine(np.abs(a - b))
+        """Batch ``MinkowskiMetric.distance`` over coordinate arrays.
+
+        ``b`` is row-aligned with ``a``, or one point's coordinates
+        that every row of ``a`` is measured against.  One subtraction
+        serves every axis column; the squares (L2) need no
+        ``abs``.
+        """
+        deltas = np.asarray(a, dtype=np.float64) - np.asarray(
+            b, dtype=np.float64
+        )
+        return self._combine(deltas if self.p == 2.0 else np.abs(deltas))

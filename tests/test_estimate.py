@@ -37,6 +37,11 @@ def obj_pair(o1, o2, distance=0.0):
     )
 
 
+def items_of(pair):
+    """A pair's two items, as ``on_dequeue`` takes them."""
+    return pair.item1, pair.item2
+
+
 def keyed(cls, k, dmin=0.0, dmax=INF):
     """An estimator with the ``KeyMaker`` that names its rows, as the
     join holds one of each."""
@@ -107,13 +112,13 @@ class TestJoinEstimator:
         est = self.make(k=5)
         pair = node_pair(1, 2)
         seq = offer1(est, pair, 0.0, 5.0, 4)
-        est.on_dequeue(seq, pair)
+        est.on_dequeue(seq, *items_of(pair))
         assert est.tracked_pairs == 0
         assert est.tracked_total == 0
 
     def test_dequeue_of_untracked_pair_is_noop(self):
         est = self.make(k=5)
-        est.on_dequeue(7, node_pair(8, 9))
+        est.on_dequeue(7, *items_of(node_pair(8, 9)))
         assert est.tracked_total == 0
 
     def test_report_decrements_k_and_retrims(self):
@@ -177,9 +182,10 @@ class TestSemiJoinEstimator:
     def test_dequeue_only_removes_matching_second(self):
         est = self.make(k=100)
         seq = offer1(est, node_pair(1, 2), 0.0, 4.0, 5)
-        est.on_dequeue(seq + 1, node_pair(1, 3))  # different second item
+        # A different second item, then the exact pair.
+        est.on_dequeue(seq + 1, *items_of(node_pair(1, 3)))
         assert est.tracked_pairs == 1
-        est.on_dequeue(seq, node_pair(1, 2))  # exact pair
+        est.on_dequeue(seq, *items_of(node_pair(1, 2)))
         assert est.tracked_pairs == 0
 
     def test_report_purges_first_item(self):
@@ -270,7 +276,8 @@ def test_property_block_offer_equals_one_at_a_time(cls, k, dmin, steps):
                 est.offered.extend(zip(seqs, candidates))
             elif step[0] == "dequeue":
                 if est.offered:
-                    est.on_dequeue(*est.offered[step[1] % len(est.offered)])
+                    seq, pair = est.offered[step[1] % len(est.offered)]
+                    est.on_dequeue(seq, *items_of(pair))
             elif step[0] == "expand":
                 if cls is SemiJoinEstimator:
                     est.on_expand_first(node_pair(step[1], 0))
@@ -381,7 +388,7 @@ def test_property_sequence_keyed_m_matches_identity_keyed_reference(
         elif step[0] == "dequeue":
             if offered:
                 seq, pair = offered[step[1] % len(offered)]
-                est.on_dequeue(seq, pair)
+                est.on_dequeue(seq, *items_of(pair))
                 ref.dequeue(pair)
         else:
             est.on_report()
@@ -417,9 +424,9 @@ class PremiseEstimator(JoinEstimator):
         self.reentries += block.first(0).kind == OBJ
         super().offer(block, count)
 
-    def on_dequeue(self, seq, pair):
-        assert self.queued.pop(identity_of(pair)) == seq
-        super().on_dequeue(seq, pair)
+    def on_dequeue(self, seq, item1, item2):
+        assert self.queued.pop((item1.identity(), item2.identity())) == seq
+        super().on_dequeue(seq, item1, item2)
 
 
 class PremiseJoin(IncrementalDistanceJoin):

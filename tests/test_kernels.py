@@ -16,6 +16,7 @@ from hypothesis import given, settings, strategies as st
 from repro.core.distance_join import IncrementalDistanceJoin
 from repro.core.knn_join import KNearestNeighborJoin
 from repro.core.pairs import NODE, OBJ, Item, Pair
+from repro.core.reverse import ReverseDistanceJoin, ReverseDistanceSemiJoin
 from repro.core.semi_join import IncrementalDistanceSemiJoin
 from repro.core.spec import JoinSpec
 from repro.core.tiebreak import KeyMaker
@@ -129,6 +130,12 @@ class TestKernelBitIdentity:
             metric.distance(Point(a), Point(b)) for a, b in ps
         ]
         assert batch == scalar
+        # Every row against one point's coordinate tuple.
+        one = ps[0][1]
+        batch = kern.point_distance([a for a, _ in ps], one).tolist()
+        assert batch == [
+            metric.distance(Point(a), Point(one)) for a, _ in ps
+        ]
 
     def test_single_rect_broadcasts_against_batch(self):
         kern = resolve_kernels("vector", EUCLIDEAN)
@@ -343,6 +350,18 @@ ESTIMATED_CONFIGS = [
      dict(max_pairs=90)),
     ("estimated_all_pairs", IncrementalDistanceJoin,
      dict(max_pairs=60 * 80 + 10)),
+    ("estimated_max_distance", IncrementalDistanceJoin,
+     dict(max_pairs=150, max_distance=20.0)),
+    ("estimated_hybrid", IncrementalDistanceJoin,
+     dict(max_pairs=150, queue="hybrid", queue_dt=2.0)),
+    ("estimated_basic", IncrementalDistanceJoin,
+     dict(max_pairs=150, node_policy="basic")),
+    ("estimated_breadth", IncrementalDistanceJoin,
+     dict(max_pairs=150, tie_break="breadth_first")),
+    ("estimated_manhattan", IncrementalDistanceJoin,
+     dict(max_pairs=150, metric=MANHATTAN)),
+    ("estimated_chessboard", IncrementalDistanceJoin,
+     dict(max_pairs=150, metric=CHESSBOARD)),
 ]
 
 #: ``_run`` arguments of the configs that need other than the defaults.
@@ -376,6 +395,10 @@ JOIN_CONFIGS = [
      dict(dmax_strategy="local")),
     ("semi_global", IncrementalDistanceSemiJoin,
      dict(dmax_strategy="global_all")),
+    ("reverse", ReverseDistanceJoin, dict()),
+    ("reverse_ranged", ReverseDistanceJoin,
+     dict(min_distance=5.0, max_distance=40.0)),
+    ("reverse_semi", ReverseDistanceSemiJoin, dict()),
 ] + ESTIMATED_CONFIGS
 
 
