@@ -187,6 +187,13 @@ class IncrementalDistanceJoin(cursor.SuspendableOperator):
             and type(self)._on_expand is base._on_expand
             and spec.pair_filter is None
         )
+        # __next__ calls the pop hooks a subclass overrides, and only
+        # those: the base hooks are no-ops.
+        self._hooks_pop = (
+            type(self)._complete is not base._complete,
+            type(self)._skip_result is not base._skip_result,
+            type(self)._skip_popped is not base._skip_popped,
+        )
         # An expansion is enqueued as one block while per-push side
         # effects are the stock ones; a subclass overriding _push (e.g.
         # the tracing mixin recording push events) and the consistency
@@ -304,20 +311,23 @@ class IncrementalDistanceJoin(cursor.SuspendableOperator):
         return self
 
     def __next__(self) -> JoinResult:
+        max_pairs = self.max_pairs
+        min_distance = self.min_distance
+        descending = self.descending
+        hook_complete, hook_result, hook_popped = self._hooks_pop
+        queue, estimator = self._queue, self._estimator
         while True:
-            if (
-                self.max_pairs is not None
-                and self._produced >= self.max_pairs
-            ):
+            if max_pairs is not None and self._produced >= max_pairs:
                 raise StopIteration
-            if self._complete():
+            if hook_complete and self._complete():
                 raise StopIteration
-            if not self._queue:
+            if not queue:
                 if self._should_restart():
                     self._restart()
+                    queue, estimator = self._queue, self._estimator
                     continue
                 raise StopIteration
-            key, value = self._queue.pop()
+            key, value = queue.pop()
             from_block = type(value) is CandidateBlock
             if from_block:
                 # A block row is read in place: a result is reported
@@ -327,13 +337,16 @@ class IncrementalDistanceJoin(cursor.SuspendableOperator):
                 item1, item2, d = value.item1, value.item2, value.distance
             # (No queue_size observation: a pop cannot raise the peak,
             # and every size a push reached was observed by the push.)
-            if self._estimator is not None:
-                self._estimator.on_dequeue(abs(key[3]), item1, item2)
+            if estimator is not None:
+                estimator.on_dequeue(abs(key[3]), item1, item2)
+                dmax = estimator.current_dmax
+            else:
+                dmax = self.max_distance
 
             if item1.kind == OBJ and item2.kind == OBJ:
-                if not self._in_range(d):
+                if not min_distance <= d <= dmax:
                     self._c_pruned_range.add()
-                elif not self._skip_result(item1, item2):
+                elif not (hook_result and self._skip_result(item1, item2)):
                     result = self._report(d, item1, item2)
                     if result is not None:
                         return result
@@ -345,12 +358,12 @@ class IncrementalDistanceJoin(cursor.SuspendableOperator):
                     return result
                 continue
             # At least one item is a node.
-            if not self.descending and pair.distance > self._effective_dmax():
+            if not descending and d > dmax:
                 # The maximum distance shrank since this pair was
                 # enqueued; nothing derived from it can qualify.
                 self._c_pruned_range.add()
                 continue
-            if self._skip_popped(pair):
+            if hook_popped and self._skip_popped(pair):
                 continue
             if self.obs.enabled:
                 with self.obs.span("join.expand"):

@@ -4,9 +4,11 @@ addressable max-queue.
 The paper's implementation keeps the in-memory part of its hybrid
 priority queue in a *pairing heap* (its reference [13]); this module
 provides one, and a binary heap on C ``heapq`` with the same surface
--- ``push``, ``pop``, ``peek``, ``replace``, ``push_many``, ``items``,
-``clear``, ``len()`` -- so the pair queues (:mod:`repro.core.pqueue`)
-run on either.  It also provides :class:`AddressableMaxQueue`, the
+-- ``push``, ``pop``, ``pop_run``, ``peek``, ``push_many``, ``items``,
+``clear``, ``len()`` -- so the pair queues
+(:mod:`repro.core.pqueue`) run on either.  ``pop_run`` is the pair
+queues' pop: a :class:`Run` entry stays queued at its next row.  It
+also provides :class:`AddressableMaxQueue`, the
 ``Q_M`` structure of Section 2.2.4: a max-priority queue over d_max
 values combined with a hash table so that arbitrary entries can be
 deleted when their pair is dequeued from the main queue (implemented
@@ -34,6 +36,22 @@ from typing import (
 
 K = TypeVar("K")
 V = TypeVar("V")
+
+
+class Run:
+    """The rows of one keyed block (:class:`repro.core.pairs
+    .CandidateBlock`) queued behind the row that heads them, as the
+    value of one heap entry whose key is the head row's key: ``rows``
+    holds the other rows' numbers in descending key order (the next
+    one is ``rows.pop()``) and is never empty.  ``pop_run`` advances
+    a run one row a pop, so it is indistinguishable from its rows
+    pushed singly, because keys are totally ordered."""
+
+    __slots__ = ("block", "rows")
+
+    def __init__(self, block: Any, rows: List[int]) -> None:
+        self.block = block
+        self.rows = rows
 
 
 class _PairingNode:
@@ -124,16 +142,27 @@ class PairingHeap(Generic[K, V]):
         self._size -= 1
         return root.key, root.value
 
-    def replace(self, key: K, value: V) -> Tuple[K, V]:
-        """Remove and return the minimum item, then insert ``(key,
-        value)`` -- a :meth:`pop` followed by a :meth:`push`."""
+    def pop_run(self) -> Tuple[K, V]:
+        """:meth:`pop`, except for an item whose value is a
+        :class:`Run`: that item is replaced by the run's next row (the
+        root node re-keyed and melded back) and the popped item carries
+        the run's block."""
         root = self._root
         if root is None:
-            raise IndexError("replace on empty heap")
-        self._root = self._meld(
-            self._merge_pairs(root.child), _PairingNode(key, value)
-        )
-        return root.key, root.value
+            raise IndexError("pop on empty heap")
+        key, run = root.key, root.value
+        rest = self._merge_pairs(root.child)
+        if type(run) is not Run:
+            self._root = rest
+            self._size -= 1
+            return key, run
+        block, rows = run.block, run.rows
+        root.key = block.key(rows.pop())
+        if not rows:
+            root.value = block
+        root.child = None
+        self._root = self._meld(rest, root)
+        return key, block
 
     def meld(self, other: "PairingHeap[K, V]") -> None:
         """Destructively absorb ``other`` (which is left empty)."""
@@ -256,12 +285,22 @@ class BinaryHeap(Generic[K, V]):
             raise IndexError("pop on empty heap")
         return heapq.heappop(self._heap)
 
-    def replace(self, key: K, value: V) -> Tuple[K, V]:
-        """Remove and return the minimum item, then insert ``(key,
-        value)``, in one sift."""
-        if not self._heap:
-            raise IndexError("replace on empty heap")
-        return heapq.heapreplace(self._heap, (key, value))
+    def pop_run(self) -> Tuple[K, V]:
+        """:meth:`pop`, except for an item whose value is a
+        :class:`Run`: that item is replaced by the run's next row in one
+        sift and the popped item carries the run's block."""
+        heap = self._heap
+        if not heap:
+            raise IndexError("pop on empty heap")
+        head = heap[0]
+        run = head[1]
+        if type(run) is not Run:
+            return heapq.heappop(heap)
+        block, rows = run.block, run.rows
+        heapq.heapreplace(
+            heap, (block.key(rows.pop()), run if rows else block)
+        )
+        return head[0], block
 
     def clear(self) -> None:
         """Discard all items."""

@@ -11,25 +11,29 @@ pulled into the list.  All disk traffic is counted (``pq_disk_writes``,
 
 A queued value is a :class:`~repro.core.pairs.Pair` or, for a whole
 node expansion pushed with ``push_many``, the expansion's
-:class:`~repro.core.pairs.CandidateBlock`, whose popped row is
-materialised by whoever pops it (``block.pair_of(key)``).  In memory a
-block is queued as a *run* (:class:`_RunHeap`): its rows are sorted
-once and the heap orders one handle for the whole block, so popping in
-key order is a k-way merge of runs and a key tuple exists only for a
-row that reaches the head of its run.  Sizes and counters count rows,
-never handles.  Snapshots (``state()``) materialise, so the cursor
-schema is ``(key, Pair)`` rows whatever the queue holds.
+:class:`~repro.core.pairs.CandidateBlock`; whoever pops a block row
+reads it in place (``block.row_of(key)``), and the join builds a
+``Pair`` only for a row it expands.  In memory a block is queued as a
+*run* (:class:`~repro.core.heap.Run`): its rows are sorted once and the
+heap orders one handle for the whole block, so popping in key order is
+a k-way merge of runs (one ``pop_run`` on the heap a pop) and a key
+tuple exists only for a row that reaches the head of its run.  On the
+hybrid queue's disk tier a block's spilled rows are appended to their
+bands' pages in one call, a row number and the block per record.
+Sizes and counters count rows, never handles.  Snapshots (``state()``)
+materialise, so the cursor schema is ``(key, Pair)`` rows whatever the
+queue holds.
 """
 
 from __future__ import annotations
 
-import math
 from abc import ABC, abstractmethod
+from math import floor
 from typing import (
     Any, Dict, Iterator, List, Optional, Sequence, Tuple, Type,
 )
 
-from repro.core.heap import BinaryHeap
+from repro.core.heap import BinaryHeap, Run
 from repro.core.pairs import CandidateBlock
 from repro.storage.pager import PageStore
 from repro.util.counters import CounterRegistry
@@ -39,9 +43,10 @@ from repro.util.validation import require_positive
 #: Simulated size of one serialized pair record on a queue page.
 PAIR_RECORD_BYTES = 64
 
-#: Cap on band indices: ``distance / dt`` can overflow to infinity
-#: when DT is subnormal, and any quotient this large is already far
-#: past every band the cursor will visit individually.
+#: Cap on the magnitude of band indices: ``distance / dt`` can
+#: overflow to infinity when DT is subnormal, and any quotient this
+#: large is already far past every band the cursor will visit
+#: individually.
 _MAX_BAND = 2 ** 62
 
 #: Micro-unit scale used to record the calibrated ``D_T`` in the
@@ -49,12 +54,13 @@ _MAX_BAND = 2 ** 62
 DT_MICRO_SCALE = 1_000_000
 
 
-def _records(columns: Tuple[list, list]) -> List[Tuple[Tuple, Any]]:
-    """The ``(key, value)`` records of one disk page's columns (see
+def _records(page: list) -> List[Tuple[Tuple, Any]]:
+    """The ``(key, value)`` records of one disk page (see
     :class:`HybridPairQueue`): a row number becomes its block's key."""
+    flat = iter(page)
     return [
         (value.key(key) if type(key) is int else key, value)
-        for key, value in zip(*columns)
+        for key, value in zip(flat, flat)
     ]
 
 
@@ -68,96 +74,42 @@ def _materialised(items) -> List[Tuple[Tuple, Any]]:
     ]
 
 
-class _Run:
-    """The rows of one keyed block queued behind the row that heads
-    them: ``rows`` holds their row numbers in descending key order
-    (the next one is ``rows.pop()``) and is never empty.  The head
-    row's key is the key of the run's heap handle."""
+def _push_run(heap, block: CandidateBlock, rows: Sequence[int]) -> int:
+    """Insert the given rows of a keyed block (row numbers, ascending)
+    into ``heap`` as one :class:`~repro.core.heap.Run`; returns the
+    number of rows.
 
-    __slots__ = ("block", "rows")
-
-    def __init__(self, block: CandidateBlock, rows: List[int]) -> None:
-        self.block = block
-        self.rows = rows
-
-
-class _RunHeap:
-    """The in-memory heap of a pair queue, ordering runs.
-
-    A handle is ``(key, value)``: one row, whose value is a pair or
-    the block the row belongs to, or -- with a :class:`_Run` value -- a
-    whole sorted run, keyed by its head row.  ``len()``, :meth:`pop`,
-    :meth:`peek` and :meth:`items` speak rows: a run is advanced one
-    row a pop (one ``replace`` on the heap) and is indistinguishable
-    from its rows pushed singly, because keys are totally ordered.
+    A block's rows share ``rank`` and ``level``, so key order is
+    ``(keyd, seq)`` order: one stable sort over ``keyd``, starting from
+    descending ``seq``, leaves the rows in descending key order.
     """
+    order = sorted(
+        rows if block.step < 0 else reversed(rows),
+        key=block.keyd.__getitem__, reverse=True,
+    )
+    count = len(order)
+    head = order.pop()
+    heap.push(block.key(head), Run(block, order) if order else block)
+    return count
 
-    __slots__ = ("_heap", "_rows")
 
-    def __init__(self, heap_class: Type) -> None:
-        self._heap = heap_class()
-        self._rows = 0
+def _peek(heap) -> Tuple[Tuple, Any]:
+    """The head row of a heap of rows and runs."""
+    key, value = heap.peek()
+    return key, value.block if type(value) is Run else value
 
-    def __len__(self) -> int:
-        return self._rows
 
-    def push(self, key: Tuple, value: Any) -> None:
-        self._heap.push(key, value)
-        self._rows += 1
-
-    def push_rows(self, rows: List[Tuple[Tuple, Any]]) -> None:
-        """Insert ``(key, value)`` rows (heapified when the heap is
-        empty)."""
-        self._heap.push_many(rows)
-        self._rows += len(rows)
-
-    def push_run(self, block: CandidateBlock, rows: Sequence[int]) -> None:
-        """Insert the given rows of a keyed block (row numbers,
-        ascending) as one run.
-
-        A block's rows share ``rank`` and ``level``, so key order is
-        ``(keyd, seq)`` order: one stable sort over ``keyd``, starting
-        from descending ``seq``, leaves the rows in descending key
-        order.
-        """
-        order = sorted(
-            rows if block.step < 0 else reversed(rows),
-            key=block.keyd.__getitem__, reverse=True,
-        )
-        self._rows += len(order)
-        head = order.pop()
-        self._heap.push(
-            block.key(head), _Run(block, order) if order else block
-        )
-
-    def pop(self) -> Tuple[Tuple, Any]:
-        heap = self._heap
-        head = heap.peek()
-        run = head[1]
-        if type(run) is _Run:
-            block, rows = run.block, run.rows
-            row = rows.pop()
-            heap.replace(block.key(row), run if rows else block)
-            head = (head[0], block)
+def _unrolled(heap) -> Iterator[Tuple[Tuple, Any]]:
+    """Every row of a heap of rows and runs, runs unrolled, in internal
+    order."""
+    for key, value in heap.items():
+        if type(value) is Run:
+            block = value.block
+            yield key, block
+            for row in value.rows:
+                yield block.key(row), block
         else:
-            heap.pop()
-        self._rows -= 1
-        return head
-
-    def peek(self) -> Tuple[Tuple, Any]:
-        key, value = self._heap.peek()
-        return key, value.block if type(value) is _Run else value
-
-    def items(self) -> Iterator[Tuple[Tuple, Any]]:
-        """Every queued row, runs unrolled, in internal order."""
-        for key, value in self._heap.items():
-            if type(value) is _Run:
-                block = value.block
-                yield key, block
-                for row in value.rows:
-                    yield block.key(row), block
-            else:
-                yield key, value
+            yield key, value
 
 
 class PairQueue(ABC):
@@ -230,25 +182,32 @@ class MemoryPairQueue(PairQueue):
     """
 
     def __init__(self, heap_class: Type = BinaryHeap) -> None:
-        self._heap = _RunHeap(heap_class)
+        self._heap = heap_class()
+        self._rows = 0
 
     def push(self, key: Tuple, value: Any) -> None:
         self._heap.push(key, value)
+        self._rows += 1
 
     def push_many(self, block: CandidateBlock) -> None:
-        self._heap.push_run(block, range(len(block)))
+        self._rows += _push_run(self._heap, block, range(len(block)))
 
     def pop(self) -> Tuple[Tuple, Any]:
-        return self._heap.pop()
+        head = self._heap.pop_run()
+        self._rows -= 1
+        return head
 
     def peek(self) -> Tuple[Tuple, Any]:
-        return self._heap.peek()
+        return _peek(self._heap)
 
     def __len__(self) -> int:
-        return len(self._heap)
+        return self._rows
+
+    def __bool__(self) -> bool:
+        return self._rows > 0
 
     def head_distance(self) -> Optional[float]:
-        if not self._heap:
+        if not self._rows:
             return None
         return self._heap.peek()[0][0]
 
@@ -264,7 +223,7 @@ class MemoryPairQueue(PairQueue):
         a fresh heap reproduces the identical pop order.
         """
         return {"kind": "memory",
-                "items": _materialised(self._heap.items())}
+                "items": _materialised(_unrolled(self._heap))}
 
     @classmethod
     def from_state(
@@ -283,7 +242,8 @@ class MemoryPairQueue(PairQueue):
         only uses ``heap_class``.
         """
         queue = cls(heap_class=heap_class)
-        queue._heap.push_rows(state["items"])
+        queue._heap.push_many(state["items"])
+        queue._rows = len(state["items"])
         return queue
 
 
@@ -312,13 +272,15 @@ class HybridPairQueue(PairQueue):
         loads are logged as events.
 
     The disk tier is the paper's unsorted bucket lists: each band is a
-    list of pages, and a page is two columns, ``(keys, values)``.  A
-    row pushed inside a block is stored late-materialised -- ``keys[i]``
-    is its row number in the block ``values[i]`` -- so spilling it
-    allocates nothing; any other record carries its full key.  A band's
-    open page is held in hand and appended to in place; the store sees
-    one ``write`` when the page fills (``page_writes`` is per page,
-    ``pq_disk_writes`` per record).
+    list of pages, and a page is one flat record list, ``[key0, value0,
+    key1, value1, ...]``.  A row pushed inside a block is stored
+    late-materialised -- its key slot holds its row number in the block
+    that follows it -- so spilling it allocates nothing; any other
+    record carries its full key.  A band's open page is its last page:
+    the list is held in hand (``_open_page``) and appended to in place,
+    and the store sees one ``write`` when the page fills (``page_writes``
+    is per page, ``pq_disk_writes`` per record).  A block's spilled rows
+    reach the pages in one :meth:`_push_disk` call.
     """
 
     def __init__(
@@ -334,7 +296,8 @@ class HybridPairQueue(PairQueue):
         self.counters = counters if counters is not None else CounterRegistry()
         self.obs = observer if observer is not None else NULL_OBSERVER
         self.store = store if store is not None else PageStore()
-        self._heap = _RunHeap(heap_class)
+        self._heap = heap_class()
+        self._heap_rows = 0
         self._list: List[Tuple[Tuple, Any]] = []
         # The band cursor is the single source of truth for the tier
         # thresholds: the heap holds bands below the cursor, the
@@ -345,11 +308,14 @@ class HybridPairQueue(PairQueue):
         # band-by-band promotion preserves global distance order.
         self._cursor = 1  # D1 = cursor * DT, D2 = (cursor + 1) * DT
         self._bands: Dict[int, List[int]] = {}
-        #: band -> (page id, keys column, values column) of its open
-        #: page -- always the last page of the band's list.
-        self._open_page: Dict[int, Tuple[int, list, list]] = {}
+        #: band -> the record list of its open page, whose id is the
+        #: last of the band's page ids.
+        self._open_page: Dict[int, list] = {}
         self._disk_records = 0
-        self._page_capacity = max(1, self.store.page_size // PAIR_RECORD_BYTES)
+        #: Record slots of a full page (two per record).
+        self._page_slots = 2 * max(
+            1, self.store.page_size // PAIR_RECORD_BYTES
+        )
 
     @property
     def _d1(self) -> float:
@@ -367,38 +333,46 @@ class HybridPairQueue(PairQueue):
         band = self._band_of(key[0])
         if band < self._cursor:
             self._heap.push(key, value)
-            self.counters.observe("pq_heap_size", len(self._heap))
+            self._heap_rows += 1
+            self.counters.observe("pq_heap_size", self._heap_rows)
         elif band == self._cursor:
             self._list.append((key, value))
         else:
-            self._push_disk(band, key, value)
+            self._push_disk((band,), (key,), value)
             self._disk_records += 1
             self.counters.add("pq_disk_writes")
 
     def push_many(self, block: CandidateBlock) -> None:
-        cursor = self._cursor
-        band_of = self._band_of
-        push_disk = self._push_disk
+        cursor, dt = self._cursor, self.dt
+        listed = self._list
         heap_rows: List[int] = []
-        spilled = 0
+        bands: List[int] = []
+        spilled: List[int] = []
         for row, distance in enumerate(block.keyd):
-            band = band_of(distance)
+            # _band_of, inline: one pass routes the whole block.
+            quotient = distance / dt
+            band = (
+                _MAX_BAND if quotient >= _MAX_BAND
+                else -_MAX_BAND if quotient <= -_MAX_BAND
+                else floor(quotient)
+            )
             if band > cursor:
-                push_disk(band, row, block)
-                spilled += 1
+                bands.append(band)
+                spilled.append(row)
             elif band < cursor:
                 heap_rows.append(row)
             else:
-                self._list.append((block.key(row), block))
+                listed.append((block.key(row), block))
         # The heap only grows here, so its peak is its final size; the
         # disk counter is a total.  Neither is created by a block that
         # did not touch its tier (snapshots list touched counters).
         if heap_rows:
-            self._heap.push_run(block, heap_rows)
-            self.counters.observe("pq_heap_size", len(self._heap))
+            self._heap_rows += _push_run(self._heap, block, heap_rows)
+            self.counters.observe("pq_heap_size", self._heap_rows)
         if spilled:
-            self._disk_records += spilled
-            self.counters.add("pq_disk_writes", spilled)
+            self._push_disk(bands, spilled, block)
+            self._disk_records += len(spilled)
+            self.counters.add("pq_disk_writes", len(spilled))
 
     def _band_of(self, distance: float) -> int:
         quotient = distance / self.dt
@@ -410,66 +384,81 @@ class HybridPairQueue(PairQueue):
             # collapse the tail into one final disk band; the heap
             # restores order within a band at promotion time.
             return _MAX_BAND
-        return int(math.floor(quotient))
+        if quotient <= -_MAX_BAND:
+            # The same overflow on a descending join's negated keys:
+            # such a pair lies below every band, in the heap.
+            return -_MAX_BAND
+        return floor(quotient)
 
-    def _push_disk(self, band: int, key: Any, value: Any) -> None:
-        """Append one record to ``band``'s open page: ``key`` is the
-        record's full key, or its row number when ``value`` is the
+    def _push_disk(
+        self, bands: Sequence[int], keys: Sequence[Any], value: Any
+    ) -> None:
+        """Append one record per band to that band's open page:
+        ``keys[i]`` goes to ``bands[i]``, each with ``value``.  A key is
+        the record's full key, or its row number when ``value`` is the
         block it belongs to."""
-        page = self._open_page.get(band)
-        if page is None:
-            keys: list = []
-            values: list = []
-            page_id = self.store.allocate((keys, values), 0)
-            page = self._open_page[band] = (page_id, keys, values)
-            self._bands.setdefault(band, []).append(page_id)
-        page_id, keys, values = page
-        keys.append(key)
-        values.append(value)
-        if len(keys) >= self._page_capacity:
-            # Page full: written out once; the next append opens a
-            # fresh page in the band's linked list.
-            self.store.write(
-                page_id, (keys, values), len(keys) * PAIR_RECORD_BYTES
-            )
-            del self._open_page[band]
+        open_page = self._open_page
+        slots = self._page_slots
+        for band, key in zip(bands, keys):
+            page = open_page.get(band)
+            if page is None:
+                page = open_page[band] = []
+                page_id = self.store.allocate(page, 0)
+                page_ids = self._bands.get(band)
+                if page_ids is None:
+                    self._bands[band] = [page_id]
+                else:
+                    page_ids.append(page_id)
+            page.append(key)
+            page.append(value)
+            if len(page) >= slots:
+                # Page full: written out once; the next append opens a
+                # fresh page in the band's linked list.
+                self.store.write(
+                    self._bands[band][-1], page,
+                    slots // 2 * PAIR_RECORD_BYTES,
+                )
+                del open_page[band]
 
     # ------------------------------------------------------------------
     # retrieval
     # ------------------------------------------------------------------
 
     def pop(self) -> Tuple[Tuple, Any]:
-        self._ensure_head()
-        if not self._heap:
+        if not self._heap_rows and not self._ensure_head():
             raise IndexError("pop on empty queue")
-        return self._heap.pop()
+        self._heap_rows -= 1
+        return self._heap.pop_run()
 
     def peek(self) -> Tuple[Tuple, Any]:
-        self._ensure_head()
-        if not self._heap:
+        if not self._heap_rows and not self._ensure_head():
             raise IndexError("peek on empty queue")
-        return self._heap.peek()
+        return _peek(self._heap)
 
-    def _ensure_head(self) -> None:
-        if self._heap or not (self._list or self._disk_records):
-            return
+    def _ensure_head(self) -> bool:
+        """Refill the empty heap from the list and the disk bands;
+        False when nothing is left to refill it with."""
+        if not (self._list or self._disk_records):
+            return False
         if self.obs.enabled:
             with self.obs.span("pq.refill"):
                 self._refill()
         else:
             self._refill()
+        return True
 
     def _refill(self) -> None:
-        while not self._heap and (self._list or self._disk_records):
+        while not self._heap_rows and (self._list or self._disk_records):
             # Heapify the unorganized list (the heap is empty) ...
-            self._heap.push_rows(self._list)
+            self._heap.push_many(self._list)
+            self._heap_rows = len(self._list)
             self._list.clear()
-            self.counters.observe("pq_heap_size", len(self._heap))
+            self.counters.observe("pq_heap_size", self._heap_rows)
             # ... advance the thresholds ...
             self._cursor += 1
             # ... and pull the next disk band into the list.
             self._load_band(self._cursor)
-            if not self._heap and not self._list and self._disk_records:
+            if not self._heap_rows and not self._list and self._disk_records:
                 # The next non-empty band may be far away; jump to it.
                 self._cursor = min(self._bands)
                 self._load_band(self._cursor)
@@ -496,18 +485,21 @@ class HybridPairQueue(PairQueue):
     # ------------------------------------------------------------------
 
     def __len__(self) -> int:
-        return len(self._heap) + len(self._list) + self._disk_records
+        return self._heap_rows + len(self._list) + self._disk_records
+
+    def __bool__(self) -> bool:
+        return bool(self._heap_rows or self._list or self._disk_records)
 
     def memory_size(self) -> int:
         """Number of elements held in memory (tiers 1 and 2)."""
-        return len(self._heap) + len(self._list)
+        return self._heap_rows + len(self._list)
 
     def disk_size(self) -> int:
         """Number of elements currently on the disk tier."""
         return self._disk_records
 
     def head_distance(self) -> Optional[float]:
-        if self._heap:
+        if self._heap_rows:
             return self._heap.peek()[0][0]
         if self._list:
             # The unorganized list is exactly the cursor band; scanning
@@ -525,14 +517,14 @@ class HybridPairQueue(PairQueue):
             "total": len(self),
             "memory": self.memory_size(),
             "disk": self._disk_records,
-            "heap": len(self._heap),
+            "heap": self._heap_rows,
             "list": len(self._list),
             "bands": len(self._bands),
         }
 
     def __repr__(self) -> str:
         return (
-            f"HybridPairQueue(heap={len(self._heap)}, list={len(self._list)},"
+            f"HybridPairQueue(heap={self._heap_rows}, list={len(self._list)},"
             f" disk={self._disk_records}, d1={self._d1:g}, d2={self._d2:g})"
         )
 
@@ -561,7 +553,7 @@ class HybridPairQueue(PairQueue):
             "kind": "hybrid",
             "dt": self.dt,
             "cursor": self._cursor,
-            "heap": _materialised(self._heap.items()),
+            "heap": _materialised(_unrolled(self._heap)),
             "list": _materialised(self._list),
             "bands": bands,
             "disk_records": self._disk_records,
@@ -591,24 +583,24 @@ class HybridPairQueue(PairQueue):
             heap_class=heap_class,
             observer=observer,
         )
-        queue._heap.push_rows(state["heap"])
+        queue._heap.push_many(state["heap"])
+        queue._heap_rows = len(state["heap"])
         queue._list = list(state["list"])
         queue._cursor = state["cursor"]
         queue._disk_records = state["disk_records"]
         for band, pages, has_open in state["bands"]:
             page_ids = []
             for records in pages:
-                keys = [key for key, __ in records]
-                values = [value for __, value in records]
+                page = [field for record in records for field in record]
                 page_ids.append(queue.store.allocate(
-                    (keys, values), len(keys) * PAIR_RECORD_BYTES
+                    page, len(records) * PAIR_RECORD_BYTES
                 ))
             queue._bands[band] = page_ids
             if has_open and page_ids:
                 # Invariant: a band's open page is always the last page
                 # in its list (created together, dropped from the open
                 # map when full).
-                queue._open_page[band] = (page_ids[-1], keys, values)
+                queue._open_page[band] = page
         return queue
 
 
@@ -729,6 +721,11 @@ class AdaptiveHybridPairQueue(PairQueue):
         if self._inner is not None:
             return len(self._inner)
         return len(self._warmup)
+
+    def __bool__(self) -> bool:
+        if self._inner is not None:
+            return bool(self._inner)
+        return bool(self._warmup)
 
     def memory_size(self) -> int:
         """In-memory element count (all of it during calibration)."""

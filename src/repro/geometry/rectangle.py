@@ -150,12 +150,17 @@ class Rect:
     # ------------------------------------------------------------------
 
     def union(self, other: "Rect") -> "Rect":
-        """The smallest rectangle containing both ``self`` and ``other``."""
-        self._check_dim(other)
-        return Rect(
-            (min(a, b) for a, b in zip(self.lo, other.lo)),
-            (max(a, b) for a, b in zip(self.hi, other.hi)),
-        )
+        """The smallest rectangle containing both ``self`` and ``other``.
+
+        The union of two valid rectangles is valid, so it is built
+        directly, without the constructor's conversion and checks.
+        """
+        if len(self.lo) != len(other.lo):
+            raise DimensionMismatchError(len(self.lo), len(other.lo))
+        rect = object.__new__(Rect)
+        object.__setattr__(rect, "lo", tuple(map(min, self.lo, other.lo)))
+        object.__setattr__(rect, "hi", tuple(map(max, self.hi, other.hi)))
+        return rect
 
     def intersection(self, other: "Rect") -> Optional["Rect"]:
         """The overlapping region, or ``None`` if the rects are disjoint."""

@@ -12,6 +12,7 @@ from repro.core.pqueue import (
     AdaptiveHybridPairQueue,
     HybridPairQueue,
     MemoryPairQueue,
+    _records,
     queue_from_state,
 )
 from repro.core.pairs import OBJ, CandidateBlock, Item, Pair
@@ -211,7 +212,7 @@ class TestBlockSnapshots:
         q = filled(counters)
         assert q._open_page  # partly filled pages at the suspend point
         open_sizes = {
-            band: len(page[1]) for band, page in q._open_page.items()
+            band: len(_records(page)) for band, page in q._open_page.items()
         }
         assert any(0 < n < 4 for n in open_sizes.values())
         restored = queue_from_state(
@@ -219,7 +220,7 @@ class TestBlockSnapshots:
             counters=counters, store=PageStore(page_size=256),
         )
         assert {
-            band: len(page[1])
+            band: len(_records(page))
             for band, page in restored._open_page.items()
         } == open_sizes
         for block in later:

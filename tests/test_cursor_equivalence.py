@@ -11,6 +11,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.core.distance_join import IncrementalDistanceJoin
 from repro.core.pairs import CandidateBlock
+from repro.core.pqueue import _records, _unrolled
 from repro.core.semi_join import IncrementalDistanceSemiJoin
 from repro.core.spec import JoinSpec
 from repro.geometry.point import Point
@@ -208,13 +209,14 @@ def _tiers_holding_blocks(queue):
         return any(type(v) is CandidateBlock for v in values)
 
     tiers = set()
-    if has_block(v for __, v in hybrid._heap.items()):
+    if has_block(v for __, v in _unrolled(hybrid._heap)):
         tiers.add("heap")
     if has_block(v for __, v in hybrid._list):
         tiers.add("list")
     for band, page_ids in hybrid._bands.items():
         for page_id in page_ids:
-            if has_block(hybrid.store.peek(page_id).payload[1]):
+            records = _records(hybrid.store.peek(page_id).payload)
+            if has_block(v for __, v in records):
                 tiers.add("disk")
                 if band in hybrid._open_page:
                     tiers.add("open page")

@@ -45,20 +45,43 @@ operations = st.lists(
 )
 
 
-def make_queue(kind, heap_class, counters):
+#: A subnormal D_T: every non-zero distance overflows ``distance / dt``
+#: to infinity, so routing rests on the band clamp (both signs).
+SUBNORMAL_DT = 5e-324
+
+
+def make_queue(kind, heap_class, counters, store_counters=None):
+    """A queue of ``kind``; a hybrid or adaptive one pages through a
+    4-record ``PageStore`` charging ``store_counters``, so full pages
+    and open pages both occur."""
     if kind == "memory":
         return MemoryPairQueue(heap_class=heap_class)
-    if kind == "hybrid":
-        # 4 records a page: full pages and open pages both occur.
+    store = PageStore(page_size=256, counters=store_counters)
+    if kind in ("hybrid", "hybrid_subnormal"):
         return HybridPairQueue(
-            dt=5.0, store=PageStore(page_size=256), counters=counters,
-            heap_class=heap_class,
+            dt=5.0 if kind == "hybrid" else SUBNORMAL_DT, store=store,
+            counters=counters, heap_class=heap_class,
         )
     # Calibration completes inside one of the first blocks.
     return AdaptiveHybridPairQueue(
-        calibration_size=20, store=PageStore(page_size=256),
-        counters=counters, heap_class=heap_class,
+        calibration_size=20, store=store, counters=counters,
+        heap_class=heap_class,
     )
+
+
+def pages_of(queue):
+    """The disk tier of a queue's snapshot, record by record: per band,
+    its pages' rows and whether its last page is open (None for a queue
+    without one)."""
+    state = queue.state()
+    state = state.get("inner", state)
+    if "bands" not in state:
+        return None
+    return [
+        (band, [[row_of(*record) for record in page] for page in pages],
+         is_open)
+        for band, pages, is_open in state["bands"]
+    ]
 
 
 def row_of(key, value):
@@ -68,7 +91,9 @@ def row_of(key, value):
 
 
 @pytest.mark.parametrize("heap_class", [PairingHeap, BinaryHeap])
-@pytest.mark.parametrize("kind", ["memory", "hybrid", "adaptive"])
+@pytest.mark.parametrize(
+    "kind", ["memory", "hybrid", "hybrid_subnormal", "adaptive"]
+)
 @settings(max_examples=40, deadline=None)
 @given(
     ops=operations,
@@ -84,10 +109,12 @@ def test_run_queue_equals_per_row_reference(
     oids = count()
 
     counters, ref_counters = CounterRegistry(), CounterRegistry()
-    queue = make_queue(kind, heap_class, counters)
+    store_counters, ref_store_counters = CounterRegistry(), CounterRegistry()
+    queue = make_queue(kind, heap_class, counters, store_counters)
     # The contract: the same kind of queue, fed row by row (the base
     # class's push_many), on the paper's pairing heap.
-    reference = make_queue(kind, PairingHeap, ref_counters)
+    reference = make_queue(kind, PairingHeap, ref_counters,
+                           ref_store_counters)
     resumed = None
     suspend_at = data.draw(st.integers(0, len(ops) - 1))
     outstanding = 0
@@ -123,6 +150,8 @@ def test_run_queue_equals_per_row_reference(
         assert len(queue) == len(reference) == outstanding
         assert queue.head_distance() == reference.head_distance()
         assert queue.occupancy() == reference.occupancy()
+        # The same records on the same pages, the same pages open.
+        assert pages_of(queue) == pages_of(reference)
         if index == suspend_at:
             state = pickle.loads(pickle.dumps(queue.state()))
             # The snapshot carries pairs only, one per outstanding row.
@@ -147,6 +176,12 @@ def test_run_queue_equals_per_row_reference(
     full, ref_full = counters.full_snapshot(), ref_counters.full_snapshot()
     assert dict(full.values) == dict(ref_full.values)
     assert dict(full.peaks) == dict(ref_full.peaks)
+    # ... and the page store alike: pages allocated, written (on open
+    # and on filling), read and freed.
+    pages = store_counters.full_snapshot()
+    ref_pages = ref_store_counters.full_snapshot()
+    assert dict(pages.values) == dict(ref_pages.values)
+    assert dict(pages.peaks) == dict(ref_pages.peaks)
 
 
 def test_keys_are_built_for_run_heads_not_for_inserts(monkeypatch):
