@@ -1,28 +1,25 @@
-"""Partitioned parallel join over TIGER-like data.
+"""Partitioned join on process lanes over TIGER-like data.
 
-Runs a 4-worker :class:`repro.parallel.ParallelDistanceJoin` -- the
-shard router (``docs/SHARDING.md``) on a thread pool, over catalogs
-private to the join -- of the synthetic Water and Roads point sets,
-checks its output against the sequential operator, and prints the
-routed/pruned shard-pair split plus a per-worker counter breakdown
-pulled from the worker-side registries (every result batch carries a
-counter snapshot back to the parent, which aggregates the deltas).
+Runs the shard router (``docs/SHARDING.md``) with four STR shards per
+relation on four process lanes -- ``ShardRouterJoin(...,
+backend="process", workers=4)``, the only way onto a second core -- of
+the synthetic Water and Roads point sets, checks its output against
+the sequential operator, and prints the routed/pruned shard-pair split
+plus a per-lane counter breakdown pulled from the lanes' registries
+(every result batch carries a counter snapshot back to the parent,
+which aggregates the deltas).
 
-Also shows the SQL spelling of the same query: the ``PARALLEL <n>``
-hint routes a Figure 1 query to the same engine.
+Also shows the SQL spelling: ``PARALLEL <n>`` is ``SHARDS <n>``, the
+same router run inline in this process.
 
 Run:  python examples/parallel_scaling.py
 """
 
-from repro import (
-    CounterRegistry,
-    IncrementalDistanceJoin,
-    JoinSpec,
-    ParallelDistanceJoin,
-)
+from repro import CounterRegistry, IncrementalDistanceJoin, JoinSpec
 from repro.datasets import roads_points, water_points
 from repro.query import Database
 from repro.rtree.bulk import bulk_load_str
+from repro.shard import ShardRouterJoin
 
 PAIRS = 2_000
 
@@ -30,7 +27,7 @@ PAIRS = 2_000
 def canonical(results):
     """Sort equal-distance runs by (oid1, oid2).
 
-    The parallel engine emits the canonical total order
+    The shard router emits the canonical total order
     (distance, oid1, oid2); the sequential join orders ties by
     traversal instead, so comparing the two requires canonicalizing.
     """
@@ -51,17 +48,17 @@ def main():
     water = bulk_load_str(water_points(2_000))
     roads = bulk_load_str(roads_points(6_000))
 
-    # --- the parallel join -------------------------------------------
-    join = ParallelDistanceJoin(
+    # --- the join on process lanes -----------------------------------
+    join = ShardRouterJoin(
         water, roads,
         JoinSpec(max_pairs=PAIRS),
+        shards=4,
+        backend="process",
         workers=4,
-        backend="thread",   # use backend="process" for CPU scaling
-        partitions=8,
         counters=CounterRegistry(),  # keep the tally to this join only
     )
     parallel = list(join)
-    print(f"parallel join: {len(parallel)} closest pairs, "
+    print(f"process lanes: {len(parallel)} closest pairs, "
           f"d in [{parallel[0].distance:.3f}, "
           f"{parallel[-1].distance:.3f}] "
           f"from {join.counters.value('shard_pairs_routed')} of "
@@ -76,8 +73,8 @@ def main():
            [(r.distance, r.oid1, r.oid2) for r in sequential]
     print("matches the sequential join's canonical output exactly")
 
-    # --- per-worker counter breakdown --------------------------------
-    print("\nper-worker breakdown:")
+    # --- per-lane counter breakdown ----------------------------------
+    print("\nper-lane breakdown:")
     for worker, snapshot in sorted(join.worker_breakdown().items()):
         print(f"  {worker:<28} "
               f"pairs={snapshot.value('pairs_reported'):>6,} "

@@ -9,9 +9,11 @@ memory/disk priority queue, semi-join filters), the non-incremental
 baselines, synthetic TIGER-like data sets, and a small SQL dialect with
 ``DISTANCE JOIN`` / ``STOP AFTER``.  On top of the paper, the shard
 router (:mod:`repro.shard`) runs the join partitioned into shard
-pairs -- inline, or across worker threads or processes -- behind an
-order-preserving stream merge (SQL hints ``SHARDS <n>`` /
-``PARALLEL <n>``, CLI flags ``--shards`` / ``--workers``).
+pairs of STR-tiled catalogs behind an order-preserving stream merge:
+from SQL with the ``SHARDS <n>`` hint (``PARALLEL <n>`` spells the
+same, as do the CLI flags ``--shards`` / ``--workers``), inline in
+this process; from the library also on process lanes
+(``ShardRouterJoin(..., backend="process", workers=n)``).
 
 Quickstart
 ----------
@@ -87,10 +89,6 @@ from repro.core import (
     closest_pairs,
     intersection_join,
 )
-from repro.parallel import (
-    ParallelDistanceJoin,
-    ParallelDistanceSemiJoin,
-)
 from repro.util.counters import CounterRegistry, CounterSnapshot
 
 __version__ = "1.0.0"
@@ -153,9 +151,6 @@ __all__ = [
     "DMAX_LOCAL",
     "DMAX_GLOBAL_NODES",
     "DMAX_GLOBAL_ALL",
-    # parallel engine
-    "ParallelDistanceJoin",
-    "ParallelDistanceSemiJoin",
     # misc
     "CounterRegistry",
     "CounterSnapshot",

@@ -83,7 +83,7 @@ FULL = "full"
 
 #: Operator families a case can exercise.
 OPERATORS = (
-    "join", "semi", "parallel", "service", "shard", "live",
+    "join", "semi", "service", "shard", "live",
     "nested_loop", "nn_semijoin", "sql",
 )
 
@@ -121,7 +121,7 @@ class BenchCase:
     ``operator`` selects the family (the join operators, the engines,
     the ``repro.baselines`` alternatives, a SQL plan); ``engine``
     carries options that are deliberately *not* part of the spec
-    (workers, backend, suspend cadence, plan strategy); ``workload``
+    (shards, backend, workers, suspend cadence, plan strategy); ``workload``
     is the factory building the two trees at a scale, and
     ``max_scale`` caps that scale where the paper's cardinalities are
     infeasible (a nested loop's Cartesian product, an R* build by
@@ -130,8 +130,8 @@ class BenchCase:
     sweep budget is one run read at every checkpoint.
     ``deterministic`` marks whether the case's counters are exactly
     reproducible run-to-run -- those counters are *hard* regression
-    gates; counters of scheduling-dependent cases (the parallel
-    engine) only get the noise-banded soft gate.  ``paper`` holds the
+    gates; counters of scheduling-dependent cases (the shard
+    router on process lanes) only get the noise-banded soft gate.  ``paper`` holds the
     paper's own values, ``{checkpoint: {metric: value}}``, printed
     beside the measured ones.
     """
@@ -177,19 +177,13 @@ class BenchCase:
             return IncrementalDistanceSemiJoin(
                 load.tree1, load.tree2, spec, **common
             )
-        if self.operator in ("parallel", "shard"):
-            from repro.parallel import ParallelDistanceJoin
+        if self.operator == "shard":
             from repro.shard import ShardRouterJoin, clear_caches
 
             # Fresh catalogs and plans per repetition: measured
             # counters include the routing work and stay identical
             # run to run.
             clear_caches()
-            if self.operator == "parallel":
-                return ParallelDistanceJoin(
-                    load.tree1, load.tree2, spec,
-                    **common, **dict(self.engine),
-                )
             return ShardRouterJoin(
                 load.tree1, load.tree2, spec, **common,
                 catalog_cache=False,
@@ -628,12 +622,16 @@ _case(
 )
 for _workers in (1, 2, 4):
     _case(
-        f"parallel.thread_x{_workers}",
-        f"Parallel scaling: {_workers} thread worker"
-        f"{'s' if _workers > 1 else ''}, ordered merge",
+        f"parallel.process_x{_workers}",
+        f"Parallel scaling: the shard router on {_workers} process "
+        f"lane{'s' if _workers > 1 else ''} ({_workers} STR shards "
+        f"per relation), ordered merge",
         lambda load, pairs: JoinSpec(max_pairs=pairs),
-        full=10_000, operator="parallel",
-        engine={"workers": _workers, "backend": "thread"},
+        full=10_000, operator="shard",
+        engine={
+            "shards": _workers, "backend": "process",
+            "workers": _workers,
+        },
         deterministic=False,
     )
 
@@ -782,7 +780,10 @@ EXPERIMENTS: Tuple[Experiment, ...] = (
     ),
     Experiment(
         "ENG", "This repository's engines on the Table 1 workload",
-        "Ours: kernels, suspend cadence, shards, workers, live repair.",
+        "Ours: kernels, suspend cadence, shards, process lanes, live "
+        "repair.  The sequential join (`kernels.vector_speedup`) and "
+        "the shard router on 1, 2 and 4 process lanes "
+        "(`parallel.process_x*`) run the same join to 10,000 pairs.",
         ("kernels.*", "service.*", "shard.*", "parallel.*", "live.*"),
         (SECONDS, DIST),
     ),
@@ -919,4 +920,11 @@ SHAPES: Tuple[Shape, ...] = (
     Shape("ENG", "8x8 shards: STOP AFTER prunes most shard pairs",
           ("shard.router_x8", None, "counters.shard_pairs_routed"),
           ("shard.router_x8", None, "counters.shard_pairs_total"), 0.5),
+    _vs("ENG", "four process lanes beat the sequential join",
+        "parallel.process_x4", "kernels.vector_speedup", None, SECONDS,
+        gate=False,
+        note="one lane (`parallel.process_x1`, one shard pair: the same "
+             "join) is slower by about as much; each lane is sent its "
+             "shards' objects and STR-loads private trees before its "
+             "first batch"),
 )

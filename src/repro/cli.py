@@ -316,11 +316,14 @@ def cmd_query(args: argparse.Namespace) -> int:
         raise SystemExit("error: a SQL query is required")
     db = _build_database(args.relation)
     query = parse(args.sql)
-    if args.workers is not None:
-        # CLI flag and SQL hint are equivalent; the flag wins.
-        query.parallel = args.workers
-    if args.shards is not None:
-        query.shards = args.shards
+    if args.workers is not None and args.shards is not None:
+        raise SystemExit(
+            "error: --workers is a spelling of --shards; give one"
+        )
+    shards = args.workers if args.shards is None else args.shards
+    if shards is not None:
+        # The flag and the SQL hint are one setting; the flag wins.
+        query.shards = shards
 
     if query.explain:
         if not query.analyze:
@@ -453,9 +456,7 @@ def cmd_shard_build(args: argparse.Namespace) -> int:
     from repro.shard.catalog import ShardCatalog
 
     tree = _load_relation(args.source)
-    catalog = ShardCatalog.build(
-        tree, shards=args.shards, method=args.method
-    )
+    catalog = ShardCatalog.build(tree, shards=args.shards)
     path = catalog.save(args.out)
     print(f"catalog:     {args.out}")
     print(f"manifest:    {path}")
@@ -609,8 +610,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     query.add_argument(
         "--workers", type=_positive_int, default=None, metavar="N",
-        help="execute with the partitioned parallel join engine using "
-             "N workers (same as a PARALLEL N hint in the SQL)",
+        help="a spelling of --shards N (same as a PARALLEL N hint in "
+             "the SQL)",
     )
     query.add_argument(
         "--shards", type=_positive_int, default=None, metavar="N",
@@ -706,11 +707,6 @@ def build_parser() -> argparse.ArgumentParser:
     shard_build.add_argument(
         "--shards", type=_positive_int, default=4, metavar="N",
         help="requested shard count (empty tiles are dropped)",
-    )
-    shard_build.add_argument(
-        "--method", choices=("str", "grid"), default="str",
-        help="partitioner: STR leaf-packing tiles (default) or a "
-             "uniform grid",
     )
     shard_build.set_defaults(func=cmd_shard_build)
     shard_list = shard_commands.add_parser(

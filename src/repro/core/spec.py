@@ -5,13 +5,13 @@ traversal tie-break (Section 2.2.2), node-expansion policy, distance
 range (Section 2.2.3), maximum-pair estimation (Section 2.2.4), queue
 tier (Section 3.2), leaf handling, direction.  :class:`JoinSpec`
 captures every knob as a frozen, picklable dataclass so the same value
-can configure a sequential operator, travel inside a parallel
-worker task, define a benchmark case, or annotate a query plan node.
+can configure a sequential operator, travel inside a shard-pair
+task, define a benchmark case, or annotate a query plan node.
 
 :meth:`JoinSpec.validate` is the *single* validation point for the
 knob combinations; the operator constructors no longer duplicate
 ``require(...)`` blocks.  Contexts that restrict the space further
-(the forward semi-join cannot run descending; parallel workers only
+(the forward semi-join cannot run descending; shard-pair tasks only
 support the in-memory queue) pass flags instead of re-implementing
 checks.
 """
@@ -19,6 +19,7 @@ checks.
 from __future__ import annotations
 
 import dataclasses
+import math
 from dataclasses import dataclass
 from typing import Any, Callable, Optional
 
@@ -160,10 +161,10 @@ class JoinSpec:
             The spec configures a *forward* distance semi-join (or
             k-NN join), which cannot run descending.
         ``parallel``
-            The spec configures the partitioned parallel engine, whose
-            watermark merge is a min-merge (no ``descending``) and
-            whose per-tile worker queues are always in-memory (no
-            ``queue`` tier choice).
+            The spec configures the shard router, whose watermark
+            merge is a min-merge (no ``descending``) and whose
+            shard-pair task queues are always in-memory (no ``queue``
+            tier choice).
         """
         require(self.node_policy in NODE_POLICIES,
                 f"node_policy must be one of {NODE_POLICIES}")
@@ -171,6 +172,11 @@ class JoinSpec:
                 f"tie_break must be one of {TIE_BREAKS}")
         require(self.leaf_mode in LEAF_MODES,
                 f"leaf_mode must be one of {LEAF_MODES}")
+        for name in ("min_distance", "max_distance"):
+            # NaN fails every comparison below, under a message that
+            # would blame the other bound.
+            require(not math.isnan(getattr(self, name)),
+                    f"{name} is NaN; a distance bound must be a number")
         require(self.min_distance >= 0.0,
                 "min_distance must be non-negative")
         require(self.max_distance >= self.min_distance,
@@ -207,10 +213,10 @@ class JoinSpec:
             )
         if parallel:
             require(not self.descending,
-                    "the parallel join's watermark merge is a min-merge; "
+                    "the shard router's watermark merge is a min-merge; "
                     "descending (farthest-first) is not supported")
             require(self.queue == MEMORY_QUEUE,
-                    "parallel workers always use the in-memory queue; "
+                    "shard-pair tasks always use the in-memory queue; "
                     'a queue tier cannot be requested (got '
                     f'queue={self.queue!r})')
         return self

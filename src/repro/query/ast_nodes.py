@@ -67,12 +67,10 @@ class Query:
         True for ``ORDER BY d DESC`` (reverse/farthest-first).
     stop_after:
         The ``STOP AFTER n`` bound, or None.
-    parallel:
-        The ``PARALLEL n`` worker-count hint, or None (sequential).
     shards:
-        The ``SHARDS n`` hint, or None.  Routes the join through
-        per-shard R-tree partitions with MINDIST-ordered shard pairs
-        (the shard router); mutually exclusive with ``parallel``.
+        The ``SHARDS n`` hint (or its spelling ``PARALLEL n``), or
+        None.  Routes the join through per-shard R-tree partitions
+        with MINDIST-ordered shard pairs (the shard router).
     explain, analyze:
         An ``EXPLAIN`` prefix asks for the plan instead of rows;
         ``EXPLAIN ANALYZE`` additionally executes the query and
@@ -98,7 +96,6 @@ class Query:
     )
     descending: bool = False
     stop_after: Optional[int] = None
-    parallel: Optional[int] = None
     shards: Optional[int] = None
     explain: bool = False
     analyze: bool = False

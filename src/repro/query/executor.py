@@ -60,9 +60,6 @@ _INF = float("inf")
 
 INDEX_KINDS = ("rtree", "quadtree")
 
-#: Display order of the parallel pipeline stages in EXPLAIN ANALYZE.
-_STAGE_ORDER = ("partition", "worker_build", "worker_join", "merge")
-
 
 class AnalyzedPlan(NamedTuple):
     """Output of :meth:`Database.explain_analyze`: the estimated plan
@@ -73,7 +70,6 @@ class AnalyzedPlan(NamedTuple):
     elapsed_s: float
     counters: CounterSnapshot
     obs: ObsSnapshot
-    stages: Optional[Dict[str, float]]  # parallel queries only
     #: Final certified progress report (a dict view of
     #: :class:`repro.util.telemetry.ProgressReport`); None when the
     #: operator exposes no progress signals.
@@ -97,28 +93,11 @@ class AnalyzedPlan(NamedTuple):
                 f"certified>={self.progress['lower_bound']:.2f}, "
                 f"estimate={self.progress['estimate']:.2f}"
             )
-        if self.stages is not None:
-            lines.append("  actual stages (wall seconds):")
-            for name in _STAGE_ORDER:
-                seconds = self.stages.get(name, 0.0)
-                note = (
-                    "  (summed across workers)"
-                    if name.startswith("worker") else ""
-                )
-                lines.append(f"    {name:<13} {seconds:9.4f}s{note}")
-            extras = sorted(set(self.stages) - set(_STAGE_ORDER))
-            for name in extras:
-                lines.append(
-                    f"    {name:<13} {self.stages[name]:9.4f}s"
-                )
-        spans = {
-            name: entry for name, entry in sorted(self.obs.spans.items())
-            if self.stages is None
-            or not name.startswith(("shard.", "worker."))
-        }
-        if spans:
+        if self.obs.spans:
             lines.append("  actual spans:")
-            for name, (count, total, __, ___) in spans.items():
+            for name, (count, total, __, ___) in sorted(
+                self.obs.spans.items()
+            ):
                 lines.append(
                     f"    {name:<18} {total:9.4f}s / {count:,}x"
                 )
@@ -404,9 +383,8 @@ class Database:
         observer: Optional[Observer] = None,
     ) -> AnalyzedPlan:
         """EXPLAIN ANALYZE: run the query to completion and report the
-        plan annotated with actual row counts, counters, span timings
-        and -- for ``PARALLEL`` queries -- the per-stage wall-time
-        breakdown (partition / worker build / worker join / merge).
+        plan annotated with actual row counts, counters and span
+        timings (a ``SHARDS`` query's route and merge included).
 
         Like its namesake elsewhere, this *executes* the query (rows
         are consumed and discarded), so an unbounded join pays the
@@ -438,11 +416,6 @@ class Database:
                 or peak != before.peaks.get(name, 0)
             },
         )
-        join = plan.open_join()
-        stages = (
-            join.stage_breakdown()
-            if query.parallel is not None else None
-        )
         signals = plan.progress_signals()
         progress = None
         if signals is not None:
@@ -456,6 +429,5 @@ class Database:
             elapsed_s=elapsed,
             counters=counters,
             obs=obs.snapshot(),
-            stages=stages,
             progress=progress,
         )

@@ -17,7 +17,7 @@ lives there.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterator, Optional, Tuple
+from typing import Iterator, Tuple
 
 from repro.query.ast_nodes import AttributePredicate, Query
 
@@ -90,7 +90,6 @@ class LogicalJoin(LogicalNode):
     """The distance (semi-)join of the two inputs.
 
     ``semi_join`` / ``descending`` select the operator family;
-    ``parallel`` is the requested worker count (None = sequential);
     ``min_distance`` / ``max_distance`` are the WHERE-clause distance
     bounds already normalized by ``Query.distance_bounds()``.
     """
@@ -99,7 +98,6 @@ class LogicalJoin(LogicalNode):
     right: LogicalNode
     semi_join: bool = False
     descending: bool = False
-    parallel: Optional[int] = None
     min_distance: float = 0.0
     max_distance: float = field(default=float("inf"))
 
@@ -109,13 +107,9 @@ class LogicalJoin(LogicalNode):
     def label(self) -> str:
         kind = "SemiJoin" if self.semi_join else "Join"
         order = "desc" if self.descending else "asc"
-        extra = (
-            f", parallel={self.parallel}"
-            if self.parallel is not None else ""
-        )
         return (
             f"Distance{kind}(range=[{self.min_distance:g}, "
-            f"{self.max_distance:g}], {order}{extra})"
+            f"{self.max_distance:g}], {order})"
         )
 
 
@@ -201,7 +195,6 @@ def build_logical_plan(query: Query) -> LogicalPlan:
         right=side(query.relation2),
         semi_join=query.is_semi_join,
         descending=query.descending,
-        parallel=query.parallel,
         min_distance=dmin,
         max_distance=dmax,
     )

@@ -8,7 +8,7 @@ Grammar (terminals in caps, ``[]`` optional, ``{}`` repetition)::
                   [GROUP BY qualified]
                   [ORDER BY ident [ASC | DESC]]
                   [STOP AFTER NUMBER]
-                  [PARALLEL NUMBER]
+                  [PARALLEL NUMBER | SHARDS NUMBER]
                   [NOTIFY]
     select_list := "*" ["," MIN "(" ident ")"]
                  | MIN "(" ident ")" ["," "*"]
@@ -22,8 +22,8 @@ Grammar (terminals in caps, ``[]`` optional, ``{}`` repetition)::
 This is the paper's Figure 1 surface: the distance term in the FROM
 clause, distance predicates in WHERE, GROUP BY for the semi-join,
 ORDER BY d (DESC for the reverse variant), the STOP AFTER extension,
-and a PARALLEL worker-count hint routing the query to the partitioned
-parallel engine (:mod:`repro.parallel`).  An ``EXPLAIN [ANALYZE]``
+and a SHARDS count hint routing the query through the shard router
+(:mod:`repro.shard`); PARALLEL is a spelling of SHARDS, resolved here.  An ``EXPLAIN [ANALYZE]``
 prefix asks for the plan (estimated, or measured by actually running
 the query) instead of rows.  A ``WATCH`` prefix (optionally closed by
 ``NOTIFY``) registers the query as a *standing* join whose result is
@@ -130,23 +130,23 @@ class _Parser:
                     f"{number.text}", number.position,
                 )
             query.stop_after = int(value)
-        if self._accept(KEYWORD, "PARALLEL"):
+        for hint in ("PARALLEL", "SHARDS"):
+            if not self._accept(KEYWORD, hint):
+                continue
             number = self._expect(NUMBER)
             value = float(number.text)
             if value != int(value) or value < 1:
                 raise QuerySyntaxError(
-                    f"PARALLEL needs a positive integer, got "
+                    f"{hint} needs a positive integer, got "
                     f"{number.text}", number.position,
                 )
-            query.parallel = int(value)
-        if self._accept(KEYWORD, "SHARDS"):
-            number = self._expect(NUMBER)
-            value = float(number.text)
-            if value != int(value) or value < 1:
+            if query.shards is not None:
                 raise QuerySyntaxError(
-                    f"SHARDS needs a positive integer, got "
-                    f"{number.text}", number.position,
+                    "PARALLEL and SHARDS are one hint; give it once",
+                    number.position,
                 )
+            # PARALLEL n is a spelling of SHARDS n: the shard router,
+            # run inline.
             query.shards = int(value)
         if self._peek().type == KEYWORD and self._peek().text == "NOTIFY":
             token = self._advance()
@@ -288,19 +288,10 @@ class _Parser:
                 f"contradictory distance predicates: "
                 f"d >= {dmin} and d <= {dmax}"
             )
-        if query.parallel is not None and query.descending:
-            raise QuerySyntaxError(
-                "PARALLEL does not support ORDER BY ... DESC "
-                "(the parallel engine's merge is nearest-first)"
-            )
         if query.shards is not None and query.descending:
             raise QuerySyntaxError(
-                "SHARDS does not support ORDER BY ... DESC "
+                "SHARDS (or PARALLEL) does not support ORDER BY ... DESC "
                 "(the shard router's merge is nearest-first)"
-            )
-        if query.shards is not None and query.parallel is not None:
-            raise QuerySyntaxError(
-                "SHARDS and PARALLEL are mutually exclusive hints"
             )
         if query.watch:
             # The standing-join repair machinery maintains the
@@ -320,7 +311,7 @@ class _Parser:
                     "WATCH does not support the distance semi-join "
                     "(GROUP BY / MIN(d))"
                 )
-            if query.parallel is not None or query.shards is not None:
+            if query.shards is not None:
                 raise QuerySyntaxError(
                     "WATCH runs on the standing-join engine; "
                     "PARALLEL and SHARDS hints do not apply"

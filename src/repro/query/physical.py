@@ -29,7 +29,7 @@ Section 2.2.2): Simultaneous when the plan-time distance bound is
 small against a leaf, Even otherwise.  The choice cannot show in a
 row, because equal-distance groups leave the join operator in
 canonical ``(oid1, oid2)`` order whatever traversal produced them
-(:class:`repro.parallel.plan.CanonicalTies`).
+(:class:`repro.core.ties.CanonicalTies`).
 """
 
 from __future__ import annotations
@@ -54,6 +54,7 @@ from repro.core.pairs import NODE, Pair
 from repro.core.reverse import ReverseDistanceJoin, ReverseDistanceSemiJoin
 from repro.core.semi_join import IncrementalDistanceSemiJoin
 from repro.core.spec import EVEN, SIMULTANEOUS, JoinSpec
+from repro.core.ties import CanonicalTies
 from repro.errors import QueryError
 from repro.errors import CursorError
 from repro.query.ast_nodes import Query
@@ -67,9 +68,8 @@ from repro.rtree.base import DEFAULT_MAX_ENTRIES, RTreeBase
 from repro.rtree.bulk import bulk_load_str
 
 # NOTE: repro.shard depends on this package (its catalogs carry
-# cost-model stats), so the partitioned-engine operators (the shard
-# router and its PARALLEL adapters) are imported lazily inside the
-# functions that need them.
+# cost-model stats), so the shard router is imported lazily inside the
+# functions that need it.
 from repro.util.counters import CounterRegistry
 from repro.util.obs import Observer
 from repro.util.validation import require
@@ -152,7 +152,6 @@ class PlanExplanation(NamedTuple):
     estimated_cost: float
     pipeline_cost: float
     prefilter_cost: float
-    parallel: Optional[int] = None
     tree: Optional[str] = None
     shards: Optional[int] = None
     shard_route: Optional[Dict[str, Any]] = None
@@ -173,8 +172,6 @@ class PlanExplanation(NamedTuple):
         ]
         if self.traversal is not None:
             lines.append(f"  traversal: {self.traversal}")
-        if self.parallel is not None:
-            lines.append(f"  parallel workers: {self.parallel}")
         if self.shards is not None:
             lines.append(f"  shards: {self.shards} per relation")
         if self.shard_route is not None:
@@ -492,14 +489,14 @@ class DistanceJoinOp(PhysicalNode):
     ``open()`` resolves both inputs (building prefilter indexes if the
     plan has any), composes the pushed-down predicates with the
     statement spec's own ``pair_filter`` and constructs the join
-    iterator exactly once, handing it the ``SHARDS`` / ``PARALLEL``
-    count as ``shards`` / ``workers``.  The planner's cost annotations
-    (both strategies' estimates) and its traversal choice live here
-    for EXPLAIN.
+    iterator exactly once, handing it the ``SHARDS`` count (which
+    ``PARALLEL`` spells too) as ``shards``.  The planner's cost
+    annotations (both strategies' estimates) and its traversal choice
+    live here for EXPLAIN.
 
     :meth:`results` emits every equal-distance group in ``(oid1,
     oid2)`` order and completes the group at the ``STOP AFTER`` cap
-    (:class:`repro.parallel.plan.CanonicalTies` around a sequential
+    (:class:`repro.core.ties.CanonicalTies` around a sequential
     join; the partitioned engine's merge already does both).  Prefilter
     indexes number their objects in original-oid order, so the order
     survives :class:`RemapOids`.  A group being emitted is part of the
@@ -521,7 +518,6 @@ class DistanceJoinOp(PhysicalNode):
         counters: Optional[CounterRegistry] = None,
         observer: Optional[Observer] = None,
         shards: Optional[int] = None,
-        workers: Optional[int] = None,
     ) -> None:
         self.left = left
         self.right = right
@@ -532,7 +528,6 @@ class DistanceJoinOp(PhysicalNode):
         self.counters = counters
         self.observer = observer
         self.shards = shards
-        self.workers = workers
         # Cost annotations arrive lazily (see PhysicalPlan.explanation):
         # plain execution never prices plans it was not asked to choose
         # between, so it skips the cost model's tree walk entirely.
@@ -586,11 +581,9 @@ class DistanceJoinOp(PhysicalNode):
                 spec = self.spec
                 if pair_filter is not spec.pair_filter:
                     spec = spec.evolve(pair_filter=pair_filter)
-                hint = (
-                    {"shards": self.shards} if self.shards is not None
-                    else {"workers": self.workers}
-                    if self.workers is not None else {}
-                )
+                hint = {} if self.shards is None else {
+                    "shards": self.shards
+                }
                 self._join = self.operator_cls(
                     tree1, tree2, spec,
                     counters=self.counters, observer=self.observer,
@@ -602,10 +595,6 @@ class DistanceJoinOp(PhysicalNode):
     def _order(self, ties: Optional[Dict[str, Any]] = None) -> None:
         """Put the canonical tie order over a sequential join (``ties``:
         a saved :meth:`CanonicalTies.state`, when resuming)."""
-        # Imported here: repro.parallel reaches this package through
-        # repro.shard (see the note at the imports).
-        from repro.parallel.plan import CanonicalTies
-
         if isinstance(self._join, IncrementalDistanceJoin):
             self._rows = CanonicalTies(self._join, ties)
         else:
@@ -871,33 +860,20 @@ def _matcher(
 
 def _operator_for(query: Query) -> type:
     """Map the logical join kind onto an operator class."""
-    if query.shards is not None or query.parallel is not None:
-        from repro.parallel.join import (
-            ParallelDistanceJoin,
-            ParallelDistanceSemiJoin,
-        )
+    if query.shards is not None:
         from repro.shard.router import (
             ShardRouterJoin,
             ShardRouterSemiJoin,
         )
 
-        if query.shards is not None and query.parallel is not None:
-            raise QueryError(
-                "SHARDS and PARALLEL are mutually exclusive hints"
-            )
         if query.descending:
             raise QueryError(
-                "SHARDS and PARALLEL do not support ORDER BY ... DESC "
-                "(the partitioned engine's merge is nearest-first)"
-            )
-        if query.shards is not None:
-            return (
-                ShardRouterSemiJoin if query.is_semi_join
-                else ShardRouterJoin
+                "SHARDS does not support ORDER BY ... DESC "
+                "(the shard router's merge is nearest-first)"
             )
         return (
-            ParallelDistanceSemiJoin if query.is_semi_join
-            else ParallelDistanceJoin
+            ShardRouterSemiJoin if query.is_semi_join
+            else ShardRouterJoin
         )
     if query.is_semi_join:
         return (
@@ -929,7 +905,7 @@ def choose_traversal(
     picks Simultaneous when ``D <= SIMULTANEOUS_LEAF_FRACTION x leaf``.
     A caller's ``node_policy`` pin wins.
     Kept on Even, each for a reason: the semi-join (measured slower),
-    ``DESC``, ``SHARDS`` / ``PARALLEL`` (neutral in time, more memory),
+    ``DESC``, ``SHARDS`` (neutral in time, more memory),
     an index without an R-tree's fan-out (a quadtree), and a predicate
     pushed into the join (``pushdown``: Even drops a failing object
     with its object/node pair, Simultaneous only after computing its
@@ -945,8 +921,6 @@ def choose_traversal(
         return Traversal(EVEN, "DESC")
     if query.shards is not None:
         return Traversal(EVEN, "SHARDS")
-    if query.parallel is not None:
-        return Traversal(EVEN, "PARALLEL")
     if pushdown:
         return Traversal(EVEN, "pushed-down predicate")
     if not (isinstance(tree1, RTreeBase) and isinstance(tree2, RTreeBase)):
@@ -1139,7 +1113,6 @@ def build_physical_plan(
         counters=db.counters,
         observer=observer,
         shards=query.shards,
-        workers=query.parallel,
     )
     if costs is not None:
         join_op.annotate_costs(*costs)
@@ -1153,35 +1126,19 @@ def build_physical_plan(
         """Describe the partitioned engine's route without
         constructing the operator (no counters charged beyond
         catalog/stat builds)."""
-        if query.shards is None and query.parallel is None:
+        if query.shards is None:
             return None
         from repro.shard.catalog import catalog_for
-        from repro.shard.router import plan_shard_pairs
+        from repro.shard.router import plan_shard_pairs, route_summary
 
-        if query.shards is not None:
-            shards, method = operator_cls.routing(query.shards)
-        else:
-            shards, method = operator_cls.routing(workers=query.parallel)
         cat1, cat2 = (
-            catalog_for(
-                tree, shards, method, counters=db.counters,
-                cache=query.shards is not None,
-            )
+            catalog_for(tree, query.shards, counters=db.counters)
             for tree in (tree1, tree2)
         )
         pairs, range_pruned, __ = plan_shard_pairs(
             cat1, cat2, db.metric, dmin, dmax
         )
-        return {
-            "shards": (len(cat1), len(cat2)),
-            "method": method,
-            "pairs_total": len(cat1) * len(cat2),
-            "pairs_planned": len(pairs),
-            "range_pruned": range_pruned,
-            "order": [
-                (pair.sid1, pair.sid2, pair.bound) for pair in pairs
-            ],
-        }
+        return route_summary(cat1, cat2, pairs, range_pruned)
 
     def explanation_factory() -> PlanExplanation:
         if join_op.pipeline_cost is None:
@@ -1218,7 +1175,6 @@ def build_physical_plan(
             estimated_cost=join_op.estimated_cost,
             pipeline_cost=join_op.pipeline_cost,
             prefilter_cost=join_op.prefilter_cost,
-            parallel=query.parallel,
             tree=root.pretty(),
             shards=query.shards,
             shard_route=shard_route_info(),

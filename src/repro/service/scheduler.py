@@ -17,8 +17,9 @@ Sessions idle past a threshold are *evicted to disk*: the plan cursor
 is spooled through a :class:`~repro.service.cursor.CursorStore` and
 the in-memory plan dropped; the next quantum resumes from the spooled
 cursor.  A spooled cursor that cannot be restored fails its own
-session only (:meth:`JoinScheduler.resume`).  Parallel-join sessions
-suspend in memory only (their worker pools cannot serialize) and are
+session only (:meth:`JoinScheduler.resume`).  SQL sessions all
+serialize (``SHARDS`` / ``PARALLEL`` run the shard router inline); an
+operator that cannot -- a library router on process lanes -- is
 simply skipped by eviction.
 
 Each session's one observer records ``service.quantum`` /
@@ -180,7 +181,7 @@ class JoinScheduler:
         """Terminate a session and free its slot.
 
         Closes the underlying operator when it has a lifecycle (the
-        parallel join's worker pool) and drops any spooled cursor.
+        shard router's task state) and drops any spooled cursor.
         """
         live = self._live_join(self.session(session_id))
         if live is not None and hasattr(live, "close"):
@@ -206,8 +207,8 @@ class JoinScheduler:
         """Run one quantum for ``session``; returns rows buffered.
 
         The quantum ends at the first of: the pair budget, the time
-        budget, the session's demand being met, a parallel worker
-        batch arriving (the TaskBatch-aware preemption point), or the
+        budget, the session's demand being met, a shard task batch
+        arriving (the TaskBatch-aware preemption point), or the
         stream ending.  An evicted session whose cursor cannot be
         restored ends here too (0 rows; see :meth:`resume`).
         """
@@ -251,7 +252,7 @@ class JoinScheduler:
                 if time.monotonic() >= deadline:
                     break
                 if batch_mark is not None:
-                    # Parallel sources preempt between tile batches:
+                    # Sharded sources preempt between task batches:
                     # a batch arrival is the natural yield point.
                     current = getattr(live, "batches_received", 0)
                     if current > batch_mark:
@@ -348,7 +349,7 @@ class JoinScheduler:
 
         Returns the evicted session ids.  Sessions with unmet demand,
         already-evicted sessions, and operators that cannot serialize
-        (parallel joins) are skipped.
+        (a shard router on process lanes) are skipped.
         """
         if self.store is None:
             return []
@@ -512,8 +513,8 @@ class JoinScheduler:
         self, session_id: str, fmt: str = "json"
     ) -> Dict[str, Any]:
         """The session's single connected trace -- its observer's span
-        records, plus one synthetic span per pool worker of a parallel
-        join -- as a nested JSON span tree (``fmt="json"``) or a Chrome
+        records, plus one synthetic span per process lane of a shard
+        router -- as a nested JSON span tree (``fmt="json"``) or a Chrome
         trace-event container (``fmt="chrome"``)."""
         session = self.session(session_id)
         obs = session.obs

@@ -204,7 +204,8 @@ class Session:
         history, and its certified floor.
 
         Raises :class:`~repro.errors.CursorError` for operators that
-        only support in-memory suspension (parallel joins).
+        only support in-memory suspension (a shard router on process
+        lanes).
         """
         # Pin the latest certified reading before the plan goes away.
         self.progress_report()

@@ -1,16 +1,26 @@
-"""Sharded relations: persistent catalogs + a pruning shard router.
+"""The partitioned join engine: shard catalogs and the shard router.
 
+- :mod:`repro.shard.partition` -- the reference-point STR tiler that
+  splits a relation into disjoint shards.
 - :mod:`repro.shard.catalog` -- partition a relation into per-shard
   R-trees with manifests, fingerprints, MBRs, and cost-model stats;
   persist and lazily reload them through the buffer pool.
+- :mod:`repro.shard.task` -- the picklable per-shard-pair join task
+  and its live state.
+- :mod:`repro.shard.merge` -- the watermark k-way merge with lazy
+  admission.
+- :mod:`repro.shard.executor` -- the process lanes, the one way onto a
+  second core.
 - :mod:`repro.shard.router` -- the :class:`ShardRouterJoin` /
   :class:`ShardRouterSemiJoin` operators: shard pairs ordered by
   MINDIST lower bound, lazily admitted by the watermark merge, pruned
-  when the consumer stops first; fully suspendable.
+  when the consumer stops first; fully suspendable inline.
 - :mod:`repro.shard.cache` -- the fingerprint-keyed plan cache.
 
-See ``docs/SHARDING.md`` for the catalog format, the pruning rule,
-and the cache keys.
+SQL reaches the router with ``SHARDS n`` (``PARALLEL n`` and the CLI's
+``--workers n`` are parse-time spellings of it), inline.  See
+``docs/SHARDING.md`` for the catalog format, the pruning rule, and the
+cache keys.
 """
 
 from repro.shard.cache import clear_caches, route_cache

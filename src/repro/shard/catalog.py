@@ -1,7 +1,7 @@
 """Persistent shard catalogs: a relation as a set of small R-trees.
 
 A :class:`ShardCatalog` partitions one relation into disjoint shards
-with the reference-point tilers of :mod:`repro.parallel.partition`, so
+with the reference-point STR tiler of :mod:`repro.shard.partition`, so
 every object belongs to exactly one shard and the cross product of two
 catalogs' shards covers the join's pair space exactly once.  Each
 shard carries:
@@ -19,7 +19,9 @@ Catalogs persist as a directory: a ``manifest.json`` (format
 ``storage.snapshot`` tree file per shard.  :meth:`ShardCatalog.open`
 reads only the manifest; shard trees load on first use, through each
 tree's own pager and buffer pool, so routing that prunes a shard pair
-never pays that shard's I/O.
+never pays that shard's I/O.  The manifest names its tiler; one that
+names any but ``str`` (an earlier build also wrote ``grid``) is a
+:class:`~repro.errors.StorageError`.
 
 The router prunes shard pairs on the manifest's MBRs alone, so a
 well-formed but *wrong* manifest would drop rows silently.  Hence the
@@ -28,8 +30,8 @@ routing reads (each shard's digest, count and MBR), and a shard tree
 loaded from disk must have the count and bounds its record states;
 either failing is a :class:`~repro.errors.StorageError`.
 
-Everything is deterministic: the same relation, shard count, and
-method always produce byte-identical shard membership, tree shapes,
+Everything is deterministic: the same relation and shard count
+always produce byte-identical shard membership, tree shapes,
 and fingerprints -- which is what lets a suspended sharded cursor be
 resumed against a rebuilt catalog.
 """
@@ -44,13 +46,8 @@ from typing import Any, Dict, List, Optional
 
 from repro.errors import ReproError, StorageError
 from repro.geometry.rectangle import Rect
-from repro.parallel.partition import (
-    STR,
-    PARTITION_METHODS,
-    TaskObject,
-    make_partitioner,
-)
-from repro.parallel.plan import load_objects
+from repro.shard.partition import STR, STRPartitioner, TaskObject
+from repro.shard.task import load_objects
 from repro.query.costmodel import LevelStats, TreeStats, collect_stats
 from repro.rtree.base import DEFAULT_MAX_ENTRIES, RTreeBase
 from repro.storage.snapshot import load_tree, save_tree
@@ -133,10 +130,12 @@ class ShardCatalog:
     lazy API.  Direct construction is internal.
     """
 
+    #: The tiler every catalog is cut with (recorded in the manifest).
+    method = STR
+
     def __init__(
         self,
         dim: int,
-        method: str,
         shards: int,
         infos: List[ShardInfo],
         *,
@@ -150,7 +149,6 @@ class ShardCatalog:
         tree_kwargs: Optional[Dict[str, Any]] = None,
     ) -> None:
         self.dim = dim
-        self.method = method
         self.shards = shards
         self.infos = list(infos)
         self.counters = (
@@ -190,25 +188,31 @@ class ShardCatalog:
         cls,
         tree: RTreeBase,
         shards: int = DEFAULT_SHARDS,
-        method: str = STR,
         *,
         counters: Optional[CounterRegistry] = None,
     ) -> "ShardCatalog":
         """Partition an indexed relation into a shard catalog.
 
-        Shard membership comes from the reference-point tilers, so an
-        object belongs to exactly one shard; shard trees themselves
+        Shard membership comes from the reference-point STR tiler, so
+        an object belongs to exactly one shard; shard trees themselves
         are not built here -- they materialize on first
         :meth:`tree` call.
         """
         require(shards >= 1, "shards must be at least 1")
-        require(method in PARTITION_METHODS,
-                f"shard method must be one of {PARTITION_METHODS}")
         registry = counters if counters is not None else tree.counters
         objects: Dict[int, List[TaskObject]] = {}
         infos: List[ShardInfo] = []
         if len(tree) > 0:
-            partitioner = make_partitioner(method, tree, tree, shards)
+            # The reads and the sample of the two-tree tiler this
+            # replaced: the joint bounds read the root twice, and the
+            # sample is the relation twice over.  Every committed
+            # catalog fingerprint, shard cursor and node_reads golden
+            # was drawn this way.
+            tree.bounds()
+            tree.bounds()
+            rects = [entry.rect for entry in tree.items()]
+            rects += [entry.rect for entry in tree.items()]
+            partitioner = STRPartitioner(shards, rects)
             groups = partitioner.assign(tree.items())
             for shard_id, tile_index in enumerate(sorted(groups)):
                 members = groups[tile_index]
@@ -224,7 +228,7 @@ class ShardCatalog:
                     fingerprint=_shard_fingerprint(members),
                 ))
         return cls(
-            tree.dim, method, shards, infos,
+            tree.dim, shards, infos,
             counters=registry,
             max_entries=getattr(tree, "max_entries", DEFAULT_MAX_ENTRIES),
             objects=objects,
@@ -264,6 +268,12 @@ class ShardCatalog:
                 f"{manifest.get('version')!r} (this build reads "
                 f"{CATALOG_VERSION})"
             )
+        if manifest.get("method") != STR:
+            raise StorageError(
+                f"{manifest_path} was cut with the "
+                f"{manifest.get('method')!r} tiler; this build reads "
+                f"{STR!r} catalogs only -- rebuild it"
+            )
         try:
             infos: List[ShardInfo] = []
             paths: Dict[int, str] = {}
@@ -290,7 +300,6 @@ class ShardCatalog:
                     stats[shard_id] = _stats_from_json(record["stats"])
             catalog = cls(
                 _typed(manifest, "dim", int),
-                _typed(manifest, "method", str),
                 _typed(manifest, "shards", int),
                 infos,
                 counters=counters,
@@ -447,7 +456,6 @@ class ShardCatalog:
 def catalog_for(
     tree: RTreeBase,
     shards: int,
-    method: str = STR,
     *,
     counters: Optional[CounterRegistry] = None,
     cache: bool = True,
@@ -461,20 +469,18 @@ def catalog_for(
     to keep build costs inside its measured counters).
     """
     key = (
-        shards, method, len(tree), tree.root_id,
+        shards, len(tree), tree.root_id,
         getattr(tree, "_mutations", None),
     )
     if cache:
         cached = getattr(tree, "_shard_catalogs", None)
-        if cached is not None and cached.get((shards, method), (None,))[0] == key:
-            return cached[(shards, method)][1]
-    catalog = ShardCatalog.build(
-        tree, shards, method, counters=counters
-    )
+        if cached is not None and cached.get(shards, (None,))[0] == key:
+            return cached[shards][1]
+    catalog = ShardCatalog.build(tree, shards, counters=counters)
     if cache and getattr(tree, "_mutations", None) is not None:
         store = getattr(tree, "_shard_catalogs", None)
         if store is None:
             store = {}
             tree._shard_catalogs = store
-        store[(shards, method)] = (key, catalog)
+        store[shards] = (key, catalog)
     return catalog

@@ -9,7 +9,7 @@ incremental work -- over relations partitioned into
 per shard pair, bounds each task below by
 ``metric.mindist_rect_rect(mbr1, mbr2)``, and hands the bounds to the
 watermark merge's lazy-admission rule
-(:class:`~repro.parallel.merge.OrderedStreamMerge`): a shard pair is
+(:class:`~repro.shard.merge.OrderedStreamMerge`): a shard pair is
 *routed* (opened, its shard trees built/loaded, its join run) only
 when the merge frontier reaches its bound, and *pruned* -- never
 touched at all -- when the consumer stops first.  Shard pairs whose
@@ -17,8 +17,8 @@ bound exceeds ``max_distance`` (or whose MAXDIST cannot reach
 ``min_distance``) are range-pruned before the merge even sees them.
 
 Output is bit-identical to the sequential join with canonical ties
-(the ``(distance, oid1, oid2)`` order) for every shard count, method
-and backend; the routing decisions are observable as counters::
+(the ``(distance, oid1, oid2)`` order) for every shard count and
+backend; the routing decisions are observable as counters::
 
     shard_pairs_total         planned shard pairs (cross product)
     shard_pairs_range_pruned  eliminated upfront by the distance range
@@ -28,16 +28,17 @@ and backend; the routing decisions are observable as counters::
 
 Where a routed task runs is the ``backend``.  ``serial`` executes it
 inline, in this process, through :class:`InlineShardExecutor`, which
-speaks the same ``request``/``next_batch`` protocol as the pooled
-:class:`~repro.parallel.executor.StreamExecutor` behind ``thread`` and
-``process``.  Inline execution keeps every counter deterministic and
-makes the whole operator *suspendable*: :meth:`ShardRouterJoin.save`
+speaks the same ``request``/``next_batch`` protocol as the
+:class:`~repro.shard.executor.StreamExecutor` over ``process`` lanes
+(the only way onto a second core).  Inline execution keeps every
+counter deterministic and makes the whole operator *suspendable*: :meth:`ShardRouterJoin.save`
 captures the merge state, every opened task's join cursor and soft-cap
 position, and the routing counters, and :meth:`ShardRouterJoin.load`
 resumes bit-identically against deterministically rebuilt catalogs
 (the ``shard`` cursor kind; see "Cursor format" in
-``docs/SERVICE.md``).  A pool-backed router's execution state lives in
-its workers, so it suspends in memory only, between ``next()`` calls.
+``docs/SERVICE.md``).  A router on process lanes keeps its execution
+state in the lanes, so it suspends in memory only, between ``next()``
+calls.
 """
 
 from __future__ import annotations
@@ -49,19 +50,6 @@ from repro.core import cursor
 from repro.core.distance_join import JoinResult
 from repro.core.spec import JoinSpec
 from repro.errors import CursorError, JoinError
-from repro.parallel.executor import (
-    BACKENDS,
-    DEFAULT_BATCH_SIZE,
-    PROCESS,
-    SERIAL,
-    THREAD,
-    StreamExecutor,
-    TaskBatch,
-    default_workers,
-)
-from repro.parallel.merge import OrderedStreamMerge
-from repro.parallel.partition import STR
-from repro.parallel.plan import TaskState, TileJoinTask
 from repro.rtree.base import RTreeBase
 from repro.shard.cache import route_cache as _route_cache
 from repro.shard.catalog import (
@@ -69,6 +57,18 @@ from repro.shard.catalog import (
     ShardCatalog,
     catalog_for,
 )
+from repro.shard.executor import (
+    BACKENDS,
+    DEFAULT_BATCH_SIZE,
+    PROCESS,
+    SERIAL,
+    StreamExecutor,
+    TaskBatch,
+    default_workers,
+)
+from repro.shard.merge import OrderedStreamMerge
+from repro.shard.partition import STR
+from repro.shard.task import TaskState, TileJoinTask
 from repro.util.counters import CounterRegistry, CounterSnapshot
 from repro.util.obs import ObsSnapshot, Observer
 from repro.util.validation import require
@@ -137,9 +137,28 @@ def plan_shard_pairs(
     return pairs, range_pruned, False
 
 
+def route_summary(
+    catalog1: ShardCatalog,
+    catalog2: ShardCatalog,
+    pairs: List[ShardPair],
+    range_pruned: int,
+) -> Dict[str, Any]:
+    """What EXPLAIN prints of a route (:func:`plan_shard_pairs`'
+    result): shard counts, the tiler, the planned pair order and the
+    upfront range pruning."""
+    return {
+        "shards": (len(catalog1), len(catalog2)),
+        "method": STR,
+        "pairs_total": len(catalog1) * len(catalog2),
+        "pairs_planned": len(pairs),
+        "range_pruned": range_pruned,
+        "order": [(pair.sid1, pair.sid2, pair.bound) for pair in pairs],
+    }
+
+
 class InlineShardExecutor:
     """The ``serial`` backend: drives shard-pair tasks inline,
-    speaking the :class:`~repro.parallel.executor.StreamExecutor`
+    speaking the :class:`~repro.shard.executor.StreamExecutor`
     protocol the watermark merge consumes (``request`` enqueues,
     ``next_batch`` advances exactly one requested task and returns its
     batch).
@@ -173,7 +192,6 @@ class InlineShardExecutor:
         return TaskBatch(
             task_id=task_id,
             results=tuple(results),
-            produced=task.emitted,
             done=task.done,
             counters=_EMPTY_COUNTERS,
             worker="inline",
@@ -193,10 +211,8 @@ class ShardRouterJoin(cursor.SuspendableOperator):
         The two joined relations' indexes (catalogs are derived from
         them unless ``catalogs`` is given).
     shards:
-        Shards per relation (default 4); tasks are the cross product
-        of the two catalogs' non-empty shards.
-    partition_method:
-        ``"grid"`` or ``"str"`` tiling for catalog construction.
+        Shards per relation (default 4), cut by the STR tiler; tasks
+        are the cross product of the two catalogs' non-empty shards.
     catalogs:
         Optional prebuilt ``(catalog1, catalog2)`` pair -- e.g. opened
         from disk with :meth:`ShardCatalog.open` -- overriding
@@ -209,16 +225,16 @@ class ShardRouterJoin(cursor.SuspendableOperator):
         counters.
     backend:
         Where routed tasks run: ``"serial"`` (default; inline,
-        deterministic, suspendable), ``"thread"`` or ``"process"``
-        (see :mod:`repro.parallel.executor`).  With ``process`` every
-        task and knob must pickle; a non-picklable ``pair_filter``
-        falls back to ``thread`` (counted as
+        deterministic, suspendable) or ``"process"`` (one lane process
+        per worker; see :mod:`repro.shard.executor`).  With
+        ``process`` every task and knob must pickle; a non-picklable
+        ``pair_filter`` falls back to ``serial`` (counted as
         ``parallel_backend_fallback``).
     workers:
-        Pool worker slots (default: CPU count capped at 8; ignored by
+        Process lanes (default: CPU count capped at 8; ignored by
         ``serial``).
     timeout:
-        Seconds to wait for any single pool batch before raising
+        Seconds to wait for any single lane batch before raising
         :class:`~repro.errors.JoinError` (None = wait forever).
     spec:
         A :class:`~repro.core.spec.JoinSpec`, applied inside every
@@ -229,8 +245,8 @@ class ShardRouterJoin(cursor.SuspendableOperator):
     counters:
         As in the sequential join.  Inline tasks and their shard trees
         charge this registry directly, so ``serial`` counters are
-        exact and deterministic; pool workers charge private
-        registries whose per-batch deltas are merged in.
+        exact and deterministic; lanes charge private registries
+        whose per-batch deltas are merged in.
     observer:
         Stage-timing sink (:class:`~repro.util.obs.Observer`).  Unlike
         the sequential join, the default is a private *enabled*
@@ -250,7 +266,6 @@ class ShardRouterJoin(cursor.SuspendableOperator):
         spec: Optional[JoinSpec] = None,
         *,
         shards: Optional[int] = None,
-        partition_method: str = STR,
         catalogs: Optional[Tuple[ShardCatalog, ShardCatalog]] = None,
         batch_size: int = DEFAULT_BATCH_SIZE,
         catalog_cache: bool = True,
@@ -270,13 +285,17 @@ class ShardRouterJoin(cursor.SuspendableOperator):
         spec.validate(parallel=True)
         if _resume is not None:
             # Only the serial backend saves cursors.
+            if _resume["method"] != STR:
+                raise CursorError(
+                    f"the cursor's catalogs were cut with the "
+                    f"{_resume['method']!r} tiler; this build cuts "
+                    f"{STR!r} only"
+                )
             shards = _resume["shards"]
-            partition_method = _resume["partition_method"]
             batch_size = _resume["batch_size"]
             backend = SERIAL
-        shards, partition_method = ShardRouterJoin.routing(
-            shards, partition_method
-        )
+        if shards is None:
+            shards = DEFAULT_SHARDS
         if workers is None:
             workers = 1 if backend == SERIAL else default_workers()
         require(shards >= 1, "shards must be at least 1")
@@ -289,7 +308,6 @@ class ShardRouterJoin(cursor.SuspendableOperator):
         self.tree1 = tree1
         self.tree2 = tree2
         self.shards = shards
-        self.partition_method = partition_method
         self.batch_size = batch_size
         self.workers = workers
         self.timeout = timeout
@@ -300,7 +318,7 @@ class ShardRouterJoin(cursor.SuspendableOperator):
         )
         if backend == PROCESS and not cursor.picklable(spec.pair_filter):
             self.counters.add("parallel_backend_fallback")
-            backend = THREAD
+            backend = SERIAL
         self.backend = backend
         # Semi-join task streams stay uncapped: duplicate outer
         # objects are discarded only after the merge.
@@ -313,11 +331,11 @@ class ShardRouterJoin(cursor.SuspendableOperator):
                 self.catalog1, self.catalog2 = catalogs
             else:
                 self.catalog1 = catalog_for(
-                    tree1, shards, partition_method,
+                    tree1, shards,
                     counters=self.counters, cache=catalog_cache,
                 )
                 self.catalog2 = catalog_for(
-                    tree2, shards, partition_method,
+                    tree2, shards,
                     counters=self.counters, cache=catalog_cache,
                 )
             self.pairs, self.range_pruned, plan_cached = plan_shard_pairs(
@@ -339,7 +357,7 @@ class ShardRouterJoin(cursor.SuspendableOperator):
         #: quantum loop reads this to yield between batches instead of
         #: mid-batch.
         self.batches_received = 0
-        # Pool workers only: latest cumulative snapshots per task.
+        # Process lanes only: latest cumulative snapshots per task.
         self._task_snapshots: Dict[int, CounterSnapshot] = {}
         self._task_obs: Dict[int, ObsSnapshot] = {}
         self._task_workers: Dict[int, str] = {}
@@ -361,32 +379,12 @@ class ShardRouterJoin(cursor.SuspendableOperator):
     # planning
     # ------------------------------------------------------------------
 
-    @classmethod
-    def routing(
-        cls,
-        shards: Optional[int] = None,
-        partition_method: str = STR,
-    ) -> Tuple[int, str]:
-        """Shards per relation and tiling method of a constructor call
-        with these arguments (EXPLAIN routes without building the
-        operator)."""
-        return (DEFAULT_SHARDS if shards is None else shards), \
-            partition_method
-
     def route_plan(self) -> Dict[str, Any]:
         """Static routing summary (EXPLAIN): shard counts, planned
         pair order, and upfront range pruning."""
-        return {
-            "shards": (len(self.catalog1), len(self.catalog2)),
-            "method": self.partition_method,
-            "pairs_total": self.pairs_total,
-            "pairs_planned": len(self.pairs),
-            "range_pruned": self.range_pruned,
-            "order": [
-                (pair.sid1, pair.sid2, pair.bound)
-                for pair in self.pairs
-            ],
-        }
+        return route_summary(
+            self.catalog1, self.catalog2, self.pairs, self.range_pruned
+        )
 
     def _task(self, task_id: int) -> TileJoinTask:
         """The picklable description of one planned pair's join
@@ -436,7 +434,7 @@ class ShardRouterJoin(cursor.SuspendableOperator):
         self.counters.add("shard_batches")
         if self.backend == SERIAL:
             return
-        # A pool worker's counters and stage timings are cumulative
+        # A lane's counters and stage timings are cumulative
         # per task: merge only the increment.
         task_id = batch.task_id
         previous = self._task_snapshots.get(task_id)
@@ -459,7 +457,7 @@ class ShardRouterJoin(cursor.SuspendableOperator):
             self._executor = InlineShardExecutor(self)
         else:
             self._executor = StreamExecutor(
-                self._task, self.backend, self.workers, self.timeout
+                self._task, self.workers, self.timeout
             )
         self._merge = OrderedStreamMerge(
             self._executor,
@@ -495,7 +493,7 @@ class ShardRouterJoin(cursor.SuspendableOperator):
             else:
                 result = next(self._merge)
         except (StopIteration, JoinError):
-            # Exhausted, or a pool failure the executor reported:
+            # Exhausted, or a lane failure the executor reported:
             # either way iteration afterwards reports exhaustion.
             self.close()
             raise
@@ -508,7 +506,7 @@ class ShardRouterJoin(cursor.SuspendableOperator):
     # ------------------------------------------------------------------
 
     def close(self) -> None:
-        """Finalize routing counters, cancel outstanding pool batches
+        """Finalize routing counters, cancel outstanding lane batches
         and drop task state.
 
         Safe to call repeatedly; iteration afterwards reports
@@ -570,13 +568,13 @@ class ShardRouterJoin(cursor.SuspendableOperator):
         }
 
     def task_counter_snapshots(self) -> Dict[int, CounterSnapshot]:
-        """Latest per-task pool-worker counter snapshots (task id
-        keyed; empty for ``serial``, whose tasks charge
+        """Latest per-task lane counter snapshots (task id keyed;
+        empty for ``serial``, whose tasks charge
         :attr:`counters` directly)."""
         return dict(self._task_snapshots)
 
     def task_span_snapshots(self) -> Dict[int, ObsSnapshot]:
-        """Latest per-task pool-worker stage timings (task id keyed)."""
+        """Latest per-task lane stage timings (task id keyed)."""
         return dict(self._task_obs)
 
     def worker_breakdown(self) -> Dict[str, CounterSnapshot]:
@@ -595,12 +593,11 @@ class ShardRouterJoin(cursor.SuspendableOperator):
         """Wall seconds per pipeline stage, aggregated so far.
 
         - ``partition``: catalog construction and route planning;
-        - ``worker_build``: pool workers constructing per-pair joins;
-        - ``worker_join``: pool workers pulling result batches (summed
-          over workers, so with real parallelism it can exceed wall
-          time);
+        - ``worker_build``: lanes constructing per-pair joins;
+        - ``worker_join``: lanes pulling result batches (summed over
+          lanes, so it can exceed wall time);
         - ``merge``: recombination, *including* time spent running
-          inline tasks or waiting on pool batches.
+          inline tasks or waiting on lane batches.
         """
         return {
             "partition": self.obs.span_seconds("shard.route"),
@@ -613,8 +610,8 @@ class ShardRouterJoin(cursor.SuspendableOperator):
         """The execution so far as Chrome trace events.
 
         One driver track (the route/merge spans, plus per-occurrence
-        events when the observer records them) and one track per pool
-        worker built from the :class:`ObsSnapshot`\\ s the workers
+        events when the observer records them) and one track per lane
+        built from the :class:`ObsSnapshot`\\ s the workers
         shipped with their batches; load with Perfetto or
         ``chrome://tracing``.
         """
@@ -655,9 +652,9 @@ class ShardRouterJoin(cursor.SuspendableOperator):
         supplied catalogs resumes only if rebuilt catalogs have
         identical content).
 
-        Only the ``serial`` backend has one: a pool-backed router's
-        execution state lives in its workers (in-flight batches,
-        per-worker queues), so it cannot be turned into a cursor.  It
+        Only the ``serial`` backend has one: a router on process lanes
+        keeps its execution state in the lanes (in-flight batches,
+        per-lane queues), so it cannot be turned into a cursor.  It
         is still a Python iterator, so the scheduler suspends it *in
         memory* between ``next()`` calls -- ideally at
         :attr:`batches_received` boundaries -- but such a session
@@ -666,9 +663,9 @@ class ShardRouterJoin(cursor.SuspendableOperator):
         if self.backend != SERIAL:
             raise CursorError(
                 f"{type(self).__name__} on the {self.backend} backend "
-                "does not support save(): pool-backed joins suspend "
-                "in memory only (between next() calls), not to a "
-                "serialized cursor"
+                "does not support save(): a join on process lanes "
+                "suspends in memory only (between next() calls), not "
+                "to a serialized cursor"
             )
         merge = self._merge
         return {
@@ -676,7 +673,7 @@ class ShardRouterJoin(cursor.SuspendableOperator):
                 self.catalog1.fingerprint, self.catalog2.fingerprint
             ),
             "shards": self.shards,
-            "partition_method": self.partition_method,
+            "method": STR,
             "batch_size": self.batch_size,
             "produced": self._produced,
             "routed": self._routed,

@@ -8,8 +8,8 @@ JSON, the format read by Perfetto (https://ui.perfetto.dev) and
 ``chrome://tracing``, or as one JSON tree rooted at the trace context
 (:func:`span_tree`, what ``/debug/trace`` serves).  Aggregates that
 carry no per-occurrence times -- an untraced observer, the
-:class:`~repro.util.obs.ObsSnapshot` objects that parallel workers ship
-inside every :class:`~repro.parallel.executor.TaskBatch` -- are first
+:class:`~repro.util.obs.ObsSnapshot` objects that process lanes ship
+inside every :class:`~repro.shard.executor.TaskBatch` -- are first
 drawn as records (:func:`summary_records`), so every span on every
 surface goes through the one :func:`span_record_events`.
 

@@ -22,7 +22,6 @@ from repro.datasets import uniform_points
 from repro.errors import QueryError
 from repro.geometry.metrics import MANHATTAN
 from repro.live import StandingJoin
-from repro.parallel.join import ParallelDistanceJoin, ParallelDistanceSemiJoin
 from repro.query.executor import Database
 from repro.query.physical import build_physical_plan
 from repro.service import LiveSource, QuerySource, resumed_join
@@ -41,8 +40,6 @@ OPERATORS = [
     ReverseDistanceSemiJoin,
     ShardRouterJoin,
     ShardRouterSemiJoin,
-    ParallelDistanceJoin,
-    ParallelDistanceSemiJoin,
     StandingJoin,
 ]
 
@@ -119,8 +116,6 @@ CALLABLES = [
     resumed_join,
     closest_pairs,
     all_nearest_neighbors,
-    ShardRouterJoin.routing,
-    ParallelDistanceJoin.routing,
 ]
 
 

@@ -1,15 +1,17 @@
-"""Property test: the parallel join is equivalent to the sequential one.
+"""Property test: the partitioned join is equivalent to the sequential
+one on both backends.
 
 For random datasets (integer coordinates, so distance ties are common
-and the tie-handling actually gets exercised) the parallel join with
-1, 2 and 4 workers must emit exactly the same distance-sorted,
-tie-stable pair sequence as :class:`IncrementalDistanceJoin` — both in
-full and as a ``stop after K`` prefix.
+and the tie-handling actually gets exercised) the shard router with 1,
+2 and 4 shards -- inline (``serial``) and on as many process lanes --
+must emit exactly the same distance-sorted, tie-stable pair sequence
+as :class:`IncrementalDistanceJoin`, both in full and as a ``stop
+after K`` prefix.
 
 The reference order is the *canonical* one, ``(distance, oid1, oid2)``:
-the parallel engine emits it directly; the sequential join's
-equal-distance runs are sorted into it before comparison (the two
-differ only in tie permutation, never in content).
+the router emits it directly; the sequential join's equal-distance
+runs are sorted into it before comparison (the two differ only in tie
+permutation, never in content).
 """
 
 from hypothesis import given, settings
@@ -19,9 +21,8 @@ from repro.core.distance_join import IncrementalDistanceJoin
 from repro.core.semi_join import IncrementalDistanceSemiJoin
 from repro.core.spec import JoinSpec
 from repro.geometry.point import Point
-from repro.parallel import ParallelDistanceJoin, ParallelDistanceSemiJoin
 from repro.rtree.bulk import bulk_load_str
-from repro.shard import ShardRouterJoin
+from repro.shard import ShardRouterJoin, ShardRouterSemiJoin
 
 WORKER_COUNTS = (1, 2, 4)
 
@@ -53,9 +54,7 @@ def canonical(results):
     return [(r.distance, r.oid1, r.oid2) for r in out]
 
 
-@settings(max_examples=12, deadline=None)
-@given(points_a=point_lists, points_b=point_lists, data=st.data())
-def test_parallel_join_equals_sequential(points_a, points_b, data):
+def check_streams(points_a, points_b, data, backend, workers, full=True):
     tree_a = bulk_load_str(points_a)
     tree_b = bulk_load_str(points_b)
     reference = canonical(IncrementalDistanceJoin(tree_a, tree_b))
@@ -63,30 +62,37 @@ def test_parallel_join_equals_sequential(points_a, points_b, data):
         st.integers(min_value=1, max_value=max(1, len(reference))),
         label="stop_after_k",
     )
-    for workers in WORKER_COUNTS:
-        full = ParallelDistanceJoin(
-            tree_a, tree_b, workers=workers, backend="thread",
-            partitions=workers, batch_size=7,
+    for count in workers:
+        engine = dict(
+            shards=count, backend=backend, workers=count, batch_size=7
         )
-        assert [
-            (r.distance, r.oid1, r.oid2) for r in full
-        ] == reference, f"workers={workers}"
-        prefix = ParallelDistanceJoin(
-            tree_a, tree_b, JoinSpec(max_pairs=k), workers=workers,
-            backend="thread", partitions=workers, batch_size=7,
+        if full:
+            assert [
+                (r.distance, r.oid1, r.oid2)
+                for r in ShardRouterJoin(tree_a, tree_b, **engine)
+            ] == reference, f"{backend}, workers={count}"
+        prefix = ShardRouterJoin(
+            tree_a, tree_b, JoinSpec(max_pairs=k), **engine
         )
         assert [
             (r.distance, r.oid1, r.oid2) for r in prefix
-        ] == reference[:k], f"workers={workers}, k={k}"
-        # The parallel join *is* the router over ``partitions`` shards.
-        router = ShardRouterJoin(
-            tree_a, tree_b, JoinSpec(max_pairs=k), shards=workers,
-            partition_method="grid", backend="thread", workers=workers,
-            batch_size=7,
-        )
-        assert [
-            (r.distance, r.oid1, r.oid2) for r in router
-        ] == reference[:k], f"router, shards={workers}, k={k}"
+        ] == reference[:k], f"{backend}, workers={count}, k={k}"
+
+
+@settings(max_examples=12, deadline=None)
+@given(points_a=point_lists, points_b=point_lists, data=st.data())
+def test_parallel_join_equals_sequential(points_a, points_b, data):
+    check_streams(points_a, points_b, data, "serial", WORKER_COUNTS)
+
+
+@settings(max_examples=2, deadline=None)
+@given(points_a=point_lists, points_b=point_lists, data=st.data())
+def test_process_lanes_equal_sequential(points_a, points_b, data):
+    # Every router starts its own lanes: one worker count and the
+    # STOP AFTER prefix (where admission prunes) per example; the full
+    # stream on lanes is test_shard_equivalence's fixed-seed example.
+    workers = data.draw(st.sampled_from(WORKER_COUNTS), label="workers")
+    check_streams(points_a, points_b, data, "process", (workers,), False)
 
 
 @settings(max_examples=10, deadline=None)
@@ -99,9 +105,8 @@ def test_parallel_semi_join_equals_sequential(points_a, points_b):
         for r in IncrementalDistanceSemiJoin(tree_a, tree_b)
     }
     for workers in WORKER_COUNTS:
-        join = ParallelDistanceSemiJoin(
-            tree_a, tree_b, workers=workers, backend="thread",
-            partitions=workers, batch_size=5,
+        join = ShardRouterSemiJoin(
+            tree_a, tree_b, shards=workers, batch_size=5,
         )
         seen = {}
         previous = -1.0

@@ -7,7 +7,6 @@ import pickle
 import pytest
 
 from repro.cli import main as cli_main
-from repro.core.spec import JoinSpec
 from repro.errors import CursorError
 from repro.query.executor import Database
 from repro.query.physical import OperatorState
@@ -114,22 +113,19 @@ class TestQuerySource:
 
 
 class TestParallelSuspension:
-    def test_parallel_join_save_raises(self):
-        from repro.parallel import ParallelDistanceJoin
-
-        from tests.conftest import make_tree
-
-        t1 = make_tree(make_points(40, seed=3))
-        t2 = make_tree(make_points(40, seed=4))
-        join = ParallelDistanceJoin(
-            t1, t2, JoinSpec(max_pairs=10), workers=2, backend="thread",
-            counters=CounterRegistry(),
-        )
-        try:
-            with pytest.raises(CursorError):
-                join.save()
-        finally:
-            join.close()
+    def test_parallel_plan_saves_and_resumes(self):
+        """``PARALLEL 2`` is ``SHARDS 2``: the router runs inline, so
+        its plan has a cursor like any other."""
+        sql = SQL + " PARALLEL 2"
+        whole = list(build_db().physical_plan(sql).rows())
+        source = QuerySource(build_db(), sql)
+        rows = source.open()
+        got = [next(rows) for __ in range(17)]
+        state = pickle.loads(pickle.dumps(source.save()))
+        resumed = QuerySource(build_db(), sql)
+        resumed.load(state)
+        got.extend(resumed.open())
+        assert got == whole
 
 
 class TestCliPaging:

@@ -95,7 +95,7 @@ class TestTraversalChoice:
          "simultaneous"),
         (f"{HEAD}ORDER BY d", "unbounded", "even"),
         (f"{HEAD}ORDER BY d DESC STOP AFTER 10", "DESC", "even"),
-        (f"{HEAD}ORDER BY d STOP AFTER 10 PARALLEL 2", "PARALLEL", "even"),
+        (f"{HEAD}ORDER BY d STOP AFTER 10 PARALLEL 2", "SHARDS", "even"),
         (f"{SEMI}ORDER BY d STOP AFTER 10", "semi-join", "even"),
         (f"{HEAD}WHERE water.area > 90 ORDER BY d STOP AFTER 10",
          "pushed-down predicate", "even"),

@@ -143,6 +143,27 @@ class TestEviction:
         assert list(first) + list(rest) == reference_rows
         assert not store.exists(session.id)  # consumed on resume
 
+    def test_parallel_session_spools_and_resumes(self, db, tmp_path):
+        """``PARALLEL 2`` spells ``SHARDS 2``: the shard router runs
+        inline, so the session spools and resumes byte-identical."""
+        store = CursorStore(str(tmp_path / "spool"))
+        sched = JoinScheduler(
+            quantum_pairs=7, quantum_seconds=10.0, cursor_store=store
+        )
+        query = sql(40) + " PARALLEL 2"
+        reference = list(build_db().physical_plan(query).rows())
+        session = sched.admit(QuerySource(db, query))
+        first, __ = sched.fetch(session.id, 15)
+
+        session.last_touch -= 1_000.0  # long idle
+        assert sched.evict_idle(60.0) == [session.id]
+        assert store.exists(session.id)
+        assert session.source.plan is None
+
+        rest, done = sched.fetch(session.id, 100)
+        assert done
+        assert repr(list(first) + list(rest)) == repr(reference)
+
     def test_busy_or_fresh_sessions_not_evicted(self, db, tmp_path):
         store = CursorStore(str(tmp_path / "spool"))
         sched = JoinScheduler(cursor_store=store)

@@ -64,10 +64,12 @@ class TestBuild:
             != ShardCatalog.build(tree, shards=4).fingerprint
         )
 
-    def test_grid_method(self, tree):
-        catalog = ShardCatalog.build(tree, shards=4, method="grid")
-        assert catalog.method == "grid"
+    def test_str_is_the_only_tiler(self, tree):
+        catalog = ShardCatalog.build(tree, shards=4)
+        assert catalog.method == "str"
         assert sum(info.count for info in catalog.infos) == len(tree)
+        with pytest.raises(TypeError):
+            ShardCatalog.build(tree, shards=4, method="grid")
 
     def test_empty_tree(self):
         catalog = ShardCatalog.build(RStarTree(dim=2), shards=4)
@@ -175,6 +177,8 @@ WRONG_MANIFESTS = {
     "no dim": lambda manifest: manifest.pop("dim"),
     "no fingerprint": lambda manifest: manifest.pop("fingerprint"),
     "old version": lambda manifest: manifest.update(version=1),
+    "grid tiler": lambda manifest: manifest.update(method="grid"),
+    "no method": lambda manifest: manifest.pop("method"),
 }
 
 
@@ -233,7 +237,7 @@ class TestWrongManifest:
             ]
             infos[0].mbr = Rect(*manifest["entries"][0]["mbr"])
             manifest["fingerprint"] = ShardCatalog(
-                good[0].dim, good[0].method, good[0].shards, infos
+                good[0].dim, good[0].shards, infos
             ).fingerprint
 
         edit_manifest(directories[0] + "/manifest.json", forge)

@@ -1,5 +1,5 @@
 """Property test: the shard router is equivalent to the sequential
-join for random data, specs, shard counts, and executor backends.
+join for random data, specs, shard counts, and both executor backends.
 
 The reference is the canonical order ``(distance, oid1, oid2)`` (see
 ``test_parallel_equivalence``).  Every draw checks the full stream, a
@@ -22,9 +22,8 @@ from repro.shard import ShardRouterJoin, ShardRouterSemiJoin, clear_caches
 
 SHARD_COUNTS = (1, 2, 4)
 
-#: Backends every property draws; ``process`` pays a pool start-up per
-#: join, so it gets one fixed-seed example instead.
-BACKENDS = ("serial", "thread")
+# The properties run inline (``serial``); ``process`` pays a lane
+# start-up per join, so it gets one fixed-seed example instead.
 
 coordinates = st.tuples(
     st.integers(min_value=0, max_value=30),
@@ -74,20 +73,18 @@ def test_router_equals_sequential(points_a, points_b, data):
         st.integers(min_value=1, max_value=max(1, len(reference))),
         label="stop_after_k",
     )
-    for backend in BACKENDS:
-        for shards in SHARD_COUNTS:
-            full = ShardRouterJoin(
-                tree_a, tree_b, JoinSpec(min_distance=dmin, max_distance=dmax),
-                shards=shards, batch_size=7, backend=backend, workers=2,
-            )
-            assert rows(full) == reference, f"{backend}, shards={shards}"
-            prefix = ShardRouterJoin(
-                tree_a, tree_b,
-                JoinSpec(min_distance=dmin, max_distance=dmax, max_pairs=k),
-                shards=shards, batch_size=7, backend=backend, workers=2,
-            )
-            assert rows(prefix) == reference[:k], \
-                f"{backend}, shards={shards}, k={k}"
+    for shards in SHARD_COUNTS:
+        full = ShardRouterJoin(
+            tree_a, tree_b, JoinSpec(min_distance=dmin, max_distance=dmax),
+            shards=shards, batch_size=7,
+        )
+        assert rows(full) == reference, f"shards={shards}"
+        prefix = ShardRouterJoin(
+            tree_a, tree_b,
+            JoinSpec(min_distance=dmin, max_distance=dmax, max_pairs=k),
+            shards=shards, batch_size=7,
+        )
+        assert rows(prefix) == reference[:k], f"shards={shards}, k={k}"
 
 
 @settings(max_examples=8, deadline=None)
@@ -131,11 +128,7 @@ def test_semi_router_equals_sequential(points_a, points_b, data):
         for r in IncrementalDistanceSemiJoin(tree_a, tree_b)
     }
     shards = data.draw(st.sampled_from(SHARD_COUNTS), label="shards")
-    backend = data.draw(st.sampled_from(BACKENDS), label="backend")
-    join = ShardRouterSemiJoin(
-        tree_a, tree_b, shards=shards, batch_size=5,
-        backend=backend, workers=2,
-    )
+    join = ShardRouterSemiJoin(tree_a, tree_b, shards=shards, batch_size=5)
     seen, previous = {}, -1.0
     for result in join:
         assert result.distance >= previous

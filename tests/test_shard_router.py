@@ -258,14 +258,14 @@ class TestSuspendResume:
         )
         next(resumed)
 
-    def test_pool_backed_save_raises(self, trees):
+    def test_process_backed_save_raises(self, trees):
+        # Refused on the backend alone: no lane needs to start.
         router = ShardRouterJoin(
-            *trees, JoinSpec(max_pairs=8), shards=2, backend="thread",
+            *trees, JoinSpec(max_pairs=8), shards=2, backend="process",
             workers=2,
         )
         with router:
-            next(router)
-            with pytest.raises(CursorError, match="thread backend"):
+            with pytest.raises(CursorError, match="process backend"):
                 router.save()
 
     def test_resume_counters_primed(self, trees):

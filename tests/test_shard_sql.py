@@ -71,7 +71,6 @@ class TestParser:
     def test_shards_hint(self):
         query = parse(BASE + " SHARDS 4")
         assert query.shards == 4
-        assert query.parallel is None
 
     def test_shards_defaults_to_none(self):
         assert parse(BASE).shards is None
@@ -96,10 +95,6 @@ class TestParser:
     def test_operator_selection_guards(self):
         query = Query(relation1="a", relation2="b", shards=2,
                       descending=True)
-        with pytest.raises(QueryError):
-            _operator_for(query)
-        query = Query(relation1="a", relation2="b", shards=2,
-                      parallel=2)
         with pytest.raises(QueryError):
             _operator_for(query)
 

@@ -12,7 +12,7 @@ from repro.core.knn_join import KNearestNeighborJoin
 from repro.core.reverse import ReverseDistanceJoin, ReverseDistanceSemiJoin
 from repro.core.semi_join import IncrementalDistanceSemiJoin
 from repro.core.spec import JoinSpec
-from repro.parallel.join import ParallelDistanceJoin
+from repro.shard import ShardRouterJoin, ShardRouterSemiJoin
 
 from tests.conftest import make_points, make_tree
 
@@ -88,6 +88,16 @@ class TestSingleValidationPoint:
             JoinSpec(queue="hybrid").validate()
         JoinSpec(queue="hybrid", queue_dt=2.0).validate()
 
+    @pytest.mark.parametrize("bound", ["min_distance", "max_distance"])
+    def test_nan_bound_is_named(self, trees, bound):
+        """NaN fails every comparison; the message must blame the NaN,
+        not the other bound or the sign."""
+        spec = JoinSpec(**{bound: float("nan")})
+        with pytest.raises(ValueError, match=f"^{bound} is NaN"):
+            spec.validate()
+        with pytest.raises(ValueError, match="NaN"):
+            IncrementalDistanceJoin(*trees, spec)
+
 
 class TestBackCompatKeywords:
     """The operator's spec is the one it runs, as given."""
@@ -114,34 +124,24 @@ class TestParallelValidation:
 
     def test_queue_request_rejected(self, trees):
         with pytest.raises(ValueError, match="in-memory queue"):
-            ParallelDistanceJoin(
-                *trees, JoinSpec(queue="hybrid", queue_dt=2.0),
-                workers=2, backend="thread",
+            ShardRouterJoin(
+                *trees, JoinSpec(queue="hybrid", queue_dt=2.0), shards=2,
             )
 
     def test_descending_rejected(self, trees):
         with pytest.raises(ValueError, match="min-merge"):
-            ParallelDistanceJoin(
-                *trees, JoinSpec(descending=True),
-                workers=2, backend="thread",
-            )
+            ShardRouterJoin(*trees, JoinSpec(descending=True), shards=2)
 
     def test_spec_threaded_to_tasks(self, trees):
-        engine = ParallelDistanceJoin(
-            *trees, JoinSpec(max_pairs=10, node_policy="basic"),
-            workers=2, backend="thread",
+        engine = ShardRouterJoin(
+            *trees, JoinSpec(max_pairs=10, node_policy="basic"), shards=2,
         )
         assert engine.spec.max_pairs == 10
         for task in engine.tasks:
             assert task.spec.node_policy == "basic"
 
     def test_semi_join_workers_uncapped(self, trees):
-        from repro.parallel.join import ParallelDistanceSemiJoin
-
-        engine = ParallelDistanceSemiJoin(
-            *trees, JoinSpec(max_pairs=5),
-            workers=2, backend="thread",
-        )
+        engine = ShardRouterSemiJoin(*trees, JoinSpec(max_pairs=5), shards=2)
         # The parent bound stays; workers must stream unbounded so the
         # post-merge dedup sees every outer object's best partner.
         assert engine.max_pairs == 5

@@ -6,7 +6,7 @@ import json
 import pytest
 
 from repro.core.spec import JoinSpec
-from repro.parallel import ParallelDistanceJoin
+from repro.shard import ShardRouterJoin
 from repro.util.obs import Observer, SpanRecord
 from repro.util.telemetry import TraceContext
 from repro.util.tracing import (
@@ -229,12 +229,12 @@ class TestWorkerTracks:
         assert again == records
         assert len({r.span_id for r in records}) == len(records)
 
-    def test_parallel_join_trace_end_to_end(self, tmp_path):
+    def test_process_lane_trace_end_to_end(self, tmp_path):
         tree_a = make_tree(make_points(60, seed=61))
         tree_b = make_tree(make_points(60, seed=62))
-        join = ParallelDistanceJoin(
-            tree_a, tree_b, JoinSpec(max_pairs=50), workers=2,
-            backend="thread",
+        join = ShardRouterJoin(
+            tree_a, tree_b, JoinSpec(max_pairs=50), shards=2, workers=2,
+            backend="process",
         )
         list(join)
         path = str(tmp_path / "parallel.json")
