@@ -9,11 +9,10 @@ memory/disk priority queue, semi-join filters), the non-incremental
 baselines, synthetic TIGER-like data sets, and a small SQL dialect with
 ``DISTANCE JOIN`` / ``STOP AFTER``.  On top of the paper, the shard
 router (:mod:`repro.shard`) runs the join partitioned into shard
-pairs of STR-tiled catalogs behind an order-preserving stream merge:
-from SQL with the ``SHARDS <n>`` hint (``PARALLEL <n>`` spells the
-same, as do the CLI flags ``--shards`` / ``--workers``), inline in
-this process; from the library also on process lanes
-(``ShardRouterJoin(..., backend="process", workers=n)``).
+pairs of STR-tiled catalogs behind an order-preserving stream merge,
+inline in this process: from SQL with the ``SHARDS <n>`` hint
+(``PARALLEL <n>`` spells the same, as do the CLI flags ``--shards`` /
+``--workers``), from the library as ``ShardRouterJoin``.
 
 Quickstart
 ----------

@@ -9,7 +9,7 @@ code: its join knobs are a :class:`repro.core.spec.JoinSpec` (or a
 factory producing one from the workload, for knobs like ``D_T`` or an
 oracle ``MaxDist`` that depend on the data), its workload a factory
 from :mod:`repro.bench.workloads`, its operator family a string, and
-only engine-level options (worker counts, suspend cadence, a SQL plan
+only engine-level options (shard counts, suspend cadence, a SQL plan
 strategy) ride outside the spec.  Beside the cases sit the paper's
 *orderings* (:data:`SHAPES`: ``(case@K, metric) <= factor x (case@K,
 metric)``) and the experiment index (:data:`EXPERIMENTS`).
@@ -121,7 +121,7 @@ class BenchCase:
     ``operator`` selects the family (the join operators, the engines,
     the ``repro.baselines`` alternatives, a SQL plan); ``engine``
     carries options that are deliberately *not* part of the spec
-    (shards, backend, workers, suspend cadence, plan strategy); ``workload``
+    (shards, suspend cadence, plan strategy); ``workload``
     is the factory building the two trees at a scale, and
     ``max_scale`` caps that scale where the paper's cardinalities are
     infeasible (a nested loop's Cartesian product, an R* build by
@@ -130,10 +130,11 @@ class BenchCase:
     sweep budget is one run read at every checkpoint.
     ``deterministic`` marks whether the case's counters are exactly
     reproducible run-to-run -- those counters are *hard* regression
-    gates; counters of scheduling-dependent cases (the shard
-    router on process lanes) only get the noise-banded soft gate.  ``paper`` holds the
-    paper's own values, ``{checkpoint: {metric: value}}``, printed
-    beside the measured ones.
+    gates; a case marked otherwise (``kernels.vector_speedup``, whose
+    path depends on whether numpy imports) only gets the noise-banded
+    soft gate.  ``paper`` holds the paper's own values,
+    ``{checkpoint: {metric: value}}``, printed beside the measured
+    ones.
     """
 
     name: str
@@ -620,20 +621,6 @@ _case(
     JoinSpec(max_pairs=16), smoke=None,
     operator="live", engine={"updates": 32},
 )
-for _workers in (1, 2, 4):
-    _case(
-        f"parallel.process_x{_workers}",
-        f"Parallel scaling: the shard router on {_workers} process "
-        f"lane{'s' if _workers > 1 else ''} ({_workers} STR shards "
-        f"per relation), ordered merge",
-        lambda load, pairs: JoinSpec(max_pairs=pairs),
-        full=10_000, operator="shard",
-        engine={
-            "shards": _workers, "backend": "process",
-            "workers": _workers,
-        },
-        deterministic=False,
-    )
 
 
 # ----------------------------------------------------------------------
@@ -780,11 +767,11 @@ EXPERIMENTS: Tuple[Experiment, ...] = (
     ),
     Experiment(
         "ENG", "This repository's engines on the Table 1 workload",
-        "Ours: kernels, suspend cadence, shards, process lanes, live "
-        "repair.  The sequential join (`kernels.vector_speedup`) and "
-        "the shard router on 1, 2 and 4 process lanes "
-        "(`parallel.process_x*`) run the same join to 10,000 pairs.",
-        ("kernels.*", "service.*", "shard.*", "parallel.*", "live.*"),
+        "Ours: kernels, suspend cadence, shards, live repair.  The "
+        "vector and scalar kernels (`kernels.*`) run the same join to "
+        "10,000 pairs; the shard router (`shard.*`) runs every routed "
+        "shard pair inline, in the caller's process.",
+        ("kernels.*", "service.*", "shard.*", "live.*"),
         (SECONDS, DIST),
     ),
 )
@@ -920,11 +907,4 @@ SHAPES: Tuple[Shape, ...] = (
     Shape("ENG", "8x8 shards: STOP AFTER prunes most shard pairs",
           ("shard.router_x8", None, "counters.shard_pairs_routed"),
           ("shard.router_x8", None, "counters.shard_pairs_total"), 0.5),
-    _vs("ENG", "four process lanes beat the sequential join",
-        "parallel.process_x4", "kernels.vector_speedup", None, SECONDS,
-        gate=False,
-        note="one lane (`parallel.process_x1`, one shard pair: the same "
-             "join) is slower by about as much; each lane is sent its "
-             "shards' objects and STR-loads private trees before its "
-             "first batch"),
 )

@@ -232,7 +232,7 @@ class SuspendableOperator:
 
 def picklable(value: Any) -> bool:
     """Whether ``value`` (e.g. a user ``pair_filter``) can travel in a
-    cursor or to a worker process."""
+    cursor."""
     try:
         pickle.dumps(value, pickle.HIGHEST_PROTOCOL)
     except Exception:

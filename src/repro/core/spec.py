@@ -83,8 +83,7 @@ class JoinSpec:
     ``JoinSpec()``), and the query planner builds one per statement.
     Instances are immutable (derive variants with :meth:`evolve`) and
     picklable whenever their ``pair_filter`` and ``heap_class`` are,
-    which is what lets the parallel engine ship one spec to every
-    worker.
+    which is what lets a cursor carry one.
 
     ``filter_strategy`` and ``dmax_strategy`` only take effect in the
     semi-join/k-NN operators; they are carried here so a single spec

@@ -37,7 +37,7 @@ class Point:
     def __reduce__(self):
         # Immutability blocks the default slot-state pickling (it goes
         # through __setattr__); reconstruct through the constructor so
-        # points can cross process boundaries (parallel join workers).
+        # points pickle (cursors carry them).
         return (Point, (self.coords,))
 
     @property

@@ -57,8 +57,7 @@ class Rect:
     def __reduce__(self):
         # Immutability blocks the default slot-state pickling (it goes
         # through __setattr__); reconstruct through the constructor so
-        # rectangles can cross process boundaries (parallel join
-        # workers).
+        # rectangles pickle (cursors carry them).
         return (Rect, (self.lo, self.hi))
 
     # ------------------------------------------------------------------

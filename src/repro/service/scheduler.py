@@ -17,10 +17,9 @@ Sessions idle past a threshold are *evicted to disk*: the plan cursor
 is spooled through a :class:`~repro.service.cursor.CursorStore` and
 the in-memory plan dropped; the next quantum resumes from the spooled
 cursor.  A spooled cursor that cannot be restored fails its own
-session only (:meth:`JoinScheduler.resume`).  SQL sessions all
-serialize (``SHARDS`` / ``PARALLEL`` run the shard router inline); an
-operator that cannot -- a library router on process lanes -- is
-simply skipped by eviction.
+session only (:meth:`JoinScheduler.resume`).  Every SQL session
+serializes (``SHARDS`` / ``PARALLEL`` run the shard router, which is
+suspendable); an operator that cannot is simply skipped by eviction.
 
 Each session's one observer records ``service.quantum`` /
 ``service.suspend`` / ``service.resume`` spans and the
@@ -49,7 +48,6 @@ from repro.util.tracing import (
     chrome_trace,
     observer_trace,
     span_tree,
-    worker_records,
 )
 from repro.util.validation import require_positive
 
@@ -208,7 +206,7 @@ class JoinScheduler:
 
         The quantum ends at the first of: the pair budget, the time
         budget, the session's demand being met, a shard task batch
-        arriving (the TaskBatch-aware preemption point), or the
+        being pulled (the shard router's preemption point), or the
         stream ending.  An evicted session whose cursor cannot be
         restored ends here too (0 rows; see :meth:`resume`).
         """
@@ -349,7 +347,7 @@ class JoinScheduler:
 
         Returns the evicted session ids.  Sessions with unmet demand,
         already-evicted sessions, and operators that cannot serialize
-        (a shard router on process lanes) are skipped.
+        are skipped.
         """
         if self.store is None:
             return []
@@ -513,9 +511,8 @@ class JoinScheduler:
         self, session_id: str, fmt: str = "json"
     ) -> Dict[str, Any]:
         """The session's single connected trace -- its observer's span
-        records, plus one synthetic span per process lane of a shard
-        router -- as a nested JSON span tree (``fmt="json"``) or a Chrome
-        trace-event container (``fmt="chrome"``)."""
+        records -- as a nested JSON span tree (``fmt="json"``) or a
+        Chrome trace-event container (``fmt="chrome"``)."""
         session = self.session(session_id)
         obs = session.obs
         if obs.trace is None:
@@ -524,13 +521,6 @@ class JoinScheduler:
                 "scheduler was built with telemetry=False)"
             )
         records = obs.records
-        live = self._live_join(session)
-        snapshots = getattr(live, "task_span_snapshots", None)
-        if snapshots is not None:
-            records.extend(worker_records(
-                snapshots(), getattr(live, "_task_workers", {}),
-                obs.trace.span_id,
-            ))
         if fmt == "chrome":
             return chrome_trace(observer_trace(
                 obs, process_name="repro service",

@@ -204,8 +204,7 @@ class Session:
         history, and its certified floor.
 
         Raises :class:`~repro.errors.CursorError` for operators that
-        only support in-memory suspension (a shard router on process
-        lanes).
+        only support in-memory suspension.
         """
         # Pin the latest certified reading before the plan goes away.
         self.progress_report()

@@ -5,20 +5,18 @@
 - :mod:`repro.shard.catalog` -- partition a relation into per-shard
   R-trees with manifests, fingerprints, MBRs, and cost-model stats;
   persist and lazily reload them through the buffer pool.
-- :mod:`repro.shard.task` -- the picklable per-shard-pair join task
-  and its live state.
+- :mod:`repro.shard.task` -- the per-shard-pair join task and its live
+  state.
 - :mod:`repro.shard.merge` -- the watermark k-way merge with lazy
   admission.
-- :mod:`repro.shard.executor` -- the process lanes, the one way onto a
-  second core.
 - :mod:`repro.shard.router` -- the :class:`ShardRouterJoin` /
   :class:`ShardRouterSemiJoin` operators: shard pairs ordered by
   MINDIST lower bound, lazily admitted by the watermark merge, pruned
-  when the consumer stops first; fully suspendable inline.
+  when the consumer stops first, run inline; fully suspendable.
 - :mod:`repro.shard.cache` -- the fingerprint-keyed plan cache.
 
 SQL reaches the router with ``SHARDS n`` (``PARALLEL n`` and the CLI's
-``--workers n`` are parse-time spellings of it), inline.  See
+``--workers n`` are parse-time spellings of it).  See
 ``docs/SHARDING.md`` for the catalog format, the pruning rule, and the
 cache keys.
 """
@@ -33,7 +31,6 @@ from repro.shard.catalog import (
     catalog_for,
 )
 from repro.shard.router import (
-    InlineShardExecutor,
     ShardPair,
     ShardRouterJoin,
     ShardRouterSemiJoin,
@@ -44,7 +41,6 @@ __all__ = [
     "CATALOG_FORMAT",
     "CATALOG_VERSION",
     "DEFAULT_SHARDS",
-    "InlineShardExecutor",
     "ShardCatalog",
     "ShardInfo",
     "ShardPair",

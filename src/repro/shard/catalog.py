@@ -47,9 +47,9 @@ from typing import Any, Dict, List, Optional
 from repro.errors import ReproError, StorageError
 from repro.geometry.rectangle import Rect
 from repro.shard.partition import STR, STRPartitioner, TaskObject
-from repro.shard.task import load_objects
 from repro.query.costmodel import LevelStats, TreeStats, collect_stats
 from repro.rtree.base import DEFAULT_MAX_ENTRIES, RTreeBase
+from repro.rtree.bulk import bulk_load_str
 from repro.storage.snapshot import load_tree, save_tree
 from repro.util.counters import CounterRegistry
 from repro.util.validation import require
@@ -203,17 +203,14 @@ class ShardCatalog:
         objects: Dict[int, List[TaskObject]] = {}
         infos: List[ShardInfo] = []
         if len(tree) > 0:
-            # The reads and the sample of the two-tree tiler this
-            # replaced: the joint bounds read the root twice, and the
-            # sample is the relation twice over.  Every committed
-            # catalog fingerprint, shard cursor and node_reads golden
-            # was drawn this way.
-            tree.bounds()
-            tree.bounds()
-            rects = [entry.rect for entry in tree.items()]
-            rects += [entry.rect for entry in tree.items()]
-            partitioner = STRPartitioner(shards, rects)
-            groups = partitioner.assign(tree.items())
+            # One walk of the tree.  The STR sample is the relation
+            # twice over, as the two-tree tiler this replaced drew it:
+            # every committed catalog fingerprint and shard cursor was
+            # cut from those quantiles.
+            entries = list(tree.items())
+            rects = [entry.rect for entry in entries]
+            partitioner = STRPartitioner(shards, rects + rects)
+            groups = partitioner.assign(entries)
             for shard_id, tile_index in enumerate(sorted(groups)):
                 members = groups[tile_index]
                 mbr = members[0].rect
@@ -451,6 +448,24 @@ class ShardCatalog:
             f"method={self.method!r}, dim={self.dim}, "
             f"fingerprint={self.fingerprint[:12]})"
         )
+
+
+def load_objects(
+    objects: List[TaskObject],
+    max_entries: int,
+    counters: CounterRegistry,
+) -> RTreeBase:
+    """STR bulk load a shard's objects, preserving payloads.
+
+    Objects with a payload are loaded as that payload (so exact-shape
+    distances keep working); payload-less entries are loaded as their
+    bounding rectangle.
+    """
+    return bulk_load_str(
+        [o.obj if o.obj is not None else o.rect for o in objects],
+        max_entries=max_entries,
+        counters=counters,
+    )
 
 
 def catalog_for(

@@ -14,7 +14,7 @@ tie group -- every pair at the minimal distance, across all streams --
 before emitting any of it, and sorts the group by ``(oid1, oid2)``.
 The output order is then the *canonical* total order
 ``(distance, oid1, oid2)``, identical for every shard count and
-backend, which is what makes the partitioned join's output
+batch size, which is what makes the partitioned join's output
 deterministic and testable against the sequential algorithm.  Waiting
 for the group is safe and cheap: it only requires each live stream's
 watermark to move strictly past the tie distance, i.e. at most one
@@ -41,14 +41,18 @@ bit-identical to the fully sequential join.
 from __future__ import annotations
 
 from collections import deque
-from typing import Any, Callable, Deque, Dict, Iterator, List, Optional, Set
+from typing import (
+    Callable, Deque, Dict, Iterator, List, Optional, Sequence, Set, Tuple,
+)
 
 from repro.core.distance_join import JoinResult
-from repro.shard.executor import TaskBatch
+
+#: Pulls a task's next batch: ``pull(task_id) -> (results, done)``.
+Pull = Callable[[int], Tuple[Sequence[JoinResult], bool]]
 
 
 class _Stream:
-    """Parent-side buffer over one task's ordered result stream."""
+    """The buffer over one task's ordered result stream."""
 
     __slots__ = ("task_id", "buffer", "done", "admitted")
 
@@ -61,10 +65,6 @@ class _Stream:
         self.admitted = admitted
 
     @property
-    def exhausted(self) -> bool:
-        return self.done and not self.buffer
-
-    @property
     def needs_data(self) -> bool:
         return not self.done and not self.buffer
 
@@ -74,17 +74,12 @@ class OrderedStreamMerge:
 
     Parameters
     ----------
-    executor:
-        What drives the tasks: the router's inline executor, or a
-        :class:`~repro.shard.executor.StreamExecutor` over process
-        lanes (both speak ``request`` / ``next_batch``).
+    pull:
+        ``pull(task_id) -> (results, done)``: the task's next batch of
+        ordered results, and whether its stream has ended.  The first
+        pull of a task opens it.
     task_ids:
         Ids of every task feeding the merge.
-    batch_size:
-        Result pairs per task round-trip.
-    on_batch:
-        Callback invoked with every arriving :class:`TaskBatch`
-        (counter aggregation hooks in the join layer).
     dedup_outer:
         Semi-join mode: emit only the first (nearest) result for each
         outer object id and drop the rest.
@@ -105,16 +100,14 @@ class OrderedStreamMerge:
 
     def __init__(
         self,
-        executor: Any,
+        pull: Pull,
         task_ids: List[int],
-        batch_size: int,
-        on_batch: Optional[Callable[[TaskBatch], None]] = None,
         dedup_outer: bool = False,
         expected_outer: Optional[int] = None,
         lower_bounds: Optional[Dict[int, float]] = None,
         on_admit: Optional[Callable[[int], None]] = None,
     ) -> None:
-        self._executor = executor
+        self._pull = pull
         self._lower_bounds = dict(lower_bounds or {})
         self._on_admit = on_admit
         self._streams: Dict[int, _Stream] = {
@@ -123,8 +116,6 @@ class OrderedStreamMerge:
             )
             for task_id in task_ids
         }
-        self._batch_size = batch_size
-        self._on_batch = on_batch
         self._dedup_outer = dedup_outer
         self._expected_outer = expected_outer
         self._seen_outer: Set[int] = set()
@@ -134,37 +125,24 @@ class OrderedStreamMerge:
     # stream plumbing
     # ------------------------------------------------------------------
 
-    def _absorb(self, batch: TaskBatch) -> None:
-        stream = self._streams[batch.task_id]
-        stream.buffer.extend(batch.results)
-        if batch.done:
-            stream.done = True
-        if self._on_batch is not None:
-            self._on_batch(batch)
-
     def _fill(self, needy: List[_Stream]) -> None:
-        """Request data for every needy stream, then block until each
-        has either data or a done flag."""
+        """Pull one batch for each needy stream, in order."""
         for stream in needy:
-            self._executor.request(stream.task_id, self._batch_size)
-        while any(stream.needs_data for stream in needy):
-            self._absorb(self._executor.next_batch(self._batch_size))
+            results, done = self._pull(stream.task_id)
+            stream.buffer.extend(results)
+            if done:
+                stream.done = True
 
-    def _fill_all_live(self) -> bool:
-        """Ensure every live admitted stream is buffered; False when
-        all admitted streams are exhausted."""
+    def _fill_all_live(self) -> None:
+        """Ensure every live admitted stream is buffered."""
         while True:
             needy = [
                 s for s in self._streams.values()
                 if s.admitted and s.needs_data
             ]
             if not needy:
-                break
+                return
             self._fill(needy)
-        return any(
-            not s.exhausted
-            for s in self._streams.values() if s.admitted
-        )
 
     # ------------------------------------------------------------------
     # lazy admission
@@ -312,7 +290,7 @@ class OrderedStreamMerge:
     def state(self) -> Dict:
         """Picklable snapshot of the merge: per-stream buffers, done
         and admission flags, the semi-join bitset, and emitted-but-
-        unconsumed results.  The executor's own task state is saved
+        unconsumed results.  The tasks' own join state is saved
         separately by the owning operator."""
         return {
             "streams": [

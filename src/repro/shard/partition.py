@@ -35,9 +35,8 @@ STR = "str"
 
 
 class TaskObject(NamedTuple):
-    """One indexed object as shipped to a worker: original object id,
-    bounding rectangle, and payload (None when only rectangles are
-    indexed)."""
+    """One indexed object of a shard: original object id, bounding
+    rectangle, and payload (None when only rectangles are indexed)."""
 
     oid: int
     rect: Rect

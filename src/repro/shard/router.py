@@ -17,8 +17,8 @@ bound exceeds ``max_distance`` (or whose MAXDIST cannot reach
 ``min_distance``) are range-pruned before the merge even sees them.
 
 Output is bit-identical to the sequential join with canonical ties
-(the ``(distance, oid1, oid2)`` order) for every shard count and
-backend; the routing decisions are observable as counters::
+(the ``(distance, oid1, oid2)`` order) for every shard count; the
+routing decisions are observable as counters::
 
     shard_pairs_total         planned shard pairs (cross product)
     shard_pairs_range_pruned  eliminated upfront by the distance range
@@ -26,25 +26,20 @@ backend; the routing decisions are observable as counters::
     shard_pairs_pruned        never admitted (finalized when the
                               operator closes; includes range-pruned)
 
-Where a routed task runs is the ``backend``.  ``serial`` executes it
-inline, in this process, through :class:`InlineShardExecutor`, which
-speaks the same ``request``/``next_batch`` protocol as the
-:class:`~repro.shard.executor.StreamExecutor` over ``process`` lanes
-(the only way onto a second core).  Inline execution keeps every
-counter deterministic and makes the whole operator *suspendable*: :meth:`ShardRouterJoin.save`
-captures the merge state, every opened task's join cursor and soft-cap
-position, and the routing counters, and :meth:`ShardRouterJoin.load`
-resumes bit-identically against deterministically rebuilt catalogs
-(the ``shard`` cursor kind; see "Cursor format" in
-``docs/SERVICE.md``).  A router on process lanes keeps its execution
-state in the lanes, so it suspends in memory only, between ``next()``
-calls.
+Routed tasks run inline, in this process, over the catalogs' own
+shard trees: the merge pulls a task's next batch through one callable
+(:meth:`ShardRouterJoin._pull`), which opens the task on first use.
+Every counter is therefore deterministic and the whole operator is
+*suspendable*: :meth:`ShardRouterJoin.save` captures the merge state,
+every opened task's join cursor and soft-cap position, and the routing
+counters, and :meth:`ShardRouterJoin.load` resumes bit-identically
+against deterministically rebuilt catalogs (the ``shard`` cursor kind;
+see "Cursor format" in ``docs/SERVICE.md``).
 """
 
 from __future__ import annotations
 
-from collections import deque
-from typing import Any, Deque, Dict, List, NamedTuple, Optional, Tuple
+from typing import Any, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from repro.core import cursor
 from repro.core.distance_join import JoinResult
@@ -57,27 +52,17 @@ from repro.shard.catalog import (
     ShardCatalog,
     catalog_for,
 )
-from repro.shard.executor import (
-    BACKENDS,
-    DEFAULT_BATCH_SIZE,
-    PROCESS,
-    SERIAL,
-    StreamExecutor,
-    TaskBatch,
-    default_workers,
-)
 from repro.shard.merge import OrderedStreamMerge
 from repro.shard.partition import STR
 from repro.shard.task import TaskState, TileJoinTask
-from repro.util.counters import CounterRegistry, CounterSnapshot
-from repro.util.obs import ObsSnapshot, Observer
+from repro.util.counters import CounterRegistry
+from repro.util.obs import Observer
 from repro.util.validation import require
 
 _INF = float("inf")
 
-#: Shared empty snapshot for inline batches: inline tasks charge the
-#: router's registry directly, so batches carry no counter delta.
-_EMPTY_COUNTERS = CounterRegistry().full_snapshot()
+#: Default result pairs per task batch.
+DEFAULT_BATCH_SIZE = 64
 
 
 class ShardPair(NamedTuple):
@@ -156,52 +141,6 @@ def route_summary(
     }
 
 
-class InlineShardExecutor:
-    """The ``serial`` backend: drives shard-pair tasks inline,
-    speaking the :class:`~repro.shard.executor.StreamExecutor`
-    protocol the watermark merge consumes (``request`` enqueues,
-    ``next_batch`` advances exactly one requested task and returns its
-    batch).
-
-    A task is *closed* until its first batch is requested: no shard
-    tree is built or loaded, no join constructed.  ``tasks`` holds the
-    opened ones.
-    """
-
-    def __init__(self, router: "ShardRouterJoin") -> None:
-        self._router = router
-        self.tasks: Dict[int, TaskState] = {}
-        self._queue: Deque[int] = deque()
-
-    def request(self, task_id: int, batch_size: int) -> None:
-        if task_id not in self._queue:
-            self._queue.append(task_id)
-
-    def next_batch(self, batch_size: int) -> TaskBatch:
-        if not self._queue:
-            raise JoinError(
-                "inline shard executor: no outstanding request"
-            )
-        task_id = self._queue.popleft()
-        task = self.tasks.get(task_id)
-        if task is None:
-            task = self.tasks[task_id] = self._router._open_inline(
-                task_id
-            )
-        results = task.advance(batch_size)
-        return TaskBatch(
-            task_id=task_id,
-            results=tuple(results),
-            done=task.done,
-            counters=_EMPTY_COUNTERS,
-            worker="inline",
-            spans=None,
-        )
-
-    def close(self) -> None:
-        self._queue.clear()
-
-
 class ShardRouterJoin(cursor.SuspendableOperator):
     """Cost-bounded shard-routed incremental distance join.
 
@@ -216,26 +155,15 @@ class ShardRouterJoin(cursor.SuspendableOperator):
     catalogs:
         Optional prebuilt ``(catalog1, catalog2)`` pair -- e.g. opened
         from disk with :meth:`ShardCatalog.open` -- overriding
-        derivation from the trees.
+        derivation from the trees.  Both must be cut into the same
+        number of shards, which is then the router's ``shards``; a
+        ``shards`` argument that contradicts it is a ``ValueError``.
     batch_size:
-        Result pairs per task round-trip.
+        Result pairs per task batch.
     catalog_cache:
         Reuse catalogs memoized on the trees (default).  The benchmark
         harness disables this so repeated runs charge identical build
         counters.
-    backend:
-        Where routed tasks run: ``"serial"`` (default; inline,
-        deterministic, suspendable) or ``"process"`` (one lane process
-        per worker; see :mod:`repro.shard.executor`).  With
-        ``process`` every task and knob must pickle; a non-picklable
-        ``pair_filter`` falls back to ``serial`` (counted as
-        ``parallel_backend_fallback``).
-    workers:
-        Process lanes (default: CPU count capped at 8; ignored by
-        ``serial``).
-    timeout:
-        Seconds to wait for any single lane batch before raising
-        :class:`~repro.errors.JoinError` (None = wait forever).
     spec:
         A :class:`~repro.core.spec.JoinSpec`, applied inside every
         task (None means ``JoinSpec()``).  Validated with
@@ -243,10 +171,9 @@ class ShardRouterJoin(cursor.SuspendableOperator):
         rejects what the engine cannot honour (``descending`` -- the
         merge is a min-merge -- and a non-memory ``queue`` tier).
     counters:
-        As in the sequential join.  Inline tasks and their shard trees
-        charge this registry directly, so ``serial`` counters are
-        exact and deterministic; lanes charge private registries
-        whose per-batch deltas are merged in.
+        As in the sequential join.  Tasks and their shard trees charge
+        this registry directly, so the counters are exact and
+        deterministic.
     observer:
         Stage-timing sink (:class:`~repro.util.obs.Observer`).  Unlike
         the sequential join, the default is a private *enabled*
@@ -269,9 +196,6 @@ class ShardRouterJoin(cursor.SuspendableOperator):
         catalogs: Optional[Tuple[ShardCatalog, ShardCatalog]] = None,
         batch_size: int = DEFAULT_BATCH_SIZE,
         catalog_cache: bool = True,
-        backend: str = SERIAL,
-        workers: Optional[int] = None,
-        timeout: Optional[float] = None,
         counters: Optional[CounterRegistry] = None,
         observer: Optional[Observer] = None,
         _resume: Optional[Dict[str, Any]] = None,
@@ -284,7 +208,6 @@ class ShardRouterJoin(cursor.SuspendableOperator):
         spec = JoinSpec() if spec is None else spec
         spec.validate(parallel=True)
         if _resume is not None:
-            # Only the serial backend saves cursors.
             if _resume["method"] != STR:
                 raise CursorError(
                     f"the cursor's catalogs were cut with the "
@@ -293,36 +216,35 @@ class ShardRouterJoin(cursor.SuspendableOperator):
                 )
             shards = _resume["shards"]
             batch_size = _resume["batch_size"]
-            backend = SERIAL
+        if catalogs is not None:
+            # The cursor records one shard count and rebuilds both
+            # catalogs from it, so it must be theirs.
+            cut = sorted({catalog.shards for catalog in catalogs})
+            require(len(cut) == 1,
+                    f"the catalogs are cut into {cut} shards, not one "
+                    f"count")
+            require(shards in (None, cut[0]),
+                    f"shards={shards} contradicts the catalogs, cut "
+                    f"into {cut[0]}")
+            shards = cut[0]
         if shards is None:
             shards = DEFAULT_SHARDS
-        if workers is None:
-            workers = 1 if backend == SERIAL else default_workers()
         require(shards >= 1, "shards must be at least 1")
         require(batch_size >= 1, "batch_size must be at least 1")
-        require(workers >= 1, "workers must be at least 1")
-        require(backend in BACKENDS,
-                f"backend must be one of {BACKENDS}")
 
         self.spec = spec
         self.tree1 = tree1
         self.tree2 = tree2
         self.shards = shards
         self.batch_size = batch_size
-        self.workers = workers
-        self.timeout = timeout
         self.max_pairs = spec.max_pairs
         self.counters = counters if counters is not None else tree1.counters
         self.obs = observer if observer is not None else Observer(
             max_events=0
         )
-        if backend == PROCESS and not cursor.picklable(spec.pair_filter):
-            self.counters.add("parallel_backend_fallback")
-            backend = SERIAL
-        self.backend = backend
         # Semi-join task streams stay uncapped: duplicate outer
         # objects are discarded only after the merge.
-        self.worker_spec = (
+        self.task_spec = (
             spec.evolve(max_pairs=None) if self._semi_join else spec
         )
 
@@ -346,21 +268,19 @@ class ShardRouterJoin(cursor.SuspendableOperator):
             len(self.catalog1) * len(self.catalog2)
         )
 
-        self._executor: Any = None
+        #: The opened tasks: a task is closed (no shard tree built or
+        #: loaded, no join constructed) until its first batch is pulled.
+        self._tasks: Dict[int, TaskState] = {}
         self._merge: Optional[OrderedStreamMerge] = None
         self._produced = 0
         self._routed = 0
         self._closed = False
         self._finalized = False
-        #: Task result batches folded in so far.  Batch arrivals are
-        #: the operator's natural preemption points: the scheduler's
+        #: Task result batches pulled so far.  Batch pulls are the
+        #: operator's natural preemption points: the scheduler's
         #: quantum loop reads this to yield between batches instead of
         #: mid-batch.
         self.batches_received = 0
-        # Process lanes only: latest cumulative snapshots per task.
-        self._task_snapshots: Dict[int, CounterSnapshot] = {}
-        self._task_obs: Dict[int, ObsSnapshot] = {}
-        self._task_workers: Dict[int, str] = {}
 
         if _resume is not None:
             # :meth:`load`: the suspended run already charged the
@@ -387,19 +307,16 @@ class ShardRouterJoin(cursor.SuspendableOperator):
         )
 
     def _task(self, task_id: int) -> TileJoinTask:
-        """The picklable description of one planned pair's join
-        (``task_id`` indexes :attr:`pairs`).  Asking for it loads the
-        two shards of a catalog opened from disk."""
+        """The description of one planned pair's join (``task_id``
+        indexes :attr:`pairs`).  Asking for it loads the two shards of
+        a catalog opened from disk."""
         pair = self.pairs[task_id]
         return TileJoinTask(
             task_id=task_id,
             objects1=self.catalog1.table(pair.sid1),
             objects2=self.catalog2.table(pair.sid2),
-            spec=self.worker_spec,
+            spec=self.task_spec,
             semi_join=self._semi_join,
-            max_entries=max(
-                self.catalog1.max_entries, self.catalog2.max_entries
-            ),
         )
 
     @property
@@ -411,7 +328,7 @@ class ShardRouterJoin(cursor.SuspendableOperator):
     # execution
     # ------------------------------------------------------------------
 
-    def _open_inline(
+    def _open(
         self, task_id: int, saved: Optional[Dict[str, Any]] = None
     ) -> TaskState:
         """Open (or resume) a task over the catalogs' own shard trees,
@@ -425,45 +342,25 @@ class ShardRouterJoin(cursor.SuspendableOperator):
             saved,
         )
 
+    def _pull(self, task_id: int) -> Tuple[Sequence[JoinResult], bool]:
+        """The merge's one way into a task: open it on first use,
+        advance it one batch, and return ``(results, done)``."""
+        task = self._tasks.get(task_id)
+        if task is None:
+            task = self._tasks[task_id] = self._open(task_id)
+        results = task.advance(self.batch_size)
+        self.batches_received += 1
+        self.counters.add("shard_batches")
+        return results, task.done
+
     def _on_admit(self, task_id: int) -> None:
         self._routed += 1
         self.counters.add("shard_pairs_routed")
 
-    def _on_batch(self, batch: TaskBatch) -> None:
-        self.batches_received += 1
-        self.counters.add("shard_batches")
-        if self.backend == SERIAL:
-            return
-        # A lane's counters and stage timings are cumulative
-        # per task: merge only the increment.
-        task_id = batch.task_id
-        previous = self._task_snapshots.get(task_id)
-        self.counters.merge(
-            batch.counters.delta_from(previous)
-            if previous is not None else batch.counters
-        )
-        self._task_snapshots[task_id] = batch.counters
-        self._task_workers[task_id] = batch.worker
-        prev_obs = self._task_obs.get(task_id)
-        if self.obs.enabled:
-            self.obs.merge(
-                batch.spans.delta_from(prev_obs)
-                if prev_obs is not None else batch.spans
-            )
-        self._task_obs[task_id] = batch.spans
-
     def _start(self) -> None:
-        if self.backend == SERIAL:
-            self._executor = InlineShardExecutor(self)
-        else:
-            self._executor = StreamExecutor(
-                self._task, self.workers, self.timeout
-            )
         self._merge = OrderedStreamMerge(
-            self._executor,
+            self._pull,
             [pair.task_id for pair in self.pairs],
-            self.batch_size,
-            on_batch=self._on_batch,
             dedup_outer=self._semi_join,
             expected_outer=len(self.tree1),
             lower_bounds={
@@ -492,9 +389,7 @@ class ShardRouterJoin(cursor.SuspendableOperator):
                     result = next(self._merge)
             else:
                 result = next(self._merge)
-        except (StopIteration, JoinError):
-            # Exhausted, or a lane failure the executor reported:
-            # either way iteration afterwards reports exhaustion.
+        except StopIteration:
             self.close()
             raise
         self._produced += 1
@@ -506,8 +401,7 @@ class ShardRouterJoin(cursor.SuspendableOperator):
     # ------------------------------------------------------------------
 
     def close(self) -> None:
-        """Finalize routing counters, cancel outstanding lane batches
-        and drop task state.
+        """Finalize routing counters.
 
         Safe to call repeatedly; iteration afterwards reports
         exhaustion.  Also invoked when the iterator is exhausted, when
@@ -524,8 +418,6 @@ class ShardRouterJoin(cursor.SuspendableOperator):
             self.counters.add(
                 "shard_pairs_pruned", self.pairs_total - self._routed
             )
-        if self._executor is not None:
-            self._executor.close()
 
     def __enter__(self) -> "ShardRouterJoin":
         return self
@@ -567,63 +459,29 @@ class ShardRouterJoin(cursor.SuspendableOperator):
             "shard_pairs_routed": self._routed,
         }
 
-    def task_counter_snapshots(self) -> Dict[int, CounterSnapshot]:
-        """Latest per-task lane counter snapshots (task id keyed;
-        empty for ``serial``, whose tasks charge
-        :attr:`counters` directly)."""
-        return dict(self._task_snapshots)
-
-    def task_span_snapshots(self) -> Dict[int, ObsSnapshot]:
-        """Latest per-task lane stage timings (task id keyed)."""
-        return dict(self._task_obs)
-
-    def worker_breakdown(self) -> Dict[str, CounterSnapshot]:
-        """Aggregate the per-task snapshots by executing worker."""
-        merged: Dict[str, CounterRegistry] = {}
-        for task_id, snapshot in self._task_snapshots.items():
-            worker = self._task_workers.get(task_id, "?")
-            registry = merged.setdefault(worker, CounterRegistry())
-            registry.merge(snapshot)
-        return {
-            worker: registry.full_snapshot()
-            for worker, registry in merged.items()
-        }
-
     def stage_breakdown(self) -> Dict[str, float]:
         """Wall seconds per pipeline stage, aggregated so far.
 
         - ``partition``: catalog construction and route planning;
-        - ``worker_build``: lanes constructing per-pair joins;
-        - ``worker_join``: lanes pulling result batches (summed over
-          lanes, so it can exceed wall time);
-        - ``merge``: recombination, *including* time spent running
-          inline tasks or waiting on lane batches.
+        - ``merge``: recombination, *including* the time spent opening
+          and advancing the shard-pair tasks it pulls from.
         """
         return {
             "partition": self.obs.span_seconds("shard.route"),
-            "worker_build": self.obs.span_seconds("worker.build"),
-            "worker_join": self.obs.span_seconds("worker.join"),
             "merge": self.obs.span_seconds("shard.merge"),
         }
 
     def trace_events(self) -> List[Dict[str, Any]]:
-        """The execution so far as Chrome trace events.
-
-        One driver track (the route/merge spans, plus per-occurrence
-        events when the observer records them) and one track per lane
-        built from the :class:`ObsSnapshot`\\ s the workers
-        shipped with their batches; load with Perfetto or
+        """The execution so far as Chrome trace events: one track of
+        the route/merge spans, plus per-occurrence events when the
+        observer records them; load with Perfetto or
         ``chrome://tracing``.
         """
         from repro.util import tracing
 
-        events = tracing.observer_trace(
+        return tracing.sort_events(tracing.observer_trace(
             self.obs, process_name="repro partitioned join",
-        )
-        events.extend(tracing.worker_track_events(
-            self._task_obs, self._task_workers,
         ))
-        return tracing.sort_events(events)
 
     def write_trace(self, path: str) -> str:
         """Write :meth:`trace_events` to ``path`` as trace JSON."""
@@ -631,11 +489,7 @@ class ShardRouterJoin(cursor.SuspendableOperator):
 
         return tracing.write_chrome_trace(
             path, self.trace_events(),
-            metadata={
-                "workers": self.workers,
-                "backend": self.backend,
-                "tasks": len(self.pairs),
-            },
+            metadata={"shards": self.shards, "tasks": len(self.pairs)},
         )
 
     # ------------------------------------------------------------------
@@ -651,22 +505,7 @@ class ShardRouterJoin(cursor.SuspendableOperator):
         saved catalog fingerprints (a cursor taken over externally
         supplied catalogs resumes only if rebuilt catalogs have
         identical content).
-
-        Only the ``serial`` backend has one: a router on process lanes
-        keeps its execution state in the lanes (in-flight batches,
-        per-lane queues), so it cannot be turned into a cursor.  It
-        is still a Python iterator, so the scheduler suspends it *in
-        memory* between ``next()`` calls -- ideally at
-        :attr:`batches_received` boundaries -- but such a session
-        cannot be evicted to disk.
         """
-        if self.backend != SERIAL:
-            raise CursorError(
-                f"{type(self).__name__} on the {self.backend} backend "
-                "does not support save(): a join on process lanes "
-                "suspends in memory only (between next() calls), not "
-                "to a serialized cursor"
-            )
         merge = self._merge
         return {
             "catalogs": (
@@ -682,10 +521,7 @@ class ShardRouterJoin(cursor.SuspendableOperator):
             "batches_received": self.batches_received,
             "tasks": {
                 task_id: task.state()
-                for task_id, task in (
-                    self._executor.tasks if self._executor is not None
-                    else {}
-                ).items()
+                for task_id, task in self._tasks.items()
             },
             "merge": merge.state() if merge is not None else None,
         }
@@ -706,9 +542,7 @@ class ShardRouterJoin(cursor.SuspendableOperator):
             self._start()
             self._merge.restore(body["merge"])
             for task_id, task_state in body["tasks"].items():
-                self._executor.tasks[task_id] = self._open_inline(
-                    task_id, task_state
-                )
+                self._tasks[task_id] = self._open(task_id, task_state)
         self._closed = body["closed"]
         self._finalized = body["finalized"]
 
@@ -716,7 +550,7 @@ class ShardRouterJoin(cursor.SuspendableOperator):
         return (
             f"{type(self).__name__}(shards="
             f"({len(self.catalog1)}, {len(self.catalog2)}), "
-            f"backend={self.backend}, pairs={len(self.pairs)}, "
+            f"pairs={len(self.pairs)}, "
             f"routed={self._routed}, produced={self._produced})"
         )
 

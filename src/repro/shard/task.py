@@ -1,17 +1,16 @@
 """Per-pair join tasks: the unit of work of the partitioned engine.
 
-A :class:`TileJoinTask` is a picklable description of one shard-pair
-join: the two shards' object lists plus the *unified*
+A :class:`TileJoinTask` describes one shard-pair join: the two shards'
+translation tables plus the *unified*
 :class:`repro.core.spec.JoinSpec` of strategy knobs -- the same spec
-type that configures the sequential operators, so the engine ships
+type that configures the sequential operators, so the engine runs
 exactly the configuration it was given (validated once, by
 ``JoinSpec.validate(parallel=True)``, rather than silently dropping
 unsupported knobs).  A :class:`TaskState` runs it: the ordinary
 sequential :class:`IncrementalDistanceJoin` or
-:class:`IncrementalDistanceSemiJoin` over two small R*-trees -- the
-paper's algorithm, unchanged, inside each partition pair -- advanced
-one batch at a time wherever the executor backend put it (inline in
-the router, or inside a process lane).
+:class:`IncrementalDistanceSemiJoin` over the catalogs' two shard
+R*-trees -- the paper's algorithm, unchanged, inside each partition
+pair -- advanced one batch at a time by the router.
 
 Shard trees carry dense local object ids; results are translated back
 to the original ids before they leave the task, so the merge never
@@ -34,8 +33,7 @@ from repro.core.semi_join import IncrementalDistanceSemiJoin
 from repro.core.spec import JoinSpec
 from repro.core.ties import CanonicalTies
 from repro.shard.partition import TaskObject
-from repro.rtree.base import DEFAULT_MAX_ENTRIES, RTreeBase
-from repro.rtree.bulk import bulk_load_str
+from repro.rtree.base import RTreeBase
 from repro.util.counters import CounterRegistry
 
 __all__ = ["TaskState", "TileJoinTask"]
@@ -43,12 +41,12 @@ __all__ = ["TaskState", "TileJoinTask"]
 
 @dataclass
 class TileJoinTask:
-    """One shard-pair join, fully described and picklable.
+    """One shard-pair join.
 
-    ``spec`` carries the join knobs; ``semi_join`` selects the
-    operator and ``max_entries`` the fanout of shard trees a pool
-    worker builds from the object lists (engine concerns, so they live
-    on the task, not the spec).
+    ``objects1`` / ``objects2`` map each shard tree's local object ids
+    to the original objects (:class:`TaskObject`); ``spec`` carries
+    the join knobs; ``semi_join`` selects the operator (an engine
+    concern, so it lives on the task, not the spec).
 
     ``spec.max_pairs`` bounds the task's stream.  For the plain join
     the consumer's ``stop after K`` bound is safe per stream: the
@@ -66,7 +64,6 @@ class TileJoinTask:
     objects2: List[TaskObject]
     spec: JoinSpec = field(default_factory=JoinSpec)
     semi_join: bool = False
-    max_entries: int = DEFAULT_MAX_ENTRIES
 
     def __repr__(self) -> str:
         return (
@@ -79,7 +76,7 @@ class TaskState:
     """The live join of one :class:`TileJoinTask` between batches.
 
     The per-stream soft cap is the :class:`CanonicalTies` rule, whose
-    explicit fields let an inline task suspend (:meth:`state`).
+    explicit fields let a task suspend (:meth:`state`).
     """
 
     __slots__ = ("task", "join", "ties")
@@ -139,24 +136,6 @@ class TaskState:
 
     def state(self) -> Dict[str, Any]:
         return {"join": self.join.save(), "ties": self.ties.state()}
-
-
-def load_objects(
-    objects: List[TaskObject],
-    max_entries: int,
-    counters: CounterRegistry,
-) -> RTreeBase:
-    """STR bulk load a shard's objects, preserving payloads.
-
-    Objects with a payload are loaded as that payload (so exact-shape
-    distances keep working); payload-less entries are loaded as their
-    bounding rectangle.
-    """
-    return bulk_load_str(
-        [o.obj if o.obj is not None else o.rect for o in objects],
-        max_entries=max_entries,
-        counters=counters,
-    )
 
 
 def _translated_filter(

@@ -10,7 +10,7 @@ collect exactly those measures (and more) deterministically.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, Mapping, Tuple, Union
+from typing import Dict, Iterator, Mapping, Tuple
 
 
 class Counter:
@@ -52,10 +52,8 @@ class Counter:
 class CounterSnapshot:
     """A frozen, picklable view of a registry: totals plus peaks.
 
-    Parallel join workers run against private registries and ship
-    snapshots back with each result batch; the parent merges them with
-    :meth:`CounterRegistry.merge`.  Snapshots are plain dataclasses of
-    dicts, so they pickle cheaply across process boundaries.
+    Snapshots are plain dataclasses of dicts, so they pickle cheaply
+    (cursors carry one) and subtract (:meth:`delta_from`).
     """
 
     values: Dict[str, int] = field(default_factory=dict)
@@ -74,14 +72,13 @@ class CounterSnapshot:
 
         Values subtract (what happened in between); peaks keep this
         snapshot's high-water marks (a peak is a level, not a flow).
-        Used to merge a worker's periodic snapshots into a parent
-        registry without double counting.
+        Used to report the work of one query against a registry that
+        outlives it.
 
-        A total *below* the earlier snapshot's means the contributor
-        was ``reset()`` in between; everything it now reports happened
+        A total *below* the earlier snapshot's means the registry was
+        ``reset()`` in between; everything it now reports happened
         since that reset, so the delta is the current total.  Deltas
-        are therefore never negative -- a negative increment merged
-        into a parent registry would silently subtract work.
+        are therefore never negative.
         """
         values: Dict[str, int] = {}
         for name, total in self.values.items():
@@ -169,41 +166,6 @@ class CounterRegistry:
             values={n: c.value for n, c in self._counters.items()},
             peaks={n: c.peak for n, c in self._counters.items()},
         )
-
-    def merge(
-        self, other: Union["CounterRegistry", CounterSnapshot]
-    ) -> None:
-        """Fold another registry's (or snapshot's) work into this one.
-
-        Totals add; peaks combine by maximum -- the merged registry
-        reports the work of all contributors and the highest level any
-        single contributor observed.  This is how the parallel join
-        aggregates per-worker registries into the parent's.
-
-        Two guards keep the result well-formed:
-
-        - negative contributions (a malformed delta) are dropped --
-          merging must never subtract work;
-        - cumulative counters keep the ``peak >= value`` invariant
-          that :meth:`Counter.add` maintains.  Each contributor's peak
-          equals its own total, so a plain max-combine would leave the
-          merged total above the merged peak; ``Counter.add`` already
-          lifts the peak with the value, and the explicit observe
-          below only ever raises it further (gauge-style peaks).
-        """
-        snap = other.full_snapshot() if isinstance(
-            other, CounterRegistry
-        ) else other
-        for name, value in snap.values.items():
-            if value > 0:
-                self.counter(name).add(value)
-        for name, peak in snap.peaks.items():
-            if peak > 0:
-                self.counter(name).observe(peak)
-        for name in snap.values:
-            counter = self._counters.get(name)
-            if counter is not None and counter.value > counter.peak:
-                counter.peak = counter.value
 
     def __iter__(self) -> Iterator[Tuple[str, Counter]]:
         return iter(sorted(self._counters.items()))

@@ -13,10 +13,8 @@ module answers "how long, when, and under what":
   open on that observer), float **gauges** with a bounded timeline,
   and a bounded **event log** -- all on one clock that survives
   :meth:`Observer.state` / :meth:`Observer.restore`;
-- :class:`ObsSnapshot` is the frozen, picklable view of the aggregates
-  that parallel workers ship back with every result batch (next to
-  their :class:`~repro.util.counters.CounterSnapshot`) and the parent
-  merges;
+- :class:`ObsSnapshot` is the frozen, picklable view of the
+  aggregates (what a suspended observer's state carries);
 - :func:`metrics_records` / :func:`write_metrics` serialize counters
   and observations into one machine-readable schema: JSON-lines plus a
   Prometheus-style text dump, shared by the CLI's ``--metrics`` flag,
@@ -287,9 +285,8 @@ class ObsSnapshot:
     ``spans`` maps phase name to ``(count, total_s, min_s, max_s)``;
     ``gauges`` maps gauge name to ``(count, last, min, max)``.  Like
     :class:`~repro.util.counters.CounterSnapshot`, snapshots are plain
-    dataclasses of dicts so they pickle cheaply across process
-    boundaries; parallel workers ship cumulative snapshots and the
-    parent merges per-batch deltas (:meth:`delta_from`).
+    dataclasses of dicts so they pickle cheaply; :meth:`Observer.merge`
+    folds one into an observer.
     """
 
     spans: Dict[str, Tuple[int, float, float, float]] = field(
@@ -311,40 +308,6 @@ class ObsSnapshot:
     def gauge_last(self, name: str) -> Optional[float]:
         entry = self.gauges.get(name)
         return entry[1] if entry is not None else None
-
-    def delta_from(self, earlier: "ObsSnapshot") -> "ObsSnapshot":
-        """The increment between ``earlier`` and this snapshot.
-
-        Span counts and totals subtract (clamped at zero, mirroring
-        the reset guard of
-        :meth:`~repro.util.counters.CounterSnapshot.delta_from`);
-        min/max keep this snapshot's values -- extrema are levels, not
-        flows.  Gauges keep this snapshot's state with the sample-count
-        increment.
-        """
-        spans: Dict[str, Tuple[int, float, float, float]] = {}
-        for name, (count, total, mn, mx) in self.spans.items():
-            prev = earlier.spans.get(name)
-            if prev is None:
-                spans[name] = (count, total, mn, mx)
-                continue
-            d_count = count - prev[0]
-            d_total = total - prev[1]
-            if d_count < 0 or d_total < 0:
-                # The contributor was reset mid-run: everything it now
-                # reports happened since the reset.
-                d_count, d_total = count, total
-            if d_count or d_total:
-                spans[name] = (d_count, d_total, mn, mx)
-        gauges: Dict[str, Tuple[int, float, float, float]] = {}
-        for name, (count, last, mn, mx) in self.gauges.items():
-            prev = earlier.gauges.get(name)
-            d_count = count - prev[0] if prev is not None else count
-            if d_count < 0:
-                d_count = count
-            if prev is None or d_count:
-                gauges[name] = (d_count, last, mn, mx)
-        return ObsSnapshot(spans=spans, gauges=gauges)
 
     def __repr__(self) -> str:
         body = ", ".join(
@@ -519,8 +482,7 @@ class Observer:
         """Fold another observer's (or snapshot's) aggregates in.
 
         Span counts and totals add; extrema combine by min/max.  Gauge
-        merges keep the other side's last value (it is newer by
-        construction in the worker-batch flow) and combine extrema.
+        merges keep the other side's last value and combine extrema.
         Records and events stay with the observer that recorded them.
         """
         snap = other.snapshot() if isinstance(other, Observer) else other

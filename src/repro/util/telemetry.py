@@ -13,8 +13,8 @@ This module records nothing; it holds the two value types the
 recorder (:class:`repro.util.obs.Observer`) and the service share:
 
 - :class:`TraceContext` -- W3C ``traceparent`` parsing/minting, the
-  identity that ties HTTP request, scheduler quanta, operator spans,
-  and parallel-worker snapshots into *one* trace;
+  identity that ties HTTP request, scheduler quanta and operator
+  spans into *one* trace;
 - :class:`ProgressEstimator` -- folds an operator's raw
   ``progress_signals()`` dict into a
   ``(lower_bound, estimate, phase)`` :class:`ProgressReport` whose

@@ -7,11 +7,10 @@ observer), gauge timelines, and the event log -- as Chrome trace-event
 JSON, the format read by Perfetto (https://ui.perfetto.dev) and
 ``chrome://tracing``, or as one JSON tree rooted at the trace context
 (:func:`span_tree`, what ``/debug/trace`` serves).  Aggregates that
-carry no per-occurrence times -- an untraced observer, the
-:class:`~repro.util.obs.ObsSnapshot` objects that process lanes ship
-inside every :class:`~repro.shard.executor.TaskBatch` -- are first
-drawn as records (:func:`summary_records`), so every span on every
-surface goes through the one :func:`span_record_events`.
+carry no per-occurrence times -- an untraced observer's
+:class:`~repro.util.obs.ObsSnapshot` -- are first drawn as records
+(:func:`summary_records`), so every span on every surface goes
+through the one :func:`span_record_events`.
 
 Event vocabulary used (all standard trace-event phases):
 
@@ -39,7 +38,6 @@ from typing import (
     Mapping,
     Optional,
     Sequence,
-    Tuple,
     Union,
 )
 
@@ -54,8 +52,6 @@ __all__ = [
     "span_record_events",
     "span_tree",
     "summary_records",
-    "worker_records",
-    "worker_track_events",
     "write_chrome_trace",
 ]
 
@@ -157,19 +153,16 @@ def summary_records(
     snapshot: ObsSnapshot,
     parent_id: str = "",
     t0: float = 0.0,
-    ids: Optional[Iterator[str]] = None,
 ) -> List[SpanRecord]:
     """Aggregate span stats as a synthetic sequential timeline.
 
-    Snapshots carry totals, not per-occurrence timestamps (that is
-    what keeps them cheap to pickle across the process boundary), so
-    each phase is drawn once, ``total_s`` long, phases laid end to
-    end in name order from ``t0``.  The result reads as a time budget
-    rather than a literal schedule; counts and extrema ride in the
-    records' attributes.
+    Snapshots carry totals, not per-occurrence timestamps, so each
+    phase is drawn once, ``total_s`` long, phases laid end to end in
+    name order from ``t0``.  The result reads as a time budget rather
+    than a literal schedule; counts and extrema ride in the records'
+    attributes.
     """
-    if ids is None:
-        ids = _synthetic_ids()
+    ids = _synthetic_ids()
     records: List[SpanRecord] = []
     cursor = t0
     for name in sorted(snapshot.spans):
@@ -183,76 +176,6 @@ def summary_records(
         ))
         cursor += total
     return records
-
-
-def _by_worker(
-    task_obs: Mapping[int, ObsSnapshot],
-    task_workers: Mapping[int, str],
-) -> List[Tuple[str, int, ObsSnapshot]]:
-    """``(worker label, tasks, merged snapshot)`` in label order, from
-    what :meth:`~repro.shard.router.ShardRouterJoin
-    .task_span_snapshots` and its worker map provide: the cumulative
-    stage timings each worker shipped in its :class:`TaskBatch`."""
-    grouped: Dict[str, List[ObsSnapshot]] = {}
-    for task_id, snapshot in task_obs.items():
-        label = task_workers.get(task_id, "worker-?")
-        grouped.setdefault(label, []).append(snapshot)
-    out = []
-    for label in sorted(grouped):
-        merged = Observer(max_events=0)
-        for snapshot in grouped[label]:
-            merged.merge(snapshot)
-        out.append((label, len(grouped[label]), merged.snapshot()))
-    return out
-
-
-def worker_records(
-    task_obs: Mapping[int, ObsSnapshot],
-    task_workers: Mapping[int, str],
-    parent_id: str,
-) -> List[SpanRecord]:
-    """Pool workers as records under ``parent_id``: one
-    ``worker:<label>`` span per worker with its stage totals
-    (:func:`summary_records`) beneath it."""
-    ids = _synthetic_ids()
-    records: List[SpanRecord] = []
-    for label, tasks, merged in _by_worker(task_obs, task_workers):
-        worker_id = next(ids)
-        stages = summary_records(merged, worker_id, ids=ids)
-        records.append(SpanRecord(
-            f"worker:{label}", worker_id, parent_id, 0.0,
-            sum(stage.dur for stage in stages), {"tasks": tasks},
-        ))
-        records.extend(stages)
-    return records
-
-
-def worker_track_events(
-    task_obs: Mapping[int, ObsSnapshot],
-    task_workers: Mapping[int, str],
-    pid: int = DRIVER_PID + 1,
-    cat: str = "worker",
-) -> List[Dict[str, Any]]:
-    """One trace track per parallel worker from per-task snapshots.
-
-    Tasks are grouped by executing worker; each worker gets one
-    ``(pid, tid)`` pair (tids are assigned in sorted worker-label
-    order, so output is deterministic) plus a ``thread_name`` metadata
-    event carrying the worker label (``pid-1234`` or
-    ``pid-1234/repro-join_0``).
-    """
-    events: List[Dict[str, Any]] = [
-        process_name_event(pid, "repro workers")
-    ]
-    ids = _synthetic_ids()
-    for tid, (label, __, merged) in enumerate(
-        _by_worker(task_obs, task_workers), start=1
-    ):
-        events.append(thread_name_event(pid, tid, label))
-        events.extend(span_record_events(
-            summary_records(merged, ids=ids), pid=pid, tid=tid, cat=cat,
-        ))
-    return events
 
 
 def observer_trace(

@@ -53,7 +53,7 @@ class TestRegistry:
         names = {case.name for case in cases_for(SMOKE)}
         for prefix in (
             "table1.", "fig6.", "fig7.", "fig8.", "fig9.", "fig10.",
-            "parallel.",
+            "shard.",
         ):
             assert any(n.startswith(prefix) for n in names), prefix
 

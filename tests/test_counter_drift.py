@@ -311,7 +311,7 @@ GOLDEN_SQL = {
     "shards4": (
         f"{SQL_HEAD}ORDER BY d STOP AFTER 1000 SHARDS 4",
         "even (SHARDS)",
-        1000, 11263, 508, 10870, 1556,
+        1000, 11263, 432, 10870, 1556,
     ),
 }
 

@@ -1,10 +1,9 @@
 """Property test: the partitioned join is equivalent to the sequential
-one on both backends.
+one.
 
 For random datasets (integer coordinates, so distance ties are common
 and the tie-handling actually gets exercised) the shard router with 1,
-2 and 4 shards -- inline (``serial``) and on as many process lanes --
-must emit exactly the same distance-sorted, tie-stable pair sequence
+2 and 4 shards must emit exactly the same distance-sorted, tie-stable pair sequence
 as :class:`IncrementalDistanceJoin`, both in full and as a ``stop
 after K`` prefix.
 
@@ -24,7 +23,7 @@ from repro.geometry.point import Point
 from repro.rtree.bulk import bulk_load_str
 from repro.shard import ShardRouterJoin, ShardRouterSemiJoin
 
-WORKER_COUNTS = (1, 2, 4)
+SHARD_COUNTS = (1, 2, 4)
 
 coordinates = st.tuples(
     st.integers(min_value=0, max_value=30),
@@ -54,7 +53,7 @@ def canonical(results):
     return [(r.distance, r.oid1, r.oid2) for r in out]
 
 
-def check_streams(points_a, points_b, data, backend, workers, full=True):
+def check_streams(points_a, points_b, data, shard_counts):
     tree_a = bulk_load_str(points_a)
     tree_b = bulk_load_str(points_b)
     reference = canonical(IncrementalDistanceJoin(tree_a, tree_b))
@@ -62,37 +61,24 @@ def check_streams(points_a, points_b, data, backend, workers, full=True):
         st.integers(min_value=1, max_value=max(1, len(reference))),
         label="stop_after_k",
     )
-    for count in workers:
-        engine = dict(
-            shards=count, backend=backend, workers=count, batch_size=7
-        )
-        if full:
-            assert [
-                (r.distance, r.oid1, r.oid2)
-                for r in ShardRouterJoin(tree_a, tree_b, **engine)
-            ] == reference, f"{backend}, workers={count}"
+    for count in shard_counts:
+        engine = dict(shards=count, batch_size=7)
+        assert [
+            (r.distance, r.oid1, r.oid2)
+            for r in ShardRouterJoin(tree_a, tree_b, **engine)
+        ] == reference, f"shards={count}"
         prefix = ShardRouterJoin(
             tree_a, tree_b, JoinSpec(max_pairs=k), **engine
         )
         assert [
             (r.distance, r.oid1, r.oid2) for r in prefix
-        ] == reference[:k], f"{backend}, workers={count}, k={k}"
+        ] == reference[:k], f"shards={count}, k={k}"
 
 
 @settings(max_examples=12, deadline=None)
 @given(points_a=point_lists, points_b=point_lists, data=st.data())
 def test_parallel_join_equals_sequential(points_a, points_b, data):
-    check_streams(points_a, points_b, data, "serial", WORKER_COUNTS)
-
-
-@settings(max_examples=2, deadline=None)
-@given(points_a=point_lists, points_b=point_lists, data=st.data())
-def test_process_lanes_equal_sequential(points_a, points_b, data):
-    # Every router starts its own lanes: one worker count and the
-    # STOP AFTER prefix (where admission prunes) per example; the full
-    # stream on lanes is test_shard_equivalence's fixed-seed example.
-    workers = data.draw(st.sampled_from(WORKER_COUNTS), label="workers")
-    check_streams(points_a, points_b, data, "process", (workers,), False)
+    check_streams(points_a, points_b, data, SHARD_COUNTS)
 
 
 @settings(max_examples=10, deadline=None)
@@ -104,9 +90,9 @@ def test_parallel_semi_join_equals_sequential(points_a, points_b):
         r.oid1: r.distance
         for r in IncrementalDistanceSemiJoin(tree_a, tree_b)
     }
-    for workers in WORKER_COUNTS:
+    for shards in SHARD_COUNTS:
         join = ShardRouterSemiJoin(
-            tree_a, tree_b, shards=workers, batch_size=5,
+            tree_a, tree_b, shards=shards, batch_size=5,
         )
         seen = {}
         previous = -1.0
@@ -115,4 +101,4 @@ def test_parallel_semi_join_equals_sequential(points_a, points_b):
             previous = result.distance
             assert result.oid1 not in seen
             seen[result.oid1] = result.distance
-        assert seen == reference, f"workers={workers}"
+        assert seen == reference, f"shards={shards}"

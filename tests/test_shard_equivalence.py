@@ -1,5 +1,5 @@
 """Property test: the shard router is equivalent to the sequential
-join for random data, specs, shard counts, and both executor backends.
+join for random data, specs and shard counts.
 
 The reference is the canonical order ``(distance, oid1, oid2)`` (see
 ``test_parallel_equivalence``).  Every draw checks the full stream, a
@@ -8,7 +8,6 @@ pickled suspend/resume of a sharded cursor taken mid-stream.
 """
 
 import pickle
-import random
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -21,9 +20,6 @@ from repro.rtree.bulk import bulk_load_str
 from repro.shard import ShardRouterJoin, ShardRouterSemiJoin, clear_caches
 
 SHARD_COUNTS = (1, 2, 4)
-
-# The properties run inline (``serial``); ``process`` pays a lane
-# start-up per join, so it gets one fixed-seed example instead.
 
 coordinates = st.tuples(
     st.integers(min_value=0, max_value=30),
@@ -136,35 +132,3 @@ def test_semi_router_equals_sequential(points_a, points_b, data):
         assert result.oid1 not in seen
         seen[result.oid1] = result.distance
     assert seen == reference
-
-
-def test_process_backend_equals_sequential():
-    """One fixed-seed example on the ``process`` backend: full, STOP
-    AFTER, ranged and semi joins."""
-    rng = random.Random(1998)
-    tree_a, tree_b = (
-        bulk_load_str([
-            Point((float(rng.randint(0, 30)), float(rng.randint(0, 30))))
-            for __ in range(n)
-        ])
-        for n in (40, 35)
-    )
-    engine = dict(shards=2, batch_size=7, backend="process", workers=2)
-    reference = canonical(IncrementalDistanceJoin(tree_a, tree_b))
-    assert rows(ShardRouterJoin(tree_a, tree_b, **engine)) == reference
-    assert rows(ShardRouterJoin(
-        tree_a, tree_b, JoinSpec(max_pairs=25), **engine
-    )) == reference[:25]
-    assert rows(ShardRouterJoin(
-        tree_a, tree_b, JoinSpec(min_distance=2.0, max_distance=8.0),
-        **engine
-    )) == canonical(IncrementalDistanceJoin(
-        tree_a, tree_b, JoinSpec(min_distance=2.0, max_distance=8.0),
-    ))
-    assert {
-        r.oid1: r.distance
-        for r in ShardRouterSemiJoin(tree_a, tree_b, **engine)
-    } == {
-        r.oid1: r.distance
-        for r in IncrementalDistanceSemiJoin(tree_a, tree_b)
-    }

@@ -12,6 +12,7 @@ from repro.errors import CursorError, JoinError
 from repro.geometry.point import Point
 from repro.rtree.bulk import bulk_load_str
 from repro.shard import (
+    ShardCatalog,
     ShardRouterJoin,
     ShardRouterSemiJoin,
     clear_caches,
@@ -258,15 +259,44 @@ class TestSuspendResume:
         )
         next(resumed)
 
-    def test_process_backed_save_raises(self, trees):
-        # Refused on the backend alone: no lane needs to start.
-        router = ShardRouterJoin(
-            *trees, JoinSpec(max_pairs=8), shards=2, backend="process",
-            workers=2,
+    def test_supplied_catalogs_resume_mid_stream(self, trees):
+        """A router over supplied 9-shard catalogs records their shard
+        count, so the rebuilt catalogs match and the cursor resumes."""
+        tree_a, tree_b = trees
+        catalogs = tuple(
+            ShardCatalog.build(tree, shards=9) for tree in trees
         )
-        with router:
-            with pytest.raises(CursorError, match="process backend"):
-                router.save()
+        counters = CounterRegistry()
+        router = ShardRouterJoin(
+            tree_a, tree_b, JoinSpec(max_pairs=50), catalogs=catalogs,
+            counters=counters,
+        )
+        assert router.shards == 9
+        assert counters.peak("shard_partitions") == 9
+        reference = [
+            tuple(r) for r in ShardRouterJoin(
+                tree_a, tree_b, JoinSpec(max_pairs=50),
+                catalogs=catalogs,
+            )
+        ]
+        taken = [tuple(next(router)) for __ in range(17)]
+        resumed = ShardRouterJoin.load(
+            pickle.loads(pickle.dumps(router.save())), tree_a, tree_b,
+        )
+        rest = [tuple(r) for r in resumed]
+        assert taken == reference[:17]
+        assert pickle.dumps(rest) == pickle.dumps(reference[17:])
+
+    def test_shards_contradicting_catalogs_rejected(self, trees):
+        catalogs = tuple(
+            ShardCatalog.build(tree, shards=9) for tree in trees
+        )
+        with pytest.raises(ValueError, match="contradicts"):
+            ShardRouterJoin(*trees, shards=4, catalogs=catalogs)
+        with pytest.raises(ValueError, match="not one count"):
+            ShardRouterJoin(*trees, catalogs=(
+                catalogs[0], ShardCatalog.build(trees[1], shards=4),
+            ))
 
     def test_resume_counters_primed(self, trees):
         tree_a, tree_b = trees

@@ -142,7 +142,7 @@ class TestParallelValidation:
 
     def test_semi_join_workers_uncapped(self, trees):
         engine = ShardRouterSemiJoin(*trees, JoinSpec(max_pairs=5), shards=2)
-        # The parent bound stays; workers must stream unbounded so the
+        # The parent bound stays; tasks must stream unbounded so the
         # post-merge dedup sees every outer object's best partner.
         assert engine.max_pairs == 5
         for task in engine.tasks:

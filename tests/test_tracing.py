@@ -18,8 +18,6 @@ from repro.util.tracing import (
     span_record_events,
     span_tree,
     summary_records,
-    worker_records,
-    worker_track_events,
     write_chrome_trace,
 )
 
@@ -151,42 +149,12 @@ class TestObserverTrace:
         assert trace["traceEvents"]
 
 
-class TestWorkerTracks:
+class TestAggregateTracks:
     def _snapshot(self, spans):
         obs = Observer()
         for name, seconds in spans:
             obs.record_span(name, seconds)
         return obs.snapshot()
-
-    def test_one_track_per_worker(self):
-        task_obs = {
-            0: self._snapshot([("worker.join", 0.1)]),
-            1: self._snapshot([("worker.join", 0.2)]),
-            2: self._snapshot([("worker.init", 0.05)]),
-        }
-        task_workers = {0: "w-a", 1: "w-b", 2: "w-a"}
-        events = worker_track_events(task_obs, task_workers)
-        names = {
-            e["args"]["name"]: (e["pid"], e["tid"])
-            for e in events if e["name"] == "thread_name"
-        }
-        assert set(names) == {"w-a", "w-b"}
-        # Distinct deterministic tids on a single worker pid.
-        assert len({t for t in names.values()}) == 2
-        assert len({pid for pid, __ in names.values()}) == 1
-
-    def test_overlapping_span_names_merge_per_worker(self):
-        # Two tasks on the same worker with the same span name fold
-        # into one summary event carrying the combined stats.
-        task_obs = {
-            0: self._snapshot([("worker.join", 0.1)]),
-            1: self._snapshot([("worker.join", 0.3)]),
-        }
-        events = worker_track_events(task_obs, {0: "w", 1: "w"})
-        spans = [e for e in events if e["ph"] == "X"]
-        assert len(spans) == 1
-        assert spans[0]["args"]["count"] == 2
-        assert spans[0]["dur"] == pytest.approx(0.4e6)
 
     def test_summary_timeline_is_monotonic(self):
         snap = self._snapshot(
@@ -202,61 +170,24 @@ class TestWorkerTracks:
             assert record.t0 == pytest.approx(cursor)
             cursor += record.dur
 
-    def test_worker_records_tile_each_worker_span(self):
-        worker = self._snapshot(
-            [("worker.build", 0.02), ("worker.join", 0.03)]
-        )
-        records = worker_records(
-            {0: worker, 1: worker, 2: worker},
-            {0: "w0", 1: "w1", 2: "w1"}, parent_id="r" * 16,
-        )
-        workers = [r for r in records if r.name.startswith("worker:")]
-        assert [r.name for r in workers] == ["worker:w0", "worker:w1"]
-        assert [r.attrs for r in workers] == [{"tasks": 1}, {"tasks": 2}]
-        for span in workers:
-            assert span.parent_id == "r" * 16
-            stages = [r for r in records if r.parent_id == span.span_id]
-            assert {s.name for s in stages} == \
-                {"worker.build", "worker.join"}
-            # Stage spans tile the worker span end to end.
-            assert sum(s.dur for s in stages) == pytest.approx(span.dur)
-            assert stages[0].t0 == span.t0
-        # Synthesised ids are stable across calls and distinct.
-        again = worker_records(
-            {0: worker, 1: worker, 2: worker},
-            {0: "w0", 1: "w1", 2: "w1"}, parent_id="r" * 16,
-        )
-        assert again == records
-        assert len({r.span_id for r in records}) == len(records)
-
-    def test_process_lane_trace_end_to_end(self, tmp_path):
+    def test_router_trace_end_to_end(self, tmp_path):
         tree_a = make_tree(make_points(60, seed=61))
         tree_b = make_tree(make_points(60, seed=62))
         join = ShardRouterJoin(
-            tree_a, tree_b, JoinSpec(max_pairs=50), shards=2, workers=2,
-            backend="process",
+            tree_a, tree_b, JoinSpec(max_pairs=50), shards=2,
         )
         list(join)
-        path = str(tmp_path / "parallel.json")
+        assert set(join.stage_breakdown()) == {"partition", "merge"}
+        path = str(tmp_path / "router.json")
         join.write_trace(path)
         trace = json.loads(open(path).read())
+        assert trace["metadata"] == {"shards": 2, "tasks": len(join.pairs)}
         events = trace["traceEvents"]
         assert all(e["ph"] in VALID_PHASES for e in events)
-        worker_tids = {
-            (e["pid"], e["tid"])
-            for e in events
-            if e["name"] == "thread_name"
-            and e["args"]["name"].startswith("pid-")
-        }
-        assert worker_tids  # at least one worker track materialized
-        # Each worker track's events stay on its own (pid, tid).
-        for pid, tid in worker_tids:
-            ts_list = [
-                e["ts"] for e in events
-                if e.get("pid") == pid and e.get("tid") == tid
-                and e["ph"] == "X"
-            ]
-            assert ts_list == sorted(ts_list)
+        # One track: the route and the merge, both on the driver.
+        spans = [e for e in events if e["ph"] == "X"]
+        assert {e["name"] for e in spans} == {"shard.route", "shard.merge"}
+        assert {(e["pid"], e["tid"]) for e in spans} == {(1, 1)}
 
 
 class TestSpanTree:
