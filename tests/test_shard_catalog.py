@@ -71,6 +71,17 @@ class TestBuild:
         with pytest.raises(TypeError):
             ShardCatalog.build(tree, shards=4, method="grid")
 
+    @pytest.mark.parametrize("shards", [1, 2, 4, 9, 16])
+    def test_build_walks_the_tree_once(self, shards):
+        tree = bulk_load_str(grid_points(400))
+        before = tree.counters.value("node_reads")
+        assert len(list(tree.items())) == 400
+        walk = tree.counters.value("node_reads") - before
+        assert walk > 1
+        catalog = ShardCatalog.build(tree, shards=shards)
+        assert tree.counters.value("node_reads") - before == 2 * walk
+        assert sum(info.count for info in catalog.infos) == 400
+
     def test_empty_tree(self):
         catalog = ShardCatalog.build(RStarTree(dim=2), shards=4)
         assert len(catalog) == 0
