@@ -2,25 +2,30 @@
 
 Used by the tests, the CI smoke job, and ``examples/service_smoke.py``
 so they all exercise the server the same way a real client would --
-over a socket, one page at a time.  Stdlib only (``http.client``).
+over a socket, one page at a time.  Stdlib only: it speaks just the
+HTTP/1.1 that :class:`~repro.service.server.JoinService` speaks, on a
+plain ``socket`` -- each request leaves in one ``sendall``, and a reply
+is read as a status line, headers up to the blank line, and exactly
+``Content-Length`` body bytes (the server never chunks).
 
 A client keeps one connection for all its requests (``docs/SERVICE.md``,
 "Connections"), under a lock, so threads may share one.  It reconnects
 when the connection is gone but **never re-sends a request**: ``/next``
 consumes rows and ``/update`` mutates, so a connection that dies with
-a request in flight is a :class:`~repro.errors.ServiceError` saying the
-outcome is unknown, and the *next* call reconnects.
+a request in flight -- or answers with a reply that cannot be read --
+is a :class:`~repro.errors.ServiceError` saying the outcome is unknown,
+and the *next* call reconnects.
 """
 
 from __future__ import annotations
 
-import http.client
 import json
 import re
 import select
+import socket
 import threading
 import time
-from typing import Any, Dict, Iterator, List, Optional
+from typing import Any, Dict, Iterator, List, Optional, Tuple
 
 from repro.errors import ServiceError
 
@@ -28,7 +33,69 @@ from repro.errors import ServiceError
 #: unused connection is dropped rather than raced against.
 EXPIRY_MARGIN = 1.0
 
-_KEEP_ALIVE = re.compile(r"timeout=([\d.]+).*?max=(\d+)")
+_STATUS_LINE = re.compile(rb"HTTP/1\.\d (\d{3})[ \r\n]")
+_KEEP_ALIVE = re.compile(rb"timeout=([\d.]+).*?max=(\d+)")
+
+#: Longest reply head line and most header lines read before a reply
+#: is judged malformed (``http.client``'s own limits).
+_MAX_LINE = 65536
+_MAX_HEADERS = 100
+
+#: What may not appear in a request target or a header value: it
+#: would end the request line or the header early.
+_UNSAFE_TARGET = re.compile(r"[\x00-\x20\x7f]")
+_UNSAFE_VALUE = re.compile(r"[\r\n\x00]")
+
+
+class _Connection:
+    """One kept socket and the buffered reader that lives as long as
+    it does."""
+
+    __slots__ = ("sock", "reader")
+
+    def __init__(self, host: str, port: int, timeout: float) -> None:
+        self.sock = socket.create_connection((host, port), timeout)
+        self.sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+        self.reader = self.sock.makefile("rb")
+
+    def close(self) -> None:
+        self.reader.close()
+        self.sock.close()
+
+    def exchange(
+        self, request: bytes
+    ) -> Tuple[int, Dict[bytes, bytes], bytes]:
+        """Send ``request`` whole and read its reply: ``(status,
+        headers, body)``, header names lower-cased.  A reply the server
+        would never send -- a bad status line, a head or body cut short
+        by EOF, no ``Content-Length`` -- is a ``ValueError``."""
+        self.sock.sendall(request)
+        readline = self.reader.readline
+        line = readline(_MAX_LINE + 1)
+        status = _STATUS_LINE.match(line)
+        if status is None or not line.endswith(b"\n"):
+            raise ValueError(f"malformed status line {line[:80]!r}")
+        headers: Dict[bytes, bytes] = {}
+        for __ in range(_MAX_HEADERS + 1):
+            line = readline(_MAX_LINE + 1)
+            if line in (b"\r\n", b"\n"):
+                break
+            if not line.endswith(b"\n"):
+                raise ValueError(f"malformed reply head line {line[:80]!r}")
+            name, __, value = line.partition(b":")
+            headers[name.strip().lower()] = value.strip()
+        else:
+            raise ValueError(f"more than {_MAX_HEADERS} reply header lines")
+        length = headers.get(b"content-length", b"")
+        if not length.isdigit() or b"transfer-encoding" in headers:
+            raise ValueError("reply body not framed by Content-Length")
+        size = int(length)
+        body = self.reader.read(size)
+        if len(body) != size:
+            raise ValueError(
+                f"reply body cut short: {len(body)} of {size} bytes"
+            )
+        return int(status.group(1)), headers, body
 
 
 class ServiceClient:
@@ -53,7 +120,7 @@ class ServiceClient:
         self.port = port
         self.timeout = timeout
         self._lock = threading.Lock()
-        self._conn: Optional[http.client.HTTPConnection] = None
+        self._conn: Optional[_Connection] = None
         self._expires = 0.0  # monotonic time the server drops _conn
 
     def close(self) -> None:
@@ -82,11 +149,22 @@ class ServiceClient:
         body: Optional[Dict[str, Any]] = None,
         headers: Optional[Dict[str, str]] = None,
     ) -> Any:
-        payload = json.dumps(body).encode("utf-8") \
-            if body is not None else None
+        # Everything that can be refused is refused before a byte
+        # leaves: the request then goes out in one piece.
+        if _UNSAFE_TARGET.search(path):
+            raise ValueError(f"unsafe request target {path!r}")
+        head = f"{method} {path} HTTP/1.1\r\nHost: {self.host}:{self.port}\r\n"
         send_headers = dict(headers or {})
-        if payload is not None:
+        payload = b""
+        if body is not None:
+            payload = json.dumps(body).encode("utf-8")
             send_headers.setdefault("Content-Type", "application/json")
+            send_headers["Content-Length"] = str(len(payload))
+        for name, value in send_headers.items():
+            if _UNSAFE_VALUE.search(f"{name}{value}") or ":" in name:
+                raise ValueError(f"unsafe header {name!r}: {value!r}")
+            head += f"{name}: {value}\r\n"
+        request = (head + "\r\n").encode("latin-1") + payload
         with self._lock:
             conn = self._conn
             # Not worth a request whose outcome would be unknown: the
@@ -98,20 +176,15 @@ class ServiceClient:
                 self._drop()
                 conn = None
             if conn is None:
-                conn = http.client.HTTPConnection(
-                    self.host, self.port, timeout=self.timeout
+                # Refused: raises as is, nothing was sent.
+                conn = self._conn = _Connection(
+                    self.host, self.port, self.timeout
                 )
-                conn.connect()  # refused: raises as is, nothing was sent
-                self._conn = conn
             try:
-                conn.request(
-                    method, path, body=payload, headers=send_headers
-                )
-                response = conn.getresponse()
-                raw = response.read()
+                status, reply, raw = conn.exchange(request)
             except BaseException as exc:
                 self._drop()
-                if not isinstance(exc, (http.client.HTTPException, OSError)):
+                if not isinstance(exc, (OSError, ValueError)):
                     raise
                 # Not re-sent: the server may have acted on it.
                 raise ServiceError(
@@ -119,26 +192,21 @@ class ServiceClient:
                     f"({type(exc).__name__}: {exc}); whether the server "
                     "acted on the request is unknown"
                 ) from exc
-            advertised = _KEEP_ALIVE.search(
-                response.getheader("Keep-Alive", "")
-            )
-            if response.will_close or advertised is None \
-                    or advertised.group(2) == "0":
+            advertised = _KEEP_ALIVE.search(reply.get(b"keep-alive", b""))
+            if advertised is None or advertised.group(2) == b"0" \
+                    or b"close" in reply.get(b"connection", b"").lower():
                 self._drop()
             else:
                 self._expires = time.monotonic() \
                     + float(advertised.group(1)) - EXPIRY_MARGIN
-        content_type = response.getheader("Content-Type", "")
-        if content_type.startswith("application/json"):
+        if reply.get(b"content-type", b"").startswith(b"application/json"):
             decoded: Any = json.loads(raw.decode("utf-8"))
         else:
             decoded = raw.decode("utf-8")
-        if response.status >= 400:
+        if status >= 400:
             detail = decoded.get("error", decoded) \
                 if isinstance(decoded, dict) else decoded
-            raise ServiceError(
-                f"{method} {path} -> {response.status}: {detail}"
-            )
+            raise ServiceError(f"{method} {path} -> {status}: {detail}")
         return decoded
 
     # ------------------------------------------------------------------

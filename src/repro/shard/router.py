@@ -345,10 +345,11 @@ class ShardRouterJoin(cursor.SuspendableOperator):
     def _pull(self, task_id: int) -> Tuple[Sequence[JoinResult], bool]:
         """The merge's one way into a task: open it on first use,
         advance it one batch, and return ``(results, done)``."""
-        task = self._tasks.get(task_id)
-        if task is None:
-            task = self._tasks[task_id] = self._open(task_id)
-        results = task.advance(self.batch_size)
+        with self.obs.span("shard.merge"):
+            task = self._tasks.get(task_id)
+            if task is None:
+                task = self._tasks[task_id] = self._open(task_id)
+            results = task.advance(self.batch_size)
         self.batches_received += 1
         self.counters.add("shard_batches")
         return results, task.done
@@ -384,11 +385,7 @@ class ShardRouterJoin(cursor.SuspendableOperator):
         if self._merge is None:
             self._start()
         try:
-            if self.obs.enabled:
-                with self.obs.span("shard.merge"):
-                    result = next(self._merge)
-            else:
-                result = next(self._merge)
+            result = next(self._merge)
         except StopIteration:
             self.close()
             raise
@@ -463,8 +460,10 @@ class ShardRouterJoin(cursor.SuspendableOperator):
         """Wall seconds per pipeline stage, aggregated so far.
 
         - ``partition``: catalog construction and route planning;
-        - ``merge``: recombination, *including* the time spent opening
-          and advancing the shard-pair tasks it pulls from.
+        - ``merge``: the merge's batch pulls -- opening a shard-pair
+          task and advancing it one batch (one span per batch).  The
+          in-memory recombination between pulls costs per pair, so it
+          is not timed.
         """
         return {
             "partition": self.obs.span_seconds("shard.route"),

@@ -18,6 +18,14 @@ from repro.util.counters import CounterRegistry
 
 from tests.conftest import make_points
 
+# A socket or reader the client leaks fails the test that leaked it.
+pytestmark = [
+    pytest.mark.filterwarnings("error::ResourceWarning"),
+    pytest.mark.filterwarnings(
+        "error::pytest.PytestUnraisableExceptionWarning"
+    ),
+]
+
 SQL = (
     "SELECT * FROM a, b, DISTANCE(a.geom, b.geom) AS d "
     "WHERE d >= {low} ORDER BY d STOP AFTER 40"
@@ -162,3 +170,149 @@ def test_close_and_with_leave_no_socket(serve):
     del dropped
     gc.collect()
     assert sock.fileno() == -1
+
+
+# ----------------------------------------------------------------------
+# the reader, against a scripted server (raw bytes, no JoinService)
+# ----------------------------------------------------------------------
+
+KEPT = b"Connection: keep-alive\r\nKeep-Alive: timeout=5, max=3\r\n"
+
+
+def reply(head=KEPT, body=b'{"ok": true}'):
+    return (
+        b"HTTP/1.1 200 OK\r\nContent-Type: application/json\r\n"
+        b"Content-Length: %d\r\n" % len(body) + head + b"\r\n" + body
+    )
+
+
+class ScriptedServer:
+    """A bare socket server: it answers the requests it reads, in
+    order, with scripted ``(reply bytes, hang up after)`` entries, and
+    records each request as ``"METHOD /path"``."""
+
+    def __init__(self, script):
+        self.script = list(script)
+        self.requests = []
+        self.accepted = 0
+        self._lock = threading.Lock()
+        self._stop = threading.Event()
+        self._threads = []
+        self._conns = []
+        self._listener = socket.create_server(("127.0.0.1", 0))
+        self._listener.settimeout(0.05)
+        self.port = self._listener.getsockname()[1]
+        self._start(self._accept)
+
+    def _start(self, target, *args):
+        thread = threading.Thread(target=target, args=args, daemon=True)
+        thread.start()
+        self._threads.append(thread)
+
+    def _accept(self):
+        with self._listener:
+            while not self._stop.is_set():
+                try:
+                    conn, __ = self._listener.accept()
+                except socket.timeout:
+                    continue
+                self.accepted += 1
+                self._conns.append(conn)
+                self._start(self._serve, conn)
+
+    def _serve(self, conn):
+        with conn, conn.makefile("rb") as reader:
+            while True:
+                line = reader.readline()
+                if not line:
+                    return
+                length = 0
+                while (header := reader.readline()) not in (b"\r\n", b""):
+                    name, __, value = header.partition(b":")
+                    if name.lower() == b"content-length":
+                        length = int(value)
+                reader.read(length)
+                with self._lock:
+                    self.requests.append(
+                        " ".join(line.decode().split()[:2])
+                    )
+                    data, hang_up = self.script.pop(0)
+                conn.sendall(data)
+                if hang_up:
+                    return
+
+    def close(self):
+        self._stop.set()
+        for conn in self._conns:
+            try:
+                conn.shutdown(socket.SHUT_RDWR)
+            except OSError:
+                pass
+        for thread in self._threads:
+            thread.join(5)
+
+
+@pytest.fixture
+def scripted():
+    servers = []
+
+    def start(script):
+        servers.append(ScriptedServer(script))
+        return servers[-1]
+
+    yield start
+    for server_ in servers:
+        server_.close()
+
+
+@pytest.mark.parametrize("bad", [
+    (reply()[:-4], True),
+    (b"garbage\r\n", False),
+    (b"HTTP/1.1 200 OK\r\nContent-Le", True),
+    (reply().replace(b"Content-Length", b"X-Length"), False),
+], ids=["short-body", "garbage-status-line", "short-head", "no-length"])
+def test_an_unreadable_reply_is_unknown_not_resent(scripted, bad):
+    """The request left, the reply cannot be read: the client raises
+    the "unknown" error, drops the connection and sends nothing again;
+    the next call reconnects."""
+    server = scripted([bad, (reply(), False)])
+    with ServiceClient(port=server.port, timeout=5) as client:
+        with pytest.raises(ServiceError, match="unknown"):
+            client.insert("a", 7, [1.0, 2.0])
+        assert client._conn is None
+        assert server.requests == ["POST /update"]
+        assert client.status() == {"ok": True}
+    assert server.requests == ["POST /update", "GET /status"]
+    assert server.accepted == 2
+
+
+@pytest.mark.parametrize("head, connections", [
+    (b"Connection: close\r\n", 2),
+    (b"Connection: close\r\nKeep-Alive: timeout=5, max=3\r\n", 2),
+    (b"Connection: keep-alive\r\nKeep-Alive: timeout=5, max=0\r\n", 2),
+    (KEPT, 1),
+], ids=["close", "close-over-keep-alive", "max=0", "kept"])
+def test_the_reply_says_whether_to_reconnect(scripted, head, connections):
+    """The server keeps the socket open whatever it said, so only the
+    reply's headers can make the client reconnect."""
+    server = scripted([(reply(head), False), (reply(), False)])
+    with ServiceClient(port=server.port, timeout=5) as client:
+        assert client.status() == {"ok": True}
+        assert (client._conn is None) == (connections == 2)
+        assert client.status() == {"ok": True}
+    assert server.requests == ["GET /status"] * 2
+    assert server.accepted == connections
+
+
+@pytest.mark.parametrize("call", [
+    lambda client: client.admit("SELECT", traceparent="00\r\nX-Injected: 1"),
+    lambda client: client.next("a b"),
+], ids=["header", "target"])
+def test_a_request_that_would_break_framing_is_never_sent(scripted, call):
+    server = scripted([(reply(), False)])
+    with ServiceClient(port=server.port, timeout=5) as client:
+        with pytest.raises(ValueError, match="unsafe"):
+            call(client)
+        assert client._conn is None
+        assert client.status() == {"ok": True}
+    assert server.requests == ["GET /status"]

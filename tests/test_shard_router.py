@@ -8,6 +8,7 @@ import pytest
 from repro.core.distance_join import IncrementalDistanceJoin
 from repro.core.semi_join import IncrementalDistanceSemiJoin
 from repro.core.spec import JoinSpec
+from repro.datasets import uniform_points
 from repro.errors import CursorError, JoinError
 from repro.geometry.point import Point
 from repro.rtree.bulk import bulk_load_str
@@ -336,3 +337,18 @@ class TestProgress:
         assert signals["operator"] == "ShardRouterJoin"
         assert signals["shard_pairs_total"] == 4
         assert signals["head_distance"] is not None
+
+
+class TestStageSpans:
+    def test_one_merge_span_per_batch(self):
+        """The router's timing costs clock reads per batch pulled, not
+        per row handed out."""
+        join = ShardRouterJoin(
+            bulk_load_str(uniform_points(300, seed=1)),
+            bulk_load_str(uniform_points(300, seed=2)),
+            JoinSpec(max_pairs=500), shards=4,
+        )
+        assert len(list(join)) == 500
+        assert 0 < join.batches_received < 500
+        assert join.obs.span_count("shard.merge") == join.batches_received
+        assert join.stage_breakdown()["merge"] > 0.0
