@@ -13,14 +13,21 @@ The stream builds *private* trees from the workload's point lists
 (never mutating the shared workload trees the other cases measure);
 tree construction and mutation I/O are charged to a private registry
 so the measured counters cover only the repair machinery.
+
+With ``limits``, one standing join per K watches the same private
+trees and every update is fanned out to all of them the way the
+service does it: one shared partner probe per insert
+(:func:`~repro.live.share_insert_probes`), so the totals gate the
+shared probe's work.
 """
 
 from __future__ import annotations
 
-from typing import Iterator, Optional
+from typing import Iterator, Optional, Sequence
 
 from repro.core.spec import JoinSpec
-from repro.live import Delta, StandingJoin
+from repro.live import Delta, StandingJoin, share_insert_probes
+from repro.rtree.base import RTreeBase
 from repro.rtree.bulk import bulk_load_str
 from repro.util.counters import CounterRegistry
 from repro.util.obs import Observer
@@ -38,6 +45,7 @@ def update_repair_stream(
     counters: Optional[CounterRegistry] = None,
     observer: Optional[Observer] = None,
     updates: int = 32,
+    limits: Sequence[int] = (),
 ) -> Iterator[Delta]:
     """Yield every repair delta of a scripted update schedule.
 
@@ -48,6 +56,10 @@ def update_repair_stream(
     still-present scripted insert, retracting a published pair and
     exercising the refill path.  The schedule is a pure function of
     the workload, so repeated runs produce identical counters.
+
+    ``limits`` registers one join per K (``spec`` with that
+    ``max_pairs``) in place of the one join of ``spec``; each update
+    yields every join's deltas, in ``limits`` order.
     """
     require_positive(updates, "updates")
     updates = min(updates, max(1, len(load.points2) // 4))
@@ -66,21 +78,31 @@ def update_repair_stream(
         counters=tree_counters, dim=2,
     )
 
-    standing = StandingJoin(
-        tree1, tree2, spec, counters=counters, observer=observer
-    )
+    joins = [
+        StandingJoin(
+            tree1, tree2, join_spec, counters=counters, observer=observer
+        )
+        for join_spec in (
+            [spec.evolve(max_pairs=k) for k in limits] or [spec]
+        )
+    ]
     # The bootstrap scan's ADD deltas are part of the stream: they are
     # the subscription's initial page.
-    for delta in standing.poll():
-        yield delta
+    for standing in joins:
+        yield from standing.poll()
 
     inserted: list = []
     for step, point in enumerate(held):
         oid = _UPDATE_OID_BASE + step
-        for delta in standing.insert(oid, point):
-            yield delta
-        inserted.append(oid)
+        tree1.insert(obj=point, oid=oid)
+        probes = share_insert_probes(
+            [(standing, 1) for standing in joins], oid, point
+        )
+        for standing, probe in zip(joins, probes):
+            yield from standing.observe_insert(oid, point, probe=probe)
+        inserted.append((oid, point))
         if step % 3 == 2:
-            victim = inserted.pop(0)
-            for delta in standing.delete(victim):
-                yield delta
+            victim, victim_point = inserted.pop(0)
+            tree1.delete(victim, RTreeBase._rect_of(victim_point))
+            for standing in joins:
+                yield from standing.observe_delete(victim)

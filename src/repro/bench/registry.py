@@ -621,6 +621,13 @@ _case(
     JoinSpec(max_pairs=16), smoke=None,
     operator="live", engine={"updates": 32},
 )
+_case(
+    "live.shared_probe",
+    "Standing joins: top-4, top-16 and top-64 over one private tree "
+    "pair, each insert repaired from one shared partner probe",
+    JoinSpec(), smoke=None,
+    operator="live", engine={"updates": 32, "limits": (4, 16, 64)},
+)
 
 
 # ----------------------------------------------------------------------

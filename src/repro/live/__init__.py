@@ -13,7 +13,11 @@ service subscription protocol.
 from repro.live.delta import ADD, REMOVE, Delta, pair_key
 from repro.live.frontier import ResultStore
 from repro.live.probe import ProbeResult, probe_partner
-from repro.live.standing import StandingJoin, validate_live_spec
+from repro.live.standing import (
+    StandingJoin,
+    share_insert_probes,
+    validate_live_spec,
+)
 
 __all__ = [
     "ADD",
@@ -24,5 +28,6 @@ __all__ = [
     "StandingJoin",
     "pair_key",
     "probe_partner",
+    "share_insert_probes",
     "validate_live_spec",
 ]

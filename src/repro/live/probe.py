@@ -28,6 +28,7 @@ from __future__ import annotations
 from typing import Any, List, NamedTuple, Optional, Tuple
 
 from repro.core.pairs import Item, NODE, OBJ, PairDistance
+from repro.errors import LiveError
 from repro.geometry.point import Point
 from repro.rtree.base import RTreeBase
 from repro.rtree.entry import LeafEntry
@@ -43,11 +44,34 @@ class ProbeResult(NamedTuple):
     probe object, with its exact distance.  ``exhaustive`` is True
     when the bound excluded nothing -- no subtree was pruned and no
     evaluated object fell beyond the bound -- i.e. the scan saw the
-    complete partner relation.
+    complete partner relation.  ``bound`` is the distance the scan
+    was made at: a result answers any bound up to it.
     """
 
     found: List[Tuple[float, LeafEntry]]
     exhaustive: bool
+    bound: float
+
+    def within(self, bound: float) -> "ProbeResult":
+        """The scan at ``bound`` read off this wider one.
+
+        Every object within ``bound`` lies in nodes whose MINDIST is
+        within it, all of which this scan visited: the entries with
+        ``d <= bound`` are the ones a scan at ``bound`` finds (in
+        another order).  That scan would have excluded nothing only if
+        this one excluded nothing and found nothing beyond ``bound``.
+        A narrower scan may have missed pairs: :class:`LiveError`.
+        """
+        if bound > self.bound:
+            raise LiveError(
+                f"a probe at bound {self.bound!r} cannot answer bound "
+                f"{bound!r}"
+            )
+        found = [pair for pair in self.found if pair[0] <= bound]
+        return ProbeResult(
+            found, self.exhaustive and len(found) == len(self.found),
+            bound,
+        )
 
 
 def probe_partner(
@@ -126,4 +150,4 @@ def probe_partner(
                     stack.append(entry.child_id)
                 else:
                     exhaustive = False
-    return ProbeResult(found, exhaustive)
+    return ProbeResult(found, exhaustive, bound)

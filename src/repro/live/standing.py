@@ -15,7 +15,9 @@ Eppstein-style candidate frontier of F runners-up.
 relation, so the repair is a bounded incremental distance scan
 (:func:`~repro.live.probe.probe_partner`) against the current
 watermark -- the K-th/worst stored distance -- pruning every partner
-subtree that provably cannot beat it.
+subtree that provably cannot beat it.  Several joins that see one
+insert against the same partner share one scan, made at the widest
+of their watermarks (:func:`share_insert_probes`).
 
 *Deletion* retracts the stored pairs containing the object; a hole in
 the reported top K is refilled by promoting frontier pairs.  Only
@@ -39,7 +41,7 @@ partner nodes it probes, never a pass over the K reported pairs.
 from __future__ import annotations
 
 from collections import deque
-from typing import Any, Deque, Dict, List, Optional, Tuple
+from typing import Any, Deque, Dict, List, Optional, Sequence, Tuple
 
 from repro.core import cursor
 from repro.core.distance_join import (
@@ -53,13 +55,14 @@ from repro.geometry.rectangle import Rect
 from repro.kernels import resolve_kernels
 from repro.live.delta import ADD, REMOVE, Delta, pair_key
 from repro.live.frontier import ResultStore
-from repro.live.probe import probe_partner
+from repro.live.probe import ProbeResult, probe_partner
 from repro.rtree.base import RTreeBase
 from repro.util.counters import CounterRegistry
 from repro.util.obs import NULL_OBSERVER, Observer
 
 __all__ = [
     "StandingJoin",
+    "share_insert_probes",
     "validate_live_spec",
 ]
 
@@ -259,14 +262,20 @@ class StandingJoin(cursor.SuspendableOperator):
         obj: Any,
         rect: Optional[Rect] = None,
         side: int = 1,
+        *,
+        probe: Optional[ProbeResult] = None,
     ) -> List[Delta]:
         """Repair after an insert already applied to the tree.
 
         For fan-out: when several standing joins watch the same
         trees, one of them (or the caller) applies the mutation and
-        the rest observe it.
+        the rest observe it.  ``probe`` is a partner scan made for
+        this insert at a bound no narrower than this join's
+        (:func:`share_insert_probes`); without one the join probes
+        itself.
         """
-        return self._insert(oid, obj, rect, side, mutate=False)
+        return self._insert(oid, obj, rect, side, mutate=False,
+                            probe=probe)
 
     def delete(self, oid: int, side: int = 1) -> List[Delta]:
         """Delete object ``oid`` from side ``side`` and repair."""
@@ -283,6 +292,7 @@ class StandingJoin(cursor.SuspendableOperator):
         rect: Optional[Rect],
         side: int,
         mutate: bool,
+        probe: Optional[ProbeResult] = None,
     ) -> List[Delta]:
         tree = self._tree(side)
         if rect is None:
@@ -291,6 +301,10 @@ class StandingJoin(cursor.SuspendableOperator):
             raise LiveError(
                 f"oid {oid} already present on side {side}"
             )
+        if probe is not None:
+            # Read down to this join's bound -- or refused -- before
+            # anything changes.
+            probe = probe.within(self._insert_bound()[0])
         if mutate:
             self._check_sync()
             tree.insert(obj=obj, rect=rect, oid=oid)
@@ -298,7 +312,7 @@ class StandingJoin(cursor.SuspendableOperator):
         else:
             self._observe_mutation(side)
         self._objects[side][oid] = (obj, rect)
-        left, entered = self._repair_insert(oid, obj, rect, side)
+        left, entered = self._repair_insert(oid, obj, rect, side, probe)
         self._updates += 1
         self.counters.add("live_repairs")
         if self.obs.enabled:
@@ -385,28 +399,49 @@ class StandingJoin(cursor.SuspendableOperator):
         self._check_sync(observed)
         self._expected = observed
 
+    def _insert_bound(
+        self,
+    ) -> Tuple[float, Optional[Tuple[float, int, int]]]:
+        """``(bound, tail)``: the distance an insert's probe must
+        reach, and the stored key a new pair must beat (``None``
+        while the store is complete and under capacity, when every
+        qualifying pair is kept)."""
+        store = self._store
+        if self._capacity is None or (
+            store.complete and len(store) < self._capacity
+        ):
+            return self.spec.max_distance, None
+        tail = store.tail_key()
+        return tail[0], tail
+
+    def _probe(
+        self, oid: int, obj: Any, rect: Rect, side: int, bound: float
+    ) -> ProbeResult:
+        """Scan the partner of ``side`` for the new object's pairs."""
+        return probe_partner(
+            self.tree2 if side == 1 else self.tree1,
+            self.distance, Item(OBJ, rect, oid=oid, obj=obj), bound,
+            self.counters, self._kern,
+        )
+
     def _repair_insert(
-        self, oid: int, obj: Any, rect: Rect, side: int
+        self,
+        oid: int,
+        obj: Any,
+        rect: Rect,
+        side: int,
+        probe: Optional[ProbeResult],
     ) -> Tuple[List[JoinResult], List[JoinResult]]:
-        """Probe the partner tree and merge the new object's pairs;
-        returns the pairs that ``(left, entered)`` the reported set."""
+        """Merge the new object's pairs from ``probe``, a scan at this
+        join's bound (its own when None); returns the pairs that
+        ``(left, entered)`` the reported set."""
         store = self._store
         spec = self.spec
-        full_bound = self._capacity is None or (
-            store.complete and len(store) < self._capacity
-        )
-        if full_bound:
-            bound = spec.max_distance
-            tail = None
-        else:
-            tail = store.tail_key()
-            bound = tail[0]
-        partner = self.tree2 if side == 1 else self.tree1
-        probe_item = Item(OBJ, rect, oid=oid, obj=obj)
-        found, exhaustive = probe_partner(
-            partner, self.distance, probe_item, bound, self.counters,
-            self._kern,
-        )
+        bound, tail = self._insert_bound()
+        full_bound = tail is None
+        if probe is None:
+            probe = self._probe(oid, obj, rect, side, bound)
+        found, exhaustive, __ = probe
         added: List[JoinResult] = []
         excluded = False
         for d, leaf in found:
@@ -530,3 +565,47 @@ class StandingJoin(cursor.SuspendableOperator):
                 "supplied trees"
             ) from None
         return JoinResult(d, oid1, obj1, oid2, obj2)
+
+
+def share_insert_probes(
+    watchers: Sequence[Tuple[StandingJoin, int]],
+    oid: int,
+    obj: Any,
+    rect: Optional[Rect] = None,
+) -> List[Optional[ProbeResult]]:
+    """One partner scan per group of joins that repair one insert.
+
+    ``watchers`` are ``(join, side)``: each join sees the inserted
+    object on ``side``.  Joins on the same side with the same partner
+    tree, metric, counters and kernel path would each scan the same
+    nodes at their own bound; instead the group is scanned once, at
+    the widest of those bounds, and every member reads its own bound
+    off that scan (``probe=`` of :meth:`StandingJoin.observe_insert`,
+    through :meth:`~repro.live.probe.ProbeResult.within`).  The one
+    scan is exactly the widest member's own, so it charges no more
+    than the member scans it replaces.
+
+    Returns one entry per watcher: the shared result, or None for a
+    join alone in its group (it scans for itself).
+    """
+    if rect is None:
+        rect = RTreeBase._rect_of(obj)
+    groups: Dict[tuple, List[int]] = {}
+    for index, (join, side) in enumerate(watchers):
+        key = (
+            side, id(join._tree(3 - side)), join.spec.metric,
+            id(join.counters), join._kern is None,
+        )
+        groups.setdefault(key, []).append(index)
+    probes: List[Optional[ProbeResult]] = [None] * len(watchers)
+    for members in groups.values():
+        if len(members) < 2:
+            continue
+        bound, widest = max(
+            (watchers[i][0]._insert_bound()[0], i) for i in members
+        )
+        join, side = watchers[widest]
+        probe = join._probe(oid, obj, rect, side, bound)
+        for index in members:
+            probes[index] = probe
+    return probes

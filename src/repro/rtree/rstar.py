@@ -33,6 +33,12 @@ monotonically, so terms, sums and difference keep their order.  Hence:
 What is evaluated is the float the exhaustive rule computes (same
 terms, same order), so the winner is the same entry, node for node
 (oracle: ``tests/test_rtree.py``; shapes: ``test_counter_drift.py``).
+The key is computed from the entries' coordinate tuples, not from
+:class:`Rect` objects: each union, area and overlap is the product
+``Rect.union`` / ``area`` / ``overlap_area`` would form, from 1.0 in
+axis order, with an ``extent <= 0.0`` giving ``0.0`` -- so a descent
+builds no rectangle per entry and picks what the ``Rect`` methods
+would (oracle: ``tests/test_rtree.py::TestTupleChooseSubtree``).
 """
 
 from __future__ import annotations
@@ -51,18 +57,36 @@ REINSERT_FRACTION = 0.3
 _INF = float("inf")
 
 
+def _overlap(alo, ahi, blo, bhi) -> float:
+    """``Rect.overlap_area`` of two rectangles given as corner tuples."""
+    result = 1.0
+    for a_lo, a_hi, b_lo, b_hi in zip(alo, ahi, blo, bhi):
+        extent = (b_hi if b_hi < a_hi else a_hi) - (
+            b_lo if b_lo > a_lo else a_lo
+        )
+        if extent <= 0.0:
+            return 0.0
+        result *= extent
+    return result
+
+
 class RStarTree(RTreeBase):
     """R*-tree; see :class:`repro.rtree.base.RTreeBase` for parameters."""
 
     def _choose_subtree(self, node: Node, rect: Rect) -> BranchEntry:
         entries = node.entries
+        rlo, rhi = rect.lo, rect.hi
         # (area enlargement, area, position): the whole rule above
-        # level 1, the cheap tail of the key at level 1.
+        # level 1, the cheap tail of the key at level 1.  Each term is
+        # Rect.union(...).area() / Rect.area() of the coordinates.
         ranked = []
         for index, entry in enumerate(entries):
-            enlarged = entry.rect.union(rect)
-            area = entry.rect.area()
-            ranked.append((enlarged.area() - area, area, index, enlarged))
+            own = entry.rect
+            area = grown = 1.0
+            for a, b, c, d in zip(own.lo, own.hi, rlo, rhi):
+                area *= b - a
+                grown *= (d if d > b else b) - (c if c < a else a)
+            ranked.append((grown - area, area, index))
         if node.level != 1:
             return entries[min(ranked)[2]]
         # Children are leaves: overlap enlargement leads the key.  It
@@ -70,21 +94,26 @@ class RStarTree(RTreeBase):
         # still win (module docstring).
         ranked.sort()
         best_key = (_INF, _INF, _INF, len(entries))
-        for growth, area, index, enlarged in ranked:
+        for growth, area, index in ranked:
             if best_key <= (0.0, growth, area, index):
                 break
             entry = entries[index]
             own = entry.rect
+            olo, ohi = own.lo, own.hi
             overlap = 0.0
-            if enlarged != own:
+            if any(c < a or d > b for a, b, c, d in zip(olo, ohi, rlo, rhi)):
+                # The enlarged rectangle, as Rect.union builds it.
+                elo = tuple(map(min, olo, rlo))
+                ehi = tuple(map(max, ohi, rhi))
                 before = after = 0.0
                 for other in entries:
                     if other is entry:
                         continue
-                    term = enlarged.overlap_area(other.rect)
+                    slo, shi = other.rect.lo, other.rect.hi
+                    term = _overlap(elo, ehi, slo, shi)
                     if term > 0.0:
                         after += term
-                        before += own.overlap_area(other.rect)
+                        before += _overlap(olo, ohi, slo, shi)
                 overlap = after - before
             best_key = min(best_key, (overlap, growth, area, index))
         return entries[best_key[3]]

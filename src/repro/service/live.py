@@ -22,6 +22,7 @@ from typing import Any, Dict, List, Optional
 
 from repro.core import cursor
 from repro.live.delta import Delta
+from repro.live.probe import ProbeResult
 from repro.live.standing import StandingJoin
 from repro.query.parser import parse
 from repro.util.counters import CounterRegistry
@@ -95,10 +96,18 @@ class LiveSource:
         return self.open().pending()
 
     def notify_insert(
-        self, oid: int, obj: Any, side: int
+        self,
+        oid: int,
+        obj: Any,
+        side: int,
+        probe: Optional[ProbeResult] = None,
     ) -> List[Delta]:
-        """Repair after an insert already applied to the tree."""
-        return self.open().observe_insert(oid, obj, side=side)
+        """Repair after an insert already applied to the tree, from
+        ``probe`` when the fan-out shared one
+        (:func:`~repro.live.share_insert_probes`)."""
+        return self.open().observe_insert(
+            oid, obj, side=side, probe=probe
+        )
 
     def notify_delete(self, oid: int, side: int) -> List[Delta]:
         """Repair after a delete already applied to the tree."""

@@ -65,6 +65,7 @@ from repro.errors import (
     TreeError,
 )
 from repro.geometry.point import Point
+from repro.live import share_insert_probes
 from repro.query.parser import parse
 from repro.query.physical import STRATEGIES
 from repro.rtree.base import RTreeBase
@@ -540,13 +541,34 @@ class JoinService:
                     "error": f"relation {relation!r} holds no object "
                              f"{oid} at the given point"
                 }
+        # Watchers that would scan the same partner tree share one
+        # scan at the widest of their bounds.  A scan that fails here
+        # leaves each watcher to scan alone and meet the fault itself.
+        probes = {}
+        if op == "insert":
+            targets = [
+                (session, side) for session, sides in watchers
+                for side in sides
+            ]
+            try:
+                shared = share_insert_probes(
+                    [(session.source.standing, side)
+                     for session, side in targets],
+                    oid, obj, rect,
+                )
+            except ReproError:
+                shared = []
+            probes = {
+                (session.id, side): probe
+                for (session, side), probe in zip(targets, shared)
+            }
         deltas = 0
         for session, sides in watchers:
             try:
                 for side in sides:
                     if op == "insert":
                         emitted = session.source.notify_insert(
-                            oid, obj, side
+                            oid, obj, side, probes.get((session.id, side))
                         )
                     else:
                         emitted = session.source.notify_delete(

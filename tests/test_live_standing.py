@@ -843,7 +843,7 @@ def run_probe(tree, metric, probe_obj, bound, kernels):
     list(tree.items())  # same (warm) buffer pool for either path
     counters = CounterRegistry()
     item = Item(OBJ, RTreeBase._rect_of(probe_obj), oid=-5, obj=probe_obj)
-    found, exhaustive = probe_partner(
+    found, exhaustive, __ = probe_partner(
         tree, PairDistance(metric, counters), item, bound, counters,
         kernels,
     )

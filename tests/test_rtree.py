@@ -399,3 +399,113 @@ def test_lazy_choose_subtree_meets_every_case():
         tree.insert(obj=lattice_object(rng, 2, True))
     assert 0 < tree.covered < tree.checked
     assert tree.higher > 0
+
+
+# ----------------------------------------------------------------------
+# ChooseSubtree from coordinate tuples against the Rect-built rule
+# ----------------------------------------------------------------------
+
+def rect_choose_subtree(node, rect):
+    """The lazy rule as it was written on :class:`Rect` objects: one
+    union per entry, one ``overlap_area`` call per sibling test.  The
+    oracle for the tuple arithmetic that replaced it."""
+    inf = float("inf")
+    entries = node.entries
+    ranked = []
+    for index, entry in enumerate(entries):
+        enlarged = entry.rect.union(rect)
+        area = entry.rect.area()
+        ranked.append((enlarged.area() - area, area, index, enlarged))
+    if node.level != 1:
+        return entries[min(ranked)[2]]
+    ranked.sort()
+    best_key = (inf, inf, inf, len(entries))
+    for growth, area, index, enlarged in ranked:
+        if best_key <= (0.0, growth, area, index):
+            break
+        entry = entries[index]
+        own = entry.rect
+        overlap = 0.0
+        if enlarged != own:
+            before = after = 0.0
+            for other in entries:
+                if other is entry:
+                    continue
+                term = enlarged.overlap_area(other.rect)
+                if term > 0.0:
+                    after += term
+                    before += own.overlap_area(other.rect)
+            overlap = after - before
+        best_key = min(best_key, (overlap, growth, area, index))
+    return entries[best_key[3]]
+
+
+class RectCheckedRStarTree(RStarTree):
+    """Every descent step is checked against the Rect-built rule, as
+    the same entry object."""
+
+    calls = 0
+    level1 = 0
+
+    def _choose_subtree(self, node, rect):
+        chosen = super()._choose_subtree(node, rect)
+        assert chosen is rect_choose_subtree(node, rect)
+        self.calls += 1
+        self.level1 += node.level == 1
+        return chosen
+
+
+def signed_lattice_object(rng, dim, rectangles):
+    """Coordinates from a small signed lattice that holds both zeros:
+    repeated coordinates, negative ones and ``-0.0`` against ``0.0``
+    on every key term."""
+    values = (-3.0, -1.5, -0.0, 0.0, 1.5, 3.0)
+    lo = [rng.choice(values) for __ in range(dim)]
+    if not rectangles or rng.random() < 0.5:
+        return Point(lo)
+    return Rect(lo, [c + rng.choice((0.0, 1.5, 3.0)) for c in lo])
+
+
+def signed_uniform_object(rng, dim, rectangles):
+    lo = [rng.uniform(-50.0, 50.0) for __ in range(dim)]
+    if not rectangles:
+        return Point(lo)
+    return Rect(lo, [c + rng.uniform(0.0, 8.0) for c in lo])
+
+
+class TestTupleChooseSubtree:
+    @pytest.mark.parametrize("max_entries", [4, 8, 50])
+    @pytest.mark.parametrize("dim", [2, 3])
+    @pytest.mark.parametrize("rectangles", [False, True])
+    @pytest.mark.parametrize(
+        "make", [signed_lattice_object, signed_uniform_object]
+    )
+    def test_same_entry_as_the_rect_rule(
+        self, max_entries, dim, rectangles, make
+    ):
+        rng = random.Random(max_entries * 100 + dim * 10 + rectangles)
+        tree = RectCheckedRStarTree(dim=dim, max_entries=max_entries)
+        model = {}
+        for __ in range(600):
+            if model and rng.random() < 0.25:
+                oid = rng.choice(sorted(model))
+                assert tree.delete(
+                    oid, RStarTree._rect_of(model.pop(oid))
+                )
+            else:
+                obj = make(rng, dim, rectangles)
+                model[tree.insert(obj=obj)] = obj
+        validate_tree(tree)
+        assert tree.level1 > 0
+        if max_entries < 50:
+            assert tree.calls > tree.level1  # choices above level 1
+
+    def test_signed_zeros_tie_by_position(self):
+        """``-0.0`` and ``0.0`` corners give equal keys: the first
+        entry wins, exactly as with Rect arithmetic."""
+        tree = RectCheckedRStarTree(dim=2, max_entries=4)
+        for x in (-0.0, 0.0, -0.0, 0.0, 1.0, -1.0, 0.0, -0.0):
+            tree.insert(obj=Point((x, -0.0)))
+            tree.insert(obj=Point((0.0, x)))
+        validate_tree(tree)
+        assert tree.level1 > 0

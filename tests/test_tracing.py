@@ -143,7 +143,8 @@ class TestObserverTrace:
             metadata={"k": "v"},
         )
         assert out == path
-        trace = json.loads(open(path).read())
+        with open(path) as handle:
+            trace = json.load(handle)
         assert trace["displayTimeUnit"] == "ms"
         assert trace["metadata"] == {"k": "v"}
         assert trace["traceEvents"]
@@ -180,7 +181,8 @@ class TestAggregateTracks:
         assert set(join.stage_breakdown()) == {"partition", "merge"}
         path = str(tmp_path / "router.json")
         join.write_trace(path)
-        trace = json.loads(open(path).read())
+        with open(path) as handle:
+            trace = json.load(handle)
         assert trace["metadata"] == {"shards": 2, "tasks": len(join.pairs)}
         events = trace["traceEvents"]
         assert all(e["ph"] in VALID_PHASES for e in events)
