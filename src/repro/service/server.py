@@ -12,7 +12,12 @@ examples in ``docs/SERVICE.md``):
   every subscription watching it;
 - ``GET /next?session=ID&k=N`` runs fair scheduler rounds until the
   session has ``N`` rows (or its stream ends) and returns them as JSON
-  -- interleaving with every other pending session's quanta;
+  -- interleaving with every other pending session's quanta.  The
+  page is written as text: :func:`row_to_json` spells each row as
+  ``json.dumps`` would, taking a point's coordinates from a bounded
+  memo (:data:`GEOMETRY_MEMO` points), so a geometry served on many
+  pages is formatted once and the body stays byte-identical to
+  ``json.dumps`` of the page as a dict;
 - ``GET /status`` and ``GET /metrics`` expose the scheduler snapshot
   and a Prometheus-style rendering of the service metrics;
 - ``GET /progress`` reports each session's certified progress (or one
@@ -51,7 +56,9 @@ import asyncio
 import json
 import sys
 import time
+from functools import lru_cache
 from http import HTTPStatus
+from json.encoder import encode_basestring_ascii
 from typing import Any, Dict, Optional, Set, Tuple
 from urllib.parse import parse_qs, urlsplit
 
@@ -244,33 +251,56 @@ async def _linger(
         clock.deadline = None
 
 
-def row_to_json(row: Any) -> Dict[str, Any]:
-    """A :class:`~repro.query.physical.Row` -- or a standing join's
-    :class:`~repro.live.Delta` event -- as JSON-friendly data."""
-    def geom(value: Any) -> Any:
-        coords = getattr(value, "coords", None)
-        return list(coords) if coords is not None else None
+#: Distinct points whose coordinate text is remembered: a ``/next``
+#: page pastes it in instead of formatting the same floats again.
+GEOMETRY_MEMO = 2048
 
+_INF = float("inf")
+
+
+def _scalar(value: Any) -> str:
+    """``value`` as ``json.dumps`` spells it."""
+    kind = type(value)
+    if kind is int or (kind is float and -_INF < value < _INF):
+        return repr(value)
+    if kind is str:
+        return encode_basestring_ascii(value)
+    return json.dumps(value)
+
+
+@lru_cache(maxsize=GEOMETRY_MEMO)
+def _point_text(coords: Tuple[float, ...]) -> str:
+    return json.dumps(coords)
+
+
+def _geom(value: Any) -> str:
+    # A Point's coords are a tuple of floats, so equal keys spell
+    # alike -- but for -0.0 == 0.0, which bypasses the memo.
+    if type(value) is Point and 0.0 not in value.coords:
+        return _point_text(value.coords)
+    coords = getattr(value, "coords", None)
+    return "null" if coords is None else json.dumps(list(coords))
+
+
+def row_to_json(row: Any) -> str:
+    """A :class:`~repro.query.physical.Row` -- or a standing join's
+    :class:`~repro.live.Delta` event -- as JSON text: what
+    ``json.dumps`` writes for it as a dict, byte for byte."""
     op = getattr(row, "op", None)
     if op is not None:
         # A WATCH session's delta event: +pair / -pair with the
         # subscription-wide sequence number.
-        return {
-            "op": op,
-            "seq": row.seq,
-            "d": row.distance,
-            "oid1": row.oid1,
-            "geom1": geom(row.obj1),
-            "oid2": row.oid2,
-            "geom2": geom(row.obj2),
-        }
-    return {
-        "d": row.d,
-        "oid1": row.oid1,
-        "geom1": geom(row.geom1),
-        "oid2": row.oid2,
-        "geom2": geom(row.geom2),
-    }
+        return (
+            f'{{"op": {_scalar(op)}, "seq": {_scalar(row.seq)}, '
+            f'"d": {_scalar(row.distance)}, '
+            f'"oid1": {_scalar(row.oid1)}, "geom1": {_geom(row.obj1)}, '
+            f'"oid2": {_scalar(row.oid2)}, "geom2": {_geom(row.obj2)}}}'
+        )
+    return (
+        f'{{"d": {_scalar(row.d)}, '
+        f'"oid1": {_scalar(row.oid1)}, "geom1": {_geom(row.geom1)}, '
+        f'"oid2": {_scalar(row.oid2)}, "geom2": {_geom(row.geom2)}}}'
+    )
 
 
 class JoinService:
@@ -410,12 +440,13 @@ class JoinService:
             return 400, {"error": f"'k' must be in [1, {MAX_PAGE}]"}
         session = self.scheduler.request(session_id, k)
         while session.pending:
-            produced = self.scheduler.run_round()
-            # Yield between rounds so concurrent /next handlers (and
-            # the evictor) interleave; the round itself is atomic.
-            await asyncio.sleep(0)
-            if produced == 0 and session.pending:
+            if self.scheduler.run_round() == 0 and session.pending:
                 break
+            if session.pending:
+                # Yield between rounds so concurrent /next handlers
+                # (and the evictor) interleave; the round itself is
+                # atomic.
+                await asyncio.sleep(0)
         if session.error is not None:
             # The scheduler dropped the session: its spooled cursor
             # could not be restored.  Only this client is told.
@@ -426,13 +457,15 @@ class JoinService:
             # not accumulate (it would pin the session as pending
             # forever and block idle eviction).
             session.demand = 0
-        payload = {
-            "session": session_id,
-            "rows": [row_to_json(r) for r in rows],
-            "done": exhausted,
-            "emitted_total": session.emitted_total,
-            "quanta": session.quanta,
-        }
+        # The reply is text: json.dumps of the page as a dict, byte
+        # for byte, with each row written by row_to_json.
+        payload = (
+            f'{{"session": {_scalar(session_id)}, '
+            f'"rows": [{", ".join([row_to_json(r) for r in rows])}], '
+            f'"done": {_scalar(exhausted)}, '
+            f'"emitted_total": {_scalar(session.emitted_total)}, '
+            f'"quanta": {_scalar(session.quanta)}}}'
+        )
         if exhausted:
             # A finished STOP AFTER k stream frees its slot at once.
             self.scheduler.remove(session_id)

@@ -494,7 +494,8 @@ class Driven:
             )
         )
         assert status == 200, payload
-        return payload
+        # A /next reply is already JSON text; the rest are dicts.
+        return json.loads(payload) if isinstance(payload, str) else payload
 
     @property
     def session(self):
