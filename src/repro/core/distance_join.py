@@ -32,15 +32,18 @@ All of the paper's algorithmic knobs are fields of the
 
 from __future__ import annotations
 
+from array import array
 from itertools import compress
 from typing import Any, Dict, List, NamedTuple, Optional
 
 from repro.core import cursor
 from repro.core.estimate import JoinEstimator
 from repro.core.pairs import (
+    DIST_CODE,
     NODE,
     OBJ,
     OBR,
+    ROW_CODE,
     CandidateBlock,
     Item,
     Pair,
@@ -83,6 +86,17 @@ from repro.util.obs import NULL_OBSERVER, Observer
 
 _INF = float("inf")
 _new_tuple = tuple.__new__
+
+
+def _dist_column(values) -> array:
+    """A block's distance column from a kernel's float ndarray: one
+    byte copy, no float object per row."""
+    return array(DIST_CODE, values.astype(DIST_CODE, copy=False).tobytes())
+
+
+def _row_column(indices) -> array:
+    """A block's row-number column from an integer ndarray."""
+    return array(ROW_CODE, indices.astype(ROW_CODE, copy=False).tobytes())
 
 
 class JoinResult(NamedTuple):
@@ -595,15 +609,15 @@ class IncrementalDistanceJoin(cursor.SuspendableOperator):
             kern, d, eff_dmax, object_path, *corners
         )
         if alive is None:
-            dists = d.tolist()
-            rows = list(range(m)) if taken is None else taken
+            dists = _dist_column(d)
+            rows = range(m) if taken is None else array(ROW_CODE, taken)
         else:
             if not alive.size:
                 return
-            dists = d[alive].tolist()
-            rows = alive.tolist()
-            if taken is not None:
-                rows = [taken[i] for i in rows]
+            dists = _dist_column(d[alive])
+            rows = _row_column(
+                alive if taken is None else kern.np.asarray(taken)[alive]
+            )
         uppers = self._uppers_batch(
             kern, alive, object_path, level == 0 and other.kind != NODE,
             *corners,
@@ -630,7 +644,7 @@ class IncrementalDistanceJoin(cursor.SuspendableOperator):
             unseen = list(compress(candidates, keep))
             self._charge_seen(len(candidates) - len(unseen))
             candidates = unseen
-        dists: List[float] = []
+        dists = array(DIST_CODE)
         children: List[Item] = []
         for child in candidates:
             item1, item2 = (child, other) if side == 1 else (other, child)
@@ -639,7 +653,7 @@ class IncrementalDistanceJoin(cursor.SuspendableOperator):
                 dists.append(d)
                 children.append(child)
         return CandidateBlock(
-            dists, list(range(len(dists))), children, other, side
+            dists, range(len(dists)), children, other, side
         )
 
     def _node_children(
@@ -760,9 +774,9 @@ class IncrementalDistanceJoin(cursor.SuspendableOperator):
         # pair.
         keep = self._keep_mask(1, node1.level, children1)
 
-        dists: List[float] = []
-        rows1: List[int] = []
-        rows2: List[int] = []
+        dists = array(DIST_CODE)
+        rows1 = array(ROW_CODE)
+        rows2 = array(ROW_CODE)
         dropped = 0
         for i, j in sweep_entry_indices(children1, children2, eff_dmax):
             if keep is not None and not keep[i]:
@@ -819,7 +833,10 @@ class IncrementalDistanceJoin(cursor.SuspendableOperator):
         n1, n2 = s1.n, s2.n
         children1 = self._node_children(s1, node1.entries, level1)
         children2 = self._node_children(s2, node2.entries, level2)
-        empty = CandidateBlock([], [], children1, None, 0, [], children2)
+        empty = CandidateBlock(
+            array(DIST_CODE), array(ROW_CODE), children1, None, 0,
+            array(ROW_CODE), children2,
+        )
         self.distance._bound_calcs.add(n1 + n2)
         if not n1 or not n2:
             return empty
@@ -888,14 +905,14 @@ class IncrementalDistanceJoin(cursor.SuspendableOperator):
         if alive is not None:
             d, g1, g2 = d[alive], g1[alive], g2[alive]
         return CandidateBlock(
-            d.tolist(), g1.tolist(), children1, None, 0,
-            g2.tolist(), children2, uppers,
+            _dist_column(d), _row_column(g1), children1, None, 0,
+            _row_column(g2), children2, uppers,
         )
 
     def _uppers_batch(
         self, kern, alive, object_path: bool, minimal: bool,
         lo1, hi1, lo2, hi2,
-    ) -> Optional[List[float]]:
+    ) -> Optional[array]:
         """Estimation d_max (Section 2.2.4) of one expansion's admitted
         rows -- ``alive`` and the corners are what
         :meth:`_range_admits_batch` returned and took -- for the
@@ -921,7 +938,7 @@ class IncrementalDistanceJoin(cursor.SuspendableOperator):
                 for c in (lo1, hi1, lo2, hi2)
             )
         bound = kern.minmaxdist if minimal else kern.maxdist
-        return bound(lo1, hi1, lo2, hi2).tolist()
+        return _dist_column(bound(lo1, hi1, lo2, hi2))
 
     def _push_candidates(
         self, pair: Pair, side: int, block: CandidateBlock
@@ -972,7 +989,9 @@ class IncrementalDistanceJoin(cursor.SuspendableOperator):
         observed once at the final (maximal) size; the estimator then
         takes the block in one ``offer``.  No queue push reads what the
         estimator writes, so totals, peaks and the trim trajectory
-        equal the per-pair accounting exactly.
+        equal the per-pair accounting exactly.  The d_max column is
+        read by the keys and the offer only, so the queued block drops
+        it.
         """
         self._keys.key_block(
             block, item1, item2,
@@ -984,6 +1003,7 @@ class IncrementalDistanceJoin(cursor.SuspendableOperator):
         self._c_queue_size.observe(len(self._queue))
         if self._estimator is not None:
             self._offer(block, item1, item2)
+        block.uppers = None
 
     def _range_admits(self, item1: Item, item2: Item, d: float,
                       eff_dmax: float) -> bool:
@@ -1010,7 +1030,7 @@ class IncrementalDistanceJoin(cursor.SuspendableOperator):
 
     def _dmax_of(
         self, block: CandidateBlock, item1: Item, item2: Item
-    ) -> List[float]:
+    ) -> array:
         """Each row's estimation d_max for a block headed by ``item1`` /
         ``item2`` (also the reverse variant's key distance), charged by
         the per-pair rule: one ``bound_calcs`` a row, none for resolved
@@ -1023,10 +1043,10 @@ class IncrementalDistanceJoin(cursor.SuspendableOperator):
             self.distance._bound_calcs.add(len(block))
             return block.uppers
         bound = self.distance.estimation_maxdist
-        return [
+        return array(DIST_CODE, [
             bound(block.first(row), block.second(row))
             for row in range(len(block))
-        ]
+        ])
 
     def _count_lower_bound(self, side: int, item: Item) -> int:
         if item.kind != NODE:

@@ -45,7 +45,13 @@ class Run:
     holds the other rows' numbers in descending key order (the next
     one is ``rows.pop()``) and is never empty.  ``pop_run`` advances
     a run one row a pop, so it is indistinguishable from its rows
-    pushed singly, because keys are totally ordered."""
+    pushed singly, because keys are totally ordered.
+
+    ``rows`` stays a list, unlike the block's columns: a one-sided
+    block's row numbers are below the fan-out, so its slots point at
+    the interpreter's shared small ints, and a list slot costs what an
+    ``array('q')`` value does (``join_topk``'s queue held 0.45 MB of
+    run lists, 0.42 MB as arrays)."""
 
     __slots__ = ("block", "rows")
 

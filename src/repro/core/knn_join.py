@@ -168,7 +168,7 @@ class KNearestNeighborJoin(IncrementalDistanceSemiJoin):
             heapq.heapreplace(values, -est_dmax)
 
     def _with_global(
-        self, block: CandidateBlock, uppers: List[float],
+        self, block: CandidateBlock, uppers: Sequence[float],
         local: Sequence[Optional[float]],
     ) -> List[Optional[float]]:
         # Row by row: observe the row's d_max into its outer item's k

@@ -14,8 +14,9 @@ and charging the right performance counter, and enforces the paper's
 
 from __future__ import annotations
 
+from array import array
 from itertools import count
-from typing import Any, List, Optional, Tuple
+from typing import Any, List, Optional, Sequence, Tuple
 
 from repro.errors import ConsistencyError
 from repro.geometry.metrics import EUCLIDEAN, Metric
@@ -31,6 +32,14 @@ OBR = 1
 OBJ = 2
 
 _KIND_NAMES = {NODE: "node", OBR: "obr", OBJ: "obj"}
+
+#: :mod:`array` typecodes of the block columns: C doubles for the
+#: distances, d_max values and key distances; C long long for row
+#: numbers.  numpy spells both the same (``"d"``, ``"q"``; ``"q"`` is
+#: its index type on 64-bit hosts), so the vector kernels fill a column
+#: with one byte copy, and no fan-out overflows a row number.
+DIST_CODE = "d"
+ROW_CODE = "q"
 
 
 class Item:
@@ -132,8 +141,9 @@ class CandidateBlock:
 
     Most queued pairs are never dequeued (paper Section 3.2), so a
     block holds exactly what the expansion computed -- one row per
-    admitted child pair -- and a :class:`Pair` is built only for the
-    row a consumer asks for.
+    admitted child pair, in typed columns (:data:`DIST_CODE` /
+    :data:`ROW_CODE` arrays, 8 bytes a value and no object per row) --
+    and a :class:`Pair` is built only for the row a consumer asks for.
 
     Attributes
     ----------
@@ -142,7 +152,9 @@ class CandidateBlock:
     rows, items:
         ``items[rows[r]]`` is row ``r``'s child item.  ``items`` is
         typically the node's cached child list, shared by every block
-        built from that node and never edited in place.
+        built from that node and never edited in place.  ``rows`` is a
+        ``range`` when the expansion dropped no child (row ``r`` is
+        child ``r``), else a row-number array.
     other, side:
         One-sided expansion: the fixed partner item, and the side (1
         or 2) the children are on.  ``side=0`` is the simultaneous
@@ -153,10 +165,11 @@ class CandidateBlock:
     keyd, rank, level, seq0, step:
         The key shape, set by :meth:`KeyMaker.key_block` when the
         block is enqueued: row ``r`` has the queue key ``(keyd[r],
-        rank, level, seq0 + step * r)``.  The row of a key follows
-        from its sequence component, so a queue hands out plain
-        ``(key, block)`` rows and keeps no per-row wrapper (in memory
-        it orders one handle for the whole block, sorted into a run).
+        rank, level, seq0 + step * r)``; ``keyd`` is ``dists`` itself
+        on an ascending join.  The row of a key follows from its
+        sequence component, so a queue hands out plain ``(key, block)``
+        rows and keeps no per-row wrapper (in memory it orders one
+        handle for the whole block, sorted into a run).
     """
 
     __slots__ = ("dists", "rows", "items", "other", "side", "rows2",
@@ -165,14 +178,14 @@ class CandidateBlock:
 
     def __init__(
         self,
-        dists: List[float],
-        rows: List[int],
+        dists: array,
+        rows: Sequence[int],
         items: List[Item],
         other: Optional[Item],
         side: int,
-        rows2: Optional[List[int]] = None,
+        rows2: Optional[Sequence[int]] = None,
         items2: Optional[List[Item]] = None,
-        uppers: Optional[List[float]] = None,
+        uppers: Optional[array] = None,
     ) -> None:
         self.dists = dists
         self.rows = rows
@@ -186,10 +199,11 @@ class CandidateBlock:
     @classmethod
     def of_pairs(cls, pairs: List[Pair]) -> "CandidateBlock":
         """A block over already materialised pairs (one row each)."""
-        rows = list(range(len(pairs)))
+        rows = range(len(pairs))
         return cls(
-            [p.distance for p in pairs], rows, [p.item1 for p in pairs],
-            None, 0, rows, [p.item2 for p in pairs],
+            array(DIST_CODE, [p.distance for p in pairs]), rows,
+            [p.item1 for p in pairs], None, 0, rows,
+            [p.item2 for p in pairs],
         )
 
     def __len__(self) -> int:
@@ -231,13 +245,16 @@ class CandidateBlock:
     def take(self, kept: List[int]) -> "CandidateBlock":
         """A block of the ``kept`` rows only, in that order."""
 
-        def picked(column):
-            return None if column is None else [column[r] for r in kept]
+        def picked(column, code):
+            if column is None:
+                return None
+            return array(code, [column[r] for r in kept])
 
         return CandidateBlock(
-            picked(self.dists), picked(self.rows), self.items, self.other,
-            self.side, picked(self.rows2), self.items2,
-            picked(self.uppers),
+            picked(self.dists, DIST_CODE), picked(self.rows, ROW_CODE),
+            self.items, self.other, self.side,
+            picked(self.rows2, ROW_CODE), self.items2,
+            picked(self.uppers, DIST_CODE),
         )
 
     # -- keyed blocks (after KeyMaker.key_block) -----------------------

@@ -81,11 +81,13 @@ def _push_run(heap, block: CandidateBlock, rows: Sequence[int]) -> int:
 
     A block's rows share ``rank`` and ``level``, so key order is
     ``(keyd, seq)`` order: one stable sort over ``keyd``, starting from
-    descending ``seq``, leaves the rows in descending key order.
+    descending ``seq``, leaves the rows in descending key order.  The
+    sort reads ``keyd`` through a transient list: one C-level boxing
+    pass costs less than boxing a float per ``array`` read.
     """
     order = sorted(
         rows if block.step < 0 else reversed(rows),
-        key=block.keyd.__getitem__, reverse=True,
+        key=block.keyd.tolist().__getitem__, reverse=True,
     )
     count = len(order)
     head = order.pop()
@@ -280,7 +282,11 @@ class HybridPairQueue(PairQueue):
     the list is held in hand (``_open_page``) and appended to in place,
     and the store sees one ``write`` when the page fills (``page_writes``
     is per page, ``pq_disk_writes`` per record).  A block's spilled rows
-    reach the pages in one :meth:`_push_disk` call.
+    reach the pages in one :meth:`_push_disk` call.  A page stays a
+    list: a record is a reference to its block beside a row number
+    (below the fan-out on a one-sided block, so an interpreter-shared
+    small int), 16 bytes that a pair of typed columns would not
+    shrink.
     """
 
     def __init__(

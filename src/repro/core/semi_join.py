@@ -193,7 +193,7 @@ class IncrementalDistanceSemiJoin(IncrementalDistanceJoin):
         return block.take(kept)
 
     def _local_bounds(
-        self, block: CandidateBlock, uppers: List[float]
+        self, block: CandidateBlock, uppers: Sequence[float]
     ) -> Sequence[Optional[float]]:
         """Each row's Local bound: the k-th smallest d_max among the
         rows sharing its outer item (``None`` with fewer than k)."""
@@ -221,7 +221,7 @@ class IncrementalDistanceSemiJoin(IncrementalDistanceJoin):
         return [items[i].identity() for i in block.rows]
 
     def _with_global(
-        self, block: CandidateBlock, uppers: List[float],
+        self, block: CandidateBlock, uppers: Sequence[float],
         local: Sequence[Optional[float]],
     ) -> List[Optional[float]]:
         """GlobalNodes / GlobalAll, row by row: tighten each row's
@@ -255,7 +255,7 @@ class IncrementalDistanceSemiJoin(IncrementalDistanceJoin):
         self._bounds = dict(extra["bounds"])
 
 
-def _kth_smallest(values: List[float], k: int) -> Optional[float]:
+def _kth_smallest(values: Sequence[float], k: int) -> Optional[float]:
     """The k-th smallest of ``values``; ``None`` with fewer than k."""
     if len(values) < k:
         return None

@@ -10,9 +10,13 @@ while *breadth-first* gives it to shallower ones.
 
 from __future__ import annotations
 
-from typing import Tuple
+from array import array
+from operator import neg
+from typing import Sequence, Tuple
 
-from repro.core.pairs import NODE, OBJ, CandidateBlock, Item, Pair
+from repro.core.pairs import (
+    DIST_CODE, NODE, OBJ, ROW_CODE, CandidateBlock, Item, Pair,
+)
 
 #: Tie-break policy names.
 DEPTH_FIRST = "depth_first"
@@ -111,7 +115,7 @@ class KeyMaker:
 
     def key_block(
         self, block: CandidateBlock, item1: Item, item2: Item,
-        distances: list,
+        distances: array,
     ) -> None:
         """Key a whole block headed by ``item1`` / ``item2``
         (:meth:`CandidateBlock.head`): row ``r`` is ordered at
@@ -123,22 +127,26 @@ class KeyMaker:
         and a run of sequence numbers; its keys -- built on demand by
         :meth:`CandidateBlock.key` / ``keys`` -- are bit-identical to
         calling :meth:`key` on each row's pair in order, including the
-        sequence numbers consumed.
+        sequence numbers consumed.  ``keyd`` is ``distances`` itself
+        on an ascending join, a negated copy on a descending one.
         """
         block.rank, block.level = self._shape(
             item1.kind, item1.level, item2.kind, item2.level
         )
         block.seq0, block.step = self._take(len(distances))
         block.keyd = (
-            [-d for d in distances] if self.descending else distances
+            array(DIST_CODE, map(neg, distances)) if self.descending
+            else distances
         )
 
-    def key_batch(self, first: Pair, distances) -> list:
+    def key_batch(self, first: Pair, distances: Sequence[float]) -> list:
         """Keys for a batch of pairs sharing ``first``'s shape, ordered
         at ``distances`` (the :meth:`key_block` contract, for callers
         holding pairs)."""
+        distances = array(DIST_CODE, distances)
         block = CandidateBlock(
-            distances, [0] * len(distances), [first.item1], first.item2, 1
+            distances, array(ROW_CODE, [0]) * len(distances),
+            [first.item1], first.item2, 1,
         )
         self.key_block(block, first.item1, first.item2, distances)
         return block.keys()

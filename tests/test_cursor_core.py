@@ -4,6 +4,7 @@ sequence restore, estimator state, and the join-level cursor."""
 
 import pickle
 import random
+from array import array
 
 import pytest
 
@@ -122,7 +123,7 @@ def keyed_block(distances, seq0):
     children = [Item(OBJ, rect, oid=seq0 + i)
                 for i in range(len(distances))]
     block = CandidateBlock(
-        list(distances), list(range(len(distances))), children,
+        array("d", distances), range(len(distances)), children,
         partner, 1,
     )
     keys = KeyMaker("depth_first")

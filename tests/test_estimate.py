@@ -1,6 +1,7 @@
 """Unit tests for the maximum-distance estimators (Section 2.2.4/2.3)."""
 
 import pickle
+from array import array
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -54,7 +55,7 @@ def offer_block(est, pairs, uppers, count):
     """Offer already materialised pairs as one keyed block; returns
     the rows' sequence numbers."""
     block = CandidateBlock.of_pairs(pairs)
-    block.uppers = uppers
+    block.uppers = array("d", uppers)
     est.keys.key_block(block, *block.head(), block.dists)
     est.offer(block, count)
     return [abs(key[3]) for key in block.keys()]

@@ -3,6 +3,7 @@
 tell that from ``push(block.key(r), block)`` row by row."""
 
 import pickle
+from array import array
 from itertools import count
 
 import pytest
@@ -123,7 +124,7 @@ def test_run_queue_equals_per_row_reference(
         if op == "block":
             children = [Item(OBJ, RECT, oid=next(oids)) for __ in arg]
             block = CandidateBlock(
-                list(arg), list(range(len(arg))), children, partner, 1
+                array("d", arg), range(len(arg)), children, partner, 1
             )
             keys.key_block(block, *block.head(), block.dists)
             queue.push_many(block)
